@@ -281,7 +281,11 @@ def parse_config(
             n_list = tuple(int(s) for s in str(n_list_text).split(","))
         except ValueError:
             raise ConfigError(f"bad n-list: {n_list_text!r}")
-    ed_tol = float(pick(ns.ed_tol, "ed-tol", 1e-6))
+    ed_tol = ns.ed_tol if ns.ed_tol is not None else _float_key(raw, "ed-tol")
+    if ed_tol is None:
+        ed_tol = 1e-6
+    if not (math.isfinite(ed_tol) and ed_tol > 0.0):
+        raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
     cutoff = int(pick(ns.cutoff, "cutoff", 512))
     kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
     try:

@@ -1,26 +1,48 @@
-"""Dense exact-diagonalization oracle for small atom numbers.
+"""Exact-diagonalization oracle at finite atom number N.
 
 Desk-scale reference results: full spectra, partition functions, thermal
 expectations, and the finite-N photon-density crossover that the
 functional-integral order parameter predicts in the N -> infinity limit.
+
+``thermal_solve`` diagonalizes one dense Hamiltonian.  The photon-density
+ladder (``truncation_convergence``, ``photon_density_curve``) solves each
+rung by one of two routes, chosen from the kind:
+
+- the collective kinds (generalized Dicke, rotating-wave Dicke and
+  intensity-dependent Dicke) depend on the atoms only through the
+  collective spin, so the 2^N x (n_max + 1) trace splits into total-spin
+  blocks of (2j + 1)(n_max + 1) rows with multiplicities d_j
+  (``operators.spin_sector_hamiltonians``).  Each block is diagonalized on
+  its own; the Boltzmann weights of all blocks share one ground-energy
+  shift and the thermal average sums d_j Tr_j over the blocks;
+- the single-atom kinds (Jaynes-Cummings and its two-photon and
+  intensity-dependent variants) go through the dense ``build_hamiltonian``
+  and ``thermal_solve``, which also stay the small-N oracle for the
+  collective route.
+
+``dimension_limit`` bounds the largest matrix actually diagonalized:
+(N + 1)(n_max + 1) rows for a collective kind, 2^N (n_max + 1) for the
+dense route.  The ladder stops with ``TruncationConvergenceError`` when
+its next doubling would pass that bound.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from dicketherm.operators import (
+    COLLECTIVE_KINDS,
     DEFAULT_DIMENSION_LIMIT,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
     build_hamiltonian,
     photon_number_operator,
+    spin_sector_hamiltonians,
 )
 
 __all__ = [
@@ -31,6 +53,10 @@ __all__ = [
     "thermal_solve",
     "truncation_convergence",
 ]
+
+
+# First rung of the truncation ladder; it doubles from here.
+_BASE_RUNG = 8
 
 
 class TruncationConvergenceError(RuntimeError):
@@ -111,11 +137,6 @@ def thermal_solve(
     return EDResult(eigenvalues=out, Z=Z, observables=expectations, beta=beta)
 
 
-# ladder solves keyed by (params, N, n_max, beta, kind); photon density only
-_density_cache: dict[tuple, float] = {}
-_density_lock = threading.Lock()
-
-
 def _photon_density(
     params: ModelParams,
     n_atoms: int,
@@ -124,49 +145,64 @@ def _photon_density(
     kind: HamiltonianKind,
     dimension_limit: int,
 ) -> float:
-    key = (params, n_atoms, n_max, beta, kind)
-    with _density_lock:
-        if key in _density_cache:
-            return _density_cache[key]
-    H = build_hamiltonian(
+    """Thermal <b'b> at one truncation, by spin blocks or dense solve."""
+    if kind not in COLLECTIVE_KINDS:
+        H = build_hamiltonian(
+            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
+        )
+        number = photon_number_operator(n_atoms, n_max)
+        result = thermal_solve(
+            H, beta, {"photons": number}, dimension_limit=dimension_limit
+        )
+        return result.observables["photons"]
+
+    _check_beta(beta)
+    fock = np.arange(n_max + 1, dtype=float)
+    sectors = []
+    for multiplicity, block in spin_sector_hamiltonians(
         kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-    )
-    number = photon_number_operator(n_atoms, n_max)
-    result = thermal_solve(
-        H, beta, {"photons": number}, dimension_limit=dimension_limit
-    )
-    value = result.observables["photons"]
-    with _density_lock:
-        _density_cache[key] = value
-    return value
+    ):
+        eigenvalues, eigenvectors = np.linalg.eigh(block)
+        photons = np.tile(fock, block.shape[0] // fock.size) @ eigenvectors**2
+        sectors.append((float(multiplicity), eigenvalues, photons))
+    ground = min(eigenvalues[0] for _, eigenvalues, _ in sectors)
+    weighted_photons = z_shifted = 0.0
+    for multiplicity, eigenvalues, photons in sectors:
+        weights = multiplicity * np.exp(-beta * (eigenvalues - ground))
+        weighted_photons += float(weights @ photons)
+        z_shifted += float(np.sum(weights))
+    return weighted_photons / z_shifted
 
 
-def truncation_convergence(
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
+def _largest_block(kind: HamiltonianKind, n_atoms: int, n_max: int) -> int:
+    """Rows of the largest matrix one ladder rung diagonalizes."""
+    spin_rows = n_atoms + 1 if kind in COLLECTIVE_KINDS else 2**n_atoms
+    return spin_rows * (n_max + 1)
+
+
+def _ladder(
     params: ModelParams,
     n_atoms: int,
     beta: float,
     target_tol: float,
-    *,
-    kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE,
-    base: int = 8,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
-) -> int:
-    """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
+    kind: HamiltonianKind,
+    base: int,
+    dimension_limit: int,
+) -> tuple[int, float, float]:
+    """First converged rung and the photon numbers at it and its doubling.
 
-    The ladder is base, 2*base, 4*base, ... and stops at the dimension
-    ceiling; exhaustion raises TruncationConvergenceError, the expected
-    outcome deep in the superradiant phase where occupation scales with
-    the atom number.
+    Each rung is solved once; nothing is kept beyond the call.
     """
-    if target_tol <= 0.0:
-        raise ValueError("target_tol must be positive")
-    if math.isinf(target_tol):
-        return base
     n_max = base
     prev = _photon_density(params, n_atoms, n_max, beta, kind, dimension_limit)
     while True:
         doubled = 2 * n_max
-        if 2**n_atoms * (doubled + 1) > dimension_limit:
+        if _largest_block(kind, n_atoms, doubled) > dimension_limit:
             raise TruncationConvergenceError(
                 f"ladder exhausted at n_max={n_max} (N={n_atoms}, "
                 f"dimension ceiling {dimension_limit}); last rung moved "
@@ -176,8 +212,48 @@ def truncation_convergence(
             params, n_atoms, doubled, beta, kind, dimension_limit
         )
         if abs(cur - prev) < target_tol:
-            return n_max
+            return n_max, prev, cur
         n_max, prev = doubled, cur
+
+
+def _check_ladder_inputs(beta: float, target_tol: float) -> None:
+    if not target_tol > 0.0:
+        raise ValueError(f"target_tol must be positive, got {target_tol}")
+    _check_beta(beta)
+
+
+def truncation_convergence(
+    params: ModelParams,
+    n_atoms: int,
+    beta: float,
+    target_tol: float,
+    *,
+    kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE,
+    base: int = _BASE_RUNG,
+    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
+) -> int:
+    """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
+
+    The ladder is base, 2*base, 4*base, ... and stops before a rung whose
+    largest diagonalized matrix would exceed ``dimension_limit`` (see the
+    module docstring); exhaustion raises TruncationConvergenceError, the
+    expected outcome deep in the superradiant phase where occupation
+    scales with the atom number.  An infinite ``target_tol`` accepts
+    ``base`` unsolved.
+
+    Raises
+    ------
+    ValueError
+        For a NaN or non-positive ``target_tol``, or a non-finite or
+        non-positive ``beta``.
+    """
+    _check_ladder_inputs(beta, target_tol)
+    if math.isinf(target_tol):
+        return base
+    rung, _, _ = _ladder(
+        params, n_atoms, beta, target_tol, kind, base, dimension_limit
+    )
+    return rung
 
 
 def photon_density_curve(
@@ -193,23 +269,14 @@ def photon_density_curve(
 
     Each point reports the doubled (confirming) rung: its density is the
     more accurate of the converged pair and the difference between the
-    pair is the recorded truncation error estimate.
+    pair is the recorded truncation error estimate.  Inputs are checked
+    as in ``truncation_convergence``.
     """
+    _check_ladder_inputs(beta, target_tol)
     points = []
     for n_atoms in N_list:
-        rung = truncation_convergence(
-            params,
-            n_atoms,
-            beta,
-            target_tol,
-            kind=kind,
-            dimension_limit=dimension_limit,
-        )
-        lower = _photon_density(
-            params, n_atoms, rung, beta, kind, dimension_limit
-        )
-        upper = _photon_density(
-            params, n_atoms, 2 * rung, beta, kind, dimension_limit
+        rung, lower, upper = _ladder(
+            params, n_atoms, beta, target_tol, kind, _BASE_RUNG, dimension_limit
         )
         points.append(
             CurvePoint(

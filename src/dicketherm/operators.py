@@ -5,7 +5,9 @@ register of N two-level atoms, and dense builders for the single-mode
 Hamiltonians handled by the package: the generalized Dicke model with
 separate rotating and counter-rotating couplings, its rotating-wave
 restriction, the Jaynes-Cummings model and its two-photon and
-intensity-dependent variants.
+intensity-dependent variants.  The collective kinds also have a
+total-spin block builder, ``spin_sector_hamiltonians``, whose blocks
+carry the same spectrum as the dense matrix at a fraction of its size.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -18,10 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
+    "COLLECTIVE_KINDS",
     "DEFAULT_DIMENSION_LIMIT",
     "BosonSpace",
     "DimensionLimitError",
@@ -35,6 +40,7 @@ __all__ = [
     "make_spin_ops",
     "parity_operator",
     "photon_number_operator",
+    "spin_sector_hamiltonians",
     "total_excitation_operator",
 ]
 
@@ -160,6 +166,15 @@ _SINGLE_ATOM_KINDS = frozenset(
         HamiltonianKind.JAYNES_CUMMINGS,
         HamiltonianKind.TWO_PHOTON_JC,
         HamiltonianKind.INTENSITY_JC,
+    }
+)
+
+# Kinds whose atoms enter only through the collective spin J = sum_i s_i / 2.
+COLLECTIVE_KINDS = frozenset(
+    {
+        HamiltonianKind.GENERALIZED_DICKE,
+        HamiltonianKind.DICKE_RWA,
+        HamiltonianKind.INTENSITY_DICKE,
     }
 )
 
@@ -323,6 +338,76 @@ def build_hamiltonian(
         raise ValueError(f"unknown kind {kind!r}")
 
     return HermitianOperator(free + interaction)
+
+
+def spin_sector_hamiltonians(
+    kind: HamiltonianKind,
+    params: ModelParams,
+    n_atoms: int,
+    n_max: int,
+    *,
+    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Total-spin blocks ``(d_j, H_j)`` of a collective kind.
+
+    A collective Hamiltonian commutes with J^2, so on the 2^N register it
+    splits into blocks |j, m> x Fock, j = N/2, N/2 - 1, ..., down to 0 or
+    1/2, each repeated ``d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)`` times
+    (Shammah et al., PRA 98, 063815, 2018).  ``H_j`` is the real symmetric
+    matrix of size (2j + 1)(n_max + 1), ordered |m> x |n> with m ascending:
+
+        omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)
+
+    with ``op`` = b (g1) and b' (g2) for GENERALIZED_DICKE, b (g1) for
+    DICKE_RWA and b (b'b)^(1/2) (g1) for INTENSITY_DICKE, exactly as in
+    ``build_hamiltonian``, whose spectrum is the union of the blocks'
+    spectra with multiplicities ``d_j``.  Blocks are built lazily, one per
+    iteration; the arguments are checked on the call.
+
+    Raises
+    ------
+    DimensionLimitError
+        If the largest block, (N + 1)(n_max + 1), exceeds ``dimension_limit``.
+    ValueError
+        For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
+    """
+    if kind not in COLLECTIVE_KINDS:
+        raise ValueError(f"{kind.value} has no collective-spin blocks")
+    if n_atoms < 1:
+        raise ValueError("n_atoms must be at least 1")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    largest = (n_atoms + 1) * (n_max + 1)
+    if largest > dimension_limit:
+        raise DimensionLimitError(
+            f"largest spin block {largest} exceeds limit {dimension_limit} "
+            f"(N={n_atoms}, n_max={n_max})"
+        )
+
+    fock = np.arange(n_max + 1, dtype=float)
+    lower = np.diag(np.sqrt(fock[1:]), k=1)
+    if kind is HamiltonianKind.GENERALIZED_DICKE:
+        couplings = ((params.g1, lower), (params.g2, lower.T))
+    elif kind is HamiltonianKind.DICKE_RWA:
+        couplings = ((params.g1, lower),)
+    else:
+        couplings = ((params.g1, lower * np.sqrt(fock)),)
+
+    def block(two_j: int) -> np.ndarray:
+        m = np.arange(two_j + 1) - 0.5 * two_j
+        # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>
+        j, below = 0.5 * two_j, m[:-1]
+        raising = np.diag(np.sqrt((j - below) * (j + below + 1.0)), k=-1)
+        h = np.diag(np.add.outer(params.Omega * m, params.omega0 * fock).ravel())
+        for g, op in couplings:
+            term = (g / np.sqrt(n_atoms)) * np.kron(raising, op)
+            h += term + term.T
+        return h
+
+    return (
+        (comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), block(n_atoms - 2 * k))
+        for k in range(n_atoms // 2 + 1)
+    )
 
 
 def parity_operator(n_atoms: int, n_max: int) -> HermitianOperator:

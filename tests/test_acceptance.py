@@ -177,6 +177,24 @@ def test_finite_size_photon_density_trends():
     assert all(pt.truncation_error_estimate < 1e-6 for pt in points)
 
 
+def test_photon_density_trends_continue_past_dense_sizes():
+    # N = 12 and 16 are out of reach of the dense 2^N (n_max + 1) solve;
+    # the collective-spin blocks carry the trends of the N <= 8 test on.
+    from dicketherm.exact_diag import photon_density_curve
+
+    strong = ModelParams(12.0, 1.0, g1=0.8 * math.sqrt(12.0), g2=0.8 * math.sqrt(12.0))
+    points = photon_density_curve(strong, 2.0 * critical_beta(strong), (8, 12, 16))
+    dens = [pt.photons_per_atom for pt in points]
+    assert all(a < b for a, b in zip(dens, dens[1:]))
+    assert all(pt.truncation_error_estimate < 1e-6 for pt in points)
+
+    weak = ModelParams(6.0, 1.0, g1=0.98, g2=0.98)
+    points = photon_density_curve(weak, 3.30, (8, 12, 16))
+    dens = [pt.photons_per_atom for pt in points]
+    assert all(a > b for a, b in zip(dens, dens[1:]))
+    assert all(pt.truncation_error_estimate < 1e-6 for pt in points)
+
+
 def test_zero_temperature_phase_boundary_location():
     for omega0, Omega in ((0.5, 0.5), (1.0, 1.0), (2.0, 2.0)):
         g_star = math.sqrt(omega0 * Omega)

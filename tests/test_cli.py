@@ -252,6 +252,17 @@ def test_ed_curve_small_run(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+def test_ed_tol_must_be_positive_and_finite(tol, capsys):
+    code = main(["ed-curve", "--beta", "1.0", "--n-list", "2", "--ed-tol", tol])
+    assert code == 2
+    assert "ed-tol" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="ed-tol"):
+        parse_config(["ed-curve", "--beta", "1.0"], f"ed-tol = {tol}")
+    with pytest.raises(ConfigError, match="ed-tol"):
+        parse_config(["ed-curve", "--beta", "1.0"], "ed-tol = tight")
+
+
 def test_config_error_exit_code(capsys):
     assert main(["order-parameter"]) == 2
     assert "error:" in capsys.readouterr().err

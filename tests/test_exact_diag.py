@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dicketherm.exact_diag as exact_diag
 from _oracles import bose_occupation
 from dicketherm.exact_diag import (
     CurvePoint,
@@ -12,6 +15,9 @@ from dicketherm.exact_diag import (
     truncation_convergence,
 )
 from dicketherm.operators import (
+    COLLECTIVE_KINDS,
+    DEFAULT_DIMENSION_LIMIT,
+    DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
@@ -19,6 +25,7 @@ from dicketherm.operators import (
     build_hamiltonian,
     parity_operator,
     photon_number_operator,
+    spin_sector_hamiltonians,
     total_excitation_operator,
 )
 
@@ -136,3 +143,123 @@ def test_photon_density_curve_subcritical_decreases():
     dens = [pt.photons_per_atom for pt in pts]
     assert all(a > b for a, b in zip(dens, dens[1:]))
     assert all(pt.n_max_used >= 8 for pt in pts)
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_sector_photon_density_matches_dense_oracle(kind, n_atoms):
+    n_max = 8
+    number = photon_number_operator(n_atoms, n_max)
+    for g1, g2 in ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0)):
+        p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
+        h = build_hamiltonian(kind, p, n_atoms, n_max)
+        for beta in (0.3, 3.3, 40.0):
+            dense = thermal_solve(h, beta, {"n": number}).observables["n"]
+            sector = exact_diag._photon_density(
+                p, n_atoms, n_max, beta, kind, DEFAULT_DIMENSION_LIMIT
+            )
+            assert abs(sector - dense) <= 1e-12, (g1, g2, beta)
+
+
+def test_sector_spectrum_is_dense_spectrum_with_multiplicities():
+    p = ModelParams(1.0, 0.7, g1=0.5, g2=0.3)
+    n_atoms, n_max = 5, 4
+    dense = build_hamiltonian(
+        HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max
+    ).eigenvalues()
+    blocks = spin_sector_hamiltonians(
+        HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max
+    )
+    sector = np.sort(
+        np.concatenate([np.repeat(np.linalg.eigvalsh(h), d) for d, h in blocks])
+    )
+    assert np.allclose(sector, dense, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=40))
+def test_sector_multiplicities_cover_the_register(n_atoms):
+    blocks = list(
+        spin_sector_hamiltonians(
+            HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0), n_atoms, 2
+        )
+    )
+    assert sum(d * h.shape[0] // 3 for d, h in blocks) == 2**n_atoms
+    assert [h.shape[0] // 3 for _, h in blocks] == list(
+        range(n_atoms + 1, 0, -2)
+    )
+
+
+def test_sector_builder_guards():
+    p = ModelParams(1.0, 1.0, g1=0.5)
+    with pytest.raises(ValueError, match="no collective-spin blocks"):
+        spin_sector_hamiltonians(HamiltonianKind.JAYNES_CUMMINGS, p, 1, 8)
+    with pytest.raises(DimensionLimitError):
+        spin_sector_hamiltonians(
+            HamiltonianKind.GENERALIZED_DICKE, p, 8, 32, dimension_limit=296
+        )
+    with pytest.raises(ValueError, match="beta"):
+        exact_diag._photon_density(
+            p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE, 6000
+        )
+
+
+def test_ladder_guard_bounds_the_matrix_actually_diagonalized():
+    p = ModelParams(1.0, 1.0, g1=0.8, g2=0.8)
+    # the dense matrix, 2^8 * 33 rows, is past the default limit ...
+    with pytest.raises(DimensionLimitError):
+        build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
+    # ... but the ladder diagonalizes spin blocks of at most 9 * 65 rows
+    assert truncation_convergence(p, 8, 5.0, 1e-6) == 32
+    with pytest.raises(TruncationConvergenceError, match="n_max=32 "):
+        truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33)
+    with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
+        truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33 - 1)
+    # a single-atom kind keeps the dense guard, 2^1 * (n_max + 1)
+    jc = ModelParams(1.0, 1.0, g1=0.9)
+    kind = HamiltonianKind.JAYNES_CUMMINGS
+    with pytest.raises(TruncationConvergenceError, match="n_max=32 "):
+        truncation_convergence(
+            jc, 1, 5.0, 1e-300, kind=kind, dimension_limit=2 * 33
+        )
+    with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
+        truncation_convergence(
+            jc, 1, 5.0, 1e-300, kind=kind, dimension_limit=2 * 33 - 1
+        )
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ladder_rejects_bad_beta(beta):
+    p = ModelParams(1.0, 1.0, g1=0.3)
+    with pytest.raises(ValueError, match="beta"):
+        truncation_convergence(p, 2, beta, 1e-6)
+    with pytest.raises(ValueError, match="beta"):
+        photon_density_curve(p, beta, (2,))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, -math.inf])
+def test_ladder_rejects_bad_tolerance(tol):
+    p = ModelParams(1.0, 1.0, g1=0.3)
+    with pytest.raises(ValueError, match="target_tol"):
+        truncation_convergence(p, 2, 1.0, tol)
+    with pytest.raises(ValueError, match="target_tol"):
+        photon_density_curve(p, 1.0, (2,), target_tol=tol)
+
+
+def test_each_rung_is_solved_once_per_call(monkeypatch):
+    solved = []
+    original = exact_diag._photon_density
+
+    def counting(params, n_atoms, n_max, *rest):
+        solved.append((n_atoms, n_max))
+        return original(params, n_atoms, n_max, *rest)
+
+    monkeypatch.setattr(exact_diag, "_photon_density", counting)
+    p = ModelParams(1.0, 1.0)
+    for _ in range(2):
+        solved.clear()
+        pts = photon_density_curve(p, 3.0, (2, 3), target_tol=1e-10)
+        assert [pt.n_max_used for pt in pts] == [16, 16]
+        assert solved == [(2, 8), (2, 16), (3, 8), (3, 16)]
