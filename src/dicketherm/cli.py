@@ -145,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    parser.add_argument("--workers", type=int, help=f"overrides ${WORKERS_ENV}")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help=f"accepted for compatibility, no effect; overrides ${WORKERS_ENV}",
+    )
     parser.add_argument(
         "--n-list", help="comma-separated atom numbers for ed-curve"
     )
@@ -209,6 +213,13 @@ def _float_key(raw: dict[str, str], key: str) -> float | None:
         raise ConfigError(f"config key '{key}' is not a number: {raw[key]!r}")
 
 
+def _int_setting(name: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{name} is not an integer: {value!r}") from None
+
+
 def parse_config(
     args: Sequence[str], file_text: str | None = None
 ) -> RunConfig:
@@ -268,10 +279,7 @@ def parse_config(
     workers = pick(ns.workers, "workers", None)
     if workers is None and os.environ.get(WORKERS_ENV):
         workers = os.environ[WORKERS_ENV]
-    try:
-        workers = int(workers) if workers is not None else None
-    except ValueError:
-        raise ConfigError(f"workers is not an integer: {workers!r}")
+    workers = _int_setting("workers", workers) if workers is not None else None
 
     n_list_text = pick(ns.n_list, "n-list", None)
     if n_list_text is None:
@@ -286,7 +294,9 @@ def parse_config(
         ed_tol = 1e-6
     if not (math.isfinite(ed_tol) and ed_tol > 0.0):
         raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
-    cutoff = int(pick(ns.cutoff, "cutoff", 512))
+    cutoff = _int_setting("cutoff", pick(ns.cutoff, "cutoff", 512))
+    if cutoff < 10:
+        raise ConfigError(f"cutoff must be at least 10, got {cutoff}")
     kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
     try:
         kind = HamiltonianKind(kind_text)
@@ -342,7 +352,8 @@ def _json_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.17g" % value
+        # JSON has no NaN or infinity; error rows carry null instead
+        return "%.17g" % value if math.isfinite(value) else "null"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     if isinstance(value, str):

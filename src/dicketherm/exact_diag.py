@@ -100,8 +100,8 @@ def thermal_solve(
     """Full eigendecomposition plus Boltzmann-weighted expectations."""
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H))
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if H.dimension > dimension_limit:
         raise ValueError(
             f"dimension {H.dimension} exceeds limit {dimension_limit}"

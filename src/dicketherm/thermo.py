@@ -18,12 +18,16 @@ diagonalization should compare trends, not absolute fluctuation values.
 The normal/superradiant classification runs on the closed-form bound
 (g1+g2)^2/(Omega*omega0) * tanh(beta*Omega/4): below one the frequency
 product converges (normal phase), above one the static mode condenses.
+In the superradiant phase the order parameter is the root of the
+resummed gap equation (g1+g2)^2 tanh(beta*D/4) = D*omega0, a scalar
+equation with a finite zero-temperature limit.  The Matsubara frequency
+sums in ``dicketherm.matsubara`` are not used for it; they remain the
+independent route that ``validate`` and the tests check it against.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +36,6 @@ from scipy import integrate, optimize
 
 from dicketherm.matsubara import (
     DEFAULT_CUTOFF,
-    fermionic_lorentzian_sum,
     kernel_a,
     kernel_c,
     kernel_determinant_coefficients,
@@ -94,8 +97,12 @@ def quantum_critical_gap(params: ModelParams) -> float:
 
 
 def convergence_bound(params: ModelParams, beta: float) -> float:
-    """Closed form of a0(0) + 2*c0(0); the phase boundary sits at 1."""
-    if beta <= 0.0:
+    """Closed form of a0(0) + 2*c0(0); the phase boundary sits at 1.
+
+    beta = +inf (zero temperature) is allowed; NaN and non-positive beta
+    raise ValueError.
+    """
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     g = params.g1 + params.g2
     return g**2 / (params.Omega * params.omega0) * tanh_factor(params, beta)
@@ -191,39 +198,42 @@ def order_parameter(
     unique positive root of Phi' when the bound exceeds one and y = 0
     otherwise.  Photons per atom is rho = y* / (beta omega0).
 
-    The stationarity condition is solved on the numerically summed
-    frequency series; the closed-form resummation of the same product is
-    reserved for the test oracle.
+    Resumming the fermionic sum in closed form turns Phi' = 0 into the
+    gap equation G tanh(beta D/4) = D omega0, G = (g1+g2)^2, for the
+    effective gap D = sqrt(Omega^2 + 4 kappa y) > Omega, and
+    rho = (D^2 - Omega^2) / (4 G).  It is solved for s = D - Omega on
+    [0, G/omega0 - Omega], which avoids the cancellation in D^2 - Omega^2
+    near the transition.  When the balance at the upper end rounds to
+    non-negative (deep cold, and exactly at beta = inf) the root is that
+    end, which gives the zero-temperature value ((G/omega0)^2 -
+    Omega^2) / (4 G).  The numerically summed frequency series is
+    reserved for the test oracle and ``validate``.
+
+    Returns exactly 0.0 unless ``classify_phase`` labels the node
+    superradiant, so a critical row never reports a positive rho.
+    ``cutoff`` is accepted for compatibility and unused: the resummed
+    equation has no frequency cutoff.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if convergence_bound(params, beta) <= 1.0:
+    del cutoff
+    if classify_phase(params, beta) != "superradiant":
         return 0.0
-    kappa = (params.g1 + params.g2) ** 2 / (beta * params.omega0)
-    quarter_gap_sq = 0.25 * params.Omega**2
+    G = (params.g1 + params.g2) ** 2
+    Omega, omega0 = params.Omega, params.omega0
 
-    def phi_prime(y: float) -> float:
-        m = math.sqrt(quarter_gap_sq + kappa * y)
-        return kappa * fermionic_lorentzian_sum(m, beta, cutoff) - 1.0
+    def balance(s: float) -> float:
+        gap = Omega + s
+        return G * math.tanh(0.25 * beta * gap) - gap * omega0
 
-    hi = 1.0
-    for _ in range(200):
-        if phi_prime(hi) < 0.0:
-            break
-        hi *= 2.0
+    hi = G / omega0 - Omega
+    if balance(hi) >= 0.0:
+        s = hi
     else:
-        raise RuntimeError(
-            f"order-parameter bracket expansion failed: Phi'({hi}) still "
-            f"positive after 200 doublings"
+        # relative tolerance only: the default absolute xtol (2e-12) would
+        # leave a small s near the transition with few correct digits
+        s = optimize.brentq(
+            balance, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps
         )
-    try:
-        y_star = optimize.brentq(phi_prime, 0.0, hi, xtol=1e-15, rtol=1e-15)
-    except RuntimeError as exc:  # pragma: no cover - brentq rarely fails
-        raise RuntimeError(
-            f"order-parameter solve did not converge on bracket "
-            f"[0, {hi}]: {exc}"
-        ) from exc
-    return y_star / (beta * params.omega0)
+    return s * (s + 2.0 * Omega) / (4.0 * G)
 
 
 def phase_point(params: ModelParams, beta: float) -> PhasePoint:
@@ -241,8 +251,7 @@ def phase_point(params: ModelParams, beta: float) -> PhasePoint:
     )
 
 
-def _scan_node(node: tuple[ModelParams, float]) -> PhasePoint:
-    params, beta = node
+def _scan_node(params: ModelParams, beta: float) -> PhasePoint:
     try:
         return phase_point(params, beta)
     except Exception as exc:
@@ -266,12 +275,11 @@ def phase_scan(
     """Cartesian scan, params outer and beta inner, deterministic order.
 
     Node failures never abort the scan; they surface as rows with the
-    ``error`` field set and NaN numerics.
+    ``error`` field set and NaN numerics.  ``workers`` is accepted for
+    compatibility and ignored: every node is a closed form plus one
+    scalar root solve, and a thread pool only added overhead.
     """
+    del workers
     if not params_grid or not beta_grid:
         raise ValueError("phase_scan requires non-empty grids")
-    nodes = [(p, b) for p in params_grid for b in beta_grid]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scan_node, nodes))
-    return [_scan_node(node) for node in nodes]
+    return [_scan_node(p, b) for p in params_grid for b in beta_grid]

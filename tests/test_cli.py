@@ -233,6 +233,43 @@ def test_ndjson_rows_round_trip(tmp_path):
     assert all(r["log_partition_ratio"] > 0.0 for r in rows)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_json_rows_always_parse(capsys):
+    argv = ["phase-diagram", "--g1", "1.2", "--sweep", "beta:-1:1:3", "--format", "json"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    assert [r["phase"] for r in rows] == ["error", "error", "normal"]
+    assert rows[0]["bound"] is None and rows[0]["rho"] is None
+    assert "beta must be positive" in rows[1]["error"]
+
+
+def test_order_parameter_row_at_critical_point(capsys):
+    beta = 1.0000000001 * 4.0 * math.atanh(1.0 / 2.25)
+    argv = ["order-parameter", "--g1", "1.2", "--g2", "0.3", "--beta", repr(beta)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "omega0,Omega,g1,g2,beta,bound,phase,rho"
+    cells = lines[1].split(",")
+    assert cells[6] == "critical"
+    assert float(cells[7]) == 0.0
+
+
+def test_cutoff_errors_exit_two(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("cutoff = abc\n")
+    argv = ["partition-ratio", "--g1", "0.6", "--beta", "1.0"]
+    assert main(argv + ["--config", str(config)]) == 2
+    assert "cutoff is not an integer" in capsys.readouterr().err
+    assert main(argv + ["--cutoff", "5"]) == 2
+    assert "cutoff must be at least 10" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="cutoff"):
+        parse_config(argv, "cutoff = 9")
+
+
 def test_critical_temp_stdout(capsys):
     assert main(["critical-temp", "--g1", "1.2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -65,6 +65,13 @@ def test_thermal_solve_rejects_nonpositive_beta():
         thermal_solve(h, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_thermal_solve_rejects_non_finite_beta(bad):
+    h = HermitianOperator(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="positive and finite"):
+        thermal_solve(h, bad)
+
+
 def test_decoupled_partition_function_factorizes():
     p = ModelParams(1.0, 1.3)
     n_atoms, n_max, beta = 2, 5, 0.9

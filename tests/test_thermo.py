@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import gap_order_parameter
+from dicketherm.matsubara import fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.thermo import (
@@ -115,6 +116,57 @@ def test_order_parameter_matches_gap_equation_oracle():
         assert order_parameter(p, beta) == pytest.approx(
             gap_order_parameter(p, beta), abs=1e-10
         )
+
+
+def test_order_parameter_is_zero_unless_superradiant():
+    p = ModelParams(1.0, 1.0, g1=1.2, g2=0.3)
+    beta = 1.0000000001 * critical_beta(p)
+    assert 0.0 < convergence_bound(p, beta) - 1.0 < 1e-9
+    assert classify_phase(p, beta) == "critical"
+    assert order_parameter(p, beta) == 0.0
+    assert phase_point(p, beta).rho == 0.0
+
+
+def test_order_parameter_solves_summed_saddle_condition():
+    # the numerically summed frequency series, not the resummed gap
+    # equation, must vanish at the returned rho: Phi'(y*) = 0
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        omega0, Omega = rng.uniform(0.5, 2.0, size=2)
+        total = math.sqrt(omega0 * Omega) * rng.uniform(1.05, 2.0)
+        frac = rng.uniform(0.0, 1.0)
+        p = ModelParams(omega0, Omega, g1=frac * total, g2=(1.0 - frac) * total)
+        beta = critical_beta(p) * math.exp(rng.uniform(math.log(1.001), math.log(20.0)))
+        rho = order_parameter(p, beta)
+        assert rho > 0.0
+        kappa = (p.g1 + p.g2) ** 2 / (beta * p.omega0)
+        y = rho * beta * p.omega0
+        m = math.sqrt(0.25 * p.Omega**2 + kappa * y)
+        assert abs(kappa * fermionic_lorentzian_sum(m, beta) - 1.0) < 1e-9
+
+
+def test_order_parameter_zero_temperature_limit():
+    for p in (P_RWA, P_CR, P_MIX, ModelParams(0.8, 1.3, g1=1.1, g2=0.7)):
+        G = (p.g1 + p.g2) ** 2
+        ground = ((G / p.omega0) ** 2 - p.Omega**2) / (4.0 * G)
+        assert order_parameter(p, math.inf) == pytest.approx(ground, rel=1e-15)
+        assert order_parameter(p, 1e3 * critical_beta(p)) == pytest.approx(
+            ground, rel=1e-12
+        )
+        assert phase_point(p, math.inf).rho == order_parameter(p, math.inf)
+    assert order_parameter(ModelParams(1.0, 1.0, g1=0.5), math.inf) == 0.0
+
+
+def test_library_rejects_nan_beta():
+    with pytest.raises(ValueError, match="beta must be positive"):
+        convergence_bound(P_MIX, math.nan)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        classify_phase(P_MIX, math.nan)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        order_parameter(P_MIX, math.nan)
+    (pt,) = phase_scan([P_MIX], [math.nan])
+    assert pt.phase == "error"
+    assert pt.error.startswith("ValueError: beta must be positive")
 
 
 def test_order_parameter_cutoff_stability():
