@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy import optimize
 
 from dicketherm.exact_diag import photon_density_curve
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     a0_c0_sum,
     fermionic_lorentzian_sum,
+    finite_sum_critical_beta,
     kernel_a,
     kernel_c,
 )
@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ed-tol", type=float, help="truncation tolerance for ed-curve"
     )
     parser.add_argument(
-        "--cutoff", type=int, help="frequency cutoff for partition-ratio"
+        "--cutoff",
+        type=int,
+        help="accepted and validated (integer >= 10), no effect",
     )
     parser.add_argument(
         "--kind",
@@ -570,21 +572,6 @@ def _run_ed_curve(config: RunConfig, stream: TextIO) -> int:
     return 0
 
 
-def _critical_beta_from_finite_sum(params: ModelParams) -> float:
-    """Root of the finite-sum bound a0(0) + 2c0(0) = 1; validation oracle."""
-
-    def bound_minus_one(beta: float) -> float:
-        kv = a0_c0_sum(0, params, beta)
-        return kv.a.real + 2.0 * kv.c - 1.0
-
-    hi = 1.0
-    while bound_minus_one(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("no finite-sum transition found")
-    return float(optimize.brentq(bound_minus_one, 1e-9, hi, xtol=1e-13))
-
-
 def _run_validate(config: RunConfig, stream: TextIO) -> int:
     del config
     checks: list[tuple[str, float, float]] = []
@@ -628,7 +615,7 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
         ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
     ):
         closed = critical_beta(p)
-        numeric = _critical_beta_from_finite_sum(p)
+        numeric = finite_sum_critical_beta(p)
         worst = max(worst, abs(numeric - closed) / closed)
     checks.append(("critical-beta-cross-check", worst, 1e-8))
 

@@ -1,19 +1,25 @@
-"""Matsubara frequency grids and the interaction kernels.
+"""Matsubara frequency grids, the interaction kernels, and their quadratic.
 
-Two kernel routes are implemented.  The finite-sum route evaluates the
-pair sums over fermionic frequencies (a0, c0) by direct truncation plus an
-integral tail with a midpoint Euler-Maclaurin correction, and reports the
-Richardson extrapolant over cutoffs (M, 2M).  The closed-form route
-evaluates a(omega) and c(omega) exactly at bosonic frequencies, and their
-analytic continuation to real energies feeds the dispersion relation.
+Two kernel routes are implemented.  The closed-form route evaluates
+a(omega) and c(omega) exactly at bosonic frequencies; their determinant
+reduces to the quadratic x^2 - B x + C in x = E^2, whose real roots
+(``mode_energy_squares``) are the squared collective-mode energies and
+feed both the spectrum and the log-sinh partition ratio.  The finite-sum
+route evaluates the pair sums over fermionic frequencies (a0, c0) by
+direct truncation plus an integral tail with a midpoint Euler-Maclaurin
+correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
+it is kept as the independent check of the closed forms
+(``finite_sum_critical_beta``, ``validate`` and the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from dicketherm.operators import ModelParams
 
@@ -29,9 +35,11 @@ __all__ = [
     "default_pole_epsilon",
     "fermionic_frequency",
     "fermionic_lorentzian_sum",
+    "finite_sum_critical_beta",
     "kernel_a",
     "kernel_c",
     "kernel_determinant_coefficients",
+    "mode_energy_squares",
     "paired_pole_sum",
     "tanh_factor",
 ]
@@ -256,8 +264,9 @@ def kernel_determinant_coefficients(
         C = omega0^2 Omega^2 - 2 t omega0 Omega (g1^2 + g2^2)
             + t^2 (g1^2 - g2^2)^2,   t = tanh(beta Omega / 4).
 
-    At Matsubara frequencies x = -omega^2, giving the cancellation-free
-    form used by the partition-ratio sum.  C factorizes as
+    At Matsubara frequencies x = -omega^2 the numerator is the product
+    (omega^2 + x1)(omega^2 + x2) over the roots of the quadratic, which
+    is what makes the partition ratio a log-sinh sum.  C factorizes as
     omega0^2 Omega^2 (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u) with
     u = t / (omega0 Omega), so C = 0 exactly at the transition.
     """
@@ -271,6 +280,57 @@ def kernel_determinant_coefficients(
         + t**2 * (g1sq - g2sq) ** 2
     )
     return B, C
+
+
+def mode_energy_squares(
+    params: ModelParams, beta: float
+) -> tuple[float, float] | None:
+    """Real roots (small, large) of x^2 - B x + C, or None when complex.
+
+    The discriminant B^2 - 4C is taken in its factored form
+
+        (omega0^2 - Omega^2)^2
+            + 4 t [g1^2 (omega0 + Omega)^2 - g2^2 (omega0 - Omega)^2],
+
+    which has no cancellation and is exactly 0 on the degenerate line
+    omega0 = Omega, g1 = 0.  The larger-magnitude root is
+    q = (B + sign(B) sqrt(disc)) / 2 and the other is C / q.  In the
+    normal phase disc >= (omega0 - Omega)^2 [(omega0 + Omega)^2 -
+    4 t g2^2] > 0 and C > 0, so both roots are real and positive.
+    """
+    t = tanh_factor(params, beta)
+    B, C = kernel_determinant_coefficients(params, beta)
+    w0, W = params.omega0, params.Omega
+    disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (
+        params.g1**2 * (w0 + W) ** 2 - params.g2**2 * (w0 - W) ** 2
+    )
+    if disc < 0.0:
+        return None
+    q = 0.5 * (B + math.copysign(math.sqrt(disc), B))
+    if q == 0.0:
+        return 0.0, 0.0
+    other = C / q
+    return min(q, other), max(q, other)
+
+
+def finite_sum_critical_beta(params: ModelParams) -> float:
+    """Root in beta of the finite-sum bound a0(0) + 2 c0(0) = 1.
+
+    Independent of the closed-form ``thermo.critical_beta``: the bound
+    comes from ``a0_c0_sum`` and the root from Brent's method.  Raises
+    RuntimeError when the bound stays below one up to beta = 1e9.
+    """
+
+    def bound_minus_one(beta: float) -> float:
+        kv = a0_c0_sum(0, params, beta)
+        return kv.a.real + 2.0 * kv.c - 1.0
+
+    hi = 1.0
+    while bound_minus_one(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise RuntimeError("no finite-sum transition found")
+    return float(optimize.brentq(bound_minus_one, 1e-9, hi, xtol=1e-13))
 
 
 def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:

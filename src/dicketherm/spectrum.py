@@ -1,9 +1,11 @@
 """Collective excitation spectrum from the continued dispersion relation.
 
 The mode condition is (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = 0 on the real
-axis.  All evaluation goes through the pole-free rational form
-Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with Q quadratic, which keeps
-residuals at root locations near machine precision instead of the 1e-8
+axis.  It equals Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with
+Q(x) = x^2 - B x + C, so the mode energies are the square roots of the
+closed-form roots of Q (``dicketherm.matsubara.mode_energy_squares``);
+no root finder runs.  Residuals are reported from the same rational
+form, which keeps them near machine precision instead of the 1e-8
 cancellation noise of the raw kernel product.
 """
 
@@ -12,14 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
-
 from dicketherm.matsubara import (
     PoleProximityError,
-    continue_kernels,
     default_pole_epsilon,
     kernel_determinant_coefficients,
+    mode_energy_squares,
     tanh_factor,
 )
 from dicketherm.operators import ModelParams
@@ -35,16 +34,15 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 _DEDUP_TOL = 1e-8
-_SIGN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     """Roots of the dispersion relation at one (params, beta) point.
 
-    Parallel tuples: ``brackets[i]`` is the sign-change interval for
-    scanned roots and None for the E=0 and pole-coincident entries.
-    Labels: "mode" for ordinary scanned roots, "goldstone" for the E=0
+    Parallel tuples: ``brackets[i]`` is the pole-free window the root
+    lies in for ordinary roots and None for the E=0 and pole-coincident
+    entries.  Labels: "mode" for ordinary roots, "goldstone" for the E=0
     root on the (g1+g2) branch, "secondary-branch" for the algebraic E=0
     root at tanh(beta Omega/4)(g1-g2)^2 = omega0 Omega (present in the
     dispersion function but without a stated physical role), and
@@ -85,42 +83,6 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     )
 
 
-def _residual_factored(E: float, params: ModelParams, beta: float) -> float:
-    """Literal kernel product (1-a(E))(1-a(-E)) - 4c(E)^2; cross-check route."""
-    a_plus, a_minus, c = continue_kernels(E, params, beta)
-    value = (1.0 - a_plus) * (1.0 - a_minus) - 4.0 * c * c
-    return float(value.real)
-
-
-def _residual_expanded(E: float, params: ModelParams, beta: float) -> float:
-    """Term-by-term expansion of the kernel product; cross-check route.
-
-    Keeps the 2(Omega^2 + E^2) mixed-coupling piece and the -4 Omega^2
-    condensate-counterpart piece separate instead of cancelling them, so
-    this route exercises the expanded three-bracket arrangement.
-    """
-    t = tanh_factor(params, beta)
-    g1sq, g2sq = params.g1**2, params.g2**2
-    x = E * E
-    d_mode = params.omega0**2 - x
-    d_gap = params.Omega**2 - x
-    linear = (
-        -2.0
-        * t
-        * ((g1sq + g2sq) * params.Omega * params.omega0 + (g1sq - g2sq) * x)
-        / (d_mode * d_gap)
-    )
-    quartic = t**2 * (g1sq**2 + g2sq**2) / (d_mode * d_gap)
-    mixed = (
-        t**2
-        * g1sq
-        * g2sq
-        * (2.0 * (params.Omega**2 + x) - 4.0 * params.Omega**2)
-        / (d_mode * d_gap**2)
-    )
-    return 1.0 + linear + quartic + mixed
-
-
 def _zero_energy_entry(params: ModelParams, beta: float) -> dict | None:
     """E=0 root candidate from the factorized static residual.
 
@@ -155,8 +117,8 @@ def _pole_coincidence_entries(
     """Roots of the numerator Q sitting exactly on a kernel pole.
 
     At such points the rational residual has a removable singularity and
-    a finite nonzero limit, so interval scanning cannot see the mode;
-    Q(p^2) itself is the witness.
+    a finite nonzero limit, and the root sits on a window edge where the
+    window search cannot see it; Q(p^2) itself is the witness.
     """
     entries = []
     for p in sorted({params.Omega, params.omega0}):
@@ -177,17 +139,23 @@ def _pole_coincidence_entries(
 
 
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
-    """Scan [0, 3(Omega + omega0)] for dispersion roots.
+    """Dispersion roots in [0, 3(Omega + omega0)].
 
-    Pole-free intervals are sign-sampled at 64 points and each sign
-    change is polished by Brent bisection/secant iteration.  The E=0
+    The mode energies are E = sqrt(x) for the real roots x of
+    x^2 - B x + C (``mode_energy_squares``).  A root is kept when it lies
+    in one of the pole-free windows [lo + offset, hi - offset] between
+    0, the kernel poles and the upper end, offset = max(2 eps, 1e-13
+    (hi - lo)); a window without a root adds a message.  The E=0
     candidate and pole-coincident numerator roots are handled by their
-    closed-form witnesses, then everything is merged, sorted, and
-    deduplicated within 1e-8 with multiplicity accumulation.
+    closed-form witnesses; the E=0 entry replaces as many roots of the
+    quadratic as its multiplicity, the smallest in magnitude.  Then
+    everything is merged, sorted, and deduplicated within 1e-8 with
+    multiplicity accumulation, so a double root is one entry of
+    multiplicity 2.
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
 
     B, C = kernel_determinant_coefficients(params, beta)
@@ -205,49 +173,30 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     entries: list[dict] = []
     messages: list[str] = []
 
+    # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
+    # so rounding cannot report them a second time as tiny modes.
+    squares = sorted(mode_energy_squares(params, beta) or (), key=abs)
     zero = _zero_energy_entry(params, beta)
     if zero is not None:
         entries.append(zero)
+        squares = squares[zero["multiplicity"] :]
+    energies = [math.sqrt(x) for x in squares if x >= 0.0]
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         offset = max(2.0 * eps, 1e-13 * (hi - lo))
-        samples = np.linspace(lo + offset, hi - offset, _SIGN_SAMPLES)
-        values = np.array([residual(s) for s in samples])
-        found_here = False
-        for i in range(_SIGN_SAMPLES - 1):
-            va, vb = values[i], values[i + 1]
-            if va == 0.0:
-                root = float(samples[i])
-            elif va * vb < 0.0:
-                root = float(
-                    optimize.brentq(
-                        residual, samples[i], samples[i + 1], xtol=1e-14
-                    )
-                )
-            else:
-                continue
-            found_here = True
+        window = (lo + offset, hi - offset)
+        inside = [E for E in energies if window[0] <= E <= window[1]]
+        for root in inside:
             entries.append(
                 {
                     "root": root,
                     "residual": abs(residual(root)),
-                    "bracket": (float(samples[i]), float(samples[i + 1])),
+                    "bracket": window,
                     "multiplicity": 1,
                     "label": "mode",
                 }
             )
-        if values[-1] == 0.0:
-            found_here = True
-            entries.append(
-                {
-                    "root": float(samples[-1]),
-                    "residual": 0.0,
-                    "bracket": (float(samples[-2]), hi),
-                    "multiplicity": 1,
-                    "label": "mode",
-                }
-            )
-        if not found_here:
+        if not inside:
             messages.append(f"no sign change in ({lo:.6g}, {hi:.6g})")
 
     entries.extend(_pole_coincidence_entries(params, B, C))
@@ -257,10 +206,10 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     for entry in entries:
         if merged and entry["root"] - merged[-1]["root"] < _DEDUP_TOL:
             keep = merged[-1]
-            # A scan hit merging into a closed-form entry re-detects the
-            # same analytic root, so multiplicities combine by max there;
-            # two scanned sign changes within the dedup width are a
-            # closely spaced pair and add up.
+            # A window root merging into a closed-form entry re-detects
+            # the same analytic root, so multiplicities combine by max
+            # there; two window roots within the dedup width are a
+            # double or closely spaced pair and add up.
             if keep["label"] == "mode" and entry["label"] == "mode":
                 keep["multiplicity"] += entry["multiplicity"]
             else:

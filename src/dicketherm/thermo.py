@@ -18,11 +18,16 @@ diagonalization should compare trends, not absolute fluctuation values.
 The normal/superradiant classification runs on the closed-form bound
 (g1+g2)^2/(Omega*omega0) * tanh(beta*Omega/4): below one the frequency
 product converges (normal phase), above one the static mode condenses.
-In the superradiant phase the order parameter is the root of the
-resummed gap equation (g1+g2)^2 tanh(beta*D/4) = D*omega0, a scalar
-equation with a finite zero-temperature limit.  The Matsubara frequency
-sums in ``dicketherm.matsubara`` are not used for it; they remain the
-independent route that ``validate`` and the tests check it against.
+In the normal phase the fluctuation product resums to a log-sinh sum
+over the roots of the kernel quadratic x^2 - B x + C
+(``dicketherm.matsubara.mode_energy_squares``), the same roots that
+give the collective modes; the truncated Matsubara sum is kept only as
+a test oracle.  In the superradiant phase the order parameter is the
+root of the resummed gap equation (g1+g2)^2 tanh(beta*D/4) = D*omega0,
+a scalar equation with a finite zero-temperature limit.  The Matsubara
+frequency sums in ``dicketherm.matsubara`` are not used for it; they
+remain the independent route that ``validate`` and the tests check it
+against.
 """
 
 from __future__ import annotations
@@ -32,15 +37,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
-from dicketherm.matsubara import (
-    DEFAULT_CUTOFF,
-    kernel_a,
-    kernel_c,
-    kernel_determinant_coefficients,
-    tanh_factor,
-)
+from dicketherm.matsubara import DEFAULT_CUTOFF, mode_energy_squares, tanh_factor
 from dicketherm.operators import ModelParams
 
 __all__ = [
@@ -115,31 +114,9 @@ def classify_phase(params: ModelParams, beta: float) -> str:
     return "normal" if bound < 1.0 else "superradiant"
 
 
-def _ratio_log_integrand_factory(params: ModelParams, beta: float):
-    """log of the omega>0 determinant factor as a function of omega.
-
-    (1 - a(omega))(1 - a(-omega)) - 4 c(omega)^2 evaluated at bosonic
-    omega equals (omega^4 + B omega^2 + C) / ((omega^2 + omega0^2)
-    (omega^2 + Omega^2)) with the shared quadratic coefficients; the
-    rational form avoids cancellation near the transition.
-    """
-    B, C = kernel_determinant_coefficients(params, beta)
-    w0sq = params.omega0**2
-    Wsq = params.Omega**2
-
-    def f(omega: float) -> float:
-        o2 = omega * omega
-        return math.log((o2 * o2 + B * o2 + C) / ((o2 + w0sq) * (o2 + Wsq)))
-
-    def f_prime(omega: float) -> float:
-        o2 = omega * omega
-        return (
-            (4.0 * o2 + 2.0 * B) * omega / (o2 * o2 + B * o2 + C)
-            - 2.0 * omega / (o2 + w0sq)
-            - 2.0 * omega / (o2 + Wsq)
-        )
-
-    return f, f_prime
+def _log_sinh(y: float) -> float:
+    """ln sinh(y) for y > 0, without overflow at large y."""
+    return y + math.log(-math.expm1(-2.0 * y)) - math.log(2.0)
 
 
 def log_partition_ratio(
@@ -147,43 +124,36 @@ def log_partition_ratio(
 ) -> float:
     """ln(Z/Z0) per atom-free normalization, leading order in large N.
 
-    Static term -1/2 ln[(1 - a(0))^2 - 4 c(0)^2] plus the omega>0 sum of
-    -ln[(1-a)(1-a~) - 4c^2], tail-corrected and Richardson extrapolated
-    over (cutoff, 2*cutoff).  Defined in the normal phase only; the
-    product diverges at the transition and the formula does not continue
-    past it.
+    The Gaussian-fluctuation product over bosonic frequencies,
+    prod_n [(omega_n^2 + x1)(omega_n^2 + x2) / ((omega_n^2 + omega0^2)
+    (omega_n^2 + Omega^2))]^(-1/2), resums to
+
+        sum_i ln[sinh(beta w_i / 2) / sinh(beta E_i / 2)],
+
+    with w = (omega0, Omega) and E_i^2 = x_i the roots from
+    ``mode_energy_squares``.  Defined in the normal phase only, where
+    both roots are positive; the product diverges at the transition and
+    the formula does not continue past it.  ``beta`` must be finite.
+    ``cutoff`` is accepted for compatibility, still checked to be at
+    least 10, and unused: the resummed form has no frequency cutoff.
     """
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     bound = convergence_bound(params, beta)
     if bound >= 1.0 - CRITICAL_PHASE_TOL:
         raise ValueError(
             f"log_partition_ratio requires the normal phase; "
             f"convergence bound {bound:.6g} is not below 1"
         )
-    a0 = kernel_a(0, params, beta).real
-    c0 = kernel_c(0, params, beta)
-    static = -0.5 * math.log((1.0 - a0) ** 2 - 4.0 * c0**2)
-
-    f, f_prime = _ratio_log_integrand_factory(params, beta)
-    h = 2.0 * math.pi / beta
-
-    def corrected(m_cut: int) -> float:
-        omegas = h * np.arange(1, m_cut + 1)
-        o2 = omegas**2
-        B, C = kernel_determinant_coefficients(params, beta)
-        logs = np.log(
-            (o2**2 + B * o2 + C)
-            / ((o2 + params.omega0**2) * (o2 + params.Omega**2))
-        )
-        edge = h * (m_cut + 0.5)
-        integral, _ = integrate.quad(f, edge, np.inf, limit=200)
-        tail = integral / h + (h / 24.0) * f_prime(edge)
-        return float(np.sum(logs)) + tail
-
-    coarse, fine = corrected(cutoff), corrected(2 * cutoff)
-    weight = 2.0**5
-    return static - (weight * fine - coarse) / (weight - 1.0)
+    free = _log_sinh(0.5 * beta * params.omega0) + _log_sinh(
+        0.5 * beta * params.Omega
+    )
+    return free - sum(
+        _log_sinh(0.5 * beta * math.sqrt(x))
+        for x in mode_energy_squares(params, beta)
+    )
 
 
 def order_parameter(

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.special import zeta
+
+from dicketherm.matsubara import kernel_a, kernel_c
+
 
 def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:
     """Plain bisection; assumes f(lo) and f(hi) have opposite signs."""
@@ -57,3 +62,30 @@ def bose_occupation(beta: float, omega0: float, n_max: int) -> float:
     """Truncated free-boson occupation by direct geometric sums."""
     weights = [math.exp(-beta * omega0 * n) for n in range(n_max + 1)]
     return sum(n * w for n, w in enumerate(weights)) / sum(weights)
+
+
+def matsubara_log_partition_ratio(params, beta: float, terms: int = 400) -> float:
+    """ln(Z/Z0) as the bosonic Matsubara sum of kernel determinants.
+
+    Static term -1/2 ln[(1 - a(0))^2 - 4 c(0)^2] minus the sum over n >= 1
+    of ln[(1 - a(w_n))(1 - a(-w_n)) - 4 c(w_n)^2], each term built from the
+    closed-form kernels rather than from the quadratic's coefficients.  The
+    terms decay as an even power series in 1/n; the first three
+    coefficients are fitted to the upper half of the summed terms and the
+    rest of the series is added with Hurwitz zeta values.
+    """
+    a0 = kernel_a(0, params, beta).real
+    c0 = kernel_c(0, params, beta)
+    static = -0.5 * math.log((1.0 - a0) ** 2 - 4.0 * c0**2)
+    logs = np.empty(terms)
+    for n in range(1, terms + 1):
+        pair = (1.0 - kernel_a(n, params, beta)) * (1.0 - kernel_a(-n, params, beta))
+        logs[n - 1] = math.log(pair.real - 4.0 * kernel_c(n, params, beta) ** 2)
+    ns = np.arange(terms // 2, terms + 1, dtype=float)
+    powers = (2, 4, 6)
+    design = np.column_stack([(terms / ns) ** p for p in powers])
+    coef, *_ = np.linalg.lstsq(design, logs[terms // 2 - 1 :], rcond=None)
+    tail = sum(
+        c * terms**p * zeta(p, terms + 1.0) for c, p in zip(coef, powers)
+    )
+    return static - (float(np.sum(logs)) + tail)

@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from _oracles import gap_order_parameter
 from dicketherm.cli import main
 from dicketherm.fermionization import verify_trace_identity
-from dicketherm.matsubara import a0_c0_sum, fermionic_lorentzian_sum
+from dicketherm.matsubara import (
+    a0_c0_sum,
+    fermionic_lorentzian_sum,
+    finite_sum_critical_beta,
+)
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import collective_modes, goldstone_residual
 from dicketherm.thermo import critical_beta, order_parameter, phase_scan
@@ -35,17 +38,6 @@ def _supercritical_draws(n, seed=7):
             ModelParams(omega0, Omega, g1=frac * total, g2=(1.0 - frac) * total)
         )
     return draws
-
-
-def _finite_sum_critical_beta(params):
-    def bound_minus_one(beta):
-        kv = a0_c0_sum(0, params, beta)
-        return kv.a.real + 2.0 * kv.c - 1.0
-
-    hi = 1.0
-    while bound_minus_one(hi) < 0.0:
-        hi *= 2.0
-    return optimize.brentq(bound_minus_one, 1e-9, hi, xtol=1e-13)
 
 
 def _quadratic_coefficients(params, beta):
@@ -71,7 +63,7 @@ def test_critical_temperature_anchors_and_finite_sum_cross_check():
     for p in _supercritical_draws(20):
         closed = critical_beta(p)
         assert closed is not None
-        assert _finite_sum_critical_beta(p) == pytest.approx(closed, rel=1e-8)
+        assert finite_sum_critical_beta(p) == pytest.approx(closed, rel=1e-8)
 
 
 def test_critical_spectrum_limiting_cases_and_closed_form():

@@ -15,9 +15,11 @@ from dicketherm.matsubara import (
     default_pole_epsilon,
     fermionic_frequency,
     fermionic_lorentzian_sum,
+    finite_sum_critical_beta,
     kernel_a,
     kernel_c,
     kernel_determinant_coefficients,
+    mode_energy_squares,
     paired_pole_sum,
     tanh_factor,
 )
@@ -218,3 +220,38 @@ def test_determinant_coefficients_match_kernel_product():
         )
         assert lhs.real == pytest.approx(rhs, rel=1e-10)
         assert abs(lhs.imag) < 1e-12
+
+
+def test_mode_energy_squares_are_the_quadratic_roots():
+    beta = 2.3
+    B, C = kernel_determinant_coefficients(P_MIXED, beta)
+    small, large = mode_energy_squares(P_MIXED, beta)
+    assert 0.0 < small < large
+    assert small + large == pytest.approx(B, rel=1e-14)
+    assert small * large == pytest.approx(C, rel=1e-14)
+
+
+def test_mode_energy_squares_degenerate_line_is_exact_double_root():
+    # omega0 = Omega with g1 = 0: the factored discriminant is exactly 0
+    p = ModelParams(1.0, 1.0, g2=0.8)
+    beta = 2.0
+    small, large = mode_energy_squares(p, beta)
+    assert small == large
+    assert small == pytest.approx(1.0 - tanh_factor(p, beta) * p.g2**2, rel=1e-15)
+
+
+def test_mode_energy_squares_complex_roots_are_none():
+    # strong counter-rotating coupling off resonance, deep in the
+    # superradiant phase: B^2 < 4 C
+    p = ModelParams(1.0, 1.05, g2=3.0)
+    B, C = kernel_determinant_coefficients(p, 5.0)
+    assert B * B < 4.0 * C
+    assert mode_energy_squares(p, 5.0) is None
+
+
+def test_finite_sum_critical_beta_matches_closed_form_and_guards():
+    p = ModelParams(0.8, 1.3, g1=0.9, g2=0.6)
+    closed = 4.0 / p.Omega * math.atanh(p.omega0 * p.Omega / (p.g1 + p.g2) ** 2)
+    assert finite_sum_critical_beta(p) == pytest.approx(closed, rel=1e-8)
+    with pytest.raises(RuntimeError, match="no finite-sum transition"):
+        finite_sum_critical_beta(ModelParams(1.0, 1.0, g1=0.5))

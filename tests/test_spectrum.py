@@ -175,6 +175,117 @@ def test_off_critical_flag_and_goldstone_absence():
     assert all(r > 1e-6 for r in result.roots)
 
 
+def test_collective_modes_rejects_nan_beta():
+    with pytest.raises(ValueError, match="beta"):
+        collective_modes(ModelParams(1.0, 1.0, g1=0.5), math.nan)
+
+
 def test_collective_modes_rejects_free_model():
     with pytest.raises(ValueError):
         collective_modes(ModelParams(1.0, 1.0), 2.0)
+
+
+def test_resonant_counterrotating_double_mode():
+    # omega0 = Omega with g1 = 0: x^2 - B x + C is a perfect square, so
+    # both branches sit at E = sqrt(omega0^2 - t g2^2)
+    p = ModelParams(1.0, 1.0, g2=0.8)
+    beta = 2.0
+    t = math.tanh(beta * p.Omega / 4.0)
+    result = collective_modes(p, beta)
+    assert result.roots == pytest.approx(
+        (math.sqrt(p.omega0**2 - t * p.g2**2),), rel=1e-14
+    )
+    assert result.multiplicities == (2,)
+    assert result.labels == ("mode",)
+
+
+def test_close_pair_resolved():
+    # a small rotating coupling splits the double mode by about 1.6e-3
+    p = ModelParams(1.0, 1.0, g1=1e-3, g2=0.8)
+    beta = 2.0
+    b, c = _quadratic_coefficients(p, beta)
+    half_gap = math.sqrt(b * b - 4.0 * c) / 2.0
+    expected = (math.sqrt(b / 2.0 - half_gap), math.sqrt(b / 2.0 + half_gap))
+    result = collective_modes(p, beta)
+    assert result.roots == pytest.approx(expected, rel=1e-9)
+    assert result.multiplicities == (1, 1)
+    assert result.labels == ("mode", "mode")
+
+
+@pytest.mark.parametrize("g2", [1.3, 1.7, 2.2, 3.0])
+def test_critical_resonant_double_goldstone_only(g2):
+    # both roots of the quadratic are the E = 0 double root; rounding must
+    # not add a third, tiny mode next to it
+    p = ModelParams(1.2, 1.2, g2=g2)
+    result = collective_modes(p, critical_beta(p))
+    assert result.roots == (0.0,)
+    assert result.multiplicities == (2,)
+    assert result.labels == ("goldstone",)
+
+
+def _windows(p):
+    eps = 1e-9 * max(p.Omega, p.omega0)
+    edges = [0.0, *sorted({p.Omega, p.omega0}), 3.0 * (p.Omega + p.omega0)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        offset = max(2.0 * eps, 1e-13 * (hi - lo))
+        yield lo + offset, hi - offset
+
+
+def _factored_roots(p, beta):
+    """E with E^2 a real root of x^2 - B x + C, from the factored discriminant."""
+    t = math.tanh(beta * p.Omega / 4.0)
+    w0, W = p.omega0, p.Omega
+    disc = (w0**2 - W**2) ** 2 + 4.0 * t * (
+        p.g1**2 * (w0 + W) ** 2 - p.g2**2 * (w0 - W) ** 2
+    )
+    if disc < 0.0:
+        return []
+    b, c = _quadratic_coefficients(p, beta)
+    q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted(math.sqrt(x) for x in (q, c / q) if x >= 0.0)
+
+
+def test_roots_equal_factored_discriminant_roots():
+    rng = np.random.default_rng(404)
+    checked = 0
+    while checked < 300:
+        omega0, Omega = rng.uniform(0.3, 3.0, 2)
+        g1, g2 = rng.uniform(0.0, 3.0, 2) * rng.integers(0, 2, 2)
+        if g1 + g2 == 0.0:
+            continue
+        beta = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        p = ModelParams(omega0, Omega, g1=g1, g2=g2)
+        energies = _factored_roots(p, beta)
+        # non-degenerate: no root near E = 0, a pole, another root or the
+        # upper end, and no E = 0 root of the dispersion function
+        marks = [0.0, p.Omega, p.omega0, 3.0 * (p.Omega + p.omega0), *energies]
+        marks.sort()
+        if min(b - a for a, b in zip(marks, marks[1:])) < 1e-6:
+            continue
+        expected = [
+            e for e in energies if any(lo <= e <= hi for lo, hi in _windows(p))
+        ]
+        result = collective_modes(p, beta)
+        checked += 1
+        assert result.labels == ("mode",) * len(expected)
+        assert result.multiplicities == (1,) * len(expected)
+        assert result.roots == pytest.approx(expected, rel=1e-12, abs=0.0)
+        for root, (lo, hi) in zip(result.roots, result.brackets):
+            assert lo <= root <= hi
+
+
+def test_critical_spectrum_counts_at_most_two_roots():
+    # the quadratic has two roots in x = E^2; the E = 0 entry stands for
+    # the ones at the origin, so multiplicities never add up past two
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        omega0, Omega = rng.uniform(0.3, 3.0, 2)
+        g1, g2 = rng.uniform(0.0, 3.0, 2) * rng.integers(0, 2, 2)
+        p = ModelParams(omega0, Omega, g1=g1, g2=g2)
+        beta_c = critical_beta(p)
+        if beta_c is None:
+            continue
+        result = collective_modes(p, beta_c)
+        assert result.labels[0] in ("goldstone", "secondary-branch")
+        assert sum(result.multiplicities) <= 2
+        assert all(r == 0.0 or r > 1e-3 for r in result.roots)

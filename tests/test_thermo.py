@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import gap_order_parameter
+from _oracles import gap_order_parameter, matsubara_log_partition_ratio
 from dicketherm.matsubara import fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
@@ -198,6 +199,55 @@ def test_log_partition_ratio_cutoff_doubling():
     value = log_partition_ratio(P_MIX, 1.2, cutoff=512)
     doubled = log_partition_ratio(P_MIX, 1.2, cutoff=1024)
     assert abs(doubled - value) < 1e-7 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_log_partition_ratio_rejects_non_finite_beta(beta):
+    # normal phase at every temperature, so only the beta check can refuse
+    p = ModelParams(1.3, 0.8, g1=0.3, g2=0.2)
+    assert convergence_bound(p, math.inf) < 1.0
+    with pytest.raises(ValueError, match="beta"):
+        log_partition_ratio(p, beta)
+
+
+def test_log_partition_ratio_matches_matsubara_sum():
+    # the log-sinh sum over the quadratic's roots against the bosonic
+    # Matsubara sum built term by term from kernel_a and kernel_c
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 40:
+        omega0, Omega = rng.uniform(0.3, 3.0, 2)
+        g1, g2 = rng.uniform(0.0, 2.0, 2)
+        beta = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+        p = ModelParams(omega0, Omega, g1=g1, g2=g2)
+        if convergence_bound(p, beta) > 0.95:
+            continue
+        checked += 1
+        assert log_partition_ratio(p, beta) == pytest.approx(
+            matsubara_log_partition_ratio(p, beta), abs=1e-7
+        )
+
+
+def test_log_partition_ratio_high_precision_anchor():
+    # 30-digit mpmath.nsum of the Matsubara product at a high-temperature
+    # point where a truncated sum with a quadrature tail is 3.3e-7 off
+    p = ModelParams(
+        1.638031142251796,
+        2.72787342367874,
+        g1=0.13597315448259736,
+        g2=2.906123055163957,
+    )
+    assert log_partition_ratio(p, 0.10398838542612006) == pytest.approx(
+        0.1446362514756078, abs=1e-12
+    )
+
+
+def test_log_partition_ratio_is_warning_free_over_beta():
+    p = ModelParams(1.3, 0.8, g1=0.3, g2=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [log_partition_ratio(p, 0.05 * 1.2**k) for k in range(30)]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 def test_log_partition_ratio_ed_ladder_brackets_conventions():
