@@ -1,9 +1,14 @@
 """Batch command-line front end.
 
 Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
-order-parameter, ed-curve, validate.  Output is CSV or newline-delimited
-JSON with fixed 17-significant-digit float formatting, so identical
-configurations produce byte-identical files.
+order-parameter, ed-curve, validate.  Each row command turns library
+results into row dicts for ``csv`` or ``json`` (one object per line).
+Floats print as ``repr``, the shortest form that round-trips, so
+identical configurations produce byte-identical files; CSV booleans
+print as ``True``/``False``.  The numeric cells of phase-diagram error
+rows are empty in CSV and ``null`` in JSON; any other NaN or infinity
+in a JSON row is an error (exit 1).  Rows stream as they are computed,
+so a command that fails part way leaves the rows before the failure.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -42,15 +48,6 @@ from dicketherm.thermo import (
 
 __all__ = ["ConfigError", "GridSpec", "RunConfig", "main", "parse_config", "run"]
 
-COMMANDS = (
-    "critical-temp",
-    "phase-diagram",
-    "spectrum",
-    "partition-ratio",
-    "order-parameter",
-    "ed-curve",
-    "validate",
-)
 SWEEP_VARIABLES = ("g1", "g2", "beta", "omega0", "Omega")
 WORKERS_ENV = "DICKETHERM_WORKERS"
 
@@ -87,6 +84,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigError(f"grid steps must be >= 1, got {self.steps}")
+        if self.variable == "beta" and not self.start > 0.0:
+            raise ConfigError(f"beta must be positive, got grid start {self.start}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"grid bounds must be finite, got {self.start}:{self.stop}")
         if self.start > self.stop:
             raise ConfigError(
                 f"grid start {self.start} exceeds stop {self.stop}"
@@ -206,20 +207,12 @@ def _grid_from_text(text: str, *, variable: str | None = None) -> GridSpec:
     return GridSpec(variable, start, stop, steps, scale)
 
 
-def _float_key(raw: dict[str, str], key: str) -> float | None:
-    if key not in raw:
-        return None
+def _setting(name: str, value, convert: Callable):
     try:
-        return float(raw[key])
+        return convert(value)
     except ValueError:
-        raise ConfigError(f"config key '{key}' is not a number: {raw[key]!r}")
-
-
-def _int_setting(name: str, value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name} is not an integer: {value!r}") from None
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{name} is not {kind}: {value!r}") from None
 
 
 def parse_config(
@@ -239,23 +232,24 @@ def parse_config(
             raise ConfigError(f"cannot read config file: {exc}") from None
     raw = _parse_config_text(file_text) if file_text else {}
 
-    def pick(flag_value, key, fallback):
+    def pick(flag_value, key, fallback, convert=str):
+        """The flag, else the file value, else the fallback, converted once."""
         if flag_value is not None:
             return flag_value
-        file_value = raw.get(key)
-        return file_value if file_value is not None else fallback
+        value = raw.get(key, fallback)
+        return None if value is None else _setting(key, value, convert)
 
     try:
         params = ModelParams(
-            omega0=float(pick(ns.omega0, "omega0", 1.0)),
-            Omega=float(pick(ns.Omega, "Omega", 1.0)),
-            g1=float(pick(ns.g1, "g1", 0.0)),
-            g2=float(pick(ns.g2, "g2", 0.0)),
+            omega0=pick(ns.omega0, "omega0", 1.0, float),
+            Omega=pick(ns.Omega, "Omega", 1.0, float),
+            g1=pick(ns.g1, "g1", 0.0, float),
+            g2=pick(ns.g2, "g2", 0.0, float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    beta = ns.beta if ns.beta is not None else _float_key(raw, "beta")
+    beta = pick(ns.beta, "beta", None, float)
     beta_grid_text = pick(ns.beta_grid, "beta-grid", None)
     beta_grid = (
         _grid_from_text(beta_grid_text, variable="beta")
@@ -278,25 +272,17 @@ def parse_config(
     ):
         raise ConfigError("beta swept twice (--sweep beta plus --beta/--beta-grid)")
 
-    workers = pick(ns.workers, "workers", None)
-    if workers is None and os.environ.get(WORKERS_ENV):
-        workers = os.environ[WORKERS_ENV]
-    workers = _int_setting("workers", workers) if workers is not None else None
+    workers = pick(ns.workers, "workers", os.environ.get(WORKERS_ENV) or None, int)
 
-    n_list_text = pick(ns.n_list, "n-list", None)
-    if n_list_text is None:
-        n_list = (2, 4, 6, 8)
-    else:
-        try:
-            n_list = tuple(int(s) for s in str(n_list_text).split(","))
-        except ValueError:
-            raise ConfigError(f"bad n-list: {n_list_text!r}")
-    ed_tol = ns.ed_tol if ns.ed_tol is not None else _float_key(raw, "ed-tol")
-    if ed_tol is None:
-        ed_tol = 1e-6
+    n_list_text = pick(ns.n_list, "n-list", "2,4,6,8")
+    try:
+        n_list = tuple(int(s) for s in n_list_text.split(","))
+    except ValueError:
+        raise ConfigError(f"bad n-list: {n_list_text!r}") from None
+    ed_tol = pick(ns.ed_tol, "ed-tol", 1e-6, float)
     if not (math.isfinite(ed_tol) and ed_tol > 0.0):
         raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
-    cutoff = _int_setting("cutoff", pick(ns.cutoff, "cutoff", 512))
+    cutoff = pick(ns.cutoff, "cutoff", 512, int)
     if cutoff < 10:
         raise ConfigError(f"cutoff must be at least 10, got {cutoff}")
     kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
@@ -306,13 +292,7 @@ def parse_config(
         raise ConfigError(f"unknown kind '{kind_text}'")
 
     command = ns.command
-    needs_beta = command in (
-        "phase-diagram",
-        "spectrum",
-        "partition-ratio",
-        "order-parameter",
-        "ed-curve",
-    )
+    needs_beta = command not in ("critical-temp", "validate")
     if command == "critical-temp" and (beta is not None or beta_grid is not None):
         raise ConfigError("critical-temp takes no --beta/--beta-grid")
     if needs_beta and beta is None and beta_grid is None and not (
@@ -338,45 +318,25 @@ def parse_config(
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # JSON has no NaN or infinity; error rows carry null instead
-        return "%.17g" % value if math.isfinite(value) else "null"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)
+# One encoder for every JSON row; json.dumps would build one per call.
+_JSON_ROW = json.JSONEncoder(allow_nan=False)
 
 
 def _write_rows(
     stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict]
 ) -> None:
+    """Write row dicts, each built in header order, as CSV or JSON lines.
+
+    Floats print as ``repr`` and None as an empty cell or ``null``.  A
+    NaN or infinity in a JSON row raises ValueError.
+    """
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
+        writer.writerows(row.values() for row in rows)
     else:
         for row in rows:
-            body = ", ".join(
-                f'"{k}": {_json_scalar(row[k])}' for k in header
-            )
-            stream.write("{" + body + "}\n")
+            stream.write(_JSON_ROW.encode(row) + "\n")
 
 
 def _param_nodes(config: RunConfig) -> list[ModelParams]:
@@ -396,7 +356,16 @@ def _beta_nodes(config: RunConfig) -> list[float]:
     return [config.beta] if config.beta is not None else []
 
 
+def _nodes(config: RunConfig) -> Iterator[tuple[ModelParams, float]]:
+    """The params x beta grid, params outer."""
+    betas = _beta_nodes(config)
+    for p in _param_nodes(config):
+        for b in betas:
+            yield p, b
+
+
 _PARAM_COLUMNS = ("omega0", "Omega", "g1", "g2")
+_NODE_COLUMNS = (*_PARAM_COLUMNS, "beta")
 
 
 def _param_cells(params: ModelParams) -> dict:
@@ -408,147 +377,80 @@ def _param_cells(params: ModelParams) -> dict:
     }
 
 
-def _run_critical_temp(config: RunConfig, stream: TextIO) -> int:
-    header = (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c")
-    rows = []
+def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
     for p in _param_nodes(config):
-        rows.append(
-            {
-                **_param_cells(p),
-                "quantum_critical_gap": quantum_critical_gap(p),
-                "beta_c": critical_beta(p),
-            }
-        )
-    _write_rows(stream, config.fmt, header, rows)
-    return 0
+        yield {
+            **_param_cells(p),
+            "quantum_critical_gap": quantum_critical_gap(p),
+            "beta_c": critical_beta(p),
+        }
 
 
-def _run_phase_diagram(config: RunConfig, stream: TextIO) -> int:
+def _phase_diagram_rows(config: RunConfig) -> Iterator[dict]:
     points = phase_scan(
         _param_nodes(config), _beta_nodes(config), workers=config.workers
     )
-    header = (*_PARAM_COLUMNS, "beta", "bound", "phase", "beta_c", "rho", "error")
-    rows = [
-        {
+    for pt in points:
+        # error rows are the one place a missing number is expected
+        failed = pt.error is not None
+        yield {
             **_param_cells(pt.params),
             "beta": pt.beta,
-            "bound": pt.bound,
+            "bound": None if failed else pt.bound,
             "phase": pt.phase,
             "beta_c": pt.beta_c,
-            "rho": pt.rho,
+            "rho": None if failed else pt.rho,
             "error": pt.error,
         }
-        for pt in points
-    ]
-    _write_rows(stream, config.fmt, header, rows)
-    return 0
 
 
-def _run_spectrum(config: RunConfig, stream: TextIO) -> int:
-    results = [
-        collective_modes(p, b)
-        for p in _param_nodes(config)
-        for b in _beta_nodes(config)
-    ]
-    if config.fmt == "json":
-        header = (
-            *_PARAM_COLUMNS,
-            "beta",
-            "at_critical",
-            "roots",
-            "residuals",
-            "labels",
-            "multiplicities",
-        )
-        rows = [
-            {
-                **_param_cells(r.params),
-                "beta": r.beta,
-                "at_critical": r.at_critical,
-                "roots": list(r.roots),
-                "residuals": list(r.residuals),
-                "labels": list(r.labels),
-                "multiplicities": list(r.multiplicities),
+def _spectrum_rows(config: RunConfig) -> Iterator[dict]:
+    """One CSV row per root; one JSON row per node, the modes as lists."""
+    for p, b in _nodes(config):
+        r = collective_modes(p, b)
+        node = {**_param_cells(p), "beta": b, "at_critical": r.at_critical}
+        if config.fmt == "json":
+            yield {
+                **node,
+                "roots": r.roots,
+                "residuals": r.residuals,
+                "labels": r.labels,
+                "multiplicities": r.multiplicities,
             }
-            for r in results
-        ]
-    else:
-        header = (
-            *_PARAM_COLUMNS,
-            "beta",
-            "at_critical",
-            "root_index",
-            "root",
-            "residual",
-            "label",
-            "multiplicity",
-        )
-        rows = []
-        for r in results:
-            for i, root in enumerate(r.roots):
-                rows.append(
-                    {
-                        **_param_cells(r.params),
-                        "beta": r.beta,
-                        "at_critical": r.at_critical,
-                        "root_index": i,
-                        "root": root,
-                        "residual": r.residuals[i],
-                        "label": r.labels[i],
-                        "multiplicity": r.multiplicities[i],
-                    }
-                )
-    _write_rows(stream, config.fmt, header, rows)
-    return 0
+            continue
+        for i, root in enumerate(r.roots):
+            yield {
+                **node,
+                "root_index": i,
+                "root": root,
+                "residual": r.residuals[i],
+                "label": r.labels[i],
+                "multiplicity": r.multiplicities[i],
+            }
 
 
-def _run_partition_ratio(config: RunConfig, stream: TextIO) -> int:
-    header = (*_PARAM_COLUMNS, "beta", "bound", "log_partition_ratio")
-    rows = []
-    for p in _param_nodes(config):
-        for b in _beta_nodes(config):
-            rows.append(
-                {
-                    **_param_cells(p),
-                    "beta": b,
-                    "bound": convergence_bound(p, b),
-                    "log_partition_ratio": log_partition_ratio(
-                        p, b, cutoff=config.cutoff
-                    ),
-                }
-            )
-    _write_rows(stream, config.fmt, header, rows)
-    return 0
+def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
+    for p, b in _nodes(config):
+        yield {
+            **_param_cells(p),
+            "beta": b,
+            "bound": convergence_bound(p, b),
+            "log_partition_ratio": log_partition_ratio(p, b, cutoff=config.cutoff),
+        }
 
 
-def _run_order_parameter(config: RunConfig, stream: TextIO) -> int:
-    header = (*_PARAM_COLUMNS, "beta", "bound", "phase", "rho")
-    rows = []
-    for p in _param_nodes(config):
-        for b in _beta_nodes(config):
-            rows.append(
-                {
-                    **_param_cells(p),
-                    "beta": b,
-                    "bound": convergence_bound(p, b),
-                    "phase": classify_phase(p, b),
-                    "rho": order_parameter(p, b),
-                }
-            )
-    _write_rows(stream, config.fmt, header, rows)
-    return 0
+def _order_parameter_rows(config: RunConfig) -> Iterator[dict]:
+    for p, b in _nodes(config):
+        yield {
+            **_param_cells(p),
+            "beta": b,
+            "bound": convergence_bound(p, b),
+            "phase": classify_phase(p, b),
+            "rho": order_parameter(p, b),
+        }
 
 
-def _run_ed_curve(config: RunConfig, stream: TextIO) -> int:
-    header = (
-        *_PARAM_COLUMNS,
-        "beta",
-        "n_atoms",
-        "n_max_used",
-        "photons_per_atom",
-        "truncation_error_estimate",
-    )
-    rows = []
+def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
     for p in _param_nodes(config):
         curve = photon_density_curve(
             p,
@@ -558,17 +460,53 @@ def _run_ed_curve(config: RunConfig, stream: TextIO) -> int:
             kind=config.kind,
         )
         for point in curve:
-            rows.append(
-                {
-                    **_param_cells(p),
-                    "beta": config.beta,
-                    "n_atoms": point.n_atoms,
-                    "n_max_used": point.n_max_used,
-                    "photons_per_atom": point.photons_per_atom,
-                    "truncation_error_estimate": point.truncation_error_estimate,
-                }
-            )
-    _write_rows(stream, config.fmt, header, rows)
+            yield {
+                **_param_cells(p),
+                "beta": config.beta,
+                "n_atoms": point.n_atoms,
+                "n_max_used": point.n_max_used,
+                "photons_per_atom": point.photons_per_atom,
+                "truncation_error_estimate": point.truncation_error_estimate,
+            }
+
+
+# command -> (CSV header, row generator); each generator builds its rows
+# in header order
+_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict]]]] = {
+    "critical-temp": (
+        (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"),
+        _critical_temp_rows,
+    ),
+    "phase-diagram": (
+        (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error"),
+        _phase_diagram_rows,
+    ),
+    "spectrum": (
+        (*_NODE_COLUMNS, "at_critical", "root_index", "root", "residual", "label",
+         "multiplicity"),
+        _spectrum_rows,
+    ),
+    "partition-ratio": (
+        (*_NODE_COLUMNS, "bound", "log_partition_ratio"),
+        _partition_ratio_rows,
+    ),
+    "order-parameter": (
+        (*_NODE_COLUMNS, "bound", "phase", "rho"),
+        _order_parameter_rows,
+    ),
+    "ed-curve": (
+        (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom",
+         "truncation_error_estimate"),
+        _ed_curve_rows,
+    ),
+}
+
+COMMANDS = (*_TABLES, "validate")
+
+
+def _run_table(config: RunConfig, stream: TextIO) -> int:
+    header, rows = _TABLES[config.command]
+    _write_rows(stream, config.fmt, header, rows(config))
     return 0
 
 
@@ -630,20 +568,9 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
     return 1 if failed else 0
 
 
-_DISPATCH = {
-    "critical-temp": _run_critical_temp,
-    "phase-diagram": _run_phase_diagram,
-    "spectrum": _run_spectrum,
-    "partition-ratio": _run_partition_ratio,
-    "order-parameter": _run_order_parameter,
-    "ed-curve": _run_ed_curve,
-    "validate": _run_validate,
-}
-
-
 def run(config: RunConfig) -> int:
-    """Dispatch one parsed configuration; returns the process exit code."""
-    handler = _DISPATCH[config.command]
+    """Run one parsed configuration; returns the process exit code."""
+    handler = _run_validate if config.command == "validate" else _run_table
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:
             return handler(config, fh)

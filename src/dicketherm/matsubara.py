@@ -81,7 +81,7 @@ class MatsubaraGrid:
     cutoff: int
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.statistics not in ("bosonic", "fermionic"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
@@ -221,7 +221,7 @@ def a0_c0_sum(
     At omega = 0 the pair sum collapses to the single-pole sum, so
     a0 + 2 c0 tends to (g1 + g2)^2 / (Omega omega0) * tanh(beta Omega / 4).
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
@@ -335,7 +335,7 @@ def finite_sum_critical_beta(params: ModelParams) -> float:
 
 def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:
     """Closed-form a(omega) at the bosonic frequency omega = 2 pi n / beta."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     omega = bosonic_frequency(omega_index, beta)
     t = tanh_factor(params, beta)
@@ -347,7 +347,7 @@ def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:
 
 def kernel_c(omega_index: int, params: ModelParams, beta: float) -> float:
     """Closed-form c(omega); real, even in omega, non-negative."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     omega = bosonic_frequency(omega_index, beta)
     t = tanh_factor(params, beta)

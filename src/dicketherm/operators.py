@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, inf
 from typing import Iterator
 
 import numpy as np
@@ -66,13 +66,13 @@ class ModelParams:
     Attributes
     ----------
     omega0 : float
-        Mode frequency, must be positive.
+        Mode frequency, must be positive and finite.
     Omega : float
-        Qubit energy gap, must be positive.
+        Qubit energy gap, must be positive and finite.
     g1 : float
-        Rotating (excitation-conserving) coupling, non-negative.
+        Rotating (excitation-conserving) coupling, non-negative and finite.
     g2 : float
-        Counter-rotating coupling, non-negative.
+        Counter-rotating coupling, non-negative and finite.
     """
 
     omega0: float
@@ -81,14 +81,15 @@ class ModelParams:
     g2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not (self.Omega > 0.0):
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
-        if self.g1 < 0.0:
-            raise ValueError(f"g1 must be non-negative, got {self.g1}")
-        if self.g2 < 0.0:
-            raise ValueError(f"g2 must be non-negative, got {self.g2}")
+        # each chained comparison is False for NaN as well
+        if not 0.0 < self.omega0 < inf:
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
+        if not 0.0 < self.Omega < inf:
+            raise ValueError(f"Omega must be positive and finite, got {self.Omega}")
+        if not 0.0 <= self.g1 < inf:
+            raise ValueError(f"g1 must be non-negative and finite, got {self.g1}")
+        if not 0.0 <= self.g2 < inf:
+            raise ValueError(f"g2 must be non-negative and finite, got {self.g2}")
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     """
     if E < 0.0:
         raise ValueError(f"E must be non-negative, got {E}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:

@@ -107,11 +107,14 @@ def convergence_bound(params: ModelParams, beta: float) -> float:
     return g**2 / (params.Omega * params.omega0) * tanh_factor(params, beta)
 
 
-def classify_phase(params: ModelParams, beta: float) -> str:
-    bound = convergence_bound(params, beta)
+def _phase_label(bound: float) -> str:
     if abs(bound - 1.0) < CRITICAL_PHASE_TOL:
         return "critical"
     return "normal" if bound < 1.0 else "superradiant"
+
+
+def classify_phase(params: ModelParams, beta: float) -> str:
+    return _phase_label(convergence_bound(params, beta))
 
 
 def _log_sinh(y: float) -> float:
@@ -209,7 +212,7 @@ def order_parameter(
 def phase_point(params: ModelParams, beta: float) -> PhasePoint:
     """Evaluate one grid node: bound, label, beta_c, order parameter."""
     bound = convergence_bound(params, beta)
-    phase = classify_phase(params, beta)
+    phase = _phase_label(bound)
     rho = order_parameter(params, beta) if phase == "superradiant" else 0.0
     return PhasePoint(
         params=params,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,10 +9,22 @@ from dicketherm.cli import (
     ConfigError,
     GridSpec,
     WORKERS_ENV,
+    _write_rows,
     main,
     parse_config,
 )
-from dicketherm.operators import HamiltonianKind
+from dicketherm.exact_diag import photon_density_curve
+from dicketherm.operators import HamiltonianKind, ModelParams
+from dicketherm.spectrum import collective_modes
+from dicketherm.thermo import (
+    classify_phase,
+    convergence_bound,
+    critical_beta,
+    log_partition_ratio,
+    order_parameter,
+    phase_scan,
+    quantum_critical_gap,
+)
 
 BETA_C_RWA = "3.4259571827498814"
 
@@ -98,6 +112,40 @@ def test_beta_swept_twice_rejected():
 def test_sweep_spec_validation(spec, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(["phase-diagram", "--beta", "1.0", "--sweep", spec])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--sweep", "beta:-1:1:3"],
+        ["--beta-grid=-1:1:3"],
+        ["--beta-grid", "0:1:3"],
+        ["--sweep", "beta:nan:1:2"],
+    ],
+)
+def test_beta_grids_must_start_positive(grid, capsys):
+    assert main(["phase-diagram", "--g1", "1.2", *grid]) == 2
+    assert "beta must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["g1:0:inf:3", "g2:nan:1:3", "beta:1:inf:3"])
+def test_grid_bounds_must_be_finite(spec, capsys):
+    argv = ["phase-diagram", "--sweep", spec]
+    if not spec.startswith("beta"):
+        argv += ["--beta", "1"]
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--g1", "nan"), ("--g2", "inf"), ("--omega0", "inf"), ("--Omega", "-inf")],
+)
+def test_non_finite_model_params_exit_two(flag, value, capsys):
+    assert main(["phase-diagram", "--beta", "1", f"{flag}={value}"]) == 2
+    assert "finite" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(["phase-diagram", "--beta", "1"], f"{flag[2:]} = {value}")
 
 
 def test_grid_values():
@@ -238,13 +286,13 @@ def _reject_constant(token):
 
 
 def test_json_rows_always_parse(capsys):
-    argv = ["phase-diagram", "--g1", "1.2", "--sweep", "beta:-1:1:3", "--format", "json"]
+    argv = ["phase-diagram", "--beta", "1", "--sweep", "g1:1:1e200:3", "--format", "json"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [json.loads(line, parse_constant=_reject_constant) for line in lines]
-    assert [r["phase"] for r in rows] == ["error", "error", "normal"]
-    assert rows[0]["bound"] is None and rows[0]["rho"] is None
-    assert "beta must be positive" in rows[1]["error"]
+    assert [r["phase"] for r in rows] == ["normal", "error", "error"]
+    assert rows[1]["bound"] is None and rows[1]["rho"] is None
+    assert rows[1]["error"].startswith("OverflowError")
 
 
 def test_order_parameter_row_at_critical_point(capsys):
@@ -319,3 +367,174 @@ def test_validate_passes(capsys):
     names = [line.split(":")[0] for line in lines]
     assert "trace-identity" in names
     assert "critical-beta-cross-check" in names
+
+
+def _cells(p):
+    return {"omega0": p.omega0, "Omega": p.Omega, "g1": p.g1, "g2": p.g2}
+
+
+_P = ModelParams(1.0, 1.0, g1=0.9, g2=0.6)  # beta_c = 1.909...
+_NORMAL_BETAS = (0.5, 1.0, 1.5)  # --beta-grid 0.5:1.5:3
+_MIXED_BETAS = (0.5, 2.0, 3.5)  # --beta-grid 0.5:3.5:3
+
+
+def _critical_temp_case():
+    nodes = [ModelParams(1.0, 1.0, g1=1.2, g2=g2) for g2 in (0.0, 0.2, 0.4)]
+    rows = [
+        {**_cells(p), "quantum_critical_gap": quantum_critical_gap(p), "beta_c": critical_beta(p)}
+        for p in nodes
+    ]
+    return ["--g1", "1.2", "--sweep", "g2:0:0.4:3"], rows, rows
+
+
+def _phase_diagram_case():
+    rows = [
+        {
+            **_cells(pt.params),
+            "beta": pt.beta,
+            "bound": pt.bound,
+            "phase": pt.phase,
+            "beta_c": pt.beta_c,
+            "rho": pt.rho,
+            "error": None,
+        }
+        for pt in phase_scan([_P], list(_MIXED_BETAS))
+    ]
+    return ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:3"], rows, rows
+
+
+def _spectrum_case():
+    csv_rows, json_rows = [], []
+    for b in _NORMAL_BETAS:
+        r = collective_modes(_P, b)
+        node = {**_cells(_P), "beta": b, "at_critical": r.at_critical}
+        for i, root in enumerate(r.roots):
+            csv_rows.append(
+                {
+                    **node,
+                    "root_index": i,
+                    "root": root,
+                    "residual": r.residuals[i],
+                    "label": r.labels[i],
+                    "multiplicity": r.multiplicities[i],
+                }
+            )
+        json_rows.append(
+            {
+                **node,
+                "roots": list(r.roots),
+                "residuals": list(r.residuals),
+                "labels": list(r.labels),
+                "multiplicities": list(r.multiplicities),
+            }
+        )
+    return ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:1.5:3"], csv_rows, json_rows
+
+
+def _partition_ratio_case():
+    rows = [
+        {
+            **_cells(_P),
+            "beta": b,
+            "bound": convergence_bound(_P, b),
+            "log_partition_ratio": log_partition_ratio(_P, b),
+        }
+        for b in _NORMAL_BETAS
+    ]
+    return ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:1.5:3"], rows, rows
+
+
+def _order_parameter_case():
+    rows = [
+        {
+            **_cells(_P),
+            "beta": b,
+            "bound": convergence_bound(_P, b),
+            "phase": classify_phase(_P, b),
+            "rho": order_parameter(_P, b),
+        }
+        for b in _MIXED_BETAS
+    ]
+    return ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:3"], rows, rows
+
+
+def _ed_curve_case():
+    p = ModelParams(1.0, 1.0, g1=0.5)
+    rows = [
+        {
+            **_cells(p),
+            "beta": 1.0,
+            "n_atoms": pt.n_atoms,
+            "n_max_used": pt.n_max_used,
+            "photons_per_atom": pt.photons_per_atom,
+            "truncation_error_estimate": pt.truncation_error_estimate,
+        }
+        for pt in photon_density_curve(p, 1.0, (1, 2), target_tol=1e-6)
+    ]
+    return ["--g1", "0.5", "--beta", "1.0", "--n-list", "1,2"], rows, rows
+
+
+_ROW_CASES = {
+    "critical-temp": _critical_temp_case,
+    "phase-diagram": _phase_diagram_case,
+    "spectrum": _spectrum_case,
+    "partition-ratio": _partition_ratio_case,
+    "order-parameter": _order_parameter_case,
+    "ed-curve": _ed_curve_case,
+}
+
+
+def _csv_cell_matches(cell, value):
+    if value is None:
+        return cell == ""
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
+
+
+@pytest.mark.parametrize("command", list(_ROW_CASES))
+def test_row_cells_are_the_library_values(command, capsys):
+    argv, csv_rows, json_rows = _ROW_CASES[command]()
+    assert main([command, *argv]) == 0
+    header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == list(csv_rows[0])
+    assert len(records) == len(csv_rows)
+    for record, expected in zip(records, csv_rows):
+        assert all(map(_csv_cell_matches, record, expected.values())), (record, expected)
+
+    assert main([command, *argv, "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    assert rows == json_rows
+    for row, expected in zip(rows, json_rows):
+        assert list(row) == list(expected)
+        if command != "spectrum":
+            assert list(row) == header
+
+
+def test_error_row_cells_are_empty_in_csv(capsys):
+    argv = ["phase-diagram", "--beta", "1", "--sweep", "g1:1:1e200:3"]
+    assert main(argv) == 0
+    header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
+    row = dict(zip(header, records[1]))
+    assert row["phase"] == "error"
+    assert row["bound"] == row["rho"] == row["beta_c"] == ""
+    assert row["error"].startswith("OverflowError")
+
+
+def test_write_rows_cells_and_non_finite_json():
+    header = ("a", "b")
+    with pytest.raises(ValueError):
+        _write_rows(io.StringIO(), "json", header, [{"a": 1.0, "b": math.nan}])
+    stream = io.StringIO()
+    _write_rows(stream, "csv", header, [{"a": 1.0, "b": None}, {"a": True, "b": "x"}])
+    assert stream.getvalue() == "a,b\n1.0,\nTrue,x\n"
+
+
+def test_non_finite_value_in_json_row_exits_one(capsys):
+    # omega0 * Omega overflows, so the quantum-critical gap is -inf
+    argv = ["critical-temp", "--omega0", "1e300", "--Omega", "1e300", "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -24,6 +24,7 @@ from dicketherm.matsubara import (
     tanh_factor,
 )
 from dicketherm.operators import ModelParams
+from dicketherm.spectrum import dispersion_residual
 
 P_MIXED = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
 
@@ -255,3 +256,19 @@ def test_finite_sum_critical_beta_matches_closed_form_and_guards():
     assert finite_sum_critical_beta(p) == pytest.approx(closed, rel=1e-8)
     with pytest.raises(RuntimeError, match="no finite-sum transition"):
         finite_sum_critical_beta(ModelParams(1.0, 1.0, g1=0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: kernel_a(0, P_MIXED, beta),
+        lambda beta: kernel_c(0, P_MIXED, beta),
+        lambda beta: a0_c0_sum(0, P_MIXED, beta),
+        lambda beta: MatsubaraGrid(beta, "bosonic", 16),
+        lambda beta: dispersion_residual(0.5, ModelParams(1, 1, g1=0.5), beta),
+    ],
+    ids=["kernel_a", "kernel_c", "a0_c0_sum", "MatsubaraGrid", "dispersion_residual"],
+)
+def test_nan_beta_raises(call):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        call(math.nan)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dicketherm.operators import (
     BosonSpace,
@@ -36,6 +40,21 @@ def test_model_params_validation():
     p = ModelParams(1.0, 2.0, g1=0.3, g2=0.4)
     with pytest.raises(Exception):
         p.g1 = 1.0  # frozen
+
+
+@given(
+    valid=st.tuples(
+        st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3)
+    ),
+    field=st.sampled_from(["omega0", "Omega", "g1", "g2"]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_model_params_reject_non_finite_fields(valid, field, bad):
+    values = dict(zip(("omega0", "Omega", "g1", "g2"), valid))
+    ModelParams(**values)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        ModelParams(**values)
 
 
 def test_boson_ops_defining_action():
