@@ -7,8 +7,10 @@ Floats print as ``repr``, the shortest form that round-trips, so
 identical configurations produce byte-identical files; CSV booleans
 print as ``True``/``False``.  The numeric cells of phase-diagram error
 rows are empty in CSV and ``null`` in JSON; any other NaN or infinity
-in a JSON row is an error (exit 1).  Rows stream as they are computed,
-so a command that fails part way leaves the rows before the failure.
+in a row is an error (exit 1).  Rows stream as they are computed, so a
+command that fails part way leaves the rows before the failure.
+``--workers`` and ``--cutoff`` are accepted and validated but have no
+effect.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -49,7 +51,6 @@ from dicketherm.thermo import (
 __all__ = ["ConfigError", "GridSpec", "RunConfig", "main", "parse_config", "run"]
 
 SWEEP_VARIABLES = ("g1", "g2", "beta", "omega0", "Omega")
-WORKERS_ENV = "DICKETHERM_WORKERS"
 
 _FILE_KEYS = {
     "omega0",
@@ -114,11 +115,22 @@ class RunConfig:
     sweep: GridSpec | None = None
     output: str | None = None
     fmt: str = "csv"
-    workers: int | None = None
     n_list: tuple[int, ...] = (2, 4, 6, 8)
     ed_tol: float = 1e-6
-    cutoff: int = 512
     kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE
+
+    @cached_property
+    def param_nodes(self) -> list[ModelParams]:
+        """The swept model parameters, or ``params`` alone.
+
+        Raises ValueError for a sweep value outside the model's domain.
+        """
+        if self.sweep is not None and self.sweep.variable != "beta":
+            return [
+                dataclasses.replace(self.params, **{self.sweep.variable: v})
+                for v in self.sweep.values()
+            ]
+        return [self.params]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        help=f"accepted for compatibility, no effect; overrides ${WORKERS_ENV}",
+        help="accepted and validated (integer), no effect",
     )
     parser.add_argument(
         "--n-list", help="comma-separated atom numbers for ed-curve"
@@ -272,7 +284,8 @@ def parse_config(
     ):
         raise ConfigError("beta swept twice (--sweep beta plus --beta/--beta-grid)")
 
-    workers = pick(ns.workers, "workers", os.environ.get(WORKERS_ENV) or None, int)
+    # accepted and validated, no effect: scans run serially
+    pick(ns.workers, "workers", None, int)
 
     n_list_text = pick(ns.n_list, "n-list", "2,4,6,8")
     try:
@@ -282,6 +295,7 @@ def parse_config(
     ed_tol = pick(ns.ed_tol, "ed-tol", 1e-6, float)
     if not (math.isfinite(ed_tol) and ed_tol > 0.0):
         raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
+    # accepted and validated, no effect: every sum is in closed form
     cutoff = pick(ns.cutoff, "cutoff", 512, int)
     if cutoff < 10:
         raise ConfigError(f"cutoff must be at least 10, got {cutoff}")
@@ -302,7 +316,7 @@ def parse_config(
     if command == "ed-curve" and beta is None:
         raise ConfigError("ed-curve takes a single --beta")
 
-    return RunConfig(
+    config = RunConfig(
         command=command,
         params=params,
         beta=beta,
@@ -310,12 +324,17 @@ def parse_config(
         sweep=sweep,
         output=pick(ns.output, "output", None),
         fmt=pick(ns.fmt, "format", "csv"),
-        workers=workers,
         n_list=n_list,
         ed_tol=ed_tol,
-        cutoff=cutoff,
         kind=kind,
     )
+    try:
+        # build every sweep node now, so a value outside the model's
+        # domain exits 2 before any output, as the same flag value does
+        config.param_nodes
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return config
 
 
 # One encoder for every JSON row; json.dumps would build one per call.
@@ -328,24 +347,25 @@ def _write_rows(
     """Write row dicts, each built in header order, as CSV or JSON lines.
 
     Floats print as ``repr`` and None as an empty cell or ``null``.  A
-    NaN or infinity in a JSON row raises ValueError.
+    NaN or infinity in a row raises ValueError.
     """
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(row.values() for row in rows)
+        writer.writerows(_finite_cells(rows))
     else:
         for row in rows:
             stream.write(_JSON_ROW.encode(row) + "\n")
 
 
-def _param_nodes(config: RunConfig) -> list[ModelParams]:
-    if config.sweep is not None and config.sweep.variable != "beta":
-        return [
-            dataclasses.replace(config.params, **{config.sweep.variable: v})
-            for v in config.sweep.values()
-        ]
-    return [config.params]
+def _finite_cells(rows: Iterable[dict]) -> Iterator[Iterable]:
+    """The cells of each row, refusing a NaN or infinity as JSON does."""
+    for row in rows:
+        cells = row.values()
+        for cell in cells:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise ValueError(f"non-finite value {cell!r} in a CSV row")
+        yield cells
 
 
 def _beta_nodes(config: RunConfig) -> list[float]:
@@ -359,7 +379,7 @@ def _beta_nodes(config: RunConfig) -> list[float]:
 def _nodes(config: RunConfig) -> Iterator[tuple[ModelParams, float]]:
     """The params x beta grid, params outer."""
     betas = _beta_nodes(config)
-    for p in _param_nodes(config):
+    for p in config.param_nodes:
         for b in betas:
             yield p, b
 
@@ -378,7 +398,7 @@ def _param_cells(params: ModelParams) -> dict:
 
 
 def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
-    for p in _param_nodes(config):
+    for p in config.param_nodes:
         yield {
             **_param_cells(p),
             "quantum_critical_gap": quantum_critical_gap(p),
@@ -387,10 +407,7 @@ def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
 
 
 def _phase_diagram_rows(config: RunConfig) -> Iterator[dict]:
-    points = phase_scan(
-        _param_nodes(config), _beta_nodes(config), workers=config.workers
-    )
-    for pt in points:
+    for pt in phase_scan(config.param_nodes, _beta_nodes(config)):
         # error rows are the one place a missing number is expected
         failed = pt.error is not None
         yield {
@@ -435,7 +452,7 @@ def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
             **_param_cells(p),
             "beta": b,
             "bound": convergence_bound(p, b),
-            "log_partition_ratio": log_partition_ratio(p, b, cutoff=config.cutoff),
+            "log_partition_ratio": log_partition_ratio(p, b),
         }
 
 
@@ -451,7 +468,7 @@ def _order_parameter_rows(config: RunConfig) -> Iterator[dict]:
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
-    for p in _param_nodes(config):
+    for p in config.param_nodes:
         curve = photon_density_curve(
             p,
             config.beta,
@@ -516,7 +533,9 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
 
     worst = 0.0
     for beta in (0.5, 2.0, 5.0):
-        for m in (0.25, 0.5, 2.0):
+        # the single-pole sums of the model run at m = Omega / 2
+        for Omega in (0.5, 1.0, 4.0):
+            m = Omega / 2.0
             exact = beta / (2.0 * m) * math.tanh(beta * m / 2.0)
             worst = max(worst, abs(fermionic_lorentzian_sum(m, beta) - exact))
     checks.append(("fermionic-sum-identity", worst, 1e-10))

@@ -31,7 +31,6 @@ __all__ = [
     "build_fermion_dicke",
     "fermion_mode_ops",
     "fermion_number_diagonal",
-    "pf_green_function",
     "physical_projector",
     "verify_trace_identity",
 ]
@@ -145,7 +144,7 @@ def verify_trace_identity(
     The unoccupied and doubly occupied site states carry zero qubit energy
     and opposite phases, so they cancel; the residual is numerical noise.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     h_f = build_fermion_dicke(params, n_atoms, n_max)
     eigvals, eigvecs = np.linalg.eigh(h_f.matrix)
@@ -160,16 +159,3 @@ def verify_trace_identity(
     phased = (1j**n_atoms) * np.sum(weights * (phases @ amp2))
     physical = np.sum(weights * (phys_diag @ amp2))
     return float(abs(phased - physical) / abs(physical))
-
-
-def pf_green_function(n: int, epsilon: float, beta: float) -> complex:
-    """Free-fermion propagator at shifted Matsubara frequency index n.
-
-    Returns 1 / (i (2 pi / beta)(n + 1/2) - epsilon - i pi / (2 beta)),
-    the imaginary chemical potential appearing as the fixed -i pi/(2 beta)
-    shift in the denominator.
-    """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    omega_f = (2.0 * np.pi / beta) * (n + 0.5)
-    return 1.0 / (1j * omega_f - epsilon - 0.5j * np.pi / beta)

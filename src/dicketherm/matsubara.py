@@ -1,47 +1,41 @@
-"""Matsubara frequency grids, the interaction kernels, and their quadratic.
+"""Matsubara frequency sums and kernels: the oracles of the closed forms.
 
-Two kernel routes are implemented.  The closed-form route evaluates
-a(omega) and c(omega) exactly at bosonic frequencies; their determinant
-reduces to the quadratic x^2 - B x + C in x = E^2, whose real roots
-(``mode_energy_squares``) are the squared collective-mode energies and
-feed both the spectrum and the log-sinh partition ratio.  The finite-sum
+No closed form depends on this module; ``validate`` and the tests use
+it.  The kernels a(omega) and c(omega) at bosonic frequencies, their
+continuation to real energy (``continue_kernels``) and the finite-sum
+route check what ``dicketherm.thermo`` and ``dicketherm.spectrum``
+compute in closed form.  The kernel-determinant quadratic, its roots and
+the thermal factor live in ``thermo``, the kernel-pole guard in
+``spectrum``, and this module imports them from there.  The finite-sum
 route evaluates the pair sums over fermionic frequencies (a0, c0) by
 direct truncation plus an integral tail with a midpoint Euler-Maclaurin
 correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
-it is kept as the independent check of the closed forms
-(``finite_sum_critical_beta``, ``validate`` and the tests).
+``validate``, the tests and ``finite_sum_critical_beta`` use it as the
+independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import math
-
 import numpy as np
 from scipy import integrate, optimize
 
 from dicketherm.operators import ModelParams
+from dicketherm.spectrum import PoleProximityError, default_pole_epsilon
+from dicketherm.thermo import tanh_factor
 
 __all__ = [
     "DEFAULT_CUTOFF",
-    "InsufficientCutoffError",
     "KernelValue",
-    "MatsubaraGrid",
-    "PoleProximityError",
     "a0_c0_sum",
     "bosonic_frequency",
     "continue_kernels",
-    "default_pole_epsilon",
-    "fermionic_frequency",
     "fermionic_lorentzian_sum",
     "finite_sum_critical_beta",
     "kernel_a",
     "kernel_c",
-    "kernel_determinant_coefficients",
-    "mode_energy_squares",
     "paired_pole_sum",
-    "tanh_factor",
 ]
 
 DEFAULT_CUTOFF = 512
@@ -52,72 +46,17 @@ DEFAULT_CUTOFF = 512
 _RICHARDSON_POWER = 5
 
 
-class PoleProximityError(ValueError):
-    """Energy argument too close to a kernel pole for stable evaluation."""
-
-
-class InsufficientCutoffError(ValueError):
-    """Frequency-sum tail estimate exceeds the requested tolerance."""
-
-
 def bosonic_frequency(n: int, beta: float) -> float:
     return 2.0 * np.pi * n / beta
-
-def fermionic_frequency(n: int, beta: float) -> float:
-    return (2.0 * n + 1.0) * np.pi / beta
-
-
-@dataclass(frozen=True)
-class MatsubaraGrid:
-    """Symmetric frequency window with statistics bookkeeping.
-
-    Fermionic indices run over [-cutoff, cutoff - 1], so the frequency set
-    is symmetric under n <-> -n-1; bosonic indices run over
-    [-cutoff, cutoff], symmetric under n <-> -n.
-    """
-
-    beta: float
-    statistics: str
-    cutoff: int
-
-    def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.statistics not in ("bosonic", "fermionic"):
-            raise ValueError(f"unknown statistics {self.statistics!r}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-
-    def indices(self) -> np.ndarray:
-        if self.statistics == "fermionic":
-            return np.arange(-self.cutoff, self.cutoff)
-        return np.arange(-self.cutoff, self.cutoff + 1)
-
-    def frequencies(self) -> np.ndarray:
-        ns = self.indices()
-        if self.statistics == "fermionic":
-            return (2.0 * ns + 1.0) * np.pi / self.beta
-        return 2.0 * np.pi * ns / self.beta
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """One evaluated kernel pair with provenance of the evaluation route."""
+    """One finite-sum kernel pair and its cutoff-doubling spread."""
 
     a: complex
     c: float
-    omega_index: int
-    source: str
     tail_estimate: float = field(default=0.0, compare=False)
-
-
-def tanh_factor(params: ModelParams, beta: float) -> float:
-    """The thermal factor tanh(beta * Omega / 4) shared by every kernel."""
-    return float(np.tanh(0.25 * beta * params.Omega))
-
-
-def default_pole_epsilon(params: ModelParams) -> float:
-    return 1e-9 * max(params.Omega, params.omega0)
 
 
 def _lorentzian_tail(edge: float, m: float, beta: float) -> float:
@@ -208,15 +147,12 @@ def a0_c0_sum(
     params: ModelParams,
     beta: float,
     cutoff: int = DEFAULT_CUTOFF,
-    *,
-    tolerance: float | None = None,
 ) -> KernelValue:
     """Finite-sum kernels (a0, c0) at bosonic index ``omega_index``.
 
     Reported values are Richardson extrapolants over (cutoff, 2*cutoff) of
     the tail-corrected pair sum; ``tail_estimate`` records the difference
-    between the two cutoff levels.  If ``tolerance`` is given and the
-    estimate exceeds it, the cutoff is flagged as insufficient.
+    between the two cutoff levels.
 
     At omega = 0 the pair sum collapses to the single-pole sum, so
     a0 + 2 c0 tends to (g1 + g2)^2 / (Omega omega0) * tanh(beta Omega / 4).
@@ -237,80 +173,9 @@ def a0_c0_sum(
     c0 = params.omega0 * params.g1 * params.g2 / (beta * root**2) * pair_sum
     a0_tail = (params.g1**2 + params.g2**2) / (beta * root) * spread
     c0_tail = params.omega0 * params.g1 * params.g2 / (beta * root**2) * spread
-    tail_estimate = a0_tail + 2.0 * c0_tail
-    if tolerance is not None and tail_estimate > tolerance:
-        raise InsufficientCutoffError(
-            f"tail estimate {tail_estimate:.3e} exceeds tolerance "
-            f"{tolerance:.3e} at cutoff {cutoff}"
-        )
     return KernelValue(
-        a=complex(a0),
-        c=float(c0),
-        omega_index=omega_index,
-        source="finite-sum",
-        tail_estimate=tail_estimate,
+        a=complex(a0), c=float(c0), tail_estimate=a0_tail + 2.0 * c0_tail
     )
-
-
-def kernel_determinant_coefficients(
-    params: ModelParams, beta: float
-) -> tuple[float, float]:
-    """Coefficients (B, C) of the kernel-determinant quadratic in x = E^2.
-
-    (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = (x^2 - B x + C) /
-    ((omega0^2 - x)(Omega^2 - x)) after analytic continuation, with
-
-        B = omega0^2 + Omega^2 + 2 t (g1^2 - g2^2)
-        C = omega0^2 Omega^2 - 2 t omega0 Omega (g1^2 + g2^2)
-            + t^2 (g1^2 - g2^2)^2,   t = tanh(beta Omega / 4).
-
-    At Matsubara frequencies x = -omega^2 the numerator is the product
-    (omega^2 + x1)(omega^2 + x2) over the roots of the quadratic, which
-    is what makes the partition ratio a log-sinh sum.  C factorizes as
-    omega0^2 Omega^2 (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u) with
-    u = t / (omega0 Omega), so C = 0 exactly at the transition.
-    """
-    t = tanh_factor(params, beta)
-    g1sq, g2sq = params.g1**2, params.g2**2
-    w0sq, Wsq = params.omega0**2, params.Omega**2
-    B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
-    C = (
-        w0sq * Wsq
-        - 2.0 * t * params.omega0 * params.Omega * (g1sq + g2sq)
-        + t**2 * (g1sq - g2sq) ** 2
-    )
-    return B, C
-
-
-def mode_energy_squares(
-    params: ModelParams, beta: float
-) -> tuple[float, float] | None:
-    """Real roots (small, large) of x^2 - B x + C, or None when complex.
-
-    The discriminant B^2 - 4C is taken in its factored form
-
-        (omega0^2 - Omega^2)^2
-            + 4 t [g1^2 (omega0 + Omega)^2 - g2^2 (omega0 - Omega)^2],
-
-    which has no cancellation and is exactly 0 on the degenerate line
-    omega0 = Omega, g1 = 0.  The larger-magnitude root is
-    q = (B + sign(B) sqrt(disc)) / 2 and the other is C / q.  In the
-    normal phase disc >= (omega0 - Omega)^2 [(omega0 + Omega)^2 -
-    4 t g2^2] > 0 and C > 0, so both roots are real and positive.
-    """
-    t = tanh_factor(params, beta)
-    B, C = kernel_determinant_coefficients(params, beta)
-    w0, W = params.omega0, params.Omega
-    disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (
-        params.g1**2 * (w0 + W) ** 2 - params.g2**2 * (w0 - W) ** 2
-    )
-    if disc < 0.0:
-        return None
-    q = 0.5 * (B + math.copysign(math.sqrt(disc), B))
-    if q == 0.0:
-        return 0.0, 0.0
-    other = C / q
-    return min(q, other), max(q, other)
 
 
 def finite_sum_critical_beta(params: ModelParams) -> float:

@@ -3,10 +3,13 @@
 The mode condition is (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = 0 on the real
 axis.  It equals Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with
 Q(x) = x^2 - B x + C, so the mode energies are the square roots of the
-closed-form roots of Q (``dicketherm.matsubara.mode_energy_squares``);
-no root finder runs.  Residuals are reported from the same rational
-form, which keeps them near machine precision instead of the 1e-8
-cancellation noise of the raw kernel product.
+closed-form roots of Q (``dicketherm.thermo.mode_energy_squares``, with
+the coefficients and the thermal factor from the same module); no root
+finder runs.  Residuals are reported from the same rational form, which
+keeps them near machine precision instead of the 1e-8 cancellation
+noise of the raw kernel product.  The kernel poles at Omega and omega0
+are guarded here (``PoleProximityError``, ``default_pole_epsilon``);
+the oracle ``dicketherm.matsubara.continue_kernels`` shares the guard.
 """
 
 from __future__ import annotations
@@ -14,26 +17,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from dicketherm.matsubara import (
-    PoleProximityError,
-    default_pole_epsilon,
+from dicketherm.operators import ModelParams
+from dicketherm.thermo import (
+    critical_beta,
     kernel_determinant_coefficients,
     mode_energy_squares,
     tanh_factor,
 )
-from dicketherm.operators import ModelParams
-from dicketherm.thermo import critical_beta
 
 __all__ = [
+    "PoleProximityError",
     "RESIDUAL_TOL",
     "SpectrumResult",
     "collective_modes",
+    "default_pole_epsilon",
     "dispersion_residual",
     "goldstone_residual",
 ]
 
 RESIDUAL_TOL = 1e-9
 _DEDUP_TOL = 1e-8
+
+
+class PoleProximityError(ValueError):
+    """Energy argument too close to a kernel pole for stable evaluation."""
+
+
+def default_pole_epsilon(params: ModelParams) -> float:
+    return 1e-9 * max(params.Omega, params.omega0)
 
 
 @dataclass(frozen=True)

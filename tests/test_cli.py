@@ -8,7 +8,6 @@ import pytest
 from dicketherm.cli import (
     ConfigError,
     GridSpec,
-    WORKERS_ENV,
     _write_rows,
     main,
     parse_config,
@@ -36,7 +35,6 @@ def test_flags_override_config_file():
     )
     assert cfg.params.g1 == 0.9
     assert cfg.params.g2 == 0.2
-    assert cfg.cutoff == 256
     assert cfg.beta == 2.0
 
 
@@ -172,20 +170,37 @@ def test_n_list_kind_workers_parsing():
     )
     assert cfg.n_list == (2, 4)
     assert cfg.kind is HamiltonianKind.DICKE_RWA
-    assert cfg.workers == 2
     with pytest.raises(ConfigError, match="bad n-list"):
         parse_config(["ed-curve", "--beta", "1.0", "--n-list", "2,x"])
 
 
-def test_workers_env_fallback(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    cfg = parse_config(["phase-diagram", "--beta", "1.0"])
-    assert cfg.workers == 3
-    cfg = parse_config(["phase-diagram", "--beta", "1.0", "--workers", "1"])
-    assert cfg.workers == 1
-    monkeypatch.setenv(WORKERS_ENV, "many")
+def test_workers_is_validated_and_has_no_effect(monkeypatch, capsys):
+    argv = ["phase-diagram", "--beta", "1.0"]
+    parse_config(argv, "workers = 3\n")
     with pytest.raises(ConfigError, match="workers is not an integer"):
-        parse_config(["phase-diagram", "--beta", "1.0"])
+        parse_config(argv, "workers = many\n")
+    with pytest.raises(SystemExit) as info:
+        parse_config(argv + ["--workers", "many"])
+    assert info.value.code == 2
+    # the environment is not read
+    monkeypatch.setenv("DICKETHERM_WORKERS", "many")
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--workers", "4"]) == 0
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("sweep", ["omega0:-1:1:3", "Omega:0:1:3", "g2:-1:1:3"])
+def test_sweep_values_outside_the_model_exit_two(sweep, capsys):
+    variable, start = sweep.split(":")[:2]
+    assert main(["phase-diagram", "--beta", "1", f"--{variable}", start]) == 2
+    flag_err = capsys.readouterr().err
+    assert main(["phase-diagram", "--beta", "1", "--sweep", sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == flag_err
+    with pytest.raises(ConfigError, match=variable):
+        parse_config(["critical-temp"], f"sweep = {sweep}\n")
 
 
 def test_unknown_flag_exits_two():
@@ -532,9 +547,31 @@ def test_write_rows_cells_and_non_finite_json():
 
 
 def test_non_finite_value_in_json_row_exits_one(capsys):
-    # omega0 * Omega overflows, so the quantum-critical gap is -inf
-    argv = ["critical-temp", "--omega0", "1e300", "--Omega", "1e300", "--format", "json"]
+    # 4 / Omega overflows, so beta_c is inf
+    argv = ["critical-temp", "--Omega", "5e-324", "--g1", "1", "--format", "json"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_non_finite_value_in_csv_row_exits_one(capsys):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _write_rows(io.StringIO(), "csv", ("a", "b"), [{"a": "x", "b": value}])
+    assert main(["critical-temp", "--Omega", "5e-324", "--g1", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "omega0,Omega,g1,g2,quantum_critical_gap,beta_c\n"
+    assert "non-finite value inf" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_critical_temp_gap_survives_overflowing_product(fmt, capsys):
+    argv = ["critical-temp", "--omega0", "1e300", "--Omega", "1e300", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    gap = (
+        float(out[1].split(",")[4]) if fmt == "csv"
+        else json.loads(out[0])["quantum_critical_gap"]
+    )
+    assert gap == pytest.approx(-1e300, rel=1e-15)

@@ -6,7 +6,6 @@ from dicketherm.fermionization import (
     build_fermion_dicke,
     fermion_mode_ops,
     fermion_number_diagonal,
-    pf_green_function,
     physical_projector,
     verify_trace_identity,
 )
@@ -124,23 +123,6 @@ def test_oracle_consistency_physical_trace_vs_thermal_solve():
     hs = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
     z_ed = thermal_solve(hs, beta).Z
     assert abs(z_phys - z_ed) / z_ed < 1e-10
-
-
-def test_pf_green_function_anchor():
-    assert pf_green_function(0, 0.0, 2.0 * np.pi) == pytest.approx(-4.0j)
-
-
-def test_pf_green_function_conjugation_and_decay():
-    n, eps, beta = 3, 0.7, 1.9
-    p_n = (2 * n + 1) * np.pi / beta
-    # conjugation at real energy flips the frequency together with the
-    # imaginary chemical-potential shift
-    manual = 1.0 / (-1j * p_n - eps + 1j * np.pi / (2.0 * beta))
-    assert pf_green_function(n, eps, beta).conjugate() == pytest.approx(manual)
-    big = 10**6
-    assert abs(pf_green_function(big, eps, beta)) * big == pytest.approx(
-        beta / (2.0 * np.pi), rel=1e-3
-    )
 
 
 def test_fermion_dicke_dimension_guard():

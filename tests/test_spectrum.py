@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicketherm.matsubara import PoleProximityError
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import (
+    PoleProximityError,
     SpectrumResult,
     collective_modes,
     dispersion_residual,

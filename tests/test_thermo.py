@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +30,23 @@ P_CR = ModelParams(2.0, 1.0, g2=2.0)
 P_MIX = ModelParams(1.0, 1.0, g1=0.9, g2=0.6)
 
 
+def test_closed_forms_import_no_oracle_module():
+    # thermo and spectrum are production code; the frequency sums and the
+    # fermion map are oracles that import from them, never the reverse
+    src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
+    code = (
+        "import sys, dicketherm.thermo, dicketherm.spectrum\n"
+        "print(sorted(m for m in ('dicketherm.matsubara', "
+        "'dicketherm.fermionization') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_critical_beta_anchors():
     assert critical_beta(P_RWA) == pytest.approx(4.0 * math.atanh(1.0 / 1.44))
     assert critical_beta(P_RWA) == pytest.approx(3.4259571827498814, abs=1e-12)
@@ -52,6 +72,15 @@ def test_quantum_critical_gap():
             g2=rng.uniform(0.0, 2.0),
         )
         assert (quantum_critical_gap(p) > 0.0) == (critical_beta(p) is not None)
+
+
+def test_quantum_critical_gap_does_not_overflow():
+    # omega0 * Omega overflows to inf here and underflows to 0 below; the
+    # gaps are an ordinary -1e300 and exactly the quantum-critical 0
+    p = ModelParams(1e300, 1e300)
+    assert quantum_critical_gap(p) == pytest.approx(-1e300, rel=1e-15)
+    tiny = ModelParams(1e-300, 1e-300, g1=1e-300)
+    assert quantum_critical_gap(tiny) == 0.0
 
 
 def test_convergence_bound_values():
@@ -170,13 +199,6 @@ def test_library_rejects_nan_beta():
     assert pt.error.startswith("ValueError: beta must be positive")
 
 
-def test_order_parameter_cutoff_stability():
-    beta = 2.0 * critical_beta(P_MIX)
-    a = order_parameter(P_MIX, beta, cutoff=512)
-    b = order_parameter(P_MIX, beta, cutoff=1024)
-    assert a == pytest.approx(b, abs=1e-9)
-
-
 def test_log_partition_ratio_free_case():
     assert log_partition_ratio(ModelParams(1.0, 1.0), 2.0) == pytest.approx(
         0.0, abs=1e-12
@@ -193,12 +215,6 @@ def test_log_partition_ratio_grows_toward_transition():
 def test_log_partition_ratio_rejects_superradiant():
     with pytest.raises(ValueError):
         log_partition_ratio(P_RWA, 10.0)
-
-
-def test_log_partition_ratio_cutoff_doubling():
-    value = log_partition_ratio(P_MIX, 1.2, cutoff=512)
-    doubled = log_partition_ratio(P_MIX, 1.2, cutoff=1024)
-    assert abs(doubled - value) < 1e-7 * max(1.0, abs(value))
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
@@ -319,13 +335,6 @@ def test_phase_scan_captures_per_node_errors():
     assert "ValueError" in pts[0].error
     assert math.isnan(pts[0].bound)
     assert pts[1].phase == "normal"  # scan continues past the bad node
-
-
-def test_phase_scan_parallel_matches_serial():
-    betas = list(np.linspace(0.5, 6.0, 7))
-    serial = phase_scan([P_MIX, P_CR], betas, workers=1)
-    parallel = phase_scan([P_MIX, P_CR], betas, workers=4)
-    assert serial == parallel
 
 
 def test_phase_scan_rejects_empty_grids():
