@@ -3,6 +3,9 @@
 Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
 order-parameter, ed-curve, validate.  Each row command turns library
 results into row dicts for ``csv`` or ``json`` (one object per line).
+phase-diagram and order-parameter evaluate their whole grid in one
+``phase_scan`` call, the swept parameter as a column, and build their
+rows from its columns; the other commands go node by node.
 Floats print as ``repr``, the shortest form that round-trips, so
 identical configurations produce byte-identical files; CSV booleans
 print as ``True``/``False``.  The numeric cells of phase-diagram error
@@ -39,6 +42,8 @@ from dicketherm.matsubara import (
 from dicketherm.operators import HamiltonianKind, ModelParams
 from dicketherm.spectrum import collective_modes, goldstone_residual
 from dicketherm.thermo import (
+    ParamGrid,
+    PhaseScan,
     convergence_bound,
     classify_phase,
     critical_beta,
@@ -316,7 +321,17 @@ def parse_config(
     if command == "ed-curve" and beta is None:
         raise ConfigError("ed-curve takes a single --beta")
 
-    config = RunConfig(
+    if sweep is not None and sweep.variable != "beta":
+        # sweep values lie in [start, stop] and the model's domain is an
+        # interval, so the two ends decide; a value outside the domain
+        # exits 2 before any output, as the same flag value does
+        for end in (sweep.start, sweep.stop):
+            try:
+                dataclasses.replace(params, **{sweep.variable: end})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+
+    return RunConfig(
         command=command,
         params=params,
         beta=beta,
@@ -328,13 +343,6 @@ def parse_config(
         ed_tol=ed_tol,
         kind=kind,
     )
-    try:
-        # build every sweep node now, so a value outside the model's
-        # domain exits 2 before any output, as the same flag value does
-        config.param_nodes
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return config
 
 
 # One encoder for every JSON row; json.dumps would build one per call.
@@ -406,19 +414,36 @@ def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
         }
 
 
+def _scan(config: RunConfig) -> PhaseScan:
+    """The whole grid in one ``phase_scan`` call, the sweep as a column."""
+    columns = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
+    if config.sweep is not None and config.sweep.variable != "beta":
+        columns[config.sweep.variable] = config.sweep.values()
+    return phase_scan(ParamGrid(**columns), _beta_nodes(config))
+
+
+def _cells(column: np.ndarray, missing: np.ndarray) -> list:
+    """The column as Python values, None where ``missing``."""
+    cells = column.astype(object)
+    cells[missing] = None
+    return cells.tolist()
+
+
+_PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
+
+
 def _phase_diagram_rows(config: RunConfig) -> Iterator[dict]:
-    for pt in phase_scan(config.param_nodes, _beta_nodes(config)):
-        # error rows are the one place a missing number is expected
-        failed = pt.error is not None
-        yield {
-            **_param_cells(pt.params),
-            "beta": pt.beta,
-            "bound": None if failed else pt.bound,
-            "phase": pt.phase,
-            "beta_c": pt.beta_c,
-            "rho": None if failed else pt.rho,
-            "error": pt.error,
-        }
+    scan = _scan(config)
+    # error rows are the one place a missing number is expected
+    failed = scan.phase == "error"
+    columns = {
+        name: getattr(scan, name).tolist() for name in (*_NODE_COLUMNS, "phase", "error")
+    }
+    columns["bound"] = _cells(scan.bound, failed)
+    columns["beta_c"] = _cells(scan.beta_c, np.isnan(scan.beta_c))
+    columns["rho"] = _cells(scan.rho, failed)
+    for row in zip(*(columns[name] for name in _PHASE_COLUMNS)):
+        yield dict(zip(_PHASE_COLUMNS, row))
 
 
 def _spectrum_rows(config: RunConfig) -> Iterator[dict]:
@@ -456,15 +481,21 @@ def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
         }
 
 
+_ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
+
+
 def _order_parameter_rows(config: RunConfig) -> Iterator[dict]:
-    for p, b in _nodes(config):
-        yield {
-            **_param_cells(p),
-            "beta": b,
-            "bound": convergence_bound(p, b),
-            "phase": classify_phase(p, b),
-            "rho": order_parameter(p, b),
-        }
+    scan = _scan(config)
+    failed = (scan.phase == "error").tolist()
+    columns = [getattr(scan, name).tolist() for name in _ORDER_COLUMNS]
+    for i, row in enumerate(zip(*columns)):
+        if failed[i]:
+            # the scalar route raises the node's error here, after the
+            # rows before it
+            p, b = ModelParams(*row[:4]), row[4]
+            row = (*row[:5], convergence_bound(p, b), classify_phase(p, b),
+                   order_parameter(p, b))
+        yield dict(zip(_ORDER_COLUMNS, row))
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
@@ -494,10 +525,7 @@ _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict]]]
         (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"),
         _critical_temp_rows,
     ),
-    "phase-diagram": (
-        (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error"),
-        _phase_diagram_rows,
-    ),
+    "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows),
     "spectrum": (
         (*_NODE_COLUMNS, "at_critical", "root_index", "root", "residual", "label",
          "multiplicity"),
@@ -507,10 +535,7 @@ _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict]]]
         (*_NODE_COLUMNS, "bound", "log_partition_ratio"),
         _partition_ratio_rows,
     ),
-    "order-parameter": (
-        (*_NODE_COLUMNS, "bound", "phase", "rho"),
-        _order_parameter_rows,
-    ),
+    "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows),
     "ed-curve": (
         (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom",
          "truncation_error_estimate"),

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from dicketherm.operators import ModelParams
 from dicketherm.thermo import (
+    _quadratic,
+    _quadratic_roots,
     critical_beta,
     kernel_determinant_coefficients,
-    mode_energy_squares,
     tanh_factor,
 )
 
@@ -94,23 +95,23 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     )
 
 
-def _zero_energy_entry(params: ModelParams, beta: float) -> dict | None:
+def _zero_energy_entry(params: ModelParams, t: float, B: float) -> dict | None:
     """E=0 root candidate from the factorized static residual.
 
-    R(0) = (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u), u = tanh(beta Omega/4) /
-    (omega0 Omega).  Returns the root entry when |R(0)| < RESIDUAL_TOL.
+    R(0) = (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u), u = t / (omega0 Omega)
+    with t = tanh(beta Omega/4), and B the quadratic's linear
+    coefficient.  Returns the root entry when |R(0)| < RESIDUAL_TOL.
     The root is double (in x = E^2) exactly when the linear coefficient
     of the numerator quadratic also vanishes, which is the Omega = omega0
     single-coupling corner where the gapped branch collapses onto the
     Goldstone root.
     """
-    u = tanh_factor(params, beta) / (params.omega0 * params.Omega)
+    u = t / (params.omega0 * params.Omega)
     primary = 1.0 - (params.g1 + params.g2) ** 2 * u
     secondary = 1.0 - (params.g1 - params.g2) ** 2 * u
     residual = primary * secondary
     if abs(residual) >= RESIDUAL_TOL:
         return None
-    B, _ = kernel_determinant_coefficients(params, beta)
     double = abs(B) < RESIDUAL_TOL * max(1.0, params.omega0**2 + params.Omega**2)
     label = "goldstone" if abs(primary) <= abs(secondary) else "secondary-branch"
     return {
@@ -169,7 +170,9 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
 
-    B, C = kernel_determinant_coefficients(params, beta)
+    # one thermal factor and one (B, C) serve every root of the node
+    t = tanh_factor(params, beta)
+    B, C = _quadratic(params, t)
     w0sq, Wsq = params.omega0**2, params.Omega**2
 
     def residual(E: float) -> float:
@@ -186,8 +189,8 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
 
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
-    squares = sorted(mode_energy_squares(params, beta) or (), key=abs)
-    zero = _zero_energy_entry(params, beta)
+    squares = sorted(_quadratic_roots(params, t, B, C) or (), key=abs)
+    zero = _zero_energy_entry(params, t, B)
     if zero is not None:
         entries.append(zero)
         squares = squares[zero["multiplicity"] :]

@@ -32,6 +32,25 @@ D*omega0, a scalar equation with a finite zero-temperature limit.  The
 Matsubara frequency sums in ``dicketherm.matsubara`` are oracles only:
 this module does not import them, and ``validate`` and the tests check
 these closed forms against them.
+
+``convergence_bound``, ``critical_beta`` and ``order_parameter`` take a
+``ParamGrid``, the array form of ``ModelParams``, and array beta as well
+as scalars; the arrays broadcast.  ``phase_scan`` evaluates a whole
+params x beta grid as one array computation: beta_c once per parameter
+node, the bound once per node, and one batched gap-equation solve over
+the superradiant nodes.
+
+The gap equation has one solver, a safeguarded Newton iteration batched
+over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
+G tanh(beta (Omega + s)/4) - (Omega + s) omega0 is concave (tanh is
+concave on positive arguments), positive at s = 0 in the superradiant
+phase and negative at hi = G/omega0 - Omega, so Newton started at or
+below hi but above the root decreases monotonically onto it.  A node
+stops once its step is no longer positive beyond four ulps of s;
+rounding near a badly conditioned root ends it the same way.  Nodes
+still moving after twelve steps are finished by bisection on [0, hi].
+The arrays are evaluated under ``np.errstate(all="ignore")``, so no
+RuntimeWarning escapes.
 """
 
 from __future__ import annotations
@@ -42,13 +61,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from dicketherm.operators import ModelParams
 
 __all__ = [
     "CRITICAL_PHASE_TOL",
+    "ParamGrid",
     "PhasePoint",
+    "PhaseScan",
     "classify_phase",
     "convergence_bound",
     "critical_beta",
@@ -69,6 +89,68 @@ CRITICAL_PHASE_TOL = 1e-9
 # tanh(_THERMAL_SCALE * beta * E).
 _THERMAL_SCALE = 0.25
 
+# Gap-equation solver: a node stops when its Newton step is no more than
+# this relative size of s; nodes still moving after _NEWTON_STEPS are
+# bisected, at most _BISECTIONS times (enough to halve any float width
+# down to one ulp).
+_STEP_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_STEPS = 12
+_BISECTIONS = 2200
+
+_PARAM_NAMES = ("omega0", "Omega", "g1", "g2")
+
+
+@dataclass(frozen=True, eq=False)
+class ParamGrid:
+    """Model parameters as float arrays that broadcast, one node per entry.
+
+    The array form of ``ModelParams``: the closed forms that accept
+    arrays read the same four attributes from either.  Every entry must
+    lie in the model's domain; ``ModelParams`` raises its own ValueError
+    for the first node outside it.
+    """
+
+    omega0: np.ndarray
+    Omega: np.ndarray
+    g1: np.ndarray = 0.0
+    g2: np.ndarray = 0.0
+
+    def __post_init__(self) -> None:
+        for name in _PARAM_NAMES:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        rates = np.minimum(self.omega0, self.Omega)
+        couplings = np.minimum(self.g1, self.g2)
+        largest = np.maximum(
+            np.maximum(self.omega0, self.Omega), np.maximum(self.g1, self.g2)
+        )
+        # minimum and maximum propagate NaN, which fails every comparison
+        if not (
+            np.minimum.reduce(rates, axis=None, initial=math.inf) > 0.0
+            and np.minimum.reduce(couplings, axis=None, initial=math.inf) >= 0.0
+            and np.maximum.reduce(largest, axis=None, initial=0.0) < math.inf
+        ):
+            for node in zip(*(c.tolist() for c in self._columns())):
+                ModelParams(*node)
+
+    def _node_column(self) -> ParamGrid:
+        """The nodes, flattened, as an (n, 1) column of the same grid.
+
+        The column broadcasts against a row of beta values into the
+        params x beta grid.  Its entries were checked with this grid, so
+        it skips the check.
+        """
+        column = object.__new__(ParamGrid)
+        for name, values in zip(_PARAM_NAMES, self._columns()):
+            object.__setattr__(column, name, values[:, None])
+        return column
+
+    def _columns(self) -> list[np.ndarray]:
+        """The four fields broadcast to one shape and flattened, in order."""
+        fields = [getattr(self, name) for name in _PARAM_NAMES]
+        ones = np.ones(np.broadcast(*fields).shape)
+        # times one keeps every value, the sign of zero included
+        return [(field * ones).ravel() for field in fields]
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -88,22 +170,84 @@ class PhasePoint:
     error: str | None = None
 
 
-def tanh_factor(params: ModelParams, beta: float) -> float:
+def _value(x):
+    """A float for a 0-d result, else the array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def tanh_factor(params: ModelParams | ParamGrid, beta):
     """The thermal factor tanh(beta * Omega / 4) shared by every kernel."""
-    return float(np.tanh(_THERMAL_SCALE * beta * params.Omega))
+    return _value(np.tanh(_THERMAL_SCALE * beta * params.Omega))
 
 
-def critical_beta(params: ModelParams) -> float | None:
+# omega0*Omega outside [_TINY, inf) has under- or overflowed
+_TINY = sys.float_info.min
+
+
+def _squared(g):
+    """g**2 as Python's float power computes it (libm pow), on arrays too.
+
+    numpy's own square can differ in the last bit, and the array route
+    should give the scalar route's numbers.
+    """
+    return g**2 if isinstance(g, float) else np.float_power(g, 2.0)
+
+
+def _coupling_ratio(params: ModelParams | ParamGrid):
+    """(g1+g2)^2 / (omega0 Omega), the bound at zero temperature.
+
+    Where omega0*Omega under- or overflows, the ratio is taken in split
+    form (g/omega0)(g/Omega), as ``quantum_critical_gap`` splits its root.
+    For a ``ParamGrid`` the caller holds ``np.errstate``.
+    """
+    g = params.g1 + params.g2
+    product = params.omega0 * params.Omega
+    if isinstance(params, ModelParams):
+        if _TINY <= product < math.inf:
+            return g**2 / product
+        return (g / params.omega0) * (g / params.Omega)
+    return np.where(
+        (product >= _TINY) & (product < math.inf),
+        _squared(g) / product,
+        (g / params.omega0) * (g / params.Omega),
+    )
+
+
+def critical_beta(params: ModelParams | ParamGrid):
     """Inverse critical temperature, or None when no transition exists.
 
     beta_c = (4/Omega) * atanh(Omega*omega0 / (g1+g2)^2), defined only for
     (g1+g2)^2 > omega0*Omega.  Equality is the quantum-critical point.
+    Like the bound, the ratio is split where omega0*Omega under- or
+    overflows.  A ``ParamGrid`` gives an array, NaN where no transition
+    exists.
     """
-    g = params.g1 + params.g2
-    product = params.omega0 * params.Omega
-    if g**2 <= product:
-        return None
-    return 1.0 / _THERMAL_SCALE / params.Omega * math.atanh(product / g**2)
+    if isinstance(params, ModelParams):
+        g = params.g1 + params.g2
+        product = params.omega0 * params.Omega
+        if _TINY <= product < math.inf:
+            if g**2 <= product:
+                return None
+            inverse = product / g**2
+        elif (g / params.omega0) * (g / params.Omega) <= 1.0:
+            return None
+        else:
+            inverse = (params.omega0 / g) * (params.Omega / g)
+        # np.arctanh, not math.atanh: the array route must agree to the bit
+        return 1.0 / _THERMAL_SCALE / params.Omega * float(np.arctanh(inverse))
+    with np.errstate(all="ignore"):
+        g = params.g1 + params.g2
+        product = params.omega0 * params.Omega
+        inverse = np.where(
+            (product >= _TINY) & (product < math.inf),
+            product / _squared(g),
+            (params.omega0 / g) * (params.Omega / g),
+        )
+        return np.where(
+            inverse < 1.0,
+            1.0 / _THERMAL_SCALE / params.Omega * np.arctanh(inverse),
+            np.nan,
+        )
 
 
 def quantum_critical_gap(params: ModelParams) -> float:
@@ -113,29 +257,46 @@ def quantum_critical_gap(params: ModelParams) -> float:
     apart, so the gap stays finite.
     """
     product = params.omega0 * params.Omega
-    if sys.float_info.min <= product < math.inf:
+    if _TINY <= product < math.inf:
         root = math.sqrt(product)
     else:
         root = math.sqrt(params.omega0) * math.sqrt(params.Omega)
     return params.g1 + params.g2 - root
 
 
-def convergence_bound(params: ModelParams, beta: float) -> float:
+def convergence_bound(params: ModelParams | ParamGrid, beta):
     """Closed form of a0(0) + 2*c0(0); the phase boundary sits at 1.
 
-    beta = +inf (zero temperature) is allowed; NaN and non-positive beta
-    raise ValueError.
+    (g1+g2)^2 / (omega0 Omega) * tanh(beta Omega / 4).  Parameters and
+    beta may be arrays, which broadcast.  beta = +inf (zero temperature)
+    is allowed; NaN and non-positive beta raise ValueError.
     """
-    if not beta > 0.0:
+    if isinstance(beta, np.ndarray):
+        bad = beta[~(beta > 0.0)]
+        if bad.size:
+            raise ValueError(f"beta must be positive, got {bad[0]}")
+    elif not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    g = params.g1 + params.g2
-    return g**2 / (params.Omega * params.omega0) * tanh_factor(params, beta)
+    if isinstance(params, ModelParams) and not isinstance(beta, np.ndarray):
+        # float arithmetic: no numpy warning to silence, and no errstate cost
+        return _coupling_ratio(params) * tanh_factor(params, beta)
+    with np.errstate(all="ignore"):
+        return _coupling_ratio(params) * tanh_factor(params, beta)
 
 
 def _phase_label(bound: float) -> str:
     if abs(bound - 1.0) < CRITICAL_PHASE_TOL:
         return "critical"
     return "normal" if bound < 1.0 else "superradiant"
+
+
+def _superradiant(bound: np.ndarray) -> np.ndarray:
+    """Elementwise ``_phase_label(bound) == "superradiant"``, NaN included.
+
+    bound - 1 is exact for bound in [0.5, 2], so it is below the critical
+    tolerance exactly when the label is critical or normal.
+    """
+    return ~(bound - 1.0 < CRITICAL_PHASE_TOL)
 
 
 def classify_phase(params: ModelParams, beta: float) -> str:
@@ -160,7 +321,11 @@ def kernel_determinant_coefficients(
     omega0^2 Omega^2 (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u) with
     u = t / (omega0 Omega), so C = 0 exactly at the transition.
     """
-    t = tanh_factor(params, beta)
+    return _quadratic(params, tanh_factor(params, beta))
+
+
+def _quadratic(params: ModelParams, t: float) -> tuple[float, float]:
+    """(B, C) of ``kernel_determinant_coefficients`` at thermal factor t."""
     g1sq, g2sq = params.g1**2, params.g2**2
     w0sq, Wsq = params.omega0**2, params.Omega**2
     B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
@@ -189,7 +354,13 @@ def mode_energy_squares(
     4 t g2^2] > 0 and C > 0, so both roots are real and positive.
     """
     t = tanh_factor(params, beta)
-    B, C = kernel_determinant_coefficients(params, beta)
+    return _quadratic_roots(params, t, *_quadratic(params, t))
+
+
+def _quadratic_roots(
+    params: ModelParams, t: float, B: float, C: float
+) -> tuple[float, float] | None:
+    """``mode_energy_squares`` from the thermal factor and (B, C)."""
     w0, W = params.omega0, params.Omega
     disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (
         params.g1**2 * (w0 + W) ** 2 - params.g2**2 * (w0 - W) ** 2
@@ -239,7 +410,66 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     )
 
 
-def order_parameter(params: ModelParams, beta: float) -> float:
+def _gap_root(
+    G: np.ndarray, omega0: np.ndarray, Omega: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """s = D - Omega solving G tanh(scale D) = D omega0, one root per entry.
+
+    1-d arrays; every entry must have a positive balance at s = 0 (the
+    superradiant phase).  Newton from an upper bound on the root, each
+    entry frozen once its step is at most ``_STEP_RTOL`` of s, then
+    bisection on [0, hi] for the entries still moving; see
+    ``order_parameter``.  The caller holds ``np.errstate``.
+    """
+
+    def balance(s, G, omega0, Omega, scale):
+        gap = Omega + s
+        return G * np.tanh(scale * gap) - gap * omega0
+
+    hi = G / omega0 - Omega
+    # The start is the lower of two upper bounds on the root: hi, from
+    # tanh <= 1, and the root with tanh(u), u = scale D, replaced by its
+    # continued-fraction convergent u (15 + u^2) / (15 + 6 u^2) >= tanh(u),
+    # which is tight near a high-temperature transition.  That root
+    # exists where c = omega0 / (G scale) > 1/6 (NaN elsewhere).
+    GS = G * scale
+    c = omega0 / GS
+    upper = np.sqrt(15.0 * (1.0 - c) / (6.0 * c - 1.0)) / scale - Omega
+    below = upper < hi
+    s = np.where(below, upper, hi)
+    # a balance at hi that rounds to non-negative (deep cold, and beta =
+    # inf) makes hi the root; the rounded bound always takes a step
+    moving = below | (balance(s, G, omega0, Omega, scale) < 0.0)
+    # the slope G scale (1 - t^2) - omega0 loses digits as t -> 1, but
+    # the slope only sets the convergence rate; the root is where the
+    # balance vanishes
+    slope_at_zero = GS - omega0
+    for _ in range(_NEWTON_STEPS):
+        if not np.count_nonzero(moving):
+            break
+        gap = Omega + s
+        t = np.tanh(scale * gap)
+        step = (G * t - gap * omega0) / (slope_at_zero - GS * t * t)
+        s -= np.where(moving, step, 0.0)
+        moving &= step > _STEP_RTOL * s
+    # NaN entries (beta = inf) join the ones still moving
+    todo = (moving | np.isnan(s)).nonzero()[0]
+    if todo.size:
+        G, omega0, Omega, scale = G[todo], omega0[todo], Omega[todo], scale[todo]
+        lo, up = np.zeros(todo.size), hi[todo]
+        for _ in range(_BISECTIONS):
+            live = up - lo > _STEP_RTOL * up
+            if not live.any():
+                break
+            mid = 0.5 * (lo + up)
+            above = balance(mid, G, omega0, Omega, scale) > 0.0
+            lo = np.where(live & above, mid, lo)
+            up = np.where(live & ~above, mid, up)
+        s[todo] = 0.5 * (lo + up)
+    return s
+
+
+def order_parameter(params: ModelParams | ParamGrid, beta):
     """Photons per atom from the static saddle point.
 
     The static effective potential per atom, in the variable
@@ -254,35 +484,44 @@ def order_parameter(params: ModelParams, beta: float) -> float:
     effective gap D = sqrt(Omega^2 + 4 kappa y) > Omega, and
     rho = (D^2 - Omega^2) / (4 G).  It is solved for s = D - Omega on
     [0, G/omega0 - Omega], which avoids the cancellation in D^2 - Omega^2
-    near the transition.  When the balance at the upper end rounds to
-    non-negative (deep cold, and exactly at beta = inf) the root is that
-    end, which gives the zero-temperature value ((G/omega0)^2 -
-    Omega^2) / (4 G).  The numerically summed frequency series is
-    reserved for the test oracle and ``validate``.
+    near the transition.  The balance f(s) = G tanh(beta (Omega + s)/4)
+    - (Omega + s) omega0 is concave in s, positive at 0 and negative at
+    the upper end hi, so Newton started anywhere above the root
+    decreases monotonically onto it: the tangent at any s above the root
+    lies above f and crosses zero between the root and s.  The start is
+    the lower of two upper bounds, hi (from tanh <= 1) and the root with
+    tanh(u) replaced by the continued-fraction convergent u (15 + u^2) /
+    (15 + 6 u^2) >= tanh(u); the second is close to the root near a
+    high-temperature transition, where Newton from hi needs the most
+    steps.  Each node stops when its step is no longer positive beyond
+    four ulps of s (relative), which also ends the iteration when
+    rounding near a badly conditioned root makes the step wander; nodes
+    still moving after twelve steps are bisected on [0, hi] to the same
+    relative width.  When the balance at hi rounds to non-negative (deep
+    cold, and exactly at beta = inf) the root is hi, which gives the
+    zero-temperature value ((G/omega0)^2 - Omega^2) / (4 G).  The
+    numerically summed frequency series is reserved for the test oracle
+    and ``validate``.
 
-    Returns exactly 0.0 unless ``classify_phase`` labels the node
-    superradiant, so a critical row never reports a positive rho.
+    Parameters and beta may be arrays, which broadcast; all nodes are
+    solved together and no RuntimeWarning escapes.  Returns exactly 0.0
+    unless ``classify_phase`` labels the node superradiant, so a
+    critical row never reports a positive rho.
     """
-    if classify_phase(params, beta) != "superradiant":
-        return 0.0
-    G = (params.g1 + params.g2) ** 2
-    Omega, omega0 = params.Omega, params.omega0
-    scale = _THERMAL_SCALE * beta
-
-    def balance(s: float) -> float:
-        gap = Omega + s
-        return G * math.tanh(scale * gap) - gap * omega0
-
-    hi = G / omega0 - Omega
-    if balance(hi) >= 0.0:
-        s = hi
-    else:
-        # relative tolerance only: the default absolute xtol (2e-12) would
-        # leave a small s near the transition with few correct digits
-        s = optimize.brentq(
-            balance, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps
-        )
-    return s * (s + 2.0 * Omega) / (4.0 * G)
+    bound = convergence_bound(params, beta)
+    with np.errstate(all="ignore"):
+        sr = _superradiant(np.asarray(bound))
+        rho = np.zeros(sr.shape)
+        if sr.any():
+            # the nodes to solve, each input broadcast to the grid first
+            ones = np.ones(sr.shape)
+            G = (_squared(params.g1 + params.g2) * ones)[sr]
+            omega0 = (params.omega0 * ones)[sr]
+            Omega = (params.Omega * ones)[sr]
+            scale = (_THERMAL_SCALE * ones * beta)[sr]
+            s = _gap_root(G, omega0, Omega, scale)
+            rho[sr] = s * (s + 2.0 * Omega) / (4.0 * G)
+    return _value(rho)
 
 
 def phase_point(params: ModelParams, beta: float) -> PhasePoint:
@@ -315,14 +554,72 @@ def _scan_node(params: ModelParams, beta: float) -> PhasePoint:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseScan:
+    """Columns of a phase scan, one entry per node, params outer, beta inner.
+
+    The fields of ``PhasePoint`` as arrays, with the parameters split
+    into their four columns.  ``beta_c`` is NaN where ``critical_beta``
+    gives None.  ``error`` holds None, or the message of a node whose
+    evaluation failed; that node's phase is "error" and its bound, beta_c
+    and rho are NaN.
+    """
+
+    omega0: np.ndarray
+    Omega: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    beta: np.ndarray
+    bound: np.ndarray
+    phase: np.ndarray
+    beta_c: np.ndarray
+    rho: np.ndarray
+    error: np.ndarray
+
+    def __len__(self) -> int:
+        return self.beta.size
+
+
 def phase_scan(
-    params_grid: Sequence[ModelParams], beta_grid: Sequence[float]
-) -> list[PhasePoint]:
+    params_grid: Sequence[ModelParams] | ParamGrid, beta_grid: Sequence[float]
+) -> PhaseScan:
     """Cartesian scan, params outer and beta inner, deterministic order.
 
-    Node failures never abort the scan; they surface as rows with the
+    One array evaluation: beta_c once per parameter node (a ``ParamGrid``
+    is flattened), the bound once per node, and one ``order_parameter``
+    call, which solves the gap equation at the superradiant nodes.  A
+    node with a non-positive beta or a non-finite array result is
+    evaluated again by ``phase_point``.
+    Node failures never abort the scan; they surface as nodes with the
     ``error`` field set and NaN numerics.
     """
-    if not params_grid or not beta_grid:
+    if not isinstance(params_grid, ParamGrid):
+        params_grid = ParamGrid(
+            *(np.array([getattr(p, n) for p in params_grid]) for n in _PARAM_NAMES)
+        )
+    per_params = params_grid._node_column()
+    columns = [getattr(per_params, n).ravel() for n in _PARAM_NAMES]
+    betas = np.ravel(np.asarray(beta_grid, dtype=float))
+    if not columns[0].size or not betas.size:
         raise ValueError("phase_scan requires non-empty grids")
-    return [_scan_node(p, b) for p in params_grid for b in beta_grid]
+    with np.errstate(all="ignore"):
+        # convergence_bound's expression; it would refuse the bad betas
+        bound = (_coupling_ratio(per_params) * tanh_factor(per_params, betas)).ravel()
+        beta_c = critical_beta(per_params).ravel().repeat(betas.size)
+        nodes = [c.repeat(betas.size) for c in columns]
+        beta = betas[None, :].repeat(columns[0].size, axis=0).ravel()
+        phase = np.where(bound < 1.0, "normal", "superradiant")
+        phase[np.abs(bound - 1.0) < CRITICAL_PHASE_TOL] = "critical"
+        # NaN marks the nodes whose beta the scalar route must refuse
+        valid = betas > 0.0
+        rho = np.full((columns[0].size, betas.size), np.nan)
+        if valid.any():
+            rho[:, valid] = order_parameter(per_params, betas[valid])
+        rho = rho.ravel()
+        ok = np.isfinite(bound + rho) & ~np.isinf(beta_c)
+    error = np.full(bound.size, None, dtype=object)
+    for i in (~ok).nonzero()[0]:
+        pt = _scan_node(ModelParams(*(float(c[i]) for c in nodes)), float(beta[i]))
+        bound[i], phase[i], rho[i], error[i] = pt.bound, pt.phase, pt.rho, pt.error
+        beta_c[i] = math.nan if pt.beta_c is None else pt.beta_c
+    return PhaseScan(*nodes, beta, bound, phase, beta_c, rho, error)

@@ -194,11 +194,11 @@ def test_zero_temperature_phase_boundary_location():
         grid = np.linspace(0.5 * g_star, 2.0 * g_star, 31)
         step = grid[1] - grid[0]
         params = [ModelParams(omega0, Omega, g1=float(g)) for g in grid]
-        points = phase_scan(params, [beta])
+        scan = phase_scan(params, [beta])
         first = next(
-            i for i, pt in enumerate(points) if pt.phase != "normal"
+            i for i, phase in enumerate(scan.phase) if phase != "normal"
         )
-        assert abs(points[first].params.g1 - g_star) <= step + 1e-12
+        assert abs(scan.g1[first] - g_star) <= step + 1e-12
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

@@ -403,17 +403,18 @@ def _critical_temp_case():
 
 
 def _phase_diagram_case():
+    scan = phase_scan([_P], list(_MIXED_BETAS))
     rows = [
         {
-            **_cells(pt.params),
-            "beta": pt.beta,
-            "bound": pt.bound,
-            "phase": pt.phase,
-            "beta_c": pt.beta_c,
-            "rho": pt.rho,
+            **_cells(_P),
+            "beta": scan.beta[i],
+            "bound": scan.bound[i],
+            "phase": scan.phase[i],
+            "beta_c": scan.beta_c[i],
+            "rho": scan.rho[i],
             "error": None,
         }
-        for pt in phase_scan([_P], list(_MIXED_BETAS))
+        for i in range(len(scan))
     ]
     return ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:3"], rows, rows
 
@@ -575,3 +576,33 @@ def test_critical_temp_gap_survives_overflowing_product(fmt, capsys):
         else json.loads(out[0])["quantum_critical_gap"]
     )
     assert gap == pytest.approx(-1e300, rel=1e-15)
+
+
+def test_underflowing_product_gives_rows_not_errors(capsys):
+    # omega0 * Omega underflows to 0; the bound is taken in split form
+    flags = ["--omega0", "1e-200", "--Omega", "1e-200", "--g1", "1e-199", "--beta", "1"]
+    assert main(["phase-diagram", *flags, "--format", "json"]) == 0
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert (row["phase"], row["error"], row["rho"]) == ("normal", None, 0.0)
+    assert row["beta_c"] == pytest.approx(4e200 * math.atanh(0.01), rel=1e-14)
+    assert main(["order-parameter", *flags]) == 0
+    header, record = capsys.readouterr().out.splitlines()
+    assert record.endswith(",normal,0.0")
+
+
+def test_order_parameter_stops_at_the_first_failing_node(capsys):
+    # the g1 = 5e199 node overflows; the row before it is written first
+    assert main(["order-parameter", "--beta", "1", "--sweep", "g1:1:1e200:3"]) == 1
+    captured = capsys.readouterr()
+    header, *records = captured.out.splitlines()
+    assert records == ["1.0,1.0,1.0,0.0,1.0,0.24491866240370913,normal,0.0"]
+    with pytest.raises(OverflowError) as overflow:
+        convergence_bound(ModelParams(1.0, 1.0, g1=5e199), 1.0)
+    assert captured.err == f"error: {overflow.value}\n"
+
+
+def test_parse_builds_no_sweep_nodes():
+    # the sweep's two ends stand for every node of the model's interval domain
+    cfg = parse_config(["phase-diagram", "--beta", "1", "--sweep", "g1:0:2:10000"])
+    assert "param_nodes" not in vars(cfg)
+    assert len(cfg.param_nodes) == 10000

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicketherm.spectrum as spectrum
+import dicketherm.thermo as thermo
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import (
     PoleProximityError,
@@ -289,3 +291,23 @@ def test_critical_spectrum_counts_at_most_two_roots():
         assert result.labels[0] in ("goldstone", "secondary-branch")
         assert sum(result.multiplicities) <= 2
         assert all(r == 0.0 or r > 1e-3 for r in result.roots)
+
+
+@pytest.mark.parametrize("at_critical", [False, True])
+def test_collective_modes_takes_one_thermal_factor(monkeypatch, at_critical):
+    # one tanh_factor and one (B, C) per node, whichever module asks
+    calls = {"tanh_factor": 0, "_quadratic": 0}
+    for name in calls:
+        original = getattr(thermo, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(thermo, name, counted)
+        monkeypatch.setattr(spectrum, name, counted)
+    p = P_RWA if at_critical else ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
+    result = collective_modes(p, critical_beta(p) if at_critical else 2.0)
+    assert result.at_critical == at_critical
+    assert ("goldstone" in result.labels) == at_critical
+    assert calls == {"tanh_factor": 1, "_quadratic": 1}

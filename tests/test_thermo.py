@@ -14,6 +14,7 @@ from dicketherm.matsubara import fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.thermo import (
+    ParamGrid,
     PhasePoint,
     classify_phase,
     convergence_bound,
@@ -194,9 +195,10 @@ def test_library_rejects_nan_beta():
         classify_phase(P_MIX, math.nan)
     with pytest.raises(ValueError, match="beta must be positive"):
         order_parameter(P_MIX, math.nan)
-    (pt,) = phase_scan([P_MIX], [math.nan])
-    assert pt.phase == "error"
-    assert pt.error.startswith("ValueError: beta must be positive")
+    scan = phase_scan([P_MIX], [math.nan])
+    assert len(scan) == 1
+    assert scan.phase[0] == "error"
+    assert scan.error[0].startswith("ValueError: beta must be positive")
 
 
 def test_log_partition_ratio_free_case():
@@ -303,18 +305,25 @@ def test_phase_point_fields():
 
 
 def test_phase_scan_matches_single_points():
-    pts = phase_scan([P_MIX], [1.0])
+    scan = phase_scan([P_MIX], [1.0])
     single = phase_point(P_MIX, 1.0)
-    assert pts[0] == single
+    assert (
+        ModelParams(scan.omega0[0], scan.Omega[0], scan.g1[0], scan.g2[0]),
+        scan.beta[0], scan.bound[0], scan.phase[0], scan.beta_c[0],
+        scan.rho[0], scan.error[0],
+    ) == (
+        single.params, single.beta, single.bound, single.phase,
+        single.beta_c, single.rho, single.error,
+    )
 
 
 def test_phase_scan_ordering_and_flip():
     beta_c = critical_beta(P_RWA)
     betas = [f * beta_c for f in (0.5, 0.8, 1.2, 2.0)]
-    pts = phase_scan([P_RWA, P_MIX], betas)
-    assert len(pts) == 8
-    assert [pt.beta for pt in pts[:4]] == betas  # params outer, beta inner
-    labels = [pt.phase for pt in pts[:4]]
+    scan = phase_scan([P_RWA, P_MIX], betas)
+    assert len(scan) == 8
+    assert list(scan.beta[:4]) == betas  # params outer, beta inner
+    labels = list(scan.phase[:4])
     flips = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
     assert flips == 1
 
@@ -323,18 +332,18 @@ def test_phase_scan_flips_at_quantum_critical_line():
     params = [
         ModelParams(1.0, 1.0, g1=g, g2=0.0) for g in np.linspace(0.5, 2.0, 16)
     ]
-    pts = phase_scan(params, [1e6])
-    labels = [pt.phase for pt in pts]
+    scan = phase_scan(params, [1e6])
+    labels = list(scan.phase)
     first_not_normal = next(i for i, l in enumerate(labels) if l != "normal")
     assert params[first_not_normal].g1 == pytest.approx(1.0, abs=0.11)
 
 
 def test_phase_scan_captures_per_node_errors():
-    pts = phase_scan([P_MIX], [-1.0, 1.0])
-    assert pts[0].phase == "error"
-    assert "ValueError" in pts[0].error
-    assert math.isnan(pts[0].bound)
-    assert pts[1].phase == "normal"  # scan continues past the bad node
+    scan = phase_scan([P_MIX], [-1.0, 1.0])
+    assert scan.phase[0] == "error"
+    assert "ValueError" in scan.error[0]
+    assert math.isnan(scan.bound[0])
+    assert scan.phase[1] == "normal"  # scan continues past the bad node
 
 
 def test_phase_scan_rejects_empty_grids():
@@ -342,3 +351,137 @@ def test_phase_scan_rejects_empty_grids():
         phase_scan([], [1.0])
     with pytest.raises(ValueError):
         phase_scan([P_MIX], [])
+
+
+def test_bound_and_beta_c_split_an_underflowing_product():
+    # omega0*Omega underflows to 0, yet (g1+g2)^2 = 100 omega0 Omega
+    p = ModelParams(1e-200, 1e-200, g1=1e-199)
+    assert critical_beta(p) == pytest.approx(4e200 * math.atanh(0.01), rel=1e-14)
+    assert convergence_bound(p, 1.0) == pytest.approx(
+        100.0 * math.tanh(0.25e-200), rel=1e-14
+    )
+    assert phase_point(p, 1.0).phase == "normal"
+    # and overflows here: (1e200)^2 / (1e300 * 1e300) = 1e-200
+    q = ModelParams(1e300, 1e300, g1=1e200)
+    assert convergence_bound(q, math.inf) == pytest.approx(1e-200, rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (p, q):
+            grid = ParamGrid(params.omega0, params.Omega, g1=np.array([params.g1]))
+            bound = convergence_bound(grid, np.array([1.0]))
+            assert bound[0] == convergence_bound(params, 1.0)
+            assert np.isnan(critical_beta(grid)[0]) == (critical_beta(params) is None)
+        assert critical_beta(ParamGrid(1e-200, 1e-200, g1=1e-199)) == critical_beta(p)
+
+
+def test_out_of_range_bound_still_overflows():
+    p = ModelParams(1.0, 1.0, g1=5e199)
+    with pytest.raises(OverflowError):
+        convergence_bound(p, 1.0)
+    scan = phase_scan([ModelParams(1.0, 1.0, g1=1.0), p], [1.0])
+    assert list(scan.phase) == ["normal", "error"]
+    assert scan.error[1].startswith("OverflowError: ")
+    assert math.isnan(scan.bound[1]) and math.isnan(scan.rho[1])
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1.0, -1.0), "Omega must be positive"),
+        ((np.array([1.0, 0.0]), 1.0), "omega0 must be positive"),
+        ((1.0, 1.0, np.array([0.5, math.nan])), "g1 must be non-negative"),
+        ((1.0, 1.0, 0.5, math.inf), "g2 must be non-negative"),
+    ],
+)
+def test_param_grid_rejects_values_outside_the_model(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ParamGrid(*fields)
+
+
+def _near_critical_betas(params, exponents):
+    beta_c = critical_beta(params)
+    return [] if beta_c is None else [beta_c * (1.0 + 10.0**x) for x in exponents]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.lists(
+        st.tuples(
+            st.floats(min_value=0.2, max_value=5.0),
+            st.floats(min_value=0.2, max_value=5.0),
+            st.floats(min_value=0.0, max_value=3.0),
+            st.floats(min_value=0.0, max_value=3.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    betas=st.lists(
+        st.one_of(st.floats(min_value=0.05, max_value=50.0), st.just(math.inf)),
+        min_size=1,
+        max_size=5,
+    ),
+    exponents=st.lists(st.floats(min_value=-8.0, max_value=0.5), max_size=4),
+)
+def test_phase_scan_columns_match_the_per_node_route(nodes, betas, exponents):
+    params = [ModelParams(*node) for node in nodes]
+    betas = betas + _near_critical_betas(params[0], exponents)
+    scan = phase_scan(params, betas)
+    assert len(scan) == len(params) * len(betas)
+    i = 0
+    for p in params:
+        beta_c = critical_beta(p)
+        for beta in betas:
+            pt = phase_point(p, beta)
+            assert (scan.beta[i], scan.phase[i], scan.error[i]) == (beta, pt.phase, None)
+            assert scan.bound[i] == pytest.approx(pt.bound, rel=1e-15)
+            assert math.isnan(scan.beta_c[i]) == (beta_c is None)
+            if beta_c is not None:
+                assert scan.beta_c[i] == pytest.approx(beta_c, rel=1e-15)
+            rtol = 4.5e-14 if pt.bound >= 1.01 else 1e-12
+            assert scan.rho[i] == pytest.approx(pt.rho, rel=rtol, abs=0.0)
+            i += 1
+
+
+@pytest.mark.parametrize(
+    "params, beta, rho",
+    [
+        # 50-digit mpmath roots of the gap equation at these binary inputs
+        (ModelParams(1.0, 1.0, g1=0.9, g2=0.6), 1.9119784015, 0.0006970047536398565),
+        (ModelParams(0.8, 1.3, g1=0.35, g2=1.1), 1.66863218227, 0.0003866071955383813),
+        # a high-temperature transition: beta_c Omega / 4 = 0.095
+        (ModelParams(2.0, 0.5, g1=3.0, g2=0.25), 0.760203384874, 0.0013738211607707362),
+    ],
+)
+def test_order_parameter_near_transition_anchors(params, beta, rho):
+    bound = convergence_bound(params, beta)
+    assert 1.0 < bound < 1.001
+    # the bound carries a few ulps of rounding, which the root amplifies
+    # by 1 / (bound - 1) this close to the transition
+    rtol = 20.0 * np.finfo(float).eps / (bound - 1.0)
+    assert order_parameter(params, beta) == pytest.approx(rho, rel=rtol)
+    grid = ParamGrid(params.omega0, params.Omega, params.g1, params.g2)
+    assert order_parameter(grid, np.array([beta]))[0] == pytest.approx(rho, rel=rtol)
+
+
+def test_array_route_mixes_every_regime_without_warnings():
+    beta_c = critical_beta(P_MIX)
+    betas = np.array(
+        [0.5 * beta_c, beta_c, 1.0000000001 * beta_c, 1.5 * beta_c, 40.0 * beta_c, math.inf]
+    )
+    # a column of two parameter nodes against a row of betas: a 2 x 6 grid
+    grid = ParamGrid(1.0, 1.0, g1=np.array([[0.2], [0.9]]), g2=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = convergence_bound(grid, betas)
+        rho = order_parameter(grid, betas)
+        scan = phase_scan(grid, list(betas))
+    assert bound.shape == rho.shape == (2, 6)
+    assert list(scan.phase[6:]) == [
+        "normal", "critical", "critical", "superradiant", "superradiant", "superradiant"
+    ]
+    assert list(scan.rho) == list(rho.ravel())
+    for row, g1 in enumerate((0.2, 0.9)):
+        p = ModelParams(1.0, 1.0, g1=g1, g2=0.6)
+        for col, beta in enumerate(betas):
+            assert bound[row, col] == convergence_bound(p, float(beta))
+            assert rho[row, col] == order_parameter(p, float(beta))
