@@ -240,7 +240,7 @@ def parse_config(
     Flags override file values.  Malformed input raises ConfigError whose
     message is the one-line diagnostic; argparse errors exit 2 directly.
     """
-    ns = build_parser().parse_args(list(args))
+    ns = _PARSER.parse_args(list(args))
     if file_text is None and ns.config:
         try:
             with open(ns.config, encoding="utf-8") as fh:
@@ -545,6 +545,10 @@ _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict]]]
 
 COMMANDS = (*_TABLES, "validate")
 
+# Built once: argparse's parse_args leaves the parser as it was, and
+# building it costs more than a small job's whole computation.
+_PARSER = build_parser()
+
 
 def _run_table(config: RunConfig, stream: TextIO) -> int:
     header, rows = _TABLES[config.command]
@@ -573,15 +577,13 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
         worst = max(worst, abs(kv.a.real + 2.0 * kv.c - closed))
     checks.append(("kernel-sum-vs-closed-form", worst, 1e-8))
 
-    worst = 0.0
-    for n_atoms in (1, 2):
-        for beta in (0.5, 2.0):
-            worst = max(
-                worst,
-                verify_trace_identity(
-                    ModelParams(1.0, 1.0, g1=0.4, g2=0.3), n_atoms, 6, beta
-                ),
-            )
+    # one eigensolve per register serves both temperatures
+    p = ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
+    betas = np.array([0.5, 2.0])
+    worst = max(
+        float(np.max(verify_trace_identity(p, n_atoms, 6, betas)))
+        for n_atoms in (1, 2)
+    )
     checks.append(("trace-identity", worst, 1e-8))
 
     worst = max(

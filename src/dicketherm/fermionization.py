@@ -68,9 +68,20 @@ def fermion_mode_ops(n_atoms: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def fermion_number_diagonal(n_atoms: int) -> np.ndarray:
     """Diagonal of the total fermion number sum_i (n_alpha,i + n_beta,i)."""
-    return np.array(
-        [bin(state).count("1") for state in range(4**n_atoms)], dtype=float
-    )
+    states = np.arange(4**n_atoms)
+    number = np.zeros(states.shape, dtype=float)
+    for mode in range(2 * n_atoms):
+        number += (states >> mode) & 1
+    return number
+
+
+def _physical_diagonal(n_atoms: int) -> np.ndarray:
+    """1.0 on register states with one fermion per site, else 0.0."""
+    states = np.arange(4**n_atoms)
+    # a site is singly occupied when its alpha and beta bits differ; the
+    # mask holds the alpha bit of every site
+    alpha_bits = (4**n_atoms - 1) // 3
+    return (((states ^ (states >> 1)) & alpha_bits) == alpha_bits).astype(float)
 
 
 def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
@@ -78,15 +89,7 @@ def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
 
     Idempotent with rank 2^N * (n_max + 1) on the composite space.
     """
-    keep = np.ones(4**n_atoms, dtype=float)
-    for state in range(4**n_atoms):
-        for site in range(n_atoms):
-            n_alpha = (state >> (2 * site)) & 1
-            n_beta = (state >> (2 * site + 1)) & 1
-            if n_alpha + n_beta != 1:
-                keep[state] = 0.0
-                break
-    diag = np.repeat(keep, n_max + 1)
+    diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
     return HermitianOperator(np.diag(diag.astype(complex)))
 
 
@@ -134,8 +137,8 @@ def build_fermion_dicke(
 
 
 def verify_trace_identity(
-    params: ModelParams, n_atoms: int, n_max: int, beta: float
-) -> float:
+    params: ModelParams, n_atoms: int, n_max: int, beta: float | np.ndarray
+) -> float | np.ndarray:
     """Relative residual of the phased-trace identity.
 
     Computes |LHS - RHS| / |RHS| with
@@ -143,19 +146,24 @@ def verify_trace_identity(
     RHS = Tr_phys[exp(-beta H_F)].
     The unoccupied and doubly occupied site states carry zero qubit energy
     and opposite phases, so they cancel; the residual is numerical noise.
+    ``beta`` is a float or an array; the residual has its shape, and all
+    betas share one eigensolve of H_F.
     """
-    if not beta > 0.0:
+    betas = np.asarray(beta, dtype=float)
+    if not np.all(betas > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     h_f = build_fermion_dicke(params, n_atoms, n_max)
     eigvals, eigvecs = np.linalg.eigh(h_f.matrix)
-    weights = np.exp(-beta * (eigvals - eigvals[0]))
+    # one row of Boltzmann weights per beta; each row sums on its own
+    weights = np.exp(-betas[..., None] * (eigvals - eigvals[0]))
 
     number_diag = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
     phases = np.exp(-0.5j * np.pi * number_diag)
-    phys_diag = np.real(np.diag(physical_projector(n_atoms, n_max).matrix))
+    phys_diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
 
     # <v_k| D |v_k> for diagonal D, vectorized over the eigenbasis
     amp2 = np.abs(eigvecs) ** 2
-    phased = (1j**n_atoms) * np.sum(weights * (phases @ amp2))
-    physical = np.sum(weights * (phys_diag @ amp2))
-    return float(abs(phased - physical) / abs(physical))
+    phased = (1j**n_atoms) * np.sum(weights * (phases @ amp2), axis=-1)
+    physical = np.sum(weights * (phys_diag @ amp2), axis=-1)
+    residual = np.abs(phased - physical) / np.abs(physical)
+    return float(residual) if residual.ndim == 0 else residual

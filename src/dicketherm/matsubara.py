@@ -12,6 +12,20 @@ direct truncation plus an integral tail with a midpoint Euler-Maclaurin
 correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
 ``validate``, the tests and ``finite_sum_critical_beta`` use it as the
 independent check.
+
+The pair-sum tail integral is a fixed 32-node Gauss-Legendre rule after
+the map q = edge + R (1 + t) / (1 - t), t in [-1, 1), R = hypot(edge, m).
+The map sends the integrand's branch points (q = +-i m, -omega +- i m)
+at least distance 1 from [-1, 1] while omega <= 2 edge.  The rule stays
+within 2e-15 (relative) of 30-digit values over beta in [0.01, 1000],
+Omega in [0.01, 300], cutoffs 10 to 1024 and k from 0 to 2 x cutoff,
+for about 15 us a tail.  It replaced scipy's adaptive ``quad``, which at
+the fine cutoff 1024 lost the whole tail for beta <= 0.1 (relative error
+1.0002, with an IntegrationWarning): a0 + 2 c0 at omega = 0 then missed
+the closed kernels by 2e-4 at beta = 0.05 and 0.1.  The naive map
+u = edge / q is not safe either: with the same 32 nodes it is off by
+48% at cutoff 10, beta = 1000, Omega = 300.  scipy is imported only
+inside ``finite_sum_critical_beta``, for its root solve.
 """
 
 from __future__ import annotations
@@ -19,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
 
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import PoleProximityError, default_pole_epsilon
@@ -39,6 +52,11 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 512
+
+# Gauss-Legendre rule for ``_pair_tail_integral``: with the integrand's
+# branch points at least distance 1 from [-1, 1], the error of n nodes
+# falls like (1 + sqrt 2)^(-2n), far below rounding at n = 32
+_TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 # After the midpoint tail correction the truncation error decays as the
 # fifth power of the cutoff (observed 5.00 over M = 32..256 for both the
@@ -70,6 +88,26 @@ def _lorentzian_tail(edge: float, m: float, beta: float) -> float:
     integral = (np.pi / 2.0 - np.arctan(edge / m)) / m
     derivative = -2.0 * edge / (edge**2 + m**2) ** 2
     return integral / h + (h / 24.0) * derivative
+
+
+def _pair_summand(q, m: float, omega: float):
+    """[(m^2 + q^2)(m^2 + (q + omega)^2)]^(-1/2), elementwise in q."""
+    return 1.0 / np.sqrt((m**2 + q**2) * (m**2 + (q + omega) ** 2))
+
+
+def _pair_tail_integral(edge: float, m: float, omega: float) -> float:
+    """Integral of the pair summand over q in [edge, inf).
+
+    Mapped to t in [-1, 1) by q = edge + R (1 + t) / (1 - t) with
+    R = hypot(edge, m).  The integrand decays like 1/q^2, so the mapped
+    integrand stays finite at t = 1, and its branch points at q = +-i m
+    and q = -omega +- i m land at least distance 1 from [-1, 1].
+    """
+    t = _TAIL_NODES
+    radius = np.hypot(edge, m)
+    q = edge + radius * (1.0 + t) / (1.0 - t)
+    jacobian = 2.0 * radius / (1.0 - t) ** 2
+    return float(np.dot(_TAIL_WEIGHTS, _pair_summand(q, m, omega) * jacobian))
 
 
 def fermionic_lorentzian_sum(
@@ -113,7 +151,8 @@ def paired_pole_sum(
     summand is symmetric under q -> -q - omega, so the index window
     [-cutoff - k, cutoff - 1] respects the symmetry and the two tails are
     equal.  With ``tail`` off this is the bare partial sum (used to check
-    the O(1/M) truncation law).
+    the O(1/M) truncation law); with it on, |k| may not exceed 2 * cutoff,
+    the range where the tail rule keeps full accuracy.
     """
     k = omega_index
     if k < 0:
@@ -122,19 +161,19 @@ def paired_pole_sum(
     omega = 2.0 * np.pi * k / beta
     ns = np.arange(-cutoff - k, cutoff)
     qs = (2.0 * ns + 1.0) * np.pi / beta
-    summand = 1.0 / np.sqrt((m**2 + qs**2) * (m**2 + (qs + omega) ** 2))
-    total = float(np.sum(summand))
+    total = float(np.sum(_pair_summand(qs, m, omega)))
     if not tail:
         return total
+    if k > 2 * cutoff:
+        raise ValueError(
+            f"bosonic index {omega_index} beyond twice the cutoff {cutoff}: "
+            "the tail rule is not accurate there"
+        )
 
     h = 2.0 * np.pi / beta
     edge = 2.0 * np.pi * cutoff / beta
-
-    def g(q: float) -> float:
-        return 1.0 / np.sqrt((m**2 + q**2) * (m**2 + (q + omega) ** 2))
-
-    integral, _ = integrate.quad(g, edge, np.inf, limit=200)
-    g_edge = g(edge)
+    integral = _pair_tail_integral(edge, m, omega)
+    g_edge = _pair_summand(edge, m, omega)
     g_prime = -g_edge * (
         edge / (m**2 + edge**2) + (edge + omega) / (m**2 + (edge + omega) ** 2)
     )
@@ -185,6 +224,8 @@ def finite_sum_critical_beta(params: ModelParams) -> float:
     comes from ``a0_c0_sum`` and the root from Brent's method.  Raises
     RuntimeError when the bound stays below one up to beta = 1e9.
     """
+    # scipy costs about 0.5 s to import; only this oracle needs it
+    from scipy import optimize
 
     def bound_minus_one(beta: float) -> float:
         kv = a0_c0_sum(0, params, beta)

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -606,3 +609,27 @@ def test_parse_builds_no_sweep_nodes():
     cfg = parse_config(["phase-diagram", "--beta", "1", "--sweep", "g1:0:2:10000"])
     assert "param_nodes" not in vars(cfg)
     assert len(cfg.param_nodes) == 10000
+
+
+def test_row_commands_load_no_scipy():
+    # scipy serves only validate's root solve, imported on first use
+    src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
+    code = (
+        "import sys, dicketherm.cli\n"
+        "code = dicketherm.cli.main(['phase-diagram', '--g1', '0.9', '--g2', '0.6', "
+        "'--beta-grid', '0.5:10:20', '--output', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.devnull], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "0 []"
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    first = parse_config(["spectrum", "--g1", "0.7", "--beta", "2", "--format", "json"])
+    second = parse_config(["spectrum", "--beta", "3"])
+    assert (first.params.g1, first.fmt) == (0.7, "json")
+    assert (second.params.g1, second.beta, second.fmt) == (0.0, 3.0, "csv")

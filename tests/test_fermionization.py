@@ -96,6 +96,35 @@ def test_trace_identity_coupled(beta):
 def test_trace_identity_rejects_bad_beta():
     with pytest.raises(ValueError):
         verify_trace_identity(ModelParams(1.0, 1.0), 1, 4, 0.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        verify_trace_identity(ModelParams(1.0, 1.0), 1, 4, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_trace_identity_beta_array_matches_scalar_calls(n_atoms):
+    p = ModelParams(1.0, 0.8, g1=0.4, g2=0.3)
+    betas = np.array([0.01, 0.5, 2.0, 7.0, 100.0])
+    residuals = verify_trace_identity(p, n_atoms, 5, betas)
+    assert residuals.shape == betas.shape
+    scalar = [verify_trace_identity(p, n_atoms, 5, b) for b in betas]
+    assert all(isinstance(r, float) for r in scalar)
+    assert residuals.tolist() == scalar
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_register_diagonals_match_per_state_loop(n_atoms):
+    number = [bin(state).count("1") for state in range(4**n_atoms)]
+    single = [
+        all(
+            ((state >> (2 * site)) & 1) + ((state >> (2 * site + 1)) & 1) == 1
+            for site in range(n_atoms)
+        )
+        for state in range(4**n_atoms)
+    ]
+    assert fermion_number_diagonal(n_atoms).tolist() == number
+    n_max = 2
+    diag = np.diag(physical_projector(n_atoms, n_max).matrix).real
+    assert diag.tolist() == np.repeat(np.array(single, dtype=float), n_max + 1).tolist()
 
 
 def test_unphysical_sector_phased_trace_cancels():

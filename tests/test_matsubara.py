@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
+    _pair_tail_integral,
     a0_c0_sum,
     bosonic_frequency,
     continue_kernels,
@@ -77,6 +79,57 @@ def test_paired_pole_sum_converges_under_doubling():
     vals = [paired_pole_sum(3, 0.9, 2.5, cutoff) for cutoff in (128, 256, 512)]
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[2]) + 1e-15
     assert abs(vals[1] - vals[2]) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.05, 0.1])
+def test_finite_sum_matches_closed_kernels_at_high_temperature(beta):
+    # at the fine cutoff 1024 an adaptive quad lost the whole tail here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kv = a0_c0_sum(0, P_MIXED, beta)
+    closed = kernel_a(0, P_MIXED, beta).real + 2.0 * kernel_c(0, P_MIXED, beta)
+    assert kv.a.real + 2.0 * kv.c == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [10, 32, 512, 1024])
+@pytest.mark.parametrize("beta", [0.01, 1.0, 1000.0])
+@pytest.mark.parametrize("Omega", [0.01, 300.0])
+def test_pair_tail_single_pole_closed_form(cutoff, beta, Omega):
+    # at k = 0 the tail is the integral of 1/(q^2 + m^2) from the edge,
+    # (pi/2 - atan(edge/m))/m, written as atan2 to avoid the cancellation
+    m, edge = Omega / 2.0, 2.0 * np.pi * cutoff / beta
+    exact = math.atan2(m, edge) / m
+    tail = _pair_tail_integral(edge, m, 0.0)
+    assert tail == pytest.approx(exact, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "cutoff, beta, Omega, k, reference",
+    [
+        # 30-digit values from adaptive quadrature in 40-digit arithmetic
+        (10, 1000.0, 300.0, 3, 0.0104687640960679577210209547777),
+        (10, 1000.0, 300.0, 10, 0.0104677866076580954852242922981),
+        (10, 0.01, 300.0, 10, 0.000110305952181332309400219214235),
+        (1024, 0.05, 0.8, 1, 0.00000776744537469694879473083035648),
+        (1024, 0.1, 0.8, 1024, 0.0000107732226636252077865889241179),
+        (512, 2.2, 0.8, 9, 0.00067792783360169920193937702694),
+        (32, 0.01, 0.01, 7, 0.000044978492745406792021188771604),
+    ],
+)
+def test_pair_tail_pinned_values(cutoff, beta, Omega, k, reference):
+    edge, omega = 2.0 * np.pi * cutoff / beta, 2.0 * np.pi * k / beta
+    tail = _pair_tail_integral(edge, Omega / 2.0, omega)
+    assert tail == pytest.approx(reference, rel=2e-15, abs=0.0)
+
+
+def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
+    assert paired_pole_sum(20, 0.9, 2.5, 10) > 0.0
+    with pytest.raises(ValueError, match="beyond twice the cutoff"):
+        paired_pole_sum(21, 0.9, 2.5, 10)
+    with pytest.raises(ValueError, match="beyond twice the cutoff"):
+        paired_pole_sum(-21, 0.9, 2.5, 10)
+    # the bare partial sum needs no tail
+    assert paired_pole_sum(21, 0.9, 2.5, 10, tail=False) > 0.0
 
 
 def test_kernel_zero_frequency_closed_forms():
