@@ -2,16 +2,20 @@
 
 Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
 order-parameter, ed-curve, validate.  Each row command turns library
-results into row dicts for ``csv`` or ``json`` (one object per line).
+results into rows for ``csv`` or ``json`` (one object per line).
 phase-diagram and order-parameter evaluate their whole grid in one
 ``phase_scan`` call, the swept parameter as a column, and build their
-rows from its columns; the other commands go node by node.
-Floats print as ``repr``, the shortest form that round-trips, so
+rows from its columns.  Their CSV rows are tuples: the grid inputs are
+formatted once per grid value (a fixed parameter once, each sweep value
+and each beta once), beta_c once per parameter node, and the computed
+columns are checked for NaN and infinity once per column.  Their JSON
+rows, and the rows of the other commands, which go node by node, are
+dicts.  Floats print as ``repr``, the shortest form that round-trips, so
 identical configurations produce byte-identical files; CSV booleans
 print as ``True``/``False``.  The numeric cells of phase-diagram error
 rows are empty in CSV and ``null`` in JSON; any other NaN or infinity
-in a row is an error (exit 1).  Rows stream as they are computed, so a
-command that fails part way leaves the rows before the failure.
+in a row is an error: the command exits 1, after the rows it had
+already written.  Rows stream as they are computed.
 ``--workers`` and ``--cutoff`` are accepted and validated but have no
 effect.
 """
@@ -26,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -350,12 +355,14 @@ _JSON_ROW = json.JSONEncoder(allow_nan=False)
 
 
 def _write_rows(
-    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict]
+    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict | tuple]
 ) -> None:
-    """Write row dicts, each built in header order, as CSV or JSON lines.
+    """Write rows, each built in header order, as CSV or JSON lines.
 
-    Floats print as ``repr`` and None as an empty cell or ``null``.  A
-    NaN or infinity in a row raises ValueError.
+    A row is a dict, or, in CSV, a tuple of cells whose generator has
+    already refused non-finite values column by column.  Floats print as
+    ``repr`` and None as an empty cell or ``null``.  A NaN or infinity in
+    a dict row raises ValueError.
     """
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -366,14 +373,22 @@ def _write_rows(
             stream.write(_JSON_ROW.encode(row) + "\n")
 
 
-def _finite_cells(rows: Iterable[dict]) -> Iterator[Iterable]:
-    """The cells of each row, refusing a NaN or infinity as JSON does."""
+def _finite_cells(rows: Iterable[dict | tuple]) -> Iterator[Iterable]:
+    """The cells of each row, refusing a NaN or infinity as JSON does.
+
+    Tuple rows pass unchecked: they come from checked columns.
+    """
     for row in rows:
-        cells = row.values()
-        for cell in cells:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise ValueError(f"non-finite value {cell!r} in a CSV row")
-        yield cells
+        if isinstance(row, dict):
+            row = row.values()
+            for cell in row:
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise _non_finite(cell, "csv")
+        yield row
+
+
+def _non_finite(value: float, fmt: str) -> ValueError:
+    return ValueError(f"non-finite value {value!r} in a {fmt.upper()} row")
 
 
 def _beta_nodes(config: RunConfig) -> list[float]:
@@ -414,12 +429,28 @@ def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
         }
 
 
-def _scan(config: RunConfig) -> PhaseScan:
-    """The whole grid in one ``phase_scan`` call, the sweep as a column."""
-    columns = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
-    if config.sweep is not None and config.sweep.variable != "beta":
-        columns[config.sweep.variable] = config.sweep.values()
-    return phase_scan(ParamGrid(**columns), _beta_nodes(config))
+def _scan(config: RunConfig) -> tuple[PhaseScan, list[list]]:
+    """The whole grid in one ``phase_scan`` call, and its five input columns.
+
+    JSON rows take the scan's floats.  CSV rows take each grid value's
+    ``repr``, formatted once (a fixed parameter once, each sweep value
+    and each beta once) and expanded params outer, beta inner.
+    """
+    params = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
+    swept = config.sweep.variable if config.sweep is not None else None
+    if swept in params:
+        params[swept] = config.sweep.values()
+    betas = _beta_nodes(config)
+    scan = phase_scan(ParamGrid(**params), betas)
+    if config.fmt == "json":
+        return scan, [getattr(scan, name).tolist() for name in _NODE_COLUMNS]
+    inputs = [
+        [text for text in map(repr, params[name]) for _ in betas] if name == swept
+        else [repr(params[name])] * len(scan)
+        for name in _PARAM_COLUMNS
+    ]
+    inputs.append(list(map(repr, betas)) * (len(scan) // len(betas)))
+    return scan, inputs
 
 
 def _cells(column: np.ndarray, missing: np.ndarray) -> list:
@@ -429,21 +460,71 @@ def _cells(column: np.ndarray, missing: np.ndarray) -> list:
     return cells.tolist()
 
 
+def _run_text(column: np.ndarray, missing: np.ndarray) -> list:
+    """The column as ``repr`` text, None where ``missing``.
+
+    Each run of bitwise-equal values is formatted once; beta_c holds one
+    value per parameter node, repeated over its betas.
+    """
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    text = np.array([repr(v) for v in column[starts].tolist()], dtype=object)
+    cells = np.repeat(text, np.diff(np.r_[starts, column.size]))
+    cells[missing] = None
+    return cells.tolist()
+
+
+def _refusal(
+    checks: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[int, float | None]:
+    """The first row with a NaN or infinity outside its column's exempt rows.
+
+    Each check is a (column, exempt) pair; one ``np.isfinite`` covers a
+    column.  Returns the row's index and its first such value, or the
+    row count and None when every row passes.
+    """
+    bad = np.zeros(checks[0][0].size, dtype=bool)
+    for column, exempt in checks:
+        bad |= ~(np.isfinite(column) | exempt)
+    if not bad.any():
+        return bad.size, None
+    row = int(bad.argmax())
+    value = next(c[row] for c, e in checks if not (math.isfinite(c[row]) or e[row]))
+    return row, float(value)
+
+
+def _column_rows(
+    fmt: str, header: Sequence[str], columns: Sequence[list], stop: int
+) -> Iterator[dict | tuple]:
+    """The first ``stop`` rows of the columns: tuples in CSV, dicts in JSON."""
+    rows = islice(zip(*columns), stop)
+    return rows if fmt == "csv" else (dict(zip(header, row)) for row in rows)
+
+
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
 
 
-def _phase_diagram_rows(config: RunConfig) -> Iterator[dict]:
-    scan = _scan(config)
-    # error rows are the one place a missing number is expected
+def _phase_diagram_rows(config: RunConfig) -> Iterator[dict | tuple]:
+    scan, inputs = _scan(config)
+    # error rows are the one place a missing number is expected; a NaN
+    # beta_c is also a node with no transition
     failed = scan.phase == "error"
-    columns = {
-        name: getattr(scan, name).tolist() for name in (*_NODE_COLUMNS, "phase", "error")
-    }
-    columns["bound"] = _cells(scan.bound, failed)
-    columns["beta_c"] = _cells(scan.beta_c, np.isnan(scan.beta_c))
-    columns["rho"] = _cells(scan.rho, failed)
-    for row in zip(*(columns[name] for name in _PHASE_COLUMNS)):
-        yield dict(zip(_PHASE_COLUMNS, row))
+    no_beta_c = np.isnan(scan.beta_c)
+    stop, refused = _refusal(
+        [(scan.bound, failed), (scan.beta_c, no_beta_c), (scan.rho, failed)]
+    )
+    to_cells = _cells if config.fmt == "json" else _run_text
+    columns = [
+        *inputs,
+        _cells(scan.bound, failed),
+        scan.phase.tolist(),
+        to_cells(scan.beta_c, no_beta_c),
+        _cells(scan.rho, failed),
+        scan.error.tolist(),
+    ]
+    yield from _column_rows(config.fmt, _PHASE_COLUMNS, columns, stop)
+    if refused is not None:
+        raise _non_finite(refused, config.fmt)
 
 
 def _spectrum_rows(config: RunConfig) -> Iterator[dict]:
@@ -484,18 +565,27 @@ def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
 _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 
 
-def _order_parameter_rows(config: RunConfig) -> Iterator[dict]:
-    scan = _scan(config)
-    failed = (scan.phase == "error").tolist()
-    columns = [getattr(scan, name).tolist() for name in _ORDER_COLUMNS]
-    for i, row in enumerate(zip(*columns)):
-        if failed[i]:
-            # the scalar route raises the node's error here, after the
-            # rows before it
-            p, b = ModelParams(*row[:4]), row[4]
-            row = (*row[:5], convergence_bound(p, b), classify_phase(p, b),
-                   order_parameter(p, b))
-        yield dict(zip(_ORDER_COLUMNS, row))
+def _order_parameter_rows(config: RunConfig) -> Iterator[dict | tuple]:
+    scan, inputs = _scan(config)
+    failed = scan.phase == "error"
+    stop, refused = _refusal([(scan.bound, failed), (scan.rho, failed)])
+    columns = [*inputs, scan.bound.tolist(), scan.phase.tolist(), scan.rho.tolist()]
+    rows = _column_rows(config.fmt, _ORDER_COLUMNS, columns, stop)
+    written = 0
+    for i in failed[:stop].nonzero()[0].tolist():
+        yield from islice(rows, i - written)
+        next(rows)
+        # the scalar route raises the node's error here, after the rows
+        # before it
+        p = ModelParams(*(getattr(scan, name)[i].item() for name in _PARAM_COLUMNS))
+        b = scan.beta[i].item()
+        cells = (*(column[i] for column in inputs), convergence_bound(p, b),
+                 classify_phase(p, b), order_parameter(p, b))
+        yield dict(zip(_ORDER_COLUMNS, cells))
+        written = i + 1
+    yield from rows
+    if refused is not None:
+        raise _non_finite(refused, config.fmt)
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
@@ -520,7 +610,7 @@ def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
 
 # command -> (CSV header, row generator); each generator builds its rows
 # in header order
-_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict]]]] = {
+_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict | tuple]]]] = {
     "critical-temp": (
         (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"),
         _critical_temp_rows,

@@ -152,8 +152,11 @@ def verify_trace_identity(
     betas = np.asarray(beta, dtype=float)
     if not np.all(betas > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    h_f = build_fermion_dicke(params, n_atoms, n_max)
-    eigvals, eigvecs = np.linalg.eigh(h_f.matrix)
+    matrix = build_fermion_dicke(params, n_atoms, n_max).matrix
+    # every entry is real, so eigh takes the real symmetric path
+    if not np.any(matrix.imag):
+        matrix = matrix.real
+    eigvals, eigvecs = np.linalg.eigh(matrix)
     # one row of Boltzmann weights per beta; each row sums on its own
     weights = np.exp(-betas[..., None] * (eigvals - eigvals[0]))
 

@@ -541,6 +541,84 @@ def test_error_row_cells_are_empty_in_csv(capsys):
     assert row["error"].startswith("OverflowError")
 
 
+# grids of the column-built commands: linear and log beta grids, a sweep
+# of each variable, a single node, error rows, nodes with no beta_c and a
+# signed zero
+_COLUMN_GRIDS = [
+    ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:10:40"],
+    ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.05:10:40:log"],
+    ["--g1", "0.9", "--beta", "2", "--sweep", "omega0:0.5:2:7"],
+    ["--g1", "0.9", "--beta", "2", "--sweep", "Omega:0.05:2:7:log"],
+    ["--g2", "0.3", "--beta", "2", "--sweep", "g1:0:3:50"],
+    ["--g1", "0.9", "--beta", "2", "--sweep", "g2:0:2:7"],
+    ["--g1", "0.9", "--g2", "0.3", "--sweep", "beta:0.1:10:9"],
+    ["--beta-grid", "1:5:4", "--sweep", "g1:0:2:5"],
+    ["--g1", "0.9", "--g2", "0.6", "--beta", "3"],
+    ["--beta", "1", "--sweep", "g1:1:1e200:3"],
+    ["--g1", "0.2", "--beta-grid", "1:5:5"],
+    ["--g1", "0.9", "--g2", "-0.0", "--beta", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _COLUMN_GRIDS, ids=" ".join)
+@pytest.mark.parametrize("command", ["phase-diagram", "order-parameter"])
+def test_column_csv_is_csv_writer_of_the_json_values(command, argv, capsys):
+    json_code = main([command, *argv, "--format", "json"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    csv_code = main([command, *argv])
+    out = capsys.readouterr().out
+    assert csv_code == json_code
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(out.partition("\n")[0].split(","))
+    writer.writerows(row.values() for row in rows)
+    assert rows and list(rows[0]) == out.partition("\n")[0].split(",")
+    assert out == expected.getvalue()
+
+
+def test_column_csv_covers_the_edge_cases(capsys):
+    assert main(["phase-diagram", "--g1", "0.9", "--g2", "-0.0", "--beta", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1.0,1.0,0.9,-0.0,3.0,")
+    assert main(["phase-diagram", "--g1", "0.2", "--beta-grid", "1:5:5"]) == 0
+    header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert [dict(zip(header, r))["beta_c"] for r in records] == [""] * 5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, column",
+    [
+        ("phase-diagram", "bound"),
+        ("phase-diagram", "rho"),
+        ("phase-diagram", "beta_c"),
+        ("order-parameter", "bound"),
+        ("order-parameter", "rho"),
+    ],
+)
+def test_non_finite_scan_value_stops_the_column_rows(
+    command, column, fmt, monkeypatch, capsys
+):
+    import dicketherm.cli as cli
+
+    argv = [command, "--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6",
+            "--format", fmt]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    k = 3
+
+    def poisoned(*args):
+        scan = phase_scan(*args)
+        getattr(scan, column)[k] = math.inf
+        return scan
+
+    monkeypatch.setattr(cli, "phase_scan", poisoned)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    written = k + (fmt == "csv")
+    assert captured.out.splitlines() == clean[:written]
+    assert captured.err == f"error: non-finite value inf in a {fmt.upper()} row\n"
+
+
 def test_write_rows_cells_and_non_finite_json():
     header = ("a", "b")
     with pytest.raises(ValueError):

@@ -101,6 +101,30 @@ def test_trace_identity_rejects_bad_beta():
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2])
+def test_trace_identity_real_eigensolve_keeps_the_complex_residuals(n_atoms):
+    # validate's point against the complex Hermitian eigensolve of the same
+    # matrix.  Both residuals are round-off: the two LAPACK routines split
+    # the degenerate empty/doubly-occupied partner levels by different few
+    # ulps, which moves a residual by about beta * eps * max|E| (3e-15 at
+    # N = 2, beta = 2), far inside validate's 1e-8.
+    p, n_max, betas = ModelParams(1.0, 1.0, g1=0.4, g2=0.3), 6, np.array([0.5, 2.0])
+    hf = build_fermion_dicke(p, n_atoms, n_max).matrix
+    assert hf.dtype == complex and not np.any(hf.imag)
+    ev, vec = np.linalg.eigh(hf)
+    weights = np.exp(-betas[:, None] * (ev - ev[0]))
+    number = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
+    phased_diag = 1j**n_atoms * np.exp(-0.5j * np.pi * number)
+    phys_diag = np.diag(physical_projector(n_atoms, n_max).matrix).real
+    amp2 = np.abs(vec) ** 2
+    phased = weights @ (phased_diag @ amp2)
+    physical = weights @ (phys_diag @ amp2)
+    expected = np.abs(phased - physical) / np.abs(physical)
+    residuals = verify_trace_identity(p, n_atoms, n_max, betas)
+    assert np.max(np.abs(residuals - expected)) < 1e-14
+    assert np.max(residuals) < 1e-14
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
 def test_trace_identity_beta_array_matches_scalar_calls(n_atoms):
     p = ModelParams(1.0, 0.8, g1=0.4, g2=0.3)
     betas = np.array([0.01, 0.5, 2.0, 7.0, 100.0])
