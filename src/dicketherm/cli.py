@@ -112,8 +112,8 @@ class GridSpec:
         if self.steps == 1:
             return [self.start]
         if self.scale == "log":
-            return [float(v) for v in np.geomspace(self.start, self.stop, self.steps)]
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
+            return np.geomspace(self.start, self.stop, self.steps).tolist()
+        return np.linspace(self.start, self.stop, self.steps).tolist()
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,20 @@ rung by one of two routes, chosen from the kind:
   intensity-dependent Dicke) depend on the atoms only through the
   collective spin, so the 2^N x (n_max + 1) trace splits into total-spin
   blocks of (2j + 1)(n_max + 1) rows with multiplicities d_j
-  (``operators.spin_sector_hamiltonians``).  Each block is diagonalized on
-  its own; the Boltzmann weights of all blocks share one ground-energy
-  shift and the thermal average sums d_j Tr_j over the blocks;
+  (``operators.spin_sector_hamiltonians``).  Each block splits again by
+  the parity (m + j + n) mod 2 (``operators.parity_halves``), and each
+  half, about (2j + 1)(n_max + 1)/2 rows, is diagonalized on its own;
+  the Boltzmann weights of all halves share one ground-energy shift and
+  the thermal average sums d_j Tr over every half;
 - the single-atom kinds (Jaynes-Cummings and its two-photon and
   intensity-dependent variants) go through the dense ``build_hamiltonian``
   and ``thermal_solve``, which also stay the small-N oracle for the
   collective route.
 
-``dimension_limit`` bounds the largest matrix actually diagonalized:
-(N + 1)(n_max + 1) rows for a collective kind, 2^N (n_max + 1) for the
-dense route.  The ladder stops with ``TruncationConvergenceError`` when
+``dimension_limit`` bounds the largest matrix a rung builds: the full
+spin block, (N + 1)(n_max + 1) rows, for a collective kind, although its
+eigensolves run on the parity halves; 2^N (n_max + 1) for the dense
+route.  The ladder stops with ``TruncationConvergenceError`` when
 its next doubling would pass that bound.
 """
 
@@ -41,6 +44,7 @@ from dicketherm.operators import (
     HermitianOperator,
     ModelParams,
     build_hamiltonian,
+    parity_halves,
     photon_number_operator,
     spin_sector_hamiltonians,
 )
@@ -107,7 +111,7 @@ def thermal_solve(
             f"dimension {H.dimension} exceeds limit {dimension_limit}"
         )
     matrix = H.matrix
-    if np.isrealobj(matrix) or np.allclose(matrix.imag, 0.0, atol=0.0):
+    if np.isrealobj(matrix) or not np.any(matrix.imag):
         matrix = matrix.real
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     weights = np.exp(-beta * (eigenvalues - eigenvalues[0]))
@@ -120,7 +124,7 @@ def thermal_solve(
             if not isinstance(op, HermitianOperator):
                 op = HermitianOperator(np.asarray(op))
             op_matrix = op.matrix
-            if np.allclose(op_matrix.imag, 0.0, atol=0.0):
+            if not np.any(op_matrix.imag):
                 op_matrix = op_matrix.real
             diagonal = np.diagonal(op_matrix)
             if np.count_nonzero(op_matrix - np.diag(diagonal)) == 0:
@@ -145,7 +149,7 @@ def _photon_density(
     kind: HamiltonianKind,
     dimension_limit: int,
 ) -> float:
-    """Thermal <b'b> at one truncation, by spin blocks or dense solve."""
+    """Thermal <b'b> at one truncation, from spin-block parity halves or dense."""
     if kind not in COLLECTIVE_KINDS:
         H = build_hamiltonian(
             kind, params, n_atoms, n_max, dimension_limit=dimension_limit
@@ -157,14 +161,14 @@ def _photon_density(
         return result.observables["photons"]
 
     _check_beta(beta)
-    fock = np.arange(n_max + 1, dtype=float)
     sectors = []
     for multiplicity, block in spin_sector_hamiltonians(
         kind, params, n_atoms, n_max, dimension_limit=dimension_limit
     ):
-        eigenvalues, eigenvectors = np.linalg.eigh(block)
-        photons = np.tile(fock, block.shape[0] // fock.size) @ eigenvectors**2
-        sectors.append((float(multiplicity), eigenvalues, photons))
+        for half, number in parity_halves(block, n_max):
+            eigenvalues, eigenvectors = np.linalg.eigh(half)
+            photons = number @ eigenvectors**2
+            sectors.append((float(multiplicity), eigenvalues, photons))
     ground = min(eigenvalues[0] for _, eigenvalues, _ in sectors)
     weighted_photons = z_shifted = 0.0
     for multiplicity, eigenvalues, photons in sectors:
@@ -180,7 +184,7 @@ def _check_beta(beta: float) -> None:
 
 
 def _largest_block(kind: HamiltonianKind, n_atoms: int, n_max: int) -> int:
-    """Rows of the largest matrix one ladder rung diagonalizes."""
+    """Rows of the largest matrix one ladder rung builds."""
     spin_rows = n_atoms + 1 if kind in COLLECTIVE_KINDS else 2**n_atoms
     return spin_rows * (n_max + 1)
 
@@ -235,7 +239,7 @@ def truncation_convergence(
     """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
 
     The ladder is base, 2*base, 4*base, ... and stops before a rung whose
-    largest diagonalized matrix would exceed ``dimension_limit`` (see the
+    largest built matrix would exceed ``dimension_limit`` (see the
     module docstring); exhaustion raises TruncationConvergenceError, the
     expected outcome deep in the superradiant phase where occupation
     scales with the atom number.  An infinite ``target_tol`` accepts

@@ -7,7 +7,8 @@ separate rotating and counter-rotating couplings, its rotating-wave
 restriction, the Jaynes-Cummings model and its two-photon and
 intensity-dependent variants.  The collective kinds also have a
 total-spin block builder, ``spin_sector_hamiltonians``, whose blocks
-carry the same spectrum as the dense matrix at a fraction of its size.
+carry the same spectrum as the dense matrix at a fraction of its size,
+and ``parity_halves``, which splits each block into its two parities.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -38,6 +39,7 @@ __all__ = [
     "build_hamiltonian",
     "make_boson_ops",
     "make_spin_ops",
+    "parity_halves",
     "parity_operator",
     "photon_number_operator",
     "spin_sector_hamiltonians",
@@ -363,7 +365,8 @@ def spin_sector_hamiltonians(
     DICKE_RWA and b (b'b)^(1/2) (g1) for INTENSITY_DICKE, exactly as in
     ``build_hamiltonian``, whose spectrum is the union of the blocks'
     spectra with multiplicities ``d_j``.  Blocks are built lazily, one per
-    iteration; the arguments are checked on the call.
+    iteration, by writing the diagonal and the coupled entries in place;
+    the arguments are checked on the call.
 
     Raises
     ------
@@ -386,28 +389,62 @@ def spin_sector_hamiltonians(
         )
 
     fock = np.arange(n_max + 1, dtype=float)
-    lower = np.diag(np.sqrt(fock[1:]), k=1)
+    root = np.sqrt(fock)
+    # Each op sends |n> to amplitude[n] |n + shift>; amplitude is zero
+    # where n + shift leaves the truncated space.
     if kind is HamiltonianKind.GENERALIZED_DICKE:
-        couplings = ((params.g1, lower), (params.g2, lower.T))
+        raised = np.append(root[1:], 0.0)
+        couplings = ((params.g1, -1, root), (params.g2, 1, raised))
     elif kind is HamiltonianKind.DICKE_RWA:
-        couplings = ((params.g1, lower),)
-    else:
-        couplings = ((params.g1, lower * np.sqrt(fock)),)
+        couplings = ((params.g1, -1, root),)
+    else:  # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
+        couplings = ((params.g1, -1, root * root),)
 
     def block(two_j: int) -> np.ndarray:
-        m = np.arange(two_j + 1) - 0.5 * two_j
-        # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>
-        j, below = 0.5 * two_j, m[:-1]
-        raising = np.diag(np.sqrt((j - below) * (j + below + 1.0)), k=-1)
-        h = np.diag(np.add.outer(params.Omega * m, params.omega0 * fock).ravel())
-        for g, op in couplings:
-            term = (g / np.sqrt(n_atoms)) * np.kron(raising, op)
-            h += term + term.T
+        # row a * (n_max + 1) + n holds |m = a - j> x |n>
+        a = np.arange(two_j + 1)
+        size = a.size * fock.size
+        h = np.zeros((size, size))
+        h.reshape(-1)[:: size + 1] = np.add.outer(
+            params.Omega * (a - 0.5 * two_j), params.omega0 * fock
+        ).ravel()
+        # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, with j - m = 2j - a
+        raising = np.sqrt((two_j - a[:-1]) * (a[:-1] + 1.0))
+        for g, shift, amplitude in couplings:
+            n = np.flatnonzero(amplitude)
+            source = (a[:-1, None] * fock.size + n).ravel()
+            target = source + fock.size + shift
+            values = (g / np.sqrt(n_atoms)) * np.multiply.outer(
+                raising, amplitude[n]
+            ).ravel()
+            h[target, source] = values
+            h[source, target] = values
         return h
 
     return (
         (comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), block(n_atoms - 2 * k))
         for k in range(n_atoms // 2 + 1)
+    )
+
+
+def parity_halves(
+    block: np.ndarray, n_max: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Even and odd halves ``(H_p, n_p)`` of a ``spin_sector_hamiltonians`` block.
+
+    Row a (n_max + 1) + n of the block holds |m = a - j> x |n>; every
+    collective coupling moves a and n together or oppositely by one, so
+    the block has no entry between the parities (a + n) mod 2 = 0 and 1.
+    ``H_p`` is the block restricted to parity p and ``n_p`` the photon
+    number of each of its rows; the union of the halves' spectra is the
+    block's spectrum.
+    """
+    a, n = np.divmod(np.arange(block.shape[0]), n_max + 1)
+    even = (a + n) % 2 == 0
+    photons = n.astype(float)
+    return tuple(
+        (block[rows[:, None], rows], photons[rows])
+        for rows in (np.flatnonzero(even), np.flatnonzero(~even))
     )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import zeta
 
 from dicketherm.matsubara import kernel_a, kernel_c
+from dicketherm.operators import HamiltonianKind
 
 
 def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:
@@ -89,3 +90,33 @@ def matsubara_log_partition_ratio(params, beta: float, terms: int = 400) -> floa
         c * terms**p * zeta(p, terms + 1.0) for c, p in zip(coef, powers)
     )
     return static - (float(np.sum(logs)) + tail)
+
+
+def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
+    """Total-spin blocks ``(d_j, H_j)`` assembled from dense Kronecker products.
+
+    The reference construction for ``operators.spin_sector_hamiltonians``:
+    ``omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)`` on |m> x |n>,
+    with J+ and op as full matrices and the diagonal through ``np.diag``.
+    """
+    fock = np.arange(n_max + 1, dtype=float)
+    lower = np.diag(np.sqrt(fock[1:]), k=1)
+    if kind is HamiltonianKind.GENERALIZED_DICKE:
+        couplings = ((params.g1, lower), (params.g2, lower.T))
+    elif kind is HamiltonianKind.DICKE_RWA:
+        couplings = ((params.g1, lower),)
+    else:
+        couplings = ((params.g1, lower * np.sqrt(fock)),)
+    blocks = []
+    for k in range(n_atoms // 2 + 1):
+        two_j = n_atoms - 2 * k
+        m = np.arange(two_j + 1) - 0.5 * two_j
+        j, below = 0.5 * two_j, m[:-1]
+        raising = np.diag(np.sqrt((j - below) * (j + below + 1.0)), k=-1)
+        h = np.diag(np.add.outer(params.Omega * m, params.omega0 * fock).ravel())
+        for g, op in couplings:
+            term = (g / np.sqrt(n_atoms)) * np.kron(raising, op)
+            h += term + term.T
+        multiplicity = math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k else 0)
+        blocks.append((multiplicity, h))
+    return blocks

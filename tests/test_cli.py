@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dicketherm.cli import (
@@ -155,6 +156,27 @@ def test_grid_values():
     assert lin == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     log = GridSpec("g1", 1.0, 100.0, 3, "log").values()
     assert log == pytest.approx([1.0, 10.0, 100.0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridSpec("g1", 0.0, 1.0, 5),
+        GridSpec("g2", 0.0, 3.0, 10_000),
+        GridSpec("beta", 0.5, 10.0, 400),
+        GridSpec("omega0", 1e-3, 1e200, 7),
+        GridSpec("beta", 0.05, 10.0, 40, "log"),
+        GridSpec("g1", 1e-3, 1e3, 10_000, "log"),
+        GridSpec("beta", 2.0, 9.0, 1, "log"),
+    ],
+    ids=lambda spec: f"{spec.scale}-{spec.steps}",
+)
+def test_grid_values_are_the_numpy_grid_as_python_floats(spec):
+    space = np.geomspace if spec.scale == "log" else np.linspace
+    expected = [float(v) for v in space(spec.start, spec.stop, spec.steps)]
+    values = spec.values()
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
 def test_n_list_kind_workers_parsing():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.exact_diag as exact_diag
-from _oracles import bose_occupation
+from _oracles import bose_occupation, kron_spin_blocks
 from dicketherm.exact_diag import (
     CurvePoint,
     TruncationConvergenceError,
@@ -23,6 +23,7 @@ from dicketherm.operators import (
     ModelParams,
     NotHermitianError,
     build_hamiltonian,
+    parity_halves,
     parity_operator,
     photon_number_operator,
     spin_sector_hamiltonians,
@@ -183,6 +184,66 @@ def test_sector_spectrum_is_dense_spectrum_with_multiplicities():
         np.concatenate([np.repeat(np.linalg.eigvalsh(h), d) for d, h in blocks])
     )
     assert np.allclose(sector, dense, atol=1e-12)
+
+
+SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_sector_blocks_match_the_kron_reference(kind, n_atoms):
+    for g1, g2 in SECTOR_COUPLINGS:
+        p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
+        built = list(spin_sector_hamiltonians(kind, p, n_atoms, 7))
+        reference = kron_spin_blocks(kind, p, n_atoms, 7)
+        assert [d for d, _ in built] == [d for d, _ in reference]
+        for (_, h), (_, ref) in zip(built, reference):
+            assert h.shape == ref.shape
+            assert np.all(np.abs(h - ref) <= 1e-14 * np.abs(ref)), (g1, g2)
+
+
+def _parities(block, n_max):
+    spin_rows = block.shape[0] // (n_max + 1)
+    return np.add.outer(np.arange(spin_rows), np.arange(n_max + 1)).ravel() % 2
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_sector_blocks_have_no_entry_between_parities(kind, n_max):
+    p = ModelParams(1.0, 1.3, g1=0.7, g2=0.45)
+    for n_atoms in range(1, 7):
+        for _, block in spin_sector_hamiltonians(kind, p, n_atoms, n_max):
+            parity = _parities(block, n_max)
+            assert np.count_nonzero(block[parity == 0][:, parity == 1]) == 0
+            assert np.count_nonzero(block[parity == 1][:, parity == 0]) == 0
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_parity_halves_split_the_block_spectrum(kind, n_max):
+    for g1, g2 in SECTOR_COUPLINGS:
+        p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
+        for n_atoms in range(1, 7):
+            for _, block in spin_sector_hamiltonians(kind, p, n_atoms, n_max):
+                parity = _parities(block, n_max)
+                photons = np.arange(block.shape[0]) % (n_max + 1)
+                halves = parity_halves(block, n_max)
+                assert len(halves) == 2
+                for value, (half, number) in enumerate(halves):
+                    rows = parity == value
+                    assert np.array_equal(half, block[rows][:, rows])
+                    assert np.array_equal(number, photons[rows])
+                split = np.sort(
+                    np.concatenate([np.linalg.eigvalsh(h) for h, _ in halves])
+                )
+                full = np.linalg.eigvalsh(block)
+                assert np.max(np.abs(split - full)) <= 1e-12, (g1, g2, n_atoms)
 
 
 @settings(max_examples=25, deadline=None)
