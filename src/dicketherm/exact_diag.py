@@ -6,27 +6,35 @@ functional-integral order parameter predicts in the N -> infinity limit.
 
 ``thermal_solve`` diagonalizes one dense Hamiltonian.  The photon-density
 ladder (``truncation_convergence``, ``photon_density_curve``) solves each
-rung by one of two routes, chosen from the kind:
+rung by one of three routes, chosen from the kind:
 
-- the collective kinds (generalized Dicke, rotating-wave Dicke and
-  intensity-dependent Dicke) depend on the atoms only through the
-  collective spin, so the 2^N x (n_max + 1) trace splits into total-spin
-  blocks of (2j + 1)(n_max + 1) rows with multiplicities d_j
-  (``operators.spin_sector_hamiltonians``).  Each block splits again by
-  the parity (m + j + n) mod 2 (``operators.parity_halves``), and each
-  half, about (2j + 1)(n_max + 1)/2 rows, is diagonalized on its own;
-  the Boltzmann weights of all halves share one ground-energy shift and
-  the thermal average sums d_j Tr over every half;
+- the collective kinds depend on the atoms only through the collective
+  spin, so the 2^N x (n_max + 1) trace splits into total-spin blocks of
+  (2j + 1)(n_max + 1) rows with multiplicities d_j.  Generalized Dicke
+  builds each block (``operators.spin_sector_hamiltonians``) and splits
+  it by the parity (m + j + n) mod 2 (``operators.parity_halves``), so
+  its eigensolves run on halves of about (2j + 1)(n_max + 1)/2 rows;
+- rotating-wave and intensity-dependent Dicke also conserve the
+  excitation number K = (m + j) + n, so each spin block splits further
+  into tridiagonal K-blocks of at most min(2j, n_max) + 1 rows
+  (``operators.excitation_blocks``).  The K-blocks of one j, padded to
+  one size, are diagonalized by one batched ``eigh`` call, and the
+  padded eigenpairs are dropped by index;
 - the single-atom kinds (Jaynes-Cummings and its two-photon and
   intensity-dependent variants) go through the dense ``build_hamiltonian``
   and ``thermal_solve``, which also stay the small-N oracle for the
-  collective route.
+  other two routes.
 
-``dimension_limit`` bounds the largest matrix a rung builds: the full
-spin block, (N + 1)(n_max + 1) rows, for a collective kind, although its
-eigensolves run on the parity halves; 2^N (n_max + 1) for the dense
-route.  The ladder stops with ``TruncationConvergenceError`` when
-its next doubling would pass that bound.
+In the two spin-block routes the Boltzmann weights of all blocks share
+one ground-energy shift and the thermal average sums d_j Tr over them.
+
+``dimension_limit`` bounds the full spin block, (N + 1)(n_max + 1) rows,
+for every collective kind, although the eigensolves run on parity halves
+or K-blocks; for the dense route it bounds the 2^N (n_max + 1) matrix.
+The ladder stops with ``TruncationConvergenceError`` when its next
+doubling would pass that bound.  It refuses intensity-dependent Dicke at
+g1 sqrt(N) >= omega0 before solving any rung: there the energy is not
+bounded below as the photon number grows, so there is no thermal state.
 """
 
 from __future__ import annotations
@@ -40,10 +48,12 @@ import numpy as np
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
     DEFAULT_DIMENSION_LIMIT,
+    EXCITATION_KINDS,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
     build_hamiltonian,
+    excitation_blocks,
     parity_halves,
     photon_number_operator,
     spin_sector_hamiltonians,
@@ -149,7 +159,7 @@ def _photon_density(
     kind: HamiltonianKind,
     dimension_limit: int,
 ) -> float:
-    """Thermal <b'b> at one truncation, from spin-block parity halves or dense."""
+    """Thermal <b'b> at one truncation, by the route the kind selects."""
     if kind not in COLLECTIVE_KINDS:
         H = build_hamiltonian(
             kind, params, n_atoms, n_max, dimension_limit=dimension_limit
@@ -162,14 +172,25 @@ def _photon_density(
 
     _check_beta(beta)
     sectors = []
-    for multiplicity, block in spin_sector_hamiltonians(
-        kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-    ):
-        for half, number in parity_halves(block, n_max):
-            eigenvalues, eigenvectors = np.linalg.eigh(half)
-            photons = number @ eigenvectors**2
-            sectors.append((float(multiplicity), eigenvalues, photons))
-    ground = min(eigenvalues[0] for _, eigenvalues, _ in sectors)
+    if kind in EXCITATION_KINDS:
+        for multiplicity, blocks, number, size in excitation_blocks(
+            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
+        ):
+            eigenvalues, eigenvectors = np.linalg.eigh(blocks)
+            photons = (number[:, None, :] @ eigenvectors**2)[:, 0]
+            kept = np.arange(blocks.shape[1]) < size[:, None]
+            sectors.append(
+                (float(multiplicity), eigenvalues[kept], photons[kept])
+            )
+    else:
+        for multiplicity, block in spin_sector_hamiltonians(
+            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
+        ):
+            for half, number in parity_halves(block, n_max):
+                eigenvalues, eigenvectors = np.linalg.eigh(half)
+                photons = number @ eigenvectors**2
+                sectors.append((float(multiplicity), eigenvalues, photons))
+    ground = min(np.min(eigenvalues) for _, eigenvalues, _ in sectors)
     weighted_photons = z_shifted = 0.0
     for multiplicity, eigenvalues, photons in sectors:
         weights = multiplicity * np.exp(-beta * (eigenvalues - ground))
@@ -220,10 +241,30 @@ def _ladder(
         n_max, prev = doubled, cur
 
 
-def _check_ladder_inputs(beta: float, target_tol: float) -> None:
+def _check_ladder_inputs(
+    params: ModelParams,
+    beta: float,
+    target_tol: float,
+    kind: HamiltonianKind,
+    N_list: Sequence[int],
+) -> None:
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     _check_beta(beta)
+    if kind is not HamiltonianKind.INTENSITY_DICKE:
+        return
+    for n_atoms in N_list:
+        # K-block ground energies fall like n (omega0 - g1 sqrt(N)) at large
+        # photon number n, and tend to a constant at equality: every
+        # truncation is finite, but Z grows without bound along the ladder.
+        coupling = params.g1 * math.sqrt(max(n_atoms, 0))
+        if coupling >= params.omega0:
+            raise ValueError(
+                f"intensity-dicke has no thermal state at N={n_atoms}: "
+                f"g1*sqrt(N) = {coupling:.6g} >= "
+                f"omega0 = {params.omega0:.6g}, so the energy is not bounded "
+                f"below as the photon number grows"
+            )
 
 
 def truncation_convergence(
@@ -238,9 +279,9 @@ def truncation_convergence(
 ) -> int:
     """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
 
-    The ladder is base, 2*base, 4*base, ... and stops before a rung whose
-    largest built matrix would exceed ``dimension_limit`` (see the
-    module docstring); exhaustion raises TruncationConvergenceError, the
+    The ladder is base, 2*base, 4*base, ... and stops before a rung that
+    ``dimension_limit`` would refuse (see the module docstring);
+    exhaustion raises TruncationConvergenceError, the
     expected outcome deep in the superradiant phase where occupation
     scales with the atom number.  An infinite ``target_tol`` accepts
     ``base`` unsolved.
@@ -248,10 +289,11 @@ def truncation_convergence(
     Raises
     ------
     ValueError
-        For a NaN or non-positive ``target_tol``, or a non-finite or
-        non-positive ``beta``.
+        For a NaN or non-positive ``target_tol``, a non-finite or
+        non-positive ``beta``, or an intensity-dependent Dicke model with
+        g1 sqrt(N) >= omega0, which has no thermal state.
     """
-    _check_ladder_inputs(beta, target_tol)
+    _check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
     if math.isinf(target_tol):
         return base
     rung, _, _ = _ladder(
@@ -274,9 +316,10 @@ def photon_density_curve(
     Each point reports the doubled (confirming) rung: its density is the
     more accurate of the converged pair and the difference between the
     pair is the recorded truncation error estimate.  Inputs are checked
-    as in ``truncation_convergence``.
+    as in ``truncation_convergence``, for every N of ``N_list`` before any
+    rung is solved.
     """
-    _check_ladder_inputs(beta, target_tol)
+    _check_ladder_inputs(params, beta, target_tol, kind, N_list)
     points = []
     for n_atoms in N_list:
         rung, lower, upper = _ladder(

@@ -7,8 +7,14 @@ separate rotating and counter-rotating couplings, its rotating-wave
 restriction, the Jaynes-Cummings model and its two-photon and
 intensity-dependent variants.  The collective kinds also have a
 total-spin block builder, ``spin_sector_hamiltonians``, whose blocks
-carry the same spectrum as the dense matrix at a fraction of its size,
-and ``parity_halves``, which splits each block into its two parities.
+carry the same spectrum as the dense matrix at a fraction of its size.
+Two builders split those blocks further: ``parity_halves`` into the two
+parities of (m + j + n), for generalized Dicke, and
+``excitation_blocks`` into tridiagonal blocks of one excitation number
+K = (m + j) + n, for the rotating-wave and intensity-dependent Dicke
+kinds (``EXCITATION_KINDS``).  All three check ``dimension_limit``
+against the full spin block, (N + 1)(n_max + 1) rows; the dense builder
+checks it against 2^N (n_max + 1).
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -31,12 +37,14 @@ __all__ = [
     "DEFAULT_DIMENSION_LIMIT",
     "BosonSpace",
     "DimensionLimitError",
+    "EXCITATION_KINDS",
     "HamiltonianKind",
     "HermitianOperator",
     "ModelParams",
     "NotHermitianError",
     "QubitRegister",
     "build_hamiltonian",
+    "excitation_blocks",
     "make_boson_ops",
     "make_spin_ops",
     "parity_halves",
@@ -179,6 +187,11 @@ COLLECTIVE_KINDS = frozenset(
         HamiltonianKind.DICKE_RWA,
         HamiltonianKind.INTENSITY_DICKE,
     }
+)
+
+# Collective kinds that conserve the excitation number K = (m + j) + b'b.
+EXCITATION_KINDS = frozenset(
+    {HamiltonianKind.DICKE_RWA, HamiltonianKind.INTENSITY_DICKE}
 )
 
 # Register bit 1 is the excited state, so sz = diag(-1, +1) in bit order.
@@ -377,17 +390,7 @@ def spin_sector_hamiltonians(
     """
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"{kind.value} has no collective-spin blocks")
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be at least 1")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    largest = (n_atoms + 1) * (n_max + 1)
-    if largest > dimension_limit:
-        raise DimensionLimitError(
-            f"largest spin block {largest} exceeds limit {dimension_limit} "
-            f"(N={n_atoms}, n_max={n_max})"
-        )
-
+    _check_spin_blocks(n_atoms, n_max, dimension_limit)
     fock = np.arange(n_max + 1, dtype=float)
     root = np.sqrt(fock)
     # Each op sends |n> to amplitude[n] |n + shift>; amplitude is zero
@@ -395,10 +398,8 @@ def spin_sector_hamiltonians(
     if kind is HamiltonianKind.GENERALIZED_DICKE:
         raised = np.append(root[1:], 0.0)
         couplings = ((params.g1, -1, root), (params.g2, 1, raised))
-    elif kind is HamiltonianKind.DICKE_RWA:
-        couplings = ((params.g1, -1, root),)
-    else:  # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
-        couplings = ((params.g1, -1, root * root),)
+    else:
+        couplings = ((params.g1, -1, _lowering_amplitude(kind, n_max)),)
 
     def block(two_j: int) -> np.ndarray:
         # row a * (n_max + 1) + n holds |m = a - j> x |n>
@@ -421,10 +422,118 @@ def spin_sector_hamiltonians(
             h[source, target] = values
         return h
 
-    return (
-        (comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), block(n_atoms - 2 * k))
-        for k in range(n_atoms // 2 + 1)
-    )
+    return ((d, block(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
+
+
+def excitation_blocks(
+    kind: HamiltonianKind,
+    params: ModelParams,
+    n_atoms: int,
+    n_max: int,
+    *,
+    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Excitation-number blocks ``(d_j, H, n, size)`` of each spin block.
+
+    DICKE_RWA and INTENSITY_DICKE conserve K = a + n, a = m + j, so the
+    ``spin_sector_hamiltonians`` block of each j splits into one block per
+    K = 0 .. 2j + n_max, holding the rows a = max(0, K - n_max) ..
+    min(2j, K) in ascending order.  Each is tridiagonal:
+
+        H[i, i] = Omega (a - j) + omega0 (K - a)
+        H[i, i + 1] = (g1 / sqrt(N)) sqrt((2j - a)(a + 1)) amp(K - a)
+
+    with amp(n) = sqrt(n) for DICKE_RWA and n for INTENSITY_DICKE, exactly
+    as in ``spin_sector_hamiltonians``.  One item per j, j = N/2 first,
+    with the multiplicity d_j; all K-blocks of that j are padded to
+    S_j = min(2j, n_max) + 1 rows and stacked in ``H``, shape
+    (2j + n_max + 1, S_j, S_j).  ``n`` (shape (2j + n_max + 1, S_j)) holds
+    each row's photon number and ``size`` each K-block's true row count.
+
+    Rows ``i >= size[K]`` are padding: decoupled, photon number 0, and
+    with a diagonal above that K-block's Gershgorin upper bound by the
+    largest Gershgorin bound in magnitude over the whole stack, so every
+    padded eigenvalue sorts after the block's physical ones while the
+    padded matrix's norm, which scales ``eigh``'s error, stays within
+    twice the spin block's Gershgorin bound.  Drop padded eigenpairs by
+    index (>= size), not by energy.
+
+    Raises
+    ------
+    DimensionLimitError
+        If the largest spin block, (N + 1)(n_max + 1), exceeds
+        ``dimension_limit``, the same bound as ``spin_sector_hamiltonians``.
+    ValueError
+        For a kind outside ``EXCITATION_KINDS``, N < 1 or n_max < 2.
+    """
+    if kind not in EXCITATION_KINDS:
+        raise ValueError(f"{kind.value} has no excitation-number blocks")
+    _check_spin_blocks(n_atoms, n_max, dimension_limit)
+    scale = params.g1 / np.sqrt(n_atoms)
+    amplitude = _lowering_amplitude(kind, n_max)
+
+    def stack(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = min(two_j, n_max) + 1
+        K = np.arange(two_j + n_max + 1)[:, None]
+        lowest = np.maximum(K - n_max, 0)
+        size = (np.minimum(K, two_j) - lowest + 1).ravel()
+        a = lowest + np.arange(rows)
+        kept = np.arange(rows) < size[:, None]
+        n = np.where(kept, K - a, 0)
+        diagonal = params.Omega * (a - 0.5 * two_j) + params.omega0 * n
+        # (a, n) -> (a + 1, n - 1) couples rows i and i + 1 of one K-block;
+        # the tables are looked up only inside it, where 0 <= a < 2j and
+        # 1 <= n <= n_max.
+        raising = np.sqrt((two_j - np.arange(two_j)) * (np.arange(two_j) + 1.0))
+        pair = kept[:, 1:]
+        coupling = np.zeros((K.size, rows - 1))
+        coupling[pair] = scale * (
+            raising[a[:, :-1][pair]] * amplitude[n[:, :-1][pair]]
+        )
+        radius = np.zeros(kept.shape)
+        radius[:, :-1] += coupling
+        radius[:, 1:] += coupling
+        upper = np.where(kept, diagonal + radius, -np.inf).max(axis=1)
+        lower = np.where(kept, diagonal - radius, np.inf).min(axis=1)
+        margin = max(np.abs(upper).max(), np.abs(lower).max())
+        diagonal = np.where(kept, diagonal, (upper + margin)[:, None])
+
+        h = np.zeros((K.size, rows, rows))
+        i = np.arange(rows)
+        h[:, i, i] = diagonal
+        h[:, i[:-1], i[1:]] = coupling
+        h[:, i[1:], i[:-1]] = coupling
+        return h, n.astype(float), size
+
+    return ((d, *stack(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
+
+
+def _check_spin_blocks(n_atoms: int, n_max: int, dimension_limit: int) -> None:
+    if n_atoms < 1:
+        raise ValueError("n_atoms must be at least 1")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    largest = (n_atoms + 1) * (n_max + 1)
+    if largest > dimension_limit:
+        raise DimensionLimitError(
+            f"largest spin block {largest} exceeds limit {dimension_limit} "
+            f"(N={n_atoms}, n_max={n_max})"
+        )
+
+
+def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:
+    """``(d_j, 2j)`` for j = N/2, N/2 - 1, ..., down to 0 or 1/2."""
+    for k in range(n_atoms // 2 + 1):
+        yield comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), n_atoms - 2 * k
+
+
+def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> np.ndarray:
+    """amp[n] with op |n> = amp[n] |n - 1> for the g1 coupling of ``kind``."""
+    root = np.sqrt(np.arange(n_max + 1, dtype=float))
+    if kind is HamiltonianKind.INTENSITY_DICKE:
+        # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
+        return root * root
+    return root
 
 
 def parity_halves(

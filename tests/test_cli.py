@@ -377,6 +377,15 @@ def test_ed_curve_small_run(capsys):
     assert len(lines) == 2
 
 
+def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):
+    argv = ["ed-curve", "--kind", "intensity-dicke", "--g1", "0.5",
+            "--beta", "1", "--n-list", "8"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: intensity-dicke has no thermal state at N=8")
+    assert "g1*sqrt(N) = 1.41421 >= omega0 = 1" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
 def test_ed_tol_must_be_positive_and_finite(tol, capsys):
     code = main(["ed-curve", "--beta", "1.0", "--n-list", "2", "--ed-tol", tol])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from dicketherm.exact_diag import (
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
     DEFAULT_DIMENSION_LIMIT,
+    EXCITATION_KINDS,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
     NotHermitianError,
     build_hamiltonian,
+    excitation_blocks,
     parity_halves,
     parity_operator,
     photon_number_operator,
@@ -246,6 +249,66 @@ def test_parity_halves_split_the_block_spectrum(kind, n_max):
                 assert np.max(np.abs(split - full)) <= 1e-12, (g1, g2, n_atoms)
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 8])
+@pytest.mark.parametrize(
+    "kind", sorted(EXCITATION_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_excitation_blocks_split_the_spin_block(kind, n_max):
+    # g1 = 0 makes physical levels degenerate; at Omega = omega0 the
+    # K = j block of an integer j is all zero, which a padding row left
+    # at diagonal 0 would join
+    points = ((1.0, 1.3, 0.7), (1.0, 1.0, 0.0), (1.0, 1.0, 0.45), (0.6, 1.7, 0.2))
+    zero_levels = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega0, Omega, g1 in points:
+            p = ModelParams(omega0, Omega, g1=g1)
+            for n_atoms in range(1, 8):
+                spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+                split = excitation_blocks(kind, p, n_atoms, n_max)
+                for (d, block), (d_k, stacked, photons, size) in zip(
+                    spin, split, strict=True
+                ):
+                    assert d_k == d
+                    rows = min(block.shape[0] // (n_max + 1) - 1, n_max) + 1
+                    assert stacked.shape[1:] == (rows, rows)
+                    kept = np.arange(rows) < size[:, None]
+                    # the rows of every K-block, in the spin block's order
+                    K = np.arange(size.size)[:, None]
+                    a = K - photons
+                    index = np.where(kept, a * (n_max + 1) + photons, -1)
+                    assert np.array_equal(
+                        np.sort(index[kept]), np.arange(block.shape[0])
+                    )
+                    eigenvalues = np.linalg.eigvalsh(stacked)
+                    for k, s in enumerate(size):
+                        at = index[k, :s].astype(int)
+                        assert np.array_equal(
+                            stacked[k, :s, :s], block[at[:, None], at]
+                        )
+                        assert np.count_nonzero(stacked[k, s:, :s]) == 0
+                        # padding sorts last
+                        assert np.all(eigenvalues[k, s:] > eigenvalues[k, s - 1])
+                    physical = np.sort(eigenvalues[kept])
+                    full = np.linalg.eigvalsh(block)
+                    assert np.max(np.abs(physical - full)) <= 1e-12, (
+                        p, n_atoms
+                    )
+                    zero_levels += np.count_nonzero(physical == 0.0)
+    assert zero_levels > 0
+
+
+def test_excitation_blocks_refuse_other_kinds():
+    p = ModelParams(1.0, 1.0, g1=0.5)
+    for kind in set(HamiltonianKind) - EXCITATION_KINDS:
+        with pytest.raises(ValueError, match="no excitation-number blocks"):
+            excitation_blocks(kind, p, 1, 8)
+    with pytest.raises(DimensionLimitError):
+        excitation_blocks(
+            HamiltonianKind.DICKE_RWA, p, 8, 32, dimension_limit=296
+        )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=40))
 def test_sector_multiplicities_cover_the_register(n_atoms):
@@ -272,6 +335,39 @@ def test_sector_builder_guards():
         exact_diag._photon_density(
             p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE, 6000
         )
+
+
+@pytest.mark.parametrize(
+    "g1, n_atoms", [(0.5, 8), (0.5, 4), (1.0, 1)], ids=["above", "equal", "N=1"]
+)
+def test_ladder_refuses_intensity_dicke_without_thermal_state(
+    g1, n_atoms, monkeypatch
+):
+    solved = []
+    monkeypatch.setattr(
+        exact_diag, "_photon_density", lambda *args: solved.append(args)
+    )
+    p = ModelParams(1.0, 1.0, g1=g1)
+    kind = HamiltonianKind.INTENSITY_DICKE
+    with pytest.raises(ValueError, match=f"no thermal state at N={n_atoms}:"):
+        truncation_convergence(p, n_atoms, 1.0, 1e-6, kind=kind)
+    # every N is checked before the first one's ladder starts
+    with pytest.raises(ValueError, match=f"no thermal state at N={n_atoms}:"):
+        photon_density_curve(p, 1.0, (1, n_atoms), kind=kind)
+    assert solved == []
+
+
+def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
+    def poisoned(*args, **kwargs):
+        raise AssertionError("parity route taken")
+
+    monkeypatch.setattr(exact_diag, "parity_halves", poisoned)
+    monkeypatch.setattr(exact_diag, "spin_sector_hamiltonians", poisoned)
+    p = ModelParams(1.0, 1.3, g1=0.3)
+    for kind in EXCITATION_KINDS:
+        pts = photon_density_curve(p, 1.0, (2, 5), kind=kind)
+        assert [pt.n_atoms for pt in pts] == [2, 5]
+        assert all(pt.photons_per_atom > 0.0 for pt in pts)
 
 
 def test_ladder_guard_bounds_the_matrix_actually_diagonalized():
