@@ -4,35 +4,32 @@ Desk-scale reference results: full spectra, partition functions, thermal
 expectations, and the finite-N photon-density crossover that the
 functional-integral order parameter predicts in the N -> infinity limit.
 
-``thermal_solve`` diagonalizes one dense Hamiltonian.  The photon-density
-ladder (``truncation_convergence``, ``photon_density_curve``) solves each
-rung by one of three routes, chosen from the kind:
+``thermal_solve`` diagonalizes one dense Hamiltonian; with the dense
+``build_hamiltonian`` it is the small-N oracle pair, and no ladder rung
+uses either.  The photon-density ladder (``truncation_convergence``,
+``photon_density_curve``) solves each rung on blocks of one total spin
+j, (2j + 1)(n_max + 1) rows with multiplicity d_j, by one of two routes,
+chosen from the kind:
 
-- the collective kinds depend on the atoms only through the collective
-  spin, so the 2^N x (n_max + 1) trace splits into total-spin blocks of
-  (2j + 1)(n_max + 1) rows with multiplicities d_j.  Generalized Dicke
-  builds each block (``operators.spin_sector_hamiltonians``) and splits
-  it by the parity (m + j + n) mod 2 (``operators.parity_halves``), so
-  its eigensolves run on halves of about (2j + 1)(n_max + 1)/2 rows;
-- rotating-wave and intensity-dependent Dicke also conserve the
-  excitation number K = (m + j) + n, so each spin block splits further
-  into tridiagonal K-blocks of at most min(2j, n_max) + 1 rows
-  (``operators.excitation_blocks``).  The K-blocks of one j, padded to
-  one size, are diagonalized by one batched ``eigh`` call, and the
-  padded eigenpairs are dropped by index;
-- the single-atom kinds (Jaynes-Cummings and its two-photon and
-  intensity-dependent variants) go through the dense ``build_hamiltonian``
-  and ``thermal_solve``, which also stay the small-N oracle for the
-  other two routes.
+- generalized Dicke builds each spin block
+  (``operators.spin_sector_hamiltonians``) and splits it by the parity
+  (m + j + n) mod 2 (``operators.parity_halves``), so its eigensolves run
+  on halves of about (2j + 1)(n_max + 1)/2 rows;
+- every other kind conserves an excitation number K = s (m + j) + n,
+  s = 2 for two-photon Jaynes-Cummings and 1 otherwise, so each spin
+  block splits further into tridiagonal K-blocks of at most
+  min(2j, n_max // s) + 1 rows (``operators.excitation_blocks``).  The
+  single-atom kinds are the N = 1 case, one spin block j = 1/2.  The
+  K-blocks of one j, padded to one size, are diagonalized by one batched
+  ``eigh`` call, and the padded eigenpairs are dropped by index.
 
-In the two spin-block routes the Boltzmann weights of all blocks share
-one ground-energy shift and the thermal average sums d_j Tr over them.
+The Boltzmann weights of all blocks share one ground-energy shift and
+the thermal average sums d_j Tr over them.
 
 ``dimension_limit`` bounds the full spin block, (N + 1)(n_max + 1) rows,
-for every collective kind, although the eigensolves run on parity halves
-or K-blocks; for the dense route it bounds the 2^N (n_max + 1) matrix.
-The ladder stops with ``TruncationConvergenceError`` when its next
-doubling would pass that bound.  It refuses intensity-dependent Dicke at
+although the eigensolves run on parity halves or K-blocks.  The ladder
+stops with ``TruncationConvergenceError`` when its next doubling would
+pass that bound.  It refuses the intensity-dependent kinds at
 g1 sqrt(N) >= omega0 before solving any rung: there the energy is not
 bounded below as the photon number grows, so there is no thermal state.
 """
@@ -46,7 +43,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from dicketherm.operators import (
-    COLLECTIVE_KINDS,
     DEFAULT_DIMENSION_LIMIT,
     EXCITATION_KINDS,
     HamiltonianKind,
@@ -55,7 +51,6 @@ from dicketherm.operators import (
     build_hamiltonian,
     excitation_blocks,
     parity_halves,
-    photon_number_operator,
     spin_sector_hamiltonians,
 )
 
@@ -63,6 +58,7 @@ __all__ = [
     "CurvePoint",
     "EDResult",
     "TruncationConvergenceError",
+    "build_hamiltonian",  # with thermal_solve, the dense oracle pair
     "photon_density_curve",
     "thermal_solve",
     "truncation_convergence",
@@ -84,16 +80,12 @@ class EDResult:
     ``Z`` is literally sum(exp(-beta * eigenvalues)); weights are
     evaluated with a ground-state shift internally so observables stay
     finite at large beta even when Z itself overflows.
-    ``n_max_used`` and ``truncation_error_estimate`` are NaN-like
-    placeholders (None / NaN) unless filled by the ladder drivers.
     """
 
     eigenvalues: np.ndarray
     Z: float
     observables: dict[str, float]
     beta: float
-    n_max_used: int | None = None
-    truncation_error_estimate: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,7 @@ def thermal_solve(
     """Full eigendecomposition plus Boltzmann-weighted expectations."""
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H))
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     if H.dimension > dimension_limit:
         raise ValueError(
             f"dimension {H.dimension} exceeds limit {dimension_limit}"
@@ -160,16 +151,6 @@ def _photon_density(
     dimension_limit: int,
 ) -> float:
     """Thermal <b'b> at one truncation, by the route the kind selects."""
-    if kind not in COLLECTIVE_KINDS:
-        H = build_hamiltonian(
-            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-        )
-        number = photon_number_operator(n_atoms, n_max)
-        result = thermal_solve(
-            H, beta, {"photons": number}, dimension_limit=dimension_limit
-        )
-        return result.observables["photons"]
-
     _check_beta(beta)
     sectors = []
     if kind in EXCITATION_KINDS:
@@ -204,12 +185,6 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
-def _largest_block(kind: HamiltonianKind, n_atoms: int, n_max: int) -> int:
-    """Rows of the largest matrix one ladder rung builds."""
-    spin_rows = n_atoms + 1 if kind in COLLECTIVE_KINDS else 2**n_atoms
-    return spin_rows * (n_max + 1)
-
-
 def _ladder(
     params: ModelParams,
     n_atoms: int,
@@ -227,7 +202,8 @@ def _ladder(
     prev = _photon_density(params, n_atoms, n_max, beta, kind, dimension_limit)
     while True:
         doubled = 2 * n_max
-        if _largest_block(kind, n_atoms, doubled) > dimension_limit:
+        # the largest spin block the rung would build
+        if (n_atoms + 1) * (doubled + 1) > dimension_limit:
             raise TruncationConvergenceError(
                 f"ladder exhausted at n_max={n_max} (N={n_atoms}, "
                 f"dimension ceiling {dimension_limit}); last rung moved "
@@ -251,7 +227,7 @@ def _check_ladder_inputs(
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     _check_beta(beta)
-    if kind is not HamiltonianKind.INTENSITY_DICKE:
+    if kind not in (HamiltonianKind.INTENSITY_DICKE, HamiltonianKind.INTENSITY_JC):
         return
     for n_atoms in N_list:
         # K-block ground energies fall like n (omega0 - g1 sqrt(N)) at large
@@ -260,7 +236,7 @@ def _check_ladder_inputs(
         coupling = params.g1 * math.sqrt(max(n_atoms, 0))
         if coupling >= params.omega0:
             raise ValueError(
-                f"intensity-dicke has no thermal state at N={n_atoms}: "
+                f"{kind.value} has no thermal state at N={n_atoms}: "
                 f"g1*sqrt(N) = {coupling:.6g} >= "
                 f"omega0 = {params.omega0:.6g}, so the energy is not bounded "
                 f"below as the photon number grows"
@@ -290,7 +266,7 @@ def truncation_convergence(
     ------
     ValueError
         For a NaN or non-positive ``target_tol``, a non-finite or
-        non-positive ``beta``, or an intensity-dependent Dicke model with
+        non-positive ``beta``, or an intensity-dependent kind with
         g1 sqrt(N) >= omega0, which has no thermal state.
     """
     _check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))

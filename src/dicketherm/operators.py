@@ -5,16 +5,18 @@ register of N two-level atoms, and dense builders for the single-mode
 Hamiltonians handled by the package: the generalized Dicke model with
 separate rotating and counter-rotating couplings, its rotating-wave
 restriction, the Jaynes-Cummings model and its two-photon and
-intensity-dependent variants.  The collective kinds also have a
-total-spin block builder, ``spin_sector_hamiltonians``, whose blocks
-carry the same spectrum as the dense matrix at a fraction of its size.
-Two builders split those blocks further: ``parity_halves`` into the two
-parities of (m + j + n), for generalized Dicke, and
-``excitation_blocks`` into tridiagonal blocks of one excitation number
-K = (m + j) + n, for the rotating-wave and intensity-dependent Dicke
-kinds (``EXCITATION_KINDS``).  All three check ``dimension_limit``
-against the full spin block, (N + 1)(n_max + 1) rows; the dense builder
-checks it against 2^N (n_max + 1).
+intensity-dependent variants.  The dense builder, ``build_hamiltonian``,
+is the small-N oracle; the production solvers run on blocks of one
+total spin j, (2j + 1)(n_max + 1) rows in the order |m> x |n>.  The
+collective kinds have a spin block builder, ``spin_sector_hamiltonians``,
+and ``parity_halves`` splits its blocks by the parity of (m + j + n), for
+generalized Dicke.  Every other kind conserves an excitation number
+K = s (m + j) + n, with s = 2 for two-photon Jaynes-Cummings and 1
+otherwise, and ``excitation_blocks`` builds its tridiagonal K-blocks
+(``EXCITATION_KINDS``); a single-atom kind is the N = 1 case, whose one
+spin block is the whole space.  The spin block builders check
+``dimension_limit`` against the full spin block, (N + 1)(n_max + 1)
+rows; the dense builder checks it against 2^N (n_max + 1).
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -62,7 +64,7 @@ DEFAULT_DIMENSION_LIMIT = 6000
 
 
 class DimensionLimitError(ValueError):
-    """Requested Hilbert space exceeds the configured dense-solver limit."""
+    """Requested matrix or spin block exceeds the configured dimension limit."""
 
 
 class NotHermitianError(ValueError):
@@ -137,21 +139,20 @@ class HermitianOperator:
 
     Entries are stored as a read-only complex matrix in the fixed basis
     described in the module docstring.  Construction verifies hermiticity
-    to ``HERMITICITY_TOL`` elementwise unless ``check`` is disabled.
+    to ``HERMITICITY_TOL`` elementwise.
     """
 
-    def __init__(self, matrix: np.ndarray, *, check: bool = True) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if check and deviation > HERMITICITY_TOL:
+        if deviation > HERMITICITY_TOL:
             raise NotHermitianError(
                 f"matrix deviates from self-adjointness by {deviation:.3e}"
             )
         mat.flags.writeable = False
         self.matrix = mat
-        self.hermitian = deviation <= HERMITICITY_TOL
 
     @property
     def dimension(self) -> int:
@@ -189,10 +190,8 @@ COLLECTIVE_KINDS = frozenset(
     }
 )
 
-# Collective kinds that conserve the excitation number K = (m + j) + b'b.
-EXCITATION_KINDS = frozenset(
-    {HamiltonianKind.DICKE_RWA, HamiltonianKind.INTENSITY_DICKE}
-)
+# Kinds that conserve an excitation number K = s (m + j) + b'b.
+EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DICKE}
 
 # Register bit 1 is the excited state, so sz = diag(-1, +1) in bit order.
 _PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -252,14 +251,21 @@ def make_spin_ops(
     return sz, splus, splus.conj().T
 
 
-def _check_dimension(n_atoms: int, n_max: int, limit: int) -> int:
-    dim = 2**n_atoms * (n_max + 1)
-    if dim > limit:
+def _check_size(
+    kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int, limit: int
+) -> None:
+    """Refuse bad sizes, then a matrix of spin_rows (n_max + 1) rows over ``limit``."""
+    if n_atoms < 1:
+        raise ValueError("n_atoms must be at least 1")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    if kind in _SINGLE_ATOM_KINDS and n_atoms != 1:
+        raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
+    rows = spin_rows * (n_max + 1)
+    if rows > limit:
         raise DimensionLimitError(
-            f"composite dimension {dim} exceeds limit {limit} "
-            f"(N={n_atoms}, n_max={n_max})"
+            f"matrix of {rows} rows exceeds limit {limit} (N={n_atoms}, n_max={n_max})"
         )
-    return dim
 
 
 def _collective_coupling(
@@ -315,13 +321,7 @@ def build_hamiltonian(
     ValueError
         For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be at least 1")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    if kind in _SINGLE_ATOM_KINDS and n_atoms != 1:
-        raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
-    _check_dimension(n_atoms, n_max, dimension_limit)
+    _check_size(kind, n_atoms, n_max, 2**n_atoms, dimension_limit)
 
     space = BosonSpace(n_max)
     reg = QubitRegister(n_atoms)
@@ -390,7 +390,8 @@ def spin_sector_hamiltonians(
     """
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"{kind.value} has no collective-spin blocks")
-    _check_spin_blocks(n_atoms, n_max, dimension_limit)
+    # the largest spin block, j = N/2
+    _check_size(kind, n_atoms, n_max, n_atoms + 1, dimension_limit)
     fock = np.arange(n_max + 1, dtype=float)
     root = np.sqrt(fock)
     # Each op sends |n> to amplitude[n] |n + shift>; amplitude is zero
@@ -399,7 +400,8 @@ def spin_sector_hamiltonians(
         raised = np.append(root[1:], 0.0)
         couplings = ((params.g1, -1, root), (params.g2, 1, raised))
     else:
-        couplings = ((params.g1, -1, _lowering_amplitude(kind, n_max)),)
+        amplitude, step = _lowering_amplitude(kind, n_max)
+        couplings = ((params.g1, -step, amplitude),)
 
     def block(two_j: int) -> np.ndarray:
         # row a * (n_max + 1) + n holds |m = a - j> x |n>
@@ -435,20 +437,26 @@ def excitation_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Excitation-number blocks ``(d_j, H, n, size)`` of each spin block.
 
-    DICKE_RWA and INTENSITY_DICKE conserve K = a + n, a = m + j, so the
-    ``spin_sector_hamiltonians`` block of each j splits into one block per
-    K = 0 .. 2j + n_max, holding the rows a = max(0, K - n_max) ..
-    min(2j, K) in ascending order.  Each is tridiagonal:
+    The g1 coupling of every kind in ``EXCITATION_KINDS`` takes |a, n> to
+    |a + 1, n - s>, a = m + j, with the photon step s = 2 for
+    TWO_PHOTON_JC and 1 otherwise, so it conserves K = s a + n.  The spin
+    block of each j (that of ``spin_sector_hamiltonians``; for a
+    single-atom kind, N = 1, the whole space, whose basis order
+    q (n_max + 1) + n is a (n_max + 1) + n) splits into one block per
+    K = 0 .. s 2j + n_max, holding the rows a = max(0, ceil((K - n_max) / s))
+    .. min(K // s, 2j) in ascending order.  Each is tridiagonal:
 
-        H[i, i] = Omega (a - j) + omega0 (K - a)
-        H[i, i + 1] = (g1 / sqrt(N)) sqrt((2j - a)(a + 1)) amp(K - a)
+        H[i, i] = Omega (a - j) + omega0 (K - s a)
+        H[i, i + 1] = (g1 / sqrt(N)) sqrt((2j - a)(a + 1)) amp(K - s a)
 
-    with amp(n) = sqrt(n) for DICKE_RWA and n for INTENSITY_DICKE, exactly
-    as in ``spin_sector_hamiltonians``.  One item per j, j = N/2 first,
+    with amp(n) = sqrt(n) for DICKE_RWA and JAYNES_CUMMINGS, n for the two
+    intensity-dependent kinds and sqrt(n (n - 1)) for TWO_PHOTON_JC,
+    exactly as in ``build_hamiltonian``.  One item per j, j = N/2 first,
     with the multiplicity d_j; all K-blocks of that j are padded to
-    S_j = min(2j, n_max) + 1 rows and stacked in ``H``, shape
-    (2j + n_max + 1, S_j, S_j).  ``n`` (shape (2j + n_max + 1, S_j)) holds
-    each row's photon number and ``size`` each K-block's true row count.
+    S_j = min(2j, n_max // s) + 1 rows and stacked in ``H``, shape
+    (s 2j + n_max + 1, S_j, S_j).  ``n`` (shape (s 2j + n_max + 1, S_j))
+    holds each row's photon number and ``size`` each K-block's true row
+    count.
 
     Rows ``i >= size[K]`` are padding: decoupled, photon number 0, and
     with a diagonal above that K-block's Gershgorin upper bound by the
@@ -464,26 +472,28 @@ def excitation_blocks(
         If the largest spin block, (N + 1)(n_max + 1), exceeds
         ``dimension_limit``, the same bound as ``spin_sector_hamiltonians``.
     ValueError
-        For a kind outside ``EXCITATION_KINDS``, N < 1 or n_max < 2.
+        For a kind outside ``EXCITATION_KINDS``, N < 1, n_max < 2, or a
+        single-atom kind with N > 1.
     """
     if kind not in EXCITATION_KINDS:
         raise ValueError(f"{kind.value} has no excitation-number blocks")
-    _check_spin_blocks(n_atoms, n_max, dimension_limit)
+    # the largest spin block, j = N/2
+    _check_size(kind, n_atoms, n_max, n_atoms + 1, dimension_limit)
     scale = params.g1 / np.sqrt(n_atoms)
-    amplitude = _lowering_amplitude(kind, n_max)
+    amplitude, step = _lowering_amplitude(kind, n_max)
 
     def stack(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = min(two_j, n_max) + 1
-        K = np.arange(two_j + n_max + 1)[:, None]
-        lowest = np.maximum(K - n_max, 0)
-        size = (np.minimum(K, two_j) - lowest + 1).ravel()
+        rows = min(two_j, n_max // step) + 1
+        K = np.arange(step * two_j + n_max + 1)[:, None]
+        lowest = np.maximum(-((n_max - K) // step), 0)
+        size = (np.minimum(K // step, two_j) - lowest + 1).ravel()
         a = lowest + np.arange(rows)
         kept = np.arange(rows) < size[:, None]
-        n = np.where(kept, K - a, 0)
+        n = np.where(kept, K - step * a, 0)
         diagonal = params.Omega * (a - 0.5 * two_j) + params.omega0 * n
-        # (a, n) -> (a + 1, n - 1) couples rows i and i + 1 of one K-block;
+        # (a, n) -> (a + 1, n - s) couples rows i and i + 1 of one K-block;
         # the tables are looked up only inside it, where 0 <= a < 2j and
-        # 1 <= n <= n_max.
+        # s <= n <= n_max.
         raising = np.sqrt((two_j - np.arange(two_j)) * (np.arange(two_j) + 1.0))
         pair = kept[:, 1:]
         coupling = np.zeros((K.size, rows - 1))
@@ -508,32 +518,22 @@ def excitation_blocks(
     return ((d, *stack(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
 
 
-def _check_spin_blocks(n_atoms: int, n_max: int, dimension_limit: int) -> None:
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be at least 1")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    largest = (n_atoms + 1) * (n_max + 1)
-    if largest > dimension_limit:
-        raise DimensionLimitError(
-            f"largest spin block {largest} exceeds limit {dimension_limit} "
-            f"(N={n_atoms}, n_max={n_max})"
-        )
-
-
 def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:
     """``(d_j, 2j)`` for j = N/2, N/2 - 1, ..., down to 0 or 1/2."""
     for k in range(n_atoms // 2 + 1):
         yield comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), n_atoms - 2 * k
 
 
-def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> np.ndarray:
-    """amp[n] with op |n> = amp[n] |n - 1> for the g1 coupling of ``kind``."""
+def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> tuple[np.ndarray, int]:
+    """``(amp, s)`` with op |n> = amp[n] |n - s> for the g1 coupling of ``kind``."""
     root = np.sqrt(np.arange(n_max + 1, dtype=float))
-    if kind is HamiltonianKind.INTENSITY_DICKE:
+    if kind in (HamiltonianKind.INTENSITY_DICKE, HamiltonianKind.INTENSITY_JC):
         # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
-        return root * root
-    return root
+        return root * root, 1
+    if kind is HamiltonianKind.TWO_PHOTON_JC:
+        # b^2 |n> = sqrt(n - 1) sqrt(n) |n - 2>
+        return np.concatenate(([0.0, 0.0], root[1:-1] * root[2:])), 2
+    return root, 1
 
 
 def parity_halves(

@@ -156,9 +156,16 @@ def test_photon_density_curve_subcritical_decreases():
     assert all(pt.n_max_used >= 8 for pt in pts)
 
 
-@pytest.mark.parametrize("n_atoms", range(1, 7))
+# the collective kinds at N = 1 .. 6, the single-atom kinds at N = 1
+KIND_SIZES = [
+    (kind, n_atoms)
+    for kind in sorted(HamiltonianKind, key=lambda k: k.value)
+    for n_atoms in (range(1, 7) if kind in COLLECTIVE_KINDS else (1,))
+]
+
+
 @pytest.mark.parametrize(
-    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+    "kind, n_atoms", KIND_SIZES, ids=[f"{k.value}-{n}" for k, n in KIND_SIZES]
 )
 def test_sector_photon_density_matches_dense_oracle(kind, n_atoms):
     n_max = 8
@@ -258,24 +265,35 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
     # K = j block of an integer j is all zero, which a padding row left
     # at diagonal 0 would join
     points = ((1.0, 1.3, 0.7), (1.0, 1.0, 0.0), (1.0, 1.0, 0.45), (0.6, 1.7, 0.2))
+    step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
+    collective = kind in COLLECTIVE_KINDS
+    # the dense matrix forms b'b as a product of roots, so its entries are
+    # off by rounding; the spin blocks share the K-blocks' arithmetic
+    entry_tol = 0.0 if collective else 1e-12
     zero_levels = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for omega0, Omega, g1 in points:
             p = ModelParams(omega0, Omega, g1=g1)
-            for n_atoms in range(1, 8):
-                spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+            for n_atoms in range(1, 8) if collective else (1,):
+                if collective:
+                    spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+                else:
+                    # the dense order q (n_max + 1) + n is a (n_max + 1) + n
+                    dense = build_hamiltonian(kind, p, 1, n_max).matrix.real
+                    spin = [(1, dense)]
                 split = excitation_blocks(kind, p, n_atoms, n_max)
                 for (d, block), (d_k, stacked, photons, size) in zip(
                     spin, split, strict=True
                 ):
                     assert d_k == d
-                    rows = min(block.shape[0] // (n_max + 1) - 1, n_max) + 1
+                    two_j = block.shape[0] // (n_max + 1) - 1
+                    rows = min(two_j, n_max // step) + 1
                     assert stacked.shape[1:] == (rows, rows)
                     kept = np.arange(rows) < size[:, None]
                     # the rows of every K-block, in the spin block's order
                     K = np.arange(size.size)[:, None]
-                    a = K - photons
+                    a = (K - photons) / step
                     index = np.where(kept, a * (n_max + 1) + photons, -1)
                     assert np.array_equal(
                         np.sort(index[kept]), np.arange(block.shape[0])
@@ -283,8 +301,9 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
                     eigenvalues = np.linalg.eigvalsh(stacked)
                     for k, s in enumerate(size):
                         at = index[k, :s].astype(int)
-                        assert np.array_equal(
-                            stacked[k, :s, :s], block[at[:, None], at]
+                        assert np.all(
+                            np.abs(stacked[k, :s, :s] - block[at[:, None], at])
+                            <= entry_tol
                         )
                         assert np.count_nonzero(stacked[k, s:, :s]) == 0
                         # padding sorts last
@@ -295,7 +314,7 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
                         p, n_atoms
                     )
                     zero_levels += np.count_nonzero(physical == 0.0)
-    assert zero_levels > 0
+    assert zero_levels > 0 or not collective
 
 
 def test_excitation_blocks_refuse_other_kinds():
@@ -303,6 +322,8 @@ def test_excitation_blocks_refuse_other_kinds():
     for kind in set(HamiltonianKind) - EXCITATION_KINDS:
         with pytest.raises(ValueError, match="no excitation-number blocks"):
             excitation_blocks(kind, p, 1, 8)
+    with pytest.raises(ValueError, match="single-atom model, got N=2"):
+        excitation_blocks(HamiltonianKind.TWO_PHOTON_JC, p, 2, 8)
     with pytest.raises(DimensionLimitError):
         excitation_blocks(
             HamiltonianKind.DICKE_RWA, p, 8, 32, dimension_limit=296
@@ -338,35 +359,46 @@ def test_sector_builder_guards():
 
 
 @pytest.mark.parametrize(
-    "g1, n_atoms", [(0.5, 8), (0.5, 4), (1.0, 1)], ids=["above", "equal", "N=1"]
+    "kind, g1, n_atoms",
+    [
+        (HamiltonianKind.INTENSITY_DICKE, 0.5, 8),
+        (HamiltonianKind.INTENSITY_DICKE, 0.5, 4),
+        (HamiltonianKind.INTENSITY_DICKE, 1.0, 1),
+        (HamiltonianKind.INTENSITY_JC, 1.0, 1),
+    ],
+    ids=["above", "equal", "N=1", "intensity-jc"],
 )
 def test_ladder_refuses_intensity_dicke_without_thermal_state(
-    g1, n_atoms, monkeypatch
+    kind, g1, n_atoms, monkeypatch
 ):
     solved = []
     monkeypatch.setattr(
         exact_diag, "_photon_density", lambda *args: solved.append(args)
     )
     p = ModelParams(1.0, 1.0, g1=g1)
-    kind = HamiltonianKind.INTENSITY_DICKE
-    with pytest.raises(ValueError, match=f"no thermal state at N={n_atoms}:"):
+    refusal = f"{kind.value} has no thermal state at N={n_atoms}:"
+    with pytest.raises(ValueError, match=refusal):
         truncation_convergence(p, n_atoms, 1.0, 1e-6, kind=kind)
     # every N is checked before the first one's ladder starts
-    with pytest.raises(ValueError, match=f"no thermal state at N={n_atoms}:"):
+    with pytest.raises(ValueError, match=refusal):
         photon_density_curve(p, 1.0, (1, n_atoms), kind=kind)
     assert solved == []
 
 
 def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
     def poisoned(*args, **kwargs):
-        raise AssertionError("parity route taken")
+        raise AssertionError("parity or dense route taken")
 
-    monkeypatch.setattr(exact_diag, "parity_halves", poisoned)
-    monkeypatch.setattr(exact_diag, "spin_sector_hamiltonians", poisoned)
+    for name in (
+        "parity_halves", "spin_sector_hamiltonians", "build_hamiltonian",
+        "thermal_solve",
+    ):
+        monkeypatch.setattr(exact_diag, name, poisoned)
     p = ModelParams(1.0, 1.3, g1=0.3)
     for kind in EXCITATION_KINDS:
-        pts = photon_density_curve(p, 1.0, (2, 5), kind=kind)
-        assert [pt.n_atoms for pt in pts] == [2, 5]
+        n_list = [2, 5] if kind in COLLECTIVE_KINDS else [1]
+        pts = photon_density_curve(p, 1.0, n_list, kind=kind)
+        assert [pt.n_atoms for pt in pts] == n_list
         assert all(pt.photons_per_atom > 0.0 for pt in pts)
 
 
@@ -381,16 +413,18 @@ def test_ladder_guard_bounds_the_matrix_actually_diagonalized():
         truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33)
     with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
         truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33 - 1)
-    # a single-atom kind keeps the dense guard, 2^1 * (n_max + 1)
+    # at N = 1 the spin-block bound (N + 1)(n_max + 1) is 2 (n_max + 1); at
+    # beta = 0.05 every rung up to n_max = 64 moves the photon number by
+    # more than 3
     jc = ModelParams(1.0, 1.0, g1=0.9)
     kind = HamiltonianKind.JAYNES_CUMMINGS
     with pytest.raises(TruncationConvergenceError, match="n_max=32 "):
         truncation_convergence(
-            jc, 1, 5.0, 1e-300, kind=kind, dimension_limit=2 * 33
+            jc, 1, 0.05, 1e-300, kind=kind, dimension_limit=2 * 33
         )
     with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
         truncation_convergence(
-            jc, 1, 5.0, 1e-300, kind=kind, dimension_limit=2 * 33 - 1
+            jc, 1, 0.05, 1e-300, kind=kind, dimension_limit=2 * 33 - 1
         )
 
 
