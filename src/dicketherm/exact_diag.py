@@ -11,27 +11,32 @@ uses either.  The photon-density ladder (``truncation_convergence``,
 j, (2j + 1)(n_max + 1) rows with multiplicity d_j, by one of two routes,
 chosen from the kind:
 
-- generalized Dicke builds each spin block
-  (``operators.spin_sector_hamiltonians``) and splits it by the parity
-  (m + j + n) mod 2 (``operators.parity_halves``), so its eigensolves run
-  on halves of about (2j + 1)(n_max + 1)/2 rows;
+- generalized Dicke splits each spin block by the parity
+  (m + j + n) mod 2 and solves it as one parity pair
+  (``operators.parity_pairs``): both halves, about
+  (2j + 1)(n_max + 1)/2 rows each, in one batched ``eigh`` call, so a
+  rung takes floor(N/2) + 1 calls;
 - every other kind conserves an excitation number K = s (m + j) + n,
   s = 2 for two-photon Jaynes-Cummings and 1 otherwise, so each spin
   block splits further into tridiagonal K-blocks of at most
   min(2j, n_max // s) + 1 rows (``operators.excitation_blocks``).  The
   single-atom kinds are the N = 1 case, one spin block j = 1/2.  The
-  K-blocks of one j, padded to one size, are diagonalized by one batched
-  ``eigh`` call, and the padded eigenpairs are dropped by index.
+  K-blocks of every j, padded to one size, form one stack per rung,
+  diagonalized by one batched ``eigh`` call.
 
-The Boltzmann weights of all blocks share one ground-energy shift and
-the thermal average sums d_j Tr over them.
+Both builders hand back the same four arrays: the stack, each row's
+photon number, each block's true size and each block's multiplicity.
+The padded eigenpairs are dropped by index, and one reduction sums
+d_j Tr over all blocks with one shared ground-energy shift.
 
 ``dimension_limit`` bounds the full spin block, (N + 1)(n_max + 1) rows,
 although the eigensolves run on parity halves or K-blocks.  The ladder
 stops with ``TruncationConvergenceError`` when its next doubling would
-pass that bound.  It refuses the intensity-dependent kinds at
-g1 sqrt(N) >= omega0 before solving any rung: there the energy is not
-bounded below as the photon number grows, so there is no thermal state.
+pass that bound.  Before solving any rung it refuses a single-atom kind
+at any N != 1, and the kinds whose coupling grows like the photon number
+(the intensity-dependent ones and two-photon Jaynes-Cummings) at
+g1 sqrt(N) >= omega0: there the energy is not bounded below as the
+photon number grows, so there is no thermal state.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from dicketherm.operators import (
     HermitianOperator,
     ModelParams,
     build_hamiltonian,
+    SINGLE_ATOM_KINDS,
     excitation_blocks,
-    parity_halves,
-    spin_sector_hamiltonians,
+    parity_pairs,
 )
 
 __all__ = [
@@ -150,34 +155,30 @@ def _photon_density(
     kind: HamiltonianKind,
     dimension_limit: int,
 ) -> float:
-    """Thermal <b'b> at one truncation, by the route the kind selects."""
+    """Thermal <b'b> at one truncation, one batched ``eigh`` per stack."""
     _check_beta(beta)
-    sectors = []
     if kind in EXCITATION_KINDS:
-        for multiplicity, blocks, number, size in excitation_blocks(
-            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-        ):
-            eigenvalues, eigenvectors = np.linalg.eigh(blocks)
-            photons = (number[:, None, :] @ eigenvectors**2)[:, 0]
-            kept = np.arange(blocks.shape[1]) < size[:, None]
-            sectors.append(
-                (float(multiplicity), eigenvalues[kept], photons[kept])
+        stacks = [
+            excitation_blocks(
+                kind, params, n_atoms, n_max, dimension_limit=dimension_limit
             )
+        ]
     else:
-        for multiplicity, block in spin_sector_hamiltonians(
+        stacks = parity_pairs(
             kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-        ):
-            for half, number in parity_halves(block, n_max):
-                eigenvalues, eigenvectors = np.linalg.eigh(half)
-                photons = number @ eigenvectors**2
-                sectors.append((float(multiplicity), eigenvalues, photons))
-    ground = min(np.min(eigenvalues) for _, eigenvalues, _ in sectors)
-    weighted_photons = z_shifted = 0.0
-    for multiplicity, eigenvalues, photons in sectors:
-        weights = multiplicity * np.exp(-beta * (eigenvalues - ground))
-        weighted_photons += float(weights @ photons)
-        z_shifted += float(np.sum(weights))
-    return weighted_photons / z_shifted
+        )
+    energies, photons, multiplicities = [], [], []
+    for blocks, number, size, multiplicity in stacks:
+        eigenvalues, eigenvectors = np.linalg.eigh(blocks)
+        kept = np.arange(blocks.shape[1]) < size[:, None]
+        energies.append(eigenvalues[kept])
+        photons.append((number[:, None, :] @ eigenvectors**2)[:, 0][kept])
+        multiplicities.append(np.repeat(multiplicity, size))
+    energies = np.concatenate(energies)
+    weights = np.concatenate(multiplicities) * np.exp(
+        -beta * (energies - energies.min())
+    )
+    return float(weights @ np.concatenate(photons)) / float(np.sum(weights))
 
 
 def _check_beta(beta: float) -> None:
@@ -227,12 +228,23 @@ def _check_ladder_inputs(
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     _check_beta(beta)
-    if kind not in (HamiltonianKind.INTENSITY_DICKE, HamiltonianKind.INTENSITY_JC):
+    if kind in SINGLE_ATOM_KINDS:
+        for n_atoms in N_list:
+            if n_atoms != 1:
+                raise ValueError(
+                    f"{kind.value} is a single-atom model, got N={n_atoms}"
+                )
+    if kind not in (
+        HamiltonianKind.INTENSITY_DICKE,
+        HamiltonianKind.INTENSITY_JC,
+        HamiltonianKind.TWO_PHOTON_JC,
+    ):
         return
     for n_atoms in N_list:
-        # K-block ground energies fall like n (omega0 - g1 sqrt(N)) at large
-        # photon number n, and tend to a constant at equality: every
-        # truncation is finite, but Z grows without bound along the ladder.
+        # These couplings grow like the photon number n, so K-block ground
+        # energies fall like n (omega0 - g1 sqrt(N)) at large n, and tend to
+        # a constant at equality: every truncation is finite, but Z grows
+        # without bound along the ladder.
         coupling = params.g1 * math.sqrt(max(n_atoms, 0))
         if coupling >= params.omega0:
             raise ValueError(
@@ -266,8 +278,9 @@ def truncation_convergence(
     ------
     ValueError
         For a NaN or non-positive ``target_tol``, a non-finite or
-        non-positive ``beta``, or an intensity-dependent kind with
-        g1 sqrt(N) >= omega0, which has no thermal state.
+        non-positive ``beta``, a single-atom kind at N != 1, or an
+        intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
+        which has no thermal state.
     """
     _check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
     if math.isinf(target_tol):

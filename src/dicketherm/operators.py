@@ -9,12 +9,16 @@ intensity-dependent variants.  The dense builder, ``build_hamiltonian``,
 is the small-N oracle; the production solvers run on blocks of one
 total spin j, (2j + 1)(n_max + 1) rows in the order |m> x |n>.  The
 collective kinds have a spin block builder, ``spin_sector_hamiltonians``,
-and ``parity_halves`` splits its blocks by the parity of (m + j + n), for
-generalized Dicke.  Every other kind conserves an excitation number
-K = s (m + j) + n, with s = 2 for two-photon Jaynes-Cummings and 1
-otherwise, and ``excitation_blocks`` builds its tridiagonal K-blocks
-(``EXCITATION_KINDS``); a single-atom kind is the N = 1 case, whose one
-spin block is the whole space.  The spin block builders check
+and ``parity_pairs`` writes each of their blocks as one parity pair: the
+two halves of the parity of (m + j + n), stacked, for generalized Dicke.
+Every other kind conserves an excitation number K = s (m + j) + n, with
+s = 2 for two-photon Jaynes-Cummings and 1 otherwise, and
+``excitation_blocks`` builds the tridiagonal K-blocks of all its spin
+blocks as one stack per truncation (``EXCITATION_KINDS``); a single-atom
+kind is the N = 1 case, whose one spin block is the whole space.  Both
+stack builders return the stack, each row's photon number, each block's
+true size and each block's multiplicity, and pad short blocks with
+decoupled rows that sort last.  The spin block builders check
 ``dimension_limit`` against the full spin block, (N + 1)(n_max + 1)
 rows; the dense builder checks it against 2^N (n_max + 1).
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, inf
+from math import comb, inf, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -45,12 +49,13 @@ __all__ = [
     "ModelParams",
     "NotHermitianError",
     "QubitRegister",
+    "SINGLE_ATOM_KINDS",
     "build_hamiltonian",
     "excitation_blocks",
     "make_boson_ops",
     "make_spin_ops",
-    "parity_halves",
     "parity_operator",
+    "parity_pairs",
     "photon_number_operator",
     "spin_sector_hamiltonians",
     "total_excitation_operator",
@@ -173,7 +178,7 @@ class HamiltonianKind(Enum):
     INTENSITY_DICKE = "intensity-dicke"
 
 
-_SINGLE_ATOM_KINDS = frozenset(
+SINGLE_ATOM_KINDS = frozenset(
     {
         HamiltonianKind.JAYNES_CUMMINGS,
         HamiltonianKind.TWO_PHOTON_JC,
@@ -259,7 +264,7 @@ def _check_size(
         raise ValueError("n_atoms must be at least 1")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if kind in _SINGLE_ATOM_KINDS and n_atoms != 1:
+    if kind in SINGLE_ATOM_KINDS and n_atoms != 1:
         raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
     rows = spin_rows * (n_max + 1)
     if rows > limit:
@@ -388,6 +393,99 @@ def spin_sector_hamiltonians(
     ValueError
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
+
+    def block(diagonal, source, target, values):
+        size = diagonal.size
+        h = np.zeros((size, size))
+        h.reshape(-1)[:: size + 1] = diagonal
+        h[target, source] = values
+        h[source, target] = values
+        return h
+
+    return (
+        (d, block(*entries))
+        for d, *entries in _spin_block_entries(
+            kind, params, n_atoms, n_max, dimension_limit
+        )
+    )
+
+
+def parity_pairs(
+    kind: HamiltonianKind,
+    params: ModelParams,
+    n_atoms: int,
+    n_max: int,
+    *,
+    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Both parity halves of each spin block as one stack ``(H, n, size, d)``.
+
+    Row a (n_max + 1) + n of the ``spin_sector_hamiltonians`` block holds
+    |m = a - j> x |n>; every collective coupling moves a and n together
+    or oppositely by one, so the block has no entry between the parities
+    (a + n) mod 2 = 0 and 1.  One item per j, j = N/2 first: ``H`` has
+    shape (2, h, h), h = ceil((2j + 1)(n_max + 1) / 2), and ``H[p]`` is
+    the block restricted to parity p, written straight from the block's
+    entries: row (a, n) goes to position (a (n_max + 1) + n) // 2 of half
+    (a + n) mod 2, which keeps the block's row order for even and odd
+    n_max.  ``n`` (shape (2, h)) holds each row's photon number, ``size``
+    each half's true row count and ``d`` the multiplicity d_j of both.
+
+    When the block has an odd number of rows, the odd half is one row
+    short and ``H[1]`` ends in a padding row: decoupled, photon number 0,
+    with a diagonal of twice the half's largest absolute row sum, which
+    bounds its levels, so it sorts last.  Drop padded eigenpairs by index
+    (>= size), not by energy.
+
+    Raises
+    ------
+    DimensionLimitError
+        If the largest block, (N + 1)(n_max + 1), exceeds ``dimension_limit``.
+    ValueError
+        For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
+    """
+
+    def pair(d, diagonal, source, target, values):
+        rows = diagonal.size
+        a, n = np.divmod(np.arange(rows), n_max + 1)
+        parity = (a + n) % 2
+        position = np.arange(rows) // 2
+        width = (rows + 1) // 2
+        h = np.zeros((2, width, width))
+        h[parity, position, position] = diagonal
+        # a coupling keeps the parity, so parity[source] = parity[target]
+        half = parity[source]
+        h[half, position[target], position[source]] = values
+        h[half, position[source], position[target]] = values
+        if rows % 2:
+            # the largest absolute row sum bounds every level of the half
+            h[1, -1, -1] = 2.0 * np.abs(h[1]).sum(axis=1).max()
+        number = np.zeros((2, width))
+        number[parity, position] = n
+        size = np.array([width, rows - width])
+        return h, number, size, np.array([d, d], dtype=float)
+
+    return (
+        pair(*entries)
+        for entries in _spin_block_entries(
+            kind, params, n_atoms, n_max, dimension_limit
+        )
+    )
+
+
+def _spin_block_entries(
+    kind: HamiltonianKind,
+    params: ModelParams,
+    n_atoms: int,
+    n_max: int,
+    dimension_limit: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Checks, then ``(d_j, diagonal, source, target, values)`` per spin block.
+
+    The nonzero entries of the ``spin_sector_hamiltonians`` block H_j:
+    ``diagonal`` by row, and H_j[target, source] = H_j[source, target] =
+    ``values`` for each coupled pair.  Built lazily, one j per iteration.
+    """
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"{kind.value} has no collective-spin blocks")
     # the largest spin block, j = N/2
@@ -403,28 +501,31 @@ def spin_sector_hamiltonians(
         amplitude, step = _lowering_amplitude(kind, n_max)
         couplings = ((params.g1, -step, amplitude),)
 
-    def block(two_j: int) -> np.ndarray:
+    def entries(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # row a * (n_max + 1) + n holds |m = a - j> x |n>
         a = np.arange(two_j + 1)
-        size = a.size * fock.size
-        h = np.zeros((size, size))
-        h.reshape(-1)[:: size + 1] = np.add.outer(
+        diagonal = np.add.outer(
             params.Omega * (a - 0.5 * two_j), params.omega0 * fock
         ).ravel()
         # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, with j - m = 2j - a
         raising = np.sqrt((two_j - a[:-1]) * (a[:-1] + 1.0))
+        sources, targets, values = [], [], []
         for g, shift, amplitude in couplings:
             n = np.flatnonzero(amplitude)
             source = (a[:-1, None] * fock.size + n).ravel()
-            target = source + fock.size + shift
-            values = (g / np.sqrt(n_atoms)) * np.multiply.outer(
-                raising, amplitude[n]
-            ).ravel()
-            h[target, source] = values
-            h[source, target] = values
-        return h
+            sources.append(source)
+            targets.append(source + fock.size + shift)
+            values.append(
+                (g / sqrt(n_atoms)) * np.multiply.outer(raising, amplitude[n]).ravel()
+            )
+        return (
+            diagonal,
+            np.concatenate(sources),
+            np.concatenate(targets),
+            np.concatenate(values),
+        )
 
-    return ((d, block(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
+    return ((d, *entries(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
 
 
 def excitation_blocks(
@@ -434,8 +535,8 @@ def excitation_blocks(
     n_max: int,
     *,
     dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Excitation-number blocks ``(d_j, H, n, size)`` of each spin block.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Excitation-number blocks of every spin block as one stack ``(H, n, size, d)``.
 
     The g1 coupling of every kind in ``EXCITATION_KINDS`` takes |a, n> to
     |a + 1, n - s>, a = m + j, with the photon step s = 2 for
@@ -451,20 +552,19 @@ def excitation_blocks(
 
     with amp(n) = sqrt(n) for DICKE_RWA and JAYNES_CUMMINGS, n for the two
     intensity-dependent kinds and sqrt(n (n - 1)) for TWO_PHOTON_JC,
-    exactly as in ``build_hamiltonian``.  One item per j, j = N/2 first,
-    with the multiplicity d_j; all K-blocks of that j are padded to
-    S_j = min(2j, n_max // s) + 1 rows and stacked in ``H``, shape
-    (s 2j + n_max + 1, S_j, S_j).  ``n`` (shape (s 2j + n_max + 1, S_j))
-    holds each row's photon number and ``size`` each K-block's true row
-    count.
+    exactly as in ``build_hamiltonian``.  One stack for the whole
+    truncation: the K-blocks of every j, j = N/2 first and K ascending
+    within each j, padded to S = min(N, n_max // s) + 1 rows, so ``H``
+    has shape (B, S, S) with B = sum_j (s 2j + n_max + 1).  ``n`` (shape
+    (B, S)) holds each row's photon number, ``size`` each K-block's true
+    row count and ``d`` the multiplicity d_j of its spin block.
 
-    Rows ``i >= size[K]`` are padding: decoupled, photon number 0, and
-    with a diagonal above that K-block's Gershgorin upper bound by the
-    largest Gershgorin bound in magnitude over the whole stack, so every
-    padded eigenvalue sorts after the block's physical ones while the
-    padded matrix's norm, which scales ``eigh``'s error, stays within
-    twice the spin block's Gershgorin bound.  Drop padded eigenpairs by
-    index (>= size), not by energy.
+    Rows ``i >= size[b]`` are padding: decoupled, photon number 0, and
+    with a diagonal of twice a positive Gershgorin upper bound on every
+    level of the stack, so every padded eigenvalue sorts after the
+    block's physical ones.  A decoupled row stays exactly decoupled in
+    ``eigh``, so its value does not enter the physical eigenpairs.  Drop
+    padded eigenpairs by index (>= size), not by energy.
 
     Raises
     ------
@@ -479,43 +579,41 @@ def excitation_blocks(
         raise ValueError(f"{kind.value} has no excitation-number blocks")
     # the largest spin block, j = N/2
     _check_size(kind, n_atoms, n_max, n_atoms + 1, dimension_limit)
-    scale = params.g1 / np.sqrt(n_atoms)
+    scale = params.g1 / sqrt(n_atoms)
     amplitude, step = _lowering_amplitude(kind, n_max)
+    multiplicity, two_j = zip(*_spin_multiplicities(n_atoms))
+    # block b holds K[b] of spin block two_j[b], K = 0 .. s 2j + n_max
+    count = [step * t + n_max + 1 for t in two_j]
+    multiplicity = np.repeat(np.array(multiplicity, dtype=float), count)
+    two_j = np.repeat(two_j, count)[:, None]
+    K = np.concatenate([np.arange(c) for c in count])[:, None]
+    rows = min(n_atoms, n_max // step) + 1
+    i = np.arange(rows)
+    lowest = np.maximum(-((n_max - K) // step), 0)
+    size = (np.minimum(K // step, two_j) - lowest + 1).ravel()
+    a = lowest + i
+    kept = i < size[:, None]
+    n = np.where(kept, K - step * a, 0)
+    diagonal = params.Omega * (a - 0.5 * two_j) + params.omega0 * n
+    # (a, n) -> (a + 1, n - s) couples rows i and i + 1 of one K-block;
+    # the entries are computed only inside it, where 0 <= a < 2j and
+    # s <= n <= n_max.
+    pair = kept[:, 1:]
+    below = a[:, :-1]
+    raising = np.sqrt(((two_j - below) * (below + 1.0))[pair])
+    coupling = np.zeros((K.size, rows - 1))
+    coupling[pair] = scale * (raising * amplitude[n[:, :-1][pair]])
+    # every level lies below the largest diagonal entry plus twice the
+    # largest coupling (Gershgorin), a bound that is positive: the top
+    # row, a = 2j and n = n_max, has diagonal Omega j + omega0 n_max > 0
+    bound = diagonal[kept].max() + 2.0 * coupling.max()
 
-    def stack(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = min(two_j, n_max // step) + 1
-        K = np.arange(step * two_j + n_max + 1)[:, None]
-        lowest = np.maximum(-((n_max - K) // step), 0)
-        size = (np.minimum(K // step, two_j) - lowest + 1).ravel()
-        a = lowest + np.arange(rows)
-        kept = np.arange(rows) < size[:, None]
-        n = np.where(kept, K - step * a, 0)
-        diagonal = params.Omega * (a - 0.5 * two_j) + params.omega0 * n
-        # (a, n) -> (a + 1, n - s) couples rows i and i + 1 of one K-block;
-        # the tables are looked up only inside it, where 0 <= a < 2j and
-        # s <= n <= n_max.
-        raising = np.sqrt((two_j - np.arange(two_j)) * (np.arange(two_j) + 1.0))
-        pair = kept[:, 1:]
-        coupling = np.zeros((K.size, rows - 1))
-        coupling[pair] = scale * (
-            raising[a[:, :-1][pair]] * amplitude[n[:, :-1][pair]]
-        )
-        radius = np.zeros(kept.shape)
-        radius[:, :-1] += coupling
-        radius[:, 1:] += coupling
-        upper = np.where(kept, diagonal + radius, -np.inf).max(axis=1)
-        lower = np.where(kept, diagonal - radius, np.inf).min(axis=1)
-        margin = max(np.abs(upper).max(), np.abs(lower).max())
-        diagonal = np.where(kept, diagonal, (upper + margin)[:, None])
-
-        h = np.zeros((K.size, rows, rows))
-        i = np.arange(rows)
-        h[:, i, i] = diagonal
-        h[:, i[:-1], i[1:]] = coupling
-        h[:, i[1:], i[:-1]] = coupling
-        return h, n.astype(float), size
-
-    return ((d, *stack(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
+    h = np.zeros((K.size, rows, rows))
+    flat = h.reshape(K.size, -1)
+    flat[:, :: rows + 1] = np.where(kept, diagonal, 2.0 * bound)
+    flat[:, 1 :: rows + 1] = coupling
+    flat[:, rows :: rows + 1] = coupling
+    return h, n.astype(float), size, multiplicity
 
 
 def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:
@@ -534,27 +632,6 @@ def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> tuple[np.ndarray, 
         # b^2 |n> = sqrt(n - 1) sqrt(n) |n - 2>
         return np.concatenate(([0.0, 0.0], root[1:-1] * root[2:])), 2
     return root, 1
-
-
-def parity_halves(
-    block: np.ndarray, n_max: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Even and odd halves ``(H_p, n_p)`` of a ``spin_sector_hamiltonians`` block.
-
-    Row a (n_max + 1) + n of the block holds |m = a - j> x |n>; every
-    collective coupling moves a and n together or oppositely by one, so
-    the block has no entry between the parities (a + n) mod 2 = 0 and 1.
-    ``H_p`` is the block restricted to parity p and ``n_p`` the photon
-    number of each of its rows; the union of the halves' spectra is the
-    block's spectrum.
-    """
-    a, n = np.divmod(np.arange(block.shape[0]), n_max + 1)
-    even = (a + n) % 2 == 0
-    photons = n.astype(float)
-    return tuple(
-        (block[rows[:, None], rows], photons[rows])
-        for rows in (np.flatnonzero(even), np.flatnonzero(~even))
-    )
 
 
 def parity_operator(n_atoms: int, n_max: int) -> HermitianOperator:

@@ -120,3 +120,19 @@ def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
         multiplicity = math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k else 0)
         blocks.append((multiplicity, h))
     return blocks
+
+
+def parity_halves(block, n_max: int):
+    """Even and odd halves ``(H_p, n_p)`` of a ``spin_sector_hamiltonians`` block.
+
+    The reference for ``operators.parity_pairs``: the block restricted to
+    the rows of parity (a + n) mod 2 = p, a = m + j, by fancy indexing,
+    and the photon number of each of those rows.
+    """
+    a, n = np.divmod(np.arange(block.shape[0]), n_max + 1)
+    even = (a + n) % 2 == 0
+    photons = n.astype(float)
+    return tuple(
+        (block[rows[:, None], rows], photons[rows])
+        for rows in (np.flatnonzero(even), np.flatnonzero(~even))
+    )

@@ -721,12 +721,20 @@ def test_parse_builds_no_sweep_nodes():
 
 
 def test_row_commands_load_no_scipy():
-    # scipy serves only validate's root solve, imported on first use
+    # scipy serves only validate's root solve, imported on first use; the
+    # ED ladder's eigensolves are numpy's
     src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
     code = (
         "import sys, dicketherm.cli\n"
-        "code = dicketherm.cli.main(['phase-diagram', '--g1', '0.9', '--g2', '0.6', "
-        "'--beta-grid', '0.5:10:20', '--output', sys.argv[1]])\n"
+        "runs = (\n"
+        "    ['phase-diagram', '--g1', '0.9', '--g2', '0.6',\n"
+        "     '--beta-grid', '0.5:10:20'],\n"
+        "    ['ed-curve', '--kind', 'generalized-dicke', '--g1', '0.5',\n"
+        "     '--g2', '0.3', '--beta', '1', '--n-list', '1,2,3'],\n"
+        "    ['ed-curve', '--kind', 'dicke-rwa', '--g1', '0.5', '--beta', '1',\n"
+        "     '--n-list', '1,2,3'],\n"
+        ")\n"
+        "code = max(dicketherm.cli.main(a + ['--output', sys.argv[1]]) for a in runs)\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": src}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.exact_diag as exact_diag
-from _oracles import bose_occupation, kron_spin_blocks
+from _oracles import bose_occupation, kron_spin_blocks, parity_halves
 from dicketherm.exact_diag import (
     CurvePoint,
     TruncationConvergenceError,
@@ -26,8 +26,8 @@ from dicketherm.operators import (
     NotHermitianError,
     build_hamiltonian,
     excitation_blocks,
-    parity_halves,
     parity_operator,
+    parity_pairs,
     photon_number_operator,
     spin_sector_hamiltonians,
     total_excitation_operator,
@@ -256,6 +256,42 @@ def test_parity_halves_split_the_block_spectrum(kind, n_max):
                 assert np.max(np.abs(split - full)) <= 1e-12, (g1, g2, n_atoms)
 
 
+@pytest.mark.parametrize("n_max", [7, 8])
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_parity_pairs_match_the_halves_reference(kind, n_max):
+    # n_max = 7 gives every block an even row count; n_max = 8 an odd one
+    # at even 2j, where the odd half ends in a padding row
+    for g1, g2 in SECTOR_COUPLINGS:
+        p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
+        for n_atoms in range(1, 8):
+            spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+            pairs = parity_pairs(kind, p, n_atoms, n_max)
+            for (d, block), (stacked, photons, size, multiplicity) in zip(
+                spin, pairs, strict=True
+            ):
+                width = (block.shape[0] + 1) // 2
+                assert stacked.shape == (2, width, width)
+                assert photons.shape == (2, width)
+                assert np.array_equal(multiplicity, [d, d])
+                halves = parity_halves(block, n_max)
+                assert size.tolist() == [h.shape[0] for h, _ in halves]
+                eigenvalues = np.linalg.eigvalsh(stacked)
+                for value, (half, number) in enumerate(halves):
+                    s = size[value]
+                    assert np.array_equal(stacked[value, :s, :s], half)
+                    assert np.array_equal(photons[value, :s], number)
+                    # padding is decoupled, has no photons and sorts last
+                    assert np.count_nonzero(stacked[value, s:, :s]) == 0
+                    assert np.count_nonzero(stacked[value, :s, s:]) == 0
+                    assert np.count_nonzero(photons[value, s:]) == 0
+                    assert np.all(eigenvalues[value, s:] > eigenvalues[value, s - 1])
+                    error = eigenvalues[value, :s] - np.linalg.eigvalsh(half)
+                    assert np.max(np.abs(error)) <= 1e-12, (g1, g2, n_atoms)
+                assert size[0] - size[1] == block.shape[0] % 2
+
+
 @pytest.mark.parametrize("n_max", [2, 3, 8])
 @pytest.mark.parametrize(
     "kind", sorted(EXCITATION_KINDS, key=lambda k: k.value), ids=lambda k: k.value
@@ -282,38 +318,48 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
                     # the dense order q (n_max + 1) + n is a (n_max + 1) + n
                     dense = build_hamiltonian(kind, p, 1, n_max).matrix.real
                     spin = [(1, dense)]
-                split = excitation_blocks(kind, p, n_atoms, n_max)
-                for (d, block), (d_k, stacked, photons, size) in zip(
-                    spin, split, strict=True
-                ):
-                    assert d_k == d
+                stacked, photons, size, multiplicity = excitation_blocks(
+                    kind, p, n_atoms, n_max
+                )
+                # one stack for every j, padded to the j = N/2 width
+                rows = min(n_atoms, n_max // step) + 1
+                assert stacked.shape == (size.size, rows, rows)
+                assert photons.shape == multiplicity.shape + (rows,)
+                eigenvalues = np.linalg.eigvalsh(stacked)
+                kept = np.arange(rows) < size[:, None]
+                first = 0
+                for d, block in spin:
+                    # the K-blocks of this j, K = 0 .. s 2j + n_max
                     two_j = block.shape[0] // (n_max + 1) - 1
-                    rows = min(two_j, n_max // step) + 1
-                    assert stacked.shape[1:] == (rows, rows)
-                    kept = np.arange(rows) < size[:, None]
+                    at = slice(first, first + step * two_j + n_max + 1)
+                    first = at.stop
+                    assert np.all(multiplicity[at] == d)
+                    assert np.all(size[at] <= min(two_j, n_max // step) + 1)
                     # the rows of every K-block, in the spin block's order
-                    K = np.arange(size.size)[:, None]
-                    a = (K - photons) / step
-                    index = np.where(kept, a * (n_max + 1) + photons, -1)
+                    K = np.arange(at.stop - at.start)[:, None]
+                    a = (K - photons[at]) / step
+                    index = np.where(kept[at], a * (n_max + 1) + photons[at], -1)
                     assert np.array_equal(
-                        np.sort(index[kept]), np.arange(block.shape[0])
+                        np.sort(index[kept[at]]), np.arange(block.shape[0])
                     )
-                    eigenvalues = np.linalg.eigvalsh(stacked)
-                    for k, s in enumerate(size):
-                        at = index[k, :s].astype(int)
+                    for k, s in enumerate(size[at]):
+                        b = at.start + k
+                        where = index[k, :s].astype(int)
                         assert np.all(
-                            np.abs(stacked[k, :s, :s] - block[at[:, None], at])
+                            np.abs(stacked[b, :s, :s] - block[where[:, None], where])
                             <= entry_tol
                         )
-                        assert np.count_nonzero(stacked[k, s:, :s]) == 0
+                        assert np.count_nonzero(stacked[b, s:, :s]) == 0
+                        assert np.count_nonzero(photons[b, s:]) == 0
                         # padding sorts last
-                        assert np.all(eigenvalues[k, s:] > eigenvalues[k, s - 1])
-                    physical = np.sort(eigenvalues[kept])
+                        assert np.all(eigenvalues[b, s:] > eigenvalues[b, s - 1])
+                    physical = np.sort(eigenvalues[at][kept[at]])
                     full = np.linalg.eigvalsh(block)
                     assert np.max(np.abs(physical - full)) <= 1e-12, (
                         p, n_atoms
                     )
                     zero_levels += np.count_nonzero(physical == 0.0)
+                assert first == size.size
     assert zero_levels > 0 or not collective
 
 
@@ -365,8 +411,13 @@ def test_sector_builder_guards():
         (HamiltonianKind.INTENSITY_DICKE, 0.5, 4),
         (HamiltonianKind.INTENSITY_DICKE, 1.0, 1),
         (HamiltonianKind.INTENSITY_JC, 1.0, 1),
+        (HamiltonianKind.TWO_PHOTON_JC, 1.2, 1),
+        (HamiltonianKind.TWO_PHOTON_JC, 1.0, 1),
     ],
-    ids=["above", "equal", "N=1", "intensity-jc"],
+    ids=[
+        "above", "equal", "N=1", "intensity-jc", "two-photon-jc-above",
+        "two-photon-jc-equal",
+    ],
 )
 def test_ladder_refuses_intensity_dicke_without_thermal_state(
     kind, g1, n_atoms, monkeypatch
@@ -385,14 +436,36 @@ def test_ladder_refuses_intensity_dicke_without_thermal_state(
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "kind, g1, n_list",
+    [
+        (HamiltonianKind.INTENSITY_JC, 0.8, (2,)),
+        (HamiltonianKind.JAYNES_CUMMINGS, 0.5, (1, 2)),
+        (HamiltonianKind.TWO_PHOTON_JC, 1.2, (2, 1)),
+    ],
+    ids=["intensity-jc", "jaynes-cummings", "two-photon-jc"],
+)
+def test_ladder_refuses_single_atom_kinds_at_other_n(kind, g1, n_list, monkeypatch):
+    solved = []
+    monkeypatch.setattr(
+        exact_diag, "_photon_density", lambda *args: solved.append(args)
+    )
+    p = ModelParams(1.0, 1.0, g1=g1)
+    # the atom number is checked before the thermal-state rule
+    refusal = f"{kind.value} is a single-atom model, got N=2"
+    with pytest.raises(ValueError, match=refusal):
+        truncation_convergence(p, 2, 1.0, 1e-6, kind=kind)
+    # every N is checked before the first one's ladder starts
+    with pytest.raises(ValueError, match=refusal):
+        photon_density_curve(p, 1.0, n_list, kind=kind)
+    assert solved == []
+
+
 def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("parity or dense route taken")
 
-    for name in (
-        "parity_halves", "spin_sector_hamiltonians", "build_hamiltonian",
-        "thermal_solve",
-    ):
+    for name in ("parity_pairs", "build_hamiltonian", "thermal_solve"):
         monkeypatch.setattr(exact_diag, name, poisoned)
     p = ModelParams(1.0, 1.3, g1=0.3)
     for kind in EXCITATION_KINDS:
@@ -400,6 +473,37 @@ def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
         pts = photon_density_curve(p, 1.0, n_list, kind=kind)
         assert [pt.n_atoms for pt in pts] == n_list
         assert all(pt.photons_per_atom > 0.0 for pt in pts)
+
+
+@pytest.mark.parametrize(
+    "kind, n_atoms",
+    [
+        (kind, n_atoms)
+        for kind in sorted(HamiltonianKind, key=lambda k: k.value)
+        for n_atoms in (range(1, 8) if kind in COLLECTIVE_KINDS else (1,))
+    ],
+    ids=lambda v: v.value if isinstance(v, HamiltonianKind) else str(v),
+)
+def test_each_rung_is_one_batched_eigensolve_per_stack(kind, n_atoms, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
+    for n_max in (8, 9):
+        calls.clear()
+        exact_diag._photon_density(p, n_atoms, n_max, 1.0, kind, 6000)
+        if kind in EXCITATION_KINDS:
+            # one stack for every j
+            assert len(calls) == 1
+        else:
+            # one parity pair per spin block
+            assert len(calls) == n_atoms // 2 + 1
+            assert all(shape[0] == 2 for shape in calls)
 
 
 def test_ladder_guard_bounds_the_matrix_actually_diagonalized():
