@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from dicketherm.exact_diag import photon_density_curve
+from dicketherm.exact_diag import check_ladder_inputs, photon_density_curve
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     a0_c0_sum,
@@ -589,6 +589,14 @@ def _order_parameter_rows(config: RunConfig) -> Iterator[dict | tuple]:
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
+    # every node's ladder inputs are checked before the first row, so a
+    # refusal writes nothing, not even the CSV header
+    for p in config.param_nodes:
+        check_ladder_inputs(p, config.beta, config.ed_tol, config.kind, config.n_list)
+    return _ed_curve_points(config)
+
+
+def _ed_curve_points(config: RunConfig) -> Iterator[dict]:
     for p in config.param_nodes:
         curve = photon_density_curve(
             p,

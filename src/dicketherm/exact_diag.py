@@ -53,8 +53,9 @@ from dicketherm.operators import (
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
-    build_hamiltonian,
     SINGLE_ATOM_KINDS,
+    build_hamiltonian,
+    check_beta,
     excitation_blocks,
     parity_pairs,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "EDResult",
     "TruncationConvergenceError",
     "build_hamiltonian",  # with thermal_solve, the dense oracle pair
+    "check_ladder_inputs",
     "photon_density_curve",
     "thermal_solve",
     "truncation_convergence",
@@ -111,7 +113,7 @@ def thermal_solve(
     """Full eigendecomposition plus Boltzmann-weighted expectations."""
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H))
-    _check_beta(beta)
+    check_beta(beta)
     if H.dimension > dimension_limit:
         raise ValueError(
             f"dimension {H.dimension} exceeds limit {dimension_limit}"
@@ -156,7 +158,7 @@ def _photon_density(
     dimension_limit: int,
 ) -> float:
     """Thermal <b'b> at one truncation, one batched ``eigh`` per stack."""
-    _check_beta(beta)
+    check_beta(beta)
     if kind in EXCITATION_KINDS:
         stacks = [
             excitation_blocks(
@@ -179,11 +181,6 @@ def _photon_density(
         -beta * (energies - energies.min())
     )
     return float(weights @ np.concatenate(photons)) / float(np.sum(weights))
-
-
-def _check_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def _ladder(
@@ -218,16 +215,20 @@ def _ladder(
         n_max, prev = doubled, cur
 
 
-def _check_ladder_inputs(
+def check_ladder_inputs(
     params: ModelParams,
     beta: float,
     target_tol: float,
     kind: HamiltonianKind,
     N_list: Sequence[int],
 ) -> None:
+    """Raise the ValueError the ladder would raise for these inputs.
+
+    Solves nothing, so a caller can refuse a curve before writing any of it.
+    """
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
-    _check_beta(beta)
+    check_beta(beta)
     if kind in SINGLE_ATOM_KINDS:
         for n_atoms in N_list:
             if n_atoms != 1:
@@ -282,7 +283,7 @@ def truncation_convergence(
         intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
         which has no thermal state.
     """
-    _check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
+    check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
     if math.isinf(target_tol):
         return base
     rung, _, _ = _ladder(
@@ -308,7 +309,7 @@ def photon_density_curve(
     as in ``truncation_convergence``, for every N of ``N_list`` before any
     rung is solved.
     """
-    _check_ladder_inputs(params, beta, target_tol, kind, N_list)
+    check_ladder_inputs(params, beta, target_tol, kind, N_list)
     points = []
     for n_atoms in N_list:
         rung, lower, upper = _ladder(

@@ -8,10 +8,16 @@ chemical potential i*pi/(2*beta) per fermion makes the doubly and
 unoccupied sites cancel in the phased trace, which ties the fermion
 partition function back to the spin one.
 
-Jordan-Wigner ordering: modes are flattened as [alpha_0, beta_0, alpha_1,
-beta_1, ...], little-endian (mode k is bit k of the occupation index).
-Composite operators follow the package convention (fermion register) x
-(Fock), register most significant.
+Register layout: modes are flattened as [alpha_0, beta_0, alpha_1,
+beta_1, ...], little-endian, so mode k is bit k of the register index:
+site i holds alpha_i at bit 2i and beta_i at bit 2i + 1.  Composite
+states follow the package convention (fermion register) x (Fock),
+register most significant: index = s * (n_max + 1) + n.
+``build_fermion_dicke`` writes the matrix by arithmetic on these
+indices.  In the Jordan-Wigner ordering the hopping alpha_i' beta_i
+takes a state with beta_i occupied and alpha_i empty to
+s ^ (3 << 2i) with sign +1: the strings of the two modes differ only
+on bit 2i, which is empty in the source state.
 """
 
 from __future__ import annotations
@@ -19,51 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 from dicketherm.operators import (
-    BosonSpace,
     DimensionLimitError,
     HermitianOperator,
     ModelParams,
-    make_boson_ops,
+    check_beta,
 )
 
 __all__ = [
     "DEFAULT_MAX_ATOMS",
     "build_fermion_dicke",
-    "fermion_mode_ops",
     "fermion_number_diagonal",
-    "physical_projector",
     "verify_trace_identity",
 ]
 
 DEFAULT_MAX_ATOMS = 3
-
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _jw_annihilator(mode: int, n_modes: int) -> np.ndarray:
-    """Jordan-Wigner annihilator for one mode, sign string on lower bits."""
-    op = np.eye(1, dtype=complex)
-    for position in range(n_modes - 1, -1, -1):
-        if position > mode:
-            factor = np.eye(2, dtype=complex)
-        elif position == mode:
-            factor = _LOWER
-        else:
-            factor = _SIGN
-        op = np.kron(op, factor)
-    return op
-
-
-def fermion_mode_ops(n_atoms: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-site (alpha_i, beta_i) annihilators on the 4^N register space."""
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
-    n_modes = 2 * n_atoms
-    return [
-        (_jw_annihilator(2 * i, n_modes), _jw_annihilator(2 * i + 1, n_modes))
-        for i in range(n_atoms)
-    ]
 
 
 def fermion_number_diagonal(n_atoms: int) -> np.ndarray:
@@ -84,15 +59,6 @@ def _physical_diagonal(n_atoms: int) -> np.ndarray:
     return (((states ^ (states >> 1)) & alpha_bits) == alpha_bits).astype(float)
 
 
-def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
-    """Diagonal 0/1 projector onto per-site occupancy n_alpha + n_beta = 1.
-
-    Idempotent with rank 2^N * (n_max + 1) on the composite space.
-    """
-    diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
-    return HermitianOperator(np.diag(diag.astype(complex)))
-
-
 def build_fermion_dicke(
     params: ModelParams,
     n_atoms: int,
@@ -107,33 +73,51 @@ def build_fermion_dicke(
     coupling g1 and counter-rotating coupling g2.  Commutes with the total
     fermion number; restricted to the physical subspace it is unitarily
     equivalent to the spin builder.
+
+    Written entry by entry on the indices of the module docstring, all
+    real.  The diagonal is omega0 n + (Omega/2) sum_i (n_alpha,i - n_beta,i).
+    For each site i, alpha_i' beta_i maps a register state s with beta_i
+    set and alpha_i empty to t = s ^ (3 << 2i) with sign +1; the rotating
+    term adds |t, n-1><s, n| sqrt(n), the counter-rotating term
+    |t, n+1><s, n| sqrt(n+1), each scaled by 1/sqrt(N) and added with its
+    transpose.
     """
     if n_atoms > max_atoms:
         raise DimensionLimitError(
             f"fermion register for N={n_atoms} atoms exceeds the configured "
             f"limit of {max_atoms} (dimension 4^N grows too fast for dense work)"
         )
+    if n_atoms < 1:
+        raise ValueError("need at least one atom")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
 
-    space = BosonSpace(n_max)
-    annihilator, creator = make_boson_ops(space)
-    number = creator @ annihilator
-    dim_f = 4**n_atoms
-    eye_f = np.eye(dim_f, dtype=complex)
-    eye_b = np.eye(space.dimension, dtype=complex)
+    levels = n_max + 1
+    states = np.arange(4**n_atoms)
+    spin = np.zeros(states.shape, dtype=float)
+    for site in range(n_atoms):
+        spin += ((states >> 2 * site) & 1) - ((states >> (2 * site + 1)) & 1)
+    photons = np.arange(levels)
+    matrix = np.diag(
+        np.add.outer(0.5 * params.Omega * spin, params.omega0 * photons).ravel()
+    )
 
-    hamiltonian = params.omega0 * np.kron(eye_f, number)
+    n = photons[1:]
     scale = 1.0 / np.sqrt(n_atoms)
-    for alpha, beta in fermion_mode_ops(n_atoms):
-        sz_f = alpha.conj().T @ alpha - beta.conj().T @ beta
-        splus_f = alpha.conj().T @ beta
-        hamiltonian += 0.5 * params.Omega * np.kron(sz_f, eye_b)
-        rotating = np.kron(splus_f, annihilator)
-        counter = np.kron(splus_f, creator)
-        hamiltonian += params.g1 * scale * (rotating + rotating.conj().T)
-        hamiltonian += params.g2 * scale * (counter + counter.conj().T)
-    return HermitianOperator(hamiltonian)
+    rotating, counter = params.g1 * scale * np.sqrt(n), params.g2 * scale * np.sqrt(n)
+    for site in range(n_atoms):
+        # beta_i set, alpha_i empty
+        sources = states[(states >> 2 * site) & 3 == 2]
+        s = sources[:, None] * levels
+        t = (sources[:, None] ^ (3 << 2 * site)) * levels
+        # |t, n-1><s, n| and |t, n><s, n-1|, for n = 1 .. n_max
+        for rows, cols, value in (
+            (t + n - 1, s + n, rotating),
+            (t + n, s + n - 1, counter),
+        ):
+            matrix[rows, cols] = value
+            matrix[cols, rows] = value
+    return HermitianOperator(matrix)
 
 
 def verify_trace_identity(
@@ -149,13 +133,10 @@ def verify_trace_identity(
     ``beta`` is a float or an array; the residual has its shape, and all
     betas share one eigensolve of H_F.
     """
+    check_beta(beta)
     betas = np.asarray(beta, dtype=float)
-    if not np.all(betas > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    matrix = build_fermion_dicke(params, n_atoms, n_max).matrix
     # every entry is real, so eigh takes the real symmetric path
-    if not np.any(matrix.imag):
-        matrix = matrix.real
+    matrix = build_fermion_dicke(params, n_atoms, n_max).matrix.real
     eigvals, eigvecs = np.linalg.eigh(matrix)
     # one row of Boltzmann weights per beta; each row sums on its own
     weights = np.exp(-betas[..., None] * (eigvals - eigvals[0]))

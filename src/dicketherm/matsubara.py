@@ -11,7 +11,11 @@ route evaluates the pair sums over fermionic frequencies (a0, c0) by
 direct truncation plus an integral tail with a midpoint Euler-Maclaurin
 correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
 ``validate``, the tests and ``finite_sum_critical_beta`` use it as the
-independent check.
+independent check.  The two cutoff levels share one evaluation of the
+summand over the 2M window, and their tails one Gauss-Legendre
+evaluation.  Every sum refuses a beta that is not positive and finite;
+the closed kernels ``kernel_a`` and ``kernel_c`` accept beta = inf, the
+zero-temperature limit, as ``thermo`` does.
 
 The pair-sum tail integral is a fixed 32-node Gauss-Legendre rule after
 the map q = edge + R (1 + t) / (1 - t), t in [-1, 1), R = hypot(edge, m).
@@ -30,11 +34,12 @@ inside ``finite_sum_critical_beta``, for its root solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from dicketherm.operators import ModelParams
+from dicketherm.operators import ModelParams, check_beta
 from dicketherm.spectrum import PoleProximityError, default_pole_epsilon
 from dicketherm.thermo import tanh_factor
 
@@ -57,6 +62,10 @@ DEFAULT_CUTOFF = 512
 # branch points at least distance 1 from [-1, 1], the error of n nodes
 # falls like (1 + sqrt 2)^(-2n), far below rounding at n = 32
 _TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# per unit R: the map's stretch (1 + t) / (1 - t), and each node's weight
+# times the map's jacobian 2 / (1 - t)^2
+_TAIL_STRETCH = (1.0 + _TAIL_NODES) / (1.0 - _TAIL_NODES)
+_TAIL_MAPPED_WEIGHTS = 2.0 * _TAIL_WEIGHTS / (1.0 - _TAIL_NODES) ** 2
 
 # After the midpoint tail correction the truncation error decays as the
 # fifth power of the cutoff (observed 5.00 over M = 32..256 for both the
@@ -77,12 +86,12 @@ class KernelValue:
     tail_estimate: float = field(default=0.0, compare=False)
 
 
-def _lorentzian_tail(edge: float, m: float, beta: float) -> float:
+def _lorentzian_tail(edge, m: float, beta: float):
     """Sum over fermionic frequencies beyond ``edge`` of 1/(p^2 + m^2).
 
     Midpoint geometry: the frequencies are centers of cells of width
     h = 2 pi / beta, so the one-sided tail is the integral from the edge
-    plus the outward h/24 derivative term.
+    plus the outward h/24 derivative term.  Elementwise in ``edge``.
     """
     h = 2.0 * np.pi / beta
     integral = (np.pi / 2.0 - np.arctan(edge / m)) / m
@@ -95,19 +104,31 @@ def _pair_summand(q, m: float, omega: float):
     return 1.0 / np.sqrt((m**2 + q**2) * (m**2 + (q + omega) ** 2))
 
 
-def _pair_tail_integral(edge: float, m: float, omega: float) -> float:
+def _pair_tail_integral(edge, m: float, omega: float):
     """Integral of the pair summand over q in [edge, inf).
 
     Mapped to t in [-1, 1) by q = edge + R (1 + t) / (1 - t) with
     R = hypot(edge, m).  The integrand decays like 1/q^2, so the mapped
     integrand stays finite at t = 1, and its branch points at q = +-i m
     and q = -omega +- i m land at least distance 1 from [-1, 1].
+    ``edge`` is a float or a 1-d array; the nodes of all edges are
+    evaluated together, and each edge's rule sums on its own.
     """
-    t = _TAIL_NODES
-    radius = np.hypot(edge, m)
-    q = edge + radius * (1.0 + t) / (1.0 - t)
-    jacobian = 2.0 * radius / (1.0 - t) ** 2
-    return float(np.dot(_TAIL_WEIGHTS, _pair_summand(q, m, omega) * jacobian))
+    edges = np.asarray(edge, dtype=float)[..., None]
+    radius = np.hypot(edges, m)
+    q = edges + radius * _TAIL_STRETCH
+    integral = np.sum(_TAIL_MAPPED_WEIGHTS * _pair_summand(q, m, omega), axis=-1)
+    return radius[..., 0] * integral
+
+
+def _fermionic_frequencies(low: int, high: int, beta: float) -> np.ndarray:
+    """p_n = (2n + 1) pi / beta for n in [low, high)."""
+    return np.arange(2 * low + 1, 2 * high, 2.0) * (np.pi / beta)
+
+
+def _richardson(coarse: float, fine: float) -> float:
+    weight = 2.0**_RICHARDSON_POWER
+    return (weight * fine - coarse) / (weight - 1.0)
 
 
 def fermionic_lorentzian_sum(
@@ -117,24 +138,58 @@ def fermionic_lorentzian_sum(
 
     Truncated symmetrically, tail-corrected on both sides, and Richardson
     extrapolated over (cutoff, 2*cutoff) unless ``extrapolate`` is off.
-    Converges to (beta / (2 m)) * tanh(beta * m / 2).
+    The terms are evaluated once, over the 2*cutoff window; the cutoff
+    window is its middle half.  Converges to
+    (beta / (2 m)) * tanh(beta * m / 2).
     """
+    check_beta(beta)
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
-
-    def corrected(m_cut: int) -> float:
-        ns = np.arange(-m_cut, m_cut)
-        ps = (2.0 * ns + 1.0) * np.pi / beta
-        edge = 2.0 * np.pi * m_cut / beta
-        return float(np.sum(1.0 / (ps**2 + m**2))) + 2.0 * _lorentzian_tail(
-            edge, m, beta
-        )
-
+    top = 2 * cutoff if extrapolate else cutoff
+    terms = 1.0 / (_fermionic_frequencies(-top, top, beta) ** 2 + m**2)
+    edges = 2.0 * np.pi * np.array([cutoff, top]) / beta
+    tails = 2.0 * _lorentzian_tail(edges, m, beta)
+    fine = float(np.sum(terms) + tails[1])
     if not extrapolate:
-        return corrected(cutoff)
-    coarse, fine = corrected(cutoff), corrected(2 * cutoff)
-    weight = 2.0**_RICHARDSON_POWER
-    return (weight * fine - coarse) / (weight - 1.0)
+        return fine
+    coarse = float(np.sum(terms[cutoff : 3 * cutoff]) + tails[0])
+    return _richardson(coarse, fine)
+
+
+def _pair_levels(
+    k: int, m: float, beta: float, cutoffs: tuple[int, ...], tail: bool
+) -> list[float]:
+    """The pair sum at bosonic index k >= 0 for each cutoff, smallest first.
+
+    The summand is evaluated once, over the window [-M - k, M - 1] of the
+    largest cutoff M; a cutoff c takes the slice [M - c, M + c + k) of it,
+    its own window.  With ``tail`` on, both tails of every cutoff are added
+    from one Gauss-Legendre evaluation.
+    """
+    if tail and k > 2 * cutoffs[0]:
+        raise ValueError(
+            f"bosonic index {k} beyond twice the cutoff {cutoffs[0]}: "
+            "the tail rule is not accurate there"
+        )
+    top = cutoffs[-1]
+    omega = 2.0 * np.pi * k / beta
+    terms = _pair_summand(_fermionic_frequencies(-top - k, top, beta), m, omega)
+    sums = [float(np.sum(terms[top - c : top + c + k])) for c in cutoffs]
+    if not tail:
+        return sums
+
+    # each one-sided tail is the integral from the edge plus the outward
+    # h/24 derivative term of the midpoint rule; the few scalars per edge
+    # are cheaper in plain floats than as tiny arrays
+    h = 2.0 * np.pi / beta
+    edges = [h * c for c in cutoffs]
+    integrals = _pair_tail_integral(edges, m, omega).tolist()
+    totals = []
+    for total, edge, integral in zip(sums, edges, integrals):
+        near, far = m * m + edge * edge, m * m + (edge + omega) ** 2
+        g_prime = -(edge / near + (edge + omega) / far) / math.sqrt(near * far)
+        totals.append(total + 2.0 * (integral / h + (h / 24.0) * g_prime))
+    return totals
 
 
 def paired_pole_sum(
@@ -154,31 +209,9 @@ def paired_pole_sum(
     the O(1/M) truncation law); with it on, |k| may not exceed 2 * cutoff,
     the range where the tail rule keeps full accuracy.
     """
-    k = omega_index
-    if k < 0:
-        k = -k  # S is even in the bosonic index
-    m = 0.5 * Omega
-    omega = 2.0 * np.pi * k / beta
-    ns = np.arange(-cutoff - k, cutoff)
-    qs = (2.0 * ns + 1.0) * np.pi / beta
-    total = float(np.sum(_pair_summand(qs, m, omega)))
-    if not tail:
-        return total
-    if k > 2 * cutoff:
-        raise ValueError(
-            f"bosonic index {omega_index} beyond twice the cutoff {cutoff}: "
-            "the tail rule is not accurate there"
-        )
-
-    h = 2.0 * np.pi / beta
-    edge = 2.0 * np.pi * cutoff / beta
-    integral = _pair_tail_integral(edge, m, omega)
-    g_edge = _pair_summand(edge, m, omega)
-    g_prime = -g_edge * (
-        edge / (m**2 + edge**2) + (edge + omega) / (m**2 + (edge + omega) ** 2)
-    )
-    one_side = integral / h + (h / 24.0) * g_prime
-    return total + 2.0 * one_side
+    check_beta(beta)
+    # S is even in the bosonic index
+    return _pair_levels(abs(omega_index), 0.5 * Omega, beta, (cutoff,), tail)[0]
 
 
 def a0_c0_sum(
@@ -190,20 +223,20 @@ def a0_c0_sum(
     """Finite-sum kernels (a0, c0) at bosonic index ``omega_index``.
 
     Reported values are Richardson extrapolants over (cutoff, 2*cutoff) of
-    the tail-corrected pair sum; ``tail_estimate`` records the difference
-    between the two cutoff levels.
+    the tail-corrected pair sum, both levels from one evaluation of the
+    summand over the 2*cutoff window; ``tail_estimate`` records the
+    difference between the two cutoff levels.
 
     At omega = 0 the pair sum collapses to the single-pole sum, so
     a0 + 2 c0 tends to (g1 + g2)^2 / (Omega omega0) * tanh(beta Omega / 4).
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
-    coarse = paired_pole_sum(omega_index, params.Omega, beta, cutoff)
-    fine = paired_pole_sum(omega_index, params.Omega, beta, 2 * cutoff)
-    weight = 2.0**_RICHARDSON_POWER
-    pair_sum = (weight * fine - coarse) / (weight - 1.0)
+    coarse, fine = _pair_levels(
+        abs(omega_index), 0.5 * params.Omega, beta, (cutoff, 2 * cutoff), True
+    )
+    pair_sum = _richardson(coarse, fine)
     spread = abs(fine - coarse)
 
     omega = bosonic_frequency(omega_index, beta)
@@ -221,22 +254,30 @@ def finite_sum_critical_beta(params: ModelParams) -> float:
     """Root in beta of the finite-sum bound a0(0) + 2 c0(0) = 1.
 
     Independent of the closed-form ``thermo.critical_beta``: the bound
-    comes from ``a0_c0_sum`` and the root from Brent's method.  Raises
-    RuntimeError when the bound stays below one up to beta = 1e9.
+    comes from ``a0_c0_sum`` and the root from Brent's method.  The bound
+    is evaluated once per beta: the doubling search's last two values
+    bracket the root and feed Brent's first step.  Raises RuntimeError
+    when the bound stays below one up to beta = 1e9.
     """
     # scipy costs about 0.5 s to import; only this oracle needs it
     from scipy import optimize
 
+    # kept for this call only: each root solve evaluates its own bound
+    values: dict[float, float] = {}
+
     def bound_minus_one(beta: float) -> float:
-        kv = a0_c0_sum(0, params, beta)
-        return kv.a.real + 2.0 * kv.c - 1.0
+        if beta not in values:
+            kv = a0_c0_sum(0, params, beta)
+            values[beta] = kv.a.real + 2.0 * kv.c - 1.0
+        return values[beta]
 
     hi = 1.0
     while bound_minus_one(hi) < 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("no finite-sum transition found")
-    return float(optimize.brentq(bound_minus_one, 1e-9, hi, xtol=1e-13))
+    lo = hi / 2.0 if hi > 1.0 else 1e-9
+    return float(optimize.brentq(bound_minus_one, lo, hi, xtol=1e-13))
 
 
 def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:

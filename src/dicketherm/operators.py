@@ -51,6 +51,7 @@ __all__ = [
     "QubitRegister",
     "SINGLE_ATOM_KINDS",
     "build_hamiltonian",
+    "check_beta",
     "excitation_blocks",
     "make_boson_ops",
     "make_spin_ops",
@@ -74,6 +75,18 @@ class DimensionLimitError(ValueError):
 
 class NotHermitianError(ValueError):
     """Matrix failed the elementwise hermiticity check."""
+
+
+def check_beta(beta: float | np.ndarray) -> None:
+    """Refuse a beta, or an array holding one, that is not positive and finite."""
+    # each comparison is False for NaN as well
+    if isinstance(beta, float):
+        ok = 0.0 < beta < inf
+    else:
+        betas = np.asarray(beta, dtype=float)
+        ok = bool(np.all((betas > 0.0) & (betas < inf)))
+    if not ok:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 @dataclass(frozen=True)

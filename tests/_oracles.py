@@ -12,8 +12,14 @@ import math
 import numpy as np
 from scipy.special import zeta
 
+from dicketherm.fermionization import _physical_diagonal
 from dicketherm.matsubara import kernel_a, kernel_c
-from dicketherm.operators import HamiltonianKind
+from dicketherm.operators import (
+    BosonSpace,
+    HamiltonianKind,
+    HermitianOperator,
+    make_boson_ops,
+)
 
 
 def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:
@@ -136,3 +142,67 @@ def parity_halves(block, n_max: int):
         (block[rows[:, None], rows], photons[rows])
         for rows in (np.flatnonzero(even), np.flatnonzero(~even))
     )
+
+
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _jw_annihilator(mode: int, n_modes: int) -> np.ndarray:
+    """Jordan-Wigner annihilator for one mode, sign string on lower bits."""
+    op = np.eye(1, dtype=complex)
+    for position in range(n_modes - 1, -1, -1):
+        if position > mode:
+            factor = np.eye(2, dtype=complex)
+        elif position == mode:
+            factor = _LOWER
+        else:
+            factor = _SIGN
+        op = np.kron(op, factor)
+    return op
+
+
+def fermion_mode_ops(n_atoms: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-site (alpha_i, beta_i) annihilators on the 4^N register space."""
+    if n_atoms < 1:
+        raise ValueError("need at least one atom")
+    n_modes = 2 * n_atoms
+    return [
+        (_jw_annihilator(2 * i, n_modes), _jw_annihilator(2 * i + 1, n_modes))
+        for i in range(n_atoms)
+    ]
+
+
+def kron_fermion_dicke(params, n_atoms: int, n_max: int) -> np.ndarray:
+    """The reference for ``fermionization.build_fermion_dicke``.
+
+    The fermionized Hamiltonian as a complex matrix of Kronecker products
+    of Jordan-Wigner strings and Fock operators: sz -> alpha'alpha -
+    beta'beta and s+ -> alpha'beta per site, with omega0 b'b formed as a
+    matrix product.
+    """
+    annihilator, creator = make_boson_ops(BosonSpace(n_max))
+    number = creator @ annihilator
+    eye_f = np.eye(4**n_atoms, dtype=complex)
+    eye_b = np.eye(n_max + 1, dtype=complex)
+
+    hamiltonian = params.omega0 * np.kron(eye_f, number)
+    scale = 1.0 / np.sqrt(n_atoms)
+    for alpha, beta in fermion_mode_ops(n_atoms):
+        sz_f = alpha.conj().T @ alpha - beta.conj().T @ beta
+        splus_f = alpha.conj().T @ beta
+        hamiltonian += 0.5 * params.Omega * np.kron(sz_f, eye_b)
+        rotating = np.kron(splus_f, annihilator)
+        counter = np.kron(splus_f, creator)
+        hamiltonian += params.g1 * scale * (rotating + rotating.conj().T)
+        hamiltonian += params.g2 * scale * (counter + counter.conj().T)
+    return hamiltonian
+
+
+def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
+    """Diagonal 0/1 projector onto per-site occupancy n_alpha + n_beta = 1.
+
+    Idempotent with rank 2^N * (n_max + 1) on the composite space.
+    """
+    diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
+    return HermitianOperator(np.diag(diag.astype(complex)))

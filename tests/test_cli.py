@@ -386,6 +386,27 @@ def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):
     assert "g1*sqrt(N) = 1.41421 >= omega0 = 1" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--kind", "jaynes-cummings", "--g1", "0.5", "--n-list", "1,2"],
+         "jaynes-cummings is a single-atom model, got N=2"),
+        (["--kind", "intensity-dicke", "--g1", "0.5", "--n-list", "1,8"],
+         "intensity-dicke has no thermal state at N=8"),
+        # the refused node is the last of the sweep
+        (["--kind", "intensity-jc", "--n-list", "1", "--sweep", "g1:0.5:1.0:2"],
+         "intensity-jc has no thermal state at N=1"),
+    ],
+    ids=["single-atom-n", "no-thermal-state", "no-thermal-state-in-sweep"],
+)
+def test_ed_curve_refusal_writes_nothing(args, reason, fmt, capsys):
+    assert main(["ed-curve", "--beta", "1", *args, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {reason}")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
 def test_ed_tol_must_be_positive_and_finite(tol, capsys):
     code = main(["ed-curve", "--beta", "1.0", "--n-list", "2", "--ed-tol", tol])

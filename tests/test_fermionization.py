@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from _oracles import fermion_mode_ops, kron_fermion_dicke, physical_projector
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.fermionization import (
     build_fermion_dicke,
-    fermion_mode_ops,
     fermion_number_diagonal,
-    physical_projector,
     verify_trace_identity,
 )
 from dicketherm.operators import (
@@ -29,6 +28,19 @@ def test_mode_ops_anticommutation():
             expected = np.eye(dim) if i == j else np.zeros((dim, dim))
             assert np.allclose(anti, expected, atol=1e-14)
             assert np.allclose(ai @ aj + aj @ ai, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_max", [2, 5, 6, 8])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("g1, g2", [(0.4, 0.3), (0.0, 0.4), (0.7, 0.0), (1.3, 2.1)])
+def test_index_builder_matches_kron_reference(n_atoms, n_max, g1, g2):
+    # not bitwise: the reference forms b'b as a product of roots, so it
+    # reads 2.6000000000000005 where the index builder reads 2.6
+    p = ModelParams(1.3, 0.9, g1=g1, g2=g2)
+    built = build_fermion_dicke(p, n_atoms, n_max).matrix
+    reference = kron_fermion_dicke(p, n_atoms, n_max)
+    assert built.shape == reference.shape
+    assert np.max(np.abs(built - reference)) < 1e-14
 
 
 def test_projector_idempotent_with_expected_rank():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicketherm.matsubara as matsubara
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     _pair_tail_integral,
@@ -25,6 +26,7 @@ from dicketherm.spectrum import (
     dispersion_residual,
 )
 from dicketherm.thermo import (
+    critical_beta,
     kernel_determinant_coefficients,
     mode_energy_squares,
     tanh_factor,
@@ -130,6 +132,24 @@ def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
         paired_pole_sum(-21, 0.9, 2.5, 10)
     # the bare partial sum needs no tail
     assert paired_pole_sum(21, 0.9, 2.5, 10, tail=False) > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 3, 50])
+@pytest.mark.parametrize("beta", [0.05, 1.0, 3.0, 100.0])
+def test_one_window_kernels_match_two_paired_sums(k, beta):
+    # a0_c0_sum sums the 2M window once and slices the M window out of it
+    cutoff = 512
+    coarse = paired_pole_sum(k, P_MIXED.Omega, beta, cutoff)
+    fine = paired_pole_sum(k, P_MIXED.Omega, beta, 2 * cutoff)
+    pair_sum = (32.0 * fine - coarse) / 31.0
+    root = np.sqrt(P_MIXED.omega0**2 + bosonic_frequency(k, beta) ** 2)
+    a_weight = (P_MIXED.g1**2 + P_MIXED.g2**2) / (beta * root)
+    c_weight = P_MIXED.omega0 * P_MIXED.g1 * P_MIXED.g2 / (beta * root**2)
+    kv = a0_c0_sum(k, P_MIXED, beta, cutoff)
+    assert kv.a.real == pytest.approx(a_weight * pair_sum, rel=1e-15, abs=0.0)
+    assert kv.c == pytest.approx(c_weight * pair_sum, rel=1e-15, abs=0.0)
+    spread = (a_weight + 2.0 * c_weight) * abs(fine - coarse)
+    assert kv.tail_estimate == pytest.approx(spread, rel=1e-15, abs=0.0)
 
 
 def test_kernel_zero_frequency_closed_forms():
@@ -290,6 +310,59 @@ def test_finite_sum_critical_beta_matches_closed_form_and_guards():
     assert finite_sum_critical_beta(p) == pytest.approx(closed, rel=1e-8)
     with pytest.raises(RuntimeError, match="no finite-sum transition"):
         finite_sum_critical_beta(ModelParams(1.0, 1.0, g1=0.5))
+
+
+def test_finite_sum_critical_beta_evaluates_each_beta_once(monkeypatch):
+    # validate's three points; the doubling search's last two betas bracket
+    # the root, so Brent's method starts from values already computed
+    evaluated = []
+
+    def counting(omega_index, params, beta, *args):
+        evaluated[-1].append(beta)
+        return a0_c0_sum(omega_index, params, beta, *args)
+
+    monkeypatch.setattr(matsubara, "a0_c0_sum", counting)
+    for p in (
+        ModelParams(1.0, 1.0, g1=1.2),
+        ModelParams(2.0, 1.0, g2=2.0),
+        ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
+    ):
+        evaluated.append([])
+        numeric = finite_sum_critical_beta(p)
+        assert numeric == pytest.approx(critical_beta(p), rel=1e-8)
+        assert len(set(evaluated[-1])) == len(evaluated[-1])
+    assert sum(map(len, evaluated)) <= 27
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: fermionic_lorentzian_sum(0.5, beta),
+        lambda beta: paired_pole_sum(0, 1.0, beta, 64),
+        lambda beta: a0_c0_sum(0, P_MIXED, beta),
+        lambda beta: verify_trace_identity(P_MIXED, 1, 4, np.array([1.0, beta])),
+    ],
+    ids=[
+        "fermionic_lorentzian_sum",
+        "paired_pole_sum",
+        "a0_c0_sum",
+        "verify_trace_identity",
+    ],
+)
+def test_oracles_refuse_a_bad_beta(call, bad):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        call(bad)
+
+
+def test_closed_kernels_keep_accepting_infinite_beta():
+    # closed forms, like thermo: beta = inf is the zero-temperature limit
+    assert kernel_a(0, P_MIXED, math.inf) == pytest.approx(
+        kernel_a(0, P_MIXED, 1e3), rel=1e-12
+    )
+    assert kernel_c(0, P_MIXED, math.inf) == pytest.approx(
+        kernel_c(0, P_MIXED, 1e3), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(
