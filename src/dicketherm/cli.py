@@ -4,20 +4,20 @@ Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
 order-parameter, ed-curve, validate.  Each row command turns library
 results into rows for ``csv`` or ``json`` (one object per line).
 phase-diagram and order-parameter evaluate their whole grid in one
-``phase_scan`` call, the swept parameter as a column, and build their
-rows from its columns.  Their CSV rows are tuples: the grid inputs are
-formatted once per grid value (a fixed parameter once, each sweep value
-and each beta once), beta_c once per parameter node, and the computed
-columns are checked for NaN and infinity once per column.  Their JSON
-rows, and the rows of the other commands, which go node by node, are
-dicts.  Floats print as ``repr``, the shortest form that round-trips, so
-identical configurations produce byte-identical files; CSV booleans
-print as ``True``/``False``.  The numeric cells of phase-diagram error
-rows are empty in CSV and ``null`` in JSON; any other NaN or infinity
-in a row is an error: the command exits 1, after the rows it had
-already written.  Rows stream as they are computed.
-``--workers`` and ``--cutoff`` are accepted and validated but have no
-effect.
+``phase_scan`` call and build the rows of both formats from one set of
+text columns: each grid value formatted once, each computed float by
+``repr`` as its row is written, each distinct string once.  A float's
+``repr`` is what ``json`` emits for it, and strings, None, keys and
+separators are the JSON encoder's, so a JSON line is the encoder's own
+line for the row; CSV rows go through ``csv.writer``.  The other
+commands build dicts node by node.  Floats print as ``repr``, the
+shortest form that round-trips, so identical configurations produce
+byte-identical files; CSV booleans print as ``True``/``False``.  The
+numeric cells of phase-diagram error rows are empty in CSV and ``null``
+in JSON; any other NaN or infinity in a row is an error: the command
+exits 1, after the rows it had already written.  Rows stream as they
+are computed.  ``--workers`` and ``--cutoff`` are accepted and validated
+but have no effect.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -350,8 +350,11 @@ def parse_config(
     )
 
 
-# One encoder for every JSON row; json.dumps would build one per call.
+# One encoder for every JSON row and cell; json.dumps would build one per call.
 _JSON_ROW = json.JSONEncoder(allow_nan=False)
+
+# A string or None cell's text: JSON's, or the value itself for csv.writer
+_ENCODE = {"csv": lambda value: value, "json": _JSON_ROW.encode}
 
 
 def _write_rows(
@@ -359,25 +362,30 @@ def _write_rows(
 ) -> None:
     """Write rows, each built in header order, as CSV or JSON lines.
 
-    A row is a dict, or, in CSV, a tuple of cells whose generator has
-    already refused non-finite values column by column.  Floats print as
-    ``repr`` and None as an empty cell or ``null``.  A NaN or infinity in
-    a dict row raises ValueError.
-    """
+    A row is a tuple of cell texts (``_text_column``), already checked, or
+    a dict: floats print as ``repr``, None as an empty cell or ``null``,
+    and a NaN or infinity raises ValueError."""
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(_finite_cells(rows))
-    else:
-        for row in rows:
-            stream.write(_JSON_ROW.encode(row) + "\n")
+        return
+    line = _json_line(header)
+    for row in rows:
+        stream.write(line % row if isinstance(row, tuple) else _JSON_ROW.encode(row) + "\n")
+
+
+def _json_line(header: Sequence[str]) -> str:
+    """The ``%`` template of a JSON line of cell texts: ``{``, each encoded
+    key, the key separator and the cell, joined by the item separator, then
+    ``}``, all the encoder's own, as it would write the dict of the values."""
+    keys = (_JSON_ROW.encode(key).replace("%", "%%") for key in header)
+    items = _JSON_ROW.item_separator.join(k + _JSON_ROW.key_separator + "%s" for k in keys)
+    return "{" + items + "}\n"
 
 
 def _finite_cells(rows: Iterable[dict | tuple]) -> Iterator[Iterable]:
-    """The cells of each row, refusing a NaN or infinity as JSON does.
-
-    Tuple rows pass unchecked: they come from checked columns.
-    """
+    """The cells of each row; a dict's NaN or infinity raises as in JSON."""
     for row in rows:
         if isinstance(row, dict):
             row = row.values()
@@ -412,12 +420,7 @@ _NODE_COLUMNS = (*_PARAM_COLUMNS, "beta")
 
 
 def _param_cells(params: ModelParams) -> dict:
-    return {
-        "omega0": params.omega0,
-        "Omega": params.Omega,
-        "g1": params.g1,
-        "g2": params.g2,
-    }
+    return {name: getattr(params, name) for name in _PARAM_COLUMNS}
 
 
 def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
@@ -429,12 +432,12 @@ def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
         }
 
 
-def _scan(config: RunConfig) -> tuple[PhaseScan, list[list]]:
+def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]]]:
     """The whole grid in one ``phase_scan`` call, and its five input columns.
 
-    JSON rows take the scan's floats.  CSV rows take each grid value's
-    ``repr``, formatted once (a fixed parameter once, each sweep value
-    and each beta once) and expanded params outer, beta inner.
+    The input columns are text, the same in both formats: each grid
+    value's ``repr``, formatted once (a fixed parameter once, each sweep
+    value and each beta once) and expanded params outer, beta inner.
     """
     params = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
     swept = config.sweep.variable if config.sweep is not None else None
@@ -442,36 +445,37 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, list[list]]:
         params[swept] = config.sweep.values()
     betas = _beta_nodes(config)
     scan = phase_scan(ParamGrid(**params), betas)
-    if config.fmt == "json":
-        return scan, [getattr(scan, name).tolist() for name in _NODE_COLUMNS]
     inputs = [
         [text for text in map(repr, params[name]) for _ in betas] if name == swept
-        else [repr(params[name])] * len(scan)
+        else repeat(repr(params[name]), len(scan))
         for name in _PARAM_COLUMNS
     ]
     inputs.append(list(map(repr, betas)) * (len(scan) // len(betas)))
     return scan, inputs
 
 
-def _cells(column: np.ndarray, missing: np.ndarray) -> list:
-    """The column as Python values, None where ``missing``."""
-    cells = column.astype(object)
-    cells[missing] = None
-    return cells.tolist()
+def _text_column(
+    fmt: str, column: np.ndarray, missing: np.ndarray | None = None
+) -> Iterable[str | None]:
+    """The column's cells as the format's text, formatted as they are read.
 
-
-def _run_text(column: np.ndarray, missing: np.ndarray) -> list:
-    """The column as ``repr`` text, None where ``missing``.
-
-    Each run of bitwise-equal values is formatted once; beta_c holds one
-    value per parameter node, repeated over its betas.
+    A float's text is its ``repr``: what ``json`` emits for a finite
+    float and what ``csv`` writes.  A ``missing`` node gets the format's
+    empty cell.  A string column encodes each distinct value once.
     """
-    bits = column.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    text = np.array([repr(v) for v in column[starts].tolist()], dtype=object)
-    cells = np.repeat(text, np.diff(np.r_[starts, column.size]))
-    cells[missing] = None
-    return cells.tolist()
+    encode = _ENCODE[fmt]
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        if fmt == "csv":  # csv.writer takes strings and None as they are
+            return values
+        texts = {value: encode(value) for value in set(values)}
+        return map(texts.__getitem__, values)
+    if missing is None or not missing.any():
+        return map(repr, values)
+    empty = encode(None)
+    if missing.all():
+        return repeat(empty, len(values))
+    return (empty if m else repr(v) for v, m in zip(values, missing.tolist()))
 
 
 def _refusal(
@@ -493,18 +497,10 @@ def _refusal(
     return row, float(value)
 
 
-def _column_rows(
-    fmt: str, header: Sequence[str], columns: Sequence[list], stop: int
-) -> Iterator[dict | tuple]:
-    """The first ``stop`` rows of the columns: tuples in CSV, dicts in JSON."""
-    rows = islice(zip(*columns), stop)
-    return rows if fmt == "csv" else (dict(zip(header, row)) for row in rows)
-
-
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
 
 
-def _phase_diagram_rows(config: RunConfig) -> Iterator[dict | tuple]:
+def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple]:
     scan, inputs = _scan(config)
     # error rows are the one place a missing number is expected; a NaN
     # beta_c is also a node with no transition
@@ -513,18 +509,18 @@ def _phase_diagram_rows(config: RunConfig) -> Iterator[dict | tuple]:
     stop, refused = _refusal(
         [(scan.bound, failed), (scan.beta_c, no_beta_c), (scan.rho, failed)]
     )
-    to_cells = _cells if config.fmt == "json" else _run_text
-    columns = [
+    fmt = config.fmt
+    rows = zip(
         *inputs,
-        _cells(scan.bound, failed),
-        scan.phase.tolist(),
-        to_cells(scan.beta_c, no_beta_c),
-        _cells(scan.rho, failed),
-        scan.error.tolist(),
-    ]
-    yield from _column_rows(config.fmt, _PHASE_COLUMNS, columns, stop)
+        _text_column(fmt, scan.bound, failed),
+        _text_column(fmt, scan.phase),
+        _text_column(fmt, scan.beta_c, no_beta_c),
+        _text_column(fmt, scan.rho, failed),
+        _text_column(fmt, scan.error),
+    )
+    yield from islice(rows, stop)
     if refused is not None:
-        raise _non_finite(refused, config.fmt)
+        raise _non_finite(refused, fmt)
 
 
 def _spectrum_rows(config: RunConfig) -> Iterator[dict]:
@@ -565,27 +561,30 @@ def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
 _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 
 
-def _order_parameter_rows(config: RunConfig) -> Iterator[dict | tuple]:
+def _order_parameter_rows(config: RunConfig) -> Iterator[tuple]:
     scan, inputs = _scan(config)
     failed = scan.phase == "error"
     stop, refused = _refusal([(scan.bound, failed), (scan.rho, failed)])
-    columns = [*inputs, scan.bound.tolist(), scan.phase.tolist(), scan.rho.tolist()]
-    rows = _column_rows(config.fmt, _ORDER_COLUMNS, columns, stop)
+    fmt = config.fmt
+    columns = (_text_column(fmt, c) for c in (scan.bound, scan.phase, scan.rho))
+    rows = islice(zip(*inputs, *columns), stop)
     written = 0
     for i in failed[:stop].nonzero()[0].tolist():
         yield from islice(rows, i - written)
-        next(rows)
+        node = next(rows)[:5]
         # the scalar route raises the node's error here, after the rows
-        # before it
+        # before it; a row it does compute takes the same text path
         p = ModelParams(*(getattr(scan, name)[i].item() for name in _PARAM_COLUMNS))
         b = scan.beta[i].item()
-        cells = (*(column[i] for column in inputs), convergence_bound(p, b),
-                 classify_phase(p, b), order_parameter(p, b))
-        yield dict(zip(_ORDER_COLUMNS, cells))
+        bound, phase, rho = convergence_bound(p, b), classify_phase(p, b), order_parameter(p, b)
+        for value in (bound, rho):
+            if not math.isfinite(value):
+                raise _non_finite(value, fmt)
+        yield (*node, repr(bound), _ENCODE[fmt](phase), repr(rho))
         written = i + 1
     yield from rows
     if refused is not None:
-        raise _non_finite(refused, config.fmt)
+        raise _non_finite(refused, fmt)
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:

@@ -229,6 +229,9 @@ def check_ladder_inputs(
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     check_beta(beta)
+    for n_atoms in N_list:
+        if n_atoms < 1:
+            raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
     if kind in SINGLE_ATOM_KINDS:
         for n_atoms in N_list:
             if n_atoms != 1:
@@ -246,7 +249,7 @@ def check_ladder_inputs(
         # energies fall like n (omega0 - g1 sqrt(N)) at large n, and tend to
         # a constant at equality: every truncation is finite, but Z grows
         # without bound along the ladder.
-        coupling = params.g1 * math.sqrt(max(n_atoms, 0))
+        coupling = params.g1 * math.sqrt(n_atoms)
         if coupling >= params.omega0:
             raise ValueError(
                 f"{kind.value} has no thermal state at N={n_atoms}: "
@@ -279,7 +282,7 @@ def truncation_convergence(
     ------
     ValueError
         For a NaN or non-positive ``target_tol``, a non-finite or
-        non-positive ``beta``, a single-atom kind at N != 1, or an
+        non-positive ``beta``, N < 1, a single-atom kind at N != 1, or an
         intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
         which has no thermal state.
     """

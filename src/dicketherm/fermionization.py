@@ -135,9 +135,8 @@ def verify_trace_identity(
     """
     check_beta(beta)
     betas = np.asarray(beta, dtype=float)
-    # every entry is real, so eigh takes the real symmetric path
-    matrix = build_fermion_dicke(params, n_atoms, n_max).matrix.real
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    # the operator is real, so eigh takes the real symmetric path
+    eigvals, eigvecs = np.linalg.eigh(build_fermion_dicke(params, n_atoms, n_max).matrix)
     # one row of Boltzmann weights per beta; each row sums on its own
     weights = np.exp(-betas[..., None] * (eigvals - eigvals[0]))
 

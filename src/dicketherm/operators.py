@@ -155,13 +155,14 @@ class QubitRegister:
 class HermitianOperator:
     """Dense operator on the composite (qubit x Fock) space.
 
-    Entries are stored as a read-only complex matrix in the fixed basis
-    described in the module docstring.  Construction verifies hermiticity
-    to ``HERMITICITY_TOL`` elementwise.
+    Entries are stored as a read-only matrix in the fixed basis described
+    in the module docstring: float64 for real input, complex128 otherwise.
+    Construction verifies hermiticity (symmetry, for a real matrix) to
+    ``HERMITICITY_TOL`` elementwise.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
-        mat = np.array(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0

@@ -397,8 +397,12 @@ def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):
         # the refused node is the last of the sweep
         (["--kind", "intensity-jc", "--n-list", "1", "--sweep", "g1:0.5:1.0:2"],
          "intensity-jc has no thermal state at N=1"),
+        # N = 2 would be solved first if the list were not checked whole
+        (["--g1", "0.5", "--n-list", "2,0"], "n_atoms must be at least 1, got 0"),
+        (["--g1", "0.5", "--n-list", "0"], "n_atoms must be at least 1, got 0"),
     ],
-    ids=["single-atom-n", "no-thermal-state", "no-thermal-state-in-sweep"],
+    ids=["single-atom-n", "no-thermal-state", "no-thermal-state-in-sweep",
+         "no-atoms-after-a-rung", "no-atoms"],
 )
 def test_ed_curve_refusal_writes_nothing(args, reason, fmt, capsys):
     assert main(["ed-curve", "--beta", "1", *args, "--format", fmt]) == 1
@@ -634,6 +638,132 @@ def test_column_csv_covers_the_edge_cases(capsys):
     assert main(["phase-diagram", "--g1", "0.2", "--beta-grid", "1:5:5"]) == 0
     header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
     assert [dict(zip(header, r))["beta_c"] for r in records] == [""] * 5
+
+
+_SCAN_HEADERS = {
+    "phase-diagram": ["omega0", "Omega", "g1", "g2", "beta", "bound", "phase", "beta_c",
+                      "rho", "error"],
+    "order-parameter": ["omega0", "Omega", "g1", "g2", "beta", "bound", "phase", "rho"],
+}
+# the column grids, a one-node and a 10 000-node scan, and cells of -0.0,
+# 5e-324 and 1e+200
+_ENCODER_GRIDS = [
+    *_COLUMN_GRIDS,
+    ["--g1", "1.3", "--beta", "2"],
+    ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.05:50:10000"],
+    ["--g1", "1.3", "--g2", "5e-324", "--beta-grid", "1:1e200:3"],
+    ["--omega0", "1e200", "--Omega", "1e-200", "--g1", "1.3", "--g2", "-0.0", "--beta", "2"],
+]
+
+
+def _scan_rows(command, argv):
+    """The rows' values straight from ``phase_scan``, and the exit code.
+
+    Python floats, None where a cell is missing.  order-parameter stops
+    at its first error node, whose scalar route raises.
+    """
+    cfg = parse_config([command, *argv])
+    if cfg.sweep is not None and cfg.sweep.variable == "beta":
+        betas = cfg.sweep.values()
+    else:
+        betas = cfg.beta_grid.values() if cfg.beta_grid is not None else [cfg.beta]
+    scan = phase_scan(cfg.param_nodes, betas)
+    columns = {name: getattr(scan, name).tolist() for name in _SCAN_HEADERS[command]}
+    rows = []
+    for i in range(len(scan)):
+        failed = scan.phase[i] == "error"
+        if failed and command == "order-parameter":
+            return rows, 1
+        cell = {name: column[i] for name, column in columns.items()}
+        if failed:
+            cell["bound"] = cell["rho"] = None
+        if command == "phase-diagram" and math.isnan(cell["beta_c"]):
+            cell["beta_c"] = None
+        rows.append([cell[name] for name in _SCAN_HEADERS[command]])
+    return rows, 0
+
+
+def _assert_same_text(out, expected):
+    """On a mismatch, name the first differing line; pytest's own diff of
+    10 000 lines would take minutes."""
+    if out != expected:
+        got, want = out.splitlines(), expected.splitlines()
+        diff = (i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        i = next(diff, min(len(got), len(want)))
+        pytest.fail(f"line {i} of {len(got)} vs {len(want)}: {got[i:i + 1]} != {want[i:i + 1]}")
+
+
+def _expected_output(command, rows, fmt):
+    if fmt == "json":
+        encoder = json.JSONEncoder(allow_nan=False)
+        header = _SCAN_HEADERS[command]
+        return "".join(encoder.encode(dict(zip(header, row))) + "\n" for row in rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(_SCAN_HEADERS[command])
+    writer.writerows(rows)
+    return expected.getvalue()
+
+
+@pytest.mark.parametrize("argv", _ENCODER_GRIDS, ids=lambda a: " ".join(a)[:60])
+@pytest.mark.parametrize("command", list(_SCAN_HEADERS))
+def test_scan_rows_are_the_stdlib_writers_of_the_scan_values(command, argv, capsys):
+    rows, code = _scan_rows(command, argv)
+    for fmt in ("json", "csv"):
+        assert main([command, *argv, "--format", fmt]) == code
+        _assert_same_text(capsys.readouterr().out, _expected_output(command, rows, fmt))
+
+
+def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, capsys):
+    import dicketherm.thermo as thermo
+
+    message = 'bad "node" \\ here, then\na new line é'
+    real = thermo.phase_point
+
+    def failing(params, beta):
+        if params.g1 == 1e200:
+            raise ValueError(message)
+        return real(params, beta)
+
+    # g1 = 5e199 and 1e200 overflow the array route, so phase_scan sends
+    # them to phase_point
+    monkeypatch.setattr(thermo, "phase_point", failing)
+    argv = ["--beta", "1", "--sweep", "g1:1:1e200:3"]
+    rows, code = _scan_rows("phase-diagram", argv)
+    assert rows[2][-1] == f"ValueError: {message}"
+    assert rows[1][-1].startswith("OverflowError")
+    for fmt in ("json", "csv"):
+        assert main(["phase-diagram", *argv, "--format", fmt]) == code == 0
+        out = capsys.readouterr().out
+        _assert_same_text(out, _expected_output("phase-diagram", rows, fmt))
+        if fmt == "json":
+            line = out.splitlines()[2]
+            assert '\\"node\\" \\\\ here, then\\na new line \\u00e9"}' in line
+            assert json.loads(line)["error"] == f"ValueError: {message}"
+        else:
+            cell = '"ValueError: bad ""node"" \\ here, then\na new line é"'
+            assert out.endswith(f",,error,,,{cell}\n")
+            assert list(csv.reader(io.StringIO(out)))[3][-1] == f"ValueError: {message}"
+
+
+def test_order_parameter_error_row_the_scalar_route_computes(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
+    def marked(*args):
+        # a node the array route gave up on, which the scalar route
+        # computes: its row takes the same text path
+        scan = phase_scan(*args)
+        scan.phase[3], scan.bound[3], scan.rho[3] = "error", math.nan, math.nan
+        return scan
+
+    argv = ["order-parameter", "--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6"]
+    for fmt in ("csv", "json"):
+        assert main([*argv, "--format", fmt]) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setattr(cli, "phase_scan", marked)
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == clean
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -57,6 +57,30 @@ def test_rejects_non_hermitian():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_real_input_stays_real_and_complex_stays_complex():
+    source = np.array([[1.0, 2.0], [2.0, 3.0]])
+    for given, dtype in (
+        (source, np.float64),
+        (source.astype(np.float32), np.float64),
+        (np.array([[1, 2], [2, 3]]), np.float64),
+        (source + 0j, np.complex128),
+        (np.array([[0.0, 1j], [-1j, 0.0]]), np.complex128),
+    ):
+        h = HermitianOperator(given)
+        assert h.matrix.dtype == dtype
+        assert not h.matrix.flags.writeable
+        assert np.array_equal(h.matrix, given)
+    # a copy: the caller's array stays writable and unshared
+    assert source.flags.writeable and not np.shares_memory(h.matrix, source)
+    # a real matrix is checked for symmetry to the same tolerance
+    off = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+    with pytest.raises(NotHermitianError, match="1.000e-09"):
+        HermitianOperator(off)
+    HermitianOperator(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+    with pytest.raises(NotHermitianError):
+        HermitianOperator(np.array([[0.0, 1j], [1j, 0.0]]))
+
+
 def test_dimension_guard():
     h = HermitianOperator(np.zeros((8, 8)))
     with pytest.raises(ValueError, match="exceeds limit"):
@@ -458,6 +482,22 @@ def test_ladder_refuses_single_atom_kinds_at_other_n(kind, g1, n_list, monkeypat
     # every N is checked before the first one's ladder starts
     with pytest.raises(ValueError, match=refusal):
         photon_density_curve(p, 1.0, n_list, kind=kind)
+    assert solved == []
+
+
+@pytest.mark.parametrize("kind", list(HamiltonianKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n_list", [(2, 0), (0,), (1, -1)], ids=str)
+def test_ladder_refuses_no_atoms_before_any_rung(kind, n_list, monkeypatch):
+    solved = []
+    monkeypatch.setattr(
+        exact_diag, "_photon_density", lambda *args: solved.append(args)
+    )
+    p = ModelParams(1.0, 1.0, g1=0.1)
+    refusal = f"n_atoms must be at least 1, got {min(n_list)}$"
+    with pytest.raises(ValueError, match=refusal):
+        photon_density_curve(p, 1.0, n_list, kind=kind)
+    with pytest.raises(ValueError, match=refusal):
+        truncation_convergence(p, min(n_list), 1.0, 1e-6, kind=kind)
     assert solved == []
 
 

@@ -121,8 +121,8 @@ def test_trace_identity_real_eigensolve_keeps_the_complex_residuals(n_atoms):
     # N = 2, beta = 2), far inside validate's 1e-8.
     p, n_max, betas = ModelParams(1.0, 1.0, g1=0.4, g2=0.3), 6, np.array([0.5, 2.0])
     hf = build_fermion_dicke(p, n_atoms, n_max).matrix
-    assert hf.dtype == complex and not np.any(hf.imag)
-    ev, vec = np.linalg.eigh(hf)
+    assert hf.dtype == np.float64
+    ev, vec = np.linalg.eigh(hf.astype(complex))
     weights = np.exp(-betas[:, None] * (ev - ev[0]))
     number = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
     phased_diag = 1j**n_atoms * np.exp(-0.5j * np.pi * number)
