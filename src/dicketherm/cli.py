@@ -12,12 +12,15 @@ separators are the JSON encoder's, so a JSON line is the encoder's own
 line for the row; CSV rows go through ``csv.writer``.  The other
 commands build dicts node by node.  Floats print as ``repr``, the
 shortest form that round-trips, so identical configurations produce
-byte-identical files; CSV booleans print as ``True``/``False``.  The
-numeric cells of phase-diagram error rows are empty in CSV and ``null``
-in JSON; any other NaN or infinity in a row is an error: the command
-exits 1, after the rows it had already written.  Rows stream as they
-are computed.  ``--workers`` and ``--cutoff`` are accepted and validated
-but have no effect.
+byte-identical files; CSV booleans print as ``True``/``False``.  A
+scan node whose convergence bound lies outside the float range is an
+error row, and no other node is.  phase-diagram writes it with its
+``OverflowError`` text and empty (CSV) or ``null`` (JSON) numeric
+cells; order-parameter stops there and exits 1 with that text, after
+the rows before it.  Any other NaN or infinity in a row is an error as
+well: the command exits 1, after the rows it had already written.  Rows
+stream as they are computed.  ``--workers`` and ``--cutoff`` are
+accepted and validated but have no effect.
 """
 
 from __future__ import annotations
@@ -50,10 +53,8 @@ from dicketherm.thermo import (
     ParamGrid,
     PhaseScan,
     convergence_bound,
-    classify_phase,
     critical_beta,
     log_partition_ratio,
-    order_parameter,
     phase_scan,
     quantum_critical_gap,
 )
@@ -61,6 +62,7 @@ from dicketherm.thermo import (
 __all__ = ["ConfigError", "GridSpec", "RunConfig", "main", "parse_config", "run"]
 
 SWEEP_VARIABLES = ("g1", "g2", "beta", "omega0", "Omega")
+FORMATS = ("csv", "json")
 
 _FILE_KEYS = {
     "omega0",
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"parameter sweep; VAR in {{{', '.join(SWEEP_VARIABLES)}}}",
     )
     parser.add_argument("--output", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    parser.add_argument("--format", choices=FORMATS, dest="fmt")
     parser.add_argument(
         "--workers",
         type=int,
@@ -289,9 +291,8 @@ def parse_config(
             "zero-temperature line query quantum_critical_gap via "
             "critical-temp"
         )
-    if sweep is not None and sweep.variable == "beta" and (
-        beta is not None or beta_grid is not None
-    ):
+    beta_swept = sweep is not None and sweep.variable == "beta"
+    if beta_swept and (beta is not None or beta_grid is not None):
         raise ConfigError("beta swept twice (--sweep beta plus --beta/--beta-grid)")
 
     # accepted and validated, no effect: scans run serially
@@ -309,6 +310,9 @@ def parse_config(
     cutoff = pick(ns.cutoff, "cutoff", 512, int)
     if cutoff < 10:
         raise ConfigError(f"cutoff must be at least 10, got {cutoff}")
+    fmt = pick(ns.fmt, "format", "csv")
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
     try:
         kind = HamiltonianKind(kind_text)
@@ -317,11 +321,11 @@ def parse_config(
 
     command = ns.command
     needs_beta = command not in ("critical-temp", "validate")
-    if command == "critical-temp" and (beta is not None or beta_grid is not None):
-        raise ConfigError("critical-temp takes no --beta/--beta-grid")
-    if needs_beta and beta is None and beta_grid is None and not (
-        sweep is not None and sweep.variable == "beta"
+    if command == "critical-temp" and (
+        beta is not None or beta_grid is not None or beta_swept
     ):
+        raise ConfigError("critical-temp takes no --beta/--beta-grid/--sweep beta")
+    if needs_beta and beta is None and beta_grid is None and not beta_swept:
         raise ConfigError(f"{command} requires --beta or --beta-grid")
     if command == "ed-curve" and beta is None:
         raise ConfigError("ed-curve takes a single --beta")
@@ -343,7 +347,7 @@ def parse_config(
         beta_grid=beta_grid,
         sweep=sweep,
         output=pick(ns.output, "output", None),
-        fmt=pick(ns.fmt, "format", "csv"),
+        fmt=fmt,
         n_list=n_list,
         ed_tol=ed_tol,
         kind=kind,
@@ -563,27 +567,15 @@ _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 
 def _order_parameter_rows(config: RunConfig) -> Iterator[tuple]:
     scan, inputs = _scan(config)
-    failed = scan.phase == "error"
-    stop, refused = _refusal([(scan.bound, failed), (scan.rho, failed)])
+    # no row is exempt: an error row's NaN bound stops the rows there
+    none = np.zeros(len(scan), dtype=bool)
+    stop, refused = _refusal([(scan.bound, none), (scan.rho, none)])
     fmt = config.fmt
     columns = (_text_column(fmt, c) for c in (scan.bound, scan.phase, scan.rho))
-    rows = islice(zip(*inputs, *columns), stop)
-    written = 0
-    for i in failed[:stop].nonzero()[0].tolist():
-        yield from islice(rows, i - written)
-        node = next(rows)[:5]
-        # the scalar route raises the node's error here, after the rows
-        # before it; a row it does compute takes the same text path
-        p = ModelParams(*(getattr(scan, name)[i].item() for name in _PARAM_COLUMNS))
-        b = scan.beta[i].item()
-        bound, phase, rho = convergence_bound(p, b), classify_phase(p, b), order_parameter(p, b)
-        for value in (bound, rho):
-            if not math.isfinite(value):
-                raise _non_finite(value, fmt)
-        yield (*node, repr(bound), _ENCODE[fmt](phase), repr(rho))
-        written = i + 1
-    yield from rows
+    yield from islice(zip(*inputs, *columns), stop)
     if refused is not None:
+        if scan.phase[stop] == "error":
+            raise RuntimeError(scan.error[stop])
         raise _non_finite(refused, fmt)
 
 

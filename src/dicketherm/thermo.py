@@ -35,10 +35,18 @@ these closed forms against them.
 
 ``convergence_bound``, ``critical_beta`` and ``order_parameter`` take a
 ``ParamGrid``, the array form of ``ModelParams``, and array beta as well
-as scalars; the arrays broadcast.  ``phase_scan`` evaluates a whole
+as scalars; the arrays broadcast.  The scalar and array routes run the
+same float operations and agree to the bit.  The bound and beta_c are
+written in split form, so that a subnormal Omega, or an omega0*Omega
+that under- or overflows, gives finite values where the true values
+are finite.  ``phase_scan`` evaluates a whole
 params x beta grid as one array computation: beta_c once per parameter
 node, the bound once per node, and one batched gap-equation solve over
-the superradiant nodes.
+the superradiant nodes.  It refuses a NaN or non-positive beta with
+ValueError before any node runs; its only error rows are nodes whose
+bound lies outside the float range.  ``phase_point`` and
+``classify_phase`` evaluate one node by the scalar routes, as a
+reference for the scan.
 
 The gap equation has one solver, a safeguarded Newton iteration batched
 over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
@@ -157,8 +165,7 @@ class PhasePoint:
     """Classified thermodynamic state at one (params, beta) node.
 
     ``rho`` is photons per atom; positive exactly in the superradiant
-    phase.  ``error`` is set (and the numeric fields are NaN) on rows
-    where evaluation failed inside a scan.
+    phase.
     """
 
     params: ModelParams
@@ -167,7 +174,6 @@ class PhasePoint:
     phase: str
     beta_c: float | None
     rho: float
-    error: str | None = None
 
 
 def _value(x):
@@ -180,74 +186,36 @@ def tanh_factor(params: ModelParams | ParamGrid, beta):
     return _value(np.tanh(_THERMAL_SCALE * beta * params.Omega))
 
 
-# omega0*Omega outside [_TINY, inf) has under- or overflowed
-_TINY = sys.float_info.min
-
-
-def _squared(g):
-    """g**2 as Python's float power computes it (libm pow), on arrays too.
-
-    numpy's own square can differ in the last bit, and the array route
-    should give the scalar route's numbers.
-    """
-    return g**2 if isinstance(g, float) else np.float_power(g, 2.0)
-
-
-def _coupling_ratio(params: ModelParams | ParamGrid):
-    """(g1+g2)^2 / (omega0 Omega), the bound at zero temperature.
-
-    Where omega0*Omega under- or overflows, the ratio is taken in split
-    form (g/omega0)(g/Omega), as ``quantum_critical_gap`` splits its root.
-    For a ``ParamGrid`` the caller holds ``np.errstate``.
-    """
-    g = params.g1 + params.g2
-    product = params.omega0 * params.Omega
-    if isinstance(params, ModelParams):
-        if _TINY <= product < math.inf:
-            return g**2 / product
-        return (g / params.omega0) * (g / params.Omega)
-    return np.where(
-        (product >= _TINY) & (product < math.inf),
-        _squared(g) / product,
-        (g / params.omega0) * (g / params.Omega),
-    )
-
-
 def critical_beta(params: ModelParams | ParamGrid):
     """Inverse critical temperature, or None when no transition exists.
 
-    beta_c = (4/Omega) * atanh(Omega*omega0 / (g1+g2)^2), defined only for
-    (g1+g2)^2 > omega0*Omega.  Equality is the quantum-critical point.
-    Like the bound, the ratio is split where omega0*Omega under- or
-    overflows.  A ``ParamGrid`` gives an array, NaN where no transition
-    exists.
+    beta_c = (4/Omega) * atanh(r), r = Omega*omega0 / (g1+g2)^2, defined
+    only for r < 1.  Equality is the quantum-critical point.  It is
+    computed as (atanh(r)/r) (omega0/g)/g/s, with g = g1 + g2,
+    s = ``_THERMAL_SCALE`` and r = (omega0/g)(Omega/g), taking
+    atanh(r)/r = 1 where r underflows, so a subnormal Omega still gives
+    beta_c near 4 omega0/g^2.  A ``ParamGrid`` gives an array, NaN where
+    no transition exists.
     """
     if isinstance(params, ModelParams):
         g = params.g1 + params.g2
-        product = params.omega0 * params.Omega
-        if _TINY <= product < math.inf:
-            if g**2 <= product:
-                return None
-            inverse = product / g**2
-        elif (g / params.omega0) * (g / params.Omega) <= 1.0:
+        r = params.omega0 / g * (params.Omega / g) if g else math.inf
+        if not r < 1.0:
             return None
-        else:
-            inverse = (params.omega0 / g) * (params.Omega / g)
         # np.arctanh, not math.atanh: the array route must agree to the bit
-        return 1.0 / _THERMAL_SCALE / params.Omega * float(np.arctanh(inverse))
+        ratio = float(np.arctanh(r)) / r if r else 1.0
+        return ratio * (params.omega0 / g) / g / _THERMAL_SCALE
     with np.errstate(all="ignore"):
         g = params.g1 + params.g2
-        product = params.omega0 * params.Omega
-        inverse = np.where(
-            (product >= _TINY) & (product < math.inf),
-            product / _squared(g),
-            (params.omega0 / g) * (params.Omega / g),
-        )
+        r = params.omega0 / g * (params.Omega / g)
+        ratio = np.where(r > 0.0, np.arctanh(r) / r, 1.0)
         return np.where(
-            inverse < 1.0,
-            1.0 / _THERMAL_SCALE / params.Omega * np.arctanh(inverse),
-            np.nan,
+            r < 1.0, ratio * (params.omega0 / g) / g / _THERMAL_SCALE, np.nan
         )
+
+
+# omega0*Omega outside [_TINY, inf) has under- or overflowed
+_TINY = sys.float_info.min
 
 
 def quantum_critical_gap(params: ModelParams) -> float:
@@ -264,12 +232,23 @@ def quantum_critical_gap(params: ModelParams) -> float:
     return params.g1 + params.g2 - root
 
 
+# below this argument tanh(x) rounds to x: x^3/3 is under half an ulp of x
+_TANH_LINEAR = 2.0**-27
+
+_BOUND_OVERFLOW = "the convergence bound is outside the float range"
+
+
 def convergence_bound(params: ModelParams | ParamGrid, beta):
     """Closed form of a0(0) + 2*c0(0); the phase boundary sits at 1.
 
-    (g1+g2)^2 / (omega0 Omega) * tanh(beta Omega / 4).  Parameters and
-    beta may be arrays, which broadcast.  beta = +inf (zero temperature)
-    is allowed; NaN and non-positive beta raise ValueError.
+    (g1+g2)^2 / (omega0 Omega) * tanh(beta Omega / 4), computed as
+    (g/omega0) g (t/Omega) with g = g1 + g2 and t the thermal factor;
+    t/Omega is taken as beta/4 where tanh(beta Omega / 4) rounds to its
+    argument, so a subnormal Omega still gives a finite bound.
+    Parameters and beta may be arrays, which broadcast.  beta = +inf
+    (zero temperature) is allowed; NaN and non-positive beta raise
+    ValueError.  A bound outside the float range is inf in an array; a
+    scalar one raises OverflowError.
     """
     if isinstance(beta, np.ndarray):
         bad = beta[~(beta > 0.0)]
@@ -279,9 +258,23 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     if isinstance(params, ModelParams) and not isinstance(beta, np.ndarray):
         # float arithmetic: no numpy warning to silence, and no errstate cost
-        return _coupling_ratio(params) * tanh_factor(params, beta)
+        g = params.g1 + params.g2
+        x = _THERMAL_SCALE * beta * params.Omega
+        if x < _TANH_LINEAR:
+            t_over_Omega = _THERMAL_SCALE * beta
+        else:
+            t_over_Omega = float(np.tanh(x)) / params.Omega
+        bound = g / params.omega0 * g * t_over_Omega
+        if not bound < math.inf:
+            raise OverflowError(_BOUND_OVERFLOW)
+        return bound
     with np.errstate(all="ignore"):
-        return _coupling_ratio(params) * tanh_factor(params, beta)
+        g = params.g1 + params.g2
+        x = _THERMAL_SCALE * beta * params.Omega
+        t_over_Omega = np.where(
+            x < _TANH_LINEAR, _THERMAL_SCALE * beta, np.tanh(x) / params.Omega
+        )
+        return _value(g / params.omega0 * g * t_over_Omega)
 
 
 def _phase_label(bound: float) -> str:
@@ -515,7 +508,8 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
         if sr.any():
             # the nodes to solve, each input broadcast to the grid first
             ones = np.ones(sr.shape)
-            G = (_squared(params.g1 + params.g2) * ones)[sr]
+            g = ((params.g1 + params.g2) * ones)[sr]
+            G = g * g
             omega0 = (params.omega0 * ones)[sr]
             Omega = (params.Omega * ones)[sr]
             scale = (_THERMAL_SCALE * ones * beta)[sr]
@@ -539,30 +533,15 @@ def phase_point(params: ModelParams, beta: float) -> PhasePoint:
     )
 
 
-def _scan_node(params: ModelParams, beta: float) -> PhasePoint:
-    try:
-        return phase_point(params, beta)
-    except Exception as exc:
-        return PhasePoint(
-            params=params,
-            beta=beta,
-            bound=math.nan,
-            phase="error",
-            beta_c=None,
-            rho=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseScan:
     """Columns of a phase scan, one entry per node, params outer, beta inner.
 
     The fields of ``PhasePoint`` as arrays, with the parameters split
     into their four columns.  ``beta_c`` is NaN where ``critical_beta``
-    gives None.  ``error`` holds None, or the message of a node whose
-    evaluation failed; that node's phase is "error" and its bound, beta_c
-    and rho are NaN.
+    gives None.  ``error`` holds None, or the OverflowError text of a
+    node whose bound lies outside the float range; that node's phase is
+    "error" and its bound, beta_c and rho are NaN.
     """
 
     omega0: np.ndarray
@@ -588,10 +567,10 @@ def phase_scan(
     One array evaluation: beta_c once per parameter node (a ``ParamGrid``
     is flattened), the bound once per node, and one ``order_parameter``
     call, which solves the gap equation at the superradiant nodes.  A
-    node with a non-positive beta or a non-finite array result is
-    evaluated again by ``phase_point``.
-    Node failures never abort the scan; they surface as nodes with the
-    ``error`` field set and NaN numerics.
+    NaN or non-positive beta raises ValueError before any node is
+    evaluated.  A node whose bound lies outside the float range, where
+    the scalar ``convergence_bound`` raises OverflowError, becomes an
+    error row: phase "error", NaN numerics and that error's text.
     """
     if not isinstance(params_grid, ParamGrid):
         params_grid = ParamGrid(
@@ -602,24 +581,17 @@ def phase_scan(
     betas = np.ravel(np.asarray(beta_grid, dtype=float))
     if not columns[0].size or not betas.size:
         raise ValueError("phase_scan requires non-empty grids")
-    with np.errstate(all="ignore"):
-        # convergence_bound's expression; it would refuse the bad betas
-        bound = (_coupling_ratio(per_params) * tanh_factor(per_params, betas)).ravel()
-        beta_c = critical_beta(per_params).ravel().repeat(betas.size)
-        nodes = [c.repeat(betas.size) for c in columns]
-        beta = betas[None, :].repeat(columns[0].size, axis=0).ravel()
-        phase = np.where(bound < 1.0, "normal", "superradiant")
-        phase[np.abs(bound - 1.0) < CRITICAL_PHASE_TOL] = "critical"
-        # NaN marks the nodes whose beta the scalar route must refuse
-        valid = betas > 0.0
-        rho = np.full((columns[0].size, betas.size), np.nan)
-        if valid.any():
-            rho[:, valid] = order_parameter(per_params, betas[valid])
-        rho = rho.ravel()
-        ok = np.isfinite(bound + rho) & ~np.isinf(beta_c)
+    bound = convergence_bound(per_params, betas).ravel()
+    beta_c = critical_beta(per_params).ravel().repeat(betas.size)
+    rho = order_parameter(per_params, betas).ravel()
+    phase = np.where(bound < 1.0, "normal", "superradiant")
+    phase[np.abs(bound - 1.0) < CRITICAL_PHASE_TOL] = "critical"
+    nodes = [c.repeat(betas.size) for c in columns]
+    beta = betas[None, :].repeat(columns[0].size, axis=0).ravel()
     error = np.full(bound.size, None, dtype=object)
-    for i in (~ok).nonzero()[0]:
-        pt = _scan_node(ModelParams(*(float(c[i]) for c in nodes)), float(beta[i]))
-        bound[i], phase[i], rho[i], error[i] = pt.bound, pt.phase, pt.rho, pt.error
-        beta_c[i] = math.nan if pt.beta_c is None else pt.beta_c
+    failed = ~(bound < math.inf)
+    if failed.any():
+        bound[failed] = beta_c[failed] = rho[failed] = math.nan
+        phase[failed] = "error"
+        error[failed] = f"OverflowError: {_BOUND_OVERFLOW}"
     return PhaseScan(*nodes, beta, bound, phase, beta_c, rho, error)

@@ -80,8 +80,33 @@ def test_beta_must_be_positive_and_finite(bad):
 def test_critical_temp_takes_no_beta():
     with pytest.raises(ConfigError, match="critical-temp takes no"):
         parse_config(["critical-temp", "--beta", "1.0"])
+    with pytest.raises(ConfigError, match="critical-temp takes no"):
+        parse_config(["critical-temp", "--g1", "1.2"], "beta-grid = 1:2:3")
     cfg = parse_config(["critical-temp", "--g1", "1.2"])
     assert cfg.beta is None
+
+
+def test_critical_temp_refuses_a_beta_sweep(capsys):
+    assert main(["critical-temp", "--g1", "1.2", "--sweep", "beta:1:4:7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: critical-temp takes no --beta/--beta-grid/--sweep beta\n"
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV"])
+@pytest.mark.parametrize("command", ["critical-temp", "phase-diagram", "ed-curve"])
+def test_config_file_format_is_validated(command, fmt, tmp_path, capsys):
+    settings = "g1 = 0.5\n" if command == "critical-temp" else "g1 = 0.5\nbeta = 1\n"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{settings}n-list = 1,2\nformat = {fmt}\n")
+    argv = [command, "--config", str(config)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: format must be one of csv, json, got {fmt!r}\n"
+    with pytest.raises(SystemExit):
+        parse_config([command, "--format", fmt])
+    assert parse_config([command], f"{settings}format = json").fmt == "json"
 
 
 def test_commands_requiring_beta():
@@ -660,7 +685,7 @@ def _scan_rows(command, argv):
     """The rows' values straight from ``phase_scan``, and the exit code.
 
     Python floats, None where a cell is missing.  order-parameter stops
-    at its first error node, whose scalar route raises.
+    at its first error node, where it raises that node's error.
     """
     cfg = parse_config([command, *argv])
     if cfg.sweep is not None and cfg.sweep.variable == "beta":
@@ -715,23 +740,21 @@ def test_scan_rows_are_the_stdlib_writers_of_the_scan_values(command, argv, caps
 
 
 def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, capsys):
-    import dicketherm.thermo as thermo
+    import dicketherm.cli as cli
 
     message = 'bad "node" \\ here, then\na new line é'
-    real = thermo.phase_point
 
-    def failing(params, beta):
-        if params.g1 == 1e200:
-            raise ValueError(message)
-        return real(params, beta)
+    def failing(*args):
+        # g1 = 5e199 and 1e200 overflow the bound: both are error rows
+        scan = phase_scan(*args)
+        scan.error[2] = f"ValueError: {message}"
+        return scan
 
-    # g1 = 5e199 and 1e200 overflow the array route, so phase_scan sends
-    # them to phase_point
-    monkeypatch.setattr(thermo, "phase_point", failing)
     argv = ["--beta", "1", "--sweep", "g1:1:1e200:3"]
     rows, code = _scan_rows("phase-diagram", argv)
-    assert rows[2][-1] == f"ValueError: {message}"
     assert rows[1][-1].startswith("OverflowError")
+    rows[2][-1] = f"ValueError: {message}"
+    monkeypatch.setattr(cli, "phase_scan", failing)
     for fmt in ("json", "csv"):
         assert main(["phase-diagram", *argv, "--format", fmt]) == code == 0
         out = capsys.readouterr().out
@@ -746,24 +769,27 @@ def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, 
             assert list(csv.reader(io.StringIO(out)))[3][-1] == f"ValueError: {message}"
 
 
-def test_order_parameter_error_row_the_scalar_route_computes(monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_order_parameter_stops_at_an_error_row_of_the_scan(fmt, monkeypatch, capsys):
     import dicketherm.cli as cli
 
+    k = 3
+    text = "OverflowError: marked node"
+
     def marked(*args):
-        # a node the array route gave up on, which the scalar route
-        # computes: its row takes the same text path
         scan = phase_scan(*args)
-        scan.phase[3], scan.bound[3], scan.rho[3] = "error", math.nan, math.nan
+        scan.phase[k], scan.bound[k], scan.rho[k], scan.error[k] = "error", math.nan, math.nan, text
         return scan
 
-    argv = ["order-parameter", "--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6"]
-    for fmt in ("csv", "json"):
-        assert main([*argv, "--format", fmt]) == 0
-        clean = capsys.readouterr().out
-        monkeypatch.setattr(cli, "phase_scan", marked)
-        assert main([*argv, "--format", fmt]) == 0
-        assert capsys.readouterr().out == clean
-        monkeypatch.undo()
+    argv = ["order-parameter", "--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6",
+            "--format", fmt]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(cli, "phase_scan", marked)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == clean[:k + (fmt == "csv")]
+    assert captured.err == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -810,8 +836,10 @@ def test_write_rows_cells_and_non_finite_json():
     assert stream.getvalue() == "a,b\n1.0,\nTrue,x\n"
 
 
-def test_non_finite_value_in_json_row_exits_one(capsys):
-    # 4 / Omega overflows, so beta_c is inf
+def test_non_finite_value_in_json_row_exits_one(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
+    monkeypatch.setattr(cli, "critical_beta", lambda params: math.inf)
     argv = ["critical-temp", "--Omega", "5e-324", "--g1", "1", "--format", "json"]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -819,10 +847,13 @@ def test_non_finite_value_in_json_row_exits_one(capsys):
     assert "error:" in captured.err
 
 
-def test_non_finite_value_in_csv_row_exits_one(capsys):
+def test_non_finite_value_in_csv_row_exits_one(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             _write_rows(io.StringIO(), "csv", ("a", "b"), [{"a": "x", "b": value}])
+    monkeypatch.setattr(cli, "critical_beta", lambda params: math.inf)
     assert main(["critical-temp", "--Omega", "5e-324", "--g1", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "omega0,Omega,g1,g2,quantum_critical_gap,beta_c\n"
@@ -861,7 +892,23 @@ def test_order_parameter_stops_at_the_first_failing_node(capsys):
     assert records == ["1.0,1.0,1.0,0.0,1.0,0.24491866240370913,normal,0.0"]
     with pytest.raises(OverflowError) as overflow:
         convergence_bound(ModelParams(1.0, 1.0, g1=5e199), 1.0)
-    assert captured.err == f"error: {overflow.value}\n"
+    (text,) = phase_scan([ModelParams(1.0, 1.0, g1=5e199)], [1.0]).error
+    assert text == f"OverflowError: {overflow.value}"
+    assert captured.err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_subnormal_Omega_gives_finite_rows(fmt, capsys):
+    def only_row(argv):
+        assert main([*argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        (row,) = csv.DictReader(io.StringIO(out)) if fmt == "csv" else map(json.loads, out.splitlines())
+        return row
+
+    row = only_row(["phase-diagram", "--Omega", "1e-310", "--g1", "1", "--beta", "1"])
+    assert (float(row["beta_c"]), float(row["bound"]), row["phase"]) == (4.0, 0.25, "normal")
+    row = only_row(["critical-temp", "--Omega", "5e-324", "--g1", "1"])
+    assert float(row["beta_c"]) == 4.0
 
 
 def test_parse_builds_no_sweep_nodes():

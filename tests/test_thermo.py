@@ -195,10 +195,8 @@ def test_library_rejects_nan_beta():
         classify_phase(P_MIX, math.nan)
     with pytest.raises(ValueError, match="beta must be positive"):
         order_parameter(P_MIX, math.nan)
-    scan = phase_scan([P_MIX], [math.nan])
-    assert len(scan) == 1
-    assert scan.phase[0] == "error"
-    assert scan.error[0].startswith("ValueError: beta must be positive")
+    with pytest.raises(ValueError, match="beta must be positive, got nan"):
+        phase_scan([P_MIX], [1.0, math.nan])
 
 
 def test_log_partition_ratio_free_case():
@@ -301,7 +299,6 @@ def test_phase_point_fields():
     normal = phase_point(P_MIX, 0.5 * beta_c)
     assert normal.phase == "normal"
     assert normal.rho == 0.0
-    assert normal.error is None
 
 
 def test_phase_scan_matches_single_points():
@@ -313,7 +310,7 @@ def test_phase_scan_matches_single_points():
         scan.rho[0], scan.error[0],
     ) == (
         single.params, single.beta, single.bound, single.phase,
-        single.beta_c, single.rho, single.error,
+        single.beta_c, single.rho, None,
     )
 
 
@@ -338,12 +335,17 @@ def test_phase_scan_flips_at_quantum_critical_line():
     assert params[first_not_normal].g1 == pytest.approx(1.0, abs=0.11)
 
 
-def test_phase_scan_captures_per_node_errors():
-    scan = phase_scan([P_MIX], [-1.0, 1.0])
-    assert scan.phase[0] == "error"
-    assert "ValueError" in scan.error[0]
-    assert math.isnan(scan.bound[0])
-    assert scan.phase[1] == "normal"  # scan continues past the bad node
+def test_phase_scan_refuses_bad_betas_before_any_node(monkeypatch):
+    import dicketherm.thermo as thermo
+
+    def unreachable(*args):
+        raise AssertionError("a node ran before the beta check")
+
+    monkeypatch.setattr(thermo, "order_parameter", unreachable)
+    monkeypatch.setattr(thermo, "critical_beta", unreachable)
+    for bad in (-1.0, 0.0, -0.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            phase_scan([P_MIX], [1.0, bad])
 
 
 def test_phase_scan_rejects_empty_grids():
@@ -372,6 +374,51 @@ def test_bound_and_beta_c_split_an_underflowing_product():
             assert bound[0] == convergence_bound(params, 1.0)
             assert np.isnan(critical_beta(grid)[0]) == (critical_beta(params) is None)
         assert critical_beta(ParamGrid(1e-200, 1e-200, g1=1e-199)) == critical_beta(p)
+
+
+# (params, beta, bound, beta_c): the bound's true value, inf where it
+# lies outside the float range, and beta_c's, None where there is none.
+# Omega tiny and subnormal, an underflowing and an overflowing omega0 *
+# Omega, r = (omega0/g)(Omega/g) underflowing to zero, and beta = inf.
+_FLOAT_RANGE_NODES = [
+    (ModelParams(1.0, 1e-300, g1=1.0), 1.0, 0.25, 4.0),
+    (ModelParams(1.0, 1e-310, g1=1.0), 1.0, 0.25, 4.0),
+    (ModelParams(1.0, 5e-324, g1=1.0), 1.0, 0.25, 4.0),
+    (ModelParams(1e-200, 1e-200, g1=1e-199), 1.0, 2.5e-199, 4e200 * math.atanh(0.01)),
+    (ModelParams(1e300, 1e300, g1=1e200), 1.0, 1e-200, None),
+    (ModelParams(1.0, 1e-310, g1=1e10), 1.0, 2.5e19, 4e-20),
+    (P_MIX, math.inf, 2.25, 4.0 * math.atanh(1.0 / 2.25)),
+    (ModelParams(1.0, 1e-310, g1=1.0), math.inf, math.inf, 4.0),
+    (ModelParams(1e300, 1e300, g1=1e200), math.inf, 1e-200, None),
+]
+
+
+@pytest.mark.parametrize("params, beta, bound, beta_c", _FLOAT_RANGE_NODES)
+def test_closed_forms_hold_over_the_whole_float_range(params, beta, bound, beta_c):
+    grid = ParamGrid(params.omega0, params.Omega, params.g1, params.g2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array_bound = convergence_bound(grid, np.array([beta]))[0]
+        array_beta_c = critical_beta(grid)
+        scan = phase_scan([params], [beta])
+    if math.isinf(bound):
+        assert array_bound == math.inf
+        with pytest.raises(OverflowError):
+            convergence_bound(params, beta)
+        assert scan.phase[0] == "error"
+        assert scan.error[0].startswith("OverflowError: ")
+    else:
+        assert array_bound == pytest.approx(bound, rel=1e-14)
+        assert convergence_bound(params, beta) == array_bound
+        assert (scan.bound[0], scan.error[0]) == (array_bound, None)
+    if beta_c is None:
+        assert critical_beta(params) is None
+        assert np.isnan(array_beta_c)
+    else:
+        assert array_beta_c == pytest.approx(beta_c, rel=1e-14)
+        assert critical_beta(params) == array_beta_c
+        assert scan.phase[0] == "error" or scan.beta_c[0] == array_beta_c
+    assert (quantum_critical_gap(params) > 0) == (critical_beta(params) is not None)
 
 
 def test_out_of_range_bound_still_overflows():
