@@ -483,22 +483,21 @@ def _text_column(
 
 
 def _refusal(
-    checks: Sequence[tuple[np.ndarray, np.ndarray]],
+    checks: Sequence[tuple[np.ndarray, np.ndarray | bool]],
 ) -> tuple[int, float | None]:
     """The first row with a NaN or infinity outside its column's exempt rows.
 
-    Each check is a (column, exempt) pair; one ``np.isfinite`` covers a
-    column.  Returns the row's index and its first such value, or the
-    row count and None when every row passes.
+    Each check is a (column, exempt) pair, exempt a row mask or False
+    for none; one ``np.isfinite`` covers a column.  Returns the row's
+    index and its first such value, or the row count and None when every
+    row passes.
     """
-    bad = np.zeros(checks[0][0].size, dtype=bool)
-    for column, exempt in checks:
-        bad |= ~(np.isfinite(column) | exempt)
-    if not bad.any():
-        return bad.size, None
-    row = int(bad.argmax())
-    value = next(c[row] for c, e in checks if not (math.isfinite(c[row]) or e[row]))
-    return row, float(value)
+    bad = [~(np.isfinite(column) | exempt) for column, exempt in checks]
+    any_bad = np.logical_or.reduce(bad)
+    if not any_bad.any():
+        return any_bad.size, None
+    row = int(any_bad.argmax())
+    return row, float(next(c[row] for (c, _), b in zip(checks, bad) if b[row]))
 
 
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
@@ -568,8 +567,7 @@ _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 def _order_parameter_rows(config: RunConfig) -> Iterator[tuple]:
     scan, inputs = _scan(config)
     # no row is exempt: an error row's NaN bound stops the rows there
-    none = np.zeros(len(scan), dtype=bool)
-    stop, refused = _refusal([(scan.bound, none), (scan.rho, none)])
+    stop, refused = _refusal([(scan.bound, False), (scan.rho, False)])
     fmt = config.fmt
     columns = (_text_column(fmt, c) for c in (scan.bound, scan.phase, scan.rho))
     yield from islice(zip(*inputs, *columns), stop)

@@ -37,9 +37,11 @@ these closed forms against them.
 ``ParamGrid``, the array form of ``ModelParams``, and array beta as well
 as scalars; the arrays broadcast.  The scalar and array routes run the
 same float operations and agree to the bit.  The bound and beta_c are
-written in split form, so that a subnormal Omega, or an omega0*Omega
-that under- or overflows, gives finite values where the true values
-are finite.  ``phase_scan`` evaluates a whole
+products formed from the mantissas and binary exponents of their
+factors, so no factor leaves the float range unless the result does
+(g1 + g2 itself excepted): a subnormal Omega or omega0, or an
+omega0*Omega that under- or overflows, gives finite values where the
+true values are finite.  ``phase_scan`` evaluates a whole
 params x beta grid as one array computation: beta_c once per parameter
 node, the bound once per node, and one batched gap-equation solve over
 the superradiant nodes.  It refuses a NaN or non-positive beta with
@@ -191,27 +193,36 @@ def critical_beta(params: ModelParams | ParamGrid):
 
     beta_c = (4/Omega) * atanh(r), r = Omega*omega0 / (g1+g2)^2, defined
     only for r < 1.  Equality is the quantum-critical point.  It is
-    computed as (atanh(r)/r) (omega0/g)/g/s, with g = g1 + g2,
-    s = ``_THERMAL_SCALE`` and r = (omega0/g)(Omega/g), taking
-    atanh(r)/r = 1 where r underflows, so a subnormal Omega still gives
-    beta_c near 4 omega0/g^2.  A ``ParamGrid`` gives an array, NaN where
-    no transition exists.
+    computed as (atanh(r)/r) omega0/g^2/s, with g = g1 + g2 and
+    s = ``_THERMAL_SCALE``, taking atanh(r)/r = 1 where r underflows, so
+    a subnormal Omega still gives beta_c near 4 omega0/g^2.  Both r and
+    omega0/g^2 are formed from mantissas and binary exponents (frexp,
+    then one ldexp), so neither leaves the float range unless it is
+    itself outside it.  A ``ParamGrid`` gives an array, NaN where no transition
+    exists.
     """
     if isinstance(params, ModelParams):
         g = params.g1 + params.g2
-        r = params.omega0 / g * (params.Omega / g) if g else math.inf
+        if not g:
+            return None
+        (mg, eg), (mw, ew), (mW, eW) = map(
+            math.frexp, (g, params.omega0, params.Omega)
+        )
+        # r >= 2 once the exponent passes 2; the cap keeps ldexp in range
+        r = math.ldexp(mw / mg * (mW / mg), min(ew + eW - 2 * eg, 3))
         if not r < 1.0:
             return None
         # np.arctanh, not math.atanh: the array route must agree to the bit
         ratio = float(np.arctanh(r)) / r if r else 1.0
-        return ratio * (params.omega0 / g) / g / _THERMAL_SCALE
+        return _ldexp(ratio * (mw / mg) / mg / _THERMAL_SCALE, ew - 2 * eg)
     with np.errstate(all="ignore"):
-        g = params.g1 + params.g2
-        r = params.omega0 / g * (params.Omega / g)
-        ratio = np.where(r > 0.0, np.arctanh(r) / r, 1.0)
-        return np.where(
-            r < 1.0, ratio * (params.omega0 / g) / g / _THERMAL_SCALE, np.nan
+        (mg, eg), (mw, ew), (mW, eW) = map(
+            np.frexp, (params.g1 + params.g2, params.omega0, params.Omega)
         )
+        r = np.ldexp(mw / mg * (mW / mg), ew + eW - 2 * eg)
+        ratio = np.where(r > 0.0, np.arctanh(r) / r, 1.0)
+        beta_c = np.ldexp(ratio * (mw / mg) / mg / _THERMAL_SCALE, ew - 2 * eg)
+        return np.where(r < 1.0, beta_c, np.nan)
 
 
 # omega0*Omega outside [_TINY, inf) has under- or overflowed
@@ -244,11 +255,13 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
     (g1+g2)^2 / (omega0 Omega) * tanh(beta Omega / 4), computed as
     (g/omega0) g (t/Omega) with g = g1 + g2 and t the thermal factor;
     t/Omega is taken as beta/4 where tanh(beta Omega / 4) rounds to its
-    argument, so a subnormal Omega still gives a finite bound.
-    Parameters and beta may be arrays, which broadcast.  beta = +inf
-    (zero temperature) is allowed; NaN and non-positive beta raise
-    ValueError.  A bound outside the float range is inf in an array; a
-    scalar one raises OverflowError.
+    argument, so a subnormal Omega still gives a finite bound.  The
+    product is formed from mantissas and binary exponents, so no factor
+    of it leaves the float range unless the bound does, and a zero
+    coupling gives 0 at any Omega and beta.  Parameters and beta may be
+    arrays, which broadcast.  beta = +inf (zero temperature) is allowed;
+    NaN and non-positive beta raise ValueError.  A bound outside the
+    float range is inf in an array; a scalar one raises OverflowError.
     """
     if isinstance(beta, np.ndarray):
         bad = beta[~(beta > 0.0)]
@@ -258,23 +271,44 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     if isinstance(params, ModelParams) and not isinstance(beta, np.ndarray):
         # float arithmetic: no numpy warning to silence, and no errstate cost
-        g = params.g1 + params.g2
         x = _THERMAL_SCALE * beta * params.Omega
+        # t/Omega as a quotient; beta / (1/s) where tanh rounds to its
+        # argument, which is s beta with no underflow for a subnormal beta
         if x < _TANH_LINEAR:
-            t_over_Omega = _THERMAL_SCALE * beta
+            t, Omega = beta, 1.0 / _THERMAL_SCALE
         else:
-            t_over_Omega = float(np.tanh(x)) / params.Omega
-        bound = g / params.omega0 * g * t_over_Omega
+            t, Omega = float(np.tanh(x)), params.Omega
+        g = params.g1 + params.g2
+        bound = _ldexp(*_bound_split(g, params.omega0, t, Omega, math.frexp))
         if not bound < math.inf:
             raise OverflowError(_BOUND_OVERFLOW)
         return bound
     with np.errstate(all="ignore"):
-        g = params.g1 + params.g2
         x = _THERMAL_SCALE * beta * params.Omega
-        t_over_Omega = np.where(
-            x < _TANH_LINEAR, _THERMAL_SCALE * beta, np.tanh(x) / params.Omega
-        )
-        return _value(g / params.omega0 * g * t_over_Omega)
+        linear = x < _TANH_LINEAR
+        t = np.where(linear, beta, np.tanh(x))
+        Omega = np.where(linear, 1.0 / _THERMAL_SCALE, params.Omega)
+        g = params.g1 + params.g2
+        return _value(np.ldexp(*_bound_split(g, params.omega0, t, Omega, np.frexp)))
+
+
+def _bound_split(g, omega0, t, Omega, frexp):
+    """(g/omega0) g (t/Omega) as a mantissa and a binary exponent.
+
+    Each factor is split by ``frexp`` (``math`` or ``np``) into m 2^e,
+    m in [1/2, 1); the mantissa product lies in (1/8, 4) and is rounded
+    as the plain product would be wherever that stays normal.
+    """
+    (mg, eg), (mw, ew), (mt, et), (mW, eW) = map(frexp, (g, omega0, t, Omega))
+    return mg / mw * mg * (mt / mW), 2 * eg - ew + et - eW
+
+
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """math.ldexp, with inf where it would overflow, as np.ldexp gives."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _phase_label(bound: float) -> str:
@@ -514,7 +548,8 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
             Omega = (params.Omega * ones)[sr]
             scale = (_THERMAL_SCALE * ones * beta)[sr]
             s = _gap_root(G, omega0, Omega, scale)
-            rho[sr] = s * (s + 2.0 * Omega) / (4.0 * G)
+            # s / G <= 1 / omega0: s (s + 2 Omega) alone overflows from g near 1e77
+            rho[sr] = s / (4.0 * G) * (s + 2.0 * Omega)
     return _value(rho)
 
 

@@ -379,7 +379,12 @@ def test_bound_and_beta_c_split_an_underflowing_product():
 # (params, beta, bound, beta_c): the bound's true value, inf where it
 # lies outside the float range, and beta_c's, None where there is none.
 # Omega tiny and subnormal, an underflowing and an overflowing omega0 *
-# Omega, r = (omega0/g)(Omega/g) underflowing to zero, and beta = inf.
+# Omega, r = (omega0/g)(Omega/g) underflowing to zero, and beta = inf;
+# then nodes where one factor of the split forms leaves the float range
+# although the result does not: g/omega0, g/omega0 * g, t/Omega (beta =
+# inf, Omega subnormal, zero coupling), Omega/g and beta/4.  A subnormal
+# beta_c is checked to within one step of the subnormal grid; nothing
+# else has an absolute tolerance, so a tiny value must hold its digits.
 _FLOAT_RANGE_NODES = [
     (ModelParams(1.0, 1e-300, g1=1.0), 1.0, 0.25, 4.0),
     (ModelParams(1.0, 1e-310, g1=1.0), 1.0, 0.25, 4.0),
@@ -390,6 +395,24 @@ _FLOAT_RANGE_NODES = [
     (P_MIX, math.inf, 2.25, 4.0 * math.atanh(1.0 / 2.25)),
     (ModelParams(1.0, 1e-310, g1=1.0), math.inf, math.inf, 4.0),
     (ModelParams(1e300, 1e300, g1=1e200), math.inf, 1e-200, None),
+    (ModelParams(5e-320, 1e300, g1=1e-10), 1.0, 1e-10**2 / (5e-320 * 1e300), None),
+    (ModelParams(1e-300, 1e300, g1=1e10), 1.0, 1e10**2 / (1e-300 * 1e300), 4e-320),
+    # beta_c = 4e-400 rounds to 0
+    (ModelParams(1.0, 1e300, g1=1e200), 1.0, 1e100, 0.0),
+    (
+        ModelParams(1e300, 1e-300, g1=1e-10),
+        1e300,
+        1e-10**2 * math.tanh(0.25 * 1e300 * 1e-300) / (1e300 * 1e-300),
+        None,
+    ),
+    (ModelParams(1.0, 1e-310), math.inf, 0.0, None),
+    (ModelParams(1.0, 1.0, g1=1e160), 5e-324, 1e160 * (1e160 * 5e-324) / 4.0, 4e-320),
+    (
+        ModelParams(1e-320, 1e300, g1=1e-9),
+        1.0,
+        1e-9**2 / (1e-320 * 1e300),
+        4.0 * math.atanh(1e-320 * 1e300 / 1e-9**2) / 1e300,
+    ),
 ]
 
 
@@ -408,17 +431,25 @@ def test_closed_forms_hold_over_the_whole_float_range(params, beta, bound, beta_
         assert scan.phase[0] == "error"
         assert scan.error[0].startswith("OverflowError: ")
     else:
-        assert array_bound == pytest.approx(bound, rel=1e-14)
+        assert array_bound == pytest.approx(bound, rel=1e-14, abs=0.0)
         assert convergence_bound(params, beta) == array_bound
         assert (scan.bound[0], scan.error[0]) == (array_bound, None)
     if beta_c is None:
         assert critical_beta(params) is None
         assert np.isnan(array_beta_c)
     else:
-        assert array_beta_c == pytest.approx(beta_c, rel=1e-14)
+        assert array_beta_c == pytest.approx(beta_c, rel=1e-14, abs=5e-324)
         assert critical_beta(params) == array_beta_c
         assert scan.phase[0] == "error" or scan.beta_c[0] == array_beta_c
     assert (quantum_critical_gap(params) > 0) == (critical_beta(params) is not None)
+
+
+def test_order_parameter_holds_where_the_gap_squared_overflows():
+    # zero-temperature limit rho = ((G/omega0)^2 - Omega^2) / (4 G), G = g^2:
+    # at g = 1e100 the gap D = 1e200 has D^2 outside the float range
+    p = ModelParams(1.0, 1.0, g1=1e100)
+    assert order_parameter(p, 1.0) == pytest.approx(2.5e199, rel=1e-14)
+    assert phase_scan([p], [1.0]).rho[0] == order_parameter(p, 1.0)
 
 
 def test_out_of_range_bound_still_overflows():
