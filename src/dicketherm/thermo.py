@@ -37,18 +37,16 @@ these closed forms against them.
 ``ParamGrid``, the array form of ``ModelParams``, and array beta as well
 as scalars; the arrays broadcast.  The scalar and array routes run the
 same float operations and agree to the bit.  The bound and beta_c are
-products formed from the mantissas and binary exponents of their
-factors, so no factor leaves the float range unless the result does
-(g1 + g2 itself excepted): a subnormal Omega or omega0, or an
-omega0*Omega that under- or overflows, gives finite values where the
-true values are finite.  ``phase_scan`` evaluates a whole
-params x beta grid as one array computation: beta_c once per parameter
-node, the bound once per node, and one batched gap-equation solve over
-the superradiant nodes.  It refuses a NaN or non-positive beta with
-ValueError before any node runs; its only error rows are nodes whose
-bound lies outside the float range.  ``phase_point`` and
-``classify_phase`` evaluate one node by the scalar routes, as a
-reference for the scan.
+products of frexp mantissas scaled once by ldexp, so a subnormal Omega,
+or any factor outside the float range, gives finite values where the
+true values are finite (g1 + g2 itself excepted).  ``phase_scan``
+evaluates a whole params x beta grid as one array computation: beta_c
+once per parameter node, the bound once per node, and one batched
+gap-equation solve over the superradiant nodes.  It refuses a NaN or
+non-positive beta with ValueError before any node runs; its only error
+rows are nodes whose bound lies outside the float range.
+``phase_point`` and ``classify_phase`` evaluate one node by the scalar
+routes, as a reference for the scan.
 
 The gap equation has one solver, a safeguarded Newton iteration batched
 over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
@@ -194,22 +192,19 @@ def critical_beta(params: ModelParams | ParamGrid):
     beta_c = (4/Omega) * atanh(r), r = Omega*omega0 / (g1+g2)^2, defined
     only for r < 1.  Equality is the quantum-critical point.  It is
     computed as (atanh(r)/r) omega0/g^2/s, with g = g1 + g2 and
-    s = ``_THERMAL_SCALE``, taking atanh(r)/r = 1 where r underflows, so
-    a subnormal Omega still gives beta_c near 4 omega0/g^2.  Both r and
-    omega0/g^2 are formed from mantissas and binary exponents (frexp,
-    then one ldexp), so neither leaves the float range unless it is
-    itself outside it.  A ``ParamGrid`` gives an array, NaN where no transition
-    exists.
+    s = ``_THERMAL_SCALE``, taking atanh(r)/r = 1 where r underflows;
+    r and omega0/g^2 are frexp mantissa products scaled once by ldexp,
+    so neither leaves the float range unless its value does.  A
+    ``ParamGrid`` gives an array, NaN where no transition exists.
     """
     if isinstance(params, ModelParams):
         g = params.g1 + params.g2
         if not g:
             return None
-        (mg, eg), (mw, ew), (mW, eW) = map(
-            math.frexp, (g, params.omega0, params.Omega)
-        )
-        # r >= 2 once the exponent passes 2; the cap keeps ldexp in range
-        r = math.ldexp(mw / mg * (mW / mg), min(ew + eW - 2 * eg, 3))
+        mg, eg = math.frexp(g)
+        mw, ew = math.frexp(params.omega0)
+        mW, eW = math.frexp(params.Omega)
+        r = _ldexp(mw / mg * (mW / mg), ew + eW - 2 * eg)
         if not r < 1.0:
             return None
         # np.arctanh, not math.atanh: the array route must agree to the bit
@@ -255,13 +250,12 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
     (g1+g2)^2 / (omega0 Omega) * tanh(beta Omega / 4), computed as
     (g/omega0) g (t/Omega) with g = g1 + g2 and t the thermal factor;
     t/Omega is taken as beta/4 where tanh(beta Omega / 4) rounds to its
-    argument, so a subnormal Omega still gives a finite bound.  The
-    product is formed from mantissas and binary exponents, so no factor
-    of it leaves the float range unless the bound does, and a zero
-    coupling gives 0 at any Omega and beta.  Parameters and beta may be
-    arrays, which broadcast.  beta = +inf (zero temperature) is allowed;
-    NaN and non-positive beta raise ValueError.  A bound outside the
-    float range is inf in an array; a scalar one raises OverflowError.
+    argument.  The product is taken by ``_bound_split``, so no factor of
+    it leaves the float range unless the bound does.  Parameters and
+    beta may be arrays, which broadcast.  beta = +inf (zero temperature)
+    is allowed; NaN and non-positive beta raise ValueError.  A bound
+    outside the float range is inf in an array; a scalar one raises
+    OverflowError.
     """
     if isinstance(beta, np.ndarray):
         bad = beta[~(beta > 0.0)]
@@ -293,13 +287,15 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
 
 
 def _bound_split(g, omega0, t, Omega, frexp):
-    """(g/omega0) g (t/Omega) as a mantissa and a binary exponent.
+    """(g/omega0) g (t/Omega) as a mantissa in (1/8, 4) and an exponent.
 
-    Each factor is split by ``frexp`` (``math`` or ``np``) into m 2^e,
-    m in [1/2, 1); the mantissa product lies in (1/8, 4) and is rounded
-    as the plain product would be wherever that stays normal.
+    ``frexp`` is ``math.frexp`` or ``np.frexp``; the mantissa product is
+    rounded as the plain product is wherever that stays normal.
     """
-    (mg, eg), (mw, ew), (mt, et), (mW, eW) = map(frexp, (g, omega0, t, Omega))
+    mg, eg = frexp(g)
+    mw, ew = frexp(omega0)
+    mt, et = frexp(t)
+    mW, eW = frexp(Omega)
     return mg / mw * mg * (mt / mW), 2 * eg - ew + et - eW
 
 
