@@ -19,8 +19,8 @@ error row, and no other node is.  phase-diagram writes it with its
 cells; order-parameter stops there and exits 1 with that text, after
 the rows before it.  Any other NaN or infinity in a row is an error as
 well: the command exits 1, after the rows it had already written.  Rows
-stream as they are computed.  ``--workers`` and ``--cutoff`` are
-accepted and validated but have no effect.
+stream as they are computed.  ``--workers`` is accepted and validated
+but has no effect.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ _FILE_KEYS = {
     "workers",
     "n-list",
     "ed-tol",
-    "cutoff",
     "kind",
 }
 
@@ -180,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ed-tol", type=float, help="truncation tolerance for ed-curve"
-    )
-    parser.add_argument(
-        "--cutoff",
-        type=int,
-        help="accepted and validated (integer >= 10), no effect",
     )
     parser.add_argument(
         "--kind",
@@ -306,10 +300,6 @@ def parse_config(
     ed_tol = pick(ns.ed_tol, "ed-tol", 1e-6, float)
     if not (math.isfinite(ed_tol) and ed_tol > 0.0):
         raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
-    # accepted and validated, no effect: every sum is in closed form
-    cutoff = pick(ns.cutoff, "cutoff", 512, int)
-    if cutoff < 10:
-        raise ConfigError(f"cutoff must be at least 10, got {cutoff}")
     fmt = pick(ns.fmt, "format", "csv")
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")

@@ -5,11 +5,13 @@ axis.  It equals Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with
 Q(x) = x^2 - B x + C, so the mode energies are the square roots of the
 closed-form roots of Q (``dicketherm.thermo.mode_energy_squares``, with
 the coefficients and the thermal factor from the same module); no root
-finder runs.  Residuals are reported from the same rational form, which
-keeps them near machine precision instead of the 1e-8 cancellation
-noise of the raw kernel product.  The kernel poles at Omega and omega0
-are guarded here (``PoleProximityError``, ``default_pole_epsilon``);
-the oracle ``dicketherm.matsubara.continue_kernels`` shares the guard.
+finder runs, and one filter keeps the modes at least twice the pole
+epsilon from 0, from each kernel pole and from the upper end.
+Residuals are reported from the same rational form, which keeps them
+near machine precision instead of the 1e-8 cancellation noise of the
+raw kernel product.  The kernel poles at Omega and omega0 are guarded
+here (``PoleProximityError``, ``default_pole_epsilon``); the oracle
+``dicketherm.matsubara.continue_kernels`` shares the guard.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ def default_pole_epsilon(params: ModelParams) -> float:
 class SpectrumResult:
     """Roots of the dispersion relation at one (params, beta) point.
 
-    Parallel tuples: ``brackets[i]`` is the pole-free window the root
-    lies in for ordinary roots and None for the E=0 and pole-coincident
-    entries.  Labels: "mode" for ordinary roots, "goldstone" for the E=0
-    root on the (g1+g2) branch, "secondary-branch" for the algebraic E=0
-    root at tanh(beta Omega/4)(g1-g2)^2 = omega0 Omega (present in the
+    Parallel tuples, sorted by root.  Labels: "mode" for ordinary roots,
+    "goldstone" for the E=0 root on the (g1+g2) branch,
+    "secondary-branch" for the algebraic E=0 root at
+    tanh(beta Omega/4)(g1-g2)^2 = omega0 Omega (present in the
     dispersion function but without a stated physical role), and
     "pole-degenerate" for a root masked by an exact kernel-pole
     coincidence, detected on the numerator polynomial.
@@ -64,13 +65,11 @@ class SpectrumResult:
 
     roots: tuple[float, ...]
     residuals: tuple[float, ...]
-    brackets: tuple[tuple[float, float] | None, ...]
     multiplicities: tuple[int, ...]
     labels: tuple[str, ...]
     params: ModelParams
     beta: float
     at_critical: bool
-    messages: tuple[str, ...] = ()
 
 
 def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
@@ -79,8 +78,8 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     Normalized so that g1 = g2 = 0 gives 1 at every E.  Refuses energies
     within the pole epsilon of Omega or omega0.
     """
-    if E < 0.0:
-        raise ValueError(f"E must be non-negative, got {E}")
+    if not 0.0 <= E < math.inf:
+        raise ValueError(f"E must be non-negative and finite, got {E}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     eps = default_pole_epsilon(params)
@@ -95,7 +94,7 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     )
 
 
-def _zero_energy_entry(params: ModelParams, t: float, B: float) -> dict | None:
+def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
     """E=0 root candidate from the factorized static residual.
 
     R(0) = (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u), u = t / (omega0 Omega)
@@ -114,23 +113,17 @@ def _zero_energy_entry(params: ModelParams, t: float, B: float) -> dict | None:
         return None
     double = abs(B) < RESIDUAL_TOL * max(1.0, params.omega0**2 + params.Omega**2)
     label = "goldstone" if abs(primary) <= abs(secondary) else "secondary-branch"
-    return {
-        "root": 0.0,
-        "residual": abs(residual),
-        "bracket": None,
-        "multiplicity": 2 if double else 1,
-        "label": label,
-    }
+    return [0.0, abs(residual), 2 if double else 1, label]
 
 
 def _pole_coincidence_entries(
     params: ModelParams, B: float, C: float
-) -> list[dict]:
+) -> list[list]:
     """Roots of the numerator Q sitting exactly on a kernel pole.
 
     At such points the rational residual has a removable singularity and
-    a finite nonzero limit, and the root sits on a window edge where the
-    window search cannot see it; Q(p^2) itself is the witness.
+    a finite nonzero limit, and the mode filter drops the root as too
+    close to the pole; Q(p^2) itself is the witness.
     """
     entries = []
     for p in sorted({params.Omega, params.omega0}):
@@ -138,15 +131,7 @@ def _pole_coincidence_entries(
         q_val = x * x - B * x + C
         scale = max(1.0, x * x + abs(B) * x + abs(C))
         if abs(q_val) / scale < RESIDUAL_TOL:
-            entries.append(
-                {
-                    "root": p,
-                    "residual": abs(q_val) / scale,
-                    "bracket": None,
-                    "multiplicity": 1,
-                    "label": "pole-degenerate",
-                }
-            )
+            entries.append([p, abs(q_val) / scale, 1, "pole-degenerate"])
     return entries
 
 
@@ -154,13 +139,12 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """Dispersion roots in [0, 3(Omega + omega0)].
 
     The mode energies are E = sqrt(x) for the real roots x of
-    x^2 - B x + C (``mode_energy_squares``).  A root is kept when it lies
-    in one of the pole-free windows [lo + offset, hi - offset] between
-    0, the kernel poles and the upper end, offset = max(2 eps, 1e-13
-    (hi - lo)); a window without a root adds a message.  The E=0
-    candidate and pole-coincident numerator roots are handled by their
-    closed-form witnesses; the E=0 entry replaces as many roots of the
-    quadratic as its multiplicity, the smallest in magnitude.  Then
+    x^2 - B x + C (``mode_energy_squares``).  A root is kept when
+    2 eps <= E <= 3(Omega + omega0) - 2 eps and E <= p - 2 eps or
+    E >= p + 2 eps for each kernel pole p, eps the pole epsilon.  The
+    E=0 candidate and pole-coincident numerator roots are handled by
+    their closed-form witnesses; the E=0 entry replaces as many roots of
+    the quadratic as its multiplicity, the smallest in magnitude.  Then
     everything is merged, sorted, and deduplicated within 1e-8 with
     multiplicity accumulation, so a double root is one entry of
     multiplicity 2.
@@ -175,80 +159,61 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     B, C = _quadratic(params, t)
     w0sq, Wsq = params.omega0**2, params.Omega**2
 
-    def residual(E: float) -> float:
-        x = E * E
-        return (x * x - B * x + C) / ((w0sq - x) * (Wsq - x))
+    guard = 2.0 * default_pole_epsilon(params)
+    top = 3.0 * (params.Omega + params.omega0) - guard
+    poles = {params.Omega, params.omega0}
 
-    eps = default_pole_epsilon(params)
-    upper = 3.0 * (params.Omega + params.omega0)
-    poles = sorted({params.Omega, params.omega0})
-    edges = [0.0] + poles + [upper]
-
-    entries: list[dict] = []
-    messages: list[str] = []
-
+    # entry: [root, residual, multiplicity, label]
+    entries: list[list] = []
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
     squares = sorted(_quadratic_roots(params, t, B, C) or (), key=abs)
     zero = _zero_energy_entry(params, t, B)
     if zero is not None:
         entries.append(zero)
-        squares = squares[zero["multiplicity"] :]
-    energies = [math.sqrt(x) for x in squares if x >= 0.0]
-
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        offset = max(2.0 * eps, 1e-13 * (hi - lo))
-        window = (lo + offset, hi - offset)
-        inside = [E for E in energies if window[0] <= E <= window[1]]
-        for root in inside:
-            entries.append(
-                {
-                    "root": root,
-                    "residual": abs(residual(root)),
-                    "bracket": window,
-                    "multiplicity": 1,
-                    "label": "mode",
-                }
-            )
-        if not inside:
-            messages.append(f"no sign change in ({lo:.6g}, {hi:.6g})")
-
+        squares = squares[zero[2] :]
+    for E in [math.sqrt(x) for x in squares if x >= 0.0]:
+        if guard <= E <= top and all(
+            E <= p - guard or E >= p + guard for p in poles
+        ):
+            # the residual at the reported root, as dispersion_residual(E)
+            x = E * E
+            residual = (x * x - B * x + C) / ((w0sq - x) * (Wsq - x))
+            entries.append([E, abs(residual), 1, "mode"])
     entries.extend(_pole_coincidence_entries(params, B, C))
 
-    entries.sort(key=lambda e: e["root"])
-    merged: list[dict] = []
-    for entry in entries:
-        if merged and entry["root"] - merged[-1]["root"] < _DEDUP_TOL:
+    entries.sort(key=lambda e: e[0])
+    merged: list[list] = []
+    for root, residual, multiplicity, label in entries:
+        if merged and root - merged[-1][0] < _DEDUP_TOL:
             keep = merged[-1]
-            # A window root merging into a closed-form entry re-detects
-            # the same analytic root, so multiplicities combine by max
-            # there; two window roots within the dedup width are a
-            # double or closely spaced pair and add up.
-            if keep["label"] == "mode" and entry["label"] == "mode":
-                keep["multiplicity"] += entry["multiplicity"]
+            # A mode merging into a closed-form entry re-detects the same
+            # analytic root, so multiplicities combine by max there; two
+            # modes within the dedup width are a double or closely spaced
+            # pair and add up.
+            if keep[3] == "mode" and label == "mode":
+                keep[2] += multiplicity
             else:
-                keep["multiplicity"] = max(
-                    keep["multiplicity"], entry["multiplicity"]
-                )
-            if entry["residual"] < keep["residual"]:
-                keep["residual"] = entry["residual"]
-            if keep["label"] == "mode" and entry["label"] != "mode":
-                keep["label"] = entry["label"]
+                keep[2] = max(keep[2], multiplicity)
+            keep[1] = min(keep[1], residual)
+            if keep[3] == "mode":
+                keep[3] = label
         else:
-            merged.append(dict(entry))
+            merged.append([root, residual, multiplicity, label])
 
     bc = critical_beta(params)
     at_critical = bc is not None and abs(beta - bc) <= 1e-9 * max(1.0, bc)
+    roots, residuals, multiplicities, labels = (
+        tuple(zip(*merged)) if merged else ((),) * 4
+    )
     return SpectrumResult(
-        roots=tuple(e["root"] for e in merged),
-        residuals=tuple(e["residual"] for e in merged),
-        brackets=tuple(e["bracket"] for e in merged),
-        multiplicities=tuple(e["multiplicity"] for e in merged),
-        labels=tuple(e["label"] for e in merged),
+        roots=roots,
+        residuals=residuals,
+        multiplicities=multiplicities,
+        labels=labels,
         params=params,
         beta=beta,
         at_critical=at_critical,
-        messages=tuple(messages),
     )
 
 

@@ -33,7 +33,7 @@ BETA_C_RWA = "3.4259571827498814"
 
 
 def test_flags_override_config_file():
-    text = "g1 = 0.5\ng2 = 0.2\ncutoff = 256\n"
+    text = "g1 = 0.5\ng2 = 0.2\n"
     cfg = parse_config(
         ["order-parameter", "--beta", "2.0", "--g1", "0.9"], file_text=text
     )
@@ -371,16 +371,16 @@ def test_order_parameter_row_at_critical_point(capsys):
     assert float(cells[7]) == 0.0
 
 
-def test_cutoff_errors_exit_two(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("cutoff = abc\n")
+def test_cutoff_is_refused(tmp_path, capsys):
     argv = ["partition-ratio", "--g1", "0.6", "--beta", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cutoff", "512"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff 512" in capsys.readouterr().err
+    config = tmp_path / "old.cfg"
+    config.write_text("cutoff = 256\n")
     assert main(argv + ["--config", str(config)]) == 2
-    assert "cutoff is not an integer" in capsys.readouterr().err
-    assert main(argv + ["--cutoff", "5"]) == 2
-    assert "cutoff must be at least 10" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match="cutoff"):
-        parse_config(argv, "cutoff = 9")
+    assert "unknown config key 'cutoff'" in capsys.readouterr().err
 
 
 def test_critical_temp_stdout(capsys):

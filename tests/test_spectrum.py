@@ -42,6 +42,9 @@ def test_dispersion_residual_free_case_is_one():
 def test_dispersion_residual_rejects_bad_arguments():
     with pytest.raises(ValueError):
         dispersion_residual(-0.5, P_RWA, 2.0)
+    for E in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            dispersion_residual(E, P_RWA, 2.0)
     with pytest.raises(ValueError):
         dispersion_residual(0.5, P_RWA, 0.0)
 
@@ -152,21 +155,45 @@ def test_degenerate_root_multiplicity():
     assert result.labels == ("goldstone",)
 
 
-def test_rootless_scan_reports_messages():
+def test_rootless_node_returns_no_roots():
     result = collective_modes(ModelParams(1.0, 1.0, g2=2.0), 5.0)
     assert result.roots == ()
     assert not result.at_critical
-    assert any("no sign change" in m for m in result.messages)
 
 
-def test_roots_sorted_and_inside_brackets():
+def test_roots_sorted_and_clear_of_poles():
     p = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
     result = collective_modes(p, 1.7)
     assert list(result.roots) == sorted(result.roots)
     assert len(set(np.round(result.roots, 9))) == len(result.roots)
-    for root, (lo, hi) in zip(result.roots, result.brackets):
-        assert lo < root < hi
+    assert result.roots and _kept(p, result.roots)
     assert all(abs(r) < 1e-9 for r in result.residuals)
+
+
+@pytest.mark.parametrize("where", ["zero", "Omega", "omega0", "upper"])
+def test_mode_filter_boundary(monkeypatch, where):
+    # a mode exactly 2 eps from 0, a pole or the upper end is kept; one
+    # float further in is dropped
+    p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
+    guard = 2.0 * spectrum.default_pole_epsilon(p)
+    edge = {
+        "zero": 0.0,
+        "Omega": p.Omega,
+        "omega0": p.omega0,
+        "upper": 3.0 * (p.Omega + p.omega0),
+    }[where]
+    sides = {"zero": (1.0,), "upper": (-1.0,)}.get(where, (-1.0, 1.0))
+    for side in sides:
+        kept = edge + side * guard
+        dropped = math.nextafter(kept, edge)
+        for E, expected in ((kept, (kept,)), (dropped, ())):
+            assert math.sqrt(E * E) == E
+            monkeypatch.setattr(
+                spectrum, "_quadratic_roots", lambda *args, x=E * E: (x,)
+            )
+            result = collective_modes(p, 1.0)
+            assert result.roots == expected
+            assert result.labels == ("mode",) * len(expected)
 
 
 def test_off_critical_flag_and_goldstone_absence():
@@ -225,12 +252,15 @@ def test_critical_resonant_double_goldstone_only(g2):
     assert result.labels == ("goldstone",)
 
 
-def _windows(p):
-    eps = 1e-9 * max(p.Omega, p.omega0)
-    edges = [0.0, *sorted({p.Omega, p.omega0}), 3.0 * (p.Omega + p.omega0)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        offset = max(2.0 * eps, 1e-13 * (hi - lo))
-        yield lo + offset, hi - offset
+def _kept(p, energies):
+    """Every E at least 2 eps from 0, from each pole and from the upper end."""
+    guard = 2.0 * spectrum.default_pole_epsilon(p)
+    upper = 3.0 * (p.Omega + p.omega0)
+    return all(
+        guard <= E <= upper - guard
+        and all(E <= q - guard or E >= q + guard for q in (p.Omega, p.omega0))
+        for E in energies
+    )
 
 
 def _factored_roots(p, beta):
@@ -264,16 +294,12 @@ def test_roots_equal_factored_discriminant_roots():
         marks.sort()
         if min(b - a for a, b in zip(marks, marks[1:])) < 1e-6:
             continue
-        expected = [
-            e for e in energies if any(lo <= e <= hi for lo, hi in _windows(p))
-        ]
+        expected = [e for e in energies if _kept(p, [e])]
         result = collective_modes(p, beta)
         checked += 1
         assert result.labels == ("mode",) * len(expected)
         assert result.multiplicities == (1,) * len(expected)
         assert result.roots == pytest.approx(expected, rel=1e-12, abs=0.0)
-        for root, (lo, hi) in zip(result.roots, result.brackets):
-            assert lo <= root <= hi
 
 
 def test_critical_spectrum_counts_at_most_two_roots():
