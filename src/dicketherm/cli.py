@@ -4,13 +4,16 @@ Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
 order-parameter, ed-curve, validate.  Each row command turns library
 results into rows for ``csv`` or ``json`` (one object per line).
 phase-diagram and order-parameter evaluate their whole grid in one
-``phase_scan`` call and build the rows of both formats from one set of
-text columns: each grid value formatted once, each computed float by
-``repr`` as its row is written, each distinct string once.  A float's
-``repr`` is what ``json`` emits for it, and strings, None, keys and
-separators are the JSON encoder's, so a JSON line is the encoder's own
-line for the row; CSV rows go through ``csv.writer``.  The other
-commands build dicts node by node.  Floats print as ``repr``, the
+``phase_scan`` call and build their rows from text columns: each grid
+value formatted once, each computed float by ``repr`` as its row is
+written, each distinct string or None once, by the format's own writer.
+A float's ``repr`` is what ``json`` emits for it and what ``csv.writer``
+writes, unquoted.  Each row is the writer's own ``%`` template for a row
+of that width, filled with the cell texts: the JSON encoder's line of
+keys and separators, or ``csv.writer``'s line of ``%s`` cells, so a row
+is byte for byte what the writer would write for the row's values.  The
+other commands build dicts node by node and write them row by row
+through ``csv.writer`` or the JSON encoder.  Floats print as ``repr``, the
 shortest form that round-trips, so identical configurations produce
 byte-identical files; CSV booleans print as ``True``/``False``.  A
 scan node whose convergence bound lies outside the float range is an
@@ -32,7 +35,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -347,26 +350,58 @@ def parse_config(
 # One encoder for every JSON row and cell; json.dumps would build one per call.
 _JSON_ROW = json.JSONEncoder(allow_nan=False)
 
-# A string or None cell's text: JSON's, or the value itself for csv.writer
-_ENCODE = {"csv": lambda value: value, "json": _JSON_ROW.encode}
+
+class _Echo:
+    """A stream whose ``write`` returns its text, so that ``writerow`` of a
+    ``csv.writer`` on it returns the line the writer would write."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+# One writer for every CSV template, text-row header and cell text
+_CSV_ROW = csv.writer(_Echo(), lineterminator="\n")
+_CSV_CELL_END = len(_CSV_ROW.dialect.delimiter + _CSV_ROW.dialect.lineterminator)
+
+
+def _csv_cell(value: str | None) -> str:
+    """The writer's own text for one string or None cell: its line for the
+    row ``(value, None)`` without the delimiter and the line end."""
+    return _CSV_ROW.writerow((value, None))[:-_CSV_CELL_END]
+
+
+# A string or None cell's text, as the format's own writer writes it
+_ENCODE = {"csv": _csv_cell, "json": _JSON_ROW.encode}
 
 
 def _write_rows(
-    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict | tuple]
+    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict]
 ) -> None:
-    """Write rows, each built in header order, as CSV or JSON lines.
+    """Write dict rows, each built in header order, as CSV or JSON lines.
 
-    A row is a tuple of cell texts (``_text_column``), already checked, or
-    a dict: floats print as ``repr``, None as an empty cell or ``null``,
-    and a NaN or infinity raises ValueError."""
+    Floats print as ``repr``, None as an empty cell or ``null``, and a NaN
+    or infinity raises ValueError."""
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(_finite_cells(rows))
         return
-    line = _json_line(header)
     for row in rows:
-        stream.write(line % row if isinstance(row, tuple) else _JSON_ROW.encode(row) + "\n")
+        stream.write(_JSON_ROW.encode(row) + "\n")
+
+
+def _write_text_rows(
+    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[tuple[str, ...]]
+) -> None:
+    """Write rows of cell texts (``_text_column``), already checked, each
+    as ``line % row``: the format's row template filled with its cells."""
+    if fmt == "csv":
+        stream.write(_CSV_ROW.writerow(header))
+        line = _csv_line(len(header))
+    else:
+        line = _json_line(header)
+    stream.writelines(map(line.__mod__, rows))
 
 
 def _json_line(header: Sequence[str]) -> str:
@@ -378,15 +413,26 @@ def _json_line(header: Sequence[str]) -> str:
     return "{" + items + "}\n"
 
 
-def _finite_cells(rows: Iterable[dict | tuple]) -> Iterator[Iterable]:
-    """The cells of each row; a dict's NaN or infinity raises as in JSON."""
+@lru_cache
+def _csv_line(width: int) -> str:
+    """The ``%`` template of a CSV line of ``width`` cell texts: the writer's
+    own line for a row of ``%s`` cells.
+
+    Under ``QUOTE_MINIMAL`` the writer quotes each field by that field's
+    text alone, so its line for a row is the cells' texts joined by the
+    delimiter.  The one exception is a row of a single empty field, which
+    it writes as ``""``; scan tables have 8 or 10 columns."""
+    return _CSV_ROW.writerow(("%s",) * width)
+
+
+def _finite_cells(rows: Iterable[dict]) -> Iterator[Iterable]:
+    """The cells of each dict row; a NaN or infinity raises as in JSON."""
     for row in rows:
-        if isinstance(row, dict):
-            row = row.values()
-            for cell in row:
-                if isinstance(cell, float) and not math.isfinite(cell):
-                    raise _non_finite(cell, "csv")
-        yield row
+        cells = row.values()
+        for cell in cells:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise _non_finite(cell, "csv")
+        yield cells
 
 
 def _non_finite(value: float, fmt: str) -> ValueError:
@@ -454,14 +500,13 @@ def _text_column(
     """The column's cells as the format's text, formatted as they are read.
 
     A float's text is its ``repr``: what ``json`` emits for a finite
-    float and what ``csv`` writes.  A ``missing`` node gets the format's
-    empty cell.  A string column encodes each distinct value once.
+    float and what ``csv.writer`` writes, with no character it quotes.
+    A ``missing`` node gets the format's empty cell.  A string column
+    encodes each distinct value once.
     """
     encode = _ENCODE[fmt]
     values = column.tolist()
     if column.dtype.kind != "f":
-        if fmt == "csv":  # csv.writer takes strings and None as they are
-            return values
         texts = {value: encode(value) for value in set(values)}
         return map(texts.__getitem__, values)
     if missing is None or not missing.any():
@@ -595,28 +640,32 @@ def _ed_curve_points(config: RunConfig) -> Iterator[dict]:
             }
 
 
-# command -> (CSV header, row generator); each generator builds its rows
-# in header order
-_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[dict | tuple]]]] = {
+# command -> (CSV header, row generator, writer); each generator builds its
+# rows in header order: dicts, or tuples of cell texts for the two scans
+_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator], Callable]] = {
     "critical-temp": (
         (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"),
         _critical_temp_rows,
+        _write_rows,
     ),
-    "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows),
+    "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows, _write_text_rows),
     "spectrum": (
         (*_NODE_COLUMNS, "at_critical", "root_index", "root", "residual", "label",
          "multiplicity"),
         _spectrum_rows,
+        _write_rows,
     ),
     "partition-ratio": (
         (*_NODE_COLUMNS, "bound", "log_partition_ratio"),
         _partition_ratio_rows,
+        _write_rows,
     ),
-    "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows),
+    "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows, _write_text_rows),
     "ed-curve": (
         (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom",
          "truncation_error_estimate"),
         _ed_curve_rows,
+        _write_rows,
     ),
 }
 
@@ -628,8 +677,8 @@ _PARSER = build_parser()
 
 
 def _run_table(config: RunConfig, stream: TextIO) -> int:
-    header, rows = _TABLES[config.command]
-    _write_rows(stream, config.fmt, header, rows(config))
+    header, rows, write = _TABLES[config.command]
+    write(stream, config.fmt, header, rows(config))
     return 0
 
 

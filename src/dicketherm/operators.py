@@ -166,7 +166,7 @@ class HermitianOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if deviation > HERMITICITY_TOL:
+        if not deviation <= HERMITICITY_TOL:  # a NaN entry deviates too
             raise NotHermitianError(
                 f"matrix deviates from self-adjointness by {deviation:.3e}"
             )

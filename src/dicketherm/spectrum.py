@@ -109,7 +109,7 @@ def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
     primary = 1.0 - (params.g1 + params.g2) ** 2 * u
     secondary = 1.0 - (params.g1 - params.g2) ** 2 * u
     residual = primary * secondary
-    if abs(residual) >= RESIDUAL_TOL:
+    if not abs(residual) < RESIDUAL_TOL:  # a NaN residual is no root
         return None
     double = abs(B) < RESIDUAL_TOL * max(1.0, params.omega0**2 + params.Omega**2)
     label = "goldstone" if abs(primary) <= abs(secondary) else "secondary-branch"

@@ -742,7 +742,9 @@ def test_scan_rows_are_the_stdlib_writers_of_the_scan_values(command, argv, caps
 def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, capsys):
     import dicketherm.cli as cli
 
-    message = 'bad "node" \\ here, then\na new line é'
+    # % signs in a cell must reach the output as they are: the row
+    # template is filled once and never re-reads a cell
+    message = 'bad "node" \\ here, then\na new line é, %s %% 100%'
 
     def failing(*args):
         # g1 = 5e199 and 1e200 overflow the bound: both are error rows
@@ -761,12 +763,40 @@ def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, 
         _assert_same_text(out, _expected_output("phase-diagram", rows, fmt))
         if fmt == "json":
             line = out.splitlines()[2]
-            assert '\\"node\\" \\\\ here, then\\na new line \\u00e9"}' in line
+            assert '\\"node\\" \\\\ here, then\\na new line \\u00e9, %s %% 100%"}' in line
             assert json.loads(line)["error"] == f"ValueError: {message}"
         else:
-            cell = '"ValueError: bad ""node"" \\ here, then\na new line é"'
+            cell = '"ValueError: bad ""node"" \\ here, then\na new line é, %s %% 100%"'
             assert out.endswith(f",,error,,,{cell}\n")
             assert list(csv.reader(io.StringIO(out)))[3][-1] == f"ValueError: {message}"
+
+
+def test_csv_template_and_cell_texts_are_the_writers_own():
+    import dicketherm.cli as cli
+
+    def written(*rows):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+
+    for width in (2, 8, 10):
+        assert cli._csv_line(width) == written(["%s"] * width)
+    cells = ["normal", "superradiant", "error", None, 'OverflowError: a, "b"\nc %s %% 100%']
+    texts = [cli._ENCODE["csv"](cell) for cell in cells]
+    assert texts == ["normal", "superradiant", "error", "", '"OverflowError: a, ""b""\nc %s %% 100%"']
+    # a text row, the message before the last cell, is the writer's line
+    # of the values in CSV and the encoder's in JSON: no cell is re-read
+    header = ("a", "b", "c", "d", "e", "f")
+    values = [*cells, 0.1]
+    for fmt in ("csv", "json"):
+        row = (*map(cli._ENCODE[fmt], cells), repr(0.1))
+        out = io.StringIO()
+        cli._write_text_rows(out, fmt, header, [row, row])
+        if fmt == "csv":
+            assert out.getvalue() == written(header, values, values)
+        else:
+            line = json.dumps(dict(zip(header, values))) + "\n"
+            assert out.getvalue() == line * 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -57,6 +57,14 @@ def test_rejects_non_hermitian():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_rejects_nan_entries():
+    # a NaN deviation fails every comparison, so it must not pass as small
+    with pytest.raises(NotHermitianError, match="nan"):
+        HermitianOperator(np.array([[math.nan, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotHermitianError):
+        HermitianOperator(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+
+
 def test_real_input_stays_real_and_complex_stays_complex():
     source = np.array([[1.0, 2.0], [2.0, 3.0]])
     for given, dtype in (

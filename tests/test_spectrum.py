@@ -82,6 +82,16 @@ def test_zero_frequency_residual_product_formula():
     assert dispersion_residual(1e-9, p, beta) == pytest.approx(expected, rel=1e-6)
 
 
+def test_nan_static_residual_is_no_zero_energy_root():
+    # omega0 * Omega = 1e-322 makes u = t / (omega0 Omega) infinite and
+    # (g1 + g2)^2 = 1e-372 underflows to 0, so the residual is 0 * inf
+    p = ModelParams(1e-164, 1e-158, g1=1e-186)
+    t = thermo.tanh_factor(p, 4.4e283)
+    B, _ = spectrum._quadratic(p, t)
+    assert t == 1.0
+    assert spectrum._zero_energy_entry(p, t, B) is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     omega0=st.floats(min_value=0.6, max_value=1.8),
