@@ -1,26 +1,25 @@
 """Batch command-line front end.
 
 Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
-order-parameter, ed-curve, validate.  Each row command turns library
-results into rows for ``csv`` or ``json`` (one object per line).
-phase-diagram and order-parameter evaluate their whole grid in one
-``phase_scan`` call and build their rows from text columns: each grid
-value formatted once, each computed float by ``repr`` as its row is
-written, each distinct string or None once, by the format's own writer.
-A float's ``repr`` is what ``json`` emits for it and what ``csv.writer``
-writes, unquoted.  Each row is the writer's own ``%`` template for a row
-of that width, filled with the cell texts: the JSON encoder's line of
-keys and separators, or ``csv.writer``'s line of ``%s`` cells, so a row
-is byte for byte what the writer would write for the row's values.  The
-other commands build dicts node by node and write them row by row
-through ``csv.writer`` or the JSON encoder.  Floats print as ``repr``, the
-shortest form that round-trips, so identical configurations produce
-byte-identical files; CSV booleans print as ``True``/``False``.  A
-scan node whose convergence bound lies outside the float range is an
-error row, and no other node is.  phase-diagram writes it with its
-``OverflowError`` text and empty (CSV) or ``null`` (JSON) numeric
-cells; order-parameter stops there and exits 1 with that text, after
-the rows before it.  Any other NaN or infinity in a row is an error as
+order-parameter, ed-curve, validate.  Each row command yields its rows
+as tuples of cell texts, and one writer writes them as ``csv`` or
+``json`` (one object per line): each row is the writer's own ``%``
+template for a row of that width, the JSON encoder's line of keys and
+separators or ``csv.writer``'s line of ``%s`` cells, filled with the
+cell texts, so a row is byte for byte what the writer would write for
+the row's values.  A float's text is its ``repr``, the shortest form
+that round-trips, which ``json`` emits and ``csv.writer`` writes
+unquoted, so identical configurations produce byte-identical files;
+any other cell is the format's own text for it (CSV booleans print as
+``True``/``False``).  phase-diagram and order-parameter evaluate their
+whole grid in one ``phase_scan`` call and build their rows from text
+columns, each grid value and each distinct string formatted once.  The
+other commands compute node by node, and one cell rule gives each
+value's text as its row is made.  A scan node whose convergence bound
+lies outside the float range is an error row, and no other node is.
+phase-diagram writes it with its ``OverflowError`` text and empty (CSV)
+or ``null`` (JSON) numeric cells; order-parameter stops there and exits
+1 with that text, after the rows before it.  Any other NaN or infinity in a row is an error as
 well: the command exits 1, after the rows it had already written.  Rows
 stream as they are computed.  ``--workers`` is accepted and validated
 but has no effect.
@@ -37,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -365,37 +365,21 @@ _CSV_ROW = csv.writer(_Echo(), lineterminator="\n")
 _CSV_CELL_END = len(_CSV_ROW.dialect.delimiter + _CSV_ROW.dialect.lineterminator)
 
 
-def _csv_cell(value: str | None) -> str:
-    """The writer's own text for one string or None cell: its line for the
-    row ``(value, None)`` without the delimiter and the line end."""
+def _csv_cell(value: object) -> str:
+    """The writer's own text for one cell: its line for the row
+    ``(value, None)`` without the delimiter and the line end."""
     return _CSV_ROW.writerow((value, None))[:-_CSV_CELL_END]
 
 
-# A string or None cell's text, as the format's own writer writes it
+# A non-float cell's text, as the format's own writer writes it
 _ENCODE = {"csv": _csv_cell, "json": _JSON_ROW.encode}
 
 
 def _write_rows(
-    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[dict]
-) -> None:
-    """Write dict rows, each built in header order, as CSV or JSON lines.
-
-    Floats print as ``repr``, None as an empty cell or ``null``, and a NaN
-    or infinity raises ValueError."""
-    if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(_finite_cells(rows))
-        return
-    for row in rows:
-        stream.write(_JSON_ROW.encode(row) + "\n")
-
-
-def _write_text_rows(
     stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[tuple[str, ...]]
 ) -> None:
-    """Write rows of cell texts (``_text_column``), already checked, each
-    as ``line % row``: the format's row template filled with its cells."""
+    """Write rows of cell texts, already checked, each as ``line % row``:
+    the format's row template filled with its cells."""
     if fmt == "csv":
         stream.write(_CSV_ROW.writerow(header))
         line = _csv_line(len(header))
@@ -404,6 +388,7 @@ def _write_text_rows(
     stream.writelines(map(line.__mod__, rows))
 
 
+@lru_cache
 def _json_line(header: Sequence[str]) -> str:
     """The ``%`` template of a JSON line of cell texts: ``{``, each encoded
     key, the key separator and the cell, joined by the item separator, then
@@ -421,22 +406,43 @@ def _csv_line(width: int) -> str:
     Under ``QUOTE_MINIMAL`` the writer quotes each field by that field's
     text alone, so its line for a row is the cells' texts joined by the
     delimiter.  The one exception is a row of a single empty field, which
-    it writes as ``""``; scan tables have 8 or 10 columns."""
+    it writes as ``""``; every table has at least 6 columns."""
     return _CSV_ROW.writerow(("%s",) * width)
-
-
-def _finite_cells(rows: Iterable[dict]) -> Iterator[Iterable]:
-    """The cells of each dict row; a NaN or infinity raises as in JSON."""
-    for row in rows:
-        cells = row.values()
-        for cell in cells:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise _non_finite(cell, "csv")
-        yield cells
 
 
 def _non_finite(value: float, fmt: str) -> ValueError:
     return ValueError(f"non-finite value {value!r} in a {fmt.upper()} row")
+
+
+def _cell_rule(fmt: str) -> Callable[[object], str]:
+    """The text of one value of a node-by-node row, in ``fmt``.
+
+    A finite float is its ``repr``, which both writers write for it; a
+    NaN or an infinity raises.  A tuple of floats, which only JSON rows
+    hold, is their texts joined by the encoder's item separator, in
+    brackets, as the encoder writes it.  Any other value (str, None,
+    bool, int, or a tuple of them) is the format's own text for it,
+    encoded once per distinct value and type.
+    """
+    encode = _ENCODE[fmt]
+    texts: dict[tuple[type, object], str] = {}
+    # bound once, as this runs per cell; float.__repr__ is what the encoder
+    # writes for any float, a numpy float included
+    isfinite, float_text = math.isfinite, float.__repr__
+
+    def text(value) -> str:
+        if isinstance(value, float):
+            if isfinite(value):
+                return float_text(value)
+            raise _non_finite(value, fmt)
+        if isinstance(value, tuple) and value and isinstance(value[0], float):
+            return "[" + _JSON_ROW.item_separator.join(map(text, value)) + "]"
+        key = (type(value), value)
+        if key not in texts:
+            texts[key] = encode(value)
+        return texts[key]
+
+    return text
 
 
 def _beta_nodes(config: RunConfig) -> list[float]:
@@ -447,33 +453,34 @@ def _beta_nodes(config: RunConfig) -> list[float]:
     return [config.beta] if config.beta is not None else []
 
 
-def _nodes(config: RunConfig) -> Iterator[tuple[ModelParams, float]]:
-    """The params x beta grid, params outer."""
-    betas = _beta_nodes(config)
-    for p in config.param_nodes:
-        for b in betas:
-            yield p, b
-
-
 _PARAM_COLUMNS = ("omega0", "Omega", "g1", "g2")
 _NODE_COLUMNS = (*_PARAM_COLUMNS, "beta")
+_param_values = attrgetter(*_PARAM_COLUMNS)
 
 
-def _param_cells(params: ModelParams) -> dict:
-    return {name: getattr(params, name) for name in _PARAM_COLUMNS}
-
-
-def _critical_temp_rows(config: RunConfig) -> Iterator[dict]:
+def _nodes(
+    config: RunConfig, text: Callable[[object], str]
+) -> Iterator[tuple[ModelParams, float, tuple[str, ...]]]:
+    """The params x beta grid, params outer, each node with the texts of
+    its five input cells: each param node and each beta formatted once."""
+    betas = _beta_nodes(config)
+    beta_texts = list(map(text, betas))
     for p in config.param_nodes:
-        yield {
-            **_param_cells(p),
-            "quantum_critical_gap": quantum_critical_gap(p),
-            "beta_c": critical_beta(p),
-        }
+        params = tuple(map(text, _param_values(p)))
+        for b, b_text in zip(betas, beta_texts):
+            yield p, b, (*params, b_text)
 
 
-def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]]]:
-    """The whole grid in one ``phase_scan`` call, and its five input columns.
+def _critical_temp_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    text = _cell_rule(config.fmt)
+    for p in config.param_nodes:
+        values = (*_param_values(p), quantum_critical_gap(p), critical_beta(p))
+        yield tuple(map(text, values))
+
+
+def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]], int]:
+    """The whole grid in one ``phase_scan`` call, its five input columns,
+    and the number of beta nodes per parameter node.
 
     The input columns are text, the same in both formats: each grid
     value's ``repr``, formatted once (a fixed parameter once, each sweep
@@ -485,13 +492,14 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]]]:
         params[swept] = config.sweep.values()
     betas = _beta_nodes(config)
     scan = phase_scan(ParamGrid(**params), betas)
+    width = len(betas)
     inputs = [
         [text for text in map(repr, params[name]) for _ in betas] if name == swept
         else repeat(repr(params[name]), len(scan))
         for name in _PARAM_COLUMNS
     ]
-    inputs.append(list(map(repr, betas)) * (len(scan) // len(betas)))
-    return scan, inputs
+    inputs.append(list(map(repr, betas)) * (len(scan) // width))
+    return scan, inputs, width
 
 
 def _text_column(
@@ -517,6 +525,26 @@ def _text_column(
     return (empty if m else repr(v) for v, m in zip(values, missing.tolist()))
 
 
+def _node_column(
+    fmt: str, column: np.ndarray, missing: np.ndarray, width: int
+) -> Iterable[str]:
+    """The text column of a value of the parameter node alone, such as
+    beta_c: each node's first row formatted once and expanded over the
+    node's ``width`` beta rows, as ``_scan`` expands the input columns.
+
+    A ``missing`` row gets the format's empty cell.  Where a node's rows
+    differ in that (an error row of a node that has a value), each row
+    is formatted on its own.
+    """
+    firsts = missing[::width]
+    if width == 1 or not np.array_equal(missing, firsts.repeat(width)):
+        return _text_column(fmt, column, missing)
+    texts = list(_text_column(fmt, column[::width], firsts))
+    if len(texts) == 1:
+        return repeat(texts[0], width)
+    return [text for text in texts for _ in range(width)]
+
+
 def _refusal(
     checks: Sequence[tuple[np.ndarray, np.ndarray | bool]],
 ) -> tuple[int, float | None]:
@@ -538,8 +566,8 @@ def _refusal(
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
 
 
-def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple]:
-    scan, inputs = _scan(config)
+def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    scan, inputs, width = _scan(config)
     # error rows are the one place a missing number is expected; a NaN
     # beta_c is also a node with no transition
     failed = scan.phase == "error"
@@ -552,7 +580,7 @@ def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple]:
         *inputs,
         _text_column(fmt, scan.bound, failed),
         _text_column(fmt, scan.phase),
-        _text_column(fmt, scan.beta_c, no_beta_c),
+        _node_column(fmt, scan.beta_c, no_beta_c, width),
         _text_column(fmt, scan.rho, failed),
         _text_column(fmt, scan.error),
     )
@@ -561,46 +589,31 @@ def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple]:
         raise _non_finite(refused, fmt)
 
 
-def _spectrum_rows(config: RunConfig) -> Iterator[dict]:
+def _spectrum_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
     """One CSV row per root; one JSON row per node, the modes as lists."""
-    for p, b in _nodes(config):
+    text = _cell_rule(config.fmt)
+    for p, b, node in _nodes(config, text):
         r = collective_modes(p, b)
-        node = {**_param_cells(p), "beta": b, "at_critical": r.at_critical}
+        node = (*node, text(r.at_critical))
         if config.fmt == "json":
-            yield {
-                **node,
-                "roots": r.roots,
-                "residuals": r.residuals,
-                "labels": r.labels,
-                "multiplicities": r.multiplicities,
-            }
+            yield (*node, *map(text, (r.roots, r.residuals, r.labels, r.multiplicities)))
             continue
-        for i, root in enumerate(r.roots):
-            yield {
-                **node,
-                "root_index": i,
-                "root": root,
-                "residual": r.residuals[i],
-                "label": r.labels[i],
-                "multiplicity": r.multiplicities[i],
-            }
+        for i, mode in enumerate(zip(r.roots, r.residuals, r.labels, r.multiplicities)):
+            yield (*node, *map(text, (i, *mode)))
 
 
-def _partition_ratio_rows(config: RunConfig) -> Iterator[dict]:
-    for p, b in _nodes(config):
-        yield {
-            **_param_cells(p),
-            "beta": b,
-            "bound": convergence_bound(p, b),
-            "log_partition_ratio": log_partition_ratio(p, b),
-        }
+def _partition_ratio_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    text = _cell_rule(config.fmt)
+    for p, b, node in _nodes(config, text):
+        values = (convergence_bound(p, b), log_partition_ratio(p, b))
+        yield (*node, *map(text, values))
 
 
 _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 
 
-def _order_parameter_rows(config: RunConfig) -> Iterator[tuple]:
-    scan, inputs = _scan(config)
+def _order_parameter_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    scan, inputs, _ = _scan(config)
     # no row is exempt: an error row's NaN bound stops the rows there
     stop, refused = _refusal([(scan.bound, False), (scan.rho, False)])
     fmt = config.fmt
@@ -612,7 +625,7 @@ def _order_parameter_rows(config: RunConfig) -> Iterator[tuple]:
         raise _non_finite(refused, fmt)
 
 
-def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
+def _ed_curve_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
     # every node's ladder inputs are checked before the first row, so a
     # refusal writes nothing, not even the CSV header
     for p in config.param_nodes:
@@ -620,53 +633,40 @@ def _ed_curve_rows(config: RunConfig) -> Iterator[dict]:
     return _ed_curve_points(config)
 
 
-def _ed_curve_points(config: RunConfig) -> Iterator[dict]:
+def _ed_curve_points(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    text = _cell_rule(config.fmt)
     for p in config.param_nodes:
         curve = photon_density_curve(
-            p,
-            config.beta,
-            config.n_list,
-            target_tol=config.ed_tol,
-            kind=config.kind,
+            p, config.beta, config.n_list, target_tol=config.ed_tol, kind=config.kind
         )
-        for point in curve:
-            yield {
-                **_param_cells(p),
-                "beta": config.beta,
-                "n_atoms": point.n_atoms,
-                "n_max_used": point.n_max_used,
-                "photons_per_atom": point.photons_per_atom,
-                "truncation_error_estimate": point.truncation_error_estimate,
-            }
+        node = tuple(map(text, (*_param_values(p), config.beta)))
+        for pt in curve:
+            values = (pt.n_atoms, pt.n_max_used, pt.photons_per_atom, pt.truncation_error_estimate)
+            yield (*node, *map(text, values))
 
 
-# command -> (CSV header, row generator, writer); each generator builds its
-# rows in header order: dicts, or tuples of cell texts for the two scans
-_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator], Callable]] = {
-    "critical-temp": (
-        (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"),
-        _critical_temp_rows,
-        _write_rows,
-    ),
-    "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows, _write_text_rows),
+_SPECTRUM_NODE_COLUMNS = (*_NODE_COLUMNS, "at_critical")
+
+# command -> (header, row generator); each generator yields its rows as
+# tuples of cell texts in header order
+_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[tuple]]]] = {
+    "critical-temp": ((*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"), _critical_temp_rows),
+    "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows),
     "spectrum": (
-        (*_NODE_COLUMNS, "at_critical", "root_index", "root", "residual", "label",
-         "multiplicity"),
+        (*_SPECTRUM_NODE_COLUMNS, "root_index", "root", "residual", "label", "multiplicity"),
         _spectrum_rows,
-        _write_rows,
     ),
-    "partition-ratio": (
-        (*_NODE_COLUMNS, "bound", "log_partition_ratio"),
-        _partition_ratio_rows,
-        _write_rows,
-    ),
-    "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows, _write_text_rows),
+    "partition-ratio": ((*_NODE_COLUMNS, "bound", "log_partition_ratio"), _partition_ratio_rows),
+    "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows),
     "ed-curve": (
-        (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom",
-         "truncation_error_estimate"),
+        (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom", "truncation_error_estimate"),
         _ed_curve_rows,
-        _write_rows,
     ),
+}
+# spectrum's JSON rows, one per node with its modes as lists, have keys of
+# their own
+_JSON_HEADERS = {
+    "spectrum": (*_SPECTRUM_NODE_COLUMNS, "roots", "residuals", "labels", "multiplicities"),
 }
 
 COMMANDS = (*_TABLES, "validate")
@@ -677,8 +677,10 @@ _PARSER = build_parser()
 
 
 def _run_table(config: RunConfig, stream: TextIO) -> int:
-    header, rows, write = _TABLES[config.command]
-    write(stream, config.fmt, header, rows(config))
+    header, rows = _TABLES[config.command]
+    if config.fmt == "json":
+        header = _JSON_HEADERS.get(config.command, header)
+    _write_rows(stream, config.fmt, header, rows(config))
     return 0
 
 

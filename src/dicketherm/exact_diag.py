@@ -189,14 +189,13 @@ def _ladder(
     beta: float,
     target_tol: float,
     kind: HamiltonianKind,
-    base: int,
     dimension_limit: int,
 ) -> tuple[int, float, float]:
     """First converged rung and the photon numbers at it and its doubling.
 
     Each rung is solved once; nothing is kept beyond the call.
     """
-    n_max = base
+    n_max = _BASE_RUNG
     prev = _photon_density(params, n_atoms, n_max, beta, kind, dimension_limit)
     while True:
         doubled = 2 * n_max
@@ -266,17 +265,16 @@ def truncation_convergence(
     target_tol: float,
     *,
     kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE,
-    base: int = _BASE_RUNG,
     dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> int:
     """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
 
-    The ladder is base, 2*base, 4*base, ... and stops before a rung that
+    The ladder is n_max = 8, 16, 32, ... and stops before a rung that
     ``dimension_limit`` would refuse (see the module docstring);
     exhaustion raises TruncationConvergenceError, the
     expected outcome deep in the superradiant phase where occupation
     scales with the atom number.  An infinite ``target_tol`` accepts
-    ``base`` unsolved.
+    the first rung, 8, unsolved.
 
     Raises
     ------
@@ -288,10 +286,8 @@ def truncation_convergence(
     """
     check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
     if math.isinf(target_tol):
-        return base
-    rung, _, _ = _ladder(
-        params, n_atoms, beta, target_tol, kind, base, dimension_limit
-    )
+        return _BASE_RUNG
+    rung, _, _ = _ladder(params, n_atoms, beta, target_tol, kind, dimension_limit)
     return rung
 
 
@@ -316,7 +312,7 @@ def photon_density_curve(
     points = []
     for n_atoms in N_list:
         rung, lower, upper = _ladder(
-            params, n_atoms, beta, target_tol, kind, _BASE_RUNG, dimension_limit
+            params, n_atoms, beta, target_tol, kind, dimension_limit
         )
         points.append(
             CurvePoint(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from dicketherm.cli import (
     main,
     parse_config,
 )
-from dicketherm.exact_diag import photon_density_curve
+from dicketherm.exact_diag import CurvePoint, photon_density_curve
 from dicketherm.operators import HamiltonianKind, ModelParams
 from dicketherm.spectrum import collective_modes
 from dicketherm.thermo import (
@@ -641,8 +642,30 @@ _COLUMN_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _COLUMN_GRIDS, ids=" ".join)
-@pytest.mark.parametrize("command", ["phase-diagram", "order-parameter"])
+# the scans on every column grid, and the node-by-node commands whose CSV
+# and JSON rows hold the same cells: sweeps, a node with no beta_c, values
+# at the ends of the float range, ints, and a grid that fails part way
+_CSV_JSON_CASES = [
+    *(
+        (command, argv)
+        for command in ("phase-diagram", "order-parameter")
+        for argv in _COLUMN_GRIDS
+    ),
+    ("critical-temp", ["--g1", "1.2", "--sweep", "g2:0:0.4:3"]),
+    ("critical-temp", ["--g1", "0.2"]),
+    ("critical-temp", ["--Omega", "5e-324", "--g1", "1"]),
+    ("critical-temp", ["--omega0", "1e300", "--Omega", "1e300"]),
+    ("partition-ratio", ["--g1", "0.6", "--g2", "0.3", "--beta-grid", "0.05:10:40:log"]),
+    ("partition-ratio", ["--g1", "0.6", "--beta-grid", "0.5:2:3", "--sweep", "g2:0:0.5:6"]),
+    ("partition-ratio", ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6"]),
+    ("ed-curve", ["--g1", "0.5", "--beta", "1", "--n-list", "1,2"]),
+    ("ed-curve", ["--kind", "dicke-rwa", "--g1", "0.5", "--beta", "1", "--n-list", "2,8"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, argv", _CSV_JSON_CASES, ids=lambda v: v if isinstance(v, str) else " ".join(v)
+)
 def test_column_csv_is_csv_writer_of_the_json_values(command, argv, capsys):
     json_code = main([command, *argv, "--format", "json"])
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -739,6 +762,85 @@ def test_scan_rows_are_the_stdlib_writers_of_the_scan_values(command, argv, caps
         _assert_same_text(capsys.readouterr().out, _expected_output(command, rows, fmt))
 
 
+def test_beta_c_of_an_error_row_in_a_beta_grid_is_empty(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
+    # beta_c is formatted once per parameter node; an error row among the
+    # node's other rows still gets the empty cell
+    k = 2
+    text = "OverflowError: marked node"
+
+    def marked(*args):
+        scan = phase_scan(*args)
+        scan.phase[k], scan.error[k] = "error", text
+        scan.bound[k] = scan.beta_c[k] = scan.rho[k] = math.nan
+        return scan
+
+    argv = ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:3.5:6"]
+    rows, code = _scan_rows("phase-diagram", argv)
+    beta_c = _SCAN_HEADERS["phase-diagram"].index("beta_c")
+    assert code == 0 and rows[k][beta_c] == rows[0][beta_c] is not None
+    rows[k][5:] = [None, "error", None, None, text]
+    monkeypatch.setattr(cli, "phase_scan", marked)
+    for fmt in ("json", "csv"):
+        assert main(["phase-diagram", *argv, "--format", fmt]) == 0
+        _assert_same_text(capsys.readouterr().out, _expected_output("phase-diagram", rows, fmt))
+
+
+def _spectrum_node(p, beta):
+    """A spectrum node's CSV rows and JSON row, straight from ``collective_modes``."""
+    r = collective_modes(p, beta)
+    node = [p.omega0, p.Omega, p.g1, p.g2, beta, r.at_critical]
+    modes = zip(r.roots, r.residuals, r.labels, r.multiplicities)
+    csv_rows = [[*node, i, *mode] for i, mode in enumerate(modes)]
+    keys = ["omega0", "Omega", "g1", "g2", "beta", "at_critical"]
+    json_row = {
+        **dict(zip(keys, node)),
+        "roots": list(r.roots),
+        "residuals": list(r.residuals),
+        "labels": list(r.labels),
+        "multiplicities": list(r.multiplicities),
+    }
+    return r, csv_rows, json_row
+
+
+_GOLDSTONE = ModelParams(1.0, 1.0, g2=1.000000001)
+# a normal-phase grid, a sweep, the beta_c node of a doubly degenerate
+# Goldstone mode, and a node with no root
+_SPECTRUM_GRIDS = {
+    "normal-grid": ["--g1", "0.6", "--g2", "0.3", "--beta-grid", "0.05:10:40:log"],
+    "sweep": ["--g1", "0.6", "--beta", "1", "--sweep", "g2:0:0.5:6"],
+    "goldstone-at-beta_c": ["--g2", "1.000000001", "--beta", repr(critical_beta(_GOLDSTONE))],
+    "rootless": ["--g2", "2", "--beta", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", _SPECTRUM_GRIDS.values(), ids=_SPECTRUM_GRIDS)
+def test_spectrum_rows_are_the_stdlib_writers_of_the_mode_values(argv, capsys):
+    cfg = parse_config(["spectrum", *argv])
+    betas = cfg.beta_grid.values() if cfg.beta_grid is not None else [cfg.beta]
+    nodes = [_spectrum_node(p, b) for p in cfg.param_nodes for b in betas]
+    results = [r for r, _, _ in nodes]
+    if argv is _SPECTRUM_GRIDS["goldstone-at-beta_c"]:
+        (r,) = results
+        assert (r.at_critical, r.labels, r.multiplicities) == (True, ("goldstone",), (2,))
+    if argv is _SPECTRUM_GRIDS["rootless"]:
+        assert [r.roots for r in results] == [()]
+
+    assert main(["spectrum", *argv]) == 0
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["omega0", "Omega", "g1", "g2", "beta", "at_critical", "root_index", "root",
+                     "residual", "label", "multiplicity"])
+    writer.writerows(row for _, csv_rows, _ in nodes for row in csv_rows)
+    _assert_same_text(capsys.readouterr().out, expected.getvalue())
+
+    assert main(["spectrum", *argv, "--format", "json"]) == 0
+    encoder = json.JSONEncoder(allow_nan=False)
+    expected = "".join(encoder.encode(json_row) + "\n" for _, _, json_row in nodes)
+    _assert_same_text(capsys.readouterr().out, expected)
+
+
 def test_error_message_cells_are_escaped_by_json_and_quoted_by_csv(monkeypatch, capsys):
     import dicketherm.cli as cli
 
@@ -790,8 +892,9 @@ def test_csv_template_and_cell_texts_are_the_writers_own():
     values = [*cells, 0.1]
     for fmt in ("csv", "json"):
         row = (*map(cli._ENCODE[fmt], cells), repr(0.1))
+        assert tuple(map(cli._cell_rule(fmt), values)) == row
         out = io.StringIO()
-        cli._write_text_rows(out, fmt, header, [row, row])
+        cli._write_rows(out, fmt, header, [row, row])
         if fmt == "csv":
             assert out.getvalue() == written(header, values, values)
         else:
@@ -857,12 +960,20 @@ def test_non_finite_scan_value_stops_the_column_rows(
     assert captured.err == f"error: non-finite value inf in a {fmt.upper()} row\n"
 
 
+def _text_rows(fmt, rows):
+    """The rows as cell texts by the cell rule, made as they are written."""
+    import dicketherm.cli as cli
+
+    text = cli._cell_rule(fmt)
+    return (tuple(map(text, row)) for row in rows)
+
+
 def test_write_rows_cells_and_non_finite_json():
     header = ("a", "b")
-    with pytest.raises(ValueError):
-        _write_rows(io.StringIO(), "json", header, [{"a": 1.0, "b": math.nan}])
+    with pytest.raises(ValueError, match="non-finite value nan in a JSON row"):
+        _write_rows(io.StringIO(), "json", header, _text_rows("json", [(1.0, math.nan)]))
     stream = io.StringIO()
-    _write_rows(stream, "csv", header, [{"a": 1.0, "b": None}, {"a": True, "b": "x"}])
+    _write_rows(stream, "csv", header, _text_rows("csv", [(1.0, None), (True, "x")]))
     assert stream.getvalue() == "a,b\n1.0,\nTrue,x\n"
 
 
@@ -882,12 +993,46 @@ def test_non_finite_value_in_csv_row_exits_one(monkeypatch, capsys):
 
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            _write_rows(io.StringIO(), "csv", ("a", "b"), [{"a": "x", "b": value}])
+            _write_rows(io.StringIO(), "csv", ("a", "b"), _text_rows("csv", [("x", value)]))
     monkeypatch.setattr(cli, "critical_beta", lambda params: math.inf)
     assert main(["critical-temp", "--Omega", "5e-324", "--g1", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "omega0,Omega,g1,g2,quantum_critical_gap,beta_c\n"
     assert "non-finite value inf" in captured.err
+
+
+def _inf_spectrum(p, beta):
+    result = collective_modes(p, beta)
+    return dataclasses.replace(result, roots=(math.inf, *result.roots[1:]))
+
+
+# command, argv, the library function the command calls, and a stand-in
+# that puts an infinity into the node's values
+_INF_NODES = [
+    ("critical-temp", ["--g1", "1.2"], "critical_beta", lambda p: math.inf),
+    ("partition-ratio", ["--g1", "0.6", "--beta", "1"], "log_partition_ratio",
+     lambda p, beta: math.inf),
+    ("spectrum", ["--g1", "0.6", "--beta", "1"], "collective_modes", _inf_spectrum),
+    ("ed-curve", ["--g1", "0.5", "--beta", "1", "--n-list", "2"], "photon_density_curve",
+     lambda *args, **kwargs: [CurvePoint(2, 8, 0.25, math.inf)]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, argv, name, stand_in", _INF_NODES, ids=[case[0] for case in _INF_NODES]
+)
+def test_non_finite_value_in_a_node_row_exits_one_with_the_scans_message(
+    command, argv, name, stand_in, fmt, monkeypatch, capsys
+):
+    import dicketherm.cli as cli
+
+    monkeypatch.setattr(cli, name, stand_in)
+    assert main([command, *argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    header = ",".join(cli._TABLES[command][0]) + "\n"
+    assert captured.out == (header if fmt == "csv" else "")
+    assert captured.err == f"error: non-finite value inf in a {fmt.upper()} row\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
