@@ -3,14 +3,13 @@
 The mode condition is (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = 0 on the real
 axis.  It equals Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with
 Q(x) = x^2 - B x + C, so the mode energies are the square roots of the
-closed-form roots of Q (``dicketherm.thermo.mode_energy_squares``, with
-the coefficients and the thermal factor from the same module); no root
-finder runs, and one filter keeps the modes at least twice the pole
-epsilon from 0, from each kernel pole and from the upper end.
-Residuals are reported from the same rational form, which keeps them
-near machine precision instead of the 1e-8 cancellation noise of the
-raw kernel product.  The kernel poles at Omega and omega0 are guarded
-here (``PoleProximityError``, ``default_pole_epsilon``); the oracle
+closed-form roots of Q (``dicketherm.thermo.mode_energy_squares``); no
+root finder runs, and each real root of Q is reported once.  Every
+tolerance is relative, and each node is solved in its own power-of-two
+energy unit, so its spectrum is the same in any unit.  Residuals come
+from the same rational form, near machine precision.  The kernel poles
+at Omega and omega0 are guarded here (``PoleProximityError``,
+``default_pole_epsilon``); the oracle
 ``dicketherm.matsubara.continue_kernels`` shares the guard.
 """
 
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 from dicketherm.operators import ModelParams
 from dicketherm.thermo import (
+    _in_unit,
     _quadratic,
     _quadratic_roots,
     critical_beta,
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+# two roots closer than this, relative to the larger, are one double root
 _DEDUP_TOL = 1e-8
 
 
@@ -59,8 +60,8 @@ class SpectrumResult:
     "secondary-branch" for the algebraic E=0 root at
     tanh(beta Omega/4)(g1-g2)^2 = omega0 Omega (present in the
     dispersion function but without a stated physical role), and
-    "pole-degenerate" for a root masked by an exact kernel-pole
-    coincidence, detected on the numerator polynomial.
+    "pole-degenerate" for a root of Q within twice the pole epsilon of a
+    kernel pole, reported at the pole.
     """
 
     roots: tuple[float, ...]
@@ -84,9 +85,7 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
         raise ValueError(f"beta must be positive, got {beta}")
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:
-        raise PoleProximityError(
-            f"E = {E} within {eps:.3e} of a kernel pole"
-        )
+        raise PoleProximityError(f"E = {E} within {eps:.3e} of a kernel pole")
     B, C = kernel_determinant_coefficients(params, beta)
     x = E * E
     return (x * x - B * x + C) / (
@@ -100,10 +99,9 @@ def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
     R(0) = (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u), u = t / (omega0 Omega)
     with t = tanh(beta Omega/4), and B the quadratic's linear
     coefficient.  Returns the root entry when |R(0)| < RESIDUAL_TOL.
-    The root is double (in x = E^2) exactly when the linear coefficient
-    of the numerator quadratic also vanishes, which is the Omega = omega0
-    single-coupling corner where the gapped branch collapses onto the
-    Goldstone root.
+    The root is double (in x = E^2) exactly when B also vanishes,
+    relative to omega0^2 + Omega^2: the Omega = omega0 single-coupling
+    corner where the gapped branch collapses onto the Goldstone root.
     """
     u = t / (params.omega0 * params.Omega)
     primary = 1.0 - (params.g1 + params.g2) ** 2 * u
@@ -111,103 +109,73 @@ def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
     residual = primary * secondary
     if not abs(residual) < RESIDUAL_TOL:  # a NaN residual is no root
         return None
-    double = abs(B) < RESIDUAL_TOL * max(1.0, params.omega0**2 + params.Omega**2)
+    double = abs(B) < RESIDUAL_TOL * (params.omega0**2 + params.Omega**2)
     label = "goldstone" if abs(primary) <= abs(secondary) else "secondary-branch"
     return [0.0, abs(residual), 2 if double else 1, label]
 
 
-def _pole_coincidence_entries(
-    params: ModelParams, B: float, C: float
-) -> list[list]:
-    """Roots of the numerator Q sitting exactly on a kernel pole.
-
-    At such points the rational residual has a removable singularity and
-    a finite nonzero limit, and the mode filter drops the root as too
-    close to the pole; Q(p^2) itself is the witness.
-    """
-    entries = []
-    for p in sorted({params.Omega, params.omega0}):
-        x = p * p
-        q_val = x * x - B * x + C
-        scale = max(1.0, x * x + abs(B) * x + abs(C))
-        if abs(q_val) / scale < RESIDUAL_TOL:
-            entries.append([p, abs(q_val) / scale, 1, "pole-degenerate"])
-    return entries
-
-
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
-    """Dispersion roots in [0, 3(Omega + omega0)].
+    """Dispersion roots in [0, 3(Omega + omega0)], one entry per root.
 
-    The mode energies are E = sqrt(x) for the real roots x of
-    x^2 - B x + C (``mode_energy_squares``).  A root is kept when
-    2 eps <= E <= 3(Omega + omega0) - 2 eps and E <= p - 2 eps or
-    E >= p + 2 eps for each kernel pole p, eps the pole epsilon.  The
-    E=0 candidate and pole-coincident numerator roots are handled by
-    their closed-form witnesses; the E=0 entry replaces as many roots of
-    the quadratic as its multiplicity, the smallest in magnitude.  Then
-    everything is merged, sorted, and deduplicated within 1e-8 with
-    multiplicity accumulation, so a double root is one entry of
-    multiplicity 2.
+    Solved in the node's own unit (``thermo._in_unit``), which raises
+    ValueError for energies too far apart to share one, with the roots
+    scaled back exactly.  The E=0 entry, from its factorized witness,
+    stands for that many roots x of Q (``mode_energy_squares``), the
+    smallest.  Each other E = sqrt(x) is dropped outside [2 eps,
+    3(Omega + omega0) - 2 eps], eps the pole epsilon; within 2 eps of a
+    kernel pole p it is pole-degenerate at p, with residual |Q(p^2)| /
+    (p^4 + |B| p^2 + |C|); else it is a mode.  Two entries within a
+    relative 1e-8 are one entry of multiplicity 2.
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    unit, scaled_beta, e = _in_unit(params, beta)
 
     # one thermal factor and one (B, C) serve every root of the node
-    t = tanh_factor(params, beta)
-    B, C = _quadratic(params, t)
-    w0sq, Wsq = params.omega0**2, params.Omega**2
+    t = tanh_factor(unit, scaled_beta)
+    B, C = _quadratic(unit, t)
+    poles = (unit.Omega, unit.omega0)
+    guard = 2.0 * default_pole_epsilon(unit)
+    top = 3.0 * sum(poles) - guard
 
-    guard = 2.0 * default_pole_epsilon(params)
-    top = 3.0 * (params.Omega + params.omega0) - guard
-    poles = {params.Omega, params.omega0}
-
-    # entry: [root, residual, multiplicity, label]
+    # entry: [root, residual, multiplicity, label], in the node's unit
     entries: list[list] = []
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
-    squares = sorted(_quadratic_roots(params, t, B, C) or (), key=abs)
-    zero = _zero_energy_entry(params, t, B)
+    squares = sorted(_quadratic_roots(unit, t, B, C) or (), key=abs)
+    zero = _zero_energy_entry(unit, t, B)
     if zero is not None:
         entries.append(zero)
         squares = squares[zero[2] :]
     for E in [math.sqrt(x) for x in squares if x >= 0.0]:
-        if guard <= E <= top and all(
-            E <= p - guard or E >= p + guard for p in poles
-        ):
+        if not guard <= E <= top:
+            continue
+        p = min(poles, key=lambda pole: abs(E - pole))
+        if p - guard < E < p + guard:
+            x = p * p
+            scale = x * x + abs(B) * x + abs(C)
+            entries.append([p, abs(x * x - B * x + C) / scale, 1, "pole-degenerate"])
+        else:
             # the residual at the reported root, as dispersion_residual(E)
             x = E * E
-            residual = (x * x - B * x + C) / ((w0sq - x) * (Wsq - x))
+            residual = (x * x - B * x + C) / ((poles[0] ** 2 - x) * (poles[1] ** 2 - x))
             entries.append([E, abs(residual), 1, "mode"])
-    entries.extend(_pole_coincidence_entries(params, B, C))
-
-    entries.sort(key=lambda e: e[0])
-    merged: list[list] = []
-    for root, residual, multiplicity, label in entries:
-        if merged and root - merged[-1][0] < _DEDUP_TOL:
-            keep = merged[-1]
-            # A mode merging into a closed-form entry re-detects the same
-            # analytic root, so multiplicities combine by max there; two
-            # modes within the dedup width are a double or closely spaced
-            # pair and add up.
-            if keep[3] == "mode" and label == "mode":
-                keep[2] += multiplicity
-            else:
-                keep[2] = max(keep[2], multiplicity)
-            keep[1] = min(keep[1], residual)
-            if keep[3] == "mode":
-                keep[3] = label
-        else:
-            merged.append([root, residual, multiplicity, label])
+    entries.sort(key=lambda entry: entry[0])
+    if len(entries) == 2 and entries[1][0] - entries[0][0] <= _DEDUP_TOL * entries[1][0]:
+        (root, residual, _, label), other = entries
+        # a closed-form label outranks "mode"
+        label = other[3] if label == "mode" else label
+        entries = [[root, min(residual, other[1]), 2, label]]
 
     bc = critical_beta(params)
-    at_critical = bc is not None and abs(beta - bc) <= 1e-9 * max(1.0, bc)
+    at_critical = bc is not None and abs(beta - bc) <= 1e-9 * bc
     roots, residuals, multiplicities, labels = (
-        tuple(zip(*merged)) if merged else ((),) * 4
+        tuple(zip(*entries)) if entries else ((),) * 4
     )
     return SpectrumResult(
-        roots=roots,
+        roots=tuple(math.ldexp(root, e) for root in roots),
         residuals=residuals,
         multiplicities=multiplicities,
         labels=labels,

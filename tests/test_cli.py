@@ -459,6 +459,14 @@ def test_runtime_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "partition-ratio"])
+def test_energies_too_far_apart_exit_one_naming_their_span(command, capsys):
+    argv = ["--omega0", "1e300", "--Omega", "1e-300", "--g1", "1e-10", "--beta", "1e300"]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert "span 1e-300 to 1e+300, too wide to share one energy unit" in err
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()

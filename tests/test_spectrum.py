@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,28 +183,33 @@ def test_roots_sorted_and_clear_of_poles():
 
 @pytest.mark.parametrize("where", ["zero", "Omega", "omega0", "upper"])
 def test_mode_filter_boundary(monkeypatch, where):
-    # a mode exactly 2 eps from 0, a pole or the upper end is kept; one
-    # float further in is dropped
+    # in the node's own unit, where the classifier runs, a root exactly
+    # 2 eps from 0, a pole or the upper end is a mode; one float further
+    # in it is dropped at 0 and at the upper end, and is pole-degenerate
+    # at a pole, reported at the pole
     p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
-    guard = 2.0 * spectrum.default_pole_epsilon(p)
+    unit, _, e = thermo._in_unit(p, 1.0)
+    assert (unit.omega0, unit.Omega, e) == (0.25, 0.5, 2)
+    guard = 2.0 * spectrum.default_pole_epsilon(unit)
     edge = {
         "zero": 0.0,
-        "Omega": p.Omega,
-        "omega0": p.omega0,
-        "upper": 3.0 * (p.Omega + p.omega0),
+        "Omega": unit.Omega,
+        "omega0": unit.omega0,
+        "upper": 3.0 * (unit.Omega + unit.omega0),
     }[where]
     sides = {"zero": (1.0,), "upper": (-1.0,)}.get(where, (-1.0, 1.0))
+    at_pole = ((edge,), ("pole-degenerate",)) if edge in (unit.Omega, unit.omega0) else ((), ())
     for side in sides:
         kept = edge + side * guard
-        dropped = math.nextafter(kept, edge)
-        for E, expected in ((kept, (kept,)), (dropped, ())):
+        inside = math.nextafter(kept, edge)
+        for E, (roots, labels) in ((kept, ((kept,), ("mode",))), (inside, at_pole)):
             assert math.sqrt(E * E) == E
             monkeypatch.setattr(
-                spectrum, "_quadratic_roots", lambda *args, x=E * E: (x,)
+                spectrum, "_quadratic_roots", lambda q, *args, x=E * E: (x,) if q == unit else ()
             )
             result = collective_modes(p, 1.0)
-            assert result.roots == expected
-            assert result.labels == ("mode",) * len(expected)
+            assert result.roots == tuple(math.ldexp(r, e) for r in roots)
+            assert result.labels == labels
 
 
 def test_off_critical_flag_and_goldstone_absence():
@@ -226,16 +232,17 @@ def test_collective_modes_rejects_free_model():
 
 def test_resonant_counterrotating_double_mode():
     # omega0 = Omega with g1 = 0: x^2 - B x + C is a perfect square, so
-    # both branches sit at E = sqrt(omega0^2 - t g2^2)
-    p = ModelParams(1.0, 1.0, g2=0.8)
-    beta = 2.0
-    t = math.tanh(beta * p.Omega / 4.0)
-    result = collective_modes(p, beta)
-    assert result.roots == pytest.approx(
-        (math.sqrt(p.omega0**2 - t * p.g2**2),), rel=1e-14
-    )
-    assert result.multiplicities == (2,)
-    assert result.labels == ("mode",)
+    # both branches sit at E = sqrt(omega0^2 - t g2^2); at g2 = 0.01 that
+    # is 1.2e-5 below the pole, and nothing is reported at the pole itself
+    for g2, beta in ((0.8, 2.0), (0.01, 1.0)):
+        p = ModelParams(1.0, 1.0, g2=g2)
+        t = math.tanh(beta * p.Omega / 4.0)
+        result = collective_modes(p, beta)
+        assert result.roots == pytest.approx(
+            (math.sqrt(p.omega0**2 - t * p.g2**2),), rel=1e-14
+        )
+        assert result.multiplicities == (2,)
+        assert result.labels == ("mode",)
 
 
 def test_close_pair_resolved():
@@ -347,3 +354,122 @@ def test_collective_modes_takes_one_thermal_factor(monkeypatch, at_critical):
     assert result.at_critical == at_critical
     assert ("goldstone" in result.labels) == at_critical
     assert calls == {"tanh_factor": 1, "_quadratic": 1}
+
+
+def test_mixed_detuning_reports_exactly_the_quadratic_roots():
+    # omega0 / Omega from 1e-3 to 1e3: every kept root is a mode, none is
+    # reported at a pole it does not sit on
+    rng = np.random.default_rng(2103)
+    checked = 0
+    while checked < 5000:
+        omega0 = float(rng.uniform(0.3, 3.0))
+        Omega = omega0 * 10.0 ** rng.uniform(-3.0, 3.0)
+        scale = math.sqrt(omega0 * Omega)
+        g1, g2 = rng.uniform(0.0, 1.5, 2) * rng.integers(0, 2, 2) * scale
+        if g1 + g2 == 0.0:
+            continue
+        beta = 10.0 ** rng.uniform(-1.0, 1.0) / min(omega0, Omega)
+        p = ModelParams(omega0, Omega, g1=float(g1), g2=float(g2))
+        squares = thermo.mode_energy_squares(p, beta) or ()
+        energies = [math.sqrt(x) for x in squares if x >= 0.0]
+        marks = sorted([0.0, p.Omega, p.omega0, 3.0 * (p.Omega + p.omega0), *energies])
+        if any(b - a < 1e-6 * b for a, b in zip(marks, marks[1:])):
+            continue
+        result = collective_modes(p, beta)
+        checked += 1
+        expected = [e for e in energies if _kept(p, [e])]
+        assert result.labels == ("mode",) * len(expected)
+        assert result.roots == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+_UNIT_NODES = st.tuples(
+    st.floats(min_value=0.2, max_value=3.0),
+    st.floats(min_value=0.2, max_value=3.0),
+    st.floats(min_value=0.0, max_value=3.0) | st.just(0.0),
+    st.floats(min_value=0.0, max_value=3.0) | st.just(0.0),
+)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    node=_UNIT_NODES,
+    beta=st.floats(min_value=0.05, max_value=10.0) | st.none(),
+    k=st.integers(min_value=-300, max_value=300),
+)
+def test_spectrum_and_partition_ratio_do_not_depend_on_the_unit(node, beta, k):
+    # energies times 2^k and beta times 2^-k is exact; each energy out of
+    # collective_modes then scales by 2^k and nothing else changes
+    if node[2] + node[3] == 0.0:
+        node = (*node[:2], 0.5, node[3])
+    p = ModelParams(*node)
+    if beta is None:
+        beta = critical_beta(p) or 1.0
+    scaled_node = [math.ldexp(v, k) for v in node]
+    scaled_beta = math.ldexp(beta, -k)
+    inputs = zip((*node, beta), (*scaled_node, scaled_beta))
+    if not all(v == 0.0 or sys.float_info.min <= w for v, w in inputs):
+        return
+    q = ModelParams(*scaled_node)
+    base, scaled = collective_modes(p, beta), collective_modes(q, scaled_beta)
+    assert scaled.roots == tuple(math.ldexp(r, k) for r in base.roots)
+    assert scaled.residuals == base.residuals
+    assert scaled.multiplicities == base.multiplicities
+    assert scaled.labels == base.labels
+    assert scaled.at_critical == base.at_critical
+    lpr = _outcome(thermo.log_partition_ratio, p, beta)
+    assert _outcome(thermo.log_partition_ratio, q, scaled_beta) == lpr
+
+
+@pytest.mark.parametrize(
+    "params, beta",
+    [
+        (ModelParams(1e300, 1e-300, g1=1e-10), 1e300),
+        (ModelParams(1.0, 1e-160, g1=1e-80), 1.0),
+        (ModelParams(1e-100, 1e-100, g1=1.0), 1e-150),
+        (ModelParams(1.0, 1.0, g1=0.5), 1e308),
+    ],
+)
+def test_energies_too_far_apart_for_one_unit_are_refused(params, beta):
+    # the span message, not a misleading domain error from a rounded-away
+    # energy or an overflow inside the quadratic
+    for f in (collective_modes, thermo.log_partition_ratio):
+        with pytest.raises(ValueError, match="span .* too wide to share one energy unit"):
+            f(params, beta)
+
+
+def test_float_range_nodes_solve_in_their_own_unit():
+    # the same resonant node at 1e-200 and 1e200: no ZeroDivisionError from
+    # u = t / (omega0 Omega), no OverflowError from omega0^2
+    p = ModelParams(1.2, 1.0, g1=0.6, g2=0.3)
+    base = collective_modes(p, 1.5)
+    assert base.labels == ("mode", "mode")
+    for k in (-664, 664):
+        q = ModelParams(*(math.ldexp(v, k) for v in (1.2, 1.0, 0.6, 0.3)))
+        result = collective_modes(q, math.ldexp(1.5, -k))
+        assert result.roots == tuple(math.ldexp(r, k) for r in base.roots)
+        assert thermo.log_partition_ratio(q, math.ldexp(1.5, -k)) == (
+            thermo.log_partition_ratio(p, 1.5)
+        )
+
+
+def test_soft_roots_far_below_the_largest_energy_keep_their_own_entries():
+    # both tolerances are relative to the roots they compare, not to the
+    # node's unit, which here is set by a coupling 1e3 to 1e5 times larger
+    # than the modes: a pair split by about 1e-6 of its energy stays two
+    # modes, and at beta_c a soft mode at |omega0 - Omega| (B = (omega0 -
+    # Omega)^2, far below omega0^2 + Omega^2) is no second Goldstone root
+    pair = collective_modes(ModelParams(1e-3, 1e-3, g1=1.0, g2=1.0), 1e-15)
+    assert pair.labels == ("mode", "mode")
+    assert 5e-10 < pair.roots[1] - pair.roots[0] < 5e-9
+    p = ModelParams(1e-5, 3e-5, g2=1.0)
+    soft = collective_modes(p, critical_beta(p))
+    assert soft.labels == ("goldstone", "mode")
+    assert soft.multiplicities == (1, 1)
+    assert soft.roots[1] == pytest.approx(2e-5, rel=1e-6)
