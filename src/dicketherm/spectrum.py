@@ -24,7 +24,6 @@ from dicketherm.thermo import (
     _quadratic,
     _quadratic_roots,
     critical_beta,
-    kernel_determinant_coefficients,
     tanh_factor,
 )
 
@@ -77,7 +76,8 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     """Dispersion-relation residual at real energy E; zero at a mode.
 
     Normalized so that g1 = g2 = 0 gives 1 at every E.  Refuses energies
-    within the pole epsilon of Omega or omega0.
+    within the pole epsilon of Omega or omega0.  Evaluated in the node's
+    own unit (``thermo._in_unit``), like ``collective_modes``.
     """
     if not 0.0 <= E < math.inf:
         raise ValueError(f"E must be non-negative and finite, got {E}")
@@ -86,11 +86,15 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:
         raise PoleProximityError(f"E = {E} within {eps:.3e} of a kernel pole")
-    B, C = kernel_determinant_coefficients(params, beta)
-    x = E * E
-    return (x * x - B * x + C) / (
-        (params.omega0**2 - x) * (params.Omega**2 - x)
-    )
+    unit, e = _in_unit(params)
+    B, C = _quadratic(unit, tanh_factor(params, beta))
+    E = math.ldexp(E, -e)
+    return _residual(unit, B, C, E * E)
+
+
+def _residual(unit: ModelParams, B: float, C: float, x: float) -> float:
+    """Q(x) / ((omega0^2 - x)(Omega^2 - x)), all in the node's unit."""
+    return (x * x - B * x + C) / ((unit.omega0**2 - x) * (unit.Omega**2 - x))
 
 
 def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
@@ -117,24 +121,25 @@ def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """Dispersion roots in [0, 3(Omega + omega0)], one entry per root.
 
-    Solved in the node's own unit (``thermo._in_unit``), which raises
-    ValueError for energies too far apart to share one, with the roots
-    scaled back exactly.  The E=0 entry, from its factorized witness,
-    stands for that many roots x of Q (``mode_energy_squares``), the
-    smallest.  Each other E = sqrt(x) is dropped outside [2 eps,
-    3(Omega + omega0) - 2 eps], eps the pole epsilon; within 2 eps of a
-    kernel pole p it is pole-degenerate at p, with residual |Q(p^2)| /
-    (p^4 + |B| p^2 + |C|); else it is a mode.  Two entries within a
-    relative 1e-8 are one entry of multiplicity 2.
+    Solved in the node's own unit (``thermo._in_unit``, which refuses
+    energies too far apart for one) and scaled back exactly.  The E=0
+    entry, from its factorized witness, stands for that many of the
+    smallest roots x of Q (``mode_energy_squares``).  Each other
+    E = sqrt(x) is dropped outside [2 eps, 3(Omega + omega0) - 2 eps],
+    eps the pole epsilon; within 2 eps of a kernel pole p it is
+    pole-degenerate at p, with residual |Q(p^2)| / (p^4 + |B| p^2 + |C|);
+    else it is a mode.  Two entries within a relative 1e-8 are one of
+    multiplicity 2, at the root and with the label of the E=0 or
+    pole-degenerate entry if there is one.
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    unit, scaled_beta, e = _in_unit(params, beta)
+    unit, e = _in_unit(params)
 
     # one thermal factor and one (B, C) serve every root of the node
-    t = tanh_factor(unit, scaled_beta)
+    t = tanh_factor(params, beta)
     B, C = _quadratic(unit, t)
     poles = (unit.Omega, unit.omega0)
     guard = 2.0 * default_pole_epsilon(unit)
@@ -159,15 +164,13 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
             entries.append([p, abs(x * x - B * x + C) / scale, 1, "pole-degenerate"])
         else:
             # the residual at the reported root, as dispersion_residual(E)
-            x = E * E
-            residual = (x * x - B * x + C) / ((poles[0] ** 2 - x) * (poles[1] ** 2 - x))
-            entries.append([E, abs(residual), 1, "mode"])
+            entries.append([E, abs(_residual(unit, B, C, E * E)), 1, "mode"])
     entries.sort(key=lambda entry: entry[0])
     if len(entries) == 2 and entries[1][0] - entries[0][0] <= _DEDUP_TOL * entries[1][0]:
-        (root, residual, _, label), other = entries
-        # a closed-form label outranks "mode"
-        label = other[3] if label == "mode" else label
-        entries = [[root, min(residual, other[1]), 2, label]]
+        # a closed-form entry (at E = 0 or a pole) outranks a mode, its
+        # root with its label; two modes keep the smaller root
+        kept, other = sorted(entries, key=lambda entry: entry[3] == "mode")
+        entries = [[kept[0], min(kept[1], other[1]), 2, kept[3]]]
 
     bc = critical_beta(params)
     at_critical = bc is not None and abs(beta - bc) <= 1e-9 * bc

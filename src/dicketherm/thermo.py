@@ -312,27 +312,25 @@ def _ldexp(mantissa: float, exponent: int) -> float:
 _UNIT_FLOOR = 2.0**-509
 
 
-def _in_unit(params: ModelParams, beta: float) -> tuple[ModelParams, float, int]:
-    """The node in its own energy unit 2^e, beta in 1/2^e, and e.
+def _in_unit(params: ModelParams) -> tuple[ModelParams, int]:
+    """The node's energies in its own unit 2^e, and e.
 
-    e is the binary exponent of max(omega0, Omega, g1, g2).  Scaling by a
-    power of two is exact, so energies found in this unit scale back
-    exactly with ``ldexp`` and dimensionless results do not change.  A
-    node whose energies are too far apart for one unit (omega0 Omega
-    below ``_UNIT_FLOOR`` in it, or a beta that does not scale exactly)
-    raises ValueError naming their span; 1/beta counts as an energy.
+    e is the binary exponent of max(omega0, Omega, g1, g2); the scaling is
+    exact, so energies found in this unit scale back with ``ldexp``.  beta
+    is not scaled: the caller forms the dimensionless products beta E.
+    Energies too far apart for one unit (omega0 Omega below
+    ``_UNIT_FLOOR`` in it) raise ValueError naming their span.
     """
     energies = (params.omega0, params.Omega, params.g1, params.g2)
     e = math.frexp(max(energies))[1]
     omega0, Omega, g1, g2 = [math.ldexp(v, -e) for v in energies]
-    scaled_beta = _ldexp(beta, e)
-    if not (omega0 * Omega >= _UNIT_FLOOR and math.ldexp(scaled_beta, -e) == beta):
-        span = [v for v in (*energies, 1.0 / beta) if v > 0.0]
+    if not omega0 * Omega >= _UNIT_FLOOR:
+        span = [v for v in energies if v > 0.0]
         raise ValueError(
             f"the energies of this node span {min(span):.3g} to {max(span):.3g}, "
             "too wide to share one energy unit"
         )
-    return ModelParams(omega0, Omega, g1, g2), scaled_beta, e
+    return ModelParams(omega0, Omega, g1, g2), e
 
 
 def _phase_label(bound: float) -> str:
@@ -442,8 +440,8 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     with w = (omega0, Omega) and E_i^2 = x_i the roots from
     ``mode_energy_squares``.  Defined in the normal phase only, where
     both roots are positive; the product diverges at the transition and
-    the formula does not continue past it.  ``beta`` must be finite.  It
-    is summed in the node's own unit (``_in_unit``), the same in any unit.
+    the formula does not continue past it.  ``beta`` must be finite.  The
+    roots are found in the node's own unit (``_in_unit``) and scaled back.
     """
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
@@ -453,13 +451,12 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
             f"log_partition_ratio requires the normal phase; "
             f"convergence bound {bound:.6g} is not below 1"
         )
-    params, beta, _ = _in_unit(params, beta)
-    free = _log_sinh(0.5 * beta * params.omega0) + _log_sinh(
-        0.5 * beta * params.Omega
-    )
+    unit, e = _in_unit(params)
+    t = tanh_factor(params, beta)
+    free = sum(_log_sinh(0.5 * beta * w) for w in (params.omega0, params.Omega))
     return free - sum(
-        _log_sinh(0.5 * beta * math.sqrt(x))
-        for x in mode_energy_squares(params, beta)
+        _log_sinh(0.5 * beta * math.ldexp(math.sqrt(x), e))
+        for x in _quadratic_roots(unit, t, *_quadratic(unit, t))
     )
 
 
@@ -574,8 +571,9 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
             Omega = (params.Omega * ones)[sr]
             scale = (_THERMAL_SCALE * ones * beta)[sr]
             s = _gap_root(G, omega0, Omega, scale)
-            # s / G <= 1 / omega0; s (s + 2 Omega) or 4 G alone can overflow
-            rho[sr] = s / G * (s + 2.0 * Omega) * 0.25
+            # s / G <= 1 / omega0, scaled by 1/4 before the second factor;
+            # s (s + 2 Omega), 4 G or 4 rho alone can overflow
+            rho[sr] = s / G * 0.25 * (s + 2.0 * Omega)
     return _value(rho)
 
 

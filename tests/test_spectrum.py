@@ -188,7 +188,7 @@ def test_mode_filter_boundary(monkeypatch, where):
     # in it is dropped at 0 and at the upper end, and is pole-degenerate
     # at a pole, reported at the pole
     p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
-    unit, _, e = thermo._in_unit(p, 1.0)
+    unit, e = thermo._in_unit(p)
     assert (unit.omega0, unit.Omega, e) == (0.25, 0.5, 2)
     guard = 2.0 * spectrum.default_pole_epsilon(unit)
     edge = {
@@ -210,6 +210,22 @@ def test_mode_filter_boundary(monkeypatch, where):
             result = collective_modes(p, 1.0)
             assert result.roots == tuple(math.ldexp(r, e) for r in roots)
             assert result.labels == labels
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_mode_merged_into_a_pole_root_is_reported_at_the_pole(monkeypatch, side):
+    # a mode 5e-9 (relative) from the pole Omega, outside the 2 eps guard,
+    # and a root inside it are one pole-degenerate entry at Omega, on
+    # either side of the pole
+    p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
+    unit, e = thermo._in_unit(p)
+    pole = unit.Omega
+    squares = ((pole * (1.0 + side * 5e-9)) ** 2, (pole * (1.0 - side * 5e-10)) ** 2)
+    monkeypatch.setattr(spectrum, "_quadratic_roots", lambda *args: squares)
+    result = collective_modes(p, 1.0)
+    assert result.roots == (p.Omega,)
+    assert result.multiplicities == (2,)
+    assert result.labels == ("pole-degenerate",)
 
 
 def test_off_critical_flag_and_goldstone_absence():
@@ -433,7 +449,6 @@ def test_spectrum_and_partition_ratio_do_not_depend_on_the_unit(node, beta, k):
         (ModelParams(1e300, 1e-300, g1=1e-10), 1e300),
         (ModelParams(1.0, 1e-160, g1=1e-80), 1.0),
         (ModelParams(1e-100, 1e-100, g1=1.0), 1e-150),
-        (ModelParams(1.0, 1.0, g1=0.5), 1e308),
     ],
 )
 def test_energies_too_far_apart_for_one_unit_are_refused(params, beta):
@@ -444,9 +459,19 @@ def test_energies_too_far_apart_for_one_unit_are_refused(params, beta):
             f(params, beta)
 
 
+def test_beta_far_from_the_energies_is_no_reason_to_refuse():
+    # beta enters only through beta E, so 1/beta need not share the unit
+    p = ModelParams(1.0, 1.0, g1=0.5)
+    result = collective_modes(p, 1e308)
+    assert result.roots == (0.5, 1.5)
+    assert result.labels == ("mode", "mode")
+    assert thermo.log_partition_ratio(p, 1e308) == 0.0
+
+
 def test_float_range_nodes_solve_in_their_own_unit():
-    # the same resonant node at 1e-200 and 1e200: no ZeroDivisionError from
-    # u = t / (omega0 Omega), no OverflowError from omega0^2
+    # the same node at 1e-200 and 1e200: no ZeroDivisionError from
+    # u = t / (omega0 Omega), no OverflowError from omega0^2, in the
+    # spectrum, the partition ratio or either residual
     p = ModelParams(1.2, 1.0, g1=0.6, g2=0.3)
     base = collective_modes(p, 1.5)
     assert base.labels == ("mode", "mode")
@@ -457,6 +482,11 @@ def test_float_range_nodes_solve_in_their_own_unit():
         assert thermo.log_partition_ratio(q, math.ldexp(1.5, -k)) == (
             thermo.log_partition_ratio(p, 1.5)
         )
+        E = math.ldexp(0.7, k)
+        residual = dispersion_residual(E, q, math.ldexp(1.5, -k))
+        assert residual == dispersion_residual(0.7, p, 1.5)
+        critical = ModelParams(*(math.ldexp(v, k) for v in (1.0, 2.0, 3.0, 0.0)))
+        assert abs(goldstone_residual(critical)) < 1e-10
 
 
 def test_soft_roots_far_below_the_largest_energy_keep_their_own_entries():

@@ -446,10 +446,16 @@ def test_closed_forms_hold_over_the_whole_float_range(params, beta, bound, beta_
 
 def test_order_parameter_holds_where_the_gap_squared_overflows():
     # zero-temperature limit rho = ((G/omega0)^2 - Omega^2) / (4 G), G = g^2:
-    # at g = 1e100 the gap D = 1e200 has D^2 outside the float range, and
-    # at g = 7e153 so has 4 G, while G / 4 is in range
-    for g, rho in ((1e100, 2.5e199), (7e153, 7e153**2 / 4.0)):
-        p = ModelParams(1.0, 1.0, g1=g)
+    # at g = 1e100 the gap D = 1e200 has D^2 outside the float range, at
+    # g = 7e153 so has 4 G, while G / 4 is in range, and at omega0 = 0.4,
+    # g = 6e153 so has 4 rho = G / omega0^2
+    nodes = (
+        (1.0, 1e100, 2.5e199),
+        (1.0, 7e153, 7e153**2 / 4.0),
+        (0.4, 6e153, 5.625e307),
+    )
+    for omega0, g, rho in nodes:
+        p = ModelParams(omega0, 1.0, g1=g)
         assert order_parameter(p, 1.0) == pytest.approx(rho, rel=1e-14)
         assert phase_scan([p], [1.0]).rho[0] == order_parameter(p, 1.0)
 
