@@ -22,7 +22,9 @@ or ``null`` (JSON) numeric cells; order-parameter stops there and exits
 1 with that text, after the rows before it.  Any other NaN or infinity in a row is an error as
 well: the command exits 1, after the rows it had already written.  Rows
 stream as they are computed.  ``--workers`` is accepted and validated
-but has no effect.
+but has no effect.  validate runs fixed checks and writes a text report;
+it takes ``--output`` and ``--config`` and refuses every model, beta,
+grid, sweep, ED or format input with exit 2.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     a0_c0_sum,
     fermionic_lorentzian_sum,
-    finite_sum_critical_beta,
     kernel_a,
     kernel_c,
 )
@@ -82,6 +83,14 @@ _FILE_KEYS = {
     "ed-tol",
     "kind",
 }
+
+
+# validate runs fixed checks, so these inputs would change nothing there;
+# it refuses each, as a flag or a config key
+_VALIDATE_REFUSED = (
+    "omega0", "Omega", "g1", "g2", "beta", "beta-grid", "sweep", "format",
+    "n-list", "ed-tol", "kind",
+)
 
 
 class ConfigError(Exception):
@@ -171,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"parameter sweep; VAR in {{{', '.join(SWEEP_VARIABLES)}}}",
     )
     parser.add_argument("--output", help="output path (default stdout)")
-    parser.add_argument("--format", choices=FORMATS, dest="fmt")
+    parser.add_argument("--format", choices=FORMATS)
     parser.add_argument(
         "--workers",
         type=int,
@@ -252,6 +261,14 @@ def parse_config(
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
     raw = _parse_config_text(file_text) if file_text else {}
+    if ns.command == "validate":
+        given = [
+            key for key in _VALIDATE_REFUSED
+            if getattr(ns, key.replace("-", "_")) is not None or key in raw
+        ]
+        if given:
+            flags = "/".join(f"--{key}" for key in given)
+            raise ConfigError(f"validate runs fixed checks and takes no {flags}")
 
     def pick(flag_value, key, fallback, convert=str):
         """The flag, else the file value, else the fallback, converted once."""
@@ -303,7 +320,7 @@ def parse_config(
     ed_tol = pick(ns.ed_tol, "ed-tol", 1e-6, float)
     if not (math.isfinite(ed_tol) and ed_tol > 0.0):
         raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
-    fmt = pick(ns.fmt, "format", "csv")
+    fmt = pick(ns.format, "format", "csv")
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
@@ -720,6 +737,11 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
     )
     checks.append(("goldstone-residual", worst, 1e-10))
 
+    # the finite-sum root of a0(0) + 2 c0(0) = 1 lies within a relative
+    # tol of the closed-form beta_c when the bound minus one changes sign
+    # across beta_c (1 -+ tol); the residual is the offset of the secant
+    # root of the two values, inf without a sign change
+    tol = 1e-8
     worst = 0.0
     for p in (
         ModelParams(1.0, 1.0, g1=1.2),
@@ -727,9 +749,15 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
         ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
     ):
         closed = critical_beta(p)
-        numeric = finite_sum_critical_beta(p)
-        worst = max(worst, abs(numeric - closed) / closed)
-    checks.append(("critical-beta-cross-check", worst, 1e-8))
+        lo, hi = closed * (1.0 - tol), closed * (1.0 + tol)
+        kvs = [a0_c0_sum(0, p, b) for b in (lo, hi)]
+        below, above = (kv.a.real + 2.0 * kv.c - 1.0 for kv in kvs)
+        if below < 0.0 < above:
+            root = lo - below * (hi - lo) / (above - below)
+            worst = max(worst, abs(root - closed) / closed)
+        else:
+            worst = math.inf
+    checks.append(("critical-beta-cross-check", worst, tol))
 
     failed = False
     for name, residual, tol in checks:

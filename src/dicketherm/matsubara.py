@@ -10,8 +10,9 @@ the thermal factor live in ``thermo``, the kernel-pole guard in
 route evaluates the pair sums over fermionic frequencies (a0, c0) by
 direct truncation plus an integral tail with a midpoint Euler-Maclaurin
 correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
-``validate``, the tests and ``finite_sum_critical_beta`` use it as the
-independent check.  The two cutoff levels share one evaluation of the
+``validate`` and the tests use it as the independent check, ``validate``
+by the sign of a0(0) + 2 c0(0) - 1 on either side of the closed-form
+beta_c.  The two cutoff levels share one evaluation of the
 summand over the 2M window, and their tails one Gauss-Legendre
 evaluation.  Every sum refuses a beta that is not positive and finite;
 the closed kernels ``kernel_a`` and ``kernel_c`` accept beta = inf, the
@@ -28,8 +29,8 @@ the fine cutoff 1024 lost the whole tail for beta <= 0.1 (relative error
 1.0002, with an IntegrationWarning): a0 + 2 c0 at omega = 0 then missed
 the closed kernels by 2e-4 at beta = 0.05 and 0.1.  The naive map
 u = edge / q is not safe either: with the same 32 nodes it is off by
-48% at cutoff 10, beta = 1000, Omega = 300.  scipy is imported only
-inside ``finite_sum_critical_beta``, for its root solve.
+48% at cutoff 10, beta = 1000, Omega = 300.  The module does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "bosonic_frequency",
     "continue_kernels",
     "fermionic_lorentzian_sum",
-    "finite_sum_critical_beta",
     "kernel_a",
     "kernel_c",
     "paired_pole_sum",
@@ -248,36 +248,6 @@ def a0_c0_sum(
     return KernelValue(
         a=complex(a0), c=float(c0), tail_estimate=a0_tail + 2.0 * c0_tail
     )
-
-
-def finite_sum_critical_beta(params: ModelParams) -> float:
-    """Root in beta of the finite-sum bound a0(0) + 2 c0(0) = 1.
-
-    Independent of the closed-form ``thermo.critical_beta``: the bound
-    comes from ``a0_c0_sum`` and the root from Brent's method.  The bound
-    is evaluated once per beta: the doubling search's last two values
-    bracket the root and feed Brent's first step.  Raises RuntimeError
-    when the bound stays below one up to beta = 1e9.
-    """
-    # scipy costs about 0.5 s to import; only this oracle needs it
-    from scipy import optimize
-
-    # kept for this call only: each root solve evaluates its own bound
-    values: dict[float, float] = {}
-
-    def bound_minus_one(beta: float) -> float:
-        if beta not in values:
-            kv = a0_c0_sum(0, params, beta)
-            values[beta] = kv.a.real + 2.0 * kv.c - 1.0
-        return values[beta]
-
-    hi = 1.0
-    while bound_minus_one(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("no finite-sum transition found")
-    lo = hi / 2.0 if hi > 1.0 else 1e-9
-    return float(optimize.brentq(bound_minus_one, lo, hi, xtol=1e-13))
 
 
 def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:

@@ -44,9 +44,9 @@ evaluates a whole params x beta grid as one array computation: beta_c
 once per parameter node, the bound once per node, and one batched
 gap-equation solve over the superradiant nodes.  It refuses a NaN or
 non-positive beta with ValueError before any node runs; its only error
-rows are nodes whose bound lies outside the float range.
-``phase_point`` and ``classify_phase`` evaluate one node by the scalar
-routes, as a reference for the scan.
+rows are nodes whose bound lies outside the float range.  A node is
+"critical" where its bound lies within ``CRITICAL_PHASE_TOL`` of one,
+else "normal" below one and "superradiant" above.
 
 The gap equation has one solver, a safeguarded Newton iteration batched
 over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
@@ -75,16 +75,13 @@ from dicketherm.operators import ModelParams
 __all__ = [
     "CRITICAL_PHASE_TOL",
     "ParamGrid",
-    "PhasePoint",
     "PhaseScan",
-    "classify_phase",
     "convergence_bound",
     "critical_beta",
     "kernel_determinant_coefficients",
     "log_partition_ratio",
     "mode_energy_squares",
     "order_parameter",
-    "phase_point",
     "phase_scan",
     "quantum_critical_gap",
     "tanh_factor",
@@ -158,22 +155,6 @@ class ParamGrid:
         ones = np.ones(np.broadcast(*fields).shape)
         # times one keeps every value, the sign of zero included
         return [(field * ones).ravel() for field in fields]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Classified thermodynamic state at one (params, beta) node.
-
-    ``rho`` is photons per atom; positive exactly in the superradiant
-    phase.
-    """
-
-    params: ModelParams
-    beta: float
-    bound: float
-    phase: str
-    beta_c: float | None
-    rho: float
 
 
 def _value(x):
@@ -333,23 +314,13 @@ def _in_unit(params: ModelParams) -> tuple[ModelParams, int]:
     return ModelParams(omega0, Omega, g1, g2), e
 
 
-def _phase_label(bound: float) -> str:
-    if abs(bound - 1.0) < CRITICAL_PHASE_TOL:
-        return "critical"
-    return "normal" if bound < 1.0 else "superradiant"
-
-
 def _superradiant(bound: np.ndarray) -> np.ndarray:
-    """Elementwise ``_phase_label(bound) == "superradiant"``, NaN included.
+    """Elementwise: the nodes labelled superradiant, NaN bounds included.
 
     bound - 1 is exact for bound in [0.5, 2], so it is below the critical
     tolerance exactly when the label is critical or normal.
     """
     return ~(bound - 1.0 < CRITICAL_PHASE_TOL)
-
-
-def classify_phase(params: ModelParams, beta: float) -> str:
-    return _phase_label(convergence_bound(params, beta))
 
 
 def kernel_determinant_coefficients(
@@ -555,8 +526,8 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
 
     Parameters and beta may be arrays, which broadcast; all nodes are
     solved together and no RuntimeWarning escapes.  Returns exactly 0.0
-    unless ``classify_phase`` labels the node superradiant, so a
-    critical row never reports a positive rho.
+    unless the node's bound is labelled superradiant, so a critical row
+    never reports a positive rho.
     """
     bound = convergence_bound(params, beta)
     with np.errstate(all="ignore"):
@@ -577,30 +548,17 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     return _value(rho)
 
 
-def phase_point(params: ModelParams, beta: float) -> PhasePoint:
-    """Evaluate one grid node: bound, label, beta_c, order parameter."""
-    bound = convergence_bound(params, beta)
-    phase = _phase_label(bound)
-    rho = order_parameter(params, beta) if phase == "superradiant" else 0.0
-    return PhasePoint(
-        params=params,
-        beta=beta,
-        bound=bound,
-        phase=phase,
-        beta_c=critical_beta(params),
-        rho=rho,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseScan:
     """Columns of a phase scan, one entry per node, params outer, beta inner.
 
-    The fields of ``PhasePoint`` as arrays, with the parameters split
-    into their four columns.  ``beta_c`` is NaN where ``critical_beta``
-    gives None.  ``error`` holds None, or the OverflowError text of a
-    node whose bound lies outside the float range; that node's phase is
-    "error" and its bound, beta_c and rho are NaN.
+    Each node's parameters in four columns, its beta, convergence bound
+    and phase label, beta_c and rho, the photons per atom, positive
+    exactly in the superradiant phase.  ``beta_c`` is NaN where
+    ``critical_beta`` gives None.  ``error`` holds None, or the
+    OverflowError text of a node whose bound lies outside the float
+    range; that node's phase is "error" and its bound, beta_c and rho
+    are NaN.
     """
 
     omega0: np.ndarray

@@ -3,22 +3,33 @@
 Each helper re-derives a quantity through a route different from the
 package implementation (different formula, different root-finder), so
 agreement between the two is evidence rather than tautology.
+``phase_point`` and ``classify_phase`` evaluate one node by the scalar
+closed forms, the per-node reference for the array ``phase_scan``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy.special import zeta
 
 from dicketherm.fermionization import _physical_diagonal
-from dicketherm.matsubara import kernel_a, kernel_c
+from dicketherm.matsubara import a0_c0_sum, kernel_a, kernel_c
 from dicketherm.operators import (
     BosonSpace,
     HamiltonianKind,
     HermitianOperator,
+    ModelParams,
     make_boson_ops,
+)
+from dicketherm.thermo import (
+    CRITICAL_PHASE_TOL,
+    convergence_bound,
+    critical_beta,
+    order_parameter,
 )
 
 
@@ -37,6 +48,75 @@ def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def finite_sum_critical_beta(params: ModelParams) -> float:
+    """Root in beta of the finite-sum bound a0(0) + 2 c0(0) = 1.
+
+    Independent of the closed-form ``thermo.critical_beta``: the bound
+    comes from ``a0_c0_sum`` and the root from Brent's method.  The bound
+    is evaluated once per beta: the doubling search's last two values
+    bracket the root and feed Brent's first step.  Raises RuntimeError
+    when the bound stays below one up to beta = 1e9.
+    """
+    # kept for this call only: each root solve evaluates its own bound
+    values: dict[float, float] = {}
+
+    def bound_minus_one(beta: float) -> float:
+        if beta not in values:
+            kv = a0_c0_sum(0, params, beta)
+            values[beta] = kv.a.real + 2.0 * kv.c - 1.0
+        return values[beta]
+
+    hi = 1.0
+    while bound_minus_one(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise RuntimeError("no finite-sum transition found")
+    lo = hi / 2.0 if hi > 1.0 else 1e-9
+    return float(optimize.brentq(bound_minus_one, lo, hi, xtol=1e-13))
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """Classified thermodynamic state at one (params, beta) node.
+
+    ``rho`` is photons per atom; positive exactly in the superradiant
+    phase.
+    """
+
+    params: ModelParams
+    beta: float
+    bound: float
+    phase: str
+    beta_c: float | None
+    rho: float
+
+
+def _phase_label(bound: float) -> str:
+    if abs(bound - 1.0) < CRITICAL_PHASE_TOL:
+        return "critical"
+    return "normal" if bound < 1.0 else "superradiant"
+
+
+def classify_phase(params: ModelParams, beta: float) -> str:
+    return _phase_label(convergence_bound(params, beta))
+
+
+def phase_point(params: ModelParams, beta: float) -> PhasePoint:
+    """Evaluate one grid node by the scalar routes, the reference for
+    ``phase_scan``: bound, label, beta_c, order parameter."""
+    bound = convergence_bound(params, beta)
+    phase = _phase_label(bound)
+    rho = order_parameter(params, beta) if phase == "superradiant" else 0.0
+    return PhasePoint(
+        params=params,
+        beta=beta,
+        bound=bound,
+        phase=phase,
+        beta_c=critical_beta(params),
+        rho=rho,
+    )
 
 
 def gap_order_parameter(params, beta: float) -> float:

@@ -10,14 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gap_order_parameter
+from _oracles import finite_sum_critical_beta, gap_order_parameter
 from dicketherm.cli import main
 from dicketherm.fermionization import verify_trace_identity
-from dicketherm.matsubara import (
-    a0_c0_sum,
-    fermionic_lorentzian_sum,
-    finite_sum_critical_beta,
-)
+from dicketherm.matsubara import a0_c0_sum, fermionic_lorentzian_sum
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import collective_modes, goldstone_residual
 from dicketherm.thermo import critical_beta, order_parameter, phase_scan

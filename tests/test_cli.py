@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import classify_phase
 from dicketherm.cli import (
     ConfigError,
     GridSpec,
@@ -18,10 +19,10 @@ from dicketherm.cli import (
     parse_config,
 )
 from dicketherm.exact_diag import CurvePoint, photon_density_curve
+from dicketherm.matsubara import a0_c0_sum
 from dicketherm.operators import HamiltonianKind, ModelParams
 from dicketherm.spectrum import collective_modes
 from dicketherm.thermo import (
-    classify_phase,
     convergence_bound,
     critical_beta,
     log_partition_ratio,
@@ -475,6 +476,98 @@ def test_validate_passes(capsys):
     names = [line.split(":")[0] for line in lines]
     assert "trace-identity" in names
     assert "critical-beta-cross-check" in names
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("omega0", "2"),
+        ("Omega", "2"),
+        ("g1", "3"),
+        ("g2", "1"),
+        ("beta", "2"),
+        ("beta-grid", "1:2:3"),
+        ("sweep", "g1:0:1:3"),
+        ("format", "json"),
+        ("format", "csv"),
+        ("n-list", "2,4"),
+        ("ed-tol", "1e-6"),
+        ("kind", "dicke-rwa"),
+    ],
+)
+def test_validate_refuses_inputs_it_would_ignore(flag, value, tmp_path, capsys):
+    message = f"error: validate runs fixed checks and takes no --{flag}\n"
+    assert main(["validate", f"--{flag}", value]) == 2
+    assert capsys.readouterr() == ("", message)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag} = {value}\n")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_validate_keeps_output_and_config(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output = {out}\nworkers = 2\n")
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == ""
+    report = out.read_text().splitlines()
+    assert [line.split(":")[0] for line in report] == [
+        "fermionic-sum-identity",
+        "kernel-sum-vs-closed-form",
+        "trace-identity",
+        "goldstone-residual",
+        "critical-beta-cross-check",
+    ]
+    # both inputs named together in one line
+    assert main(["validate", "--g1", "3", "--beta", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: validate runs fixed checks and takes no --g1/--beta\n"
+
+
+def _cross_check_line(capsys) -> str:
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("critical-beta-cross-check:")
+    return lines[-1]
+
+
+def test_cross_check_fails_a_beta_c_off_the_finite_sum_root(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
+    assert main(["validate"]) == 0
+    line = _cross_check_line(capsys)
+    assert line.endswith("tol=1.0e-08 PASS")
+    assert float(line.split("residual=")[1].split()[0]) <= 1e-14
+    monkeypatch.setattr(cli, "critical_beta", lambda p: critical_beta(p) * (1.0 + 1e-6))
+    assert main(["validate"]) == 1
+    assert _cross_check_line(capsys) == (
+        "critical-beta-cross-check: residual=inf tol=1.0e-08 FAIL"
+    )
+
+
+def test_cross_check_evaluates_the_finite_sum_twice_per_point(monkeypatch, capsys):
+    import dicketherm.cli as cli
+
+    calls = []
+
+    def counting(omega_index, params, beta, *args):
+        calls.append((params, beta))
+        return a0_c0_sum(omega_index, params, beta, *args)
+
+    monkeypatch.setattr(cli, "a0_c0_sum", counting)
+    assert main(["validate"]) == 0
+    capsys.readouterr()
+    points = (
+        ModelParams(1.0, 1.0, g1=1.2),
+        ModelParams(2.0, 1.0, g2=2.0),
+        ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
+    )
+    for p in points:
+        betas = sorted(beta for params, beta in calls if params == p)
+        assert len(betas) == 2
+        assert betas[0] < critical_beta(p) < betas[1]
+    # the kernel-sum check's three betas at its own point, and no others
+    assert len(calls) == 3 + 2 * len(points)
 
 
 def _cells(p):
@@ -1101,29 +1194,36 @@ def test_parse_builds_no_sweep_nodes():
     assert len(cfg.param_nodes) == 10000
 
 
-def test_row_commands_load_no_scipy():
-    # scipy serves only validate's root solve, imported on first use; the
-    # ED ladder's eigensolves are numpy's
+def test_no_command_loads_scipy():
+    # validate and the six row commands, all in one fresh process; the ED
+    # ladder's eigensolves are numpy's, and validate brackets the
+    # finite-sum beta_c by a sign change, with no root solver
     src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
     code = (
         "import sys, dicketherm.cli\n"
         "runs = (\n"
+        "    ['validate'],\n"
+        "    ['critical-temp', '--g1', '0.9', '--g2', '0.6'],\n"
         "    ['phase-diagram', '--g1', '0.9', '--g2', '0.6',\n"
+        "     '--beta-grid', '0.5:10:20'],\n"
+        "    ['spectrum', '--g1', '0.5', '--g2', '0.2', '--beta', '1'],\n"
+        "    ['partition-ratio', '--g1', '0.5', '--g2', '0.2', '--beta', '1'],\n"
+        "    ['order-parameter', '--g1', '0.9', '--g2', '0.6',\n"
         "     '--beta-grid', '0.5:10:20'],\n"
         "    ['ed-curve', '--kind', 'generalized-dicke', '--g1', '0.5',\n"
         "     '--g2', '0.3', '--beta', '1', '--n-list', '1,2,3'],\n"
         "    ['ed-curve', '--kind', 'dicke-rwa', '--g1', '0.5', '--beta', '1',\n"
         "     '--n-list', '1,2,3'],\n"
         ")\n"
-        "code = max(dicketherm.cli.main(a + ['--output', sys.argv[1]]) for a in runs)\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "codes = [dicketherm.cli.main(a + ['--output', sys.argv[1]]) for a in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code, os.devnull], env=env, capture_output=True,
         text=True, check=True,
     )
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.strip() == f"{[0] * 8} []"
 
 
 def test_shared_parser_keeps_no_state_between_calls():

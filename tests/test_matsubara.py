@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dicketherm.matsubara as matsubara
+import _oracles
+from _oracles import finite_sum_critical_beta
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     _pair_tail_integral,
@@ -14,7 +15,6 @@ from dicketherm.matsubara import (
     bosonic_frequency,
     continue_kernels,
     fermionic_lorentzian_sum,
-    finite_sum_critical_beta,
     kernel_a,
     kernel_c,
     paired_pole_sum,
@@ -321,7 +321,7 @@ def test_finite_sum_critical_beta_evaluates_each_beta_once(monkeypatch):
         evaluated[-1].append(beta)
         return a0_c0_sum(omega_index, params, beta, *args)
 
-    monkeypatch.setattr(matsubara, "a0_c0_sum", counting)
+    monkeypatch.setattr(_oracles, "a0_c0_sum", counting)
     for p in (
         ModelParams(1.0, 1.0, g1=1.2),
         ModelParams(2.0, 1.0, g2=2.0),

@@ -9,19 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import gap_order_parameter, matsubara_log_partition_ratio
+from _oracles import (
+    PhasePoint,
+    classify_phase,
+    gap_order_parameter,
+    matsubara_log_partition_ratio,
+    phase_point,
+)
 from dicketherm.matsubara import fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.thermo import (
     ParamGrid,
-    PhasePoint,
-    classify_phase,
     convergence_bound,
     critical_beta,
     log_partition_ratio,
     order_parameter,
-    phase_point,
     phase_scan,
     quantum_critical_gap,
 )
