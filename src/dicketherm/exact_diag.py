@@ -6,10 +6,9 @@ functional-integral order parameter predicts in the N -> infinity limit.
 
 ``thermal_solve`` diagonalizes one dense Hamiltonian; with the dense
 ``build_hamiltonian`` it is the small-N oracle pair, and no ladder rung
-uses either.  The photon-density ladder (``truncation_convergence``,
-``photon_density_curve``) solves each rung on blocks of one total spin
-j, (2j + 1)(n_max + 1) rows with multiplicity d_j, by one of two routes,
-chosen from the kind:
+uses either.  The photon-density ladder of ``photon_density_curve``
+solves each rung on blocks of one total spin j, (2j + 1)(n_max + 1)
+rows with multiplicity d_j, by one of two routes, chosen from the kind:
 
 - generalized Dicke splits each spin block by the parity
   (m + j + n) mod 2 and solves it as one parity pair
@@ -29,14 +28,15 @@ photon number, each block's true size and each block's multiplicity.
 The padded eigenpairs are dropped by index, and one reduction sums
 d_j Tr over all blocks with one shared ground-energy shift.
 
-``dimension_limit`` bounds the full spin block, (N + 1)(n_max + 1) rows,
-although the eigensolves run on parity halves or K-blocks.  The ladder
-stops with ``TruncationConvergenceError`` when its next doubling would
-pass that bound.  Before solving any rung it refuses a single-atom kind
-at any N != 1, and the kinds whose coupling grows like the photon number
-(the intensity-dependent ones and two-photon Jaynes-Cummings) at
-g1 sqrt(N) >= omega0: there the energy is not bounded below as the
-photon number grows, so there is no thermal state.
+The fixed ceiling ``operators.DIMENSION_LIMIT`` bounds the full spin
+block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
+halves or K-blocks, and it bounds the dense matrix of ``thermal_solve``.
+The ladder stops with ``TruncationConvergenceError`` when the builder
+refuses its next doubling.  Before solving any rung it refuses a
+single-atom kind at any N != 1, and the kinds whose coupling grows like
+the photon number (the intensity-dependent ones and two-photon
+Jaynes-Cummings) at g1 sqrt(N) >= omega0: there the energy is not
+bounded below as the photon number grows, so there is no thermal state.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from dicketherm import operators
 from dicketherm.operators import (
-    DEFAULT_DIMENSION_LIMIT,
     EXCITATION_KINDS,
+    DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
@@ -68,7 +69,6 @@ __all__ = [
     "check_ladder_inputs",
     "photon_density_curve",
     "thermal_solve",
-    "truncation_convergence",
 ]
 
 
@@ -107,16 +107,18 @@ def thermal_solve(
     H: HermitianOperator,
     beta: float,
     observables: Mapping[str, HermitianOperator] | None = None,
-    *,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> EDResult:
-    """Full eigendecomposition plus Boltzmann-weighted expectations."""
+    """Full eigendecomposition plus Boltzmann-weighted expectations.
+
+    Raises ``DimensionLimitError`` for a matrix of more than
+    ``operators.DIMENSION_LIMIT`` rows.
+    """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H))
     check_beta(beta)
-    if H.dimension > dimension_limit:
-        raise ValueError(
-            f"dimension {H.dimension} exceeds limit {dimension_limit}"
+    if H.dimension > operators.DIMENSION_LIMIT:
+        raise DimensionLimitError(
+            f"dimension {H.dimension} exceeds limit {operators.DIMENSION_LIMIT}"
         )
     matrix = H.matrix
     if np.isrealobj(matrix) or not np.any(matrix.imag):
@@ -155,20 +157,13 @@ def _photon_density(
     n_max: int,
     beta: float,
     kind: HamiltonianKind,
-    dimension_limit: int,
 ) -> float:
     """Thermal <b'b> at one truncation, one batched ``eigh`` per stack."""
     check_beta(beta)
     if kind in EXCITATION_KINDS:
-        stacks = [
-            excitation_blocks(
-                kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-            )
-        ]
+        stacks = [excitation_blocks(kind, params, n_atoms, n_max)]
     else:
-        stacks = parity_pairs(
-            kind, params, n_atoms, n_max, dimension_limit=dimension_limit
-        )
+        stacks = parity_pairs(kind, params, n_atoms, n_max)
     energies, photons, multiplicities = [], [], []
     for blocks, number, size, multiplicity in stacks:
         eigenvalues, eigenvectors = np.linalg.eigh(blocks)
@@ -189,26 +184,24 @@ def _ladder(
     beta: float,
     target_tol: float,
     kind: HamiltonianKind,
-    dimension_limit: int,
 ) -> tuple[int, float, float]:
     """First converged rung and the photon numbers at it and its doubling.
 
-    Each rung is solved once; nothing is kept beyond the call.
+    Each rung is solved once; nothing is kept beyond the call.  The
+    builders refuse a rung past the dimension ceiling before building it,
+    which ends the ladder.
     """
     n_max = _BASE_RUNG
-    prev = _photon_density(params, n_atoms, n_max, beta, kind, dimension_limit)
+    prev = _photon_density(params, n_atoms, n_max, beta, kind)
     while True:
         doubled = 2 * n_max
-        # the largest spin block the rung would build
-        if (n_atoms + 1) * (doubled + 1) > dimension_limit:
+        try:
+            cur = _photon_density(params, n_atoms, doubled, beta, kind)
+        except DimensionLimitError as refusal:
             raise TruncationConvergenceError(
-                f"ladder exhausted at n_max={n_max} (N={n_atoms}, "
-                f"dimension ceiling {dimension_limit}); last rung moved "
-                f"the photon number by more than {target_tol:.3e}"
-            )
-        cur = _photon_density(
-            params, n_atoms, doubled, beta, kind, dimension_limit
-        )
+                f"ladder exhausted at n_max={n_max} (N={n_atoms}): {refusal}; "
+                f"last rung moved the photon number by more than {target_tol:.3e}"
+            ) from refusal
         if abs(cur - prev) < target_tol:
             return n_max, prev, cur
         n_max, prev = doubled, cur
@@ -258,39 +251,6 @@ def check_ladder_inputs(
             )
 
 
-def truncation_convergence(
-    params: ModelParams,
-    n_atoms: int,
-    beta: float,
-    target_tol: float,
-    *,
-    kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
-) -> int:
-    """Smallest ladder rung whose doubling moves <b'b> by < target_tol.
-
-    The ladder is n_max = 8, 16, 32, ... and stops before a rung that
-    ``dimension_limit`` would refuse (see the module docstring);
-    exhaustion raises TruncationConvergenceError, the
-    expected outcome deep in the superradiant phase where occupation
-    scales with the atom number.  An infinite ``target_tol`` accepts
-    the first rung, 8, unsolved.
-
-    Raises
-    ------
-    ValueError
-        For a NaN or non-positive ``target_tol``, a non-finite or
-        non-positive ``beta``, N < 1, a single-atom kind at N != 1, or an
-        intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
-        which has no thermal state.
-    """
-    check_ladder_inputs(params, beta, target_tol, kind, (n_atoms,))
-    if math.isinf(target_tol):
-        return _BASE_RUNG
-    rung, _, _ = _ladder(params, n_atoms, beta, target_tol, kind, dimension_limit)
-    return rung
-
-
 def photon_density_curve(
     params: ModelParams,
     beta: float,
@@ -298,22 +258,32 @@ def photon_density_curve(
     *,
     target_tol: float = 1e-6,
     kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> list[CurvePoint]:
     """Photons per atom versus N at fixed beta, truncation-converged.
 
-    Each point reports the doubled (confirming) rung: its density is the
-    more accurate of the converged pair and the difference between the
-    pair is the recorded truncation error estimate.  Inputs are checked
-    as in ``truncation_convergence``, for every N of ``N_list`` before any
-    rung is solved.
+    For each N the ladder n_max = 8, 16, 32, ... stops at the first rung
+    whose doubling moves <b'b> by less than ``target_tol``.  Each point
+    reports that doubled (confirming) rung: its density is the more
+    accurate of the converged pair and the difference between the pair
+    is the recorded truncation error estimate.
+
+    Raises
+    ------
+    ValueError
+        Before any rung is solved, for any N of ``N_list``: a NaN or
+        non-positive ``target_tol``, a non-finite or non-positive
+        ``beta``, N < 1, a single-atom kind at N != 1, or an
+        intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
+        which has no thermal state.
+    TruncationConvergenceError
+        When the builders refuse the next doubling (see the module
+        docstring) before the ladder converges, the expected outcome deep
+        in the superradiant phase, where occupation scales with N.
     """
     check_ladder_inputs(params, beta, target_tol, kind, N_list)
     points = []
     for n_atoms in N_list:
-        rung, lower, upper = _ladder(
-            params, n_atoms, beta, target_tol, kind, dimension_limit
-        )
+        rung, lower, upper = _ladder(params, n_atoms, beta, target_tol, kind)
         points.append(
             CurvePoint(
                 n_atoms=n_atoms,

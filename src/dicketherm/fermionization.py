@@ -32,13 +32,14 @@ from dicketherm.operators import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_ATOMS",
+    "MAX_ATOMS",
     "build_fermion_dicke",
     "fermion_number_diagonal",
     "verify_trace_identity",
 ]
 
-DEFAULT_MAX_ATOMS = 3
+# The 4^N register outgrows dense work fast; N = 3 is 64 register states.
+MAX_ATOMS = 3
 
 
 def fermion_number_diagonal(n_atoms: int) -> np.ndarray:
@@ -60,11 +61,7 @@ def _physical_diagonal(n_atoms: int) -> np.ndarray:
 
 
 def build_fermion_dicke(
-    params: ModelParams,
-    n_atoms: int,
-    n_max: int,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    params: ModelParams, n_atoms: int, n_max: int
 ) -> HermitianOperator:
     """Fermionized two-coupling Dicke Hamiltonian on the 4^N x Fock space.
 
@@ -81,11 +78,18 @@ def build_fermion_dicke(
     term adds |t, n-1><s, n| sqrt(n), the counter-rotating term
     |t, n+1><s, n| sqrt(n+1), each scaled by 1/sqrt(N) and added with its
     transpose.
+
+    Raises
+    ------
+    DimensionLimitError
+        For N above ``MAX_ATOMS``.
+    ValueError
+        For N < 1 or n_max < 2.
     """
-    if n_atoms > max_atoms:
+    if n_atoms > MAX_ATOMS:
         raise DimensionLimitError(
-            f"fermion register for N={n_atoms} atoms exceeds the configured "
-            f"limit of {max_atoms} (dimension 4^N grows too fast for dense work)"
+            f"fermion register for N={n_atoms} atoms exceeds the limit of "
+            f"{MAX_ATOMS} (dimension 4^N grows too fast for dense work)"
         )
     if n_atoms < 1:
         raise ValueError("need at least one atom")

@@ -18,9 +18,10 @@ blocks as one stack per truncation (``EXCITATION_KINDS``); a single-atom
 kind is the N = 1 case, whose one spin block is the whole space.  Both
 stack builders return the stack, each row's photon number, each block's
 true size and each block's multiplicity, and pad short blocks with
-decoupled rows that sort last.  The spin block builders check
-``dimension_limit`` against the full spin block, (N + 1)(n_max + 1)
-rows; the dense builder checks it against 2^N (n_max + 1).
+decoupled rows that sort last.  Every builder refuses, before building
+anything, a matrix of more than ``DIMENSION_LIMIT`` rows: the spin
+block builders count the full spin block, (N + 1)(n_max + 1) rows,
+whatever it is split into; the dense builder counts 2^N (n_max + 1).
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -40,7 +41,7 @@ import numpy as np
 
 __all__ = [
     "COLLECTIVE_KINDS",
-    "DEFAULT_DIMENSION_LIMIT",
+    "DIMENSION_LIMIT",
     "BosonSpace",
     "DimensionLimitError",
     "EXCITATION_KINDS",
@@ -65,12 +66,13 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 # Dense eigensolves above this size stop being desk-scale; the crossover
-# study at eight atoms needs 2^8 * 17 = 4352.
-DEFAULT_DIMENSION_LIMIT = 6000
+# study at eight atoms needs 2^8 * 17 = 4352.  The builders and
+# exact_diag.thermal_solve read it at call time.
+DIMENSION_LIMIT = 6000
 
 
 class DimensionLimitError(ValueError):
-    """Requested matrix or spin block exceeds the configured dimension limit."""
+    """Requested matrix or spin block exceeds ``DIMENSION_LIMIT`` rows."""
 
 
 class NotHermitianError(ValueError):
@@ -271,9 +273,9 @@ def make_spin_ops(
 
 
 def _check_size(
-    kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int, limit: int
+    kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int
 ) -> None:
-    """Refuse bad sizes, then a matrix of spin_rows (n_max + 1) rows over ``limit``."""
+    """Refuse bad sizes, then a matrix of spin_rows (n_max + 1) rows past the ceiling."""
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
     if n_max < 2:
@@ -281,9 +283,10 @@ def _check_size(
     if kind in SINGLE_ATOM_KINDS and n_atoms != 1:
         raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
     rows = spin_rows * (n_max + 1)
-    if rows > limit:
+    if rows > DIMENSION_LIMIT:
         raise DimensionLimitError(
-            f"matrix of {rows} rows exceeds limit {limit} (N={n_atoms}, n_max={n_max})"
+            f"matrix of {rows} rows exceeds limit {DIMENSION_LIMIT} "
+            f"(N={n_atoms}, n_max={n_max})"
         )
 
 
@@ -311,8 +314,6 @@ def build_hamiltonian(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-    *,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> HermitianOperator:
     """Assemble one of the family Hamiltonians on the composite space.
 
@@ -336,11 +337,11 @@ def build_hamiltonian(
     Raises
     ------
     DimensionLimitError
-        If 2^N * (n_max + 1) exceeds ``dimension_limit``.
+        If 2^N * (n_max + 1) exceeds ``DIMENSION_LIMIT``.
     ValueError
         For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
-    _check_size(kind, n_atoms, n_max, 2**n_atoms, dimension_limit)
+    _check_size(kind, n_atoms, n_max, 2**n_atoms)
 
     space = BosonSpace(n_max)
     reg = QubitRegister(n_atoms)
@@ -380,8 +381,6 @@ def spin_sector_hamiltonians(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-    *,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Total-spin blocks ``(d_j, H_j)`` of a collective kind.
 
@@ -403,7 +402,7 @@ def spin_sector_hamiltonians(
     Raises
     ------
     DimensionLimitError
-        If the largest block, (N + 1)(n_max + 1), exceeds ``dimension_limit``.
+        If the largest block, (N + 1)(n_max + 1), exceeds ``DIMENSION_LIMIT``.
     ValueError
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
@@ -418,9 +417,7 @@ def spin_sector_hamiltonians(
 
     return (
         (d, block(*entries))
-        for d, *entries in _spin_block_entries(
-            kind, params, n_atoms, n_max, dimension_limit
-        )
+        for d, *entries in _spin_block_entries(kind, params, n_atoms, n_max)
     )
 
 
@@ -429,8 +426,6 @@ def parity_pairs(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-    *,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Both parity halves of each spin block as one stack ``(H, n, size, d)``.
 
@@ -454,7 +449,7 @@ def parity_pairs(
     Raises
     ------
     DimensionLimitError
-        If the largest block, (N + 1)(n_max + 1), exceeds ``dimension_limit``.
+        If the largest block, (N + 1)(n_max + 1), exceeds ``DIMENSION_LIMIT``.
     ValueError
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
@@ -481,9 +476,7 @@ def parity_pairs(
 
     return (
         pair(*entries)
-        for entries in _spin_block_entries(
-            kind, params, n_atoms, n_max, dimension_limit
-        )
+        for entries in _spin_block_entries(kind, params, n_atoms, n_max)
     )
 
 
@@ -492,7 +485,6 @@ def _spin_block_entries(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-    dimension_limit: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Checks, then ``(d_j, diagonal, source, target, values)`` per spin block.
 
@@ -503,7 +495,7 @@ def _spin_block_entries(
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"{kind.value} has no collective-spin blocks")
     # the largest spin block, j = N/2
-    _check_size(kind, n_atoms, n_max, n_atoms + 1, dimension_limit)
+    _check_size(kind, n_atoms, n_max, n_atoms + 1)
     fock = np.arange(n_max + 1, dtype=float)
     root = np.sqrt(fock)
     # Each op sends |n> to amplitude[n] |n + shift>; amplitude is zero
@@ -547,8 +539,6 @@ def excitation_blocks(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-    *,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Excitation-number blocks of every spin block as one stack ``(H, n, size, d)``.
 
@@ -584,7 +574,7 @@ def excitation_blocks(
     ------
     DimensionLimitError
         If the largest spin block, (N + 1)(n_max + 1), exceeds
-        ``dimension_limit``, the same bound as ``spin_sector_hamiltonians``.
+        ``DIMENSION_LIMIT``, the same bound as ``spin_sector_hamiltonians``.
     ValueError
         For a kind outside ``EXCITATION_KINDS``, N < 1, n_max < 2, or a
         single-atom kind with N > 1.
@@ -592,7 +582,7 @@ def excitation_blocks(
     if kind not in EXCITATION_KINDS:
         raise ValueError(f"{kind.value} has no excitation-number blocks")
     # the largest spin block, j = N/2
-    _check_size(kind, n_atoms, n_max, n_atoms + 1, dimension_limit)
+    _check_size(kind, n_atoms, n_max, n_atoms + 1)
     scale = params.g1 / sqrt(n_atoms)
     amplitude, step = _lowering_amplitude(kind, n_max)
     multiplicity, two_j = zip(*_spin_multiplicities(n_atoms))

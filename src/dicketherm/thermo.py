@@ -50,9 +50,9 @@ else "normal" below one and "superradiant" above.
 
 The gap equation has one solver, a safeguarded Newton iteration batched
 over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
-G tanh(beta (Omega + s)/4) - (Omega + s) omega0 is concave (tanh is
-concave on positive arguments), positive at s = 0 in the superradiant
-phase and negative at hi = G/omega0 - Omega, so Newton started at or
+K tanh(beta (Omega + s)/4) - (Omega + s), K = (g/omega0) g, is concave
+(tanh is concave on positive arguments), positive at s = 0 in the
+superradiant phase and negative at hi = K - Omega, so Newton started at or
 below hi but above the root decreases monotonically onto it.  A node
 stops once its step is no longer positive beyond four ulps of s;
 rounding near a badly conditioned root ends it the same way.  Nodes
@@ -431,10 +431,8 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     )
 
 
-def _gap_root(
-    G: np.ndarray, omega0: np.ndarray, Omega: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    """s = D - Omega solving G tanh(scale D) = D omega0, one root per entry.
+def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """s = D - Omega solving K tanh(scale D) = D, one root per entry.
 
     1-d arrays; every entry must have a positive balance at s = 0 (the
     superradiant phase).  Newton from an upper bound on the root, each
@@ -443,47 +441,47 @@ def _gap_root(
     ``order_parameter``.  The caller holds ``np.errstate``.
     """
 
-    def balance(s, G, omega0, Omega, scale):
+    def balance(s, K, Omega, scale):
         gap = Omega + s
-        return G * np.tanh(scale * gap) - gap * omega0
+        return K * np.tanh(scale * gap) - gap
 
-    hi = G / omega0 - Omega
+    hi = K - Omega
     # The start is the lower of two upper bounds on the root: hi, from
     # tanh <= 1, and the root with tanh(u), u = scale D, replaced by its
     # continued-fraction convergent u (15 + u^2) / (15 + 6 u^2) >= tanh(u),
     # which is tight near a high-temperature transition.  That root
-    # exists where c = omega0 / (G scale) > 1/6 (NaN elsewhere).
-    GS = G * scale
-    c = omega0 / GS
+    # exists where c = 1 / (K scale) > 1/6 (NaN elsewhere).
+    KS = K * scale
+    c = 1.0 / KS
     upper = np.sqrt(15.0 * (1.0 - c) / (6.0 * c - 1.0)) / scale - Omega
     below = upper < hi
     s = np.where(below, upper, hi)
     # a balance at hi that rounds to non-negative (deep cold, and beta =
     # inf) makes hi the root; the rounded bound always takes a step
-    moving = below | (balance(s, G, omega0, Omega, scale) < 0.0)
-    # the slope G scale (1 - t^2) - omega0 loses digits as t -> 1, but
-    # the slope only sets the convergence rate; the root is where the
+    moving = below | (balance(s, K, Omega, scale) < 0.0)
+    # the slope K scale (1 - t^2) - 1 loses digits as t -> 1, but the
+    # slope only sets the convergence rate; the root is where the
     # balance vanishes
-    slope_at_zero = GS - omega0
+    slope_at_zero = KS - 1.0
     for _ in range(_NEWTON_STEPS):
         if not np.count_nonzero(moving):
             break
         gap = Omega + s
         t = np.tanh(scale * gap)
-        step = (G * t - gap * omega0) / (slope_at_zero - GS * t * t)
+        step = (K * t - gap) / (slope_at_zero - KS * t * t)
         s -= np.where(moving, step, 0.0)
         moving &= step > _STEP_RTOL * s
     # NaN entries (beta = inf) join the ones still moving
     todo = (moving | np.isnan(s)).nonzero()[0]
     if todo.size:
-        G, omega0, Omega, scale = G[todo], omega0[todo], Omega[todo], scale[todo]
+        K, Omega, scale = K[todo], Omega[todo], scale[todo]
         lo, up = np.zeros(todo.size), hi[todo]
         for _ in range(_BISECTIONS):
             live = up - lo > _STEP_RTOL * up
             if not live.any():
                 break
             mid = 0.5 * (lo + up)
-            above = balance(mid, G, omega0, Omega, scale) > 0.0
+            above = balance(mid, K, Omega, scale) > 0.0
             lo = np.where(live & above, mid, lo)
             up = np.where(live & ~above, mid, up)
         s[todo] = 0.5 * (lo + up)
@@ -501,12 +499,15 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     otherwise.  Photons per atom is rho = y* / (beta omega0).
 
     Resumming the fermionic sum in closed form turns Phi' = 0 into the
-    gap equation G tanh(beta D/4) = D omega0, G = (g1+g2)^2, for the
-    effective gap D = sqrt(Omega^2 + 4 kappa y) > Omega, and
-    rho = (D^2 - Omega^2) / (4 G).  It is solved for s = D - Omega on
-    [0, G/omega0 - Omega], which avoids the cancellation in D^2 - Omega^2
-    near the transition.  The balance f(s) = G tanh(beta (Omega + s)/4)
-    - (Omega + s) omega0 is concave in s, positive at 0 and negative at
+    gap equation K tanh(beta D/4) = D, K = G/omega0 and G = g^2 with
+    g = g1 + g2, for the effective gap D = sqrt(Omega^2 + 4 kappa y) >
+    Omega, and rho = (D^2 - Omega^2) / (4 G).  K is formed as
+    (g/omega0) g, which is in range wherever rho is, although G or
+    G/omega0 alone may not be.  It is solved for s = D - Omega on
+    [0, K - Omega], which avoids the cancellation in D^2 - Omega^2 near
+    the transition, and rho = s (s + 2 Omega) / (4 K omega0).  The
+    balance f(s) = K tanh(beta (Omega + s)/4) - (Omega + s) is concave
+    in s, positive at 0 and negative at
     the upper end hi, so Newton started anywhere above the root
     decreases monotonically onto it: the tangent at any s above the root
     lies above f and crosses zero between the root and s.  The start is
@@ -520,7 +521,7 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     still moving after twelve steps are bisected on [0, hi] to the same
     relative width.  When the balance at hi rounds to non-negative (deep
     cold, and exactly at beta = inf) the root is hi, which gives the
-    zero-temperature value ((G/omega0)^2 - Omega^2) / (4 G).  The
+    zero-temperature value (K^2 - Omega^2) / (4 K omega0).  The
     numerically summed frequency series is reserved for the test oracle
     and ``validate``.
 
@@ -537,14 +538,15 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
             # the nodes to solve, each input broadcast to the grid first
             ones = np.ones(sr.shape)
             g = ((params.g1 + params.g2) * ones)[sr]
-            G = g * g
             omega0 = (params.omega0 * ones)[sr]
+            # g^2 or g^2 / omega0 alone can leave the float range
+            K = g / omega0 * g
             Omega = (params.Omega * ones)[sr]
             scale = (_THERMAL_SCALE * ones * beta)[sr]
-            s = _gap_root(G, omega0, Omega, scale)
-            # s / G <= 1 / omega0, scaled by 1/4 before the second factor;
-            # s (s + 2 Omega), 4 G or 4 rho alone can overflow
-            rho[sr] = s / G * 0.25 * (s + 2.0 * Omega)
+            s = _gap_root(K, Omega, scale)
+            # s / K <= 1, scaled by 1/4 and 1/omega0 before the second
+            # factor; s (s + 2 Omega), 4 K or 4 rho alone can overflow
+            rho[sr] = s / K * 0.25 / omega0 * (s + 2.0 * Omega)
     return _value(rho)
 
 

@@ -1160,6 +1160,18 @@ def test_underflowing_product_gives_rows_not_errors(capsys):
     assert record.endswith(",normal,0.0")
 
 
+@pytest.mark.parametrize("command", ["phase-diagram", "order-parameter"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rho_survives_an_overflowing_coupling_square(command, fmt, capsys):
+    # g1^2 = 1e400 is outside the float range; G / omega0 = 1e100 is not
+    flags = ["--omega0", "1e300", "--Omega", "1", "--g1", "1e200", "--beta", "1"]
+    assert main([command, *flags, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    (row,) = csv.DictReader(io.StringIO(out)) if fmt == "csv" else map(json.loads, out.splitlines())
+    assert row["phase"] == "superradiant"
+    assert float(row["rho"]) == pytest.approx(2.5e-201, rel=1e-14)
+
+
 def test_order_parameter_stops_at_the_first_failing_node(capsys):
     # the g1 = 5e199 node overflows; the row before it is written first
     assert main(["order-parameter", "--beta", "1", "--sweep", "g1:1:1e200:3"]) == 1

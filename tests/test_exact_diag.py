@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.exact_diag as exact_diag
+import dicketherm.operators as operators
 from _oracles import bose_occupation, kron_spin_blocks, parity_halves
 from dicketherm.exact_diag import (
     CurvePoint,
     TruncationConvergenceError,
     photon_density_curve,
     thermal_solve,
-    truncation_convergence,
 )
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
-    DEFAULT_DIMENSION_LIMIT,
     EXCITATION_KINDS,
     DimensionLimitError,
     HamiltonianKind,
@@ -89,10 +88,11 @@ def test_real_input_stays_real_and_complex_stays_complex():
         HermitianOperator(np.array([[0.0, 1j], [1j, 0.0]]))
 
 
-def test_dimension_guard():
+def test_dimension_guard(monkeypatch):
     h = HermitianOperator(np.zeros((8, 8)))
-    with pytest.raises(ValueError, match="exceeds limit"):
-        thermal_solve(h, 1.0, dimension_limit=4)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 4)
+    with pytest.raises(DimensionLimitError, match="exceeds limit 4"):
+        thermal_solve(h, 1.0)
 
 
 def test_thermal_solve_rejects_nonpositive_beta():
@@ -154,16 +154,26 @@ def test_rwa_eigenvectors_have_sharp_excitation_number():
         assert abs(second - mean**2) < 1e-12
 
 
-def test_truncation_convergence_free_case():
+def _rung(params, n_atoms, beta, target_tol, kind=HamiltonianKind.GENERALIZED_DICKE):
+    """The converged ladder rung, half the one a curve point reports."""
+    (point,) = photon_density_curve(
+        params, beta, (n_atoms,), target_tol=target_tol, kind=kind
+    )
+    return point.n_max_used // 2
+
+
+def test_ladder_free_case_converges_at_the_first_rung():
     p = ModelParams(1.0, 1.0)
-    assert truncation_convergence(p, 2, 3.0, 1e-10) == 8
-    assert truncation_convergence(p, 2, 3.0, math.inf) == 8
+    assert _rung(p, 2, 3.0, 1e-10) == 8
+    # an infinite tolerance accepts rung 8 once its doubling is solved
+    assert _rung(p, 2, 3.0, math.inf) == 8
 
 
-def test_truncation_convergence_exhausts_budget():
+def test_ladder_exhausts_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.9, g2=0.9)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 40)
     with pytest.raises(TruncationConvergenceError):
-        truncation_convergence(p, 2, 5.0, 1e-14, dimension_limit=40)
+        _rung(p, 2, 5.0, 1e-14)
 
 
 def test_photon_density_curve_free_case():
@@ -207,9 +217,7 @@ def test_sector_photon_density_matches_dense_oracle(kind, n_atoms):
         h = build_hamiltonian(kind, p, n_atoms, n_max)
         for beta in (0.3, 3.3, 40.0):
             dense = thermal_solve(h, beta, {"n": number}).observables["n"]
-            sector = exact_diag._photon_density(
-                p, n_atoms, n_max, beta, kind, DEFAULT_DIMENSION_LIMIT
-            )
+            sector = exact_diag._photon_density(p, n_atoms, n_max, beta, kind)
             assert abs(sector - dense) <= 1e-12, (g1, g2, beta)
 
 
@@ -395,17 +403,16 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
     assert zero_levels > 0 or not collective
 
 
-def test_excitation_blocks_refuse_other_kinds():
+def test_excitation_blocks_refuse_other_kinds(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
     for kind in set(HamiltonianKind) - EXCITATION_KINDS:
         with pytest.raises(ValueError, match="no excitation-number blocks"):
             excitation_blocks(kind, p, 1, 8)
     with pytest.raises(ValueError, match="single-atom model, got N=2"):
         excitation_blocks(HamiltonianKind.TWO_PHOTON_JC, p, 2, 8)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 296)
     with pytest.raises(DimensionLimitError):
-        excitation_blocks(
-            HamiltonianKind.DICKE_RWA, p, 8, 32, dimension_limit=296
-        )
+        excitation_blocks(HamiltonianKind.DICKE_RWA, p, 8, 32)
 
 
 @settings(max_examples=25, deadline=None)
@@ -422,18 +429,15 @@ def test_sector_multiplicities_cover_the_register(n_atoms):
     )
 
 
-def test_sector_builder_guards():
+def test_sector_builder_guards(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
     with pytest.raises(ValueError, match="no collective-spin blocks"):
         spin_sector_hamiltonians(HamiltonianKind.JAYNES_CUMMINGS, p, 1, 8)
-    with pytest.raises(DimensionLimitError):
-        spin_sector_hamiltonians(
-            HamiltonianKind.GENERALIZED_DICKE, p, 8, 32, dimension_limit=296
-        )
     with pytest.raises(ValueError, match="beta"):
-        exact_diag._photon_density(
-            p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE, 6000
-        )
+        exact_diag._photon_density(p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 296)
+    with pytest.raises(DimensionLimitError):
+        spin_sector_hamiltonians(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
 
 
 @pytest.mark.parametrize(
@@ -461,7 +465,7 @@ def test_ladder_refuses_intensity_dicke_without_thermal_state(
     p = ModelParams(1.0, 1.0, g1=g1)
     refusal = f"{kind.value} has no thermal state at N={n_atoms}:"
     with pytest.raises(ValueError, match=refusal):
-        truncation_convergence(p, n_atoms, 1.0, 1e-6, kind=kind)
+        photon_density_curve(p, 1.0, (n_atoms,), target_tol=1e-6, kind=kind)
     # every N is checked before the first one's ladder starts
     with pytest.raises(ValueError, match=refusal):
         photon_density_curve(p, 1.0, (1, n_atoms), kind=kind)
@@ -486,7 +490,7 @@ def test_ladder_refuses_single_atom_kinds_at_other_n(kind, g1, n_list, monkeypat
     # the atom number is checked before the thermal-state rule
     refusal = f"{kind.value} is a single-atom model, got N=2"
     with pytest.raises(ValueError, match=refusal):
-        truncation_convergence(p, 2, 1.0, 1e-6, kind=kind)
+        photon_density_curve(p, 1.0, (2,), target_tol=1e-6, kind=kind)
     # every N is checked before the first one's ladder starts
     with pytest.raises(ValueError, match=refusal):
         photon_density_curve(p, 1.0, n_list, kind=kind)
@@ -505,7 +509,7 @@ def test_ladder_refuses_no_atoms_before_any_rung(kind, n_list, monkeypatch):
     with pytest.raises(ValueError, match=refusal):
         photon_density_curve(p, 1.0, n_list, kind=kind)
     with pytest.raises(ValueError, match=refusal):
-        truncation_convergence(p, min(n_list), 1.0, 1e-6, kind=kind)
+        photon_density_curve(p, 1.0, (min(n_list),), target_tol=1e-6, kind=kind)
     assert solved == []
 
 
@@ -544,7 +548,7 @@ def test_each_rung_is_one_batched_eigensolve_per_stack(kind, n_atoms, monkeypatc
     p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
     for n_max in (8, 9):
         calls.clear()
-        exact_diag._photon_density(p, n_atoms, n_max, 1.0, kind, 6000)
+        exact_diag._photon_density(p, n_atoms, n_max, 1.0, kind)
         if kind in EXCITATION_KINDS:
             # one stack for every j
             assert len(calls) == 1
@@ -554,37 +558,35 @@ def test_each_rung_is_one_batched_eigensolve_per_stack(kind, n_atoms, monkeypatc
             assert all(shape[0] == 2 for shape in calls)
 
 
-def test_ladder_guard_bounds_the_matrix_actually_diagonalized():
+def test_ladder_guard_bounds_the_matrix_actually_diagonalized(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.8, g2=0.8)
-    # the dense matrix, 2^8 * 33 rows, is past the default limit ...
+    # the dense matrix, 2^8 * 33 rows, is past the ceiling ...
     with pytest.raises(DimensionLimitError):
         build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
     # ... but the ladder diagonalizes spin blocks of at most 9 * 65 rows
-    assert truncation_convergence(p, 8, 5.0, 1e-6) == 32
+    assert _rung(p, 8, 5.0, 1e-6) == 32
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 9 * 33)
     with pytest.raises(TruncationConvergenceError, match="n_max=32 "):
-        truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33)
+        _rung(p, 8, 5.0, 1e-300)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 9 * 33 - 1)
     with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
-        truncation_convergence(p, 8, 5.0, 1e-300, dimension_limit=9 * 33 - 1)
+        _rung(p, 8, 5.0, 1e-300)
     # at N = 1 the spin-block bound (N + 1)(n_max + 1) is 2 (n_max + 1); at
     # beta = 0.05 every rung up to n_max = 64 moves the photon number by
     # more than 3
     jc = ModelParams(1.0, 1.0, g1=0.9)
     kind = HamiltonianKind.JAYNES_CUMMINGS
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 2 * 33)
     with pytest.raises(TruncationConvergenceError, match="n_max=32 "):
-        truncation_convergence(
-            jc, 1, 0.05, 1e-300, kind=kind, dimension_limit=2 * 33
-        )
+        _rung(jc, 1, 0.05, 1e-300, kind)
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 2 * 33 - 1)
     with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
-        truncation_convergence(
-            jc, 1, 0.05, 1e-300, kind=kind, dimension_limit=2 * 33 - 1
-        )
+        _rung(jc, 1, 0.05, 1e-300, kind)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_ladder_rejects_bad_beta(beta):
     p = ModelParams(1.0, 1.0, g1=0.3)
-    with pytest.raises(ValueError, match="beta"):
-        truncation_convergence(p, 2, beta, 1e-6)
     with pytest.raises(ValueError, match="beta"):
         photon_density_curve(p, beta, (2,))
 
@@ -592,8 +594,6 @@ def test_ladder_rejects_bad_beta(beta):
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, -math.inf])
 def test_ladder_rejects_bad_tolerance(tol):
     p = ModelParams(1.0, 1.0, g1=0.3)
-    with pytest.raises(ValueError, match="target_tol"):
-        truncation_convergence(p, 2, 1.0, tol)
     with pytest.raises(ValueError, match="target_tol"):
         photon_density_curve(p, 1.0, (2,), target_tol=tol)
 

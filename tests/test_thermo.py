@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -450,17 +450,59 @@ def test_closed_forms_hold_over_the_whole_float_range(params, beta, bound, beta_
 def test_order_parameter_holds_where_the_gap_squared_overflows():
     # zero-temperature limit rho = ((G/omega0)^2 - Omega^2) / (4 G), G = g^2:
     # at g = 1e100 the gap D = 1e200 has D^2 outside the float range, at
-    # g = 7e153 so has 4 G, while G / 4 is in range, and at omega0 = 0.4,
-    # g = 6e153 so has 4 rho = G / omega0^2
+    # g = 7e153 so has 4 G, while G / 4 is in range, at omega0 = 0.4,
+    # g = 6e153 so has 4 rho = G / omega0^2, and at omega0 = 1e300,
+    # g = 1e200 so has G, while G / omega0 = 1e100 is in range
     nodes = (
         (1.0, 1e100, 2.5e199),
         (1.0, 7e153, 7e153**2 / 4.0),
         (0.4, 6e153, 5.625e307),
+        (1e300, 1e200, 2.5e-201),
     )
     for omega0, g, rho in nodes:
         p = ModelParams(omega0, 1.0, g1=g)
         assert order_parameter(p, 1.0) == pytest.approx(rho, rel=1e-14)
         assert phase_scan([p], [1.0]).rho[0] == order_parameter(p, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    node=st.tuples(
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=0.0, max_value=3.0) | st.just(0.0),
+        st.floats(min_value=0.0, max_value=3.0) | st.just(0.0),
+    ),
+    beta=st.floats(min_value=0.05, max_value=10.0) | st.just(math.inf) | st.none(),
+    k=st.integers(min_value=-300, max_value=300),
+)
+def test_bound_beta_c_and_rho_do_not_depend_on_the_unit(node, beta, k):
+    # energies times 2^k and beta times 2^-k is exact; the bound and rho
+    # are dimensionless, so they do not change, and beta_c scales by 2^-k
+    p = ModelParams(*node)
+    beta_c = critical_beta(p)
+    if beta is None:
+        beta = beta_c or 1.0
+    scaled_node = [math.ldexp(v, k) for v in node]
+    scaled_beta = math.ldexp(beta, -k)
+    inputs = zip((*node, beta), (*scaled_node, scaled_beta))
+    assume(all(v == 0.0 or sys.float_info.min <= w for v, w in inputs))
+    q = ModelParams(*scaled_node)
+    assert convergence_bound(q, scaled_beta) == convergence_bound(p, beta)
+    assert order_parameter(q, scaled_beta) == order_parameter(p, beta)
+    scaled_beta_c = critical_beta(q)
+    if beta_c is None:
+        assert scaled_beta_c is None
+    else:
+        assert scaled_beta_c == math.ldexp(beta_c, -k)
+    # the array route of phase_scan too
+    base, scaled = phase_scan([p], [beta]), phase_scan([q], [scaled_beta])
+    assert (scaled.bound[0], scaled.phase[0]) == (base.bound[0], base.phase[0])
+    assert scaled.rho[0] == base.rho[0]
+    if beta_c is None:
+        assert np.isnan(scaled.beta_c[0])
+    else:
+        assert scaled.beta_c[0] == math.ldexp(base.beta_c[0], -k)
 
 
 def test_out_of_range_bound_still_overflows():
