@@ -26,14 +26,21 @@ rows with multiplicity d_j, by one of two routes, chosen from the kind:
 Both builders hand back the same four arrays: the stack, each row's
 photon number, each block's true size and each block's multiplicity.
 The padded eigenpairs are dropped by index, and one reduction sums
-d_j Tr over all blocks with one shared ground-energy shift.
+d_j Tr over all blocks with one shared ground-energy shift.  What
+does not depend on the parameters sits in the structure cache of
+``operators``: the index pattern of each spin block's parity pair,
+keyed by (kind, 2j, n_max), and the K-block layout of each stack, keyed
+by (kind, N, n_max), at most ``operators.STRUCTURE_CACHE_BYTES``
+(32 MB) in all.  A rung of new parameters only scales these read-only
+templates.
 
 The fixed ceiling ``operators.DIMENSION_LIMIT`` bounds the full spin
 block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
 halves or K-blocks, and it bounds the dense matrix of ``thermal_solve``.
 The ladder stops with ``TruncationConvergenceError`` when the builder
 refuses its next doubling.  Before solving any rung it refuses a
-single-atom kind at any N != 1, and the kinds whose coupling grows like
+single-atom kind at any N != 1, an N whose first rung, n_max = 8, the
+builder refuses (N >= 666), and the kinds whose coupling grows like
 the photon number (the intensity-dependent ones and two-photon
 Jaynes-Cummings) at g1 sqrt(N) >= omega0: there the energy is not
 bounded below as the photon number grows, so there is no thermal state.
@@ -57,6 +64,7 @@ from dicketherm.operators import (
     SINGLE_ATOM_KINDS,
     build_hamiltonian,
     check_beta,
+    check_spin_block_size,
     excitation_blocks,
     parity_pairs,
 )
@@ -216,7 +224,9 @@ def check_ladder_inputs(
 ) -> None:
     """Raise the ValueError the ladder would raise for these inputs.
 
-    Solves nothing, so a caller can refuse a curve before writing any of it.
+    That includes the builders' ``DimensionLimitError`` for an N whose
+    first rung is past ``operators.DIMENSION_LIMIT``.  Solves nothing, so
+    a caller can refuse a curve before writing any of it.
     """
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
@@ -230,6 +240,10 @@ def check_ladder_inputs(
                 raise ValueError(
                     f"{kind.value} is a single-atom model, got N={n_atoms}"
                 )
+    for n_atoms in N_list:
+        # the first rung must fit, or the ladder would fail after writing
+        # the rungs of the earlier N
+        check_spin_block_size(kind, n_atoms, _BASE_RUNG)
     if kind not in (
         HamiltonianKind.INTENSITY_DICKE,
         HamiltonianKind.INTENSITY_JC,
@@ -272,7 +286,8 @@ def photon_density_curve(
     ValueError
         Before any rung is solved, for any N of ``N_list``: a NaN or
         non-positive ``target_tol``, a non-finite or non-positive
-        ``beta``, N < 1, a single-atom kind at N != 1, or an
+        ``beta``, N < 1, a single-atom kind at N != 1, an N whose first
+        rung the builders refuse (``DimensionLimitError``), or an
         intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
         which has no thermal state.
     TruncationConvergenceError

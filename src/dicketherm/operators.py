@@ -23,6 +23,16 @@ anything, a matrix of more than ``DIMENSION_LIMIT`` rows: the spin
 block builders count the full spin block, (N + 1)(n_max + 1) rows,
 whatever it is split into; the dense builder counts 2^N (n_max + 1).
 
+The spin block builders split their work in two.  What does not depend
+on ``ModelParams`` is built once and cached: per (kind, 2j, n_max), a
+spin block's coupled rows, its unit amplitudes and the flat positions
+of its parity pair; per (kind, N, n_max), the layout of the
+``excitation_blocks`` stack and its unit couplings.  A call checks the
+sizes, then only scales these read-only templates by omega0, Omega and
+g / sqrt(N).  The cache drops its least recently used structures to
+hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects
+it on or off.
+
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
 is the least significant bit), Fock occupation ascending.  A composite
@@ -32,10 +42,12 @@ bit pattern and ``n`` the boson occupation.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, inf, sqrt
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,6 +65,7 @@ __all__ = [
     "SINGLE_ATOM_KINDS",
     "build_hamiltonian",
     "check_beta",
+    "check_spin_block_size",
     "excitation_blocks",
     "make_boson_ops",
     "make_spin_ops",
@@ -69,6 +82,11 @@ HERMITICITY_TOL = 1e-12
 # study at eight atoms needs 2^8 * 17 = 4352.  The builders and
 # exact_diag.thermal_solve read it at call time.
 DIMENSION_LIMIT = 6000
+
+# Bytes the cache of parameter-free block structures may hold in all.  The
+# largest structure under DIMENSION_LIMIT, the excitation structure at
+# N = 665 and n_max = 8, holds 25 MB; a spin block's at most 0.6 MB.
+STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
 class DimensionLimitError(ValueError):
@@ -290,6 +308,14 @@ def _check_size(
         )
 
 
+def check_spin_block_size(kind: HamiltonianKind, n_atoms: int, n_max: int) -> None:
+    """Refuse what the spin block builders refuse for these sizes, building nothing.
+
+    The bound is the largest spin block, j = N/2: (N + 1)(n_max + 1) rows.
+    """
+    _check_size(kind, n_atoms, n_max, n_atoms + 1)
+
+
 def _collective_coupling(
     n_atoms: int,
     n_max: int,
@@ -407,17 +433,17 @@ def spin_sector_hamiltonians(
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
 
-    def block(diagonal, source, target, values):
+    def block(d, structure, diagonal, values):
         size = diagonal.size
         h = np.zeros((size, size))
         h.reshape(-1)[:: size + 1] = diagonal
-        h[target, source] = values
-        h[source, target] = values
-        return h
+        h[structure.target, structure.source] = values
+        h[structure.source, structure.target] = values
+        return d, h
 
     return (
-        (d, block(*entries))
-        for d, *entries in _spin_block_entries(kind, params, n_atoms, n_max)
+        block(*entries)
+        for entries in _spin_block_entries(kind, params, n_atoms, n_max)
     )
 
 
@@ -439,6 +465,8 @@ def parity_pairs(
     (a + n) mod 2, which keeps the block's row order for even and odd
     n_max.  ``n`` (shape (2, h)) holds each row's photon number, ``size``
     each half's true row count and ``d`` the multiplicity d_j of both.
+    ``n`` and ``size`` are shared, read-only arrays of the structure
+    cache; ``H`` and ``d`` are the caller's own.
 
     When the block has an odd number of rows, the odd half is one row
     short and ``H[1]`` ends in a padding row: decoupled, photon number 0,
@@ -454,29 +482,81 @@ def parity_pairs(
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
 
-    def pair(d, diagonal, source, target, values):
-        rows = diagonal.size
-        a, n = np.divmod(np.arange(rows), n_max + 1)
-        parity = (a + n) % 2
-        position = np.arange(rows) // 2
-        width = (rows + 1) // 2
+    def pair(d, structure, diagonal, values):
+        width = structure.number.shape[1]
         h = np.zeros((2, width, width))
-        h[parity, position, position] = diagonal
-        # a coupling keeps the parity, so parity[source] = parity[target]
-        half = parity[source]
-        h[half, position[target], position[source]] = values
-        h[half, position[source], position[target]] = values
-        if rows % 2:
+        flat = h.reshape(-1)
+        flat[structure.diagonal_at] = diagonal
+        flat[structure.below_at] = values
+        flat[structure.above_at] = values
+        if diagonal.size % 2:
             # the largest absolute row sum bounds every level of the half
             h[1, -1, -1] = 2.0 * np.abs(h[1]).sum(axis=1).max()
-        number = np.zeros((2, width))
-        number[parity, position] = n
-        size = np.array([width, rows - width])
-        return h, number, size, np.array([d, d], dtype=float)
+        return h, structure.number, structure.size, np.array([d, d], dtype=float)
 
     return (
         pair(*entries)
         for entries in _spin_block_entries(kind, params, n_atoms, n_max)
+    )
+
+
+class _SpinBlock(NamedTuple):
+    """Parameter-free structure of spin block 2j of a collective kind.
+
+    Row a (n_max + 1) + n holds |m = a - j> x |n>.  ``source`` and
+    ``target`` list the coupled rows of every coupling in turn, and
+    ``units`` each coupling's sqrt((2j - a)(a + 1)) amp(n) on them.  The
+    ``*_at`` arrays are flat positions in the (2, h, h) parity pair of the
+    diagonal and of both orientations of each coupled pair; ``number`` and
+    ``size`` are the pair's photon numbers and true half sizes.
+    """
+
+    spin: np.ndarray
+    fock: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    units: tuple[np.ndarray, ...]
+    diagonal_at: np.ndarray
+    below_at: np.ndarray
+    above_at: np.ndarray
+    number: np.ndarray
+    size: np.ndarray
+
+
+def _spin_block(kind: HamiltonianKind, two_j: int, n_max: int) -> _SpinBlock:
+    fock = np.arange(n_max + 1, dtype=float)
+    a = np.arange(two_j + 1)
+    # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, with j - m = 2j - a
+    raising = np.sqrt((two_j - a[:-1]) * (a[:-1] + 1.0))
+    sources, targets, units = [], [], []
+    for shift, amplitude in _collective_ops(kind, n_max):
+        n = np.flatnonzero(amplitude)
+        source = (a[:-1, None] * fock.size + n).ravel()
+        sources.append(source)
+        targets.append(source + fock.size + shift)
+        units.append(np.multiply.outer(raising, amplitude[n]).ravel())
+    source, target = np.concatenate(sources), np.concatenate(targets)
+
+    rows = (two_j + 1) * fock.size
+    row_a, row_n = np.divmod(np.arange(rows), fock.size)
+    parity = (row_a + row_n) % 2
+    position = np.arange(rows) // 2
+    width = (rows + 1) // 2
+    # a coupling keeps the parity, so parity[source] = parity[target]
+    half = parity[source] * width
+    number = np.zeros((2, width))
+    number[parity, position] = row_n
+    return _SpinBlock(
+        spin=a - 0.5 * two_j,
+        fock=fock,
+        source=source,
+        target=target,
+        units=tuple(units),
+        diagonal_at=(parity * width + position) * width + position,
+        below_at=(half + position[target]) * width + position[source],
+        above_at=(half + position[source]) * width + position[target],
+        number=number,
+        size=np.array([width, rows - width]),
     )
 
 
@@ -485,53 +565,43 @@ def _spin_block_entries(
     params: ModelParams,
     n_atoms: int,
     n_max: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Checks, then ``(d_j, diagonal, source, target, values)`` per spin block.
+) -> Iterator[tuple[int, _SpinBlock, np.ndarray, np.ndarray]]:
+    """Checks, then ``(d_j, structure, diagonal, values)`` per spin block.
 
     The nonzero entries of the ``spin_sector_hamiltonians`` block H_j:
     ``diagonal`` by row, and H_j[target, source] = H_j[source, target] =
-    ``values`` for each coupled pair.  Built lazily, one j per iteration.
+    ``values`` for each coupled pair of the cached ``structure``.  Built
+    lazily, one j per iteration.
     """
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"{kind.value} has no collective-spin blocks")
-    # the largest spin block, j = N/2
-    _check_size(kind, n_atoms, n_max, n_atoms + 1)
-    fock = np.arange(n_max + 1, dtype=float)
-    root = np.sqrt(fock)
-    # Each op sends |n> to amplitude[n] |n + shift>; amplitude is zero
-    # where n + shift leaves the truncated space.
-    if kind is HamiltonianKind.GENERALIZED_DICKE:
-        raised = np.append(root[1:], 0.0)
-        couplings = ((params.g1, -1, root), (params.g2, 1, raised))
-    else:
-        amplitude, step = _lowering_amplitude(kind, n_max)
-        couplings = ((params.g1, -step, amplitude),)
+    check_spin_block_size(kind, n_atoms, n_max)
+    # g1 scales the first coupling, g2 generalized Dicke's second
+    scales = (params.g1 / sqrt(n_atoms), params.g2 / sqrt(n_atoms))
 
-    def entries(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # row a * (n_max + 1) + n holds |m = a - j> x |n>
-        a = np.arange(two_j + 1)
+    def entries(d: int, two_j: int) -> tuple[int, _SpinBlock, np.ndarray, np.ndarray]:
+        structure = _structures.get(_spin_block, kind, two_j, n_max)
         diagonal = np.add.outer(
-            params.Omega * (a - 0.5 * two_j), params.omega0 * fock
+            params.Omega * structure.spin, params.omega0 * structure.fock
         ).ravel()
-        # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, with j - m = 2j - a
-        raising = np.sqrt((two_j - a[:-1]) * (a[:-1] + 1.0))
-        sources, targets, values = [], [], []
-        for g, shift, amplitude in couplings:
-            n = np.flatnonzero(amplitude)
-            source = (a[:-1, None] * fock.size + n).ravel()
-            sources.append(source)
-            targets.append(source + fock.size + shift)
-            values.append(
-                (g / sqrt(n_atoms)) * np.multiply.outer(raising, amplitude[n]).ravel()
-            )
-        return (
-            diagonal,
-            np.concatenate(sources),
-            np.concatenate(targets),
-            np.concatenate(values),
-        )
+        values = np.concatenate([s * unit for s, unit in zip(scales, structure.units)])
+        return d, structure, diagonal, values
 
-    return ((d, *entries(two_j)) for d, two_j in _spin_multiplicities(n_atoms))
+    return (entries(d, two_j) for d, two_j in _spin_multiplicities(n_atoms))
+
+
+def _collective_ops(
+    kind: HamiltonianKind, n_max: int
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(shift, amp)`` per coupling, g1 first: op |n> = amp[n] |n + shift>.
+
+    amp is zero where n + shift leaves the truncated space.
+    """
+    if kind is HamiltonianKind.GENERALIZED_DICKE:
+        root = np.sqrt(np.arange(n_max + 1, dtype=float))
+        return (-1, root), (1, np.append(root[1:], 0.0))
+    amplitude, step = _lowering_amplitude(kind, n_max)
+    return ((-step, amplitude),)
 
 
 def excitation_blocks(
@@ -561,7 +631,9 @@ def excitation_blocks(
     within each j, padded to S = min(N, n_max // s) + 1 rows, so ``H``
     has shape (B, S, S) with B = sum_j (s 2j + n_max + 1).  ``n`` (shape
     (B, S)) holds each row's photon number, ``size`` each K-block's true
-    row count and ``d`` the multiplicity d_j of its spin block.
+    row count and ``d`` the multiplicity d_j of its spin block.  ``n``,
+    ``size`` and ``d`` are shared, read-only arrays of the structure
+    cache; ``H`` is the caller's own.
 
     Rows ``i >= size[b]`` are padding: decoupled, photon number 0, and
     with a diagonal of twice a positive Gershgorin upper bound on every
@@ -581,9 +653,44 @@ def excitation_blocks(
     """
     if kind not in EXCITATION_KINDS:
         raise ValueError(f"{kind.value} has no excitation-number blocks")
-    # the largest spin block, j = N/2
-    _check_size(kind, n_atoms, n_max, n_atoms + 1)
-    scale = params.g1 / sqrt(n_atoms)
+    check_spin_block_size(kind, n_atoms, n_max)
+    stack = _structures.get(_excitation_stack, kind, n_atoms, n_max)
+    diagonal = params.Omega * stack.spin + params.omega0 * stack.number
+    coupling = (params.g1 / sqrt(n_atoms)) * stack.units
+    # every level lies below the largest diagonal entry plus twice the
+    # largest coupling (Gershgorin), a bound that is positive: the top
+    # row, a = 2j and n = n_max, has diagonal Omega j + omega0 n_max > 0
+    bound = diagonal[stack.kept].max() + 2.0 * coupling.max()
+
+    blocks, rows = stack.kept.shape
+    h = np.zeros((blocks, rows, rows))
+    flat = h.reshape(blocks, -1)
+    flat[:, :: rows + 1] = np.where(stack.kept, diagonal, 2.0 * bound)
+    flat[:, 1 :: rows + 1] = coupling
+    flat[:, rows :: rows + 1] = coupling
+    return h, stack.number, stack.size, stack.multiplicity
+
+
+class _ExcitationStack(NamedTuple):
+    """Parameter-free structure of the ``excitation_blocks`` stack.
+
+    By K-block and row: ``spin`` a - j, ``number`` the photon number (0 on
+    padding) and ``kept`` the physical rows; ``units`` holds
+    sqrt((2j - a)(a + 1)) amp(n) between rows i and i + 1, zero where they
+    are not both physical.  ``size`` and ``multiplicity`` are by K-block.
+    """
+
+    spin: np.ndarray
+    number: np.ndarray
+    kept: np.ndarray
+    units: np.ndarray
+    size: np.ndarray
+    multiplicity: np.ndarray
+
+
+def _excitation_stack(
+    kind: HamiltonianKind, n_atoms: int, n_max: int
+) -> _ExcitationStack:
     amplitude, step = _lowering_amplitude(kind, n_max)
     multiplicity, two_j = zip(*_spin_multiplicities(n_atoms))
     # block b holds K[b] of spin block two_j[b], K = 0 .. s 2j + n_max
@@ -598,26 +705,69 @@ def excitation_blocks(
     a = lowest + i
     kept = i < size[:, None]
     n = np.where(kept, K - step * a, 0)
-    diagonal = params.Omega * (a - 0.5 * two_j) + params.omega0 * n
     # (a, n) -> (a + 1, n - s) couples rows i and i + 1 of one K-block;
     # the entries are computed only inside it, where 0 <= a < 2j and
     # s <= n <= n_max.
     pair = kept[:, 1:]
     below = a[:, :-1]
     raising = np.sqrt(((two_j - below) * (below + 1.0))[pair])
-    coupling = np.zeros((K.size, rows - 1))
-    coupling[pair] = scale * (raising * amplitude[n[:, :-1][pair]])
-    # every level lies below the largest diagonal entry plus twice the
-    # largest coupling (Gershgorin), a bound that is positive: the top
-    # row, a = 2j and n = n_max, has diagonal Omega j + omega0 n_max > 0
-    bound = diagonal[kept].max() + 2.0 * coupling.max()
+    units = np.zeros((K.size, rows - 1))
+    units[pair] = raising * amplitude[n[:, :-1][pair]]
+    return _ExcitationStack(
+        spin=a - 0.5 * two_j,
+        number=n.astype(float),
+        kept=kept,
+        units=units,
+        size=size,
+        multiplicity=multiplicity,
+    )
 
-    h = np.zeros((K.size, rows, rows))
-    flat = h.reshape(K.size, -1)
-    flat[:, :: rows + 1] = np.where(kept, diagonal, 2.0 * bound)
-    flat[:, 1 :: rows + 1] = coupling
-    flat[:, rows :: rows + 1] = coupling
-    return h, n.astype(float), size, multiplicity
+
+class _StructureCache:
+    """Least recently used block structures, at most ``STRUCTURE_CACHE_BYTES``.
+
+    A structure depends only on its key, never on ``ModelParams``, so one
+    entry serves every call; its arrays are made read-only when built.  A
+    structure larger than the whole budget is built and not kept.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, tuple[NamedTuple, int]] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, build: Callable[..., NamedTuple], *key) -> NamedTuple:
+        key = (build, *key)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        structure = build(*key[1:])
+        arrays = [
+            array
+            for field in structure
+            for array in (field if isinstance(field, tuple) else (field,))
+        ]
+        for array in arrays:
+            array.flags.writeable = False
+        nbytes = sum(array.nbytes for array in arrays)
+        with self._lock:
+            if nbytes <= STRUCTURE_CACHE_BYTES and key not in self._entries:
+                while self.nbytes + nbytes > STRUCTURE_CACHE_BYTES:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self.nbytes -= evicted
+                self._entries[key] = structure, nbytes
+                self.nbytes += nbytes
+        return structure
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_structures = _StructureCache()
 
 
 def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:

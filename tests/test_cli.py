@@ -427,9 +427,15 @@ def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):
         # N = 2 would be solved first if the list were not checked whole
         (["--g1", "0.5", "--n-list", "2,0"], "n_atoms must be at least 1, got 0"),
         (["--g1", "0.5", "--n-list", "0"], "n_atoms must be at least 1, got 0"),
+        # the first rung, n_max = 8, of N = 700 has 701 * 9 rows
+        (["--g1", "0.5", "--n-list", "2,700"],
+         "matrix of 6309 rows exceeds limit 6000 (N=700, n_max=8)"),
+        (["--g1", "0.5", "--n-list", "700"],
+         "matrix of 6309 rows exceeds limit 6000 (N=700, n_max=8)"),
     ],
     ids=["single-atom-n", "no-thermal-state", "no-thermal-state-in-sweep",
-         "no-atoms-after-a-rung", "no-atoms"],
+         "no-atoms-after-a-rung", "no-atoms", "first-rung-past-the-ceiling-after-a-rung",
+         "first-rung-past-the-ceiling"],
 )
 def test_ed_curve_refusal_writes_nothing(args, reason, fmt, capsys):
     assert main(["ed-curve", "--beta", "1", *args, "--format", fmt]) == 1

@@ -513,6 +513,28 @@ def test_ladder_refuses_no_atoms_before_any_rung(kind, n_list, monkeypatch):
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
+)
+@pytest.mark.parametrize("n_list", [(2, 700), (700,)], ids=str)
+def test_ladder_refuses_a_first_rung_past_the_ceiling_before_any_rung(
+    kind, n_list, monkeypatch
+):
+    solved = []
+    monkeypatch.setattr(
+        exact_diag, "_photon_density", lambda *args: solved.append(args)
+    )
+    # n_max = 8 at N = 700 has 701 * 9 rows
+    refusal = r"matrix of 6309 rows exceeds limit 6000 \(N=700, n_max=8\)"
+    with pytest.raises(DimensionLimitError, match=refusal):
+        photon_density_curve(ModelParams(1.0, 1.0, g1=0.01), 1.0, n_list, kind=kind)
+    assert solved == []
+    # the last N whose first rung fits, 666 * 9 = 5994 rows
+    exact_diag.check_ladder_inputs(
+        ModelParams(1.0, 1.0, g1=0.01), 1.0, 1e-6, kind, (665,)
+    )
+
+
 def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("parity or dense route taken")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicketherm.operators as operators
 from dicketherm.operators import (
+    COLLECTIVE_KINDS,
+    EXCITATION_KINDS,
     BosonSpace,
     DimensionLimitError,
     HamiltonianKind,
@@ -13,10 +16,13 @@ from dicketherm.operators import (
     ModelParams,
     QubitRegister,
     build_hamiltonian,
+    excitation_blocks,
     make_boson_ops,
     make_spin_ops,
     parity_operator,
+    parity_pairs,
     photon_number_operator,
+    spin_sector_hamiltonians,
     total_excitation_operator,
 )
 
@@ -206,3 +212,110 @@ def test_hermitian_operator_rejects_non_hermitian():
 
     with pytest.raises(NotHermitianError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _block_outputs(kind, params, n_atoms, n_max):
+    """Every array the spin block builders return for these inputs."""
+    out = []
+    if kind in COLLECTIVE_KINDS:
+        out += [a for item in parity_pairs(kind, params, n_atoms, n_max) for a in item]
+        out += [h for _, h in spin_sector_hamiltonians(kind, params, n_atoms, n_max)]
+    if kind in EXCITATION_KINDS:
+        out += excitation_blocks(kind, params, n_atoms, n_max)
+    return out
+
+
+def _cached_arrays():
+    return [
+        array
+        for structure, _ in operators._structures._entries.values()
+        for field in structure
+        for array in (field if isinstance(field, tuple) else (field,))
+    ]
+
+
+_PARAMS = st.builds(
+    ModelParams,
+    st.floats(0.05, 5.0),
+    st.floats(0.05, 5.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 3.0),
+)
+
+
+_N_MAXES = st.sampled_from([2, 3, 8, 9, 16])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(HamiltonianKind, key=lambda k: k.value)),
+    n_atoms=st.integers(1, 8),
+    n_max=_N_MAXES,
+    other=st.tuples(st.integers(1, 8), _N_MAXES),
+    warm=_PARAMS,
+    params=_PARAMS,
+)
+def test_warm_structure_cache_builds_what_a_cold_one_builds(
+    kind, n_atoms, n_max, other, warm, params
+):
+    # other parameters fill the cache first, for every kind at this size
+    # and another, so no parameter, kind or size can hide in a structure
+    for k in HamiltonianKind:
+        for n, m in ((n_atoms, n_max), other):
+            _block_outputs(k, warm, 1 if k in SINGLE_ATOM_KINDS else n, m)
+    if kind in SINGLE_ATOM_KINDS:
+        n_atoms = 1
+    hot = _block_outputs(kind, params, n_atoms, n_max)
+    operators._structures.clear()
+    cold = _block_outputs(kind, params, n_atoms, n_max)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in hot] == [
+        (a.dtype, a.shape, a.tobytes()) for a in cold
+    ]
+
+
+def test_builders_share_read_only_structure_arrays():
+    p = ModelParams(1.0, 1.3, g1=0.4, g2=0.2)
+    gd, rwa = HamiltonianKind.GENERALIZED_DICKE, HamiltonianKind.DICKE_RWA
+    _, number, size, _ = next(parity_pairs(gd, p, 3, 9))
+    _, n, sizes, d = excitation_blocks(rwa, p, 3, 9)
+    for array in (number, size, n, sizes, d):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the next call of any parameters scales the same structure
+    q = ModelParams(2.0, 0.7, g1=1.1)
+    assert next(parity_pairs(gd, q, 3, 9))[1] is number
+    assert excitation_blocks(rwa, q, 3, 9)[1] is n
+    assert all(not a.flags.writeable for a in _cached_arrays())
+
+
+def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
+    p = ModelParams(1.0, 1.0, g1=0.5, g2=0.3)
+    builds = [
+        lambda: list(parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 4, 8)),
+        lambda: list(spin_sector_hamiltonians(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
+        lambda: excitation_blocks(HamiltonianKind.DICKE_RWA, p, 4, 8),
+    ]
+    for build in builds:
+        build()
+    # the largest spin block has 5 * 9 rows
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 5 * 9 - 1)
+    for build in builds:
+        with pytest.raises(DimensionLimitError, match="45 rows exceeds limit 44"):
+            build()
+
+
+def test_structure_cache_holds_at_most_its_budget():
+    operators._structures.clear()
+    p = ModelParams(1.0, 1.0, g1=0.01)
+    rwa = HamiltonianKind.DICKE_RWA
+    # about 5, 21 and 25 MB of structure: the last rung evicts the others
+    for n_atoms, n_max in ((64, 64), (600, 8), (665, 8)):
+        _, n, _, _ = excitation_blocks(rwa, p, n_atoms, n_max)
+        held = sum(a.nbytes for a in _cached_arrays())
+        assert operators._structures.nbytes == held
+        assert held <= operators.STRUCTURE_CACHE_BYTES
+        # the rung just built is kept
+        assert excitation_blocks(rwa, p, n_atoms, n_max)[1] is n
+    list(parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 8, 64))
+    assert sum(a.nbytes for a in _cached_arrays()) <= operators.STRUCTURE_CACHE_BYTES
+
