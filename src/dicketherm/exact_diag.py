@@ -32,7 +32,11 @@ does not depend on the parameters sits in the structure cache of
 keyed by (kind, 2j, n_max), and the K-block layout of each stack, keyed
 by (kind, N, n_max), at most ``operators.STRUCTURE_CACHE_BYTES``
 (32 MB) in all.  A rung of new parameters only scales these read-only
-templates.
+templates.  That saves work only where a process builds a key again: a
+spin block 2j recurs across the N of one ladder, but one ladder uses
+each stack (N, n_max) once, so a single ladder of an excitation kind
+reuses nothing and pays a little more than an uncached build; the
+nodes of a sweep, or later curves in one process, reuse every stack.
 
 The fixed ceiling ``operators.DIMENSION_LIMIT`` bounds the full spin
 block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
@@ -61,7 +65,6 @@ from dicketherm.operators import (
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
-    SINGLE_ATOM_KINDS,
     build_hamiltonian,
     check_beta,
     check_spin_block_size,
@@ -195,9 +198,9 @@ def _ladder(
 ) -> tuple[int, float, float]:
     """First converged rung and the photon numbers at it and its doubling.
 
-    Each rung is solved once; nothing is kept beyond the call.  The
-    builders refuse a rung past the dimension ceiling before building it,
-    which ends the ladder.
+    Each rung is solved once; no result is kept beyond the call, only
+    the builders' parameter-free structures.  The builders refuse a rung
+    past the dimension ceiling before building it, which ends the ladder.
     """
     n_max = _BASE_RUNG
     prev = _photon_density(params, n_atoms, n_max, beta, kind)
@@ -234,15 +237,10 @@ def check_ladder_inputs(
     for n_atoms in N_list:
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    if kind in SINGLE_ATOM_KINDS:
-        for n_atoms in N_list:
-            if n_atoms != 1:
-                raise ValueError(
-                    f"{kind.value} is a single-atom model, got N={n_atoms}"
-                )
     for n_atoms in N_list:
-        # the first rung must fit, or the ladder would fail after writing
-        # the rungs of the earlier N
+        # a single-atom kind at N != 1 is refused first; then the first
+        # rung must fit, or the ladder would fail after writing the rungs
+        # of the earlier N
         check_spin_block_size(kind, n_atoms, _BASE_RUNG)
     if kind not in (
         HamiltonianKind.INTENSITY_DICKE,

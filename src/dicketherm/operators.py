@@ -31,7 +31,9 @@ of its parity pair; per (kind, N, n_max), the layout of the
 sizes, then only scales these read-only templates by omega0, Omega and
 g / sqrt(N).  The cache drops its least recently used structures to
 hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects
-it on or off.
+it on or off.  It pays only when a process asks for a key again: a call
+that misses builds the structure and then scales it, a few microseconds
+more than building the block outright.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
