@@ -43,9 +43,10 @@ block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
 halves or K-blocks, and it bounds the dense matrix of ``thermal_solve``.
 The ladder stops with ``TruncationConvergenceError`` when the builder
 refuses its next doubling.  Before solving any rung it refuses a
-single-atom kind at any N != 1, an N whose first rung, n_max = 8, the
-builder refuses (N >= 666), and the kinds whose coupling grows like
-the photon number (the intensity-dependent ones and two-photon
+single-atom kind at any N != 1, an N whose first rung or its doubling
+is past the ceiling, N >= 352 (every ladder solves n_max = 8 and 16,
+and (N + 1) 17 > 6000 rows there), and the kinds whose coupling grows
+like the photon number (the intensity-dependent ones and two-photon
 Jaynes-Cummings) at g1 sqrt(N) >= omega0: there the energy is not
 bounded below as the photon number grows, so there is no thermal state.
 """
@@ -121,8 +122,13 @@ def thermal_solve(
 ) -> EDResult:
     """Full eigendecomposition plus Boltzmann-weighted expectations.
 
+    Each observable must be diagonal in the basis of ``H``, as the photon
+    number and the parity are: its expectation in an eigenstate is its
+    diagonal weighted by the state's squared amplitudes.
+
     Raises ``DimensionLimitError`` for a matrix of more than
-    ``operators.DIMENSION_LIMIT`` rows.
+    ``operators.DIMENSION_LIMIT`` rows, and ``ValueError`` for an
+    observable with an off-diagonal entry, before diagonalizing.
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H))
@@ -131,6 +137,20 @@ def thermal_solve(
         raise DimensionLimitError(
             f"dimension {H.dimension} exceeds limit {operators.DIMENSION_LIMIT}"
         )
+    diagonals: dict[str, np.ndarray] = {}
+    for name, op in (observables or {}).items():
+        if not isinstance(op, HermitianOperator):
+            op = HermitianOperator(np.asarray(op))
+        op_matrix = op.matrix
+        if not np.any(op_matrix.imag):
+            op_matrix = op_matrix.real
+        diagonal = np.diagonal(op_matrix)
+        if np.count_nonzero(op_matrix - np.diag(diagonal)):
+            raise ValueError(
+                f"observable {name!r} is not diagonal; thermal_solve takes "
+                f"diagonal observables only"
+            )
+        diagonals[name] = diagonal.real
     matrix = H.matrix
     if np.isrealobj(matrix) or not np.any(matrix.imag):
         matrix = matrix.real
@@ -140,22 +160,9 @@ def thermal_solve(
     Z = float(np.exp(-beta * eigenvalues[0]) * z_shifted)
 
     expectations: dict[str, float] = {}
-    if observables:
-        for name, op in observables.items():
-            if not isinstance(op, HermitianOperator):
-                op = HermitianOperator(np.asarray(op))
-            op_matrix = op.matrix
-            if not np.any(op_matrix.imag):
-                op_matrix = op_matrix.real
-            diagonal = np.diagonal(op_matrix)
-            if np.count_nonzero(op_matrix - np.diag(diagonal)) == 0:
-                per_state = diagonal.real @ np.abs(eigenvectors) ** 2
-            else:
-                applied = op_matrix @ eigenvectors
-                per_state = np.einsum(
-                    "ik,ik->k", eigenvectors.conj(), applied
-                ).real
-            expectations[name] = float(np.dot(weights, per_state) / z_shifted)
+    for name, diagonal in diagonals.items():
+        per_state = diagonal @ np.abs(eigenvectors) ** 2
+        expectations[name] = float(np.dot(weights, per_state) / z_shifted)
 
     out = np.array(eigenvalues, copy=True)
     out.setflags(write=False)
@@ -228,8 +235,10 @@ def check_ladder_inputs(
     """Raise the ValueError the ladder would raise for these inputs.
 
     That includes the builders' ``DimensionLimitError`` for an N whose
-    first rung is past ``operators.DIMENSION_LIMIT``.  Solves nothing, so
-    a caller can refuse a curve before writing any of it.
+    first rung, or that rung's doubling, is past
+    ``operators.DIMENSION_LIMIT``: the ladder needs both to converge.
+    Solves nothing, so a caller can refuse a curve before writing any of
+    it.
     """
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
@@ -237,11 +246,12 @@ def check_ladder_inputs(
     for n_atoms in N_list:
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    for n_atoms in N_list:
-        # a single-atom kind at N != 1 is refused first; then the first
-        # rung must fit, or the ladder would fail after writing the rungs
-        # of the earlier N
-        check_spin_block_size(kind, n_atoms, _BASE_RUNG)
+    for rung in (_BASE_RUNG, 2 * _BASE_RUNG):
+        for n_atoms in N_list:
+            # a single-atom kind at N != 1 is refused first; then the first
+            # rung and its doubling must fit, or the ladder would solve
+            # rungs, and write those of the earlier N, before it fails
+            check_spin_block_size(kind, n_atoms, rung)
     if kind not in (
         HamiltonianKind.INTENSITY_DICKE,
         HamiltonianKind.INTENSITY_JC,
@@ -285,9 +295,10 @@ def photon_density_curve(
         Before any rung is solved, for any N of ``N_list``: a NaN or
         non-positive ``target_tol``, a non-finite or non-positive
         ``beta``, N < 1, a single-atom kind at N != 1, an N whose first
-        rung the builders refuse (``DimensionLimitError``), or an
-        intensity-dependent or two-photon kind with g1 sqrt(N) >= omega0,
-        which has no thermal state.
+        rung or its doubling the builders refuse (``DimensionLimitError``:
+        N >= 352, whose spin block at n_max = 16 has (N + 1) 17 > 6000
+        rows), or an intensity-dependent or two-photon kind with
+        g1 sqrt(N) >= omega0, which has no thermal state.
     TruncationConvergenceError
         When the builders refuse the next doubling (see the module
         docstring) before the ladder converges, the expected outcome deep

@@ -7,26 +7,26 @@ separate rotating and counter-rotating couplings, its rotating-wave
 restriction, the Jaynes-Cummings model and its two-photon and
 intensity-dependent variants.  The dense builder, ``build_hamiltonian``,
 is the small-N oracle; the production solvers run on blocks of one
-total spin j, (2j + 1)(n_max + 1) rows in the order |m> x |n>.  The
-collective kinds have a spin block builder, ``spin_sector_hamiltonians``,
-and ``parity_pairs`` writes each of their blocks as one parity pair: the
-two halves of the parity of (m + j + n), stacked, for generalized Dicke.
-Every other kind conserves an excitation number K = s (m + j) + n, with
-s = 2 for two-photon Jaynes-Cummings and 1 otherwise, and
-``excitation_blocks`` builds the tridiagonal K-blocks of all its spin
-blocks as one stack per truncation (``EXCITATION_KINDS``); a single-atom
-kind is the N = 1 case, whose one spin block is the whole space.  Both
-stack builders return the stack, each row's photon number, each block's
-true size and each block's multiplicity, and pad short blocks with
-decoupled rows that sort last.  Every builder refuses, before building
-anything, a matrix of more than ``DIMENSION_LIMIT`` rows: the spin
-block builders count the full spin block, (N + 1)(n_max + 1) rows,
-whatever it is split into; the dense builder counts 2^N (n_max + 1).
+total spin j, (2j + 1)(n_max + 1) rows in the order |m> x |n>, and two
+builders write them.  ``parity_pairs`` writes each spin block of a
+collective kind as one parity pair: the two halves of the parity of
+(m + j + n), stacked, for generalized Dicke.  Every other kind
+conserves an excitation number K = s (m + j) + n, with s = 2 for
+two-photon Jaynes-Cummings and 1 otherwise, and ``excitation_blocks``
+builds the tridiagonal K-blocks of all its spin blocks as one stack
+per truncation (``EXCITATION_KINDS``); a single-atom kind is the N = 1
+case, whose one spin block is the whole space.  Both stack builders
+return the stack, each row's photon number, each block's true size and
+each block's multiplicity, and pad short blocks with decoupled rows
+that sort last.  Every builder refuses, before building anything, a
+matrix of more than ``DIMENSION_LIMIT`` rows: the spin block builders
+count the full spin block, (N + 1)(n_max + 1) rows, whatever it is
+split into; the dense builder counts 2^N (n_max + 1).
 
 The spin block builders split their work in two.  What does not depend
 on ``ModelParams`` is built once and cached: per (kind, 2j, n_max), a
-spin block's coupled rows, its unit amplitudes and the flat positions
-of its parity pair; per (kind, N, n_max), the layout of the
+spin block's unit amplitudes and the flat positions of its entries in
+its parity pair; per (kind, N, n_max), the layout of the
 ``excitation_blocks`` stack and its unit couplings.  A call checks the
 sizes, then only scales these read-only templates by omega0, Omega and
 g / sqrt(N).  The cache drops its least recently used structures to
@@ -71,11 +71,7 @@ __all__ = [
     "excitation_blocks",
     "make_boson_ops",
     "make_spin_ops",
-    "parity_operator",
     "parity_pairs",
-    "photon_number_operator",
-    "spin_sector_hamiltonians",
-    "total_excitation_operator",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -87,7 +83,7 @@ DIMENSION_LIMIT = 6000
 
 # Bytes the cache of parameter-free block structures may hold in all.  The
 # largest structure under DIMENSION_LIMIT, the excitation structure at
-# N = 665 and n_max = 8, holds 25 MB; a spin block's at most 0.6 MB.
+# N = 665 and n_max = 8, holds 25 MB; a spin block's at most 0.4 MB.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
@@ -404,51 +400,6 @@ def build_hamiltonian(
     return HermitianOperator(free + interaction)
 
 
-def spin_sector_hamiltonians(
-    kind: HamiltonianKind,
-    params: ModelParams,
-    n_atoms: int,
-    n_max: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Total-spin blocks ``(d_j, H_j)`` of a collective kind.
-
-    A collective Hamiltonian commutes with J^2, so on the 2^N register it
-    splits into blocks |j, m> x Fock, j = N/2, N/2 - 1, ..., down to 0 or
-    1/2, each repeated ``d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)`` times
-    (Shammah et al., PRA 98, 063815, 2018).  ``H_j`` is the real symmetric
-    matrix of size (2j + 1)(n_max + 1), ordered |m> x |n> with m ascending:
-
-        omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)
-
-    with ``op`` = b (g1) and b' (g2) for GENERALIZED_DICKE, b (g1) for
-    DICKE_RWA and b (b'b)^(1/2) (g1) for INTENSITY_DICKE, exactly as in
-    ``build_hamiltonian``, whose spectrum is the union of the blocks'
-    spectra with multiplicities ``d_j``.  Blocks are built lazily, one per
-    iteration, by writing the diagonal and the coupled entries in place;
-    the arguments are checked on the call.
-
-    Raises
-    ------
-    DimensionLimitError
-        If the largest block, (N + 1)(n_max + 1), exceeds ``DIMENSION_LIMIT``.
-    ValueError
-        For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
-    """
-
-    def block(d, structure, diagonal, values):
-        size = diagonal.size
-        h = np.zeros((size, size))
-        h.reshape(-1)[:: size + 1] = diagonal
-        h[structure.target, structure.source] = values
-        h[structure.source, structure.target] = values
-        return d, h
-
-    return (
-        block(*entries)
-        for entries in _spin_block_entries(kind, params, n_atoms, n_max)
-    )
-
-
 def parity_pairs(
     kind: HamiltonianKind,
     params: ModelParams,
@@ -457,13 +408,27 @@ def parity_pairs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Both parity halves of each spin block as one stack ``(H, n, size, d)``.
 
-    Row a (n_max + 1) + n of the ``spin_sector_hamiltonians`` block holds
-    |m = a - j> x |n>; every collective coupling moves a and n together
-    or oppositely by one, so the block has no entry between the parities
-    (a + n) mod 2 = 0 and 1.  One item per j, j = N/2 first: ``H`` has
-    shape (2, h, h), h = ceil((2j + 1)(n_max + 1) / 2), and ``H[p]`` is
-    the block restricted to parity p, written straight from the block's
-    entries: row (a, n) goes to position (a (n_max + 1) + n) // 2 of half
+    A collective Hamiltonian commutes with J^2, so on the 2^N register it
+    splits into spin blocks |j, m> x Fock, j = N/2, N/2 - 1, ..., down to
+    0 or 1/2, each repeated ``d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)``
+    times (Shammah et al., PRA 98, 063815, 2018).  Row a (n_max + 1) + n
+    of block j holds |m = a - j> x |n>, and the block is the real
+    symmetric matrix
+
+        omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)
+
+    with ``op`` = b (g1) and b' (g2) for GENERALIZED_DICKE, b (g1) for
+    DICKE_RWA and b (b'b)^(1/2) (g1) for INTENSITY_DICKE, exactly as in
+    ``build_hamiltonian``, whose spectrum is the union of the blocks'
+    spectra with multiplicities d_j.  Every collective coupling moves a
+    and n together or oppositely by one, so the block has no entry
+    between the parities (a + n) mod 2 = 0 and 1.
+
+    One item per j, j = N/2 first, built lazily; the arguments are
+    checked on the call.  ``H`` has shape (2, h, h),
+    h = ceil((2j + 1)(n_max + 1) / 2), and ``H[p]`` is the block
+    restricted to parity p, written straight from the block's entries:
+    row (a, n) goes to position (a (n_max + 1) + n) // 2 of half
     (a + n) mod 2, which keeps the block's row order for even and odd
     n_max.  ``n`` (shape (2, h)) holds each row's photon number, ``size``
     each half's true row count and ``d`` the multiplicity d_j of both.
@@ -483,8 +448,18 @@ def parity_pairs(
     ValueError
         For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
     """
+    if kind not in COLLECTIVE_KINDS:
+        raise ValueError(f"{kind.value} has no collective-spin blocks")
+    check_spin_block_size(kind, n_atoms, n_max)
+    # g1 scales the first coupling, g2 generalized Dicke's second
+    scales = (params.g1 / sqrt(n_atoms), params.g2 / sqrt(n_atoms))
 
-    def pair(d, structure, diagonal, values):
+    def pair(d: int, two_j: int) -> tuple[np.ndarray, ...]:
+        structure = _structures.get(_spin_block, kind, two_j, n_max)
+        diagonal = np.add.outer(
+            params.Omega * structure.spin, params.omega0 * structure.fock
+        ).ravel()
+        values = np.concatenate([s * unit for s, unit in zip(scales, structure.units)])
         width = structure.number.shape[1]
         h = np.zeros((2, width, width))
         flat = h.reshape(-1)
@@ -496,27 +471,23 @@ def parity_pairs(
             h[1, -1, -1] = 2.0 * np.abs(h[1]).sum(axis=1).max()
         return h, structure.number, structure.size, np.array([d, d], dtype=float)
 
-    return (
-        pair(*entries)
-        for entries in _spin_block_entries(kind, params, n_atoms, n_max)
-    )
+    return (pair(d, two_j) for d, two_j in _spin_multiplicities(n_atoms))
 
 
 class _SpinBlock(NamedTuple):
     """Parameter-free structure of spin block 2j of a collective kind.
 
-    Row a (n_max + 1) + n holds |m = a - j> x |n>.  ``source`` and
-    ``target`` list the coupled rows of every coupling in turn, and
-    ``units`` each coupling's sqrt((2j - a)(a + 1)) amp(n) on them.  The
-    ``*_at`` arrays are flat positions in the (2, h, h) parity pair of the
-    diagonal and of both orientations of each coupled pair; ``number`` and
-    ``size`` are the pair's photon numbers and true half sizes.
+    Row a (n_max + 1) + n holds |m = a - j> x |n>; ``spin`` is m and
+    ``fock`` n by factor.  ``units`` holds each coupling's
+    sqrt((2j - a)(a + 1)) amp(n) on its coupled pairs of rows, couplings
+    in turn.  The ``*_at`` arrays are flat positions in the (2, h, h)
+    parity pair of the diagonal and of both orientations of each coupled
+    pair; ``number`` and ``size`` are the pair's photon numbers and true
+    half sizes.
     """
 
     spin: np.ndarray
     fock: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
     units: tuple[np.ndarray, ...]
     diagonal_at: np.ndarray
     below_at: np.ndarray
@@ -551,8 +522,6 @@ def _spin_block(kind: HamiltonianKind, two_j: int, n_max: int) -> _SpinBlock:
     return _SpinBlock(
         spin=a - 0.5 * two_j,
         fock=fock,
-        source=source,
-        target=target,
         units=tuple(units),
         diagonal_at=(parity * width + position) * width + position,
         below_at=(half + position[target]) * width + position[source],
@@ -560,36 +529,6 @@ def _spin_block(kind: HamiltonianKind, two_j: int, n_max: int) -> _SpinBlock:
         number=number,
         size=np.array([width, rows - width]),
     )
-
-
-def _spin_block_entries(
-    kind: HamiltonianKind,
-    params: ModelParams,
-    n_atoms: int,
-    n_max: int,
-) -> Iterator[tuple[int, _SpinBlock, np.ndarray, np.ndarray]]:
-    """Checks, then ``(d_j, structure, diagonal, values)`` per spin block.
-
-    The nonzero entries of the ``spin_sector_hamiltonians`` block H_j:
-    ``diagonal`` by row, and H_j[target, source] = H_j[source, target] =
-    ``values`` for each coupled pair of the cached ``structure``.  Built
-    lazily, one j per iteration.
-    """
-    if kind not in COLLECTIVE_KINDS:
-        raise ValueError(f"{kind.value} has no collective-spin blocks")
-    check_spin_block_size(kind, n_atoms, n_max)
-    # g1 scales the first coupling, g2 generalized Dicke's second
-    scales = (params.g1 / sqrt(n_atoms), params.g2 / sqrt(n_atoms))
-
-    def entries(d: int, two_j: int) -> tuple[int, _SpinBlock, np.ndarray, np.ndarray]:
-        structure = _structures.get(_spin_block, kind, two_j, n_max)
-        diagonal = np.add.outer(
-            params.Omega * structure.spin, params.omega0 * structure.fock
-        ).ravel()
-        values = np.concatenate([s * unit for s, unit in zip(scales, structure.units)])
-        return d, structure, diagonal, values
-
-    return (entries(d, two_j) for d, two_j in _spin_multiplicities(n_atoms))
 
 
 def _collective_ops(
@@ -617,11 +556,13 @@ def excitation_blocks(
     The g1 coupling of every kind in ``EXCITATION_KINDS`` takes |a, n> to
     |a + 1, n - s>, a = m + j, with the photon step s = 2 for
     TWO_PHOTON_JC and 1 otherwise, so it conserves K = s a + n.  The spin
-    block of each j (that of ``spin_sector_hamiltonians``; for a
-    single-atom kind, N = 1, the whole space, whose basis order
-    q (n_max + 1) + n is a (n_max + 1) + n) splits into one block per
-    K = 0 .. s 2j + n_max, holding the rows a = max(0, ceil((K - n_max) / s))
-    .. min(K // s, 2j) in ascending order.  Each is tridiagonal:
+    block of each j, repeated d_j times, holds |m = a - j> x |n> in row
+    a (n_max + 1) + n (for a single-atom kind, N = 1, it is the whole
+    space, whose basis order q (n_max + 1) + n is a (n_max + 1) + n); it
+    is the block of ``parity_pairs`` for a collective kind.  It splits
+    into one block per K = 0 .. s 2j + n_max, holding the rows
+    a = max(0, ceil((K - n_max) / s)) .. min(K // s, 2j) in ascending
+    order.  Each is tridiagonal:
 
         H[i, i] = Omega (a - j) + omega0 (K - s a)
         H[i, i + 1] = (g1 / sqrt(N)) sqrt((2j - a)(a + 1)) amp(K - s a)
@@ -648,7 +589,7 @@ def excitation_blocks(
     ------
     DimensionLimitError
         If the largest spin block, (N + 1)(n_max + 1), exceeds
-        ``DIMENSION_LIMIT``, the same bound as ``spin_sector_hamiltonians``.
+        ``DIMENSION_LIMIT``, the same bound as ``parity_pairs``.
     ValueError
         For a kind outside ``EXCITATION_KINDS``, N < 1, n_max < 2, or a
         single-atom kind with N > 1.
@@ -788,35 +729,3 @@ def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> tuple[np.ndarray, 
         # b^2 |n> = sqrt(n - 1) sqrt(n) |n - 2>
         return np.concatenate(([0.0, 0.0], root[1:-1] * root[2:])), 2
     return root, 1
-
-
-def parity_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """Diagonal parity exp[i pi (b'b + sum_j (sz_j + 1)/2)].
-
-    Unitary and involutive; commutes with every kind whose interaction
-    changes the total excitation number by an even amount, in particular
-    the generalized Dicke builder at any couplings.
-    """
-    signs = _excitation_diagonal(n_atoms, n_max)
-    return HermitianOperator(np.diag((-1.0 + 0.0j) ** signs))
-
-
-def _excitation_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
-    """Diagonal of b'b + sum_j (sz_j + 1)/2 in the composite basis."""
-    dim_b = n_max + 1
-    qubit_counts = np.array(
-        [bin(q).count("1") for q in range(2**n_atoms)], dtype=float
-    )
-    fock = np.arange(dim_b, dtype=float)
-    return (qubit_counts[:, None] + fock[None, :]).ravel()
-
-
-def total_excitation_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """b'b + sum_j (sz_j + 1)/2 as a diagonal composite operator."""
-    return HermitianOperator(np.diag(_excitation_diagonal(n_atoms, n_max) + 0.0j))
-
-
-def photon_number_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """b'b on the composite space (identity on the register factor)."""
-    number = np.diag(np.arange(n_max + 1, dtype=complex))
-    return HermitianOperator(np.kron(np.eye(2**n_atoms, dtype=complex), number))

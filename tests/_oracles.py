@@ -181,7 +181,8 @@ def matsubara_log_partition_ratio(params, beta: float, terms: int = 400) -> floa
 def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
     """Total-spin blocks ``(d_j, H_j)`` assembled from dense Kronecker products.
 
-    The reference construction for ``operators.spin_sector_hamiltonians``:
+    The reference construction for the spin blocks that
+    ``operators.parity_pairs`` splits by parity:
     ``omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)`` on |m> x |n>,
     with J+ and op as full matrices and the diagonal through ``np.diag``.
     """
@@ -209,7 +210,7 @@ def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
 
 
 def parity_halves(block, n_max: int):
-    """Even and odd halves ``(H_p, n_p)`` of a ``spin_sector_hamiltonians`` block.
+    """Even and odd halves ``(H_p, n_p)`` of a spin block, rows |m> x |n>.
 
     The reference for ``operators.parity_pairs``: the block restricted to
     the rows of parity (a + n) mod 2 = p, a = m + j, by fancy indexing,
@@ -222,6 +223,21 @@ def parity_halves(block, n_max: int):
         (block[rows[:, None], rows], photons[rows])
         for rows in (np.flatnonzero(even), np.flatnonzero(~even))
     )
+
+
+def parity_join(stacked, size, n_max: int):
+    """The spin block whose parity halves are those of a ``parity_pairs`` item.
+
+    The inverse of ``parity_halves``: half p, without its padding, goes
+    back to the rows of parity (a + n) mod 2 = p, entries copied as they
+    are, and every entry between the parities is zero.
+    """
+    a, n = np.divmod(np.arange(size.sum()), n_max + 1)
+    even = (a + n) % 2 == 0
+    block = np.zeros((a.size, a.size))
+    for p, rows in enumerate((np.flatnonzero(even), np.flatnonzero(~even))):
+        block[rows[:, None], rows] = stacked[p, : size[p], : size[p]]
+    return block
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -286,3 +302,35 @@ def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
     """
     diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
     return HermitianOperator(np.diag(diag.astype(complex)))
+
+
+def parity_operator(n_atoms: int, n_max: int) -> HermitianOperator:
+    """Diagonal parity exp[i pi (b'b + sum_j (sz_j + 1)/2)].
+
+    Unitary and involutive; commutes with every kind whose interaction
+    changes the total excitation number by an even amount, in particular
+    the generalized Dicke builder at any couplings.
+    """
+    signs = _excitation_diagonal(n_atoms, n_max)
+    return HermitianOperator(np.diag((-1.0 + 0.0j) ** signs))
+
+
+def _excitation_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
+    """Diagonal of b'b + sum_j (sz_j + 1)/2 in the composite basis."""
+    dim_b = n_max + 1
+    qubit_counts = np.array(
+        [bin(q).count("1") for q in range(2**n_atoms)], dtype=float
+    )
+    fock = np.arange(dim_b, dtype=float)
+    return (qubit_counts[:, None] + fock[None, :]).ravel()
+
+
+def total_excitation_operator(n_atoms: int, n_max: int) -> HermitianOperator:
+    """b'b + sum_j (sz_j + 1)/2 as a diagonal composite operator."""
+    return HermitianOperator(np.diag(_excitation_diagonal(n_atoms, n_max) + 0.0j))
+
+
+def photon_number_operator(n_atoms: int, n_max: int) -> HermitianOperator:
+    """b'b on the composite space (identity on the register factor)."""
+    number = np.diag(np.arange(n_max + 1, dtype=complex))
+    return HermitianOperator(np.kron(np.eye(2**n_atoms, dtype=complex), number))

@@ -432,10 +432,13 @@ def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):
          "matrix of 6309 rows exceeds limit 6000 (N=700, n_max=8)"),
         (["--g1", "0.5", "--n-list", "700"],
          "matrix of 6309 rows exceeds limit 6000 (N=700, n_max=8)"),
+        # the first rung of N = 400 fits; its doubling has 401 * 17 rows
+        (["--g1", "0.5", "--n-list", "400"],
+         "matrix of 6817 rows exceeds limit 6000 (N=400, n_max=16)"),
     ],
     ids=["single-atom-n", "no-thermal-state", "no-thermal-state-in-sweep",
          "no-atoms-after-a-rung", "no-atoms", "first-rung-past-the-ceiling-after-a-rung",
-         "first-rung-past-the-ceiling"],
+         "first-rung-past-the-ceiling", "first-doubling-past-the-ceiling"],
 )
 def test_ed_curve_refusal_writes_nothing(args, reason, fmt, capsys):
     assert main(["ed-curve", "--beta", "1", *args, "--format", fmt]) == 1

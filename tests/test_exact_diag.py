@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 import dicketherm.exact_diag as exact_diag
 import dicketherm.operators as operators
-from _oracles import bose_occupation, kron_spin_blocks, parity_halves
+from _oracles import (
+    bose_occupation,
+    kron_spin_blocks,
+    parity_halves,
+    parity_join,
+    parity_operator,
+    photon_number_operator,
+    total_excitation_operator,
+)
 from dicketherm.exact_diag import (
     CurvePoint,
     TruncationConvergenceError,
@@ -25,11 +33,7 @@ from dicketherm.operators import (
     NotHermitianError,
     build_hamiltonian,
     excitation_blocks,
-    parity_operator,
     parity_pairs,
-    photon_number_operator,
-    spin_sector_hamiltonians,
-    total_excitation_operator,
 )
 
 
@@ -141,6 +145,20 @@ def test_parity_expectation_limits():
     assert cold.observables["parity"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_thermal_solve_refuses_a_non_diagonal_observable(monkeypatch):
+    h = HermitianOperator(np.diag([0.0, 1.0]))
+    flip = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    number = HermitianOperator(np.diag([0.0, 1.0]))
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("diagonalized before the refusal")
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    # its diagonal is zero, so reading only the diagonal would report 0
+    with pytest.raises(ValueError, match="observable 'flip' is not diagonal"):
+        thermal_solve(h, 1.0, {"n": number, "flip": flip})
+
+
 def test_rwa_eigenvectors_have_sharp_excitation_number():
     p = ModelParams(1.0, 0.61803, g1=0.3)
     n_atoms, n_max = 2, 6
@@ -171,8 +189,13 @@ def test_ladder_free_case_converges_at_the_first_rung():
 
 def test_ladder_exhausts_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.9, g2=0.9)
+    # n_max = 16 fits, 3 * 17 rows, and its doubling does not
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 3 * 33 - 1)
+    with pytest.raises(TruncationConvergenceError, match="n_max=16 "):
+        _rung(p, 2, 5.0, 1e-14)
+    # a ladder that cannot reach n_max = 16 is refused before any rung
     monkeypatch.setattr(operators, "DIMENSION_LIMIT", 40)
-    with pytest.raises(TruncationConvergenceError):
+    with pytest.raises(DimensionLimitError, match=r"51 rows exceeds limit 40"):
         _rung(p, 2, 5.0, 1e-14)
 
 
@@ -227,13 +250,15 @@ def test_sector_spectrum_is_dense_spectrum_with_multiplicities():
     dense = build_hamiltonian(
         HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max
     ).eigenvalues()
-    blocks = spin_sector_hamiltonians(
-        HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max
-    )
-    sector = np.sort(
-        np.concatenate([np.repeat(np.linalg.eigvalsh(h), d) for d, h in blocks])
-    )
-    assert np.allclose(sector, dense, atol=1e-12)
+    pairs = parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
+    sector = []
+    for stacked, _, size, multiplicity in pairs:
+        eigenvalues = np.linalg.eigvalsh(stacked)
+        for half in (0, 1):
+            # the padding row, if any, is dropped by index
+            kept = eigenvalues[half, : size[half]]
+            sector.append(np.repeat(kept, multiplicity[half].astype(int)))
+    assert np.allclose(np.sort(np.concatenate(sector)), dense, atol=1e-12)
 
 
 SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
@@ -246,10 +271,13 @@ SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
 def test_sector_blocks_match_the_kron_reference(kind, n_atoms):
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
-        built = list(spin_sector_hamiltonians(kind, p, n_atoms, 7))
+        built = [
+            (d[0], parity_join(stacked, size, 7))
+            for stacked, _, size, d in parity_pairs(kind, p, n_atoms, 7)
+        ]
         reference = kron_spin_blocks(kind, p, n_atoms, 7)
         assert [d for d, _ in built] == [d for d, _ in reference]
-        for (_, h), (_, ref) in zip(built, reference):
+        for (_, h), (_, ref) in zip(built, reference, strict=True):
             assert h.shape == ref.shape
             assert np.all(np.abs(h - ref) <= 1e-14 * np.abs(ref)), (g1, g2)
 
@@ -266,7 +294,7 @@ def _parities(block, n_max):
 def test_sector_blocks_have_no_entry_between_parities(kind, n_max):
     p = ModelParams(1.0, 1.3, g1=0.7, g2=0.45)
     for n_atoms in range(1, 7):
-        for _, block in spin_sector_hamiltonians(kind, p, n_atoms, n_max):
+        for _, block in kron_spin_blocks(kind, p, n_atoms, n_max):
             parity = _parities(block, n_max)
             assert np.count_nonzero(block[parity == 0][:, parity == 1]) == 0
             assert np.count_nonzero(block[parity == 1][:, parity == 0]) == 0
@@ -280,7 +308,7 @@ def test_parity_halves_split_the_block_spectrum(kind, n_max):
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         for n_atoms in range(1, 7):
-            for _, block in spin_sector_hamiltonians(kind, p, n_atoms, n_max):
+            for _, block in kron_spin_blocks(kind, p, n_atoms, n_max):
                 parity = _parities(block, n_max)
                 photons = np.arange(block.shape[0]) % (n_max + 1)
                 halves = parity_halves(block, n_max)
@@ -306,7 +334,7 @@ def test_parity_pairs_match_the_halves_reference(kind, n_max):
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         for n_atoms in range(1, 8):
-            spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+            spin = kron_spin_blocks(kind, p, n_atoms, n_max)
             pairs = parity_pairs(kind, p, n_atoms, n_max)
             for (d, block), (stacked, photons, size, multiplicity) in zip(
                 spin, pairs, strict=True
@@ -320,7 +348,9 @@ def test_parity_pairs_match_the_halves_reference(kind, n_max):
                 eigenvalues = np.linalg.eigvalsh(stacked)
                 for value, (half, number) in enumerate(halves):
                     s = size[value]
-                    assert np.array_equal(stacked[value, :s, :s], half)
+                    # the reference forms its entries by Kronecker products
+                    error = np.abs(stacked[value, :s, :s] - half)
+                    assert np.all(error <= 1e-14 * np.abs(half))
                     assert np.array_equal(photons[value, :s], number)
                     # padding is decoupled, has no photons and sorts last
                     assert np.count_nonzero(stacked[value, s:, :s]) == 0
@@ -344,7 +374,8 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
     step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
     collective = kind in COLLECTIVE_KINDS
     # the dense matrix forms b'b as a product of roots, so its entries are
-    # off by rounding; the spin blocks share the K-blocks' arithmetic
+    # off by rounding; the parity pairs share the K-blocks' arithmetic, and
+    # a spin block reassembled from its halves keeps their entries
     entry_tol = 0.0 if collective else 1e-12
     zero_levels = 0
     with warnings.catch_warnings():
@@ -353,7 +384,11 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
             p = ModelParams(omega0, Omega, g1=g1)
             for n_atoms in range(1, 8) if collective else (1,):
                 if collective:
-                    spin = spin_sector_hamiltonians(kind, p, n_atoms, n_max)
+                    pairs = parity_pairs(kind, p, n_atoms, n_max)
+                    spin = [
+                        (d[0], parity_join(pair, half_size, n_max))
+                        for pair, _, half_size, d in pairs
+                    ]
                 else:
                     # the dense order q (n_max + 1) + n is a (n_max + 1) + n
                     dense = build_hamiltonian(kind, p, 1, n_max).matrix.real
@@ -418,26 +453,25 @@ def test_excitation_blocks_refuse_other_kinds(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=40))
 def test_sector_multiplicities_cover_the_register(n_atoms):
-    blocks = list(
-        spin_sector_hamiltonians(
-            HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0), n_atoms, 2
-        )
+    pairs = parity_pairs(
+        HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0), n_atoms, 2
     )
-    assert sum(d * h.shape[0] // 3 for d, h in blocks) == 2**n_atoms
-    assert [h.shape[0] // 3 for _, h in blocks] == list(
-        range(n_atoms + 1, 0, -2)
-    )
+    # each spin block's rows, both halves, and its multiplicity d_j
+    blocks = [(d[0], size.sum()) for _, _, size, d in pairs]
+    assert sum(d * rows // 3 for d, rows in blocks) == 2**n_atoms
+    assert [rows // 3 for _, rows in blocks] == list(range(n_atoms + 1, 0, -2))
 
 
 def test_sector_builder_guards(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
+    # refused on the call, before the first block is asked for
     with pytest.raises(ValueError, match="no collective-spin blocks"):
-        spin_sector_hamiltonians(HamiltonianKind.JAYNES_CUMMINGS, p, 1, 8)
+        parity_pairs(HamiltonianKind.JAYNES_CUMMINGS, p, 1, 8)
     with pytest.raises(ValueError, match="beta"):
         exact_diag._photon_density(p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE)
     monkeypatch.setattr(operators, "DIMENSION_LIMIT", 296)
     with pytest.raises(DimensionLimitError):
-        spin_sector_hamiltonians(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
+        parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
 
 
 @pytest.mark.parametrize(
@@ -516,23 +550,39 @@ def test_ladder_refuses_no_atoms_before_any_rung(kind, n_list, monkeypatch):
 @pytest.mark.parametrize(
     "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
 )
-@pytest.mark.parametrize("n_list", [(2, 700), (700,)], ids=str)
+@pytest.mark.parametrize(
+    "n_list, refusal",
+    [
+        pytest.param(n_list, refusal, id=str(n_list))
+        for n_list, refusal in (
+            # n_max = 8 at N = 700 has 701 * 9 rows
+            ((2, 700), r"matrix of 6309 rows exceeds limit 6000 \(N=700, n_max=8\)"),
+            ((700,), r"matrix of 6309 rows exceeds limit 6000 \(N=700, n_max=8\)"),
+            # n_max = 8 at N = 400 fits, but its doubling has 401 * 17 rows
+            ((400,), r"matrix of 6817 rows exceeds limit 6000 \(N=400, n_max=16\)"),
+            # every first rung is checked before any doubling
+            ((400, 700), r"matrix of 6309 rows exceeds limit 6000 \(N=700, n_max=8\)"),
+        )
+    ],
+)
 def test_ladder_refuses_a_first_rung_past_the_ceiling_before_any_rung(
-    kind, n_list, monkeypatch
+    kind, n_list, refusal, monkeypatch
 ):
     solved = []
     monkeypatch.setattr(
         exact_diag, "_photon_density", lambda *args: solved.append(args)
     )
-    # n_max = 8 at N = 700 has 701 * 9 rows
-    refusal = r"matrix of 6309 rows exceeds limit 6000 \(N=700, n_max=8\)"
     with pytest.raises(DimensionLimitError, match=refusal):
         photon_density_curve(ModelParams(1.0, 1.0, g1=0.01), 1.0, n_list, kind=kind)
     assert solved == []
-    # the last N whose first rung fits, 666 * 9 = 5994 rows
+    # the last N whose first doubling fits, 352 * 17 = 5984 rows
     exact_diag.check_ladder_inputs(
-        ModelParams(1.0, 1.0, g1=0.01), 1.0, 1e-6, kind, (665,)
+        ModelParams(1.0, 1.0, g1=0.01), 1.0, 1e-6, kind, (351,)
     )
+    with pytest.raises(DimensionLimitError, match=r"matrix of 6001 rows"):
+        exact_diag.check_ladder_inputs(
+            ModelParams(1.0, 1.0, g1=0.01), 1.0, 1e-6, kind, (352,)
+        )
 
 
 def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):

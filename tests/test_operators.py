@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.operators as operators
+from _oracles import parity_operator, photon_number_operator, total_excitation_operator
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
     EXCITATION_KINDS,
@@ -19,11 +20,7 @@ from dicketherm.operators import (
     excitation_blocks,
     make_boson_ops,
     make_spin_ops,
-    parity_operator,
     parity_pairs,
-    photon_number_operator,
-    spin_sector_hamiltonians,
-    total_excitation_operator,
 )
 
 ALL_KINDS = list(HamiltonianKind)
@@ -219,7 +216,6 @@ def _block_outputs(kind, params, n_atoms, n_max):
     out = []
     if kind in COLLECTIVE_KINDS:
         out += [a for item in parity_pairs(kind, params, n_atoms, n_max) for a in item]
-        out += [h for _, h in spin_sector_hamiltonians(kind, params, n_atoms, n_max)]
     if kind in EXCITATION_KINDS:
         out += excitation_blocks(kind, params, n_atoms, n_max)
     return out
@@ -292,7 +288,7 @@ def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5, g2=0.3)
     builds = [
         lambda: list(parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 4, 8)),
-        lambda: list(spin_sector_hamiltonians(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
+        lambda: list(parity_pairs(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
         lambda: excitation_blocks(HamiltonianKind.DICKE_RWA, p, 4, 8),
     ]
     for build in builds:
