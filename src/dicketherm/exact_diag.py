@@ -4,9 +4,9 @@ Desk-scale reference results: full spectra, partition functions, thermal
 expectations, and the finite-N photon-density crossover that the
 functional-integral order parameter predicts in the N -> infinity limit.
 
-``thermal_solve`` diagonalizes one dense Hamiltonian; with the dense
-``build_hamiltonian`` it is the small-N oracle pair, and no ladder rung
-uses either.  The photon-density ladder of ``photon_density_curve``
+``thermal_solve`` diagonalizes one dense Hamiltonian; with the real
+matrix of ``build_hamiltonian`` it is the dense small-N oracle, and no
+ladder rung uses either.  The photon-density ladder of ``photon_density_curve``
 solves each rung on blocks of one total spin j, (2j + 1)(n_max + 1)
 rows with multiplicity d_j, by one of two routes, chosen from the kind:
 

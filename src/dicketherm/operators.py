@@ -1,16 +1,16 @@
-"""Finite-dimensional operator algebra for qubit-boson models.
+"""Hamiltonians of the qubit-boson family on truncated Fock spaces.
 
-This module provides the truncated Fock space of a single bosonic mode, a
-register of N two-level atoms, and dense builders for the single-mode
-Hamiltonians handled by the package: the generalized Dicke model with
-separate rotating and counter-rotating couplings, its rotating-wave
-restriction, the Jaynes-Cummings model and its two-photon and
-intensity-dependent variants.  The dense builder, ``build_hamiltonian``,
-is the small-N oracle; the production solvers run on blocks of one
-total spin j, (2j + 1)(n_max + 1) rows in the order |m> x |n>, and two
-builders write them.  ``parity_pairs`` writes each spin block of a
-collective kind as one parity pair: the two halves of the parity of
-(m + j + n), stacked, for generalized Dicke.  Every other kind
+This module builds the single-mode Hamiltonians handled by the package:
+the generalized Dicke model with separate rotating and counter-rotating
+couplings, its rotating-wave restriction, the Jaynes-Cummings model and
+its two-photon and intensity-dependent variants.  The dense builder,
+``build_hamiltonian``, writes the real 2^N (n_max + 1) matrix from
+Kronecker products; with ``exact_diag.thermal_solve`` it is the small-N
+oracle.  The production solvers run on blocks of one total spin j,
+(2j + 1)(n_max + 1) rows in the order |m> x |n>, and two builders write
+them.  ``parity_pairs`` writes each spin block of a collective kind as
+one parity pair: the two halves of the parity of (m + j + n), stacked,
+for generalized Dicke.  Every other kind
 conserves an excitation number K = s (m + j) + n, with s = 2 for
 two-photon Jaynes-Cummings and 1 otherwise, and ``excitation_blocks``
 builds the tridiagonal K-blocks of all its spin blocks as one stack
@@ -56,21 +56,17 @@ import numpy as np
 __all__ = [
     "COLLECTIVE_KINDS",
     "DIMENSION_LIMIT",
-    "BosonSpace",
     "DimensionLimitError",
     "EXCITATION_KINDS",
     "HamiltonianKind",
     "HermitianOperator",
     "ModelParams",
     "NotHermitianError",
-    "QubitRegister",
     "SINGLE_ATOM_KINDS",
     "build_hamiltonian",
     "check_beta",
     "check_spin_block_size",
     "excitation_blocks",
-    "make_boson_ops",
-    "make_spin_ops",
     "parity_pairs",
 ]
 
@@ -140,36 +136,6 @@ class ModelParams:
             raise ValueError(f"g2 must be non-negative and finite, got {self.g2}")
 
 
-@dataclass(frozen=True)
-class BosonSpace:
-    """Truncated Fock space |0> .. |n_max> of a single mode."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1, a single level has no dynamics")
-
-    @property
-    def dimension(self) -> int:
-        return self.n_max + 1
-
-
-@dataclass(frozen=True)
-class QubitRegister:
-    """Register of N two-level atoms, dimension 2^N, little-endian."""
-
-    n_atoms: int
-
-    def __post_init__(self) -> None:
-        if self.n_atoms < 1:
-            raise ValueError("register needs at least one atom")
-
-    @property
-    def dimension(self) -> int:
-        return 2**self.n_atoms
-
-
 class HermitianOperator:
     """Dense operator on the composite (qubit x Fock) space.
 
@@ -230,63 +196,6 @@ COLLECTIVE_KINDS = frozenset(
 # Kinds that conserve an excitation number K = s (m + j) + b'b.
 EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DICKE}
 
-# Register bit 1 is the excited state, so sz = diag(-1, +1) in bit order.
-_PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-_PAULI_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
-
-def make_boson_ops(space: BosonSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices on the truncated Fock space.
-
-    Parameters
-    ----------
-    space : BosonSpace
-        Target space; its ``n_max`` must be at least 1.
-
-    Returns
-    -------
-    (annihilator, creator) : tuple of ndarray
-        ``annihilator[n-1, n] = sqrt(n)``; the creator is the exact
-        conjugate transpose.  On the span of |0> .. |n_max - 1> the
-        commutator equals the identity; the |n_max> corner carries the
-        usual truncation artifact.
-    """
-    dim = space.dimension
-    annihilator = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    annihilator[ns - 1, ns] = np.sqrt(ns)
-    return annihilator, annihilator.conj().T
-
-
-def _embed_qubit(op: np.ndarray, site: int, n_atoms: int) -> np.ndarray:
-    """Embed a single-qubit matrix at ``site`` of a little-endian register."""
-    left = np.eye(2 ** (n_atoms - 1 - site), dtype=complex)
-    right = np.eye(2**site, dtype=complex)
-    return np.kron(left, np.kron(op, right))
-
-
-def make_spin_ops(
-    reg: QubitRegister, site: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudo-spin matrices (sz, s+, s-) for one site of the register.
-
-    The returned operators act on the full 2^N register space and satisfy
-    [s+, s-] = sz, [sz, s+] = 2 s+, [sz, s-] = -2 s- exactly, with
-    operators on distinct sites commuting.
-
-    Parameters
-    ----------
-    reg : QubitRegister
-        Register the operators act on.
-    site : int
-        Site index, 0 <= site < N.
-    """
-    if not 0 <= site < reg.n_atoms:
-        raise IndexError(f"site {site} out of range for {reg.n_atoms} atoms")
-    sz = _embed_qubit(_PAULI_Z, site, reg.n_atoms)
-    splus = _embed_qubit(_PAULI_PLUS, site, reg.n_atoms)
-    return sz, splus, splus.conj().T
-
 
 def _check_size(
     kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int
@@ -300,8 +209,12 @@ def _check_size(
         raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
     rows = spin_rows * (n_max + 1)
     if rows > DIMENSION_LIMIT:
+        try:
+            count = str(rows)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            count = f"at least 2^{rows.bit_length() - 1}"
         raise DimensionLimitError(
-            f"matrix of {rows} rows exceeds limit {DIMENSION_LIMIT} "
+            f"matrix of {count} rows exceeds limit {DIMENSION_LIMIT} "
             f"(N={n_atoms}, n_max={n_max})"
         )
 
@@ -312,25 +225,6 @@ def check_spin_block_size(kind: HamiltonianKind, n_atoms: int, n_max: int) -> No
     The bound is the largest spin block, j = N/2: (N + 1)(n_max + 1) rows.
     """
     _check_size(kind, n_atoms, n_max, n_atoms + 1)
-
-
-def _collective_coupling(
-    n_atoms: int,
-    n_max: int,
-    mode_op: np.ndarray,
-    coupling: float,
-) -> np.ndarray:
-    """(coupling / sqrt(N)) * sum_j (mode_op x s+_j + h.c.)."""
-    reg = QubitRegister(n_atoms)
-    dim_b = n_max + 1
-    acc = np.zeros((reg.dimension * dim_b, reg.dimension * dim_b), dtype=complex)
-    if coupling == 0.0:
-        return acc
-    for site in range(n_atoms):
-        _, splus, _ = make_spin_ops(reg, site)
-        term = np.kron(splus, mode_op)
-        acc += term + term.conj().T
-    return (coupling / np.sqrt(n_atoms)) * acc
 
 
 def build_hamiltonian(
@@ -356,7 +250,8 @@ def build_hamiltonian(
     Single-coupling kinds read ``params.g1`` and ignore ``g2``.  The
     intensity-dependent lowering factor is the adjoint pair
     ``b (b'b)^(1/2)`` / its conjugate transpose, which keeps the result
-    self-adjoint on the truncated space.
+    self-adjoint on the truncated space.  The matrix is real (float64),
+    in the basis of the module docstring.
 
     Raises
     ------
@@ -366,38 +261,39 @@ def build_hamiltonian(
         For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
     _check_size(kind, n_atoms, n_max, 2**n_atoms)
-
-    space = BosonSpace(n_max)
-    reg = QubitRegister(n_atoms)
-    annihilator, creator = make_boson_ops(space)
-    number = creator @ annihilator
-
-    free = params.omega0 * np.kron(np.eye(reg.dimension, dtype=complex), number)
-    for site in range(n_atoms):
-        sz, _, _ = make_spin_ops(reg, site)
-        free += 0.5 * params.Omega * np.kron(sz, np.eye(space.dimension, dtype=complex))
-
+    # b |n> = sqrt(n) |n - 1>
+    b = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    if kind is HamiltonianKind.TWO_PHOTON_JC:
+        lowering = b @ b
+    elif kind in (HamiltonianKind.INTENSITY_JC, HamiltonianKind.INTENSITY_DICKE):
+        lowering = b @ np.diag(np.sqrt(np.arange(n_max + 1.0)))
+    else:
+        lowering = b
+    couplings = [(params.g1, lowering)]
     if kind is HamiltonianKind.GENERALIZED_DICKE:
-        interaction = _collective_coupling(n_atoms, n_max, annihilator, params.g1)
-        interaction += _collective_coupling(n_atoms, n_max, creator, params.g2)
-    elif kind is HamiltonianKind.DICKE_RWA:
-        interaction = _collective_coupling(n_atoms, n_max, annihilator, params.g1)
-    elif kind is HamiltonianKind.JAYNES_CUMMINGS:
-        interaction = _collective_coupling(1, n_max, annihilator, params.g1)
-    elif kind is HamiltonianKind.TWO_PHOTON_JC:
-        interaction = _collective_coupling(1, n_max, annihilator @ annihilator, params.g1)
-    elif kind is HamiltonianKind.INTENSITY_JC:
-        root_number = np.diag(np.sqrt(np.arange(space.dimension, dtype=float)))
-        interaction = _collective_coupling(1, n_max, annihilator @ root_number, params.g1)
-    elif kind is HamiltonianKind.INTENSITY_DICKE:
-        root_number = np.diag(np.sqrt(np.arange(space.dimension, dtype=float)))
-        interaction = _collective_coupling(
-            n_atoms, n_max, annihilator @ root_number, params.g1
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind!r}")
+        couplings.append((params.g2, b.T))
 
-    return HermitianOperator(free + interaction)
+    # Register bit 1 is the excited state, so sz = diag(-1, +1) in bit order.
+    sz = np.diag([-1.0, 1.0])
+    splus = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+    def at_site(sigma: np.ndarray, site: int) -> np.ndarray:
+        """``sigma`` on one site of the little-endian register."""
+        left, right = np.eye(2 ** (n_atoms - 1 - site)), np.eye(2**site)
+        return np.kron(left, np.kron(sigma, right))
+
+    h = params.omega0 * np.kron(np.eye(2**n_atoms), b.T @ b)
+    for site in range(n_atoms):
+        h += 0.5 * params.Omega * np.kron(at_site(sz, site), np.eye(n_max + 1))
+    # A coupled pair of rows differs in one register bit and moves the
+    # photon number one way, so each entry comes from one term of one
+    # coupling at one site, and the order of these sums changes no entry.
+    for g, op in couplings:
+        if g != 0.0:
+            for site in range(n_atoms):
+                term = (g / sqrt(n_atoms)) * np.kron(at_site(splus, site), op)
+                h += term + term.T
+    return HermitianOperator(h)
 
 
 def parity_pairs(

@@ -13,8 +13,9 @@ The choice matters for quantitative oracle comparisons.  Brute-force
 finite-N partition ratios ln(Z_N / Z0_N) extrapolate (Richardson in 1/N)
 to the tanh(beta*Omega/2) variant of the same fluctuation sum, not to the
 value returned by log_partition_ratio; at omega0=Omega=1, g1=0.6, g2=0.3,
-beta=1 the exact-diagonalization ladder tends to ~0.2455 while the
-quarter-argument sum gives 0.11652.  The quarter-argument convention is
+beta=1 and n_max=24, exact diagonalization at N = 2, 4, 6 rises
+monotonically, above the quarter-argument sum 0.11652 and below the
+half-argument one 0.2459145.  The quarter-argument convention is
 kept throughout because beta_c, the spectrum anchors, and the order
 parameter are internally consistent with it; cross-checks against exact
 diagonalization should compare trends, not absolute fluctuation values.

@@ -18,13 +18,7 @@ from scipy.special import zeta
 
 from dicketherm.fermionization import _physical_diagonal
 from dicketherm.matsubara import a0_c0_sum, kernel_a, kernel_c
-from dicketherm.operators import (
-    BosonSpace,
-    HamiltonianKind,
-    HermitianOperator,
-    ModelParams,
-    make_boson_ops,
-)
+from dicketherm.operators import HamiltonianKind, HermitianOperator, ModelParams
 from dicketherm.thermo import (
     CRITICAL_PHASE_TOL,
     convergence_bound,
@@ -277,7 +271,10 @@ def kron_fermion_dicke(params, n_atoms: int, n_max: int) -> np.ndarray:
     beta'beta and s+ -> alpha'beta per site, with omega0 b'b formed as a
     matrix product.
     """
-    annihilator, creator = make_boson_ops(BosonSpace(n_max))
+    annihilator = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    ns = np.arange(1, n_max + 1)
+    annihilator[ns - 1, ns] = np.sqrt(ns)
+    creator = annihilator.conj().T
     number = creator @ annihilator
     eye_f = np.eye(4**n_atoms, dtype=complex)
     eye_b = np.eye(n_max + 1, dtype=complex)

@@ -10,16 +10,12 @@ from _oracles import parity_operator, photon_number_operator, total_excitation_o
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
     EXCITATION_KINDS,
-    BosonSpace,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
-    QubitRegister,
     build_hamiltonian,
     excitation_blocks,
-    make_boson_ops,
-    make_spin_ops,
     parity_pairs,
 )
 
@@ -58,59 +54,6 @@ def test_model_params_reject_non_finite_fields(valid, field, bad):
     values[field] = bad
     with pytest.raises(ValueError, match=f"{field} must be .* finite"):
         ModelParams(**values)
-
-
-def test_boson_ops_defining_action():
-    b, bdag = make_boson_ops(BosonSpace(1))
-    state1 = np.array([0.0, 1.0])
-    assert np.allclose(b @ state1, [1.0, 0.0])
-    assert np.allclose(b @ np.array([1.0, 0.0]), 0.0)
-    assert np.allclose(bdag, b.conj().T)
-
-
-def test_boson_commutator_truncation():
-    b, bdag = make_boson_ops(BosonSpace(3))
-    comm = b @ bdag - bdag @ b
-    # identity on the subspace below the truncation edge
-    assert np.allclose(comm[:3, :3], np.eye(3))
-    # the edge element is fixed by the truncated pair
-    assert comm[3, 3] == pytest.approx(-3.0)
-
-
-def test_boson_ops_reject_trivial_space():
-    with pytest.raises(ValueError):
-        make_boson_ops(BosonSpace(0))
-
-
-def test_spin_ops_single_site():
-    reg = QubitRegister(1)
-    sz, sp, sm = make_spin_ops(reg, 0)
-    assert sorted(np.linalg.eigvalsh(sz)) == pytest.approx([-1.0, 1.0])
-    assert np.allclose(sp @ sm + sm @ sp, np.eye(2))
-    assert np.allclose(sp @ sm - sm @ sp, sz)
-    assert np.allclose(sz @ sp - sp @ sz, 2.0 * sp)
-    assert np.allclose(sz @ sm - sm @ sz, -2.0 * sm)
-
-
-def test_spin_ops_distinct_sites_commute():
-    reg = QubitRegister(2)
-    _, sp0, _ = make_spin_ops(reg, 0)
-    _, _, sm1 = make_spin_ops(reg, 1)
-    assert np.allclose(sp0 @ sm1 - sm1 @ sp0, 0.0)
-
-
-def test_spin_ops_site_range():
-    with pytest.raises(IndexError):
-        make_spin_ops(QubitRegister(2), 2)
-
-
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
-def test_commutation_relations_exact(n_atoms):
-    reg = QubitRegister(n_atoms)
-    for site in range(n_atoms):
-        sz, sp, sm = make_spin_ops(reg, site)
-        assert np.array_equal(sp @ sm - sm @ sp, sz)
-        assert np.array_equal(sz @ sp - sp @ sz, 2.0 * sp)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -182,10 +125,55 @@ def test_single_atom_kinds_reject_multiple_atoms():
 
 
 def test_dimension_guard():
+    gd = HamiltonianKind.GENERALIZED_DICKE
     with pytest.raises(DimensionLimitError):
-        build_hamiltonian(
-            HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0), 10, 30
-        )
+        build_hamiltonian(gd, ModelParams(1.0, 1.0), 10, 30)
+    p = ModelParams(1.0, 1.0, 0.5)
+    with pytest.raises(
+        DimensionLimitError,
+        match=r"^matrix of 5242880 rows exceeds limit 6000 \(N=20, n_max=4\)$",
+    ):
+        build_hamiltonian(gd, p, 20, 4)
+    # 2^N has more digits than str() prints
+    with pytest.raises(DimensionLimitError, match=r"\(N=20000, n_max=4\)$"):
+        build_hamiltonian(gd, p, 20000, 4)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dense_matrix_is_real_and_read_only(kind):
+    n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 3
+    m = build_hamiltonian(kind, ModelParams(1.0, 0.9, g1=0.4, g2=0.3), n_atoms, 4).matrix
+    assert m.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_dense_basis_layout(n_atoms):
+    # row q (n_max + 1) + n holds register bit pattern q and n photons,
+    # with bit i the excited state of site i
+    n_max, dim_b = 4, 5
+    q, n = np.divmod(np.arange(2**n_atoms * dim_b), dim_b)
+    popcount = np.array([bin(x).count("1") for x in q])
+    gd = HamiltonianKind.GENERALIZED_DICKE
+    free = build_hamiltonian(gd, ModelParams(1.3, 0.7), n_atoms, n_max).matrix
+    expected = 1.3 * n + 0.7 * (popcount - n_atoms / 2)
+    assert np.allclose(np.diag(free), expected, rtol=1e-15, atol=1e-15)
+    assert not np.any(free - np.diag(np.diag(free)))
+
+    g1 = 0.6
+    m = build_hamiltonian(gd, ModelParams(1.3, 0.7, g1=g1), n_atoms, n_max).matrix
+    expected = np.diag(np.diag(free))
+    for site in range(n_atoms):
+        for q in range(2**n_atoms):
+            if q >> site & 1:
+                continue
+            for n in range(1, dim_b):
+                row, col = (q | 1 << site) * dim_b + n - 1, q * dim_b + n
+                assert m[row, col] == pytest.approx(g1 / math.sqrt(n_atoms) * math.sqrt(n))
+                expected[row, col] = expected[col, row] = m[row, col]
+    # nothing else couples
+    assert np.array_equal(m, expected)
 
 
 def test_parity_operator_signs_and_involution():
