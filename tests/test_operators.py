@@ -157,8 +157,8 @@ def test_dense_basis_layout(n_atoms):
     popcount = np.array([bin(x).count("1") for x in q])
     gd = HamiltonianKind.GENERALIZED_DICKE
     free = build_hamiltonian(gd, ModelParams(1.3, 0.7), n_atoms, n_max).matrix
-    expected = 1.3 * n + 0.7 * (popcount - n_atoms / 2)
-    assert np.allclose(np.diag(free), expected, rtol=1e-15, atol=1e-15)
+    diagonal = 1.3 * n + 0.7 * (popcount - n_atoms / 2)
+    assert np.allclose(np.diag(free), diagonal, rtol=1e-15, atol=1e-15)
     assert not np.any(free - np.diag(np.diag(free)))
 
     g1 = 0.6
