@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_single_atom_kinds_reject_multiple_atoms():
     for kind in SINGLE_ATOM_KINDS:
         with pytest.raises(ValueError):
             build_hamiltonian(kind, p, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "kind, n_atoms, n_max, message",
+    [
+        (HamiltonianKind.GENERALIZED_DICKE, 0, 4, "n_atoms must be at least 1"),
+        (HamiltonianKind.GENERALIZED_DICKE, 2, 1, "n_max must be at least 2"),
+        (HamiltonianKind.JAYNES_CUMMINGS, 2, 4, "jaynes-cummings is a single-atom model, got N=2"),
+    ],
+)
+def test_dense_builder_refusal_texts(kind, n_atoms, n_max, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refusal:
+        build_hamiltonian(kind, ModelParams(1.0, 1.0, g1=0.2), n_atoms, n_max)
+    assert type(refusal.value) is ValueError
 
 
 def test_dimension_guard():
