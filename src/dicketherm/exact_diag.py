@@ -4,9 +4,10 @@ Desk-scale reference results: full spectra, partition functions, thermal
 expectations, and the finite-N photon-density crossover that the
 functional-integral order parameter predicts in the N -> infinity limit.
 
-``thermal_solve`` diagonalizes one dense Hamiltonian; with the real
-matrix of ``build_hamiltonian`` it is the dense small-N oracle, and no
-ladder rung uses either.  The photon-density ladder of ``photon_density_curve``
+``thermal_solve`` diagonalizes one real dense Hamiltonian and takes
+each observable as its diagonal in the same basis; with the matrix of
+``build_hamiltonian`` it is the dense small-N oracle, and no ladder rung
+uses either.  The photon-density ladder of ``photon_density_curve``
 solves each rung on blocks of one total spin j, (2j + 1)(n_max + 1)
 rows with multiplicity d_j, by one of two routes, chosen from the kind:
 
@@ -118,55 +119,42 @@ class CurvePoint:
 def thermal_solve(
     H: HermitianOperator,
     beta: float,
-    observables: Mapping[str, HermitianOperator] | None = None,
+    observables: Mapping[str, np.ndarray] | None = None,
 ) -> EDResult:
     """Full eigendecomposition plus Boltzmann-weighted expectations.
 
-    Each observable must be diagonal in the basis of ``H``, as the photon
-    number and the parity are: its expectation in an eigenstate is its
-    diagonal weighted by the state's squared amplitudes.
+    Each observable is given by its diagonal in the basis of ``H``, one
+    value per row, as the photon number and the parity are diagonal
+    there; its expectation in an eigenstate is that diagonal weighted by
+    the state's squared amplitudes.
 
     Raises ``DimensionLimitError`` for a matrix of more than
     ``operators.DIMENSION_LIMIT`` rows, and ``ValueError`` for an
-    observable with an off-diagonal entry, before diagonalizing.
+    observable that is not one value per row, before diagonalizing.
     """
-    if not isinstance(H, HermitianOperator):
-        H = HermitianOperator(np.asarray(H))
     check_beta(beta)
     if H.dimension > operators.DIMENSION_LIMIT:
         raise DimensionLimitError(
             f"dimension {H.dimension} exceeds limit {operators.DIMENSION_LIMIT}"
         )
-    diagonals: dict[str, np.ndarray] = {}
-    for name, op in (observables or {}).items():
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(np.asarray(op))
-        op_matrix = op.matrix
-        if not np.any(op_matrix.imag):
-            op_matrix = op_matrix.real
-        diagonal = np.diagonal(op_matrix)
-        if np.count_nonzero(op_matrix - np.diag(diagonal)):
+    observables = observables or {}
+    for name, diagonal in observables.items():
+        if np.shape(diagonal) != (H.dimension,):
             raise ValueError(
-                f"observable {name!r} is not diagonal; thermal_solve takes "
-                f"diagonal observables only"
+                f"observable {name!r} must be a diagonal of {H.dimension} "
+                f"values, got shape {np.shape(diagonal)}"
             )
-        diagonals[name] = diagonal.real
-    matrix = H.matrix
-    if np.isrealobj(matrix) or not np.any(matrix.imag):
-        matrix = matrix.real
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh(H.matrix)
     weights = np.exp(-beta * (eigenvalues - eigenvalues[0]))
     z_shifted = float(np.sum(weights))
     Z = float(np.exp(-beta * eigenvalues[0]) * z_shifted)
 
-    expectations: dict[str, float] = {}
-    for name, diagonal in diagonals.items():
-        per_state = diagonal @ np.abs(eigenvectors) ** 2
-        expectations[name] = float(np.dot(weights, per_state) / z_shifted)
-
-    out = np.array(eigenvalues, copy=True)
-    out.setflags(write=False)
-    return EDResult(eigenvalues=out, Z=Z, observables=expectations, beta=beta)
+    expectations = {
+        name: float(np.dot(weights, diagonal @ eigenvectors**2) / z_shifted)
+        for name, diagonal in observables.items()
+    }
+    eigenvalues.setflags(write=False)
+    return EDResult(eigenvalues=eigenvalues, Z=Z, observables=expectations, beta=beta)
 
 
 def _photon_density(

@@ -1,22 +1,24 @@
 """Matsubara frequency sums and kernels: the oracles of the closed forms.
 
 No closed form depends on this module; ``validate`` and the tests use
-it.  The kernels a(omega) and c(omega) at bosonic frequencies, their
-continuation to real energy (``continue_kernels``) and the finite-sum
-route check what ``dicketherm.thermo`` and ``dicketherm.spectrum``
-compute in closed form.  The kernel-determinant quadratic, its roots and
-the thermal factor live in ``thermo``, the kernel-pole guard in
-``spectrum``, and this module imports them from there.  The finite-sum
-route evaluates the pair sums over fermionic frequencies (a0, c0) by
-direct truncation plus an integral tail with a midpoint Euler-Maclaurin
-correction, and reports the Richardson extrapolant over cutoffs (M, 2M);
-``validate`` and the tests use it as the independent check, ``validate``
+it.  ``continue_kernels`` is the package's one closed form of the
+kernels a and c, at a complex energy z: z = i omega_k on the Matsubara
+axis, z = E on the real axis.  With the finite-sum route it checks what
+``dicketherm.thermo`` and ``dicketherm.spectrum`` compute in closed
+form.  The kernel-determinant quadratic, its roots and the thermal
+factor live in ``thermo``, the kernel-pole guard in ``spectrum``, and
+this module imports them from there.  The finite-sum route evaluates
+the pair sums over fermionic frequencies (a0, c0) by direct truncation
+plus an integral tail with a midpoint Euler-Maclaurin correction, and
+reports the Richardson extrapolant over cutoffs (M, 2M); ``validate``
+and the tests use it as the independent check, ``validate`` against
+``thermo.convergence_bound``, the closed form of a0(0) + 2 c0(0), and
 by the sign of a0(0) + 2 c0(0) - 1 on either side of the closed-form
-beta_c.  The two cutoff levels share one evaluation of the
-summand over the 2M window, and their tails one Gauss-Legendre
-evaluation.  Every sum refuses a beta that is not positive and finite;
-the closed kernels ``kernel_a`` and ``kernel_c`` accept beta = inf, the
-zero-temperature limit, as ``thermo`` does.
+beta_c.  The two cutoff levels share one evaluation of the summand over
+the 2M window, and their tails one Gauss-Legendre evaluation.  Every
+sum refuses a beta that is not positive and finite; the closed form
+``continue_kernels`` refuses a NaN or non-positive beta and accepts
+beta = inf, the zero-temperature limit, as ``thermo`` does.
 
 The pair-sum tail integral is a fixed 32-node Gauss-Legendre rule after
 the map q = edge + R (1 + t) / (1 - t), t in [-1, 1), R = hypot(edge, m).
@@ -27,7 +29,7 @@ Omega in [0.01, 300], cutoffs 10 to 1024 and k from 0 to 2 x cutoff,
 for about 15 us a tail.  It replaced scipy's adaptive ``quad``, which at
 the fine cutoff 1024 lost the whole tail for beta <= 0.1 (relative error
 1.0002, with an IntegrationWarning): a0 + 2 c0 at omega = 0 then missed
-the closed kernels by 2e-4 at beta = 0.05 and 0.1.  The naive map
+the closed form by 2e-4 at beta = 0.05 and 0.1.  The naive map
 u = edge / q is not safe either: with the same 32 nodes it is off by
 48% at cutoff 10, beta = 1000, Omega = 300.  The module does not
 import scipy.
@@ -51,9 +53,6 @@ __all__ = [
     "bosonic_frequency",
     "continue_kernels",
     "fermionic_lorentzian_sum",
-    "kernel_a",
-    "kernel_c",
-    "paired_pole_sum",
 ]
 
 DEFAULT_CUTOFF = 512
@@ -132,41 +131,43 @@ def _richardson(coarse: float, fine: float) -> float:
 
 
 def fermionic_lorentzian_sum(
-    m: float, beta: float, cutoff: int = DEFAULT_CUTOFF, *, extrapolate: bool = True
+    m: float, beta: float, cutoff: int = DEFAULT_CUTOFF
 ) -> float:
     """Sum of 1/(p_n^2 + m^2) over all fermionic frequencies p_n.
 
     Truncated symmetrically, tail-corrected on both sides, and Richardson
-    extrapolated over (cutoff, 2*cutoff) unless ``extrapolate`` is off.
-    The terms are evaluated once, over the 2*cutoff window; the cutoff
-    window is its middle half.  Converges to
-    (beta / (2 m)) * tanh(beta * m / 2).
+    extrapolated over (cutoff, 2*cutoff).  The terms are evaluated once,
+    over the 2*cutoff window; the cutoff window is its middle half.
+    Converges to (beta / (2 m)) * tanh(beta * m / 2).
     """
     check_beta(beta)
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
-    top = 2 * cutoff if extrapolate else cutoff
+    top = 2 * cutoff
     terms = 1.0 / (_fermionic_frequencies(-top, top, beta) ** 2 + m**2)
     edges = 2.0 * np.pi * np.array([cutoff, top]) / beta
     tails = 2.0 * _lorentzian_tail(edges, m, beta)
     fine = float(np.sum(terms) + tails[1])
-    if not extrapolate:
-        return fine
     coarse = float(np.sum(terms[cutoff : 3 * cutoff]) + tails[0])
     return _richardson(coarse, fine)
 
 
 def _pair_levels(
-    k: int, m: float, beta: float, cutoffs: tuple[int, ...], tail: bool
+    k: int, m: float, beta: float, cutoffs: tuple[int, ...]
 ) -> list[float]:
-    """The pair sum at bosonic index k >= 0 for each cutoff, smallest first.
+    """The tail-corrected pair sum at bosonic index k >= 0 for each cutoff.
 
-    The summand is evaluated once, over the window [-M - k, M - 1] of the
-    largest cutoff M; a cutoff c takes the slice [M - c, M + c + k) of it,
-    its own window.  With ``tail`` on, both tails of every cutoff are added
-    from one Gauss-Legendre evaluation.
+    S(omega) = sum_q [(m^2 + q^2)(m^2 + (q + omega)^2)]^(-1/2) over
+    fermionic q, omega = 2 pi k / beta bosonic, cutoffs smallest first.
+    The summand is symmetric under q -> -q - omega, so the index window
+    [-c - k, c - 1] of a cutoff c respects the symmetry and its two tails
+    are equal.  The summand is evaluated once, over the window of the
+    largest cutoff M; a cutoff c takes the slice [M - c, M + c + k) of it.
+    Both tails of every cutoff are added from one Gauss-Legendre
+    evaluation, which keeps full accuracy for k up to twice the smallest
+    cutoff and refuses a larger k.
     """
-    if tail and k > 2 * cutoffs[0]:
+    if k > 2 * cutoffs[0]:
         raise ValueError(
             f"bosonic index {k} beyond twice the cutoff {cutoffs[0]}: "
             "the tail rule is not accurate there"
@@ -175,8 +176,6 @@ def _pair_levels(
     omega = 2.0 * np.pi * k / beta
     terms = _pair_summand(_fermionic_frequencies(-top - k, top, beta), m, omega)
     sums = [float(np.sum(terms[top - c : top + c + k])) for c in cutoffs]
-    if not tail:
-        return sums
 
     # each one-sided tail is the integral from the edge plus the outward
     # h/24 derivative term of the midpoint rule; the few scalars per edge
@@ -190,28 +189,6 @@ def _pair_levels(
         g_prime = -(edge / near + (edge + omega) / far) / math.sqrt(near * far)
         totals.append(total + 2.0 * (integral / h + (h / 24.0) * g_prime))
     return totals
-
-
-def paired_pole_sum(
-    omega_index: int,
-    Omega: float,
-    beta: float,
-    cutoff: int,
-    *,
-    tail: bool = True,
-) -> float:
-    """S(omega) = sum_q [(Omega^2/4 + q^2)(Omega^2/4 + (q + omega)^2)]^(-1/2).
-
-    q runs over fermionic frequencies, omega = 2 pi k / beta bosonic.  The
-    summand is symmetric under q -> -q - omega, so the index window
-    [-cutoff - k, cutoff - 1] respects the symmetry and the two tails are
-    equal.  With ``tail`` off this is the bare partial sum (used to check
-    the O(1/M) truncation law); with it on, |k| may not exceed 2 * cutoff,
-    the range where the tail rule keeps full accuracy.
-    """
-    check_beta(beta)
-    # S is even in the bosonic index
-    return _pair_levels(abs(omega_index), 0.5 * Omega, beta, (cutoff,), tail)[0]
 
 
 def a0_c0_sum(
@@ -234,7 +211,7 @@ def a0_c0_sum(
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
     coarse, fine = _pair_levels(
-        abs(omega_index), 0.5 * params.Omega, beta, (cutoff, 2 * cutoff), True
+        abs(omega_index), 0.5 * params.Omega, beta, (cutoff, 2 * cutoff)
     )
     pair_sum = _richardson(coarse, fine)
     spread = abs(fine - coarse)
@@ -250,73 +227,51 @@ def a0_c0_sum(
     )
 
 
-def kernel_a(omega_index: int, params: ModelParams, beta: float) -> complex:
-    """Closed-form a(omega) at the bosonic frequency omega = 2 pi n / beta."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    omega = bosonic_frequency(omega_index, beta)
-    t = tanh_factor(params, beta)
-    inner = params.g1**2 / (params.Omega - 1j * omega) + params.g2**2 / (
-        params.Omega + 1j * omega
-    )
-    return complex(t * inner / (params.omega0 - 1j * omega))
-
-
-def kernel_c(omega_index: int, params: ModelParams, beta: float) -> float:
-    """Closed-form c(omega); real, even in omega, non-negative."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    omega = bosonic_frequency(omega_index, beta)
-    t = tanh_factor(params, beta)
-    root = np.sqrt(params.omega0**2 + omega**2)
-    return float(
-        t * params.g1 * params.g2 * params.Omega / (root * (params.Omega**2 + omega**2))
-    )
-
-
 def continue_kernels(
-    E: float,
-    params: ModelParams,
-    beta: float,
-    *,
-    pole_epsilon: float | None = None,
+    z: complex, params: ModelParams, beta: float
 ) -> tuple[complex, complex, complex]:
-    """Kernels continued to real energy: (a(+E), a(-E), c(E)).
+    """The closed-form kernels at complex energy z: (a(z), a(-z), c(z)).
 
-    The substitution i*omega -> E turns the Matsubara kernels into
-    functions with simple poles at E in {+-Omega, +-omega0}; evaluation
-    closer than ``pole_epsilon`` to any of them is refused.  The square
-    root in c(E) is taken on the principal branch, so c is imaginary for
-    energies between the two pole positions.
+    z = i omega_k, omega_k = ``bosonic_frequency(k, beta)``, gives the
+    Matsubara kernels; a(i omega) and a(-i omega) are complex conjugates,
+    and c(i omega) is real, even in omega and non-negative.  A real z = E
+    gives their continuation to real energy, with simple poles at E in
+    {+-Omega, +-omega0}; evaluation closer than
+    ``spectrum.default_pole_epsilon`` to a pole is refused, which no
+    point of the imaginary axis is.  The square root in c is taken on the
+    principal branch, so c is imaginary for real energies between the two
+    pole positions.  Refuses a NaN or non-positive beta; beta = inf is
+    the zero-temperature limit.
     """
-    if pole_epsilon is None:
-        pole_epsilon = default_pole_epsilon(params)
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    pole_epsilon = default_pole_epsilon(params)
     gap = min(
-        abs(E - params.Omega),
-        abs(E + params.Omega),
-        abs(E - params.omega0),
-        abs(E + params.omega0),
+        abs(z - params.Omega),
+        abs(z + params.Omega),
+        abs(z - params.omega0),
+        abs(z + params.omega0),
     )
     if gap < pole_epsilon:
         raise PoleProximityError(
-            f"|E| = {abs(E)} within {pole_epsilon:.3e} of a kernel pole"
+            f"|z| = {abs(z)} within {pole_epsilon:.3e} of a kernel pole"
         )
     t = tanh_factor(params, beta)
     a_plus = (
         t
-        * (params.g1**2 / (params.Omega - E) + params.g2**2 / (params.Omega + E))
-        / (params.omega0 - E)
+        * (params.g1**2 / (params.Omega - z) + params.g2**2 / (params.Omega + z))
+        / (params.omega0 - z)
     )
     a_minus = (
         t
-        * (params.g1**2 / (params.Omega + E) + params.g2**2 / (params.Omega - E))
-        / (params.omega0 + E)
+        * (params.g1**2 / (params.Omega + z) + params.g2**2 / (params.Omega - z))
+        / (params.omega0 + z)
     )
     c_cont = (
         t
         * params.g1
         * params.g2
         * params.Omega
-        / (np.sqrt(complex(params.omega0**2 - E**2)) * (params.Omega**2 - E**2))
+        / (np.sqrt(complex(params.omega0**2 - z**2)) * (params.Omega**2 - z**2))
     )
     return complex(a_plus), complex(a_minus), complex(c_cont)

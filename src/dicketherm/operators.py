@@ -5,7 +5,8 @@ the generalized Dicke model with separate rotating and counter-rotating
 couplings, its rotating-wave restriction, the Jaynes-Cummings model and
 its two-photon and intensity-dependent variants.  The dense builder,
 ``build_hamiltonian``, writes the real 2^N (n_max + 1) matrix from
-Kronecker products; with ``exact_diag.thermal_solve`` it is the small-N
+Kronecker products into a ``HermitianOperator``, which holds real
+matrices only; with ``exact_diag.thermal_solve`` it is the small-N
 oracle.  The production solvers run on blocks of one total spin j,
 (2j + 1)(n_max + 1) rows in the order |m> x |n>, and two builders write
 them.  ``parity_pairs`` writes each spin block of a collective kind as
@@ -21,7 +22,8 @@ each block's multiplicity, and pad short blocks with decoupled rows
 that sort last.  Every builder refuses, before building anything, a
 matrix of more than ``DIMENSION_LIMIT`` rows: the spin block builders
 count the full spin block, (N + 1)(n_max + 1) rows, whatever it is
-split into; the dense builder counts 2^N (n_max + 1).
+split into; the dense builder counts 2^N (n_max + 1) without forming
+2^N, so a register of any size is refused at once.
 
 The spin block builders split their work in two.  What does not depend
 on ``ModelParams`` is built once and cached: per (kind, 2j, n_max), a
@@ -137,19 +139,21 @@ class ModelParams:
 
 
 class HermitianOperator:
-    """Dense operator on the composite (qubit x Fock) space.
+    """Real symmetric operator on the composite (qubit x Fock) space.
 
-    Entries are stored as a read-only matrix in the fixed basis described
-    in the module docstring: float64 for real input, complex128 otherwise.
-    Construction verifies hermiticity (symmetry, for a real matrix) to
-    ``HERMITICITY_TOL`` elementwise.
+    Entries are stored as a read-only float64 matrix in the fixed basis
+    described in the module docstring; every builder of the package
+    writes a real matrix, and complex input is refused.  Construction
+    verifies symmetry to ``HERMITICITY_TOL`` elementwise.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
-        mat = np.array(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
+        if np.iscomplexobj(matrix):
+            raise ValueError(f"operator matrix must be real, got {np.asarray(matrix).dtype}")
+        mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        deviation = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
         if not deviation <= HERMITICITY_TOL:  # a NaN entry deviates too
             raise NotHermitianError(
                 f"matrix deviates from self-adjointness by {deviation:.3e}"
@@ -198,25 +202,33 @@ EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DIC
 
 
 def _check_size(
-    kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int
+    kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int | None
 ) -> None:
-    """Refuse bad sizes, then a matrix of spin_rows (n_max + 1) rows past the ceiling."""
+    """Refuse bad sizes, then a matrix of spin_rows (n_max + 1) rows past the ceiling.
+
+    ``spin_rows`` None stands for the dense register's 2^N rows.  They
+    are compared as n_max + 1 > DIMENSION_LIMIT >> N, and 2^N is written
+    out only below 64 atoms, so no N takes long to refuse.
+    """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if kind in SINGLE_ATOM_KINDS and n_atoms != 1:
         raise ValueError(f"{kind.value} is a single-atom model, got N={n_atoms}")
-    rows = spin_rows * (n_max + 1)
-    if rows > DIMENSION_LIMIT:
-        try:
-            count = str(rows)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            count = f"at least 2^{rows.bit_length() - 1}"
-        raise DimensionLimitError(
-            f"matrix of {count} rows exceeds limit {DIMENSION_LIMIT} "
-            f"(N={n_atoms}, n_max={n_max})"
-        )
+    levels = n_max + 1
+    if spin_rows is not None:
+        if spin_rows * levels <= DIMENSION_LIMIT:
+            return
+        count = f"{spin_rows * levels}"
+    elif levels <= DIMENSION_LIMIT >> n_atoms:
+        return
+    else:
+        count = f"{levels << n_atoms}" if n_atoms < 64 else f"2^{n_atoms} x {levels}"
+    raise DimensionLimitError(
+        f"matrix of {count} rows exceeds limit {DIMENSION_LIMIT} "
+        f"(N={n_atoms}, n_max={n_max})"
+    )
 
 
 def check_spin_block_size(kind: HamiltonianKind, n_atoms: int, n_max: int) -> None:
@@ -260,7 +272,7 @@ def build_hamiltonian(
     ValueError
         For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
-    _check_size(kind, n_atoms, n_max, 2**n_atoms)
+    _check_size(kind, n_atoms, n_max, None)
     # b |n> = sqrt(n) |n - 1>
     b = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
     if kind is HamiltonianKind.TWO_PHOTON_JC:

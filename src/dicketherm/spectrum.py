@@ -1,16 +1,18 @@
 """Collective excitation spectrum from the continued dispersion relation.
 
 The mode condition is (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = 0 on the real
-axis.  It equals Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with
-Q(x) = x^2 - B x + C, so the mode energies are the square roots of the
-closed-form roots of Q (``dicketherm.thermo.mode_energy_squares``); no
-root finder runs, and each real root of Q is reported once.  Every
+axis, a and c being the kernels' one closed form
+``dicketherm.matsubara.continue_kernels`` at z = E.  It equals
+Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with Q(x) = x^2 - B x + C,
+so the mode energies are the square roots of the closed-form roots of Q
+(``dicketherm.thermo.mode_energy_squares``); no root finder runs, and
+each real root of Q is reported once.  Every
 tolerance is relative, and each node is solved in its own power-of-two
 energy unit, so its spectrum is the same in any unit.  Residuals come
 from the same rational form, near machine precision.  The kernel poles
 at Omega and omega0 are guarded here (``PoleProximityError``,
-``default_pole_epsilon``); the oracle
-``dicketherm.matsubara.continue_kernels`` shares the guard.
+``default_pole_epsilon``), and ``continue_kernels`` refuses a z within
+the same epsilon of a pole.
 """
 
 from __future__ import annotations

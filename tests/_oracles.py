@@ -17,8 +17,8 @@ from scipy import optimize
 from scipy.special import zeta
 
 from dicketherm.fermionization import _physical_diagonal
-from dicketherm.matsubara import a0_c0_sum, kernel_a, kernel_c
-from dicketherm.operators import HamiltonianKind, HermitianOperator, ModelParams
+from dicketherm.matsubara import a0_c0_sum, bosonic_frequency, continue_kernels
+from dicketherm.operators import HamiltonianKind, ModelParams
 from dicketherm.thermo import (
     CRITICAL_PHASE_TOL,
     convergence_bound,
@@ -150,18 +150,20 @@ def matsubara_log_partition_ratio(params, beta: float, terms: int = 400) -> floa
 
     Static term -1/2 ln[(1 - a(0))^2 - 4 c(0)^2] minus the sum over n >= 1
     of ln[(1 - a(w_n))(1 - a(-w_n)) - 4 c(w_n)^2], each term built from the
-    closed-form kernels rather than from the quadratic's coefficients.  The
-    terms decay as an even power series in 1/n; the first three
-    coefficients are fitted to the upper half of the summed terms and the
-    rest of the series is added with Hurwitz zeta values.
+    closed-form kernels at z = i w_n (``continue_kernels``) rather than from
+    the quadratic's coefficients.  The terms decay as an even power series
+    in 1/n; the first three coefficients are fitted to the upper half of
+    the summed terms and the rest of the series is added with Hurwitz zeta
+    values.
     """
-    a0 = kernel_a(0, params, beta).real
-    c0 = kernel_c(0, params, beta)
-    static = -0.5 * math.log((1.0 - a0) ** 2 - 4.0 * c0**2)
+    a0, _, c0 = continue_kernels(0j, params, beta)
+    static = -0.5 * math.log((1.0 - a0.real) ** 2 - 4.0 * c0.real**2)
     logs = np.empty(terms)
     for n in range(1, terms + 1):
-        pair = (1.0 - kernel_a(n, params, beta)) * (1.0 - kernel_a(-n, params, beta))
-        logs[n - 1] = math.log(pair.real - 4.0 * kernel_c(n, params, beta) ** 2)
+        z = 1j * bosonic_frequency(n, beta)
+        a_plus, a_minus, c = continue_kernels(z, params, beta)
+        pair = (1.0 - a_plus) * (1.0 - a_minus)
+        logs[n - 1] = math.log(pair.real - 4.0 * c.real**2)
     ns = np.arange(terms // 2, terms + 1, dtype=float)
     powers = (2, 4, 6)
     design = np.column_stack([(terms / ns) ** p for p in powers])
@@ -292,27 +294,25 @@ def kron_fermion_dicke(params, n_atoms: int, n_max: int) -> np.ndarray:
     return hamiltonian
 
 
-def physical_projector(n_atoms: int, n_max: int) -> HermitianOperator:
-    """Diagonal 0/1 projector onto per-site occupancy n_alpha + n_beta = 1.
+def physical_projector_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
+    """Diagonal of the 0/1 projector onto per-site occupancy n_alpha + n_beta = 1.
 
     Idempotent with rank 2^N * (n_max + 1) on the composite space.
     """
-    diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
-    return HermitianOperator(np.diag(diag.astype(complex)))
+    return np.repeat(_physical_diagonal(n_atoms), n_max + 1)
 
 
-def parity_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """Diagonal parity exp[i pi (b'b + sum_j (sz_j + 1)/2)].
+def parity_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
+    """Diagonal of the parity exp[i pi (b'b + sum_j (sz_j + 1)/2)], +-1.
 
     Unitary and involutive; commutes with every kind whose interaction
     changes the total excitation number by an even amount, in particular
     the generalized Dicke builder at any couplings.
     """
-    signs = _excitation_diagonal(n_atoms, n_max)
-    return HermitianOperator(np.diag((-1.0 + 0.0j) ** signs))
+    return 1.0 - 2.0 * (excitation_diagonal(n_atoms, n_max) % 2.0)
 
 
-def _excitation_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
+def excitation_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
     """Diagonal of b'b + sum_j (sz_j + 1)/2 in the composite basis."""
     dim_b = n_max + 1
     qubit_counts = np.array(
@@ -322,12 +322,6 @@ def _excitation_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
     return (qubit_counts[:, None] + fock[None, :]).ravel()
 
 
-def total_excitation_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """b'b + sum_j (sz_j + 1)/2 as a diagonal composite operator."""
-    return HermitianOperator(np.diag(_excitation_diagonal(n_atoms, n_max) + 0.0j))
-
-
-def photon_number_operator(n_atoms: int, n_max: int) -> HermitianOperator:
-    """b'b on the composite space (identity on the register factor)."""
-    number = np.diag(np.arange(n_max + 1, dtype=complex))
-    return HermitianOperator(np.kron(np.eye(2**n_atoms, dtype=complex), number))
+def photon_number_diagonal(n_atoms: int, n_max: int) -> np.ndarray:
+    """Diagonal of b'b on the composite space (identity on the register)."""
+    return np.tile(np.arange(n_max + 1, dtype=float), 2**n_atoms)

@@ -554,6 +554,27 @@ def test_cross_check_fails_a_beta_c_off_the_finite_sum_root(monkeypatch, capsys)
     )
 
 
+def test_kernel_check_fails_a_closed_form_off_the_finite_sums(monkeypatch, capsys):
+    # the check compares the finite sums with the production closed form
+    import dicketherm.cli as cli
+
+    def report():
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [l for l in lines if l.startswith("kernel-sum-vs-closed-form:")]
+        return line, sum(l.endswith(" FAIL") for l in lines)
+
+    assert main(["validate"]) == 0
+    line, failed = report()
+    assert line.endswith("tol=1.0e-08 PASS") and failed == 0
+    assert float(line.split("residual=")[1].split()[0]) <= 1e-14
+    monkeypatch.setattr(
+        cli, "convergence_bound", lambda p, beta: convergence_bound(p, beta) * (1.0 + 1e-6)
+    )
+    assert main(["validate"]) == 1
+    line, failed = report()
+    assert line.endswith("tol=1.0e-08 FAIL") and failed == 1
+
+
 def test_cross_check_evaluates_the_finite_sum_twice_per_point(monkeypatch, capsys):
     import dicketherm.cli as cli
 

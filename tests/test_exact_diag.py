@@ -13,9 +13,9 @@ from _oracles import (
     kron_spin_blocks,
     parity_halves,
     parity_join,
-    parity_operator,
-    photon_number_operator,
-    total_excitation_operator,
+    excitation_diagonal,
+    parity_diagonal,
+    photon_number_diagonal,
 )
 from dicketherm.exact_diag import (
     CurvePoint,
@@ -68,17 +68,11 @@ def test_rejects_nan_entries():
         HermitianOperator(np.array([[0.0, math.nan], [math.nan, 0.0]]))
 
 
-def test_real_input_stays_real_and_complex_stays_complex():
+def test_real_input_stays_real_and_complex_is_refused():
     source = np.array([[1.0, 2.0], [2.0, 3.0]])
-    for given, dtype in (
-        (source, np.float64),
-        (source.astype(np.float32), np.float64),
-        (np.array([[1, 2], [2, 3]]), np.float64),
-        (source + 0j, np.complex128),
-        (np.array([[0.0, 1j], [-1j, 0.0]]), np.complex128),
-    ):
+    for given in (source, source.astype(np.float32), np.array([[1, 2], [2, 3]])):
         h = HermitianOperator(given)
-        assert h.matrix.dtype == dtype
+        assert h.matrix.dtype == np.float64
         assert not h.matrix.flags.writeable
         assert np.array_equal(h.matrix, given)
     # a copy: the caller's array stays writable and unshared
@@ -88,8 +82,11 @@ def test_real_input_stays_real_and_complex_stays_complex():
     with pytest.raises(NotHermitianError, match="1.000e-09"):
         HermitianOperator(off)
     HermitianOperator(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
-    with pytest.raises(NotHermitianError):
-        HermitianOperator(np.array([[0.0, 1j], [1j, 0.0]]))
+    # complex input is refused, even with zero imaginary parts: the dense
+    # oracle is real
+    for given in (source + 0j, np.array([[0.0, 1j], [-1j, 0.0]])):
+        with pytest.raises(ValueError, match="must be real"):
+            HermitianOperator(given)
 
 
 def test_dimension_guard(monkeypatch):
@@ -126,7 +123,7 @@ def test_decoupled_photon_number_is_truncated_bose():
     p = ModelParams(1.0, 1.0)
     n_atoms, n_max = 2, 12
     h = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
-    num = photon_number_operator(n_atoms, n_max)
+    num = photon_number_diagonal(n_atoms, n_max)
     for beta in (0.7, 2.0):
         res = thermal_solve(h, beta, {"n": num})
         assert res.observables["n"] == pytest.approx(
@@ -138,7 +135,7 @@ def test_parity_expectation_limits():
     p = ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
     n_atoms, n_max = 2, 10
     h = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
-    pi = parity_operator(n_atoms, n_max)
+    pi = parity_diagonal(n_atoms, n_max)
     hot = thermal_solve(h, 1e-8, {"parity": pi})
     assert abs(hot.observables["parity"]) < 1e-9
     cold = thermal_solve(h, 40.0, {"parity": pi})
@@ -146,29 +143,33 @@ def test_parity_expectation_limits():
 
 
 def test_thermal_solve_refuses_a_non_diagonal_observable(monkeypatch):
+    # observables are given by their diagonals, so a matrix, or a diagonal
+    # of the wrong length, is refused before anything is diagonalized
     h = HermitianOperator(np.diag([0.0, 1.0]))
-    flip = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    number = HermitianOperator(np.diag([0.0, 1.0]))
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    number = np.array([0.0, 1.0])
 
     def poisoned(*args, **kwargs):
         raise AssertionError("diagonalized before the refusal")
 
     monkeypatch.setattr(np.linalg, "eigh", poisoned)
-    # its diagonal is zero, so reading only the diagonal would report 0
-    with pytest.raises(ValueError, match="observable 'flip' is not diagonal"):
-        thermal_solve(h, 1.0, {"n": number, "flip": flip})
+    for bad in (flip, np.array([0.0, 1.0, 2.0]), np.float64(1.0)):
+        with pytest.raises(
+            ValueError, match="observable 'flip' must be a diagonal of 2 values"
+        ):
+            thermal_solve(h, 1.0, {"n": number, "flip": bad})
 
 
 def test_rwa_eigenvectors_have_sharp_excitation_number():
     p = ModelParams(1.0, 0.61803, g1=0.3)
     n_atoms, n_max = 2, 6
     h = build_hamiltonian(HamiltonianKind.DICKE_RWA, p, n_atoms, n_max)
-    exc = total_excitation_operator(n_atoms, n_max).matrix
+    exc = excitation_diagonal(n_atoms, n_max)
     _, vecs = np.linalg.eigh(h.matrix)
     for k in range(vecs.shape[1]):
         v = vecs[:, k]
-        mean = v.conj() @ exc @ v
-        second = v.conj() @ exc @ exc @ v
+        mean = v @ (exc * v)
+        second = v @ (exc * exc * v)
         assert abs(second - mean**2) < 1e-12
 
 
@@ -234,7 +235,7 @@ KIND_SIZES = [
 )
 def test_sector_photon_density_matches_dense_oracle(kind, n_atoms):
     n_max = 8
-    number = photon_number_operator(n_atoms, n_max)
+    number = photon_number_diagonal(n_atoms, n_max)
     for g1, g2 in ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0)):
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         h = build_hamiltonian(kind, p, n_atoms, n_max)
@@ -391,7 +392,7 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
                     ]
                 else:
                     # the dense order q (n_max + 1) + n is a (n_max + 1) + n
-                    dense = build_hamiltonian(kind, p, 1, n_max).matrix.real
+                    dense = build_hamiltonian(kind, p, 1, n_max).matrix
                     spin = [(1, dense)]
                 stacked, photons, size, multiplicity = excitation_blocks(
                     kind, p, n_atoms, n_max

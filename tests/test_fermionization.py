@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import fermion_mode_ops, kron_fermion_dicke, physical_projector
+from _oracles import fermion_mode_ops, kron_fermion_dicke, physical_projector_diagonal
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.fermionization import (
     build_fermion_dicke,
@@ -44,17 +44,16 @@ def test_index_builder_matches_kron_reference(n_atoms, n_max, g1, g2):
 
 
 def test_projector_idempotent_with_expected_rank():
-    proj = physical_projector(2, 6)
-    m = proj.matrix
-    assert np.allclose(m @ m, m)
-    assert int(round(np.trace(m).real)) == 2**2 * 7
+    proj = physical_projector_diagonal(2, 6)
+    assert np.array_equal(proj * proj, proj)
+    assert np.sum(proj) == 2**2 * 7
 
 
 def test_projector_commutes_with_hamiltonian():
     p = ModelParams(1.0, 0.9, g1=0.5, g2=0.3)
     hf = build_fermion_dicke(p, 2, 5)
-    proj = physical_projector(2, 5)
-    comm = hf.matrix @ proj.matrix - proj.matrix @ hf.matrix
+    proj = np.diag(physical_projector_diagonal(2, 5))
+    comm = hf.matrix @ proj - proj @ hf.matrix
     assert np.max(np.abs(comm)) < 1e-12
 
 
@@ -63,8 +62,8 @@ def test_decoupled_unphysical_states_have_zero_qubit_energy():
     # carry no qubit energy, so their spectrum is the bare Fock ladder
     p = ModelParams(1.0, 1.0)
     hf = build_fermion_dicke(p, 1, 3)
-    proj = physical_projector(1, 3)
-    unphys = np.where(np.diag(proj.matrix).real < 0.5)[0]
+    proj = physical_projector_diagonal(1, 3)
+    unphys = np.where(proj < 0.5)[0]
     sub = hf.matrix[np.ix_(unphys, unphys)]
     ev = np.sort(np.linalg.eigvalsh(sub))
     ladder = np.sort([1.0 * n for n in range(4)] * 2)
@@ -74,8 +73,8 @@ def test_decoupled_unphysical_states_have_zero_qubit_energy():
 def test_decoupled_physical_spectrum():
     p = ModelParams(1.0, 1.0)
     hf = build_fermion_dicke(p, 1, 3)
-    proj = physical_projector(1, 3)
-    phys = np.where(np.diag(proj.matrix).real > 0.5)[0]
+    proj = physical_projector_diagonal(1, 3)
+    phys = np.where(proj > 0.5)[0]
     ev = np.sort(np.linalg.eigvalsh(hf.matrix[np.ix_(phys, phys)]))
     expected = np.sort([s + 1.0 * n for s in (-0.5, 0.5) for n in range(4)])
     assert np.allclose(ev, expected, atol=1e-12)
@@ -84,8 +83,8 @@ def test_decoupled_physical_spectrum():
 def test_physical_subspace_matches_spin_model():
     p = ModelParams(1.0, 1.0, g1=0.3, g2=0.2)
     hf = build_fermion_dicke(p, 2, 6)
-    proj = physical_projector(2, 6)
-    phys = np.where(np.diag(proj.matrix).real > 0.5)[0]
+    proj = physical_projector_diagonal(2, 6)
+    phys = np.where(proj > 0.5)[0]
     ev_f = np.sort(np.linalg.eigvalsh(hf.matrix[np.ix_(phys, phys)]))
     hs = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, 2, 6)
     ev_s = np.sort(np.linalg.eigvalsh(hs.matrix))
@@ -126,7 +125,7 @@ def test_trace_identity_real_eigensolve_keeps_the_complex_residuals(n_atoms):
     weights = np.exp(-betas[:, None] * (ev - ev[0]))
     number = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
     phased_diag = 1j**n_atoms * np.exp(-0.5j * np.pi * number)
-    phys_diag = np.diag(physical_projector(n_atoms, n_max).matrix).real
+    phys_diag = physical_projector_diagonal(n_atoms, n_max)
     amp2 = np.abs(vec) ** 2
     phased = weights @ (phased_diag @ amp2)
     physical = weights @ (phys_diag @ amp2)
@@ -159,7 +158,7 @@ def test_register_diagonals_match_per_state_loop(n_atoms):
     ]
     assert fermion_number_diagonal(n_atoms).tolist() == number
     n_max = 2
-    diag = np.diag(physical_projector(n_atoms, n_max).matrix).real
+    diag = physical_projector_diagonal(n_atoms, n_max)
     assert diag.tolist() == np.repeat(np.array(single, dtype=float), n_max + 1).tolist()
 
 
@@ -167,12 +166,12 @@ def test_unphysical_sector_phased_trace_cancels():
     p = ModelParams(1.0, 0.8, g1=0.4, g2=0.2)
     n_atoms, n_max, beta = 2, 5, 1.3
     hf = build_fermion_dicke(p, n_atoms, n_max)
-    proj = physical_projector(n_atoms, n_max)
+    proj = physical_projector_diagonal(n_atoms, n_max)
     nfull = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
     ev, vec = np.linalg.eigh(hf.matrix)
     boltz = (vec * np.exp(-beta * ev)) @ vec.conj().T
     phase = np.exp(-1j * np.pi * nfull / 2.0)
-    unphys = np.diag(proj.matrix).real < 0.5
+    unphys = proj < 0.5
     contribution = np.sum(phase[unphys] * np.diag(boltz)[unphys])
     assert abs(contribution) < 1e-10
 
@@ -181,8 +180,8 @@ def test_oracle_consistency_physical_trace_vs_thermal_solve():
     p = ModelParams(1.0, 1.0, g1=0.3, g2=0.2)
     n_atoms, n_max, beta = 2, 6, 1.3
     hf = build_fermion_dicke(p, n_atoms, n_max)
-    proj = physical_projector(n_atoms, n_max)
-    phys = np.where(np.diag(proj.matrix).real > 0.5)[0]
+    proj = physical_projector_diagonal(n_atoms, n_max)
+    phys = np.where(proj > 0.5)[0]
     ev = np.linalg.eigvalsh(hf.matrix[np.ix_(phys, phys)])
     z_phys = np.sum(np.exp(-beta * ev))
     hs = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)

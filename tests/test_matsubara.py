@@ -10,14 +10,14 @@ import _oracles
 from _oracles import finite_sum_critical_beta
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
+    _fermionic_frequencies,
+    _pair_levels,
+    _pair_summand,
     _pair_tail_integral,
     a0_c0_sum,
     bosonic_frequency,
     continue_kernels,
     fermionic_lorentzian_sum,
-    kernel_a,
-    kernel_c,
-    paired_pole_sum,
 )
 from dicketherm.operators import ModelParams
 from dicketherm.spectrum import (
@@ -33,6 +33,18 @@ from dicketherm.thermo import (
 )
 
 P_MIXED = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
+
+
+def matsubara_kernels(k, params, beta):
+    """(a, c) at the bosonic frequency 2 pi k / beta, from the z form."""
+    a, _, c = continue_kernels(1j * bosonic_frequency(k, beta), params, beta)
+    return a, c.real
+
+
+def bare_pair_sum(k, m, beta, cutoff):
+    """The pair sum over the window of ``cutoff`` alone, without its tails."""
+    q = _fermionic_frequencies(-cutoff - k, cutoff, beta)
+    return float(np.sum(_pair_summand(q, m, bosonic_frequency(k, beta))))
 
 
 def test_frequency_conventions():
@@ -61,24 +73,18 @@ def test_truncation_error_scaling():
     beta, m = 3.0, 0.7
     exact = beta / (2.0 * m) * math.tanh(beta * m / 2.0)
     # bare truncation of the paired sum loses one power per doubling
-    raw = [
-        abs(paired_pole_sum(0, 2.0 * m, beta, cutoff, tail=False) - exact)
-        for cutoff in (128, 256, 512)
-    ]
+    raw = [abs(bare_pair_sum(0, m, beta, cutoff) - exact) for cutoff in (128, 256, 512)]
     assert raw[0] / raw[1] == pytest.approx(2.0, rel=0.05)
     assert raw[1] / raw[2] == pytest.approx(2.0, rel=0.05)
     # the tail-corrected sum gains five powers per doubling
-    corrected = [
-        abs(fermionic_lorentzian_sum(m, beta, cutoff, extrapolate=False) - exact)
-        for cutoff in (64, 128)
-    ]
+    corrected = [abs(level - exact) for level in _pair_levels(0, m, beta, (64, 128))]
     assert corrected[0] / corrected[1] == pytest.approx(32.0, rel=0.3)
     # Richardson on top beats the plain corrected sum at equal cutoff
     assert abs(fermionic_lorentzian_sum(m, beta, 128) - exact) < corrected[1]
 
 
 def test_paired_pole_sum_converges_under_doubling():
-    vals = [paired_pole_sum(3, 0.9, 2.5, cutoff) for cutoff in (128, 256, 512)]
+    vals = [_pair_levels(3, 0.45, 2.5, (cutoff,))[0] for cutoff in (128, 256, 512)]
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[2]) + 1e-15
     assert abs(vals[1] - vals[2]) < 1e-9
 
@@ -89,7 +95,8 @@ def test_finite_sum_matches_closed_kernels_at_high_temperature(beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kv = a0_c0_sum(0, P_MIXED, beta)
-    closed = kernel_a(0, P_MIXED, beta).real + 2.0 * kernel_c(0, P_MIXED, beta)
+    a, c = matsubara_kernels(0, P_MIXED, beta)
+    closed = a.real + 2.0 * c
     assert kv.a.real + 2.0 * kv.c == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
@@ -125,13 +132,13 @@ def test_pair_tail_pinned_values(cutoff, beta, Omega, k, reference):
 
 
 def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
-    assert paired_pole_sum(20, 0.9, 2.5, 10) > 0.0
+    assert _pair_levels(20, 0.45, 2.5, (10,))[0] > 0.0
     with pytest.raises(ValueError, match="beyond twice the cutoff"):
-        paired_pole_sum(21, 0.9, 2.5, 10)
+        _pair_levels(21, 0.45, 2.5, (10,))
+    # the finite-sum kernels are even in the index and refuse it as well
+    assert a0_c0_sum(-20, P_MIXED, 2.5, 10) == a0_c0_sum(20, P_MIXED, 2.5, 10)
     with pytest.raises(ValueError, match="beyond twice the cutoff"):
-        paired_pole_sum(-21, 0.9, 2.5, 10)
-    # the bare partial sum needs no tail
-    assert paired_pole_sum(21, 0.9, 2.5, 10, tail=False) > 0.0
+        a0_c0_sum(-21, P_MIXED, 2.5, 10)
 
 
 @pytest.mark.parametrize("k", [0, 3, 50])
@@ -139,8 +146,9 @@ def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
 def test_one_window_kernels_match_two_paired_sums(k, beta):
     # a0_c0_sum sums the 2M window once and slices the M window out of it
     cutoff = 512
-    coarse = paired_pole_sum(k, P_MIXED.Omega, beta, cutoff)
-    fine = paired_pole_sum(k, P_MIXED.Omega, beta, 2 * cutoff)
+    m = P_MIXED.Omega / 2.0
+    (coarse,) = _pair_levels(k, m, beta, (cutoff,))
+    (fine,) = _pair_levels(k, m, beta, (2 * cutoff,))
     pair_sum = (32.0 * fine - coarse) / 31.0
     root = np.sqrt(P_MIXED.omega0**2 + bosonic_frequency(k, beta) ** 2)
     a_weight = (P_MIXED.g1**2 + P_MIXED.g2**2) / (beta * root)
@@ -155,8 +163,7 @@ def test_one_window_kernels_match_two_paired_sums(k, beta):
 def test_kernel_zero_frequency_closed_forms():
     beta = 2.0
     t = tanh_factor(P_MIXED, beta)
-    a0 = kernel_a(0, P_MIXED, beta)
-    c0 = kernel_c(0, P_MIXED, beta)
+    a0, c0 = matsubara_kernels(0, P_MIXED, beta)
     assert a0.imag == pytest.approx(0.0, abs=1e-15)
     expected_a = t * (P_MIXED.g1**2 + P_MIXED.g2**2) / (P_MIXED.Omega * P_MIXED.omega0)
     expected_c = t * P_MIXED.g1 * P_MIXED.g2 / (P_MIXED.omega0 * P_MIXED.Omega)
@@ -166,23 +173,48 @@ def test_kernel_zero_frequency_closed_forms():
 
 def test_kernel_a_quantum_critical_normalization():
     p = ModelParams(1.5, 0.6, g1=math.sqrt(1.5 * 0.6), g2=0.0)
-    assert kernel_a(0, p, 500.0).real == pytest.approx(1.0, abs=1e-12)
+    assert matsubara_kernels(0, p, 500.0)[0].real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_a_conjugation():
     for k in (1, 3, 10):
-        a_plus = kernel_a(k, P_MIXED, 1.7)
-        a_minus = kernel_a(-k, P_MIXED, 1.7)
+        a_plus, _ = matsubara_kernels(k, P_MIXED, 1.7)
+        a_minus, _ = matsubara_kernels(-k, P_MIXED, 1.7)
         assert a_minus == pytest.approx(a_plus.conjugate())
+        # a(-z) comes with a(z) from one evaluation
+        z = 1j * bosonic_frequency(k, 1.7)
+        assert continue_kernels(z, P_MIXED, 1.7)[1] == a_minus
 
 
 def test_kernel_c_even_positive_decreasing():
     beta = 1.7
-    values = [kernel_c(k, P_MIXED, beta) for k in range(6)]
-    assert kernel_c(-3, P_MIXED, beta) == pytest.approx(values[3])
+    values = [matsubara_kernels(k, P_MIXED, beta)[1] for k in range(6)]
+    assert matsubara_kernels(-3, P_MIXED, beta)[1] == pytest.approx(values[3])
     assert all(v > 0.0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert kernel_c(2, ModelParams(1.0, 1.0, g1=0.5), beta) == 0.0
+    assert matsubara_kernels(2, ModelParams(1.0, 1.0, g1=0.5), beta)[1] == 0.0
+    # real on the Matsubara axis
+    for k in (-3, 0, 5):
+        z = 1j * bosonic_frequency(k, beta)
+        assert continue_kernels(z, P_MIXED, beta)[2].imag == 0.0
+
+
+# kernel_a and kernel_c of the Matsubara-axis closed forms that the z form
+# replaced, at P_MIXED and beta = 1.7: (k, a, c)
+PINNED_MATSUBARA_KERNELS = [
+    (0, (0.20467337175544084 + 0j), 0.08816699091003605),
+    (3, (-0.0008482219490206751 + 0.00022372101218435993j), 5.316835193752984e-05),
+    (-7, (-0.0001603969008509741 - 1.788341276581879e-05j), 4.226489273396439e-06),
+]
+
+
+@pytest.mark.parametrize(
+    "k, a, c", PINNED_MATSUBARA_KERNELS, ids=["k=0", "k=3", "k=-7"]
+)
+def test_z_form_reproduces_the_matsubara_kernels(k, a, c):
+    got_a, got_c = matsubara_kernels(k, P_MIXED, 1.7)
+    assert got_a == a
+    assert abs(got_c - c) <= 2.0 * math.ulp(c)
 
 
 def test_finite_sum_value_shape():
@@ -195,8 +227,9 @@ def test_finite_sum_value_shape():
         assert kv.a.real > 0.0
         assert kv.c > 0.0
     kv0 = a0_c0_sum(0, P_MIXED, beta)
-    assert kv0.a.real == pytest.approx(kernel_a(0, P_MIXED, beta).real, abs=1e-8)
-    assert kv0.c == pytest.approx(kernel_c(0, P_MIXED, beta), abs=1e-8)
+    a, c = matsubara_kernels(0, P_MIXED, beta)
+    assert kv0.a.real == pytest.approx(a.real, abs=1e-8)
+    assert kv0.c == pytest.approx(c, abs=1e-8)
 
 
 def test_finite_sum_zero_coupling_prefactors():
@@ -246,11 +279,13 @@ def test_high_frequency_decay_envelope():
 
 
 def test_continuation_at_origin_reduces_to_kernels():
+    # the real axis and the Matsubara axis meet at z = 0, omega_0
     beta = 1.9
     a_plus, a_minus, c = continue_kernels(0.0, P_MIXED, beta)
-    assert a_plus == pytest.approx(kernel_a(0, P_MIXED, beta))
+    a0, c0 = matsubara_kernels(0, P_MIXED, beta)
+    assert a_plus == pytest.approx(a0)
     assert a_minus == pytest.approx(a_plus)
-    assert c.real == pytest.approx(kernel_c(0, P_MIXED, beta))
+    assert c.real == pytest.approx(c0)
     assert abs(c.imag) < 1e-15
 
 
@@ -339,13 +374,11 @@ def test_finite_sum_critical_beta_evaluates_each_beta_once(monkeypatch):
     "call",
     [
         lambda beta: fermionic_lorentzian_sum(0.5, beta),
-        lambda beta: paired_pole_sum(0, 1.0, beta, 64),
         lambda beta: a0_c0_sum(0, P_MIXED, beta),
         lambda beta: verify_trace_identity(P_MIXED, 1, 4, np.array([1.0, beta])),
     ],
     ids=[
         "fermionic_lorentzian_sum",
-        "paired_pole_sum",
         "a0_c0_sum",
         "verify_trace_identity",
     ],
@@ -357,26 +390,30 @@ def test_oracles_refuse_a_bad_beta(call, bad):
 
 def test_closed_kernels_keep_accepting_infinite_beta():
     # closed forms, like thermo: beta = inf is the zero-temperature limit
-    assert kernel_a(0, P_MIXED, math.inf) == pytest.approx(
-        kernel_a(0, P_MIXED, 1e3), rel=1e-12
-    )
-    assert kernel_c(0, P_MIXED, math.inf) == pytest.approx(
-        kernel_c(0, P_MIXED, 1e3), rel=1e-12
-    )
+    for z in (0j, 0.5, 2.0):
+        cold = continue_kernels(z, P_MIXED, math.inf)
+        assert cold == pytest.approx(continue_kernels(z, P_MIXED, 1e3), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf])
+@pytest.mark.parametrize("z", [0.5, 3j], ids=["real-axis", "matsubara-axis"])
+def test_closed_kernels_refuse_a_non_positive_beta(z, bad):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        continue_kernels(z, P_MIXED, bad)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda beta: kernel_a(0, P_MIXED, beta),
-        lambda beta: kernel_c(0, P_MIXED, beta),
+        lambda beta: matsubara_kernels(3, P_MIXED, beta)[0],
+        lambda beta: continue_kernels(0.5, P_MIXED, beta),
         lambda beta: a0_c0_sum(0, P_MIXED, beta),
         lambda beta: verify_trace_identity(ModelParams(1, 1, g1=0.4), 1, 4, beta),
         lambda beta: dispersion_residual(0.5, ModelParams(1, 1, g1=0.5), beta),
     ],
     ids=[
-        "kernel_a",
-        "kernel_c",
+        "continue_kernels-matsubara",
+        "continue_kernels-real",
         "a0_c0_sum",
         "verify_trace_identity",
         "dispersion_residual",

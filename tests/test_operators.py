@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.operators as operators
-from _oracles import parity_operator, photon_number_operator, total_excitation_operator
+from _oracles import excitation_diagonal, parity_diagonal, photon_number_diagonal
 from dicketherm.operators import (
     COLLECTIVE_KINDS,
     EXCITATION_KINDS,
@@ -98,16 +99,16 @@ def test_decoupled_spectrum_is_direct_sum():
 def test_generalized_dicke_parity_commutes():
     p = ModelParams(1.0, 1.2, g1=0.8, g2=0.5)
     h = build_hamiltonian(HamiltonianKind.GENERALIZED_DICKE, p, 2, 8)
-    pi = parity_operator(2, 8)
-    comm = h.matrix @ pi.matrix - pi.matrix @ h.matrix
+    pi = np.diag(parity_diagonal(2, 8))
+    comm = h.matrix @ pi - pi @ h.matrix
     assert np.max(np.abs(comm)) < 1e-12
 
 
 def test_rwa_conserves_total_excitation():
     p = ModelParams(1.0, 0.9, g1=0.6)
     h = build_hamiltonian(HamiltonianKind.DICKE_RWA, p, 3, 5)
-    nex = total_excitation_operator(3, 5)
-    comm = h.matrix @ nex.matrix - nex.matrix @ h.matrix
+    nex = np.diag(excitation_diagonal(3, 5))
+    comm = h.matrix @ nex - nex @ h.matrix
     assert np.max(np.abs(comm)) < 1e-12
 
 
@@ -154,6 +155,23 @@ def test_dimension_guard():
         build_hamiltonian(gd, p, 20000, 4)
 
 
+def test_dimension_guard_refuses_a_huge_register_at_once(monkeypatch):
+    # the refusal compares against the ceiling without forming 2^N
+    gd, p = HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0, 0.5)
+    start = time.perf_counter()
+    with pytest.raises(
+        DimensionLimitError,
+        match=r"^matrix of 2\^100000000 x 5 rows exceeds limit 6000 \(N=100000000, n_max=4\)$",
+    ):
+        build_hamiltonian(gd, p, 10**8, 4)
+    assert time.perf_counter() - start < 10e-3
+    # 2^3 * 5 rows fill the ceiling exactly, and 2^4 * 5 pass it
+    monkeypatch.setattr(operators, "DIMENSION_LIMIT", 40)
+    assert build_hamiltonian(gd, p, 3, 4).dimension == 40
+    with pytest.raises(DimensionLimitError, match=r"^matrix of 80 rows exceeds limit 40 "):
+        build_hamiltonian(gd, p, 4, 4)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_dense_matrix_is_real_and_read_only(kind):
     n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 3
@@ -192,19 +210,16 @@ def test_dense_basis_layout(n_atoms):
 
 
 def test_parity_operator_signs_and_involution():
-    pi = parity_operator(1, 1)
-    m = pi.matrix
-    assert np.allclose(m, np.diag(np.diag(m)))
-    assert np.allclose(m @ m, np.eye(4))
-    assert np.trace(m) == pytest.approx(0.0)
-    signs = sorted(np.diag(m).real)
+    pi = parity_diagonal(1, 1)
+    assert np.array_equal(pi * pi, np.ones(4))
+    assert np.sum(pi) == 0.0
+    signs = sorted(pi)
     assert signs == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
 
 def test_photon_number_operator_diagonal():
-    n_op = photon_number_operator(1, 3)
-    diag = np.diag(n_op.matrix).real
-    assert sorted(set(np.round(diag, 12))) == [0.0, 1.0, 2.0, 3.0]
+    diag = photon_number_diagonal(1, 3)
+    assert diag.tolist() == [0.0, 1.0, 2.0, 3.0] * 2
 
 
 def test_hermitian_operator_rejects_non_hermitian():
