@@ -714,7 +714,7 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
         p = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
         kv = a0_c0_sum(0, p, beta)
         # the bound is the production closed form of a0(0) + 2 c0(0)
-        worst = max(worst, abs(kv.a.real + 2.0 * kv.c - convergence_bound(p, beta)))
+        worst = max(worst, abs(kv.a + 2.0 * kv.c - convergence_bound(p, beta)))
     checks.append(("kernel-sum-vs-closed-form", worst, 1e-8))
 
     # one eigensolve per register serves both temperatures
@@ -746,7 +746,7 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
         closed = critical_beta(p)
         lo, hi = closed * (1.0 - tol), closed * (1.0 + tol)
         kvs = [a0_c0_sum(0, p, b) for b in (lo, hi)]
-        below, above = (kv.a.real + 2.0 * kv.c - 1.0 for kv in kvs)
+        below, above = (kv.a + 2.0 * kv.c - 1.0 for kv in kvs)
         if below < 0.0 < above:
             root = lo - below * (hi - lo) / (above - below)
             worst = max(worst, abs(root - closed) / closed)

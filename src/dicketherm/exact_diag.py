@@ -9,35 +9,33 @@ each observable as its diagonal in the same basis; with the matrix of
 ``build_hamiltonian`` it is the dense small-N oracle, and no ladder rung
 uses either.  The photon-density ladder of ``photon_density_curve``
 solves each rung on blocks of one total spin j, (2j + 1)(n_max + 1)
-rows with multiplicity d_j, by one of two routes, chosen from the kind:
+rows with multiplicity d_j, from one builder, ``operators.block_stacks``,
+whatever the kind.  It splits each spin block by the label the kind
+conserves and hands back stacks of equal-width blocks, each solved by
+one batched ``eigh`` call:
 
-- generalized Dicke splits each spin block by the parity
-  (m + j + n) mod 2 and solves it as one parity pair
-  (``operators.parity_pairs``): both halves, about
-  (2j + 1)(n_max + 1)/2 rows each, in one batched ``eigh`` call, so a
-  rung takes floor(N/2) + 1 calls;
+- generalized Dicke conserves the parity (m + j + n) mod 2, and gets one
+  parity pair per spin block: both halves, about (2j + 1)(n_max + 1)/2
+  rows each, so a rung takes floor(N/2) + 1 calls;
 - every other kind conserves an excitation number K = s (m + j) + n,
-  s = 2 for two-photon Jaynes-Cummings and 1 otherwise, so each spin
-  block splits further into tridiagonal K-blocks of at most
-  min(2j, n_max // s) + 1 rows (``operators.excitation_blocks``).  The
-  single-atom kinds are the N = 1 case, one spin block j = 1/2.  The
-  K-blocks of every j, padded to one size, form one stack per rung,
-  diagonalized by one batched ``eigh`` call.
+  s = 2 for two-photon Jaynes-Cummings and 1 otherwise, and gets one
+  stack of the tridiagonal K-blocks of every j, at most
+  min(N, n_max // s) + 1 rows each, so a rung takes one call.  The
+  single-atom kinds are the N = 1 case, one spin block j = 1/2.
 
-Both builders hand back the same four arrays: the stack, each row's
-photon number, each block's true size and each block's multiplicity.
-The padded eigenpairs are dropped by index, and one reduction sums
-d_j Tr over all blocks with one shared ground-energy shift.  What
-does not depend on the parameters sits in the structure cache of
-``operators``: the index pattern of each spin block's parity pair,
-keyed by (kind, 2j, n_max), and the K-block layout of each stack, keyed
-by (kind, N, n_max), at most ``operators.STRUCTURE_CACHE_BYTES``
-(32 MB) in all.  A rung of new parameters only scales these read-only
-templates.  That saves work only where a process builds a key again: a
-spin block 2j recurs across the N of one ladder, but one ladder uses
-each stack (N, n_max) once, so a single ladder of an excitation kind
-reuses nothing and pays a little more than an uncached build; the
-nodes of a sweep, or later curves in one process, reuse every stack.
+Each stack comes with each row's photon number, each block's true size
+and each block's multiplicity.  The padded eigenpairs are dropped by
+index, and one reduction sums d_j Tr over all blocks with one shared
+ground-energy shift.  What does not depend on the parameters sits in
+the structure cache of ``operators``, keyed by (kind, 2j values, n_max):
+per spin block for generalized Dicke, per N for every other kind, at
+most ``operators.STRUCTURE_CACHE_BYTES`` (32 MB) in all.  A rung of new
+parameters only scales these read-only templates.  That saves work
+only where a process builds a key again: a spin block 2j recurs across
+the N of one ladder, but one ladder uses each stack (N, n_max) once, so
+a single ladder of any other kind reuses nothing and pays a little
+more than an uncached build; the nodes of a sweep, or later curves in
+one process, reuse every stack.
 
 The fixed ceiling ``operators.DIMENSION_LIMIT`` bounds the full spin
 block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
@@ -62,16 +60,14 @@ import numpy as np
 
 from dicketherm import operators
 from dicketherm.operators import (
-    EXCITATION_KINDS,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
+    block_stacks,
     build_hamiltonian,
     check_beta,
     check_spin_block_size,
-    excitation_blocks,
-    parity_pairs,
 )
 
 __all__ = [
@@ -166,11 +162,8 @@ def _photon_density(
 ) -> float:
     """Thermal <b'b> at one truncation, one batched ``eigh`` per stack."""
     check_beta(beta)
-    if kind in EXCITATION_KINDS:
-        stacks = [excitation_blocks(kind, params, n_atoms, n_max)]
-    else:
-        stacks = parity_pairs(kind, params, n_atoms, n_max)
     energies, photons, multiplicities = [], [], []
+    stacks = block_stacks(kind, params, n_atoms, n_max)
     for blocks, number, size, multiplicity in stacks:
         eigenvalues, eigenvectors = np.linalg.eigh(blocks)
         kept = np.arange(blocks.shape[1]) < size[:, None]
@@ -194,7 +187,7 @@ def _ladder(
     """First converged rung and the photon numbers at it and its doubling.
 
     Each rung is solved once; no result is kept beyond the call, only
-    the builders' parameter-free structures.  The builders refuse a rung
+    the builder's parameter-free structures.  The builder refuses a rung
     past the dimension ceiling before building it, which ends the ladder.
     """
     n_max = _BASE_RUNG
@@ -222,7 +215,7 @@ def check_ladder_inputs(
 ) -> None:
     """Raise the ValueError the ladder would raise for these inputs.
 
-    That includes the builders' ``DimensionLimitError`` for an N whose
+    That includes the builder's ``DimensionLimitError`` for an N whose
     first rung, or that rung's doubling, is past
     ``operators.DIMENSION_LIMIT``: the ladder needs both to converge.
     Solves nothing, so a caller can refuse a curve before writing any of
@@ -283,12 +276,12 @@ def photon_density_curve(
         Before any rung is solved, for any N of ``N_list``: a NaN or
         non-positive ``target_tol``, a non-finite or non-positive
         ``beta``, N < 1, a single-atom kind at N != 1, an N whose first
-        rung or its doubling the builders refuse (``DimensionLimitError``:
+        rung or its doubling the builder refuses (``DimensionLimitError``:
         N >= 352, whose spin block at n_max = 16 has (N + 1) 17 > 6000
         rows), or an intensity-dependent or two-photon kind with
         g1 sqrt(N) >= omega0, which has no thermal state.
     TruncationConvergenceError
-        When the builders refuse the next doubling (see the module
+        When the builder refuses the next doubling (see the module
         docstring) before the ladder converges, the expected outcome deep
         in the superradiant phase, where occupation scales with N.
     """

@@ -80,7 +80,7 @@ def bosonic_frequency(n: int, beta: float) -> float:
 class KernelValue:
     """One finite-sum kernel pair and its cutoff-doubling spread."""
 
-    a: complex
+    a: float
     c: float
     tail_estimate: float = field(default=0.0, compare=False)
 
@@ -223,7 +223,7 @@ def a0_c0_sum(
     a0_tail = (params.g1**2 + params.g2**2) / (beta * root) * spread
     c0_tail = params.omega0 * params.g1 * params.g2 / (beta * root**2) * spread
     return KernelValue(
-        a=complex(a0), c=float(c0), tail_estimate=a0_tail + 2.0 * c0_tail
+        a=float(a0), c=float(c0), tail_estimate=a0_tail + 2.0 * c0_tail
     )
 
 

@@ -8,34 +8,34 @@ its two-photon and intensity-dependent variants.  The dense builder,
 Kronecker products into a ``HermitianOperator``, which holds real
 matrices only; with ``exact_diag.thermal_solve`` it is the small-N
 oracle.  The production solvers run on blocks of one total spin j,
-(2j + 1)(n_max + 1) rows in the order |m> x |n>, and two builders write
-them.  ``parity_pairs`` writes each spin block of a collective kind as
-one parity pair: the two halves of the parity of (m + j + n), stacked,
-for generalized Dicke.  Every other kind
-conserves an excitation number K = s (m + j) + n, with s = 2 for
-two-photon Jaynes-Cummings and 1 otherwise, and ``excitation_blocks``
-builds the tridiagonal K-blocks of all its spin blocks as one stack
-per truncation (``EXCITATION_KINDS``); a single-atom kind is the N = 1
-case, whose one spin block is the whole space.  Both stack builders
-return the stack, each row's photon number, each block's true size and
-each block's multiplicity, and pad short blocks with decoupled rows
-that sort last.  Every builder refuses, before building anything, a
-matrix of more than ``DIMENSION_LIMIT`` rows: the spin block builders
-count the full spin block, (N + 1)(n_max + 1) rows, whatever it is
-split into; the dense builder counts 2^N (n_max + 1) without forming
-2^N, so a register of any size is refused at once.
+(2j + 1)(n_max + 1) rows in the order |m> x |n>, and one builder,
+``block_stacks``, writes them for every kind.  It splits each spin
+block by the label its kind conserves: the parity of (m + j + n) for
+generalized Dicke, and for every other kind the excitation number
+K = s (m + j) + n, with s = 2 for two-photon Jaynes-Cummings and 1
+otherwise; a single-atom kind is the N = 1 case, whose one spin block is
+the whole space.  Generalized Dicke gets one parity pair per spin
+block, every other kind one stack of the tridiagonal K-blocks of all its
+spin blocks.  Each stack comes with each row's photon number, each
+block's true size and each block's multiplicity, and short blocks are
+padded with decoupled rows that sort last.  Every builder refuses,
+before building anything, a matrix of more than ``DIMENSION_LIMIT``
+rows: ``block_stacks`` counts the full spin block, (N + 1)(n_max + 1)
+rows, whatever it is split into; the dense builder counts
+2^N (n_max + 1) without forming 2^N, so a register of any size is
+refused at once.
 
-The spin block builders split their work in two.  What does not depend
-on ``ModelParams`` is built once and cached: per (kind, 2j, n_max), a
-spin block's unit amplitudes and the flat positions of its entries in
-its parity pair; per (kind, N, n_max), the layout of the
-``excitation_blocks`` stack and its unit couplings.  A call checks the
-sizes, then only scales these read-only templates by omega0, Omega and
-g / sqrt(N).  The cache drops its least recently used structures to
-hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects
-it on or off.  It pays only when a process asks for a key again: a call
-that misses builds the structure and then scales it, a few microseconds
-more than building the block outright.
+``block_stacks`` splits its work in two.  What does not depend on
+``ModelParams`` is built once per (kind, 2j values, n_max) and cached:
+each row's place in the stack, its m and photon number, and the unit
+amplitudes of the coupled pairs of rows with their flat positions.
+Generalized Dicke keys it per spin block 2j, every other kind per N.  A
+call checks the sizes, then only scales these read-only templates by
+omega0, Omega and g / sqrt(N).  The cache drops its least recently used
+structures to hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all;
+nothing selects it on or off.  It pays only when a process asks for a
+key again: a call that misses builds the structure and then scales it,
+a few microseconds more than building the block outright.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -46,30 +46,28 @@ bit pattern and ``n`` the boson occupation.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, inf, sqrt
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "COLLECTIVE_KINDS",
     "DIMENSION_LIMIT",
     "DimensionLimitError",
-    "EXCITATION_KINDS",
     "HamiltonianKind",
     "HermitianOperator",
     "ModelParams",
     "NotHermitianError",
     "SINGLE_ATOM_KINDS",
+    "block_stacks",
     "build_hamiltonian",
     "check_beta",
     "check_spin_block_size",
-    "excitation_blocks",
-    "parity_pairs",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -80,8 +78,10 @@ HERMITICITY_TOL = 1e-12
 DIMENSION_LIMIT = 6000
 
 # Bytes the cache of parameter-free block structures may hold in all.  The
-# largest structure under DIMENSION_LIMIT, the excitation structure at
-# N = 665 and n_max = 8, holds 25 MB; a spin block's at most 0.4 MB.
+# largest structure of a ladder rung (n_max = 8, 16, ...) under
+# DIMENSION_LIMIT, the dicke-rwa stack at N = 665 and n_max = 8, holds
+# 30.2 MiB; a spin block's at most 0.3 MiB.  Off the ladder, n_max < 8
+# allows larger ones, which are built and not kept.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
@@ -187,19 +187,6 @@ SINGLE_ATOM_KINDS = frozenset(
         HamiltonianKind.INTENSITY_JC,
     }
 )
-
-# Kinds whose atoms enter only through the collective spin J = sum_i s_i / 2.
-COLLECTIVE_KINDS = frozenset(
-    {
-        HamiltonianKind.GENERALIZED_DICKE,
-        HamiltonianKind.DICKE_RWA,
-        HamiltonianKind.INTENSITY_DICKE,
-    }
-)
-
-# Kinds that conserve an excitation number K = s (m + j) + b'b.
-EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DICKE}
-
 
 def _check_size(
     kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int | None
@@ -308,183 +295,49 @@ def build_hamiltonian(
     return HermitianOperator(h)
 
 
-def parity_pairs(
+def block_stacks(
     kind: HamiltonianKind,
     params: ModelParams,
     n_atoms: int,
     n_max: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Both parity halves of each spin block as one stack ``(H, n, size, d)``.
+    """The spin blocks of ``kind``, split by the label it conserves, as stacks.
 
-    A collective Hamiltonian commutes with J^2, so on the 2^N register it
-    splits into spin blocks |j, m> x Fock, j = N/2, N/2 - 1, ..., down to
-    0 or 1/2, each repeated ``d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)``
-    times (Shammah et al., PRA 98, 063815, 2018).  Row a (n_max + 1) + n
-    of block j holds |m = a - j> x |n>, and the block is the real
-    symmetric matrix
+    Every Hamiltonian of the family commutes with J^2, so on the 2^N
+    register it splits into spin blocks |j, m> x Fock, j = N/2,
+    N/2 - 1, ..., down to 0 or 1/2, each repeated
+    ``d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)`` times (Shammah et al.,
+    PRA 98, 063815, 2018); a single-atom kind is the N = 1 case, whose
+    one spin block is the whole space.  Row a (n_max + 1) + n of block j
+    holds |m = a - j> x |n>, and the block is the real symmetric matrix
 
         omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)
 
     with ``op`` = b (g1) and b' (g2) for GENERALIZED_DICKE, b (g1) for
-    DICKE_RWA and b (b'b)^(1/2) (g1) for INTENSITY_DICKE, exactly as in
+    DICKE_RWA and JAYNES_CUMMINGS, b^2 (g1) for TWO_PHOTON_JC and
+    b (b'b)^(1/2) (g1) for the intensity-dependent kinds, exactly as in
     ``build_hamiltonian``, whose spectrum is the union of the blocks'
-    spectra with multiplicities d_j.  Every collective coupling moves a
-    and n together or oppositely by one, so the block has no entry
-    between the parities (a + n) mod 2 = 0 and 1.
+    spectra with multiplicities d_j.  Each spin block splits further by
+    the label its kind conserves, a = m + j:
 
-    One item per j, j = N/2 first, built lazily; the arguments are
-    checked on the call.  ``H`` has shape (2, h, h),
-    h = ceil((2j + 1)(n_max + 1) / 2), and ``H[p]`` is the block
-    restricted to parity p, written straight from the block's entries:
-    row (a, n) goes to position (a (n_max + 1) + n) // 2 of half
-    (a + n) mod 2, which keeps the block's row order for even and odd
-    n_max.  ``n`` (shape (2, h)) holds each row's photon number, ``size``
-    each half's true row count and ``d`` the multiplicity d_j of both.
-    ``n`` and ``size`` are shared, read-only arrays of the structure
-    cache; ``H`` and ``d`` are the caller's own.
+    - generalized Dicke: the parity (a + n) mod 2, as every coupling
+      moves a and n together or oppositely by one;
+    - every other kind: the excitation number K = s a + n, K = 0 .. s 2j
+      + n_max, with the photon step s = 2 for TWO_PHOTON_JC and 1
+      otherwise.  Each K-block is tridiagonal, rows
+      a = max(0, ceil((K - n_max) / s)) .. min(K // s, 2j).
 
-    When the block has an odd number of rows, the odd half is one row
-    short and ``H[1]`` ends in a padding row: decoupled, photon number 0,
-    with a diagonal of twice the half's largest absolute row sum, which
-    bounds its levels, so it sorts last.  Drop padded eigenpairs by index
-    (>= size), not by energy.
-
-    Raises
-    ------
-    DimensionLimitError
-        If the largest block, (N + 1)(n_max + 1), exceeds ``DIMENSION_LIMIT``.
-    ValueError
-        For a kind outside ``COLLECTIVE_KINDS``, N < 1 or n_max < 2.
-    """
-    if kind not in COLLECTIVE_KINDS:
-        raise ValueError(f"{kind.value} has no collective-spin blocks")
-    check_spin_block_size(kind, n_atoms, n_max)
-    # g1 scales the first coupling, g2 generalized Dicke's second
-    scales = (params.g1 / sqrt(n_atoms), params.g2 / sqrt(n_atoms))
-
-    def pair(d: int, two_j: int) -> tuple[np.ndarray, ...]:
-        structure = _structures.get(_spin_block, kind, two_j, n_max)
-        diagonal = np.add.outer(
-            params.Omega * structure.spin, params.omega0 * structure.fock
-        ).ravel()
-        values = np.concatenate([s * unit for s, unit in zip(scales, structure.units)])
-        width = structure.number.shape[1]
-        h = np.zeros((2, width, width))
-        flat = h.reshape(-1)
-        flat[structure.diagonal_at] = diagonal
-        flat[structure.below_at] = values
-        flat[structure.above_at] = values
-        if diagonal.size % 2:
-            # the largest absolute row sum bounds every level of the half
-            h[1, -1, -1] = 2.0 * np.abs(h[1]).sum(axis=1).max()
-        return h, structure.number, structure.size, np.array([d, d], dtype=float)
-
-    return (pair(d, two_j) for d, two_j in _spin_multiplicities(n_atoms))
-
-
-class _SpinBlock(NamedTuple):
-    """Parameter-free structure of spin block 2j of a collective kind.
-
-    Row a (n_max + 1) + n holds |m = a - j> x |n>; ``spin`` is m and
-    ``fock`` n by factor.  ``units`` holds each coupling's
-    sqrt((2j - a)(a + 1)) amp(n) on its coupled pairs of rows, couplings
-    in turn.  The ``*_at`` arrays are flat positions in the (2, h, h)
-    parity pair of the diagonal and of both orientations of each coupled
-    pair; ``number`` and ``size`` are the pair's photon numbers and true
-    half sizes.
-    """
-
-    spin: np.ndarray
-    fock: np.ndarray
-    units: tuple[np.ndarray, ...]
-    diagonal_at: np.ndarray
-    below_at: np.ndarray
-    above_at: np.ndarray
-    number: np.ndarray
-    size: np.ndarray
-
-
-def _spin_block(kind: HamiltonianKind, two_j: int, n_max: int) -> _SpinBlock:
-    fock = np.arange(n_max + 1, dtype=float)
-    a = np.arange(two_j + 1)
-    # J+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, with j - m = 2j - a
-    raising = np.sqrt((two_j - a[:-1]) * (a[:-1] + 1.0))
-    sources, targets, units = [], [], []
-    for shift, amplitude in _collective_ops(kind, n_max):
-        n = np.flatnonzero(amplitude)
-        source = (a[:-1, None] * fock.size + n).ravel()
-        sources.append(source)
-        targets.append(source + fock.size + shift)
-        units.append(np.multiply.outer(raising, amplitude[n]).ravel())
-    source, target = np.concatenate(sources), np.concatenate(targets)
-
-    rows = (two_j + 1) * fock.size
-    row_a, row_n = np.divmod(np.arange(rows), fock.size)
-    parity = (row_a + row_n) % 2
-    position = np.arange(rows) // 2
-    width = (rows + 1) // 2
-    # a coupling keeps the parity, so parity[source] = parity[target]
-    half = parity[source] * width
-    number = np.zeros((2, width))
-    number[parity, position] = row_n
-    return _SpinBlock(
-        spin=a - 0.5 * two_j,
-        fock=fock,
-        units=tuple(units),
-        diagonal_at=(parity * width + position) * width + position,
-        below_at=(half + position[target]) * width + position[source],
-        above_at=(half + position[source]) * width + position[target],
-        number=number,
-        size=np.array([width, rows - width]),
-    )
-
-
-def _collective_ops(
-    kind: HamiltonianKind, n_max: int
-) -> tuple[tuple[int, np.ndarray], ...]:
-    """``(shift, amp)`` per coupling, g1 first: op |n> = amp[n] |n + shift>.
-
-    amp is zero where n + shift leaves the truncated space.
-    """
-    if kind is HamiltonianKind.GENERALIZED_DICKE:
-        root = np.sqrt(np.arange(n_max + 1, dtype=float))
-        return (-1, root), (1, np.append(root[1:], 0.0))
-    amplitude, step = _lowering_amplitude(kind, n_max)
-    return ((-step, amplitude),)
-
-
-def excitation_blocks(
-    kind: HamiltonianKind,
-    params: ModelParams,
-    n_atoms: int,
-    n_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Excitation-number blocks of every spin block as one stack ``(H, n, size, d)``.
-
-    The g1 coupling of every kind in ``EXCITATION_KINDS`` takes |a, n> to
-    |a + 1, n - s>, a = m + j, with the photon step s = 2 for
-    TWO_PHOTON_JC and 1 otherwise, so it conserves K = s a + n.  The spin
-    block of each j, repeated d_j times, holds |m = a - j> x |n> in row
-    a (n_max + 1) + n (for a single-atom kind, N = 1, it is the whole
-    space, whose basis order q (n_max + 1) + n is a (n_max + 1) + n); it
-    is the block of ``parity_pairs`` for a collective kind.  It splits
-    into one block per K = 0 .. s 2j + n_max, holding the rows
-    a = max(0, ceil((K - n_max) / s)) .. min(K // s, 2j) in ascending
-    order.  Each is tridiagonal:
-
-        H[i, i] = Omega (a - j) + omega0 (K - s a)
-        H[i, i + 1] = (g1 / sqrt(N)) sqrt((2j - a)(a + 1)) amp(K - s a)
-
-    with amp(n) = sqrt(n) for DICKE_RWA and JAYNES_CUMMINGS, n for the two
-    intensity-dependent kinds and sqrt(n (n - 1)) for TWO_PHOTON_JC,
-    exactly as in ``build_hamiltonian``.  One stack for the whole
-    truncation: the K-blocks of every j, j = N/2 first and K ascending
-    within each j, padded to S = min(N, n_max // s) + 1 rows, so ``H``
-    has shape (B, S, S) with B = sum_j (s 2j + n_max + 1).  ``n`` (shape
-    (B, S)) holds each row's photon number, ``size`` each K-block's true
-    row count and ``d`` the multiplicity d_j of its spin block.  ``n``,
-    ``size`` and ``d`` are shared, read-only arrays of the structure
-    cache; ``H`` is the caller's own.
+    A block keeps the rows of its spin block in their order.  Each item
+    is one stack ``(H, n, size, d)``: ``H`` of shape (B, S, S) holds B
+    blocks padded to the widest, ``n`` (shape (B, S)) each row's photon
+    number, ``size`` each block's true row count and ``d`` its
+    multiplicity d_j.  Generalized Dicke yields one parity pair per j,
+    j = N/2 first, built lazily: B = 2, S = ceil((2j + 1)(n_max + 1) / 2).
+    Every other kind yields one stack of the K-blocks of every j, j = N/2
+    first and K ascending within each j, S = min(N, n_max // s) + 1.  The
+    arguments are checked on the call.  ``n`` and ``size`` are shared,
+    read-only arrays of the structure cache; ``H`` and ``d`` are the
+    caller's own.
 
     Rows ``i >= size[b]`` are padding: decoupled, photon number 0, and
     with a diagonal of twice a positive Gershgorin upper bound on every
@@ -497,112 +350,158 @@ def excitation_blocks(
     ------
     DimensionLimitError
         If the largest spin block, (N + 1)(n_max + 1), exceeds
-        ``DIMENSION_LIMIT``, the same bound as ``parity_pairs``.
+        ``DIMENSION_LIMIT``.
     ValueError
-        For a kind outside ``EXCITATION_KINDS``, N < 1, n_max < 2, or a
-        single-atom kind with N > 1.
+        For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
-    if kind not in EXCITATION_KINDS:
-        raise ValueError(f"{kind.value} has no excitation-number blocks")
     check_spin_block_size(kind, n_atoms, n_max)
-    stack = _structures.get(_excitation_stack, kind, n_atoms, n_max)
-    diagonal = params.Omega * stack.spin + params.omega0 * stack.number
-    coupling = (params.g1 / sqrt(n_atoms)) * stack.units
-    # every level lies below the largest diagonal entry plus twice the
-    # largest coupling (Gershgorin), a bound that is positive: the top
-    # row, a = 2j and n = n_max, has diagonal Omega j + omega0 n_max > 0
-    bound = diagonal[stack.kept].max() + 2.0 * coupling.max()
+    multiplicities, two_js = zip(*_spin_multiplicities(n_atoms))
+    d = np.array(multiplicities, dtype=float)
+    # the grouping rule: which spin blocks share a stack
+    groups = (
+        [slice(i, i + 1) for i in range(len(two_js))]
+        if kind is HamiltonianKind.GENERALIZED_DICKE
+        else [slice(None)]
+    )
+    # g1 scales the first coupling, g2 generalized Dicke's second
+    root = sqrt(n_atoms)
+    scales = np.array([[params.g1 / root], [params.g2 / root]])
+    # Gershgorin: a row's diagonal is at most Omega N/2 + omega0 n_max,
+    # and it holds at most two entries of each coupling, each at most
+    # (g / sqrt(N)) (N + 1)/2 n_max, as J+ is at most (N + 1)/2 and every
+    # op at most n_max.  The bound is positive; where twice it leaves the
+    # float range, the largest float still pads above every finite level.
+    bound = (
+        params.Omega * n_atoms / 2
+        + params.omega0 * n_max
+        + (params.g1 + params.g2) * (n_atoms + 1) * n_max / root
+    )
+    padding = min(2.0 * bound, sys.float_info.max)
+    return (
+        _stack(_structures.get(kind, two_js[at], n_max), params, scales, padding, d[at])
+        for at in groups
+    )
 
-    blocks, rows = stack.kept.shape
-    h = np.zeros((blocks, rows, rows))
-    flat = h.reshape(blocks, -1)
-    flat[:, :: rows + 1] = np.where(stack.kept, diagonal, 2.0 * bound)
-    flat[:, 1 :: rows + 1] = coupling
-    flat[:, rows :: rows + 1] = coupling
-    return h, stack.number, stack.size, stack.multiplicity
+
+def _stack(
+    structure: _Blocks,
+    params: ModelParams,
+    scales: np.ndarray,
+    padding: float,
+    multiplicities: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scale and write one stack, given its padding diagonal and spin blocks' d_j."""
+    blocks, width = structure.number.shape
+    h = np.zeros((blocks, width, width))
+    h.reshape(blocks, -1)[:, :: width + 1] = (
+        params.Omega * structure.spin + params.omega0 * structure.number
+    )
+    flat = h.reshape(-1)
+    # indexing by intp is faster than by the stored int32
+    flat[structure.coupled_at.astype(np.intp)] = (
+        scales[: len(structure.units)] * structure.units
+    )
+    flat[structure.padding_at] = padding
+    return h, structure.number, structure.size, multiplicities.repeat(structure.counts)
 
 
-class _ExcitationStack(NamedTuple):
-    """Parameter-free structure of the ``excitation_blocks`` stack.
+class _Blocks(NamedTuple):
+    """Parameter-free structure of one stack of ``block_stacks``.
 
-    By K-block and row: ``spin`` a - j, ``number`` the photon number (0 on
-    padding) and ``kept`` the physical rows; ``units`` holds
-    sqrt((2j - a)(a + 1)) amp(n) between rows i and i + 1, zero where they
-    are not both physical.  ``size`` and ``multiplicity`` are by K-block.
+    By block and row of the stack: ``spin`` is m and ``number`` the
+    photon number, both 0 on padding.  ``units`` holds, one row per
+    coupling, g1 first, sqrt((2j - a)(a + 1)) amp(n) of each coupled
+    pair of rows, and ``coupled_at`` its flat positions in the (B, S, S)
+    stack, below the diagonal and above it; ``padding_at`` holds those
+    of the padding rows' diagonal.  ``size`` is each block's true row
+    count and ``counts`` the number of blocks of each spin block.
     """
 
     spin: np.ndarray
     number: np.ndarray
-    kept: np.ndarray
     units: np.ndarray
+    coupled_at: np.ndarray
+    padding_at: np.ndarray
     size: np.ndarray
-    multiplicity: np.ndarray
+    counts: np.ndarray
 
 
-def _excitation_stack(
-    kind: HamiltonianKind, n_atoms: int, n_max: int
-) -> _ExcitationStack:
-    amplitude, step = _lowering_amplitude(kind, n_max)
-    multiplicity, two_j = zip(*_spin_multiplicities(n_atoms))
-    # block b holds K[b] of spin block two_j[b], K = 0 .. s 2j + n_max
-    count = [step * t + n_max + 1 for t in two_j]
-    multiplicity = np.repeat(np.array(multiplicity, dtype=float), count)
-    two_j = np.repeat(two_j, count)[:, None]
-    K = np.concatenate([np.arange(c) for c in count])[:, None]
-    rows = min(n_atoms, n_max // step) + 1
-    i = np.arange(rows)
-    lowest = np.maximum(-((n_max - K) // step), 0)
-    size = (np.minimum(K // step, two_j) - lowest + 1).ravel()
-    a = lowest + i
-    kept = i < size[:, None]
-    n = np.where(kept, K - step * a, 0)
-    # (a, n) -> (a + 1, n - s) couples rows i and i + 1 of one K-block;
-    # the entries are computed only inside it, where 0 <= a < 2j and
-    # s <= n <= n_max.
-    pair = kept[:, 1:]
-    below = a[:, :-1]
-    raising = np.sqrt(((two_j - below) * (below + 1.0))[pair])
-    units = np.zeros((K.size, rows - 1))
-    units[pair] = raising * amplitude[n[:, :-1][pair]]
-    return _ExcitationStack(
-        spin=a - 0.5 * two_j,
-        number=n.astype(float),
-        kept=kept,
-        units=units,
-        size=size,
-        multiplicity=multiplicity,
+def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Blocks:
+    couplings = _couplings(kind, n_max)
+    levels = n_max + 1
+    two_j = np.array(two_js)
+    spin_rows = (two_j + 1) * levels
+    # each row's spin block and its row a (n_max + 1) + n there
+    two_j = np.repeat(two_j, spin_rows)
+    row = np.arange(two_j.size) - np.repeat(np.cumsum(spin_rows) - spin_rows, spin_rows)
+    a, n = np.divmod(row, levels)
+    # each row's label, its rank among the rows of that label, and the
+    # number of labels of each spin block
+    if kind is HamiltonianKind.GENERALIZED_DICKE:
+        label, rank = (a + n) % 2, row // 2
+        counts = np.full(len(two_js), 2)
+    else:
+        step = -couplings[0][0]
+        label = step * a + n
+        rank = a - np.maximum(-((n_max - label) // step), 0)
+        counts = step * np.array(two_js) + levels
+    block = np.repeat(np.cumsum(counts) - counts, spin_rows) + label
+    width = int(rank.max()) + 1
+    cell = block * width + rank
+    spin = np.zeros((counts.sum(), width))
+    spin.flat[cell] = a - 0.5 * two_j
+    number = np.zeros_like(spin)
+    number.flat[cell] = n
+    padding = np.ones(spin.size, dtype=bool)
+    padding[cell] = False
+    padding_at = np.flatnonzero(padding)
+
+    # J+ x op takes row (a, n) to (a + 1, n + shift), the same label
+    units, below_at, above_at = [], [], []
+    raising = np.sqrt((two_j - a) * (a + 1.0))
+    for shift, amplitude in couplings:
+        source = np.flatnonzero((a < two_j) & (amplitude[n] != 0.0))
+        target = source + levels + shift
+        units.append(raising[source] * amplitude[n[source]])
+        below_at.append(cell[target] * width + rank[source])
+        above_at.append(cell[source] * width + rank[target])
+    # int32 keeps the largest structures within STRUCTURE_CACHE_BYTES; every
+    # flat position of a stack under DIMENSION_LIMIT fits it
+    return _Blocks(
+        spin=spin,
+        number=number,
+        units=np.array(units),
+        coupled_at=np.array([below_at, above_at], dtype=np.int32),
+        padding_at=padding_at * width + padding_at % width,
+        size=np.bincount(block, minlength=counts.sum()),
+        counts=counts,
     )
 
 
 class _StructureCache:
     """Least recently used block structures, at most ``STRUCTURE_CACHE_BYTES``.
 
-    A structure depends only on its key, never on ``ModelParams``, so one
-    entry serves every call; its arrays are made read-only when built.  A
-    structure larger than the whole budget is built and not kept.
+    Keyed by (kind, two_js, n_max).  A structure depends only on its key,
+    never on ``ModelParams``, so one entry serves every call; its arrays
+    are made read-only when built.  A structure larger than the whole
+    budget is built and not kept.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, tuple[NamedTuple, int]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[_Blocks, int]] = OrderedDict()
         self._lock = threading.Lock()
         self.nbytes = 0
 
-    def get(self, build: Callable[..., NamedTuple], *key) -> NamedTuple:
-        key = (build, *key)
+    def get(self, *key) -> _Blocks:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry[0]
-        structure = build(*key[1:])
-        arrays = [
-            array
-            for field in structure
-            for array in (field if isinstance(field, tuple) else (field,))
-        ]
-        for array in arrays:
+        structure = _blocks(*key)
+        for array in structure:
             array.flags.writeable = False
-        nbytes = sum(array.nbytes for array in arrays)
+        nbytes = sum(array.nbytes for array in structure)
         with self._lock:
             if nbytes <= STRUCTURE_CACHE_BYTES and key not in self._entries:
                 while self.nbytes + nbytes > STRUCTURE_CACHE_BYTES:
@@ -627,13 +526,19 @@ def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:
         yield comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), n_atoms - 2 * k
 
 
-def _lowering_amplitude(kind: HamiltonianKind, n_max: int) -> tuple[np.ndarray, int]:
-    """``(amp, s)`` with op |n> = amp[n] |n - s> for the g1 coupling of ``kind``."""
+def _couplings(kind: HamiltonianKind, n_max: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(shift, amp)`` per coupling of ``kind``, g1 first: op |n> = amp[n] |n + shift>.
+
+    amp is zero where n + shift leaves the truncated space.  The g1
+    coupling of every kind lowers the photon number by its step s.
+    """
     root = np.sqrt(np.arange(n_max + 1, dtype=float))
+    if kind is HamiltonianKind.GENERALIZED_DICKE:
+        return (-1, root), (1, np.append(root[1:], 0.0))
     if kind in (HamiltonianKind.INTENSITY_DICKE, HamiltonianKind.INTENSITY_JC):
         # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
-        return root * root, 1
+        return ((-1, root * root),)
     if kind is HamiltonianKind.TWO_PHOTON_JC:
         # b^2 |n> = sqrt(n - 1) sqrt(n) |n - 2>
-        return np.concatenate(([0.0, 0.0], root[1:-1] * root[2:])), 2
-    return root, 1
+        return ((-2, np.concatenate(([0.0, 0.0], root[1:-1] * root[2:]))),)
+    return ((-1, root),)

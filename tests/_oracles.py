@@ -59,7 +59,7 @@ def finite_sum_critical_beta(params: ModelParams) -> float:
     def bound_minus_one(beta: float) -> float:
         if beta not in values:
             kv = a0_c0_sum(0, params, beta)
-            values[beta] = kv.a.real + 2.0 * kv.c - 1.0
+            values[beta] = kv.a + 2.0 * kv.c - 1.0
         return values[beta]
 
     hi = 1.0
@@ -177,10 +177,11 @@ def matsubara_log_partition_ratio(params, beta: float, terms: int = 400) -> floa
 def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
     """Total-spin blocks ``(d_j, H_j)`` assembled from dense Kronecker products.
 
-    The reference construction for the spin blocks that
-    ``operators.parity_pairs`` splits by parity:
-    ``omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)`` on |m> x |n>,
-    with J+ and op as full matrices and the diagonal through ``np.diag``.
+    The reference construction for the spin blocks of the collective
+    kinds, which ``operators.block_stacks`` splits by the label each kind
+    conserves: ``omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)`` on
+    |m> x |n>, with J+ and op as full matrices and the diagonal through
+    ``np.diag``.
     """
     fock = np.arange(n_max + 1, dtype=float)
     lower = np.diag(np.sqrt(fock[1:]), k=1)
@@ -208,9 +209,10 @@ def kron_spin_blocks(kind, params, n_atoms: int, n_max: int):
 def parity_halves(block, n_max: int):
     """Even and odd halves ``(H_p, n_p)`` of a spin block, rows |m> x |n>.
 
-    The reference for ``operators.parity_pairs``: the block restricted to
-    the rows of parity (a + n) mod 2 = p, a = m + j, by fancy indexing,
-    and the photon number of each of those rows.
+    The reference for the parity pairs of ``operators.block_stacks``:
+    the block restricted to the rows of parity (a + n) mod 2 = p,
+    a = m + j, by fancy indexing, and the photon number of each of those
+    rows.
     """
     a, n = np.divmod(np.arange(block.shape[0]), n_max + 1)
     even = (a + n) % 2 == 0
@@ -221,19 +223,37 @@ def parity_halves(block, n_max: int):
     )
 
 
-def parity_join(stacked, size, n_max: int):
-    """The spin block whose parity halves are those of a ``parity_pairs`` item.
+def join_blocks(kind, stacks, n_atoms: int, n_max: int):
+    """The spin blocks ``(d_j, H_j)`` whose split into blocks is ``stacks``.
 
-    The inverse of ``parity_halves``: half p, without its padding, goes
-    back to the rows of parity (a + n) mod 2 = p, entries copied as they
-    are, and every entry between the parities is zero.
+    The inverse of ``operators.block_stacks`` by filtering, not by its
+    closed forms: the rows |m> x |n> of spin block j, a = m + j, carry
+    the label the kind conserves, (a + n) mod 2 for generalized Dicke and
+    K = s a + n otherwise, and the blocks of the stacks, in order, hold
+    the rows of each label in ascending label and row order, j = N/2
+    first.  Each block, without its padding, goes back to those rows,
+    entries copied as they are; every entry between labels is zero.
     """
-    a, n = np.divmod(np.arange(size.sum()), n_max + 1)
-    even = (a + n) % 2 == 0
-    block = np.zeros((a.size, a.size))
-    for p, rows in enumerate((np.flatnonzero(even), np.flatnonzero(~even))):
-        block[rows[:, None], rows] = stacked[p, : size[p], : size[p]]
-    return block
+    step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
+    blocks = iter(
+        [block for stacked, _, size, d in stacks for block in zip(stacked, size, d)]
+    )
+    joined = []
+    for two_j in range(n_atoms, -1, -2):
+        a, n = np.divmod(np.arange((two_j + 1) * (n_max + 1)), n_max + 1)
+        if kind is HamiltonianKind.GENERALIZED_DICKE:
+            label = (a + n) % 2
+        else:
+            label = step * a + n
+        h = np.zeros((a.size, a.size))
+        for value in range(label.max() + 1):
+            block, size, d = next(blocks)
+            rows = np.flatnonzero(label == value)
+            assert size == rows.size
+            h[rows[:, None], rows] = block[:size, :size]
+        joined.append((d, h))
+    assert next(blocks, None) is None
+    return joined
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

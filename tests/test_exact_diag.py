@@ -10,9 +10,9 @@ import dicketherm.exact_diag as exact_diag
 import dicketherm.operators as operators
 from _oracles import (
     bose_occupation,
+    join_blocks,
     kron_spin_blocks,
     parity_halves,
-    parity_join,
     excitation_diagonal,
     parity_diagonal,
     photon_number_diagonal,
@@ -24,17 +24,19 @@ from dicketherm.exact_diag import (
     thermal_solve,
 )
 from dicketherm.operators import (
-    COLLECTIVE_KINDS,
-    EXCITATION_KINDS,
+    SINGLE_ATOM_KINDS,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
     NotHermitianError,
+    block_stacks,
     build_hamiltonian,
-    excitation_blocks,
-    parity_pairs,
 )
+
+COLLECTIVE_KINDS = frozenset(HamiltonianKind) - SINGLE_ATOM_KINDS
+# every kind but generalized Dicke conserves an excitation number K
+EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DICKE}
 
 
 def test_two_level_partition_function():
@@ -251,7 +253,7 @@ def test_sector_spectrum_is_dense_spectrum_with_multiplicities():
     dense = build_hamiltonian(
         HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max
     ).eigenvalues()
-    pairs = parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
+    pairs = block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, n_max)
     sector = []
     for stacked, _, size, multiplicity in pairs:
         eigenvalues = np.linalg.eigvalsh(stacked)
@@ -272,10 +274,8 @@ SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
 def test_sector_blocks_match_the_kron_reference(kind, n_atoms):
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
-        built = [
-            (d[0], parity_join(stacked, size, 7))
-            for stacked, _, size, d in parity_pairs(kind, p, n_atoms, 7)
-        ]
+        stacks = block_stacks(kind, p, n_atoms, 7)
+        built = join_blocks(kind, stacks, n_atoms, 7)
         reference = kron_spin_blocks(kind, p, n_atoms, 7)
         assert [d for d, _ in built] == [d for d, _ in reference]
         for (_, h), (_, ref) in zip(built, reference, strict=True):
@@ -326,17 +326,15 @@ def test_parity_halves_split_the_block_spectrum(kind, n_max):
 
 
 @pytest.mark.parametrize("n_max", [7, 8])
-@pytest.mark.parametrize(
-    "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
-)
-def test_parity_pairs_match_the_halves_reference(kind, n_max):
+def test_parity_pairs_match_the_halves_reference(n_max):
     # n_max = 7 gives every block an even row count; n_max = 8 an odd one
     # at even 2j, where the odd half ends in a padding row
+    kind = HamiltonianKind.GENERALIZED_DICKE
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         for n_atoms in range(1, 8):
             spin = kron_spin_blocks(kind, p, n_atoms, n_max)
-            pairs = parity_pairs(kind, p, n_atoms, n_max)
+            pairs = block_stacks(kind, p, n_atoms, n_max)
             for (d, block), (stacked, photons, size, multiplicity) in zip(
                 spin, pairs, strict=True
             ):
@@ -374,10 +372,6 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
     points = ((1.0, 1.3, 0.7), (1.0, 1.0, 0.0), (1.0, 1.0, 0.45), (0.6, 1.7, 0.2))
     step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
     collective = kind in COLLECTIVE_KINDS
-    # the dense matrix forms b'b as a product of roots, so its entries are
-    # off by rounding; the parity pairs share the K-blocks' arithmetic, and
-    # a spin block reassembled from its halves keeps their entries
-    entry_tol = 0.0 if collective else 1e-12
     zero_levels = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -385,16 +379,12 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
             p = ModelParams(omega0, Omega, g1=g1)
             for n_atoms in range(1, 8) if collective else (1,):
                 if collective:
-                    pairs = parity_pairs(kind, p, n_atoms, n_max)
-                    spin = [
-                        (d[0], parity_join(pair, half_size, n_max))
-                        for pair, _, half_size, d in pairs
-                    ]
+                    spin = kron_spin_blocks(kind, p, n_atoms, n_max)
                 else:
                     # the dense order q (n_max + 1) + n is a (n_max + 1) + n
                     dense = build_hamiltonian(kind, p, 1, n_max).matrix
                     spin = [(1, dense)]
-                stacked, photons, size, multiplicity = excitation_blocks(
+                ((stacked, photons, size, multiplicity),) = block_stacks(
                     kind, p, n_atoms, n_max
                 )
                 # one stack for every j, padded to the j = N/2 width
@@ -421,9 +411,11 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
                     for k, s in enumerate(size[at]):
                         b = at.start + k
                         where = index[k, :s].astype(int)
+                        # both references form their entries from other
+                        # products, b'b from roots, so they are off by rounding
                         assert np.all(
                             np.abs(stacked[b, :s, :s] - block[where[:, None], where])
-                            <= entry_tol
+                            <= 1e-12
                         )
                         assert np.count_nonzero(stacked[b, s:, :s]) == 0
                         assert np.count_nonzero(photons[b, s:]) == 0
@@ -439,40 +431,38 @@ def test_excitation_blocks_split_the_spin_block(kind, n_max):
     assert zero_levels > 0 or not collective
 
 
-def test_excitation_blocks_refuse_other_kinds(monkeypatch):
+def test_excitation_number_blocks_refuse_bad_sizes(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
-    for kind in set(HamiltonianKind) - EXCITATION_KINDS:
-        with pytest.raises(ValueError, match="no excitation-number blocks"):
-            excitation_blocks(kind, p, 1, 8)
+    # refused on the call, before the stack is asked for
     with pytest.raises(ValueError, match="single-atom model, got N=2"):
-        excitation_blocks(HamiltonianKind.TWO_PHOTON_JC, p, 2, 8)
+        block_stacks(HamiltonianKind.TWO_PHOTON_JC, p, 2, 8)
     monkeypatch.setattr(operators, "DIMENSION_LIMIT", 296)
     with pytest.raises(DimensionLimitError):
-        excitation_blocks(HamiltonianKind.DICKE_RWA, p, 8, 32)
+        block_stacks(HamiltonianKind.DICKE_RWA, p, 8, 32)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=40))
 def test_sector_multiplicities_cover_the_register(n_atoms):
-    pairs = parity_pairs(
-        HamiltonianKind.GENERALIZED_DICKE, ModelParams(1.0, 1.0), n_atoms, 2
-    )
+    p = ModelParams(1.0, 1.0)
+    pairs = block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, 2)
     # each spin block's rows, both halves, and its multiplicity d_j
     blocks = [(d[0], size.sum()) for _, _, size, d in pairs]
     assert sum(d * rows // 3 for d, rows in blocks) == 2**n_atoms
     assert [rows // 3 for _, rows in blocks] == list(range(n_atoms + 1, 0, -2))
+    # the K-blocks of every spin block, each row counted d_j times
+    ((_, _, size, d),) = block_stacks(HamiltonianKind.DICKE_RWA, p, n_atoms, 2)
+    assert sum(int(m) * int(s) for m, s in zip(d, size)) == 3 * 2**n_atoms
 
 
 def test_sector_builder_guards(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
-    # refused on the call, before the first block is asked for
-    with pytest.raises(ValueError, match="no collective-spin blocks"):
-        parity_pairs(HamiltonianKind.JAYNES_CUMMINGS, p, 1, 8)
     with pytest.raises(ValueError, match="beta"):
         exact_diag._photon_density(p, 2, 8, 0.0, HamiltonianKind.GENERALIZED_DICKE)
     monkeypatch.setattr(operators, "DIMENSION_LIMIT", 296)
+    # refused on the call, before the first block is asked for
     with pytest.raises(DimensionLimitError):
-        parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
+        block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, 8, 32)
 
 
 @pytest.mark.parametrize(
@@ -586,14 +576,40 @@ def test_ladder_refuses_a_first_rung_past_the_ceiling_before_any_rung(
         )
 
 
-def test_rotating_wave_ladders_run_on_excitation_blocks(monkeypatch):
-    def poisoned(*args, **kwargs):
-        raise AssertionError("parity or dense route taken")
+@pytest.mark.parametrize("n_max", [8, 9])
+@pytest.mark.parametrize(
+    "kind", sorted(HamiltonianKind, key=lambda k: k.value), ids=lambda k: k.value
+)
+def test_block_stacks_group_parity_pairs_per_j_and_k_blocks_in_one_stack(
+    kind, n_max
+):
+    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
+    step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
+    for n_atoms in range(1, 8) if kind in COLLECTIVE_KINDS else (1,):
+        stacks = list(block_stacks(kind, p, n_atoms, n_max))
+        two_js = range(n_atoms, -1, -2)
+        if kind is HamiltonianKind.GENERALIZED_DICKE:
+            # one parity pair per spin block, j = N/2 first
+            assert len(stacks) == n_atoms // 2 + 1
+            for (h, _, _, _), two_j in zip(stacks, two_js, strict=True):
+                half = ((two_j + 1) * (n_max + 1) + 1) // 2
+                assert h.shape == (2, half, half)
+        else:
+            # one stack of the K-blocks of every spin block
+            ((h, _, _, _),) = stacks
+            width = min(n_atoms, n_max // step) + 1
+            blocks = sum(step * two_j + n_max + 1 for two_j in two_js)
+            assert h.shape == (blocks, width, width)
 
-    for name in ("parity_pairs", "build_hamiltonian", "thermal_solve"):
+
+def test_ladders_never_take_the_dense_route(monkeypatch):
+    def poisoned(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    for name in ("build_hamiltonian", "thermal_solve"):
         monkeypatch.setattr(exact_diag, name, poisoned)
-    p = ModelParams(1.0, 1.3, g1=0.3)
-    for kind in EXCITATION_KINDS:
+    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
+    for kind in HamiltonianKind:
         n_list = [2, 5] if kind in COLLECTIVE_KINDS else [1]
         pts = photon_density_curve(p, 1.0, n_list, kind=kind)
         assert [pt.n_atoms for pt in pts] == n_list

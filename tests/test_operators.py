@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 import dicketherm.operators as operators
 from _oracles import excitation_diagonal, parity_diagonal, photon_number_diagonal
 from dicketherm.operators import (
-    COLLECTIVE_KINDS,
-    EXCITATION_KINDS,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
     ModelParams,
+    block_stacks,
     build_hamiltonian,
-    excitation_blocks,
-    parity_pairs,
 )
 
 ALL_KINDS = list(HamiltonianKind)
@@ -230,21 +227,15 @@ def test_hermitian_operator_rejects_non_hermitian():
 
 
 def _block_outputs(kind, params, n_atoms, n_max):
-    """Every array the spin block builders return for these inputs."""
-    out = []
-    if kind in COLLECTIVE_KINDS:
-        out += [a for item in parity_pairs(kind, params, n_atoms, n_max) for a in item]
-    if kind in EXCITATION_KINDS:
-        out += excitation_blocks(kind, params, n_atoms, n_max)
-    return out
+    """Every array the spin block builder returns for these inputs."""
+    return [a for item in block_stacks(kind, params, n_atoms, n_max) for a in item]
 
 
 def _cached_arrays():
     return [
         array
         for structure, _ in operators._structures._entries.values()
-        for field in structure
-        for array in (field if isinstance(field, tuple) else (field,))
+        for array in structure
     ]
 
 
@@ -287,27 +278,29 @@ def test_warm_structure_cache_builds_what_a_cold_one_builds(
     ]
 
 
-def test_builders_share_read_only_structure_arrays():
+def test_builder_shares_read_only_structure_arrays():
     p = ModelParams(1.0, 1.3, g1=0.4, g2=0.2)
     gd, rwa = HamiltonianKind.GENERALIZED_DICKE, HamiltonianKind.DICKE_RWA
-    _, number, size, _ = next(parity_pairs(gd, p, 3, 9))
-    _, n, sizes, d = excitation_blocks(rwa, p, 3, 9)
-    for array in (number, size, n, sizes, d):
+    h, number, size, d = next(block_stacks(gd, p, 3, 9))
+    ((stack, n, sizes, multiplicity),) = block_stacks(rwa, p, 3, 9)
+    for array in (number, size, n, sizes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    # the stacks and multiplicities are the caller's own
+    assert all(a.flags.writeable for a in (h, d, stack, multiplicity))
     # the next call of any parameters scales the same structure
     q = ModelParams(2.0, 0.7, g1=1.1)
-    assert next(parity_pairs(gd, q, 3, 9))[1] is number
-    assert excitation_blocks(rwa, q, 3, 9)[1] is n
+    assert next(block_stacks(gd, q, 3, 9))[1] is number
+    assert next(block_stacks(rwa, q, 3, 9))[1] is n
     assert all(not a.flags.writeable for a in _cached_arrays())
 
 
 def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5, g2=0.3)
     builds = [
-        lambda: list(parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 4, 8)),
-        lambda: list(parity_pairs(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
-        lambda: excitation_blocks(HamiltonianKind.DICKE_RWA, p, 4, 8),
+        lambda: list(block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, 4, 8)),
+        lambda: list(block_stacks(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
+        lambda: list(block_stacks(HamiltonianKind.DICKE_RWA, p, 4, 8)),
     ]
     for build in builds:
         build()
@@ -322,14 +315,14 @@ def test_structure_cache_holds_at_most_its_budget():
     operators._structures.clear()
     p = ModelParams(1.0, 1.0, g1=0.01)
     rwa = HamiltonianKind.DICKE_RWA
-    # about 5, 21 and 25 MB of structure: the last rung evicts the others
+    # about 5, 25 and 30 MiB of structure: the last rung evicts the others
     for n_atoms, n_max in ((64, 64), (600, 8), (665, 8)):
-        _, n, _, _ = excitation_blocks(rwa, p, n_atoms, n_max)
+        ((_, n, _, _),) = block_stacks(rwa, p, n_atoms, n_max)
         held = sum(a.nbytes for a in _cached_arrays())
         assert operators._structures.nbytes == held
         assert held <= operators.STRUCTURE_CACHE_BYTES
         # the rung just built is kept
-        assert excitation_blocks(rwa, p, n_atoms, n_max)[1] is n
-    list(parity_pairs(HamiltonianKind.GENERALIZED_DICKE, p, 8, 64))
+        assert next(block_stacks(rwa, p, n_atoms, n_max))[1] is n
+    list(block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, 8, 64))
     assert sum(a.nbytes for a in _cached_arrays()) <= operators.STRUCTURE_CACHE_BYTES
 
