@@ -18,9 +18,20 @@ indices.  In the Jordan-Wigner ordering the hopping alpha_i' beta_i
 takes a state with beta_i occupied and alpha_i empty to
 s ^ (3 << 2i) with sign +1: the strings of the two modes differ only
 on bit 2i, which is empty in the source state.
+
+Every term of the Hamiltonian conserves each site's occupation
+n_alpha,i + n_beta,i in {0, 1, 2}, so it splits into 3^N occupation
+sectors, and both diagonals of the trace identity, the phase
+exp(-i pi Nhat / 2) and the physical projector, are constant on each.
+``verify_trace_identity`` therefore needs only the eigenvalues of the
+sector blocks, never the eigenvectors of the whole matrix.  A sector
+with k singly occupied sites has 2^k (n_max + 1) rows, so the blocks
+come in N + 1 sizes, and the blocks of one size are solved together.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +135,49 @@ def build_fermion_dicke(
     return HermitianOperator(matrix)
 
 
+@lru_cache(maxsize=8)
+def _sectors(
+    n_atoms: int, n_max: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Parameter-free layout of the occupation sectors, grouped by size.
+
+    Returns a tuple of one array per block size, most singly occupied
+    sites first: the flat positions, in the composite matrix, of that
+    size's blocks stacked as (B, S, S), each block keeping its rows in
+    matrix order.  Then, per eigenvalue of the stacks in that order, the
+    sector's phase exp(-i pi Nhat / 2) and its physical-projector value.
+    All read-only.
+    """
+    levels = n_max + 1
+    dimension = 4**n_atoms * levels
+    states = np.arange(4**n_atoms)
+    occupations = [
+        ((states >> 2 * site) & 1) + ((states >> (2 * site + 1)) & 1)
+        for site in range(n_atoms)
+    ]
+    label = sum(3**site * occupation for site, occupation in enumerate(occupations))
+    singles = sum(occupation == 1 for occupation in occupations)
+    # stable: by singly occupied sites (descending), then by sector label
+    order = np.lexsort((label, -singles))
+    number = fermion_number_diagonal(n_atoms)
+    physical = _physical_diagonal(n_atoms)
+
+    positions, phases, projector = [], [], []
+    for k in range(n_atoms, -1, -1):
+        register = order[singles[order] == k].reshape(-1, 2**k)
+        rows = (register[:, :, None] * levels + np.arange(levels)).reshape(
+            len(register), -1
+        )
+        positions.append(rows[:, :, None] * dimension + rows[:, None, :])
+        size = rows.shape[1]
+        phases.append(np.repeat(np.exp(-0.5j * np.pi * number[register[:, 0]]), size))
+        projector.append(np.repeat(physical[register[:, 0]], size))
+    phases, projector = np.concatenate(phases), np.concatenate(projector)
+    for array in (*positions, phases, projector):
+        array.setflags(write=False)
+    return tuple(positions), phases, projector
+
+
 def verify_trace_identity(
     params: ModelParams, n_atoms: int, n_max: int, beta: float | np.ndarray
 ) -> float | np.ndarray:
@@ -134,23 +188,29 @@ def verify_trace_identity(
     RHS = Tr_phys[exp(-beta H_F)].
     The unoccupied and doubly occupied site states carry zero qubit energy
     and opposite phases, so they cancel; the residual is numerical noise.
-    ``beta`` is a float or an array; the residual has its shape, and all
-    betas share one eigensolve of H_F.
+
+    Both traces are taken over the eigenvalues of the occupation sectors
+    (module docstring), on which both diagonals are constant: one
+    ``eigvalsh`` call per block size, no eigenvectors.  The split is
+    checked, not assumed: any nonzero entry of H_F between two sectors
+    breaks the identity's premise and gives the residual inf.  ``beta``
+    is a float or an array; the residual has its shape, and all betas
+    share the one set of eigenvalues.
     """
     check_beta(beta)
     betas = np.asarray(beta, dtype=float)
-    # the operator is real, so eigh takes the real symmetric path
-    eigvals, eigvecs = np.linalg.eigh(build_fermion_dicke(params, n_atoms, n_max).matrix)
-    # one row of Boltzmann weights per beta; each row sums on its own
-    weights = np.exp(-betas[..., None] * (eigvals - eigvals[0]))
-
-    number_diag = np.repeat(fermion_number_diagonal(n_atoms), n_max + 1)
-    phases = np.exp(-0.5j * np.pi * number_diag)
-    phys_diag = np.repeat(_physical_diagonal(n_atoms), n_max + 1)
-
-    # <v_k| D |v_k> for diagonal D, vectorized over the eigenbasis
-    amp2 = np.abs(eigvecs) ** 2
-    phased = (1j**n_atoms) * np.sum(weights * (phases @ amp2), axis=-1)
-    physical = np.sum(weights * (phys_diag @ amp2), axis=-1)
-    residual = np.abs(phased - physical) / np.abs(physical)
+    matrix = build_fermion_dicke(params, n_atoms, n_max).matrix
+    positions, phases, physical = _sectors(n_atoms, n_max)
+    blocks = [matrix.take(at) for at in positions]
+    # the blocks hold each in-sector entry once, so a count short of the
+    # matrix's is an entry between sectors
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(matrix):
+        residual = np.full(betas.shape, np.inf)
+    else:
+        eigvals = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks])
+        # one row of Boltzmann weights per beta; each row sums on its own
+        weights = np.exp(-betas[..., None] * (eigvals - eigvals.min()))
+        phased = (1j**n_atoms) * np.sum(weights * phases, axis=-1)
+        traced = np.sum(weights * physical, axis=-1)
+        residual = np.abs(phased - traced) / np.abs(traced)
     return float(residual) if residual.ndim == 0 else residual

@@ -85,12 +85,12 @@ class KernelValue:
     tail_estimate: float = field(default=0.0, compare=False)
 
 
-def _lorentzian_tail(edge, m: float, beta: float):
+def _lorentzian_tail(edge, m, beta):
     """Sum over fermionic frequencies beyond ``edge`` of 1/(p^2 + m^2).
 
     Midpoint geometry: the frequencies are centers of cells of width
     h = 2 pi / beta, so the one-sided tail is the integral from the edge
-    plus the outward h/24 derivative term.  Elementwise in ``edge``.
+    plus the outward h/24 derivative term.  Elementwise in all three.
     """
     h = 2.0 * np.pi / beta
     integral = (np.pi / 2.0 - np.arctan(edge / m)) / m
@@ -120,8 +120,8 @@ def _pair_tail_integral(edge, m: float, omega: float):
     return radius[..., 0] * integral
 
 
-def _fermionic_frequencies(low: int, high: int, beta: float) -> np.ndarray:
-    """p_n = (2n + 1) pi / beta for n in [low, high)."""
+def _fermionic_frequencies(low: int, high: int, beta):
+    """p_n = (2n + 1) pi / beta for n in [low, high), along the last axis."""
     return np.arange(2 * low + 1, 2 * high, 2.0) * (np.pi / beta)
 
 
@@ -131,25 +131,34 @@ def _richardson(coarse: float, fine: float) -> float:
 
 
 def fermionic_lorentzian_sum(
-    m: float, beta: float, cutoff: int = DEFAULT_CUTOFF
-) -> float:
+    m: float | np.ndarray, beta: float | np.ndarray, cutoff: int = DEFAULT_CUTOFF
+) -> float | np.ndarray:
     """Sum of 1/(p_n^2 + m^2) over all fermionic frequencies p_n.
 
     Truncated symmetrically, tail-corrected on both sides, and Richardson
     extrapolated over (cutoff, 2*cutoff).  The terms are evaluated once,
     over the 2*cutoff window; the cutoff window is its middle half.
     Converges to (beta / (2 m)) * tanh(beta * m / 2).
+
+    ``m`` and ``beta`` broadcast: the result has their broadcast shape,
+    each entry bitwise the scalar call's, and is a float when both are
+    scalars.  A beta anywhere in the array that is not positive and finite
+    is refused.
     """
     check_beta(beta)
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
+    m = np.asarray(m, dtype=float)[..., None]
+    beta = np.asarray(beta, dtype=float)[..., None]
     top = 2 * cutoff
+    # one row of terms per entry; each row sums on its own
     terms = 1.0 / (_fermionic_frequencies(-top, top, beta) ** 2 + m**2)
     edges = 2.0 * np.pi * np.array([cutoff, top]) / beta
     tails = 2.0 * _lorentzian_tail(edges, m, beta)
-    fine = float(np.sum(terms) + tails[1])
-    coarse = float(np.sum(terms[cutoff : 3 * cutoff]) + tails[0])
-    return _richardson(coarse, fine)
+    fine = np.sum(terms, axis=-1) + tails[..., 1]
+    coarse = np.sum(terms[..., cutoff : 3 * cutoff], axis=-1) + tails[..., 0]
+    total = _richardson(coarse, fine)
+    return float(total) if total.ndim == 0 else total
 
 
 def _pair_levels(

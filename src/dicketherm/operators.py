@@ -23,7 +23,9 @@ before building anything, a matrix of more than ``DIMENSION_LIMIT``
 rows: ``block_stacks`` counts the full spin block, (N + 1)(n_max + 1)
 rows, whatever it is split into; the dense builder counts
 2^N (n_max + 1) without forming 2^N, so a register of any size is
-refused at once.
+refused at once.  ``block_stacks`` also refuses an N whose thermal sums
+would leave the float range (N >= 1022 at n_max = 2), since the
+multiplicities d_j there weight 2^N (n_max + 1) states.
 
 ``block_stacks`` splits its work in two.  What does not depend on
 ``ModelParams`` is built once per (kind, 2j values, n_max) and cached:
@@ -86,7 +88,8 @@ STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
 class DimensionLimitError(ValueError):
-    """Requested matrix or spin block exceeds ``DIMENSION_LIMIT`` rows."""
+    """Requested matrix or spin block exceeds ``DIMENSION_LIMIT`` rows,
+    or the spin blocks' multiplicities exceed the float range."""
 
 
 class NotHermitianError(ValueError):
@@ -222,8 +225,20 @@ def check_spin_block_size(kind: HamiltonianKind, n_atoms: int, n_max: int) -> No
     """Refuse what the spin block builders refuse for these sizes, building nothing.
 
     The bound is the largest spin block, j = N/2: (N + 1)(n_max + 1) rows.
+    Under it, the thermal sums must stay floats: they weight the 2^N
+    (n_max + 1) states of the blocks by d_j, each Boltzmann factor at most
+    1 and each photon number at most n_max, so 2^N (n_max + 1) n_max
+    must not pass the largest float.  That refuses N >= 1022 at n_max = 2,
+    before the largest d_j itself leaves the float range at N = 1035.
     """
     _check_size(kind, n_atoms, n_max, n_atoms + 1)
+    # exact integers; the shift runs only for N below the row ceiling
+    if (n_max + 1) * n_max << n_atoms > sys.float_info.max:
+        raise DimensionLimitError(
+            f"spin multiplicities of N={n_atoms} atoms leave the float range: "
+            f"the thermal sums weight 2^{n_atoms} x {n_max + 1} states by d_j, "
+            f"past the largest float (N={n_atoms}, n_max={n_max})"
+        )
 
 
 def build_hamiltonian(
@@ -350,7 +365,8 @@ def block_stacks(
     ------
     DimensionLimitError
         If the largest spin block, (N + 1)(n_max + 1), exceeds
-        ``DIMENSION_LIMIT``.
+        ``DIMENSION_LIMIT``, or the thermal sums over the blocks would
+        leave the float range (``check_spin_block_size``).
     ValueError
         For N < 1, n_max < 2, or a single-atom kind with N > 1.
     """

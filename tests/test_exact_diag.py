@@ -455,6 +455,31 @@ def test_sector_multiplicities_cover_the_register(n_atoms):
     assert sum(int(m) * int(s) for m, s in zip(d, size)) == 3 * 2**n_atoms
 
 
+def test_spin_blocks_refuse_an_n_past_the_float_range(monkeypatch):
+    # (1101) 3 rows fit the ceiling, but the largest d_j of 1100 atoms
+    # does not fit a float; refused before any multiplicity is formed
+    p, rwa = ModelParams(1.0, 1.0, 0.1), HamiltonianKind.DICKE_RWA
+    monkeypatch.setattr(operators, "_spin_multiplicities", None)
+    refusal = (
+        r"^spin multiplicities of N=1100 atoms leave the float range: the "
+        r"thermal sums weight 2\^1100 x 3 states by d_j, past the largest "
+        r"float \(N=1100, n_max=2\)$"
+    )
+    for kind in (rwa, HamiltonianKind.GENERALIZED_DICKE):
+        with pytest.raises(DimensionLimitError, match=refusal):
+            exact_diag._photon_density(p, 1100, 2, 1.0, kind)
+    # 6 2^1021 is a float and 6 2^1022 is not: the largest N at n_max = 2
+    with pytest.raises(DimensionLimitError, match=r"^spin multiplicities of N=1022 "):
+        block_stacks(rwa, p, 1022, 2)
+    monkeypatch.undo()
+    # at the largest admitted N every Boltzmann factor is about 1, the
+    # largest the sums can be, and they stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = exact_diag._photon_density(p, 1021, 2, 1e-10, rwa)
+    assert density == pytest.approx(1.0, rel=1e-9)
+
+
 def test_sector_builder_guards(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5)
     with pytest.raises(ValueError, match="beta"):

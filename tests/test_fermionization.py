@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import dicketherm.cli as cli
+import dicketherm.fermionization as fermionization
 from _oracles import fermion_mode_ops, kron_fermion_dicke, physical_projector_diagonal
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.fermionization import (
+    MAX_ATOMS,
     build_fermion_dicke,
     fermion_number_diagonal,
     verify_trace_identity,
@@ -11,6 +14,7 @@ from dicketherm.fermionization import (
 from dicketherm.operators import (
     DimensionLimitError,
     HamiltonianKind,
+    HermitianOperator,
     ModelParams,
     build_hamiltonian,
 )
@@ -111,13 +115,15 @@ def test_trace_identity_rejects_bad_beta():
         verify_trace_identity(ModelParams(1.0, 1.0), 1, 4, np.array([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2])
+@pytest.mark.parametrize("n_atoms", [1, 2, MAX_ATOMS])
 def test_trace_identity_real_eigensolve_keeps_the_complex_residuals(n_atoms):
-    # validate's point against the complex Hermitian eigensolve of the same
-    # matrix.  Both residuals are round-off: the two LAPACK routines split
-    # the degenerate empty/doubly-occupied partner levels by different few
-    # ulps, which moves a residual by about beta * eps * max|E| (3e-15 at
-    # N = 2, beta = 2), far inside validate's 1e-8.
+    # validate's point against the complex Hermitian eigensolve of the
+    # whole matrix.  Both residuals are round-off.  The sector route solves
+    # each empty/doubly-occupied partner pair as two bitwise equal blocks,
+    # so their levels cancel up to the phases' rounding; the full
+    # eigensolve splits those degenerate levels by a few ulps, which moves
+    # its residual by about beta * eps * max|E| (3e-15 at N = 2, beta = 2),
+    # far inside validate's 1e-8.
     p, n_max, betas = ModelParams(1.0, 1.0, g1=0.4, g2=0.3), 6, np.array([0.5, 2.0])
     hf = build_fermion_dicke(p, n_atoms, n_max).matrix
     assert hf.dtype == np.float64
@@ -133,6 +139,44 @@ def test_trace_identity_real_eigensolve_keeps_the_complex_residuals(n_atoms):
     residuals = verify_trace_identity(p, n_atoms, n_max, betas)
     assert np.max(np.abs(residuals - expected)) < 1e-14
     assert np.max(residuals) < 1e-14
+
+
+def _coupling_two_sectors(matrix, n_max):
+    # |s = 0 (site 0 empty), n = 0> with |s = 1 (site 0 singly occupied), n = 0>
+    row, col = 0, n_max + 1
+    matrix[row, col] = matrix[col, row] = 1e-6
+
+
+def _doubly_occupied_site_energy(matrix, n_max):
+    # site 0 doubly occupied: bits 0 and 1 of the register index both set
+    states = np.repeat(np.arange(matrix.shape[0] // (n_max + 1)), n_max + 1)
+    rows = np.flatnonzero(states & 3 == 3)
+    matrix[rows, rows] += 0.5
+
+
+@pytest.mark.parametrize(
+    "spoil", [_coupling_two_sectors, _doubly_occupied_site_energy]
+)
+def test_trace_identity_fails_a_builder_that_breaks_its_premise(
+    spoil, monkeypatch, capsys
+):
+    # an entry between occupation sectors, or unphysical sites that carry
+    # a spin energy, must fail both the residual and validate
+    original = fermionization.build_fermion_dicke
+
+    def spoiled(params, n_atoms, n_max):
+        matrix = original(params, n_atoms, n_max).matrix.copy()
+        spoil(matrix, n_max)
+        return HermitianOperator(matrix)
+
+    monkeypatch.setattr(fermionization, "build_fermion_dicke", spoiled)
+    p = ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
+    for n_atoms in (1, 2):
+        residuals = verify_trace_identity(p, n_atoms, 6, np.array([0.5, 2.0]))
+        assert np.all(residuals > 1e-8)
+    assert cli.main(["validate"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("trace-identity: ")
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2])

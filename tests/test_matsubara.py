@@ -69,6 +69,26 @@ def test_lorentzian_sum_identity_property(m, beta):
     assert abs(fermionic_lorentzian_sum(m, beta) - exact) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "m, beta",
+    [
+        (np.array([0.25, 0.5, 2.0]), np.array([[0.5], [2.0], [5.0]])),
+        (0.7, np.array([0.01, 1.0, 100.0])),
+        (np.array([[0.1, 3.0]]), 2.0),
+        (np.array([[0.3], [4.0]]), np.array([[0.2, 1.0, 9.0]])),
+    ],
+    ids=["grid", "beta-array", "m-array", "column-row"],
+)
+def test_lorentzian_sum_broadcasts_bitwise_the_scalar_calls(m, beta):
+    sums = fermionic_lorentzian_sum(m, beta)
+    shape = np.broadcast_shapes(np.shape(m), np.shape(beta))
+    assert isinstance(sums, np.ndarray) and sums.shape == shape
+    ms, betas = np.broadcast_arrays(m, beta)
+    scalar = [fermionic_lorentzian_sum(float(a), float(b)) for a, b in zip(ms.flat, betas.flat)]
+    assert all(isinstance(value, float) for value in scalar)
+    assert sums.ravel().tolist() == scalar
+
+
 def test_truncation_error_scaling():
     beta, m = 3.0, 0.7
     exact = beta / (2.0 * m) * math.tanh(beta * m / 2.0)
@@ -374,11 +394,15 @@ def test_finite_sum_critical_beta_evaluates_each_beta_once(monkeypatch):
     "call",
     [
         lambda beta: fermionic_lorentzian_sum(0.5, beta),
+        lambda beta: fermionic_lorentzian_sum(
+            np.array([0.5, 1.0]), np.array([[1.0], [2.0], [beta]])
+        ),
         lambda beta: a0_c0_sum(0, P_MIXED, beta),
         lambda beta: verify_trace_identity(P_MIXED, 1, 4, np.array([1.0, beta])),
     ],
     ids=[
         "fermionic_lorentzian_sum",
+        "fermionic_lorentzian_sum-array",
         "a0_c0_sum",
         "verify_trace_identity",
     ],
