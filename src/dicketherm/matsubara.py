@@ -131,13 +131,13 @@ def _richardson(coarse: float, fine: float) -> float:
 
 
 def fermionic_lorentzian_sum(
-    m: float | np.ndarray, beta: float | np.ndarray, cutoff: int = DEFAULT_CUTOFF
+    m: float | np.ndarray, beta: float | np.ndarray
 ) -> float | np.ndarray:
     """Sum of 1/(p_n^2 + m^2) over all fermionic frequencies p_n.
 
     Truncated symmetrically, tail-corrected on both sides, and Richardson
-    extrapolated over (cutoff, 2*cutoff).  The terms are evaluated once,
-    over the 2*cutoff window; the cutoff window is its middle half.
+    extrapolated over (M, 2M), M = ``DEFAULT_CUTOFF``.  The terms are
+    evaluated once, over the 2M window; the M window is its middle half.
     Converges to (beta / (2 m)) * tanh(beta * m / 2).
 
     ``m`` and ``beta`` broadcast: the result has their broadcast shape,
@@ -146,10 +146,9 @@ def fermionic_lorentzian_sum(
     is refused.
     """
     check_beta(beta)
-    if cutoff < 10:
-        raise ValueError("cutoff must be at least 10")
     m = np.asarray(m, dtype=float)[..., None]
     beta = np.asarray(beta, dtype=float)[..., None]
+    cutoff = DEFAULT_CUTOFF
     top = 2 * cutoff
     # one row of terms per entry; each row sums on its own
     terms = 1.0 / (_fermionic_frequencies(-top, top, beta) ** 2 + m**2)
@@ -200,27 +199,21 @@ def _pair_levels(
     return totals
 
 
-def a0_c0_sum(
-    omega_index: int,
-    params: ModelParams,
-    beta: float,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> KernelValue:
+def a0_c0_sum(omega_index: int, params: ModelParams, beta: float) -> KernelValue:
     """Finite-sum kernels (a0, c0) at bosonic index ``omega_index``.
 
-    Reported values are Richardson extrapolants over (cutoff, 2*cutoff) of
-    the tail-corrected pair sum, both levels from one evaluation of the
-    summand over the 2*cutoff window; ``tail_estimate`` records the
-    difference between the two cutoff levels.
+    Reported values are Richardson extrapolants over (M, 2M),
+    M = ``DEFAULT_CUTOFF``, of the tail-corrected pair sum, both levels
+    from one evaluation of the summand over the 2M window;
+    ``tail_estimate`` records the difference between the two cutoff
+    levels.  An index beyond 2M is refused.
 
     At omega = 0 the pair sum collapses to the single-pole sum, so
     a0 + 2 c0 tends to (g1 + g2)^2 / (Omega omega0) * tanh(beta Omega / 4).
     """
     check_beta(beta)
-    if cutoff < 10:
-        raise ValueError("cutoff must be at least 10")
     coarse, fine = _pair_levels(
-        abs(omega_index), 0.5 * params.Omega, beta, (cutoff, 2 * cutoff)
+        abs(omega_index), 0.5 * params.Omega, beta, (DEFAULT_CUTOFF, 2 * DEFAULT_CUTOFF)
     )
     pair_sum = _richardson(coarse, fine)
     spread = abs(fine - coarse)

@@ -49,17 +49,19 @@ rows are nodes whose bound lies outside the float range.  A node is
 "critical" where its bound lies within ``CRITICAL_PHASE_TOL`` of one,
 else "normal" below one and "superradiant" above.
 
-The gap equation has one solver, a safeguarded Newton iteration batched
-over nodes (``order_parameter``).  In s = D - Omega its balance f(s) =
+The gap equation has one solver, a Newton iteration batched over nodes
+(``order_parameter``).  In s = D - Omega its balance f(s) =
 K tanh(beta (Omega + s)/4) - (Omega + s), K = (g/omega0) g, is concave
 (tanh is concave on positive arguments), positive at s = 0 in the
 superradiant phase and negative at hi = K - Omega, so Newton started at or
 below hi but above the root decreases monotonically onto it.  A node
 stops once its step is no longer positive beyond four ulps of s;
-rounding near a badly conditioned root ends it the same way.  Nodes
-still moving after twelve steps are finished by bisection on [0, hi].
-The arrays are evaluated under ``np.errstate(all="ignore")``, so no
-RuntimeWarning escapes.
+rounding near a badly conditioned root ends it the same way.  A node
+whose thermal factor at hi, tanh(beta K/4), rounds to one (deep cold,
+and beta = inf) is at its zero-temperature root hi and takes no step.
+A node still moving after twelve steps raises RuntimeError.  The arrays
+are evaluated under ``np.errstate(all="ignore")``, so no RuntimeWarning
+escapes.
 """
 
 from __future__ import annotations
@@ -96,12 +98,10 @@ CRITICAL_PHASE_TOL = 1e-9
 _THERMAL_SCALE = 0.25
 
 # Gap-equation solver: a node stops when its Newton step is no more than
-# this relative size of s; nodes still moving after _NEWTON_STEPS are
-# bisected, at most _BISECTIONS times (enough to halve any float width
-# down to one ulp).
+# this relative size of s; a node still moving after _NEWTON_STEPS raises
+# RuntimeError (at most six steps have been seen, near the transition).
 _STEP_RTOL = 4.0 * np.finfo(float).eps
 _NEWTON_STEPS = 12
-_BISECTIONS = 2200
 
 _PARAM_NAMES = ("omega0", "Omega", "g1", "g2")
 
@@ -437,15 +437,12 @@ def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray
 
     1-d arrays; every entry must have a positive balance at s = 0 (the
     superradiant phase).  Newton from an upper bound on the root, each
-    entry frozen once its step is at most ``_STEP_RTOL`` of s, then
-    bisection on [0, hi] for the entries still moving; see
-    ``order_parameter``.  The caller holds ``np.errstate``.
+    entry frozen once its step is at most ``_STEP_RTOL`` of s; an entry
+    whose thermal factor at hi rounds to one stays at hi, its
+    zero-temperature root.  Raises RuntimeError if an entry is still
+    moving after ``_NEWTON_STEPS``; see ``order_parameter``.  The caller
+    holds ``np.errstate``.
     """
-
-    def balance(s, K, Omega, scale):
-        gap = Omega + s
-        return K * np.tanh(scale * gap) - gap
-
     hi = K - Omega
     # The start is the lower of two upper bounds on the root: hi, from
     # tanh <= 1, and the root with tanh(u), u = scale D, replaced by its
@@ -457,9 +454,13 @@ def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray
     upper = np.sqrt(15.0 * (1.0 - c) / (6.0 * c - 1.0)) / scale - Omega
     below = upper < hi
     s = np.where(below, upper, hi)
-    # a balance at hi that rounds to non-negative (deep cold, and beta =
-    # inf) makes hi the root; the rounded bound always takes a step
-    moving = below | (balance(s, K, Omega, scale) < 0.0)
+    # where tanh(scale D) at D = K rounds to 1 (deep cold, and beta = inf)
+    # the root is hi to rounding, and Newton's slope can round to 0 (K
+    # scale >= 2^53) or NaN (beta = inf), so the node stays at hi;
+    # elsewhere the rounded bound, and a balance at hi that rounds to
+    # negative, take a step
+    gap = Omega + s
+    moving = (below | (K * np.tanh(scale * gap) < gap)) & (np.tanh(KS) < 1.0)
     # the slope K scale (1 - t^2) - 1 loses digits as t -> 1, but the
     # slope only sets the convergence rate; the root is where the
     # balance vanishes
@@ -472,20 +473,11 @@ def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray
         step = (K * t - gap) / (slope_at_zero - KS * t * t)
         s -= np.where(moving, step, 0.0)
         moving &= step > _STEP_RTOL * s
-    # NaN entries (beta = inf) join the ones still moving
-    todo = (moving | np.isnan(s)).nonzero()[0]
-    if todo.size:
-        K, Omega, scale = K[todo], Omega[todo], scale[todo]
-        lo, up = np.zeros(todo.size), hi[todo]
-        for _ in range(_BISECTIONS):
-            live = up - lo > _STEP_RTOL * up
-            if not live.any():
-                break
-            mid = 0.5 * (lo + up)
-            above = balance(mid, K, Omega, scale) > 0.0
-            lo = np.where(live & above, mid, lo)
-            up = np.where(live & ~above, mid, up)
-        s[todo] = 0.5 * (lo + up)
+    if moving.any():
+        raise RuntimeError(
+            f"gap equation: {np.count_nonzero(moving)} node(s) still moving "
+            f"after {_NEWTON_STEPS} Newton steps"
+        )
     return s
 
 
@@ -518,13 +510,13 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     high-temperature transition, where Newton from hi needs the most
     steps.  Each node stops when its step is no longer positive beyond
     four ulps of s (relative), which also ends the iteration when
-    rounding near a badly conditioned root makes the step wander; nodes
-    still moving after twelve steps are bisected on [0, hi] to the same
-    relative width.  When the balance at hi rounds to non-negative (deep
-    cold, and exactly at beta = inf) the root is hi, which gives the
-    zero-temperature value (K^2 - Omega^2) / (4 K omega0).  The
-    numerically summed frequency series is reserved for the test oracle
-    and ``validate``.
+    rounding near a badly conditioned root makes the step wander; a node
+    still moving after twelve steps raises RuntimeError.  Where
+    tanh(beta K/4), the thermal factor at hi, rounds to one (deep cold,
+    and exactly at beta = inf) the root is hi, which gives the
+    zero-temperature value (K^2 - Omega^2) / (4 K omega0), as does a
+    balance at hi that rounds to non-negative.  The numerically summed
+    frequency series is reserved for the test oracle and ``validate``.
 
     Parameters and beta may be arrays, which broadcast; all nodes are
     solved together and no RuntimeWarning escapes.  Returns exactly 0.0

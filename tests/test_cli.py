@@ -580,9 +580,9 @@ def test_cross_check_evaluates_the_finite_sum_twice_per_point(monkeypatch, capsy
 
     calls = []
 
-    def counting(omega_index, params, beta, *args):
+    def counting(omega_index, params, beta):
         calls.append((params, beta))
-        return a0_c0_sum(omega_index, params, beta, *args)
+        return a0_c0_sum(omega_index, params, beta)
 
     monkeypatch.setattr(cli, "a0_c0_sum", counting)
     assert main(["validate"]) == 0

@@ -10,10 +10,12 @@ import _oracles
 from _oracles import finite_sum_critical_beta
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
+    DEFAULT_CUTOFF,
     _fermionic_frequencies,
     _pair_levels,
     _pair_summand,
     _pair_tail_integral,
+    _richardson,
     a0_c0_sum,
     bosonic_frequency,
     continue_kernels,
@@ -100,7 +102,8 @@ def test_truncation_error_scaling():
     corrected = [abs(level - exact) for level in _pair_levels(0, m, beta, (64, 128))]
     assert corrected[0] / corrected[1] == pytest.approx(32.0, rel=0.3)
     # Richardson on top beats the plain corrected sum at equal cutoff
-    assert abs(fermionic_lorentzian_sum(m, beta, 128) - exact) < corrected[1]
+    richardson = _richardson(*_pair_levels(0, m, beta, (128, 256)))
+    assert abs(richardson - exact) < corrected[1]
 
 
 def test_paired_pole_sum_converges_under_doubling():
@@ -156,16 +159,18 @@ def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
     with pytest.raises(ValueError, match="beyond twice the cutoff"):
         _pair_levels(21, 0.45, 2.5, (10,))
     # the finite-sum kernels are even in the index and refuse it as well
-    assert a0_c0_sum(-20, P_MIXED, 2.5, 10) == a0_c0_sum(20, P_MIXED, 2.5, 10)
-    with pytest.raises(ValueError, match="beyond twice the cutoff"):
-        a0_c0_sum(-21, P_MIXED, 2.5, 10)
+    top = 2 * DEFAULT_CUTOFF
+    assert a0_c0_sum(-top, P_MIXED, 2.5) == a0_c0_sum(top, P_MIXED, 2.5)
+    for k in (top + 1, -top - 1):
+        with pytest.raises(ValueError, match="beyond twice the cutoff"):
+            a0_c0_sum(k, P_MIXED, 2.5)
 
 
 @pytest.mark.parametrize("k", [0, 3, 50])
 @pytest.mark.parametrize("beta", [0.05, 1.0, 3.0, 100.0])
 def test_one_window_kernels_match_two_paired_sums(k, beta):
     # a0_c0_sum sums the 2M window once and slices the M window out of it
-    cutoff = 512
+    cutoff = DEFAULT_CUTOFF
     m = P_MIXED.Omega / 2.0
     (coarse,) = _pair_levels(k, m, beta, (cutoff,))
     (fine,) = _pair_levels(k, m, beta, (2 * cutoff,))
@@ -173,7 +178,7 @@ def test_one_window_kernels_match_two_paired_sums(k, beta):
     root = np.sqrt(P_MIXED.omega0**2 + bosonic_frequency(k, beta) ** 2)
     a_weight = (P_MIXED.g1**2 + P_MIXED.g2**2) / (beta * root)
     c_weight = P_MIXED.omega0 * P_MIXED.g1 * P_MIXED.g2 / (beta * root**2)
-    kv = a0_c0_sum(k, P_MIXED, beta, cutoff)
+    kv = a0_c0_sum(k, P_MIXED, beta)
     assert kv.a == pytest.approx(a_weight * pair_sum, rel=1e-15, abs=0.0)
     assert kv.c == pytest.approx(c_weight * pair_sum, rel=1e-15, abs=0.0)
     spread = (a_weight + 2.0 * c_weight) * abs(fine - coarse)
@@ -278,11 +283,6 @@ def test_transition_combination_matches_formula():
         assert kv.a + 2.0 * kv.c == pytest.approx(expected, abs=1e-8)
 
 
-def test_insufficient_cutoff_flagged():
-    with pytest.raises(ValueError):
-        a0_c0_sum(0, P_MIXED, 2.0, cutoff=4)
-
-
 def test_high_frequency_decay_envelope():
     # pair-shifted combination falls like 1/w^2 up to a slow log factor
     beta = 2.0
@@ -372,9 +372,9 @@ def test_finite_sum_critical_beta_evaluates_each_beta_once(monkeypatch):
     # the root, so Brent's method starts from values already computed
     evaluated = []
 
-    def counting(omega_index, params, beta, *args):
+    def counting(omega_index, params, beta):
         evaluated[-1].append(beta)
-        return a0_c0_sum(omega_index, params, beta, *args)
+        return a0_c0_sum(omega_index, params, beta)
 
     monkeypatch.setattr(_oracles, "a0_c0_sum", counting)
     for p in (

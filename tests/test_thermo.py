@@ -19,7 +19,9 @@ from _oracles import (
 from dicketherm.matsubara import fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
+from dicketherm import thermo
 from dicketherm.thermo import (
+    CRITICAL_PHASE_TOL,
     ParamGrid,
     convergence_bound,
     critical_beta,
@@ -189,6 +191,60 @@ def test_order_parameter_zero_temperature_limit():
         )
         assert phase_point(p, math.inf).rho == order_parameter(p, math.inf)
     assert order_parameter(ModelParams(1.0, 1.0, g1=0.5), math.inf) == 0.0
+    # deep cold, K beta / 4 >= 2^53: Newton's slope at a thermal factor of
+    # one rounds to zero, and a step from hi once ran off to rho = inf
+    p = ModelParams(1.0, 0.7, g1=1.3, g2=0.6)
+    K = (p.g1 + p.g2) ** 2 / p.omega0
+    ground = (K**2 - p.Omega**2) / (4.0 * K * p.omega0)
+    for beta in (1e16, 1e20, 1e300):
+        rho = order_parameter(p, beta)
+        assert rho == pytest.approx(ground, rel=1e-15, abs=0.0)
+        assert rho == pytest.approx(gap_order_parameter(p, beta), rel=1e-15, abs=0.0)
+        assert phase_scan([p], [beta]).rho[0] == rho == order_parameter(p, math.inf)
+
+
+def test_order_parameter_never_exceeds_the_zero_temperature_root():
+    # superradiant nodes from just past the quantum-critical line, beta
+    # log-uniform from beta_c to 1e300 (half of them to 10 beta_c, where
+    # fewer nodes are saturated), and beta = inf
+    rng = np.random.default_rng(30)
+    n = 20_000
+    omega0, Omega = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (2, n)))
+    g = np.sqrt(omega0 * Omega * (1.0 + np.exp(rng.uniform(-28.0, 5.0, n))))
+    g1 = rng.uniform(0.0, 1.0, n) * g
+    grid = ParamGrid(omega0, Omega, g1, g - g1)
+    beta_c = critical_beta(grid)
+    top = np.where(rng.uniform(size=n) < 0.5, 10.0 * beta_c, 1e300)
+    beta = np.exp(rng.uniform(np.log(beta_c), np.log(top)))
+    beta[rng.uniform(size=n) < 0.05] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = order_parameter(grid, beta)
+        ground = order_parameter(grid, math.inf)
+    superradiant = convergence_bound(grid, beta) - 1.0 >= CRITICAL_PHASE_TOL
+    assert np.count_nonzero(superradiant) > 0.7 * n
+    assert np.all(rho[superradiant] > 0.0) and np.all(rho[~superradiant] == 0.0)
+    assert np.all(np.isfinite(rho)) and np.all(rho <= ground)
+    K = (grid.g1 + grid.g2) / omega0 * (grid.g1 + grid.g2)
+    saturated = np.tanh(0.25 * beta * K) == 1.0
+    assert 0.2 * n < np.count_nonzero(saturated) < 0.8 * n
+    assert np.array_equal(rho[saturated], ground[saturated])
+    # factored, the closed form keeps its digits near the critical line
+    closed = (K - Omega) * (K + Omega) / (4.0 * K * omega0)
+    cold = ground > 0.0
+    assert np.allclose(ground[cold], closed[cold], rtol=2e-15, atol=0.0)
+
+
+def test_gap_solver_raises_rather_than_report_an_unconverged_root(monkeypatch):
+    # one Newton step does not settle a node this close to the transition
+    p = ModelParams(1.0, 1.0, g1=0.9, g2=0.6)
+    beta = 1.9119784015
+    assert 1.0 < convergence_bound(p, beta) < 1.001
+    monkeypatch.setattr(thermo, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="still moving after 1 Newton steps"):
+        order_parameter(p, beta)
+    with pytest.raises(RuntimeError, match="still moving"):
+        phase_scan([p], [beta])
 
 
 def test_library_rejects_nan_beta():
