@@ -19,12 +19,14 @@ value's text as its row is made.  A scan node whose convergence bound
 lies outside the float range is an error row, and no other node is.
 phase-diagram writes it with its ``OverflowError`` text and empty (CSV)
 or ``null`` (JSON) numeric cells; order-parameter stops there and exits
-1 with that text, after the rows before it.  Any other NaN or infinity in a row is an error as
-well: the command exits 1, after the rows it had already written.  Rows
-stream as they are computed.  ``--workers`` is accepted and validated
-but has no effect.  validate runs fixed checks and writes a text report;
-it takes ``--output`` and ``--config`` and refuses every model, beta,
-grid, sweep, ED or format input with exit 2.
+1 with that text, after the rows before it.  Any other NaN or infinity
+in a row is an error as well: the command exits 1, after the rows it
+had already written.  Rows stream as they are computed.  validate runs
+fixed checks and writes a text report.  Each setting is one entry of
+``_SETTINGS``: converter, default, the commands that read it, help.  A
+``--NAME`` flag and a ``NAME = value`` config line go through the same
+converter, flags override lines, and a command refuses every setting it
+does not read, each error with exit 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import islice, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -61,31 +63,15 @@ from dicketherm.thermo import (
 __all__ = ["ConfigError", "GridSpec", "RunConfig", "main", "parse_config", "run"]
 
 SWEEP_VARIABLES = ("g1", "g2", "beta", "omega0", "Omega")
-FORMATS = ("csv", "json")
+# the texts of each choice setting, and the value of each
+FORMATS = {"csv": "csv", "json": "json"}
+_KINDS = {kind.value: kind for kind in HamiltonianKind}
 
-_FILE_KEYS = {
-    "omega0",
-    "Omega",
-    "g1",
-    "g2",
-    "beta",
-    "beta-grid",
-    "sweep",
-    "output",
-    "format",
-    "workers",
-    "n-list",
-    "ed-tol",
-    "kind",
-}
-
-
-# validate runs fixed checks, so these inputs would change nothing there;
-# it refuses each, as a flag or a config key
-_VALIDATE_REFUSED = (
-    "omega0", "Omega", "g1", "g2", "beta", "beta-grid", "sweep", "format",
-    "n-list", "ed-tol", "kind",
-)
+# the commands that read each group of settings
+_GRIDDED = ("phase-diagram", "spectrum", "partition-ratio", "order-parameter")
+_THERMAL = (*_GRIDDED, "ed-curve")
+_MODEL = ("critical-temp", *_THERMAL)
+COMMANDS = (*_MODEL, "validate")
 
 
 class ConfigError(Exception):
@@ -108,9 +94,7 @@ class GridSpec:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(f"grid bounds must be finite, got {self.start}:{self.stop}")
         if self.start > self.stop:
-            raise ConfigError(
-                f"grid start {self.start} exceeds stop {self.stop}"
-            )
+            raise ConfigError(f"grid start {self.start} exceeds stop {self.stop}")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"unknown grid scale '{self.scale}'")
         if self.scale == "log" and self.start <= 0.0:
@@ -128,14 +112,14 @@ class GridSpec:
 class RunConfig:
     command: str
     params: ModelParams
-    beta: float | None = None
-    beta_grid: GridSpec | None = None
-    sweep: GridSpec | None = None
-    output: str | None = None
-    fmt: str = "csv"
-    n_list: tuple[int, ...] = (2, 4, 6, 8)
-    ed_tol: float = 1e-6
-    kind: HamiltonianKind = HamiltonianKind.GENERALIZED_DICKE
+    beta: float | None
+    beta_grid: GridSpec | None
+    sweep: GridSpec | None
+    output: str | None
+    fmt: str
+    n_list: tuple[int, ...]
+    ed_tol: float
+    kind: HamiltonianKind
 
     @cached_property
     def param_nodes(self) -> list[ModelParams]:
@@ -151,77 +135,44 @@ class RunConfig:
         return [self.params]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dicketherm",
-        description="Finite-temperature thermodynamics and collective "
-        "spectrum of the two-coupling Dicke model.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--omega0", type=float, help="boson mode frequency")
-    parser.add_argument("--Omega", type=float, help="atomic level splitting")
-    parser.add_argument("--g1", type=float, help="rotating coupling")
-    parser.add_argument("--g2", type=float, help="counter-rotating coupling")
-    parser.add_argument("--beta", type=float, help="inverse temperature")
-    parser.add_argument(
-        "--beta-grid",
-        metavar="START:STOP:STEPS[:SCALE]",
-        help="inverse-temperature grid (mutually exclusive with --beta)",
-    )
-    parser.add_argument(
-        "--sweep",
-        metavar="VAR:START:STOP:STEPS[:SCALE]",
-        help=f"parameter sweep; VAR in {{{', '.join(SWEEP_VARIABLES)}}}",
-    )
-    parser.add_argument("--output", help="output path (default stdout)")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="accepted and validated (integer), no effect",
-    )
-    parser.add_argument(
-        "--n-list", help="comma-separated atom numbers for ed-curve"
-    )
-    parser.add_argument(
-        "--ed-tol", type=float, help="truncation tolerance for ed-curve"
-    )
-    parser.add_argument(
-        "--kind",
-        choices=[k.value for k in HamiltonianKind],
-        help="Hamiltonian kind for ed-curve",
-    )
-    return parser
+# Converters: each takes a setting's name and its text, from a flag or a
+# config line alike, and returns its value or raises ConfigError with the
+# one-line diagnostic.
+def _number(name: str, text: str, parse: Callable = float, what: str = "a number"):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"{name} is not {what}: {text!r}") from None
 
 
-def _parse_config_text(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                f"config line {lineno} is not key=value: {line!r}"
-            )
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-        values[key] = value
-    return values
+def _positive(name: str, text: str) -> float:
+    value = _number(name, text)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
-def _grid_from_text(text: str, *, variable: str | None = None) -> GridSpec:
+def _one_of(name: str, text: str, choices: dict[str, object]):
+    try:
+        return choices[text]
+    except KeyError:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {text!r}") from None
+
+
+def _n_list(name: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ConfigError(f"bad {name}: {text!r}") from None
+
+
+def _grid(name: str, text: str) -> GridSpec:
+    """A ``sweep``, VAR:START:STOP:STEPS[:SCALE], or a ``beta-grid``, the
+    same without VAR."""
     parts = text.split(":")
-    if variable is None:
-        variable = parts[0]
-        parts = parts[1:]
+    variable = "beta" if name == "beta-grid" else parts.pop(0)
     if len(parts) not in (3, 4):
-        raise ConfigError(
-            f"grid spec needs START:STOP:STEPS[:SCALE], got '{text}'"
-        )
+        raise ConfigError(f"grid spec needs START:STOP:STEPS[:SCALE], got '{text}'")
     try:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
@@ -232,130 +183,118 @@ def _grid_from_text(text: str, *, variable: str | None = None) -> GridSpec:
     return GridSpec(variable, start, stop, steps, scale)
 
 
-def _setting(name: str, value, convert: Callable):
-    try:
-        return convert(value)
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError(f"{name} is not {kind}: {value!r}") from None
+class _Setting(NamedTuple):
+    convert: Callable[[str, str], object]
+    default: object
+    commands: tuple[str, ...]
+    help: str
 
 
-def parse_config(
-    args: Sequence[str], file_text: str | None = None
-) -> RunConfig:
+# Every setting, as ``--NAME`` or a ``NAME = value`` config line: its
+# converter, its default, the commands that read it and its help text.
+# A command refuses every setting it does not read.
+_SETTINGS = {
+    "omega0": _Setting(_number, 1.0, _MODEL, "boson mode frequency"),
+    "Omega": _Setting(_number, 1.0, _MODEL, "atomic level splitting"),
+    "g1": _Setting(_number, 0.0, _MODEL, "rotating coupling"),
+    "g2": _Setting(_number, 0.0, _MODEL, "counter-rotating coupling"),
+    "beta": _Setting(_number, None, _THERMAL, "inverse temperature"),
+    "beta-grid": _Setting(_grid, None, _GRIDDED, "beta grid START:STOP:STEPS[:SCALE]"),
+    "sweep": _Setting(_grid, None, _MODEL, "VAR:START:STOP:STEPS[:SCALE], VAR a parameter or beta"),
+    "output": _Setting(lambda name, text: text, None, COMMANDS, "output file (default stdout)"),
+    "format": _Setting(partial(_one_of, choices=FORMATS), "csv", _MODEL, "csv (default) or json"),
+    "workers": _Setting(partial(_number, parse=int, what="an integer"), None, COMMANDS, "unused"),
+    "n-list": _Setting(_n_list, (2, 4, 6, 8), ("ed-curve",), "comma-separated atom numbers"),
+    "ed-tol": _Setting(_positive, 1e-6, ("ed-curve",), "truncation tolerance"),
+    "kind": _Setting(partial(_one_of, choices=_KINDS), HamiltonianKind.GENERALIZED_DICKE,
+                     ("ed-curve",), "Hamiltonian kind: " + ", ".join(_KINDS)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dicketherm",
+        description="Finite-temperature thermodynamics and collective "
+        "spectrum of the two-coupling Dicke model.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="NAME = value config file; flags override its lines")
+    for name, setting in _SETTINGS.items():
+        parser.add_argument(f"--{name}", dest=name, help=setting.help)
+    return parser
+
+
+def _parse_config_text(text: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno} is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _SETTINGS:
+            raise ConfigError(f"unknown config key '{key}'")
+        values[key] = value
+    return values
+
+
+def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig:
     """Build a RunConfig from CLI arguments plus optional config text.
 
-    Flags override file values.  Malformed input raises ConfigError whose
-    message is the one-line diagnostic; argparse errors exit 2 directly.
+    Flags override config lines.  A setting the command does not read, or
+    a malformed value, raises ConfigError whose message is the one-line
+    diagnostic; argparse errors exit 2 directly.
     """
-    ns = _PARSER.parse_args(list(args))
-    if file_text is None and ns.config:
+    flags = vars(_PARSER.parse_args(list(args)))
+    command = flags["command"]
+    if file_text is None and flags["config"]:
         try:
-            with open(ns.config, encoding="utf-8") as fh:
+            with open(flags["config"], encoding="utf-8") as fh:
                 file_text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-    raw = _parse_config_text(file_text) if file_text else {}
-    if ns.command == "validate":
-        given = [
-            key for key in _VALIDATE_REFUSED
-            if getattr(ns, key.replace("-", "_")) is not None or key in raw
-        ]
-        if given:
-            flags = "/".join(f"--{key}" for key in given)
-            raise ConfigError(f"validate runs fixed checks and takes no {flags}")
+    texts = _parse_config_text(file_text) if file_text else {}
+    texts.update({name: flags[name] for name in _SETTINGS if flags[name] is not None})
+    unread = [name for name, setting in _SETTINGS.items()
+              if name in texts and command not in setting.commands]
+    if unread:
+        raise ConfigError(f"{command} takes no {'/'.join(f'--{name}' for name in unread)}")
+    values = {
+        name: setting.convert(name, texts[name]) if name in texts else setting.default
+        for name, setting in _SETTINGS.items()
+    }
 
-    def pick(flag_value, key, fallback, convert=str):
-        """The flag, else the file value, else the fallback, converted once."""
-        if flag_value is not None:
-            return flag_value
-        value = raw.get(key, fallback)
-        return None if value is None else _setting(key, value, convert)
-
+    beta, beta_grid, sweep = values["beta"], values["beta-grid"], values["sweep"]
+    beta_swept = sweep is not None and sweep.variable == "beta"
     try:
-        params = ModelParams(
-            omega0=pick(ns.omega0, "omega0", 1.0, float),
-            Omega=pick(ns.Omega, "Omega", 1.0, float),
-            g1=pick(ns.g1, "g1", 0.0, float),
-            g2=pick(ns.g2, "g2", 0.0, float),
-        )
+        params = ModelParams(values["omega0"], values["Omega"], values["g1"], values["g2"])
+        if sweep is not None and not beta_swept:
+            # sweep values lie in [start, stop] and the model's domain is an
+            # interval, so the two ends decide, as the same flag values would
+            for end in (sweep.start, sweep.stop):
+                dataclasses.replace(params, **{sweep.variable: end})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    beta = pick(ns.beta, "beta", None, float)
-    beta_grid_text = pick(ns.beta_grid, "beta-grid", None)
-    beta_grid = (
-        _grid_from_text(beta_grid_text, variable="beta")
-        if beta_grid_text
-        else None
-    )
-    sweep_text = pick(ns.sweep, "sweep", None)
-    sweep = _grid_from_text(sweep_text) if sweep_text else None
-
     if beta is not None and beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
-    if beta is not None and (not math.isfinite(beta) or beta <= 0.0):
+    if beta is not None and not 0.0 < beta < math.inf:
         raise ConfigError(
-            f"beta must be positive and finite, got {beta}; for the "
-            "zero-temperature line query quantum_critical_gap via "
-            "critical-temp"
+            f"beta must be positive and finite, got {beta}; for the zero-temperature line "
+            "query quantum_critical_gap via critical-temp"
         )
-    beta_swept = sweep is not None and sweep.variable == "beta"
     if beta_swept and (beta is not None or beta_grid is not None):
         raise ConfigError("beta swept twice (--sweep beta plus --beta/--beta-grid)")
-
-    # accepted and validated, no effect: scans run serially
-    pick(ns.workers, "workers", None, int)
-
-    n_list_text = pick(ns.n_list, "n-list", "2,4,6,8")
-    try:
-        n_list = tuple(int(s) for s in n_list_text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad n-list: {n_list_text!r}") from None
-    ed_tol = pick(ns.ed_tol, "ed-tol", 1e-6, float)
-    if not (math.isfinite(ed_tol) and ed_tol > 0.0):
-        raise ConfigError(f"ed-tol must be positive and finite, got {ed_tol}")
-    fmt = pick(ns.format, "format", "csv")
-    if fmt not in FORMATS:
-        raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    kind_text = pick(ns.kind, "kind", HamiltonianKind.GENERALIZED_DICKE.value)
-    try:
-        kind = HamiltonianKind(kind_text)
-    except ValueError:
-        raise ConfigError(f"unknown kind '{kind_text}'")
-
-    command = ns.command
-    needs_beta = command not in ("critical-temp", "validate")
-    if command == "critical-temp" and (
-        beta is not None or beta_grid is not None or beta_swept
-    ):
+    if command == "critical-temp" and beta_swept:
         raise ConfigError("critical-temp takes no --beta/--beta-grid/--sweep beta")
-    if needs_beta and beta is None and beta_grid is None and not beta_swept:
-        raise ConfigError(f"{command} requires --beta or --beta-grid")
     if command == "ed-curve" and beta is None:
         raise ConfigError("ed-curve takes a single --beta")
-
-    if sweep is not None and sweep.variable != "beta":
-        # sweep values lie in [start, stop] and the model's domain is an
-        # interval, so the two ends decide; a value outside the domain
-        # exits 2 before any output, as the same flag value does
-        for end in (sweep.start, sweep.stop):
-            try:
-                dataclasses.replace(params, **{sweep.variable: end})
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-
+    if command in _THERMAL and beta is None and beta_grid is None and not beta_swept:
+        raise ConfigError(f"{command} requires --beta or --beta-grid")
     return RunConfig(
-        command=command,
-        params=params,
-        beta=beta,
-        beta_grid=beta_grid,
-        sweep=sweep,
-        output=pick(ns.output, "output", None),
-        fmt=fmt,
-        n_list=n_list,
-        ed_tol=ed_tol,
-        kind=kind,
+        command, params, beta, beta_grid, sweep, values["output"], values["format"],
+        values["n-list"], values["ed-tol"], values["kind"],
     )
 
 
@@ -680,8 +619,6 @@ _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[tuple]]
 _JSON_HEADERS = {
     "spectrum": (*_SPECTRUM_NODE_COLUMNS, "roots", "residuals", "labels", "multiplicities"),
 }
-
-COMMANDS = (*_TABLES, "validate")
 
 # Built once: argparse's parse_args leaves the parser as it was, and
 # building it costs more than a small job's whole computation.

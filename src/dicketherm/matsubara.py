@@ -245,8 +245,7 @@ def continue_kernels(
     pole positions.  Refuses a NaN or non-positive beta; beta = inf is
     the zero-temperature limit.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    t = tanh_factor(params, beta)
     pole_epsilon = default_pole_epsilon(params)
     gap = min(
         abs(z - params.Omega),
@@ -258,7 +257,6 @@ def continue_kernels(
         raise PoleProximityError(
             f"|z| = {abs(z)} within {pole_epsilon:.3e} of a kernel pole"
         )
-    t = tanh_factor(params, beta)
     a_plus = (
         t
         * (params.g1**2 / (params.Omega - z) + params.g2**2 / (params.Omega + z))

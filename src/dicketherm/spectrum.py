@@ -83,13 +83,12 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
     """
     if not 0.0 <= E < math.inf:
         raise ValueError(f"E must be non-negative and finite, got {E}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    t = tanh_factor(params, beta)
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:
         raise PoleProximityError(f"E = {E} within {eps:.3e} of a kernel pole")
     unit, e = _in_unit(params)
-    B, C = _quadratic(unit, tanh_factor(params, beta))
+    B, C = _quadratic(unit, t)
     E = math.ldexp(E, -e)
     return _residual(unit, B, C, E * E)
 
@@ -136,12 +135,9 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    unit, e = _in_unit(params)
-
     # one thermal factor and one (B, C) serve every root of the node
     t = tanh_factor(params, beta)
+    unit, e = _in_unit(params)
     B, C = _quadratic(unit, t)
     poles = (unit.Omega, unit.omega0)
     guard = 2.0 * default_pole_epsilon(unit)

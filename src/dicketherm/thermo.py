@@ -9,16 +9,16 @@ all read it.  Part of the literature writes the analogous factor as
 tanh(beta*Omega/2); the two conventions differ by a factor of two in
 beta_c.  Here beta_c = (4/Omega) * atanh(Omega*omega0 / (g1+g2)^2).
 
-The choice matters for quantitative oracle comparisons.  Brute-force
-finite-N partition ratios ln(Z_N / Z0_N) extrapolate (Richardson in 1/N)
-to the tanh(beta*Omega/2) variant of the same fluctuation sum, not to the
-value returned by log_partition_ratio; at omega0=Omega=1, g1=0.6, g2=0.3,
-beta=1 and n_max=24, exact diagonalization at N = 2, 4, 6 rises
-monotonically, above the quarter-argument sum 0.11652 and below the
-half-argument one 0.2459145.  The quarter-argument convention is
-kept throughout because beta_c, the spectrum anchors, and the order
-parameter are internally consistent with it; cross-checks against exact
-diagonalization should compare trends, not absolute fluctuation values.
+The quarter argument is the trace it comes from.  tanh(beta*Omega/4) is
+exactly the one-site polarization of the unprojected fermion trace, over
+all four states of a site of ``fermionization.build_fermion_dicke``: the
+empty and doubly occupied states have zero energy and no polarization,
+so it is 2 sinh(beta*Omega/2) / (2 + 2 cosh(beta*Omega/2)).  The
+physical (Popov-Fedotov) trace keeps one fermion per site and gives
+tanh(beta*Omega/2), which is what exact diagonalization of the spin
+Hamiltonian agrees with.  So the closed forms here are those of the
+unprojected trace, and beta_c is twice the spin model's.  A test pins
+both one-site factors; ROADMAP item 1 has the ED table of both traces.
 
 The normal/superradiant classification runs on the closed-form bound
 (g1+g2)^2/(Omega*omega0) * t: below one the frequency product converges
@@ -163,8 +163,23 @@ def _value(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+def _check_beta(beta) -> None:
+    """Refuse a NaN or non-positive beta, or an array holding one; inf passes."""
+    if isinstance(beta, np.ndarray):
+        bad = beta[~(beta > 0.0)]
+        if bad.size:
+            raise ValueError(f"beta must be positive, got {bad[0]}")
+    elif not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+
+
 def tanh_factor(params: ModelParams | ParamGrid, beta):
-    """The thermal factor tanh(beta * Omega / 4) shared by every kernel."""
+    """The thermal factor tanh(beta * Omega / 4) shared by every kernel.
+
+    Refuses a NaN or non-positive beta with ValueError; beta = inf, zero
+    temperature, gives 1.
+    """
+    _check_beta(beta)
     return _value(np.tanh(_THERMAL_SCALE * beta * params.Omega))
 
 
@@ -239,12 +254,7 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
     outside the float range is inf in an array; a scalar one raises
     OverflowError.
     """
-    if isinstance(beta, np.ndarray):
-        bad = beta[~(beta > 0.0)]
-        if bad.size:
-            raise ValueError(f"beta must be positive, got {bad[0]}")
-    elif not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if isinstance(params, ModelParams) and not isinstance(beta, np.ndarray):
         # float arithmetic: no numpy warning to silence, and no errstate cost
         x = _THERMAL_SCALE * beta * params.Omega

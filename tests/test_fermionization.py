@@ -3,6 +3,7 @@ import pytest
 
 import dicketherm.cli as cli
 import dicketherm.fermionization as fermionization
+import dicketherm.thermo as thermo
 from _oracles import fermion_mode_ops, kron_fermion_dicke, physical_projector_diagonal
 from dicketherm.exact_diag import thermal_solve
 from dicketherm.fermionization import (
@@ -82,6 +83,27 @@ def test_decoupled_physical_spectrum():
     ev = np.sort(np.linalg.eigvalsh(hf.matrix[np.ix_(phys, phys)]))
     expected = np.sort([s + 1.0 * n for s in (-0.5, 0.5) for n in range(4)])
     assert np.allclose(ev, expected, atol=1e-12)
+
+
+def test_one_site_polarization_is_the_quarter_factor_unprojected_and_the_half_projected():
+    # the two empty-or-double states of a site have zero energy and no
+    # polarization, so the whole-register trace gives
+    # 2 sinh(beta Omega/2) / (2 + 2 cosh(beta Omega/2)) = tanh(beta Omega/4),
+    # the package's thermal factor; the physical trace gives tanh(beta Omega/2)
+    beta, Omega, n_max = 1.7, 0.8, 3
+    p = ModelParams(1.0, Omega)
+    energies, vectors = np.linalg.eigh(build_fermion_dicke(p, 1, n_max).matrix)
+    # the thermal state's diagonal, the Boltzmann weight of each basis state
+    weights = vectors**2 @ np.exp(-beta * (energies - energies.min()))
+    # n_beta - n_alpha per register state (alpha bit 0, beta bit 1), times the Fock ladder
+    polarization = np.repeat([0.0, -1.0, 1.0, 0.0], n_max + 1)
+    physical = np.repeat(fermionization._physical_diagonal(1), n_max + 1)
+    full = weights @ polarization / weights.sum()
+    projected = (weights * physical) @ polarization / (weights * physical).sum()
+    assert full == pytest.approx(0.32747739480870536, rel=1e-14)
+    assert full == pytest.approx(thermo.tanh_factor(p, beta), rel=1e-14)
+    assert projected == pytest.approx(0.5915193954318165, rel=1e-14)
+    assert projected == pytest.approx(np.tanh(beta * Omega / 2), rel=1e-14)
 
 
 def test_physical_subspace_matches_spin_model():

@@ -16,19 +16,23 @@ from _oracles import (
     matsubara_log_partition_ratio,
     phase_point,
 )
-from dicketherm.matsubara import fermionic_lorentzian_sum
+from dicketherm.matsubara import continue_kernels, fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, build_hamiltonian
 from dicketherm.exact_diag import thermal_solve
 from dicketherm import thermo
+from dicketherm.spectrum import collective_modes, dispersion_residual
 from dicketherm.thermo import (
     CRITICAL_PHASE_TOL,
     ParamGrid,
     convergence_bound,
     critical_beta,
+    kernel_determinant_coefficients,
     log_partition_ratio,
+    mode_energy_squares,
     order_parameter,
     phase_scan,
     quantum_critical_gap,
+    tanh_factor,
 )
 
 P_RWA = ModelParams(1.0, 1.0, g1=1.2)
@@ -256,6 +260,29 @@ def test_library_rejects_nan_beta():
         order_parameter(P_MIX, math.nan)
     with pytest.raises(ValueError, match="beta must be positive, got nan"):
         phase_scan([P_MIX], [1.0, math.nan])
+
+
+@pytest.mark.parametrize("beta", [math.nan, 0.0, -0.0, -1.0, -2.0, -math.inf])
+def test_every_thermal_factor_route_refuses_a_non_positive_beta(beta):
+    # tanh_factor holds the one check; each public route reaches it
+    p = ModelParams(1.0, 1.0, 0.5, 0.2)
+    routes = [
+        lambda: tanh_factor(p, beta),
+        lambda: tanh_factor(ParamGrid(1.0, np.array([1.0, 2.0])), np.array([1.0, beta])),
+        lambda: mode_energy_squares(p, beta),
+        lambda: kernel_determinant_coefficients(p, beta),
+        lambda: collective_modes(p, beta),
+        lambda: dispersion_residual(0.3, p, beta),
+        lambda: continue_kernels(0.3, p, beta),
+        lambda: continue_kernels(2.0j, p, beta),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="beta must be positive"):
+            route()
+    # zero temperature is the factor's limit, not a refusal
+    assert tanh_factor(p, math.inf) == 1.0
+    assert mode_energy_squares(p, math.inf) == thermo._quadratic_roots(p, 1.0, *thermo._quadratic(p, 1.0))
+    assert collective_modes(p, math.inf).roots
 
 
 def test_log_partition_ratio_free_case():
