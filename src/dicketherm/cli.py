@@ -214,6 +214,7 @@ _SETTINGS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicketherm",
+        allow_abbrev=False,
         description="Finite-temperature thermodynamics and collective "
         "spectrum of the two-coupling Dicke model.",
     )

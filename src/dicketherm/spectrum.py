@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 from dicketherm.operators import ModelParams
 from dicketherm.thermo import (
+    _critical,
     _in_unit,
     _quadratic,
     _quadratic_roots,
+    convergence_bound,
     critical_beta,
     tanh_factor,
 )
@@ -57,12 +59,10 @@ class SpectrumResult:
     """Roots of the dispersion relation at one (params, beta) point.
 
     Parallel tuples, sorted by root.  Labels: "mode" for ordinary roots,
-    "goldstone" for the E=0 root on the (g1+g2) branch,
-    "secondary-branch" for the algebraic E=0 root at
-    tanh(beta Omega/4)(g1-g2)^2 = omega0 Omega (present in the
-    dispersion function but without a stated physical role), and
+    "goldstone" for the E=0 root at a node labelled critical, and
     "pole-degenerate" for a root of Q within twice the pole epsilon of a
-    kernel pole, reported at the pole.
+    kernel pole, reported at the pole.  ``at_critical`` is that label,
+    the one ``dicketherm.thermo.phase_scan`` gives the node.
     """
 
     roots: tuple[float, ...]
@@ -98,40 +98,23 @@ def _residual(unit: ModelParams, B: float, C: float, x: float) -> float:
     return (x * x - B * x + C) / ((unit.omega0**2 - x) * (unit.Omega**2 - x))
 
 
-def _zero_energy_entry(params: ModelParams, t: float, B: float) -> list | None:
-    """E=0 root candidate from the factorized static residual.
-
-    R(0) = (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u), u = t / (omega0 Omega)
-    with t = tanh(beta Omega/4), and B the quadratic's linear
-    coefficient.  Returns the root entry when |R(0)| < RESIDUAL_TOL.
-    The root is double (in x = E^2) exactly when B also vanishes,
-    relative to omega0^2 + Omega^2: the Omega = omega0 single-coupling
-    corner where the gapped branch collapses onto the Goldstone root.
-    """
-    u = t / (params.omega0 * params.Omega)
-    primary = 1.0 - (params.g1 + params.g2) ** 2 * u
-    secondary = 1.0 - (params.g1 - params.g2) ** 2 * u
-    residual = primary * secondary
-    if not abs(residual) < RESIDUAL_TOL:  # a NaN residual is no root
-        return None
-    double = abs(B) < RESIDUAL_TOL * (params.omega0**2 + params.Omega**2)
-    label = "goldstone" if abs(primary) <= abs(secondary) else "secondary-branch"
-    return [0.0, abs(residual), 2 if double else 1, label]
-
-
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """Dispersion roots in [0, 3(Omega + omega0)], one entry per root.
 
     Solved in the node's own unit (``thermo._in_unit``, which refuses
-    energies too far apart for one) and scaled back exactly.  The E=0
-    entry, from its factorized witness, stands for that many of the
-    smallest roots x of Q (``mode_energy_squares``).  Each other
-    E = sqrt(x) is dropped outside [2 eps, 3(Omega + omega0) - 2 eps],
-    eps the pole epsilon; within 2 eps of a kernel pole p it is
-    pole-degenerate at p, with residual |Q(p^2)| / (p^4 + |B| p^2 + |C|);
-    else it is a mode.  Two entries within a relative 1e-8 are one of
-    multiplicity 2, at the root and with the label of the E=0 or
-    pole-degenerate entry if there is one.
+    energies too far apart for one) and scaled back exactly.  A node
+    whose ``convergence_bound`` is labelled critical has an E=0
+    "goldstone" entry, with residual ``dispersion_residual(0)``; it is
+    double where B also vanishes, relative to omega0^2 + Omega^2 (the
+    omega0 = Omega single-coupling corner, where the gapped branch
+    collapses onto it), and stands for that many of the smallest roots
+    x of Q (``mode_energy_squares``).  Each other E = sqrt(x) is dropped
+    outside [2 eps, 3(Omega + omega0) - 2 eps], eps the pole epsilon;
+    within 2 eps of a kernel pole p it is pole-degenerate at p, with
+    residual |Q(p^2)| / (p^4 + |B| p^2 + |C|); else it is a mode.  Two
+    entries within a relative 1e-8 are one of multiplicity 2, at the
+    root and with the label of the E=0 or pole-degenerate entry if there
+    is one.
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
@@ -139,6 +122,7 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     t = tanh_factor(params, beta)
     unit, e = _in_unit(params)
     B, C = _quadratic(unit, t)
+    at_critical = _critical(convergence_bound(params, beta))
     poles = (unit.Omega, unit.omega0)
     guard = 2.0 * default_pole_epsilon(unit)
     top = 3.0 * sum(poles) - guard
@@ -148,10 +132,10 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
     squares = sorted(_quadratic_roots(unit, t, B, C) or (), key=abs)
-    zero = _zero_energy_entry(unit, t, B)
-    if zero is not None:
-        entries.append(zero)
-        squares = squares[zero[2] :]
+    if at_critical:
+        count = 2 if abs(B) < RESIDUAL_TOL * (unit.omega0**2 + unit.Omega**2) else 1
+        entries.append([0.0, abs(_residual(unit, B, C, 0.0)), count, "goldstone"])
+        squares = squares[count:]
     for E in [math.sqrt(x) for x in squares if x >= 0.0]:
         if not guard <= E <= top:
             continue
@@ -169,9 +153,6 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
         # root with its label; two modes keep the smaller root
         kept, other = sorted(entries, key=lambda entry: entry[3] == "mode")
         entries = [[kept[0], min(kept[1], other[1]), 2, kept[3]]]
-
-    bc = critical_beta(params)
-    at_critical = bc is not None and abs(beta - bc) <= 1e-9 * bc
     roots, residuals, multiplicities, labels = (
         tuple(zip(*entries)) if entries else ((),) * 4
     )

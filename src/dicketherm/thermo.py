@@ -20,10 +20,14 @@ Hamiltonian agrees with.  So the closed forms here are those of the
 unprojected trace, and beta_c is twice the spin model's.  A test pins
 both one-site factors; ROADMAP item 1 has the ED table of both traces.
 
-The normal/superradiant classification runs on the closed-form bound
-(g1+g2)^2/(Omega*omega0) * t: below one the frequency product converges
-(normal phase), above one the static mode condenses.  In the normal
-phase everything comes from one quadratic x^2 - B x + C in x = E^2
+The phase label is the package's one criticality rule.  It runs on the
+closed-form bound (g1+g2)^2/(Omega*omega0) * t: within
+``CRITICAL_PHASE_TOL`` of one the node is critical, below that the
+frequency product converges (normal phase), above it the static mode
+condenses (superradiant).  ``phase_scan``, ``order_parameter``,
+``log_partition_ratio`` and ``dicketherm.spectrum`` all read this label
+(``_critical``, ``_superradiant``).  In the normal phase everything
+comes from one quadratic x^2 - B x + C in x = E^2
 (``kernel_determinant_coefficients``): its real roots
 (``mode_energy_squares``) are the squared collective-mode energies that
 ``dicketherm.spectrum`` reports, and the fluctuation product resums to a
@@ -73,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dicketherm.operators import ModelParams
+from dicketherm.operators import ModelParams, check_beta
 
 __all__ = [
     "CRITICAL_PHASE_TOL",
@@ -325,13 +329,21 @@ def _in_unit(params: ModelParams) -> tuple[ModelParams, int]:
     return ModelParams(omega0, Omega, g1, g2), e
 
 
-def _superradiant(bound: np.ndarray) -> np.ndarray:
+def _superradiant(bound):
     """Elementwise: the nodes labelled superradiant, NaN bounds included.
 
     bound - 1 is exact for bound in [0.5, 2], so it is below the critical
     tolerance exactly when the label is critical or normal.
     """
-    return ~(bound - 1.0 < CRITICAL_PHASE_TOL)
+    return np.logical_not(bound - 1.0 < CRITICAL_PHASE_TOL)
+
+
+def _critical(bound):
+    """Elementwise: the nodes labelled critical, |bound - 1| below the tolerance.
+
+    A node is normal where neither this nor ``_superradiant`` holds.
+    """
+    return abs(bound - 1.0) < CRITICAL_PHASE_TOL
 
 
 def kernel_determinant_coefficients(
@@ -422,13 +434,14 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     with w = (omega0, Omega) and E_i^2 = x_i the roots from
     ``mode_energy_squares``.  Defined in the normal phase only, where
     both roots are positive; the product diverges at the transition and
-    the formula does not continue past it.  ``beta`` must be finite.  The
-    roots are found in the node's own unit (``_in_unit``) and scaled back.
+    the formula does not continue past it: a node labelled critical or
+    superradiant is refused.  ``beta`` must be positive and finite
+    (``operators.check_beta``).  The roots are found in the node's own
+    unit (``_in_unit``) and scaled back.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    check_beta(beta)
     bound = convergence_bound(params, beta)
-    if bound >= 1.0 - CRITICAL_PHASE_TOL:
+    if _critical(bound) or _superradiant(bound):
         raise ValueError(
             f"log_partition_ratio requires the normal phase; "
             f"convergence bound {bound:.6g} is not below 1"
@@ -606,8 +619,8 @@ def phase_scan(
     bound = convergence_bound(per_params, betas).ravel()
     beta_c = critical_beta(per_params).ravel().repeat(betas.size)
     rho = order_parameter(per_params, betas).ravel()
-    phase = np.where(bound < 1.0, "normal", "superradiant")
-    phase[np.abs(bound - 1.0) < CRITICAL_PHASE_TOL] = "critical"
+    phase = np.where(_superradiant(bound), "superradiant", "normal")
+    phase[_critical(bound)] = "critical"
     nodes = [c.repeat(betas.size) for c in columns]
     beta = betas[None, :].repeat(columns[0].size, axis=0).ravel()
     error = np.full(bound.size, None, dtype=object)

@@ -326,6 +326,23 @@ def test_unknown_flag_exits_two():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["critical-temp", "--g1", "1.2", "--form", "json"], "--form"),
+        (["phase-diagram", "--g1", "1.2", "--beta-g", "1:2:3"], "--beta-g"),
+    ],
+)
+def test_flags_are_written_in_full(argv, flag, capsys):
+    # a prefix of a setting's name is no flag, as it is no config key
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_spectrum_json_anchor(tmp_path):
     out = tmp_path / "spec.json"
     code = main(

@@ -83,14 +83,17 @@ def test_zero_frequency_residual_product_formula():
     assert dispersion_residual(1e-9, p, beta) == pytest.approx(expected, rel=1e-6)
 
 
-def test_nan_static_residual_is_no_zero_energy_root():
-    # omega0 * Omega = 1e-322 makes u = t / (omega0 Omega) infinite and
-    # (g1 + g2)^2 = 1e-372 underflows to 0, so the residual is 0 * inf
+def test_far_from_critical_node_in_the_float_range_corner_has_no_zero_energy_root():
+    # omega0 * Omega = 1e-322 and (g1 + g2)^2 = 1e-372 underflows to 0, so
+    # a static residual formed from u = t / (omega0 Omega) is 0 * inf; the
+    # bound, about 1e-50, labels the node normal, and both roots of Q sit
+    # at the kernel poles
     p = ModelParams(1e-164, 1e-158, g1=1e-186)
-    t = thermo.tanh_factor(p, 4.4e283)
-    B, _ = spectrum._quadratic(p, t)
-    assert t == 1.0
-    assert spectrum._zero_energy_entry(p, t, B) is None
+    result = collective_modes(p, 4.4e283)
+    assert not result.at_critical
+    assert result.roots == (1e-164, 1e-158)
+    assert result.labels == ("pole-degenerate", "pole-degenerate")
+    assert result.multiplicities == (1, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,6 +167,44 @@ def test_degenerate_root_multiplicity():
     assert result.roots == pytest.approx((0.0,), abs=1e-6)
     assert result.multiplicities == (2,)
     assert result.labels == ("goldstone",)
+
+
+# beta / beta_c of each node, and the phase labels there: near the quantum
+# critical point the bound moves so slowly that 1e-4 of beta_c is critical
+_LABEL_RATIOS = (0.99, 0.9999, 0.999999, 1.0, 1.000001, 1.0001)
+_ACROSS = ("normal",) * 3 + ("critical",) + ("superradiant",) * 2
+
+
+@pytest.mark.parametrize(
+    "p, phases",
+    [
+        (ModelParams(1.0, 1.0, g1=1.2), _ACROSS),
+        (ModelParams(1.0, 1.0, g1=1.0000001), ("normal",) + ("critical",) * 5),
+        (ModelParams(2.0, 1.0, g2=2.0), _ACROSS),
+        (ModelParams(1.0, 1.0, g1=0.7, g2=0.5), _ACROSS),
+    ],
+)
+def test_spectrum_and_partition_ratio_follow_the_phase_label(p, phases):
+    # the phase label of phase_scan is the one criticality rule: the
+    # Goldstone root and at_critical appear exactly at critical nodes,
+    # log_partition_ratio refuses every node that is not normal, and a
+    # normal node's modes are the square roots of the quadratic's roots
+    betas = [r * critical_beta(p) for r in _LABEL_RATIOS]
+    assert tuple(thermo.phase_scan([p], betas).phase) == phases
+    for beta, phase in zip(betas, phases):
+        result = collective_modes(p, beta)
+        assert result.at_critical == (phase == "critical"), beta
+        assert ("goldstone" in result.labels) == (phase == "critical"), beta
+        if phase != "normal":
+            with pytest.raises(ValueError, match="requires the normal phase"):
+                thermo.log_partition_ratio(p, beta)
+            continue
+        assert math.isfinite(thermo.log_partition_ratio(p, beta))
+        energies = [math.sqrt(x) for x in thermo.mode_energy_squares(p, beta)]
+        for E, label in zip(result.roots, result.labels):
+            if label == "mode":
+                nearest = min(energies, key=lambda root: abs(root - E))
+                assert abs(E - nearest) <= 1e-10 * max(1.0, E), (beta, E, energies)
 
 
 def test_rootless_node_returns_no_roots():
@@ -347,7 +388,7 @@ def test_critical_spectrum_counts_at_most_two_roots():
         if beta_c is None:
             continue
         result = collective_modes(p, beta_c)
-        assert result.labels[0] in ("goldstone", "secondary-branch")
+        assert result.labels[0] == "goldstone"
         assert sum(result.multiplicities) <= 2
         assert all(r == 0.0 or r > 1e-3 for r in result.roots)
 

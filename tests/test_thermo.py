@@ -303,12 +303,13 @@ def test_log_partition_ratio_rejects_superradiant():
         log_partition_ratio(P_RWA, 10.0)
 
 
-@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_log_partition_ratio_rejects_non_finite_beta(beta):
-    # normal phase at every temperature, so only the beta check can refuse
+    # normal phase at every temperature, so only the beta check can refuse,
+    # with the message of every finite-beta routine
     p = ModelParams(1.3, 0.8, g1=0.3, g2=0.2)
     assert convergence_bound(p, math.inf) < 1.0
-    with pytest.raises(ValueError, match="beta"):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
         log_partition_ratio(p, beta)
 
 
