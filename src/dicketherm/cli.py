@@ -7,13 +7,19 @@ as tuples of cell texts, and one writer writes them as ``csv`` or
 template for a row of that width, the JSON encoder's line of keys and
 separators or ``csv.writer``'s line of ``%s`` cells, filled with the
 cell texts, so a row is byte for byte what the writer would write for
-the row's values.  A float's text is its ``repr``, the shortest form
+the row's values.  A table may name the cells that every row shares;
+their texts go into the template once, per job, and each row fills
+only the other fields.  A float's text is its ``repr``, the shortest form
 that round-trips, which ``json`` emits and ``csv.writer`` writes
 unquoted, so identical configurations produce byte-identical files;
 any other cell is the format's own text for it (CSV booleans print as
 ``True``/``False``).  phase-diagram and order-parameter evaluate their
 whole grid in one ``phase_scan`` call and build their rows from text
-columns, each grid value and each distinct string formatted once.  The
+columns, each grid value and each distinct string formatted once; they
+share, from what the grid and the scan's labels already say, each input
+of one value (a fixed parameter, a single beta), beta_c of a single
+parameter node, a phase label or error cell that every node has, and
+rho 0.0 where no node is superradiant or an error.  The
 other commands compute node by node, and one cell rule gives each
 value's text as its row is made.  A scan node whose convergence bound
 lies outside the float range is an error row, and no other node is.
@@ -39,9 +45,18 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import (
+    AbstractSet,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    TextIO,
+)
 
 import numpy as np
 
@@ -328,15 +343,30 @@ _ENCODE = {"csv": _csv_cell, "json": _JSON_ROW.encode}
 
 
 def _write_rows(
-    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[tuple[str, ...]]
+    stream: TextIO,
+    fmt: str,
+    header: Sequence[str],
+    shared: Mapping[str, str],
+    rows: Iterable[tuple[str, ...]],
 ) -> None:
-    """Write rows of cell texts, already checked, each as ``line % row``:
-    the format's row template filled with its cells."""
+    """Write rows of cell texts, already checked: ``shared`` maps a column
+    to the one text every row holds there, and each of ``rows`` holds the
+    other columns' texts in header order.
+
+    The format's row template takes each shared text once, its ``%``
+    escaped, and a ``%s`` field for each other column; each row is
+    ``line % row``.  Filling a template turns each of its ``%%`` into
+    ``%``, so the literal ones (a JSON key's) are doubled first to stay
+    escaped.
+    """
     if fmt == "csv":
         stream.write(_CSV_ROW.writerow(header))
         line = _csv_line(len(header))
     else:
         line = _json_line(header)
+    if shared:
+        escaped = {name: text.replace("%", "%%") for name, text in shared.items()}
+        line = line.replace("%%", "%%%%") % tuple(map(escaped.get, header, repeat("%s")))
     stream.writelines(map(line.__mod__, rows))
 
 
@@ -405,6 +435,13 @@ def _beta_nodes(config: RunConfig) -> list[float]:
     return [config.beta] if config.beta is not None else []
 
 
+# A table: the texts of the columns every row shares, and the rows of
+# the other columns' texts in header order
+_Table = tuple[dict[str, str], Iterator[tuple[str, ...]]]
+# A scan table's cells by column: one text, which every row holds, or a
+# text column
+_Cells = dict[str, str | Iterable[str]]
+
 _PARAM_COLUMNS = ("omega0", "Omega", "g1", "g2")
 _NODE_COLUMNS = (*_PARAM_COLUMNS, "beta")
 _param_values = attrgetter(*_PARAM_COLUMNS)
@@ -430,13 +467,14 @@ def _critical_temp_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
         yield tuple(map(text, values))
 
 
-def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]], int]:
-    """The whole grid in one ``phase_scan`` call, its five input columns,
-    and the number of beta nodes per parameter node.
+def _scan(config: RunConfig) -> tuple[PhaseScan, _Cells, int]:
+    """The whole grid in one ``phase_scan`` call, its five input columns'
+    cells, and the number of beta nodes per parameter node.
 
-    The input columns are text, the same in both formats: each grid
-    value's ``repr``, formatted once (a fixed parameter once, each sweep
-    value and each beta once) and expanded params outer, beta inner.
+    The input cells are text, the same in both formats: each grid
+    value's ``repr``, formatted once.  An input of one value (a fixed
+    parameter, a single beta) is that one text, which every row shares;
+    any other is a text column, expanded params outer, beta inner.
     """
     params = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
     swept = config.sweep.variable if config.sweep is not None else None
@@ -445,44 +483,55 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, list[Iterable[str]], int]:
     betas = _beta_nodes(config)
     scan = phase_scan(ParamGrid(**params), betas)
     width = len(betas)
-    inputs = [
-        [text for text in map(repr, params[name]) for _ in betas] if name == swept
-        else repeat(repr(params[name]), len(scan))
-        for name in _PARAM_COLUMNS
-    ]
-    inputs.append(list(map(repr, betas)) * (len(scan) // width))
-    return scan, inputs, width
+    cells: _Cells = {name: repr(value) for name, value in params.items() if name != swept}
+    if swept in params:
+        texts = list(map(repr, params[swept]))
+        cells[swept] = texts[0] if len(texts) == 1 else [text for text in texts for _ in betas]
+    texts = list(map(repr, betas))
+    cells["beta"] = texts[0] if width == 1 else texts * (len(scan) // width)
+    return scan, cells, width
 
 
 def _text_column(
     fmt: str, column: np.ndarray, missing: np.ndarray | None = None
-) -> Iterable[str | None]:
-    """The column's cells as the format's text, formatted as they are read.
+) -> Iterable[str]:
+    """A float column's cells as the format's text, formatted as they are
+    read.
 
     A float's text is its ``repr``: what ``json`` emits for a finite
     float and what ``csv.writer`` writes, with no character it quotes.
-    A ``missing`` node gets the format's empty cell.  A string column
-    encodes each distinct value once.
+    A ``missing`` node gets the format's empty cell.
     """
-    encode = _ENCODE[fmt]
     values = column.tolist()
-    if column.dtype.kind != "f":
-        texts = {value: encode(value) for value in set(values)}
-        return map(texts.__getitem__, values)
     if missing is None or not missing.any():
         return map(repr, values)
-    empty = encode(None)
+    empty = _ENCODE[fmt](None)
     if missing.all():
         return repeat(empty, len(values))
     return (empty if m else repr(v) for v, m in zip(values, missing.tolist()))
 
 
+def _label_column(
+    fmt: str, column: np.ndarray
+) -> tuple[AbstractSet[str | None], str | Iterable[str]]:
+    """The distinct values of a column of strings or None, and its cells
+    as the format's text, each distinct value encoded once: the one
+    text, which every row shares, where there is one value."""
+    values = column.tolist()
+    encode = _ENCODE[fmt]
+    texts = {value: encode(value) for value in set(values)}
+    if len(texts) == 1:
+        return texts.keys(), next(iter(texts.values()))
+    return texts.keys(), map(texts.__getitem__, values)
+
+
 def _node_column(
     fmt: str, column: np.ndarray, missing: np.ndarray, width: int
-) -> Iterable[str]:
+) -> str | Iterable[str]:
     """The text column of a value of the parameter node alone, such as
     beta_c: each node's first row formatted once and expanded over the
-    node's ``width`` beta rows, as ``_scan`` expands the input columns.
+    node's ``width`` beta rows, as ``_scan`` expands the input columns;
+    the one text every row shares when there is one node.
 
     A ``missing`` row gets the format's empty cell.  Where a node's rows
     differ in that (an error row of a node that has a value), each row
@@ -493,7 +542,7 @@ def _node_column(
         return _text_column(fmt, column, missing)
     texts = list(_text_column(fmt, column[::width], firsts))
     if len(texts) == 1:
-        return repeat(texts[0], width)
+        return texts[0]
     return [text for text in texts for _ in range(width)]
 
 
@@ -515,11 +564,38 @@ def _refusal(
     return row, float(next(c[row] for (c, _), b in zip(checks, bad) if b[row]))
 
 
+# the phase labels at which ``order_parameter`` gives exactly 0.0: where a
+# scan has no other, every row shares rho's text
+_ZERO_RHO = {"normal", "critical"}
+
+
+def _scan_table(
+    header: Sequence[str], cells: _Cells, stop: int, refusal: Exception | None
+) -> _Table:
+    """The texts every row shares, and the rows of the other columns in
+    ``header`` order: the first ``stop``, then ``refusal`` raised if
+    there is one."""
+    shared, columns = {}, []
+    for name in header:
+        if isinstance(cells[name], str):
+            shared[name] = cells[name]
+        else:
+            columns.append(cells[name])
+    rows = islice(zip(*columns), stop)
+    return shared, rows if refusal is None else chain(rows, _raising(refusal))
+
+
+def _raising(error: Exception) -> Iterator:
+    """An iterator that raises ``error`` when it is first advanced."""
+    raise error
+    yield  # makes this a generator, so the raise waits for the first next()
+
+
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
 
 
-def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
-    scan, inputs, width = _scan(config)
+def _phase_diagram_rows(config: RunConfig) -> _Table:
+    scan, cells, width = _scan(config)
     # error rows are the one place a missing number is expected; a NaN
     # beta_c is also a node with no transition
     failed = scan.phase == "error"
@@ -528,17 +604,15 @@ def _phase_diagram_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
         [(scan.bound, failed), (scan.beta_c, no_beta_c), (scan.rho, failed)]
     )
     fmt = config.fmt
-    rows = zip(
-        *inputs,
-        _text_column(fmt, scan.bound, failed),
-        _text_column(fmt, scan.phase),
-        _node_column(fmt, scan.beta_c, no_beta_c, width),
-        _text_column(fmt, scan.rho, failed),
-        _text_column(fmt, scan.error),
+    labels, cells["phase"] = _label_column(fmt, scan.phase)
+    cells.update(
+        bound=_text_column(fmt, scan.bound, failed),
+        beta_c=_node_column(fmt, scan.beta_c, no_beta_c, width),
+        rho=repr(0.0) if labels <= _ZERO_RHO else _text_column(fmt, scan.rho, failed),
+        error=_label_column(fmt, scan.error)[1],
     )
-    yield from islice(rows, stop)
-    if refused is not None:
-        raise _non_finite(refused, fmt)
+    refusal = None if refused is None else _non_finite(refused, fmt)
+    return _scan_table(_PHASE_COLUMNS, cells, stop, refusal)
 
 
 def _spectrum_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
@@ -564,17 +638,22 @@ def _partition_ratio_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
 _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
 
 
-def _order_parameter_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
-    scan, inputs, _ = _scan(config)
+def _order_parameter_rows(config: RunConfig) -> _Table:
+    scan, cells, _ = _scan(config)
     # no row is exempt: an error row's NaN bound stops the rows there
     stop, refused = _refusal([(scan.bound, False), (scan.rho, False)])
     fmt = config.fmt
-    columns = (_text_column(fmt, c) for c in (scan.bound, scan.phase, scan.rho))
-    yield from islice(zip(*inputs, *columns), stop)
+    labels, cells["phase"] = _label_column(fmt, scan.phase)
+    cells.update(
+        bound=_text_column(fmt, scan.bound),
+        rho=repr(0.0) if labels <= _ZERO_RHO else _text_column(fmt, scan.rho),
+    )
     if refused is not None:
         if scan.phase[stop] == "error":
-            raise RuntimeError(scan.error[stop])
-        raise _non_finite(refused, fmt)
+            refused = RuntimeError(scan.error[stop])
+        else:
+            refused = _non_finite(refused, fmt)
+    return _scan_table(_ORDER_COLUMNS, cells, stop, refused)
 
 
 def _ed_curve_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
@@ -599,20 +678,31 @@ def _ed_curve_points(config: RunConfig) -> Iterator[tuple[str, ...]]:
 
 _SPECTRUM_NODE_COLUMNS = (*_NODE_COLUMNS, "at_critical")
 
-# command -> (header, row generator); each generator yields its rows as
-# tuples of cell texts in header order
-_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], Iterator[tuple]]]] = {
-    "critical-temp": ((*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"), _critical_temp_rows),
+def _per_node(
+    rows: Callable[[RunConfig], Iterator[tuple[str, ...]]],
+) -> Callable[[RunConfig], _Table]:
+    """A node-by-node table, whose rows share no cell."""
+    return lambda config: ({}, rows(config))
+
+
+# command -> (header, table); each table gives the texts every row shares
+# and its rows of the other cells in header order
+_TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], _Table]]] = {
+    "critical-temp": (
+        (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"), _per_node(_critical_temp_rows)
+    ),
     "phase-diagram": (_PHASE_COLUMNS, _phase_diagram_rows),
     "spectrum": (
         (*_SPECTRUM_NODE_COLUMNS, "root_index", "root", "residual", "label", "multiplicity"),
-        _spectrum_rows,
+        _per_node(_spectrum_rows),
     ),
-    "partition-ratio": ((*_NODE_COLUMNS, "bound", "log_partition_ratio"), _partition_ratio_rows),
+    "partition-ratio": (
+        (*_NODE_COLUMNS, "bound", "log_partition_ratio"), _per_node(_partition_ratio_rows)
+    ),
     "order-parameter": (_ORDER_COLUMNS, _order_parameter_rows),
     "ed-curve": (
         (*_NODE_COLUMNS, "n_atoms", "n_max_used", "photons_per_atom", "truncation_error_estimate"),
-        _ed_curve_rows,
+        _per_node(_ed_curve_rows),
     ),
 }
 # spectrum's JSON rows, one per node with its modes as lists, have keys of
@@ -627,10 +717,10 @@ _PARSER = build_parser()
 
 
 def _run_table(config: RunConfig, stream: TextIO) -> int:
-    header, rows = _TABLES[config.command]
+    header, table = _TABLES[config.command]
     if config.fmt == "json":
         header = _JSON_HEADERS.get(config.command, header)
-    _write_rows(stream, config.fmt, header, rows(config))
+    _write_rows(stream, config.fmt, header, *table(config))
     return 0
 
 

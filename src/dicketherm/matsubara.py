@@ -37,6 +37,7 @@ import scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,14 +58,27 @@ __all__ = [
 
 DEFAULT_CUTOFF = 512
 
-# Gauss-Legendre rule for ``_pair_tail_integral``: with the integrand's
-# branch points at least distance 1 from [-1, 1], the error of n nodes
-# falls like (1 + sqrt 2)^(-2n), far below rounding at n = 32
-_TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# per unit R: the map's stretch (1 + t) / (1 - t), and each node's weight
-# times the map's jacobian 2 / (1 - t)^2
-_TAIL_STRETCH = (1.0 + _TAIL_NODES) / (1.0 - _TAIL_NODES)
-_TAIL_MAPPED_WEIGHTS = 2.0 * _TAIL_WEIGHTS / (1.0 - _TAIL_NODES) ** 2
+
+@functools.cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of ``_pair_tail_integral``, built on first
+    use: only ``validate`` and the tests evaluate the paired tail, and
+    ``numpy.polynomial`` is slow to import.
+
+    With the integrand's branch points at least distance 1 from [-1, 1],
+    the error of n nodes falls like (1 + sqrt 2)^(-2n), far below
+    rounding at n = 32.  Per unit R: the map's stretch (1 + t) / (1 - t),
+    and each node's weight times the map's jacobian 2 / (1 - t)^2.  The
+    arrays are read-only, as every caller shares them.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(32)
+    rule = (1.0 + nodes) / (1.0 - nodes), 2.0 * weights / (1.0 - nodes) ** 2
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
 
 # After the midpoint tail correction the truncation error decays as the
 # fifth power of the cutoff (observed 5.00 over M = 32..256 for both the
@@ -115,8 +129,9 @@ def _pair_tail_integral(edge, m: float, omega: float):
     """
     edges = np.asarray(edge, dtype=float)[..., None]
     radius = np.hypot(edges, m)
-    q = edges + radius * _TAIL_STRETCH
-    integral = np.sum(_TAIL_MAPPED_WEIGHTS * _pair_summand(q, m, omega), axis=-1)
+    stretch, mapped_weights = _tail_rule()
+    q = edges + radius * stretch
+    integral = np.sum(mapped_weights * _pair_summand(q, m, omega), axis=-1)
     return radius[..., 0] * integral
 
 

@@ -442,9 +442,10 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     check_beta(beta)
     bound = convergence_bound(params, beta)
     if _critical(bound) or _superradiant(bound):
+        label = "critical" if _critical(bound) else "superradiant"
         raise ValueError(
-            f"log_partition_ratio requires the normal phase; "
-            f"convergence bound {bound:.6g} is not below 1"
+            f"log_partition_ratio requires the normal phase; the node is {label}, "
+            f"with convergence bound {bound!r}"
         )
     unit, e = _in_unit(params)
     t = tanh_factor(params, beta)

@@ -551,6 +551,27 @@ def test_runtime_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        # just below beta_c, within the critical tolerance of the transition
+        (["--g1", "1.0000001", "--beta", "32.2329"], "critical"),
+        (["--g1", "2", "--beta", "3"], "superradiant"),
+    ],
+)
+def test_partition_ratio_refusal_names_the_phase_and_the_bound(argv, label, capsys):
+    p = ModelParams(1.0, 1.0, g1=float(argv[1]))
+    bound = convergence_bound(p, float(argv[3]))
+    assert phase_scan([p], [float(argv[3])]).phase.tolist() == [label]
+    assert main(["partition-ratio", *argv]) == 1
+    assert capsys.readouterr().err == (
+        "error: log_partition_ratio requires the normal phase; "
+        f"the node is {label}, with convergence bound {bound!r}\n"
+    )
+    if label == "critical":
+        assert repr(bound) == "0.999999999670589"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "partition-ratio"])
 def test_energies_too_far_apart_exit_one_naming_their_span(command, capsys):
     argv = ["--omega0", "1e300", "--Omega", "1e-300", "--g1", "1e-10", "--beta", "1e300"]
@@ -907,10 +928,19 @@ _SCAN_HEADERS = {
     "order-parameter": ["omega0", "Omega", "g1", "g2", "beta", "bound", "phase", "rho"],
 }
 # the column grids, a one-node and a 10 000-node scan, and cells of -0.0,
-# 5e-324 and 1e+200
+# 5e-324 and 1e+200; then grids of one parameter node or one beta whose
+# rows share a phase, a beta_c, rho 0.0 or an error, each folded into the
+# row template
 _ENCODER_GRIDS = [
     *_COLUMN_GRIDS,
     ["--g1", "1.3", "--beta", "2"],
+    ["--g1", "1.2", "--beta-grid", "5:9:6"],
+    ["--g1", "1.0000001", "--beta", "32.2329"],
+    ["--g1", "1e200", "--beta-grid", "1:2:3"],
+    ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "2:2:1"],
+    ["--g1", "1.3", "--beta", "2", "--sweep", "g2:0.1:0.1:1"],
+    ["--g2", "0.3", "--beta", "0.5", "--sweep", "g1:0:0.5:20"],
+    ["--g1", "0.3", "--g2", "0.2", "--sweep", "beta:0.1:50:30:log"],
     ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.05:50:10000"],
     ["--g1", "1.3", "--g2", "5e-324", "--beta-grid", "1:1e200:3"],
     ["--omega0", "1e200", "--Omega", "1e-200", "--g1", "1.3", "--g2", "-0.0", "--beta", "2"],
@@ -1107,12 +1137,93 @@ def test_csv_template_and_cell_texts_are_the_writers_own():
         row = (*map(cli._ENCODE[fmt], cells), repr(0.1))
         assert tuple(map(cli._cell_rule(fmt), values)) == row
         out = io.StringIO()
-        cli._write_rows(out, fmt, header, [row, row])
+        cli._write_rows(out, fmt, header, {}, [row, row])
         if fmt == "csv":
             assert out.getvalue() == written(header, values, values)
         else:
             line = json.dumps(dict(zip(header, values))) + "\n"
             assert out.getvalue() == line * 2
+
+
+def _stdlib_bytes(fmt, header, rows):
+    """What ``csv.writer`` writes for the header and the rows of values, or
+    the encoder's line for each row's dict."""
+    if fmt == "json":
+        encoder = json.JSONEncoder(allow_nan=False)
+        return "".join(encoder.encode(dict(zip(header, row))) + "\n" for row in rows)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+_PERCENT = 'x %s %% 100%, "y"'
+_ROW = (1.5, "normal", None, True, 7, -0.0)
+# header, the columns every row shares, and the rows of values
+_FOLDED_TABLES = {
+    "every column shared": (tuple("abcdef"), "abcdef", [_ROW] * 3),
+    "one row": (tuple("abcdef"), "ace", [_ROW]),
+    "0.0 and -0.0 in one column": (tuple("abcdef"), "abcde", [_ROW, (*_ROW[:5], 0.0), _ROW]),
+    "% in shared cells and keys": (
+        ("a%s", "100%", "b%%", "c", "d", "e"),
+        ("a%s", "b%%", "d"),
+        [(_PERCENT, 0.5, "%s", 1.0, "%", None), (_PERCENT, -0.5, "%s", 2.0, "%", "%%")],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", _FOLDED_TABLES.values(), ids=_FOLDED_TABLES)
+def test_folded_template_writes_the_stdlib_bytes(table, fmt):
+    # the shared cells go into the row template once; each row fills the
+    # other columns' fields, and the line is what the standard writer
+    # writes for the row's values
+    header, shared_names, rows = table
+    text = cli._cell_rule(fmt)
+    shared = {name: text(rows[0][i]) for i, name in enumerate(header) if name in shared_names}
+    cells = [
+        tuple(text(value) for name, value in zip(header, row) if name not in shared) for row in rows
+    ]
+    out = io.StringIO()
+    _write_rows(out, fmt, header, shared, cells)
+    assert out.getvalue() == _stdlib_bytes(fmt, header, rows)
+
+
+def test_a_column_of_zero_and_negative_zero_is_not_folded(monkeypatch, capsys):
+    # 0.0 == -0.0, so only the grid's length may fold a column, never its
+    # values' equality
+    monkeypatch.setattr(GridSpec, "values", lambda self: [-0.0, 0.0, -0.0])
+    for command in _SCAN_HEADERS:
+        argv = ["--g1", "0.9", "--beta", "3", "--sweep", "g2:0:1:3"]
+        rows, code = _scan_rows(command, argv)
+        assert [row[3] for row in rows] == [-0.0, 0.0, -0.0] and code == 0
+        for fmt in ("json", "csv"):
+            assert main([command, *argv, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            _assert_same_text(out, _expected_output(command, rows, fmt))
+            assert out.count("-0.0") == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_SCAN_HEADERS))
+def test_a_refusal_in_mid_table_keeps_the_folded_rows_before_it(
+    command, fmt, monkeypatch, capsys
+):
+    # one node, all normal: every column but beta and bound is folded
+    argv = ["--g1", "0.3", "--g2", "0.2", "--beta-grid", "0.5:3.5:6"]
+    rows, code = _scan_rows(command, argv)
+    assert code == 0 and {row[6] for row in rows} == {"normal"}
+    k = 3
+
+    def poisoned(*args):
+        scan = phase_scan(*args)
+        scan.bound[k] = math.inf
+        return scan
+
+    monkeypatch.setattr(cli, "phase_scan", poisoned)
+    assert main([command, *argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == _expected_output(command, rows[:k], fmt)
+    assert captured.err == f"error: non-finite value inf in a {fmt.upper()} row\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1184,9 +1295,9 @@ def _text_rows(fmt, rows):
 def test_write_rows_cells_and_non_finite_json():
     header = ("a", "b")
     with pytest.raises(ValueError, match="non-finite value nan in a JSON row"):
-        _write_rows(io.StringIO(), "json", header, _text_rows("json", [(1.0, math.nan)]))
+        _write_rows(io.StringIO(), "json", header, {}, _text_rows("json", [(1.0, math.nan)]))
     stream = io.StringIO()
-    _write_rows(stream, "csv", header, _text_rows("csv", [(1.0, None), (True, "x")]))
+    _write_rows(stream, "csv", header, {}, _text_rows("csv", [(1.0, None), (True, "x")]))
     assert stream.getvalue() == "a,b\n1.0,\nTrue,x\n"
 
 
@@ -1206,7 +1317,7 @@ def test_non_finite_value_in_csv_row_exits_one(monkeypatch, capsys):
 
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            _write_rows(io.StringIO(), "csv", ("a", "b"), _text_rows("csv", [("x", value)]))
+            _write_rows(io.StringIO(), "csv", ("a", "b"), {}, _text_rows("csv", [("x", value)]))
     monkeypatch.setattr(cli, "critical_beta", lambda params: math.inf)
     assert main(["critical-temp", "--Omega", "5e-324", "--g1", "1"]) == 1
     captured = capsys.readouterr()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import finite_sum_critical_beta
+from dicketherm import matsubara
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import (
     DEFAULT_CUTOFF,
@@ -152,6 +156,29 @@ def test_pair_tail_pinned_values(cutoff, beta, Omega, k, reference):
     edge, omega = 2.0 * np.pi * cutoff / beta, 2.0 * np.pi * k / beta
     tail = _pair_tail_integral(edge, Omega / 2.0, omega)
     assert tail == pytest.approx(reference, rel=2e-15, abs=0.0)
+
+
+def test_tail_rule_is_built_on_first_use():
+    # importing the CLI builds no quadrature rule, so no command but
+    # validate loads numpy.polynomial; the rule is the 32-node
+    # Gauss-Legendre rule under the tail's map, built once
+    src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
+    code = (
+        "import sys, dicketherm.cli\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "dicketherm.cli.main(['validate', '--output', sys.argv[1]])\n"
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.devnull], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    stretch, mapped_weights = matsubara._tail_rule()
+    assert stretch.tobytes() == ((1.0 + nodes) / (1.0 - nodes)).tobytes()
+    assert mapped_weights.tobytes() == (2.0 * weights / (1.0 - nodes) ** 2).tobytes()
+    assert matsubara._tail_rule() is matsubara._tail_rule()
 
 
 def test_paired_pole_sum_refuses_index_beyond_the_tail_rule():
