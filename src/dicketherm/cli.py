@@ -77,7 +77,7 @@ from dicketherm.thermo import (
 
 __all__ = ["ConfigError", "GridSpec", "RunConfig", "main", "parse_config", "run"]
 
-SWEEP_VARIABLES = ("g1", "g2", "beta", "omega0", "Omega")
+SWEEP_VARIABLES = ("g1", "g2", "omega0", "Omega")
 # the texts of each choice setting, and the value of each
 FORMATS = {"csv": "csv", "json": "json"}
 _KINDS = {kind.value: kind for kind in HamiltonianKind}
@@ -142,7 +142,7 @@ class RunConfig:
 
         Raises ValueError for a sweep value outside the model's domain.
         """
-        if self.sweep is not None and self.sweep.variable != "beta":
+        if self.sweep is not None:
             return [
                 dataclasses.replace(self.params, **{self.sweep.variable: v})
                 for v in self.sweep.values()
@@ -193,7 +193,7 @@ def _grid(name: str, text: str) -> GridSpec:
     except ValueError as exc:
         raise ConfigError(f"bad grid spec '{text}': {exc}") from None
     scale = parts[3] if len(parts) == 4 else "linear"
-    if variable not in SWEEP_VARIABLES:
+    if name == "sweep" and variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable '{variable}'")
     return GridSpec(variable, start, stop, steps, scale)
 
@@ -215,7 +215,7 @@ _SETTINGS = {
     "g2": _Setting(_number, 0.0, _MODEL, "counter-rotating coupling"),
     "beta": _Setting(_number, None, _THERMAL, "inverse temperature"),
     "beta-grid": _Setting(_grid, None, _GRIDDED, "beta grid START:STOP:STEPS[:SCALE]"),
-    "sweep": _Setting(_grid, None, _MODEL, "VAR:START:STOP:STEPS[:SCALE], VAR a parameter or beta"),
+    "sweep": _Setting(_grid, None, _MODEL, "VAR:START:STOP:STEPS[:SCALE], VAR a model parameter"),
     "output": _Setting(lambda name, text: text, None, COMMANDS, "output file (default stdout)"),
     "format": _Setting(partial(_one_of, choices=FORMATS), "csv", _MODEL, "csv (default) or json"),
     "workers": _Setting(partial(_number, parse=int, what="an integer"), None, COMMANDS, "unused"),
@@ -283,10 +283,9 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
     }
 
     beta, beta_grid, sweep = values["beta"], values["beta-grid"], values["sweep"]
-    beta_swept = sweep is not None and sweep.variable == "beta"
     try:
         params = ModelParams(values["omega0"], values["Omega"], values["g1"], values["g2"])
-        if sweep is not None and not beta_swept:
+        if sweep is not None:
             # sweep values lie in [start, stop] and the model's domain is an
             # interval, so the two ends decide, as the same flag values would
             for end in (sweep.start, sweep.stop):
@@ -300,13 +299,9 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
             f"beta must be positive and finite, got {beta}; for the zero-temperature line "
             "query quantum_critical_gap via critical-temp"
         )
-    if beta_swept and (beta is not None or beta_grid is not None):
-        raise ConfigError("beta swept twice (--sweep beta plus --beta/--beta-grid)")
-    if command == "critical-temp" and beta_swept:
-        raise ConfigError("critical-temp takes no --beta/--beta-grid/--sweep beta")
     if command == "ed-curve" and beta is None:
         raise ConfigError("ed-curve takes a single --beta")
-    if command in _THERMAL and beta is None and beta_grid is None and not beta_swept:
+    if command in _THERMAL and beta is None and beta_grid is None:
         raise ConfigError(f"{command} requires --beta or --beta-grid")
     return RunConfig(
         command, params, beta, beta_grid, sweep, values["output"], values["format"],
@@ -428,8 +423,6 @@ def _cell_rule(fmt: str) -> Callable[[object], str]:
 
 
 def _beta_nodes(config: RunConfig) -> list[float]:
-    if config.sweep is not None and config.sweep.variable == "beta":
-        return config.sweep.values()
     if config.beta_grid is not None:
         return config.beta_grid.values()
     return [config.beta] if config.beta is not None else []
@@ -478,13 +471,13 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, _Cells, int]:
     """
     params = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
     swept = config.sweep.variable if config.sweep is not None else None
-    if swept in params:
+    if swept is not None:
         params[swept] = config.sweep.values()
     betas = _beta_nodes(config)
     scan = phase_scan(ParamGrid(**params), betas)
     width = len(betas)
     cells: _Cells = {name: repr(value) for name, value in params.items() if name != swept}
-    if swept in params:
+    if swept is not None:
         texts = list(map(repr, params[swept]))
         cells[swept] = texts[0] if len(texts) == 1 else [text for text in texts for _ in betas]
     texts = list(map(repr, betas))

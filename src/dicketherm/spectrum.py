@@ -5,14 +5,13 @@ axis, a and c being the kernels' one closed form
 ``dicketherm.matsubara.continue_kernels`` at z = E.  It equals
 Q(E^2) / ((omega0^2 - E^2)(Omega^2 - E^2)) with Q(x) = x^2 - B x + C,
 so the mode energies are the square roots of the closed-form roots of Q
-(``dicketherm.thermo.mode_energy_squares``); no root finder runs, and
-each real root of Q is reported once.  Every
-tolerance is relative, and each node is solved in its own power-of-two
-energy unit, so its spectrum is the same in any unit.  Residuals come
-from the same rational form, near machine precision.  The kernel poles
-at Omega and omega0 are guarded here (``PoleProximityError``,
-``default_pole_epsilon``), and ``continue_kernels`` refuses a z within
-the same epsilon of a pole.
+(``dicketherm.thermo.mode_energies``); no root finder runs, and each
+real root of Q is reported once.  Every tolerance is relative, and each
+node is solved in its own power-of-two energy unit, so its spectrum is
+the same in any unit.  Residuals come from the same rational form, near
+machine precision.  The kernel poles at Omega and omega0 are guarded
+here (``PoleProximityError``, ``default_pole_epsilon``), and
+``continue_kernels`` refuses a z within the same epsilon of a pole.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ import math
 from dataclasses import dataclass
 
 from dicketherm.operators import ModelParams
-from dicketherm.thermo import (
-    _critical,
-    _in_unit,
-    _quadratic,
-    _quadratic_roots,
-    convergence_bound,
-    critical_beta,
-    tanh_factor,
-)
+from dicketherm.thermo import _critical, _node_quadratic, convergence_bound, critical_beta
 
 __all__ = [
     "PoleProximityError",
@@ -79,16 +70,14 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
 
     Normalized so that g1 = g2 = 0 gives 1 at every E.  Refuses energies
     within the pole epsilon of Omega or omega0.  Evaluated in the node's
-    own unit (``thermo._in_unit``), like ``collective_modes``.
+    own unit (``thermo._node_quadratic``), like ``collective_modes``.
     """
     if not 0.0 <= E < math.inf:
         raise ValueError(f"E must be non-negative and finite, got {E}")
-    t = tanh_factor(params, beta)
+    unit, e, B, C, _ = _node_quadratic(params, beta)
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:
         raise PoleProximityError(f"E = {E} within {eps:.3e} of a kernel pole")
-    unit, e = _in_unit(params)
-    B, C = _quadratic(unit, t)
     E = math.ldexp(E, -e)
     return _residual(unit, B, C, E * E)
 
@@ -101,27 +90,25 @@ def _residual(unit: ModelParams, B: float, C: float, x: float) -> float:
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """Dispersion roots in [0, 3(Omega + omega0)], one entry per root.
 
-    Solved in the node's own unit (``thermo._in_unit``, which refuses
-    energies too far apart for one) and scaled back exactly.  A node
-    whose ``convergence_bound`` is labelled critical has an E=0
+    Solved in the node's own unit (``thermo._node_quadratic``, which
+    refuses energies too far apart for one) and scaled back exactly.  A
+    node whose ``convergence_bound`` is labelled critical has an E=0
     "goldstone" entry, with residual ``dispersion_residual(0)``; it is
     double where B also vanishes, relative to omega0^2 + Omega^2 (the
     omega0 = Omega single-coupling corner, where the gapped branch
     collapses onto it), and stands for that many of the smallest roots
-    x of Q (``mode_energy_squares``).  Each other E = sqrt(x) is dropped
-    outside [2 eps, 3(Omega + omega0) - 2 eps], eps the pole epsilon;
-    within 2 eps of a kernel pole p it is pole-degenerate at p, with
-    residual |Q(p^2)| / (p^4 + |B| p^2 + |C|); else it is a mode.  Two
+    x of Q.  Each other E = sqrt(x) is dropped outside [2 eps,
+    3(Omega + omega0) - 2 eps], eps the pole epsilon; within 2 eps of a
+    kernel pole p it is pole-degenerate at p, with residual
+    |Q(p^2)| / (p^4 + |B| p^2 + |C|); else it is a mode.  Two
     entries within a relative 1e-8 are one of multiplicity 2, at the
     root and with the label of the E=0 or pole-degenerate entry if there
     is one.
     """
     if params.g1 + params.g2 <= 0.0:
         raise ValueError("collective_modes requires g1 + g2 > 0")
-    # one thermal factor and one (B, C) serve every root of the node
-    t = tanh_factor(params, beta)
-    unit, e = _in_unit(params)
-    B, C = _quadratic(unit, t)
+    # one evaluation of the quadratic serves every root of the node
+    unit, e, B, C, roots = _node_quadratic(params, beta)
     at_critical = _critical(convergence_bound(params, beta))
     poles = (unit.Omega, unit.omega0)
     guard = 2.0 * default_pole_epsilon(unit)
@@ -131,7 +118,7 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     entries: list[list] = []
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
-    squares = sorted(_quadratic_roots(unit, t, B, C) or (), key=abs)
+    squares = sorted(roots or (), key=abs)
     if at_critical:
         count = 2 if abs(B) < RESIDUAL_TOL * (unit.omega0**2 + unit.Omega**2) else 1
         entries.append([0.0, abs(_residual(unit, B, C, 0.0)), count, "goldstone"])

@@ -27,16 +27,18 @@ frequency product converges (normal phase), above it the static mode
 condenses (superradiant).  ``phase_scan``, ``order_parameter``,
 ``log_partition_ratio`` and ``dicketherm.spectrum`` all read this label
 (``_critical``, ``_superradiant``).  In the normal phase everything
-comes from one quadratic x^2 - B x + C in x = E^2
-(``kernel_determinant_coefficients``): its real roots
-(``mode_energy_squares``) are the squared collective-mode energies that
-``dicketherm.spectrum`` reports, and the fluctuation product resums to a
-log-sinh sum over them.  In the superradiant phase the order parameter
-is the root of the resummed gap equation (g1+g2)^2 tanh(beta*D/4) =
-D*omega0, a scalar equation with a finite zero-temperature limit.  The
-Matsubara frequency sums in ``dicketherm.matsubara`` are oracles only:
-this module does not import them, and ``validate`` and the tests check
-these closed forms against them.
+comes from one quadratic x^2 - B x + C in x = E^2, evaluated once per
+node in the node's own power-of-two unit (``_node_quadratic``): the
+square roots of its real roots are the collective-mode energies
+(``mode_energies``) that ``dicketherm.spectrum`` reports, and the
+fluctuation product resums to a log-sinh sum over them.  In the
+superradiant phase the order parameter is the root of the resummed gap
+equation (g1+g2)^2 tanh(beta*D/4) = D*omega0, a scalar equation with a
+finite zero-temperature limit, solved by one Newton iteration batched
+over nodes (``order_parameter`` describes it).  The Matsubara
+frequency sums in ``dicketherm.matsubara`` are oracles only: this module
+does not import them, and ``validate`` and the tests check these closed
+forms against them.
 
 ``convergence_bound``, ``critical_beta`` and ``order_parameter`` take a
 ``ParamGrid``, the array form of ``ModelParams``, and array beta as well
@@ -52,20 +54,6 @@ non-positive beta with ValueError before any node runs; its only error
 rows are nodes whose bound lies outside the float range.  A node is
 "critical" where its bound lies within ``CRITICAL_PHASE_TOL`` of one,
 else "normal" below one and "superradiant" above.
-
-The gap equation has one solver, a Newton iteration batched over nodes
-(``order_parameter``).  In s = D - Omega its balance f(s) =
-K tanh(beta (Omega + s)/4) - (Omega + s), K = (g/omega0) g, is concave
-(tanh is concave on positive arguments), positive at s = 0 in the
-superradiant phase and negative at hi = K - Omega, so Newton started at or
-below hi but above the root decreases monotonically onto it.  A node
-stops once its step is no longer positive beyond four ulps of s;
-rounding near a badly conditioned root ends it the same way.  A node
-whose thermal factor at hi, tanh(beta K/4), rounds to one (deep cold,
-and beta = inf) is at its zero-temperature root hi and takes no step.
-A node still moving after twelve steps raises RuntimeError.  The arrays
-are evaluated under ``np.errstate(all="ignore")``, so no RuntimeWarning
-escapes.
 """
 
 from __future__ import annotations
@@ -85,9 +73,8 @@ __all__ = [
     "PhaseScan",
     "convergence_bound",
     "critical_beta",
-    "kernel_determinant_coefficients",
     "log_partition_ratio",
-    "mode_energy_squares",
+    "mode_energies",
     "order_parameter",
     "phase_scan",
     "quantum_critical_gap",
@@ -346,46 +333,27 @@ def _critical(bound):
     return abs(bound - 1.0) < CRITICAL_PHASE_TOL
 
 
-def kernel_determinant_coefficients(
+def _node_quadratic(
     params: ModelParams, beta: float
-) -> tuple[float, float]:
-    """Coefficients (B, C) of the kernel-determinant quadratic in x = E^2.
+) -> tuple[ModelParams, int, float, float, tuple[float, float] | None]:
+    """The kernel-determinant quadratic of one node, in the node's own unit.
 
-    (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = (x^2 - B x + C) /
-    ((omega0^2 - x)(Omega^2 - x)) after analytic continuation, with
+    Returns (unit, e, B, C, roots): the node in its unit 2^e
+    (``_in_unit``), and in that unit the coefficients of x^2 - B x + C,
+    x = E^2, and its real roots (small, large), or None when they are
+    complex.  After analytic continuation (1 - a(E))(1 - a(-E)) -
+    4 c(E)^2 = (x^2 - B x + C) / ((omega0^2 - x)(Omega^2 - x)), with
 
         B = omega0^2 + Omega^2 + 2 t (g1^2 - g2^2)
         C = omega0^2 Omega^2 - 2 t omega0 Omega (g1^2 + g2^2)
-            + t^2 (g1^2 - g2^2)^2,   t = tanh(beta Omega / 4).
+            + t^2 (g1^2 - g2^2)^2,   t = ``tanh_factor``.
 
     At Matsubara frequencies x = -omega^2 the numerator is the product
-    (omega^2 + x1)(omega^2 + x2) over the roots of the quadratic, which
-    is what makes the partition ratio a log-sinh sum.  C factorizes as
-    omega0^2 Omega^2 (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u) with
-    u = t / (omega0 Omega), so C = 0 exactly at the transition.
-    """
-    return _quadratic(params, tanh_factor(params, beta))
-
-
-def _quadratic(params: ModelParams, t: float) -> tuple[float, float]:
-    """(B, C) of ``kernel_determinant_coefficients`` at thermal factor t."""
-    g1sq, g2sq = params.g1**2, params.g2**2
-    w0sq, Wsq = params.omega0**2, params.Omega**2
-    B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
-    C = (
-        w0sq * Wsq
-        - 2.0 * t * params.omega0 * params.Omega * (g1sq + g2sq)
-        + t**2 * (g1sq - g2sq) ** 2
-    )
-    return B, C
-
-
-def mode_energy_squares(
-    params: ModelParams, beta: float
-) -> tuple[float, float] | None:
-    """Real roots (small, large) of x^2 - B x + C, or None when complex.
-
-    The discriminant B^2 - 4C is taken in its factored form
+    (omega^2 + x1)(omega^2 + x2) over the roots, which is what makes the
+    partition ratio a log-sinh sum.  C factorizes as omega0^2 Omega^2
+    (1 - (g1+g2)^2 u)(1 - (g1-g2)^2 u) with u = t / (omega0 Omega), so
+    C = 0 exactly at the transition.  The discriminant B^2 - 4C is taken
+    in its factored form
 
         (omega0^2 - Omega^2)^2
             + 4 t [g1^2 (omega0 + Omega)^2 - g2^2 (omega0 - Omega)^2],
@@ -397,24 +365,35 @@ def mode_energy_squares(
     4 t g2^2] > 0 and C > 0, so both roots are real and positive.
     """
     t = tanh_factor(params, beta)
-    return _quadratic_roots(params, t, *_quadratic(params, t))
-
-
-def _quadratic_roots(
-    params: ModelParams, t: float, B: float, C: float
-) -> tuple[float, float] | None:
-    """``mode_energy_squares`` from the thermal factor and (B, C)."""
-    w0, W = params.omega0, params.Omega
-    disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (
-        params.g1**2 * (w0 + W) ** 2 - params.g2**2 * (w0 - W) ** 2
-    )
+    unit, e = _in_unit(params)
+    w0, W = unit.omega0, unit.Omega
+    g1sq, g2sq = unit.g1**2, unit.g2**2
+    w0sq, Wsq = w0**2, W**2
+    B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
+    C = w0sq * Wsq - 2.0 * t * w0 * W * (g1sq + g2sq) + t**2 * (g1sq - g2sq) ** 2
+    disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (g1sq * (w0 + W) ** 2 - g2sq * (w0 - W) ** 2)
     if disc < 0.0:
-        return None
+        return unit, e, B, C, None
     q = 0.5 * (B + math.copysign(math.sqrt(disc), B))
     if q == 0.0:
-        return 0.0, 0.0
+        return unit, e, B, C, (0.0, 0.0)
     other = C / q
-    return min(q, other), max(q, other)
+    return unit, e, B, C, (min(q, other), max(q, other))
+
+
+def mode_energies(params: ModelParams, beta: float) -> tuple[float, ...]:
+    """The energies E = sqrt(x) of the non-negative real roots x of the quadratic.
+
+    Ascending, in the caller's unit: each root is found in the node's
+    own unit (``_node_quadratic``) and scaled back exactly, so the
+    energies do not depend on the unit even where E^2 would leave the
+    float range.  Empty where the roots are complex.  These are the
+    normal-phase collective modes; above beta_c they are fluctuations
+    about the unstable empty state.  Refuses a NaN or non-positive beta
+    (``tanh_factor``), and energies too far apart for one unit.
+    """
+    _, e, _, _, roots = _node_quadratic(params, beta)
+    return tuple(math.ldexp(math.sqrt(x), e) for x in roots or () if x >= 0.0)
 
 
 def _log_sinh(y: float) -> float:
@@ -431,13 +410,13 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
 
         sum_i ln[sinh(beta w_i / 2) / sinh(beta E_i / 2)],
 
-    with w = (omega0, Omega) and E_i^2 = x_i the roots from
-    ``mode_energy_squares``.  Defined in the normal phase only, where
-    both roots are positive; the product diverges at the transition and
-    the formula does not continue past it: a node labelled critical or
-    superradiant is refused.  ``beta`` must be positive and finite
-    (``operators.check_beta``).  The roots are found in the node's own
-    unit (``_in_unit``) and scaled back.
+    with w = (omega0, Omega) and E_i the ``mode_energies``.  Defined in
+    the normal phase only, where both roots are positive; the product
+    diverges at the transition and the formula does not continue past
+    it: a node labelled critical or superradiant is refused.  So is a
+    normal node so close to the transition that the rounded C leaves
+    fewer than two positive energies, rather than summing over one mode.
+    ``beta`` must be positive and finite (``operators.check_beta``).
     """
     check_beta(beta)
     bound = convergence_bound(params, beta)
@@ -447,32 +426,28 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
             f"log_partition_ratio requires the normal phase; the node is {label}, "
             f"with convergence bound {bound!r}"
         )
-    unit, e = _in_unit(params)
-    t = tanh_factor(params, beta)
+    energies = mode_energies(params, beta)
+    if len(energies) != 2 or not energies[0] > 0.0:
+        raise ValueError(
+            f"log_partition_ratio needs two positive mode energies, got {energies!r}; "
+            f"the node's convergence bound {bound!r} is too close to 1 for the "
+            f"rounded quadratic"
+        )
     free = sum(_log_sinh(0.5 * beta * w) for w in (params.omega0, params.Omega))
-    return free - sum(
-        _log_sinh(0.5 * beta * math.ldexp(math.sqrt(x), e))
-        for x in _quadratic_roots(unit, t, *_quadratic(unit, t))
-    )
+    return free - sum(_log_sinh(0.5 * beta * E) for E in energies)
 
 
 def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """s = D - Omega solving K tanh(scale D) = D, one root per entry.
 
     1-d arrays; every entry must have a positive balance at s = 0 (the
-    superradiant phase).  Newton from an upper bound on the root, each
-    entry frozen once its step is at most ``_STEP_RTOL`` of s; an entry
-    whose thermal factor at hi rounds to one stays at hi, its
-    zero-temperature root.  Raises RuntimeError if an entry is still
-    moving after ``_NEWTON_STEPS``; see ``order_parameter``.  The caller
+    superradiant phase).  The Newton iteration, its start, its stop and
+    its RuntimeError are described in ``order_parameter``.  The caller
     holds ``np.errstate``.
     """
     hi = K - Omega
-    # The start is the lower of two upper bounds on the root: hi, from
-    # tanh <= 1, and the root with tanh(u), u = scale D, replaced by its
-    # continued-fraction convergent u (15 + u^2) / (15 + 6 u^2) >= tanh(u),
-    # which is tight near a high-temperature transition.  That root
-    # exists where c = 1 / (K scale) > 1/6 (NaN elsewhere).
+    # the start's second upper bound, from the tanh convergent, exists
+    # where c = 1 / (K scale) > 1/6 (NaN elsewhere)
     KS = K * scale
     c = 1.0 / KS
     upper = np.sqrt(15.0 * (1.0 - c) / (6.0 * c - 1.0)) / scale - Omega

@@ -5,7 +5,9 @@ number (closed form, brute-force diagonalization, or a frozen anchor) and
 asserts agreement at the stated tolerance.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,22 @@ def test_cli_outputs_are_deterministic(tmp_path):
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes()
+
+
+def test_readme_tour_runs_and_its_values_hold():
+    # README's python block runs line by line; where a comment starts
+    # with a literal (up to a ": " note), the line's value equals it
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.split(": ", 1)[0].strip())
+        except (SyntaxError, ValueError):
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked == 3

@@ -89,11 +89,21 @@ def test_critical_temp_takes_no_beta():
     assert cfg.beta is None
 
 
-def test_critical_temp_refuses_a_beta_sweep(capsys):
-    assert main(["critical-temp", "--g1", "1.2", "--sweep", "beta:1:4:7"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-temp", "--g1", "1.2"],
+        ["phase-diagram", "--g1", "0.9"],
+        ["phase-diagram", "--beta", "1.0"],
+        ["spectrum", "--g1", "0.6", "--beta-grid", "1:2:3"],
+    ],
+)
+def test_beta_is_no_sweep_variable(argv, capsys):
+    # beta grids are --beta-grid alone
+    assert main([*argv, "--sweep", "beta:1:4:7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: critical-temp takes no --beta/--beta-grid/--sweep beta\n"
+    assert captured.err == "error: unknown sweep variable 'beta'\n"
 
 
 @pytest.mark.parametrize("fmt", ["xml", "CSV"])
@@ -117,16 +127,9 @@ def test_config_file_format_is_validated(command, fmt, tmp_path, capsys):
 def test_commands_requiring_beta():
     with pytest.raises(ConfigError, match="requires --beta"):
         parse_config(["spectrum", "--g1", "1.2"])
-    # a beta sweep satisfies the requirement
-    cfg = parse_config(["spectrum", "--g1", "1.2", "--sweep", "beta:1:4:7"])
-    assert cfg.sweep.variable == "beta"
-
-
-def test_beta_swept_twice_rejected():
-    with pytest.raises(ConfigError, match="swept twice"):
-        parse_config(
-            ["phase-diagram", "--beta", "1.0", "--sweep", "beta:1:4:7"]
-        )
+    # a beta grid satisfies the requirement
+    cfg = parse_config(["spectrum", "--g1", "1.2", "--beta-grid", "1:4:7"])
+    assert (cfg.beta, cfg.beta_grid.variable) == (None, "beta")
 
 
 @pytest.mark.parametrize(
@@ -149,10 +152,10 @@ def test_sweep_spec_validation(spec, message):
 @pytest.mark.parametrize(
     "grid",
     [
-        ["--sweep", "beta:-1:1:3"],
+        ["--beta-grid=-0.0:1:3"],
         ["--beta-grid=-1:1:3"],
         ["--beta-grid", "0:1:3"],
-        ["--sweep", "beta:nan:1:2"],
+        ["--beta-grid", "nan:1:2"],
     ],
 )
 def test_beta_grids_must_start_positive(grid, capsys):
@@ -160,12 +163,16 @@ def test_beta_grids_must_start_positive(grid, capsys):
     assert "beta must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["g1:0:inf:3", "g2:nan:1:3", "beta:1:inf:3"])
-def test_grid_bounds_must_be_finite(spec, capsys):
-    argv = ["phase-diagram", "--sweep", spec]
-    if not spec.startswith("beta"):
-        argv += ["--beta", "1"]
-    assert main(argv) == 2
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--beta", "1", "--sweep", "g1:0:inf:3"],
+        ["--beta", "1", "--sweep", "g2:nan:1:3"],
+        ["--beta-grid", "1:inf:3"],
+    ],
+)
+def test_grid_bounds_must_be_finite(grid, capsys):
+    assert main(["phase-diagram", *grid]) == 2
     assert "must be finite" in capsys.readouterr().err
 
 
@@ -572,6 +579,17 @@ def test_partition_ratio_refusal_names_the_phase_and_the_bound(argv, label, caps
         assert repr(bound) == "0.999999999670589"
 
 
+def test_partition_ratio_refuses_a_normal_node_whose_soft_mode_rounds_away(capsys):
+    # bound 1 - 1.5e-9: normal, but the rounded quadratic leaves one mode
+    argv = ["--omega0", "1.3", "--Omega", "0.8", "--g1", "1.1", "--beta", "6.457217620833081"]
+    p = ModelParams(1.3, 0.8, g1=1.1)
+    assert phase_scan([p], [6.457217620833081]).phase.tolist() == ["normal"]
+    assert main(["partition-ratio", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "omega0,Omega,g1,g2,beta,bound,log_partition_ratio\n"
+    assert err.startswith("error: log_partition_ratio needs two positive mode energies")
+
+
 @pytest.mark.parametrize("command", ["spectrum", "partition-ratio"])
 def test_energies_too_far_apart_exit_one_naming_their_span(command, capsys):
     argv = ["--omega0", "1e300", "--Omega", "1e-300", "--g1", "1e-10", "--beta", "1e300"]
@@ -867,7 +885,7 @@ _COLUMN_GRIDS = [
     ["--g1", "0.9", "--beta", "2", "--sweep", "Omega:0.05:2:7:log"],
     ["--g2", "0.3", "--beta", "2", "--sweep", "g1:0:3:50"],
     ["--g1", "0.9", "--beta", "2", "--sweep", "g2:0:2:7"],
-    ["--g1", "0.9", "--g2", "0.3", "--sweep", "beta:0.1:10:9"],
+    ["--g1", "0.9", "--g2", "0.3", "--beta-grid", "0.1:10:9"],
     ["--beta-grid", "1:5:4", "--sweep", "g1:0:2:5"],
     ["--g1", "0.9", "--g2", "0.6", "--beta", "3"],
     ["--beta", "1", "--sweep", "g1:1:1e200:3"],
@@ -940,7 +958,7 @@ _ENCODER_GRIDS = [
     ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "2:2:1"],
     ["--g1", "1.3", "--beta", "2", "--sweep", "g2:0.1:0.1:1"],
     ["--g2", "0.3", "--beta", "0.5", "--sweep", "g1:0:0.5:20"],
-    ["--g1", "0.3", "--g2", "0.2", "--sweep", "beta:0.1:50:30:log"],
+    ["--g1", "0.3", "--g2", "0.2", "--beta-grid", "0.1:50:30:log"],
     ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.05:50:10000"],
     ["--g1", "1.3", "--g2", "5e-324", "--beta-grid", "1:1e200:3"],
     ["--omega0", "1e200", "--Omega", "1e-200", "--g1", "1.3", "--g2", "-0.0", "--beta", "2"],
@@ -954,10 +972,7 @@ def _scan_rows(command, argv):
     at its first error node, where it raises that node's error.
     """
     cfg = parse_config([command, *argv])
-    if cfg.sweep is not None and cfg.sweep.variable == "beta":
-        betas = cfg.sweep.values()
-    else:
-        betas = cfg.beta_grid.values() if cfg.beta_grid is not None else [cfg.beta]
+    betas = cfg.beta_grid.values() if cfg.beta_grid is not None else [cfg.beta]
     scan = phase_scan(cfg.param_nodes, betas)
     columns = {name: getattr(scan, name).tolist() for name in _SCAN_HEADERS[command]}
     rows = []

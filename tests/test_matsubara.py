@@ -31,12 +31,7 @@ from dicketherm.spectrum import (
     default_pole_epsilon,
     dispersion_residual,
 )
-from dicketherm.thermo import (
-    critical_beta,
-    kernel_determinant_coefficients,
-    mode_energy_squares,
-    tanh_factor,
-)
+from dicketherm.thermo import _node_quadratic, critical_beta, mode_energies, tanh_factor
 
 P_MIXED = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
 
@@ -345,45 +340,53 @@ def test_continuation_pole_guard():
 
 
 def test_determinant_coefficients_match_kernel_product():
-    # (1-a(E))(1-a(-E)) - 4c^2 equals (x^2 - Bx + C) over the pole factors
+    # (1-a(E))(1-a(-E)) - 4c^2 equals (x^2 - Bx + C) over the pole
+    # factors, a ratio that is the same in the node's unit
     beta = 2.3
-    B, C = kernel_determinant_coefficients(P_MIXED, beta)
+    unit, e, B, C, _ = _node_quadratic(P_MIXED, beta)
     for E in (0.3, 0.77, 1.9, 2.6):
         a_plus, a_minus, c = continue_kernels(E, P_MIXED, beta)
         lhs = (1.0 - a_plus) * (1.0 - a_minus) - 4.0 * c * c
-        x = E * E
+        x = math.ldexp(E, -e) ** 2
         rhs = (x * x - B * x + C) / (
-            (P_MIXED.omega0**2 - x) * (P_MIXED.Omega**2 - x)
+            (unit.omega0**2 - x) * (unit.Omega**2 - x)
         )
         assert lhs.real == pytest.approx(rhs, rel=1e-10)
         assert abs(lhs.imag) < 1e-12
 
 
-def test_mode_energy_squares_are_the_quadratic_roots():
+def test_mode_energies_are_the_quadratic_roots():
     beta = 2.3
-    B, C = kernel_determinant_coefficients(P_MIXED, beta)
-    small, large = mode_energy_squares(P_MIXED, beta)
+    unit, e, B, C, (small, large) = _node_quadratic(P_MIXED, beta)
     assert 0.0 < small < large
     assert small + large == pytest.approx(B, rel=1e-14)
     assert small * large == pytest.approx(C, rel=1e-14)
+    assert mode_energies(P_MIXED, beta) == tuple(
+        math.ldexp(math.sqrt(x), e) for x in (small, large)
+    )
 
 
-def test_mode_energy_squares_degenerate_line_is_exact_double_root():
+def test_mode_energies_degenerate_line_is_exact_double_root():
     # omega0 = Omega with g1 = 0: the factored discriminant is exactly 0
     p = ModelParams(1.0, 1.0, g2=0.8)
     beta = 2.0
-    small, large = mode_energy_squares(p, beta)
+    _, e, _, _, (small, large) = _node_quadratic(p, beta)
     assert small == large
-    assert small == pytest.approx(1.0 - tanh_factor(p, beta) * p.g2**2, rel=1e-15)
+    expected = 1.0 - tanh_factor(p, beta) * p.g2**2
+    assert math.ldexp(small, 2 * e) == pytest.approx(expected, rel=1e-15)
+    low, high = mode_energies(p, beta)
+    assert low == high
+    assert low * low == pytest.approx(expected, rel=1e-15)
 
 
-def test_mode_energy_squares_complex_roots_are_none():
+def test_mode_energies_complex_roots_are_none():
     # strong counter-rotating coupling off resonance, deep in the
     # superradiant phase: B^2 < 4 C
     p = ModelParams(1.0, 1.05, g2=3.0)
-    B, C = kernel_determinant_coefficients(p, 5.0)
+    _, _, B, C, roots = _node_quadratic(p, 5.0)
     assert B * B < 4.0 * C
-    assert mode_energy_squares(p, 5.0) is None
+    assert roots is None
+    assert mode_energies(p, 5.0) == ()
 
 
 def test_finite_sum_critical_beta_matches_closed_form_and_guards():

@@ -55,6 +55,15 @@ def test_dispersion_residual_pole_guard():
         dispersion_residual(P_RWA.Omega, P_RWA, 2.0)
 
 
+def test_dispersion_residual_refuses_the_span_before_the_pole():
+    # the node's unit is taken first, so E at the pole Omega of a node too
+    # wide for one unit gets the span message, not PoleProximityError
+    p = ModelParams(1.0, 1e-160, g1=1e-80)
+    with pytest.raises(ValueError, match="too wide to share one energy unit") as info:
+        dispersion_residual(p.Omega, p, 1.0)
+    assert not isinstance(info.value, PoleProximityError)
+
+
 def test_residual_vanishes_on_critical_roots():
     beta_c = critical_beta(P_RWA)
     assert abs(dispersion_residual(1e-8, P_RWA, beta_c)) < 1e-10
@@ -200,7 +209,7 @@ def test_spectrum_and_partition_ratio_follow_the_phase_label(p, phases):
                 thermo.log_partition_ratio(p, beta)
             continue
         assert math.isfinite(thermo.log_partition_ratio(p, beta))
-        energies = [math.sqrt(x) for x in thermo.mode_energy_squares(p, beta)]
+        energies = thermo.mode_energies(p, beta)
         for E, label in zip(result.roots, result.labels):
             if label == "mode":
                 nearest = min(energies, key=lambda root: abs(root - E))
@@ -220,6 +229,14 @@ def test_roots_sorted_and_clear_of_poles():
     assert len(set(np.round(result.roots, 9))) == len(result.roots)
     assert result.roots and _kept(p, result.roots)
     assert all(abs(r) < 1e-9 for r in result.residuals)
+
+
+def _give_roots(monkeypatch, squares):
+    """Make ``collective_modes`` see these roots of Q, in the node's unit."""
+    node_quadratic = thermo._node_quadratic
+    monkeypatch.setattr(
+        spectrum, "_node_quadratic", lambda *args: (*node_quadratic(*args)[:4], squares)
+    )
 
 
 @pytest.mark.parametrize("where", ["zero", "Omega", "omega0", "upper"])
@@ -245,9 +262,7 @@ def test_mode_filter_boundary(monkeypatch, where):
         inside = math.nextafter(kept, edge)
         for E, (roots, labels) in ((kept, ((kept,), ("mode",))), (inside, at_pole)):
             assert math.sqrt(E * E) == E
-            monkeypatch.setattr(
-                spectrum, "_quadratic_roots", lambda q, *args, x=E * E: (x,) if q == unit else ()
-            )
+            _give_roots(monkeypatch, (E * E,))
             result = collective_modes(p, 1.0)
             assert result.roots == tuple(math.ldexp(r, e) for r in roots)
             assert result.labels == labels
@@ -262,7 +277,7 @@ def test_mode_merged_into_a_pole_root_is_reported_at_the_pole(monkeypatch, side)
     unit, e = thermo._in_unit(p)
     pole = unit.Omega
     squares = ((pole * (1.0 + side * 5e-9)) ** 2, (pole * (1.0 - side * 5e-10)) ** 2)
-    monkeypatch.setattr(spectrum, "_quadratic_roots", lambda *args: squares)
+    _give_roots(monkeypatch, squares)
     result = collective_modes(p, 1.0)
     assert result.roots == (p.Omega,)
     assert result.multiplicities == (2,)
@@ -395,8 +410,9 @@ def test_critical_spectrum_counts_at_most_two_roots():
 
 @pytest.mark.parametrize("at_critical", [False, True])
 def test_collective_modes_takes_one_thermal_factor(monkeypatch, at_critical):
-    # one tanh_factor and one (B, C) per node, whichever module asks
-    calls = {"tanh_factor": 0, "_quadratic": 0}
+    # one tanh_factor and one evaluation of the quadratic per node,
+    # whichever module asks
+    calls = {"tanh_factor": 0, "_node_quadratic": 0}
     for name in calls:
         original = getattr(thermo, name)
 
@@ -404,13 +420,14 @@ def test_collective_modes_takes_one_thermal_factor(monkeypatch, at_critical):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(thermo, name, counted)
-        monkeypatch.setattr(spectrum, name, counted)
+        for module in (thermo, spectrum):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     p = P_RWA if at_critical else ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
     result = collective_modes(p, critical_beta(p) if at_critical else 2.0)
     assert result.at_critical == at_critical
     assert ("goldstone" in result.labels) == at_critical
-    assert calls == {"tanh_factor": 1, "_quadratic": 1}
+    assert calls == {"tanh_factor": 1, "_node_quadratic": 1}
 
 
 def test_mixed_detuning_reports_exactly_the_quadratic_roots():
@@ -427,8 +444,7 @@ def test_mixed_detuning_reports_exactly_the_quadratic_roots():
             continue
         beta = 10.0 ** rng.uniform(-1.0, 1.0) / min(omega0, Omega)
         p = ModelParams(omega0, Omega, g1=float(g1), g2=float(g2))
-        squares = thermo.mode_energy_squares(p, beta) or ()
-        energies = [math.sqrt(x) for x in squares if x >= 0.0]
+        energies = thermo.mode_energies(p, beta)
         marks = sorted([0.0, p.Omega, p.omega0, 3.0 * (p.Omega + p.omega0), *energies])
         if any(b - a < 1e-6 * b for a, b in zip(marks, marks[1:])):
             continue
@@ -458,7 +474,7 @@ def _outcome(f, *args):
 @given(
     node=_UNIT_NODES,
     beta=st.floats(min_value=0.05, max_value=10.0) | st.none(),
-    k=st.integers(min_value=-300, max_value=300),
+    k=st.integers(min_value=-1000, max_value=1000),
 )
 def test_spectrum_and_partition_ratio_do_not_depend_on_the_unit(node, beta, k):
     # energies times 2^k and beta times 2^-k is exact; each energy out of
@@ -482,6 +498,8 @@ def test_spectrum_and_partition_ratio_do_not_depend_on_the_unit(node, beta, k):
     assert scaled.at_critical == base.at_critical
     lpr = _outcome(thermo.log_partition_ratio, p, beta)
     assert _outcome(thermo.log_partition_ratio, q, scaled_beta) == lpr
+    energies = thermo.mode_energies(p, beta)
+    assert thermo.mode_energies(q, scaled_beta) == tuple(math.ldexp(E, k) for E in energies)
 
 
 @pytest.mark.parametrize(
@@ -495,7 +513,7 @@ def test_spectrum_and_partition_ratio_do_not_depend_on_the_unit(node, beta, k):
 def test_energies_too_far_apart_for_one_unit_are_refused(params, beta):
     # the span message, not a misleading domain error from a rounded-away
     # energy or an overflow inside the quadratic
-    for f in (collective_modes, thermo.log_partition_ratio):
+    for f in (collective_modes, thermo.log_partition_ratio, thermo.mode_energies):
         with pytest.raises(ValueError, match="span .* too wide to share one energy unit"):
             f(params, beta)
 
@@ -528,6 +546,20 @@ def test_float_range_nodes_solve_in_their_own_unit():
         assert residual == dispersion_residual(0.7, p, 1.5)
         critical = ModelParams(*(math.ldexp(v, k) for v in (1.0, 2.0, 3.0, 0.0)))
         assert abs(goldstone_residual(critical)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [-600, 500])
+def test_mode_energies_far_from_unit_scale_are_the_spectrum_modes(k):
+    # in the caller's unit E^2 underflows to 0 at 2^-600 and C overflows
+    # at 2^500; E itself is in range, and so are the energies
+    q = ModelParams(*(math.ldexp(v, k) for v in (1.3, 0.8, 0.4, 0.2)))
+    beta = math.ldexp(1.0, -k)
+    result = collective_modes(q, beta)
+    assert result.labels == ("mode", "mode")
+    assert thermo.mode_energies(q, beta) == result.roots
+    base = thermo.mode_energies(ModelParams(1.3, 0.8, 0.4, 0.2), 1.0)
+    assert result.roots == tuple(math.ldexp(E, k) for E in base)
+    assert all(E > 0.0 for E in base)
 
 
 def test_soft_roots_far_below_the_largest_energy_keep_their_own_entries():

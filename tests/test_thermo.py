@@ -26,9 +26,8 @@ from dicketherm.thermo import (
     ParamGrid,
     convergence_bound,
     critical_beta,
-    kernel_determinant_coefficients,
     log_partition_ratio,
-    mode_energy_squares,
+    mode_energies,
     order_parameter,
     phase_scan,
     quantum_critical_gap,
@@ -269,8 +268,8 @@ def test_every_thermal_factor_route_refuses_a_non_positive_beta(beta):
     routes = [
         lambda: tanh_factor(p, beta),
         lambda: tanh_factor(ParamGrid(1.0, np.array([1.0, 2.0])), np.array([1.0, beta])),
-        lambda: mode_energy_squares(p, beta),
-        lambda: kernel_determinant_coefficients(p, beta),
+        lambda: mode_energies(p, beta),
+        lambda: thermo._node_quadratic(p, beta),
         lambda: collective_modes(p, beta),
         lambda: dispersion_residual(0.3, p, beta),
         lambda: continue_kernels(0.3, p, beta),
@@ -280,8 +279,9 @@ def test_every_thermal_factor_route_refuses_a_non_positive_beta(beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             route()
     # zero temperature is the factor's limit, not a refusal
-    assert tanh_factor(p, math.inf) == 1.0
-    assert mode_energy_squares(p, math.inf) == thermo._quadratic_roots(p, 1.0, *thermo._quadratic(p, 1.0))
+    assert tanh_factor(p, math.inf) == 1.0 == tanh_factor(p, 100.0)
+    assert thermo._node_quadratic(p, math.inf) == thermo._node_quadratic(p, 100.0)
+    assert mode_energies(p, math.inf) == mode_energies(p, 100.0)
     assert collective_modes(p, math.inf).roots
 
 
@@ -301,6 +301,30 @@ def test_log_partition_ratio_grows_toward_transition():
 def test_log_partition_ratio_rejects_superradiant():
     with pytest.raises(ValueError):
         log_partition_ratio(P_RWA, 10.0)
+
+
+def test_log_partition_ratio_never_drops_a_mode_near_the_transition():
+    # g2 = 0: C = (omega0 Omega)^2 (1 - bound)^2 is tiny just below the
+    # transition, and the unfactored C can round to 0 or below.  Each node
+    # sums both modes or is refused; none returns a sum over one mode.
+    p = ModelParams(1.3, 0.8, g1=1.1)
+    beta_c = critical_beta(p)
+    refused = 0
+    for i in range(300, 6000, 10):
+        beta = beta_c * (1.0 - i * 1e-11)
+        assert not thermo._critical(thermo.convergence_bound(p, beta))
+        energies = thermo.mode_energies(p, beta)
+        try:
+            value = log_partition_ratio(p, beta)
+        except ValueError as exc:
+            assert "two positive mode energies" in str(exc)
+            assert len(energies) < 2 or energies[0] == 0.0
+            refused += 1
+            continue
+        assert len(energies) == 2 and energies[0] > 0.0
+        free = sum(thermo._log_sinh(0.5 * beta * w) for w in (p.omega0, p.Omega))
+        assert value == free - sum(thermo._log_sinh(0.5 * beta * E) for E in energies)
+    assert refused > 0
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
