@@ -732,12 +732,28 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
     )
     checks.append(("fermionic-sum-identity", worst, 1e-10))
 
-    worst = 0.0
-    for beta in (0.5, 2.0, 5.0):
-        p = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
-        kv = a0_c0_sum(0, p, beta)
-        # the bound is the production closed form of a0(0) + 2 c0(0)
-        worst = max(worst, abs(kv.a + 2.0 * kv.c - convergence_bound(p, beta)))
+    # the finite sums a0(0) + 2 c0(0) of the kernel check's three betas,
+    # then of beta_c (1 -+ tol) at each cross-check point: nine nodes in
+    # one evaluation
+    kernel_point, kernel_betas = ModelParams(1.3, 0.8, g1=0.7, g2=0.4), (0.5, 2.0, 5.0)
+    cross_points = (
+        ModelParams(1.0, 1.0, g1=1.2),
+        ModelParams(2.0, 1.0, g2=2.0),
+        ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
+    )
+    tol = 1e-8
+    closed = [critical_beta(p) for p in cross_points]
+    brackets = [(c * (1.0 - tol), c * (1.0 + tol)) for c in closed]
+    points = [kernel_point] * 3 + [p for p in cross_points for _ in range(2)]
+    node_betas = [*kernel_betas, *chain.from_iterable(brackets)]
+    kv = a0_c0_sum(0, ParamGrid(*zip(*map(_param_values, points))), np.array(node_betas))
+    totals = (kv.a + 2.0 * kv.c).tolist()
+
+    # the bound is the production closed form of a0(0) + 2 c0(0)
+    worst = max(
+        abs(total - convergence_bound(kernel_point, beta))
+        for beta, total in zip(kernel_betas, totals)
+    )
     checks.append(("kernel-sum-vs-closed-form", worst, 1e-8))
 
     # one eigensolve per register serves both temperatures
@@ -759,20 +775,14 @@ def _run_validate(config: RunConfig, stream: TextIO) -> int:
     # tol of the closed-form beta_c when the bound minus one changes sign
     # across beta_c (1 -+ tol); the residual is the offset of the secant
     # root of the two values, inf without a sign change
-    tol = 1e-8
     worst = 0.0
-    for p in (
-        ModelParams(1.0, 1.0, g1=1.2),
-        ModelParams(2.0, 1.0, g2=2.0),
-        ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
+    for beta_c, (lo, hi), low_total, high_total in zip(
+        closed, brackets, totals[3::2], totals[4::2]
     ):
-        closed = critical_beta(p)
-        lo, hi = closed * (1.0 - tol), closed * (1.0 + tol)
-        kvs = [a0_c0_sum(0, p, b) for b in (lo, hi)]
-        below, above = (kv.a + 2.0 * kv.c - 1.0 for kv in kvs)
+        below, above = low_total - 1.0, high_total - 1.0
         if below < 0.0 < above:
             root = lo - below * (hi - lo) / (above - below)
-            worst = max(worst, abs(root - closed) / closed)
+            worst = max(worst, abs(root - beta_c) / beta_c)
         else:
             worst = math.inf
     checks.append(("critical-beta-cross-check", worst, tol))

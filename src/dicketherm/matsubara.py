@@ -15,10 +15,20 @@ and the tests use it as the independent check, ``validate`` against
 ``thermo.convergence_bound``, the closed form of a0(0) + 2 c0(0), and
 by the sign of a0(0) + 2 c0(0) - 1 on either side of the closed-form
 beta_c.  The two cutoff levels share one evaluation of the summand over
-the 2M window, and their tails one Gauss-Legendre evaluation.  Every
-sum refuses a beta that is not positive and finite; the closed form
-``continue_kernels`` refuses a NaN or non-positive beta and accepts
-beta = inf, the zero-temperature limit, as ``thermo`` does.
+the 2M window, and their tails one Gauss-Legendre evaluation.
+
+Both sums evaluate many nodes in one array pass: ``a0_c0_sum`` takes a
+``ModelParams`` or a ``thermo.ParamGrid`` and a float or array beta,
+``fermionic_lorentzian_sum`` a float or array mass and beta, and each
+node takes one row of terms that sums on its own.  Every square is a
+product on both routes (Python's ``x**2`` is libm ``pow``, which can
+differ from a product in the last bit: in about one double in 1200
+with glibc), so each entry is bitwise the call at that node alone.
+``validate`` evaluates its nine finite-sum nodes in one call.  Every
+sum refuses a beta that is not positive and finite, and the
+single-pole sum a mass likewise; the closed form ``continue_kernels``
+refuses a NaN or non-positive beta and accepts beta = inf, the
+zero-temperature limit, as ``thermo`` does.
 
 The pair-sum tail integral is a fixed 32-node Gauss-Legendre rule after
 the map q = edge + R (1 + t) / (1 - t), t in [-1, 1), R = hypot(edge, m).
@@ -43,9 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dicketherm.operators import ModelParams, check_beta
+from dicketherm.operators import ModelParams, check_beta, check_positive
 from dicketherm.spectrum import PoleProximityError, default_pole_epsilon
-from dicketherm.thermo import tanh_factor
+from dicketherm.thermo import ParamGrid, _value, tanh_factor
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -92,11 +102,16 @@ def bosonic_frequency(n: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class KernelValue:
-    """One finite-sum kernel pair and its cutoff-doubling spread."""
+    """Finite-sum kernels (a0, c0) and their cutoff-doubling spread.
 
-    a: float
-    c: float
-    tail_estimate: float = field(default=0.0, compare=False)
+    Each field is a float for a call at one node, and an array of the
+    nodes' broadcast shape for a call at many.  ``==`` compares the float
+    form (a and c); array fields are compared with numpy.
+    """
+
+    a: float | np.ndarray
+    c: float | np.ndarray
+    tail_estimate: float | np.ndarray = field(default=0.0, compare=False)
 
 
 def _lorentzian_tail(edge, m, beta):
@@ -112,22 +127,41 @@ def _lorentzian_tail(edge, m, beta):
     return integral / h + (h / 24.0) * derivative
 
 
-def _pair_summand(q, m: float, omega: float):
-    """[(m^2 + q^2)(m^2 + (q + omega)^2)]^(-1/2), elementwise in q."""
-    return 1.0 / np.sqrt((m**2 + q**2) * (m**2 + (q + omega) ** 2))
+def _pair_summand(q: np.ndarray, m, omega) -> np.ndarray:
+    """[(m^2 + q^2)(m^2 + (q + omega)^2)]^(-1/2), elementwise, written over q.
+
+    ``q`` is a float array of the broadcast shape of all three, which the
+    summand overwrites and returns; ``m`` and ``omega`` are floats or
+    arrays that broadcast into it.  Every square is a product, so a float
+    and an array give the same bits.  At omega = 0 the two factors are
+    the same bits (q + 0 is q), so one serves for both; otherwise the far
+    factor takes the one temporary of q's shape.
+    """
+    m2 = m * m
+    far = q + omega if np.any(omega) else q
+    q *= q
+    q += m2
+    if far is not q:
+        far *= far
+        far += m2
+    q *= far
+    np.sqrt(q, out=q)
+    return np.divide(1.0, q, out=q)
 
 
-def _pair_tail_integral(edge, m: float, omega: float):
+def _pair_tail_integral(edge, m, omega):
     """Integral of the pair summand over q in [edge, inf).
 
     Mapped to t in [-1, 1) by q = edge + R (1 + t) / (1 - t) with
     R = hypot(edge, m).  The integrand decays like 1/q^2, so the mapped
     integrand stays finite at t = 1, and its branch points at q = +-i m
     and q = -omega +- i m land at least distance 1 from [-1, 1].
-    ``edge`` is a float or a 1-d array; the nodes of all edges are
+    ``edge`` is a float or an array; ``m`` and ``omega`` are floats or
+    arrays that broadcast against it.  The nodes of all edges are
     evaluated together, and each edge's rule sums on its own.
     """
     edges = np.asarray(edge, dtype=float)[..., None]
+    m, omega = (np.asarray(x, dtype=float)[..., None] for x in (m, omega))
     radius = np.hypot(edges, m)
     stretch, mapped_weights = _tail_rule()
     q = edges + radius * stretch
@@ -157,27 +191,28 @@ def fermionic_lorentzian_sum(
 
     ``m`` and ``beta`` broadcast: the result has their broadcast shape,
     each entry bitwise the scalar call's, and is a float when both are
-    scalars.  A beta anywhere in the array that is not positive and finite
-    is refused.
+    scalars.  An m or a beta anywhere in the arrays that is not positive
+    and finite is refused: the terms are even in m, but the tail is not.
     """
+    check_positive("m", m)
     check_beta(beta)
     m = np.asarray(m, dtype=float)[..., None]
     beta = np.asarray(beta, dtype=float)[..., None]
     cutoff = DEFAULT_CUTOFF
     top = 2 * cutoff
     # one row of terms per entry; each row sums on its own
-    terms = 1.0 / (_fermionic_frequencies(-top, top, beta) ** 2 + m**2)
+    squares = _fermionic_frequencies(-top, top, beta)
+    squares *= squares
+    terms = squares + m * m
+    np.divide(1.0, terms, out=terms)
     edges = 2.0 * np.pi * np.array([cutoff, top]) / beta
     tails = 2.0 * _lorentzian_tail(edges, m, beta)
     fine = np.sum(terms, axis=-1) + tails[..., 1]
     coarse = np.sum(terms[..., cutoff : 3 * cutoff], axis=-1) + tails[..., 0]
-    total = _richardson(coarse, fine)
-    return float(total) if total.ndim == 0 else total
+    return _value(_richardson(coarse, fine))
 
 
-def _pair_levels(
-    k: int, m: float, beta: float, cutoffs: tuple[int, ...]
-) -> list[float]:
+def _pair_levels(k: int, m, beta, cutoffs: tuple[int, ...]) -> list[np.ndarray]:
     """The tail-corrected pair sum at bosonic index k >= 0 for each cutoff.
 
     S(omega) = sum_q [(m^2 + q^2)(m^2 + (q + omega)^2)]^(-1/2) over
@@ -189,32 +224,38 @@ def _pair_levels(
     Both tails of every cutoff are added from one Gauss-Legendre
     evaluation, which keeps full accuracy for k up to twice the smallest
     cutoff and refuses a larger k.
+
+    ``m`` and ``beta`` are floats or arrays that broadcast; each level is
+    an array of their broadcast shape.  Every entry takes one row of
+    terms that sums on its own, so it is bitwise the entry's own call.
     """
     if k > 2 * cutoffs[0]:
         raise ValueError(
             f"bosonic index {k} beyond twice the cutoff {cutoffs[0]}: "
             "the tail rule is not accurate there"
         )
+    # a trailing axis of length one, for the terms and then the cutoffs
+    m, beta = (x[..., None] for x in np.broadcast_arrays(m, np.asarray(beta, dtype=float)))
     top = cutoffs[-1]
     omega = 2.0 * np.pi * k / beta
     terms = _pair_summand(_fermionic_frequencies(-top - k, top, beta), m, omega)
-    sums = [float(np.sum(terms[top - c : top + c + k])) for c in cutoffs]
+    sums = np.stack(
+        [np.sum(terms[..., top - c : top + c + k], axis=-1) for c in cutoffs], axis=-1
+    )
 
     # each one-sided tail is the integral from the edge plus the outward
-    # h/24 derivative term of the midpoint rule; the few scalars per edge
-    # are cheaper in plain floats than as tiny arrays
+    # h/24 derivative term of the midpoint rule
     h = 2.0 * np.pi / beta
-    edges = [h * c for c in cutoffs]
-    integrals = _pair_tail_integral(edges, m, omega).tolist()
-    totals = []
-    for total, edge, integral in zip(sums, edges, integrals):
-        near, far = m * m + edge * edge, m * m + (edge + omega) ** 2
-        g_prime = -(edge / near + (edge + omega) / far) / math.sqrt(near * far)
-        totals.append(total + 2.0 * (integral / h + (h / 24.0) * g_prime))
-    return totals
+    edges = h * np.array(cutoffs, dtype=float)
+    integrals = _pair_tail_integral(edges, m, omega)
+    m2, outer = m * m, edges + omega
+    near, far = m2 + edges * edges, m2 + outer * outer
+    g_prime = -(edges / near + outer / far) / np.sqrt(near * far)
+    totals = sums + 2.0 * (integrals / h + (h / 24.0) * g_prime)
+    return list(np.moveaxis(totals, -1, 0))
 
 
-def a0_c0_sum(omega_index: int, params: ModelParams, beta: float) -> KernelValue:
+def a0_c0_sum(omega_index: int, params: ModelParams | ParamGrid, beta) -> KernelValue:
     """Finite-sum kernels (a0, c0) at bosonic index ``omega_index``.
 
     Reported values are Richardson extrapolants over (M, 2M),
@@ -225,6 +266,12 @@ def a0_c0_sum(omega_index: int, params: ModelParams, beta: float) -> KernelValue
 
     At omega = 0 the pair sum collapses to the single-pole sum, so
     a0 + 2 c0 tends to (g1 + g2)^2 / (Omega omega0) * tanh(beta Omega / 4).
+
+    ``params`` is a ``ModelParams`` or a ``thermo.ParamGrid``, and
+    ``beta`` a float or an array; they broadcast, as in
+    ``fermionic_lorentzian_sum``.  Each field of the result has their
+    broadcast shape, each entry bitwise the scalar call's, and is a float
+    when the call is at one node.
     """
     check_beta(beta)
     coarse, fine = _pair_levels(
@@ -234,13 +281,13 @@ def a0_c0_sum(omega_index: int, params: ModelParams, beta: float) -> KernelValue
     spread = abs(fine - coarse)
 
     omega = bosonic_frequency(omega_index, beta)
-    root = np.sqrt(params.omega0**2 + omega**2)
-    a0 = (params.g1**2 + params.g2**2) / (beta * root) * pair_sum
-    c0 = params.omega0 * params.g1 * params.g2 / (beta * root**2) * pair_sum
-    a0_tail = (params.g1**2 + params.g2**2) / (beta * root) * spread
-    c0_tail = params.omega0 * params.g1 * params.g2 / (beta * root**2) * spread
+    root = np.sqrt(params.omega0 * params.omega0 + omega * omega)
+    a_weight = (params.g1 * params.g1 + params.g2 * params.g2) / (beta * root)
+    c_weight = params.omega0 * params.g1 * params.g2 / (beta * (root * root))
     return KernelValue(
-        a=float(a0), c=float(c0), tail_estimate=a0_tail + 2.0 * c0_tail
+        a=_value(a_weight * pair_sum),
+        c=_value(c_weight * pair_sum),
+        tail_estimate=_value(a_weight * spread + 2.0 * (c_weight * spread)),
     )
 
 

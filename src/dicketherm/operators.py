@@ -69,6 +69,7 @@ __all__ = [
     "block_stacks",
     "build_hamiltonian",
     "check_beta",
+    "check_positive",
     "check_spin_block_size",
 ]
 
@@ -96,16 +97,21 @@ class NotHermitianError(ValueError):
     """Matrix failed the elementwise hermiticity check."""
 
 
+def check_positive(name: str, value: float | np.ndarray) -> None:
+    """Refuse a value, or an array holding one, that is not positive and finite."""
+    # each comparison is False for NaN as well
+    if isinstance(value, float):
+        ok = 0.0 < value < inf
+    else:
+        values = np.asarray(value, dtype=float)
+        ok = bool(np.all((values > 0.0) & (values < inf)))
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def check_beta(beta: float | np.ndarray) -> None:
     """Refuse a beta, or an array holding one, that is not positive and finite."""
-    # each comparison is False for NaN as well
-    if isinstance(beta, float):
-        ok = 0.0 < beta < inf
-    else:
-        betas = np.asarray(beta, dtype=float)
-        ok = bool(np.all((betas > 0.0) & (betas < inf)))
-    if not ok:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_positive("beta", beta)
 
 
 @dataclass(frozen=True)

@@ -702,23 +702,35 @@ def test_cross_check_evaluates_the_finite_sum_twice_per_point(monkeypatch, capsy
     calls = []
 
     def counting(omega_index, params, beta):
-        calls.append((params, beta))
+        calls.append((omega_index, params, beta))
         return a0_c0_sum(omega_index, params, beta)
 
     monkeypatch.setattr(cli, "a0_c0_sum", counting)
     assert main(["validate"]) == 0
     capsys.readouterr()
+    # one evaluation holds every finite-sum node
+    ((omega_index, grid, beta_array),) = calls
+    assert omega_index == 0
+    columns = [
+        np.broadcast_to(getattr(grid, name), beta_array.shape).tolist()
+        for name in ("omega0", "Omega", "g1", "g2")
+    ]
+    nodes = [
+        (ModelParams(*node), beta) for *node, beta in zip(*columns, beta_array.tolist())
+    ]
     points = (
         ModelParams(1.0, 1.0, g1=1.2),
         ModelParams(2.0, 1.0, g2=2.0),
         ModelParams(0.8, 1.3, g1=0.9, g2=0.6),
     )
     for p in points:
-        betas = sorted(beta for params, beta in calls if params == p)
+        betas = sorted(beta for params, beta in nodes if params == p)
         assert len(betas) == 2
         assert betas[0] < critical_beta(p) < betas[1]
     # the kernel-sum check's three betas at its own point, and no others
-    assert len(calls) == 3 + 2 * len(points)
+    kernel = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
+    assert sorted(beta for params, beta in nodes if params == kernel) == [0.5, 2.0, 5.0]
+    assert len(nodes) == 3 + 2 * len(points)
 
 
 def _cells(p):

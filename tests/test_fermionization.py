@@ -48,6 +48,25 @@ def test_index_builder_matches_kron_reference(n_atoms, n_max, g1, g2):
     assert np.max(np.abs(built - reference)) < 1e-14
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_builds_share_a_read_only_layout(n_atoms):
+    # the layout is cached per (N, n_max) and shared by every build and
+    # trace check, so no caller may write to it, and a build at one params
+    # leaves nothing behind for the next
+    n_max = 5
+    layout = fermionization._layout(n_atoms, n_max)
+    assert fermionization._layout(n_atoms, n_max) is layout
+    arrays = [a for field in layout for a in (field if isinstance(field, tuple) else (field,))]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    first, second = ModelParams(1.3, 0.9, g1=0.4, g2=0.3), ModelParams(0.7, 2.1, g1=1.3)
+    for p in (first, second, first):
+        built = build_fermion_dicke(p, n_atoms, n_max).matrix
+        assert np.max(np.abs(built - kron_fermion_dicke(p, n_atoms, n_max))) < 1e-14
+
+
 def test_projector_idempotent_with_expected_rank():
     proj = physical_projector_diagonal(2, 6)
     assert np.array_equal(proj * proj, proj)

@@ -31,7 +31,13 @@ from dicketherm.spectrum import (
     default_pole_epsilon,
     dispersion_residual,
 )
-from dicketherm.thermo import _node_quadratic, critical_beta, mode_energies, tanh_factor
+from dicketherm.thermo import (
+    ParamGrid,
+    _node_quadratic,
+    critical_beta,
+    mode_energies,
+    tanh_factor,
+)
 
 P_MIXED = ModelParams(1.3, 0.8, g1=0.7, g2=0.4)
 
@@ -88,6 +94,72 @@ def test_lorentzian_sum_broadcasts_bitwise_the_scalar_calls(m, beta):
     scalar = [fermionic_lorentzian_sum(float(a), float(b)) for a, b in zip(ms.flat, betas.flat)]
     assert all(isinstance(value, float) for value in scalar)
     assert sums.ravel().tolist() == scalar
+
+
+@pytest.mark.parametrize(
+    "m, true_sum",
+    [(-1.0, 0.2311), (math.nan, None), (0.0, None)],
+    ids=["negative", "nan", "zero"],
+)
+def test_lorentzian_sum_refuses_a_mass_that_is_not_positive_and_finite(m, true_sum):
+    # the terms are even in m but the arctan tail is odd: m = -1 would
+    # return -0.7689 where the sum is 0.2311; NaN would pass silently and
+    # m = 0 divide by zero
+    if true_sum is not None:
+        assert fermionic_lorentzian_sum(-m, 1.0) == pytest.approx(true_sum, abs=1e-4)
+    with pytest.raises(ValueError, match="m must be positive and finite"):
+        fermionic_lorentzian_sum(m, 1.0)
+    with pytest.raises(ValueError, match="m must be positive and finite"):
+        fermionic_lorentzian_sum(np.array([0.5, m]), np.array([[1.0], [2.0]]))
+
+
+def _mixed_grid(rng, n):
+    """n nodes across four decades, a fifth of them at g2 = 0 and one in
+    seven on resonance, and a beta across five decades per node.
+
+    Where this host's ``x**2`` (libm pow) and ``x * x`` differ, the first
+    nodes take such values in each rate and coupling, so a route that
+    squares with pow on one side and a product on the other fails."""
+    omega0, Omega, g1, g2 = 10.0 ** rng.uniform(-2.0, 2.0, (4, n))
+    trap = [x for x in (10.0 ** rng.uniform(-2.0, 2.0, 20000)).tolist() if x**2 != x * x]
+    for i, field in enumerate((omega0, Omega, g1, g2)):
+        chunk = trap[6 * i : 6 * i + 6]
+        field[: len(chunk)] = chunk
+    g2[::5] = 0.0
+    Omega[::7] = omega0[::7]
+    return ParamGrid(omega0, Omega, g1, g2), 10.0 ** rng.uniform(-2.0, 3.0, n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 1024])
+def test_kernel_sums_at_many_nodes_are_bitwise_the_calls_at_one(k):
+    # every square is a product on both routes: Python's x**2 is libm pow,
+    # which can differ from numpy's square in the last bit
+    grid, betas = _mixed_grid(np.random.default_rng(35 + k), 40)
+    grid_values = a0_c0_sum(k, grid, betas)
+    column = a0_c0_sum(-k, grid._node_column(), betas[:3])
+    for name in ("a", "c", "tail_estimate"):
+        assert isinstance(getattr(grid_values, name), np.ndarray)
+        assert getattr(grid_values, name).shape == betas.shape
+        assert getattr(column, name).shape == (len(betas), 3)
+    nodes = zip(grid.omega0.tolist(), grid.Omega.tolist(), grid.g1.tolist(), grid.g2.tolist())
+    for i, node in enumerate(nodes):
+        p = ModelParams(*node)
+        for got, beta in [
+            ((grid_values.a[i], grid_values.c[i], grid_values.tail_estimate[i]), betas[i]),
+            *(((column.a[i, j], column.c[i, j], column.tail_estimate[i, j]), betas[j])
+              for j in range(3)),
+        ]:
+            kv = a0_c0_sum(k, p, float(beta))
+            assert all(type(x) is float for x in (kv.a, kv.c, kv.tail_estimate))
+            assert [float(x).hex() for x in got] == [
+                x.hex() for x in (kv.a, kv.c, kv.tail_estimate)
+            ]
+
+
+def test_kernel_sum_fields_are_floats_at_one_node():
+    # integer rates as well; tail_estimate was an np.float64
+    kv = a0_c0_sum(0, ModelParams(1, 1, g1=0.5, g2=0.2), 1.0)
+    assert [type(x) for x in (kv.a, kv.c, kv.tail_estimate)] == [float] * 3
 
 
 def test_truncation_error_scaling():
