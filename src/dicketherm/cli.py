@@ -63,7 +63,7 @@ import numpy as np
 from dicketherm.exact_diag import check_ladder_inputs, photon_density_curve
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import a0_c0_sum, fermionic_lorentzian_sum
-from dicketherm.operators import HamiltonianKind, ModelParams
+from dicketherm.operators import COUPLINGS, HamiltonianKind, ModelParams
 from dicketherm.spectrum import collective_modes, goldstone_residual
 from dicketherm.thermo import (
     ParamGrid,
@@ -292,6 +292,10 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
                 dataclasses.replace(params, **{sweep.variable: end})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    kind = values["kind"]
+    swept = (sweep.start, sweep.stop) if sweep is not None and sweep.variable == "g2" else ()
+    if len(COUPLINGS[kind]) == 1 and any((params.g2, *swept)):
+        raise ConfigError(f"{kind.value} has one coupling, g1, and takes no nonzero g2")
     if beta is not None and beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
     if beta is not None and not 0.0 < beta < math.inf:
@@ -305,7 +309,7 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
         raise ConfigError(f"{command} requires --beta or --beta-grid")
     return RunConfig(
         command, params, beta, beta_grid, sweep, values["output"], values["format"],
-        values["n-list"], values["ed-tol"], values["kind"],
+        values["n-list"], values["ed-tol"], kind,
     )
 
 

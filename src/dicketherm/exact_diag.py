@@ -8,46 +8,34 @@ functional-integral order parameter predicts in the N -> infinity limit.
 each observable as its diagonal in the same basis; with the matrix of
 ``build_hamiltonian`` it is the dense small-N oracle, and no ladder rung
 uses either.  The photon-density ladder of ``photon_density_curve``
-solves each rung on blocks of one total spin j, (2j + 1)(n_max + 1)
-rows with multiplicity d_j, from one builder, ``operators.block_stacks``,
-whatever the kind.  It splits each spin block by the label the kind
-conserves and hands back stacks of equal-width blocks, each solved by
-one batched ``eigh`` call:
-
-- generalized Dicke conserves the parity (m + j + n) mod 2, and gets one
-  parity pair per spin block: both halves, about (2j + 1)(n_max + 1)/2
-  rows each, so a rung takes floor(N/2) + 1 calls;
-- every other kind conserves an excitation number K = s (m + j) + n,
-  s = 2 for two-photon Jaynes-Cummings and 1 otherwise, and gets one
-  stack of the tridiagonal K-blocks of every j, at most
-  min(N, n_max // s) + 1 rows each, so a rung takes one call.  The
-  single-atom kinds are the N = 1 case, one spin block j = 1/2.
+solves each rung on the spin blocks of ``operators.block_stacks``,
+(2j + 1)(n_max + 1) rows with multiplicity d_j, whatever the kind,
+split by the label the acting couplings conserve: with two, one batched
+``eigh`` call per parity pair of a spin block, floor(N/2) + 1 a rung;
+with one, a single call for the tridiagonal excitation-number blocks of
+every j, so generalized Dicke at g2 = 0 is dicke-rwa.  A single-atom
+kind is the N = 1 case, one spin block j = 1/2.
 
 Each stack comes with each row's photon number, each block's true size
 and each block's multiplicity.  The padded eigenpairs are dropped by
 index, and one reduction sums d_j Tr over all blocks with one shared
 ground-energy shift.  What does not depend on the parameters sits in
-the structure cache of ``operators``, keyed by (kind, 2j values, n_max):
-per spin block for generalized Dicke, per N for every other kind, at
-most ``operators.STRUCTURE_CACHE_BYTES`` (32 MB) in all.  A rung of new
-parameters only scales these read-only templates.  That saves work
-only where a process builds a key again: a spin block 2j recurs across
-the N of one ladder, but one ladder uses each stack (N, n_max) once, so
-a single ladder of any other kind reuses nothing and pays a little
-more than an uncached build; the nodes of a sweep, or later curves in
-one process, reuse every stack.
+the structure cache of ``operators``, at most
+``operators.STRUCTURE_CACHE_BYTES`` (32 MB) in all, and a rung of new
+parameters only scales these read-only templates.  A parity pair's
+spin block 2j recurs across the N of one ladder, but one ladder uses
+each other stack (N, n_max) once; the nodes of a sweep, or later curves
+in one process, reuse every stack.
 
 The fixed ceiling ``operators.DIMENSION_LIMIT`` bounds the full spin
-block, (N + 1)(n_max + 1) rows, although the eigensolves run on parity
-halves or K-blocks, and it bounds the dense matrix of ``thermal_solve``.
-The ladder stops with ``TruncationConvergenceError`` when the builder
-refuses its next doubling.  Before solving any rung it refuses a
-single-atom kind at any N != 1, an N whose first rung or its doubling
-is past the ceiling, N >= 352 (every ladder solves n_max = 8 and 16,
-and (N + 1) 17 > 6000 rows there), and the kinds whose coupling grows
-like the photon number (the intensity-dependent ones and two-photon
-Jaynes-Cummings) at g1 sqrt(N) >= omega0: there the energy is not
-bounded below as the photon number grows, so there is no thermal state.
+block, (N + 1)(n_max + 1) rows, although the eigensolves run on its
+parts, and it bounds the dense matrix of ``thermal_solve``.  The ladder
+stops with ``TruncationConvergenceError`` when the builder refuses its
+next doubling.  Before solving any rung it refuses what
+``check_ladder_inputs`` refuses: a single-atom kind at any N != 1, an N
+whose first rung or its doubling is past the ceiling (N >= 352), and a
+coupling whose amplitude grows like the photon number at
+g sqrt(N) >= omega0, which has no thermal state.
 """
 
 from __future__ import annotations
@@ -60,6 +48,7 @@ import numpy as np
 
 from dicketherm import operators
 from dicketherm.operators import (
+    COUPLINGS,
     DimensionLimitError,
     HamiltonianKind,
     HermitianOperator,
@@ -233,25 +222,19 @@ def check_ladder_inputs(
             # rung and its doubling must fit, or the ladder would solve
             # rungs, and write those of the earlier N, before it fails
             check_spin_block_size(kind, n_atoms, rung)
-    if kind not in (
-        HamiltonianKind.INTENSITY_DICKE,
-        HamiltonianKind.INTENSITY_JC,
-        HamiltonianKind.TWO_PHOTON_JC,
-    ):
-        return
-    for n_atoms in N_list:
-        # These couplings grow like the photon number n, so K-block ground
-        # energies fall like n (omega0 - g1 sqrt(N)) at large n, and tend to
-        # a constant at equality: every truncation is finite, but Z grows
-        # without bound along the ladder.
-        coupling = params.g1 * math.sqrt(n_atoms)
-        if coupling >= params.omega0:
-            raise ValueError(
-                f"{kind.value} has no thermal state at N={n_atoms}: "
-                f"g1*sqrt(N) = {coupling:.6g} >= "
-                f"omega0 = {params.omega0:.6g}, so the energy is not bounded "
-                f"below as the photon number grows"
-            )
+    # A coupling whose amplitude grows like the photon number n, two roots,
+    # makes the ground energies fall like n (omega0 - g sqrt(N)) at large n,
+    # and tend to a constant at equality: Z grows without bound.
+    for name, g, op in zip(("g1", "g2"), (params.g1, params.g2), COUPLINGS[kind]):
+        for n_atoms in N_list if len(op.roots) == 2 else ():
+            coupling = g * math.sqrt(n_atoms)
+            if coupling >= params.omega0:
+                raise ValueError(
+                    f"{kind.value} has no thermal state at N={n_atoms}: "
+                    f"{name}*sqrt(N) = {coupling:.6g} >= "
+                    f"omega0 = {params.omega0:.6g}, so the energy is not bounded "
+                    f"below as the photon number grows"
+                )
 
 
 def photon_density_curve(
@@ -278,8 +261,8 @@ def photon_density_curve(
         ``beta``, N < 1, a single-atom kind at N != 1, an N whose first
         rung or its doubling the builder refuses (``DimensionLimitError``:
         N >= 352, whose spin block at n_max = 16 has (N + 1) 17 > 6000
-        rows), or an intensity-dependent or two-photon kind with
-        g1 sqrt(N) >= omega0, which has no thermal state.
+        rows), or a coupling whose amplitude grows like the photon
+        number at g sqrt(N) >= omega0, which has no thermal state.
     TruncationConvergenceError
         When the builder refuses the next doubling (see the module
         docstring) before the ladder converges, the expected outcome deep

@@ -9,35 +9,30 @@ Kronecker products into a ``HermitianOperator``, which holds real
 matrices only; with ``exact_diag.thermal_solve`` it is the small-N
 oracle.  The production solvers run on blocks of one total spin j,
 (2j + 1)(n_max + 1) rows in the order |m> x |n>, and one builder,
-``block_stacks``, writes them for every kind.  It splits each spin
-block by the label its kind conserves: the parity of (m + j + n) for
-generalized Dicke, and for every other kind the excitation number
-K = s (m + j) + n, with s = 2 for two-photon Jaynes-Cummings and 1
-otherwise; a single-atom kind is the N = 1 case, whose one spin block is
-the whole space.  Generalized Dicke gets one parity pair per spin
-block, every other kind one stack of the tridiagonal K-blocks of all its
-spin blocks.  Each stack comes with each row's photon number, each
+``block_stacks``, writes them for every kind, split by the label the
+acting couplings conserve: of the kind's ``COUPLINGS``, those whose g is
+not 0.  A single-atom kind is the N = 1 case, whose one spin block is
+the whole space.  Each stack comes with each row's photon number, each
 block's true size and each block's multiplicity, and short blocks are
 padded with decoupled rows that sort last.  Every builder refuses,
 before building anything, a matrix of more than ``DIMENSION_LIMIT``
-rows: ``block_stacks`` counts the full spin block, (N + 1)(n_max + 1)
-rows, whatever it is split into; the dense builder counts
-2^N (n_max + 1) without forming 2^N, so a register of any size is
-refused at once.  ``block_stacks`` also refuses an N whose thermal sums
-would leave the float range (N >= 1022 at n_max = 2), since the
-multiplicities d_j there weight 2^N (n_max + 1) states.
+rows, ``block_stacks`` counting the full spin block, (N + 1)(n_max + 1)
+rows, and the dense builder 2^N (n_max + 1) without forming 2^N;
+``block_stacks`` also refuses an N whose thermal sums would leave the
+float range (N >= 1022 at n_max = 2).
 
 ``block_stacks`` splits its work in two.  What does not depend on
-``ModelParams`` is built once per (kind, 2j values, n_max) and cached:
-each row's place in the stack, its m and photon number, and the unit
-amplitudes of the coupled pairs of rows with their flat positions.
-Generalized Dicke keys it per spin block 2j, every other kind per N.  A
-call checks the sizes, then only scales these read-only templates by
-omega0, Omega and g / sqrt(N).  The cache drops its least recently used
-structures to hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all;
-nothing selects it on or off.  It pays only when a process asks for a
-key again: a call that misses builds the structure and then scales it,
-a few microseconds more than building the block outright.
+``ModelParams`` is built once per (acting operators, 2j values, n_max)
+and cached: each row's place in the stack, its m and photon number, and
+the unit amplitudes of the coupled pairs of rows with their flat
+positions, so generalized Dicke at g2 = 0, dicke-rwa and, at N = 1,
+Jaynes-Cummings share one.  A call checks the sizes, then only scales
+these read-only templates by omega0, Omega and g / sqrt(N).  The cache
+drops its least recently used structures to hold at most
+``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects it on or off.
+It pays only when a process asks for a key again: a call that misses
+builds the structure and then scales it, a few microseconds more than
+building the block outright.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -59,12 +54,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 __all__ = [
+    "COUPLINGS",
     "DIMENSION_LIMIT",
     "DimensionLimitError",
     "HamiltonianKind",
     "HermitianOperator",
     "ModelParams",
     "NotHermitianError",
+    "PhotonOperator",
     "SINGLE_ATOM_KINDS",
     "block_stacks",
     "build_hamiltonian",
@@ -197,6 +194,42 @@ SINGLE_ATOM_KINDS = frozenset(
     }
 )
 
+
+class PhotonOperator(NamedTuple):
+    """A coupling's operator on the photons, op |n> = amp(n) |n + shift>.
+
+    amp(n) is the product of sqrt(n + k) over ``roots``, so it grows like
+    n^(len(roots) / 2), and it is 0 where n + shift leaves 0 .. n_max.
+    """
+
+    shift: int
+    roots: tuple[int, ...]
+
+    def amplitudes(self, n_max: int) -> np.ndarray:
+        n = np.arange(n_max + 1.0)
+        amp = np.prod([np.sqrt(np.maximum(n + k, 0.0)) for k in self.roots], axis=0)
+        return np.where((n + self.shift >= 0) & (n + self.shift <= n_max), amp, 0.0)
+
+
+# b, b', b (b'b)^(1/2) and b^2
+_B = PhotonOperator(-1, (0,))
+_B_DAG = PhotonOperator(1, (1,))
+_B_SQRT_N = PhotonOperator(-1, (0, 0))
+_B_SQUARED = PhotonOperator(-2, (0, -1))
+
+# Each kind's couplings, g1's first and g2's second, by the operator op of
+# each term (g / sqrt(N)) (J+ x op + h.c.); build_hamiltonian writes the
+# same operators from matrices of its own.
+COUPLINGS = {
+    HamiltonianKind.GENERALIZED_DICKE: (_B, _B_DAG),
+    HamiltonianKind.DICKE_RWA: (_B,),
+    HamiltonianKind.JAYNES_CUMMINGS: (_B,),
+    HamiltonianKind.TWO_PHOTON_JC: (_B_SQUARED,),
+    HamiltonianKind.INTENSITY_JC: (_B_SQRT_N,),
+    HamiltonianKind.INTENSITY_DICKE: (_B_SQRT_N,),
+}
+
+
 def _check_size(
     kind: HamiltonianKind, n_atoms: int, n_max: int, spin_rows: int | None
 ) -> None:
@@ -322,7 +355,7 @@ def block_stacks(
     n_atoms: int,
     n_max: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The spin blocks of ``kind``, split by the label it conserves, as stacks.
+    """Spin blocks of ``kind`` as stacks, split by the label the acting couplings conserve.
 
     Every Hamiltonian of the family commutes with J^2, so on the 2^N
     register it splits into spin blocks |j, m> x Fock, j = N/2,
@@ -332,33 +365,32 @@ def block_stacks(
     one spin block is the whole space.  Row a (n_max + 1) + n of block j
     holds |m = a - j> x |n>, and the block is the real symmetric matrix
 
-        omega0 n + Omega m + (g / sqrt(N)) (J+ x op + h.c.)
+        omega0 n + Omega m + sum (g / sqrt(N)) (J+ x op + h.c.)
 
-    with ``op`` = b (g1) and b' (g2) for GENERALIZED_DICKE, b (g1) for
-    DICKE_RWA and JAYNES_CUMMINGS, b^2 (g1) for TWO_PHOTON_JC and
-    b (b'b)^(1/2) (g1) for the intensity-dependent kinds, exactly as in
+    over the acting couplings: the kind's ``COUPLINGS`` whose g is not 0,
+    or its first at g = 0 if no g is.  The block is exactly that of
     ``build_hamiltonian``, whose spectrum is the union of the blocks'
     spectra with multiplicities d_j.  Each spin block splits further by
-    the label its kind conserves, a = m + j:
+    the label the acting couplings conserve, a = m + j:
 
-    - generalized Dicke: the parity (a + n) mod 2, as every coupling
-      moves a and n together or oppositely by one;
-    - every other kind: the excitation number K = s a + n, K = 0 .. s 2j
-      + n_max, with the photon step s = 2 for TWO_PHOTON_JC and 1
-      otherwise.  Each K-block is tridiagonal, rows
-      a = max(0, ceil((K - n_max) / s)) .. min(K // s, 2j).
+    - two: the parity (a + n) mod 2, as each moves a and n together or
+      oppositely by one;
+    - one, op |n> ~ |n + shift>: n - shift a, which J+ x op keeps, offset
+      by 2j for a positive shift.  That is K = a + n for b and
+      b (b'b)^(1/2), 2a + n for b^2 and L = (2j - a) + n for b', and each
+      such block is tridiagonal.
 
-    A block keeps the rows of its spin block in their order.  Each item
-    is one stack ``(H, n, size, d)``: ``H`` of shape (B, S, S) holds B
-    blocks padded to the widest, ``n`` (shape (B, S)) each row's photon
-    number, ``size`` each block's true row count and ``d`` its
-    multiplicity d_j.  Generalized Dicke yields one parity pair per j,
-    j = N/2 first, built lazily: B = 2, S = ceil((2j + 1)(n_max + 1) / 2).
-    Every other kind yields one stack of the K-blocks of every j, j = N/2
-    first and K ascending within each j, S = min(N, n_max // s) + 1.  The
-    arguments are checked on the call.  ``n`` and ``size`` are shared,
-    read-only arrays of the structure cache; ``H`` and ``d`` are the
-    caller's own.
+    A block holds the rows of its label in their order in the spin
+    block.  Each item is one stack ``(H, n, size, d)``: ``H`` of shape
+    (B, S, S) holds B blocks padded to the widest, ``n`` (shape (B, S))
+    each row's photon number, ``size`` each block's true row count and
+    ``d`` its multiplicity d_j.  Two couplings yield one parity pair per
+    j, j = N/2 first, built lazily: B = 2, S = ceil((2j + 1)(n_max + 1)
+    / 2).  One coupling yields one stack of the blocks of every j, j = N/2
+    first and the label ascending within each j, S = min(N, n_max // s)
+    + 1 for a photon step s = |shift|.  The arguments are checked on the
+    call.  ``n`` and ``size`` are shared, read-only arrays of the
+    structure cache; ``H`` and ``d`` are the caller's own.
 
     Rows ``i >= size[b]`` are padding: decoupled, photon number 0, and
     with a diagonal of twice a positive Gershgorin upper bound on every
@@ -379,15 +411,15 @@ def block_stacks(
     check_spin_block_size(kind, n_atoms, n_max)
     multiplicities, two_js = zip(*_spin_multiplicities(n_atoms))
     d = np.array(multiplicities, dtype=float)
-    # the grouping rule: which spin blocks share a stack
-    groups = (
-        [slice(i, i + 1) for i in range(len(two_js))]
-        if kind is HamiltonianKind.GENERALIZED_DICKE
-        else [slice(None)]
-    )
-    # g1 scales the first coupling, g2 generalized Dicke's second
+    ops = COUPLINGS[kind]
+    gs = (params.g1, params.g2)[: len(ops)]
+    if 0.0 in gs:
+        # the acting couplings: those whose g is not 0, or the kind's first at 0
+        gs, ops = zip(*([(g, op) for g, op in zip(gs, ops) if g != 0.0] or [(0.0, ops[0])]))
+    # the grouping rule: a parity pair per spin block, or one stack of all
+    groups = [slice(None)] if len(ops) == 1 else [slice(i, i + 1) for i in range(len(two_js))]
     root = sqrt(n_atoms)
-    scales = np.array([[params.g1 / root], [params.g2 / root]])
+    scales = np.array([[g / root] for g in gs])
     # Gershgorin: a row's diagonal is at most Omega N/2 + omega0 n_max,
     # and it holds at most two entries of each coupling, each at most
     # (g / sqrt(N)) (N + 1)/2 n_max, as J+ is at most (N + 1)/2 and every
@@ -400,7 +432,7 @@ def block_stacks(
     )
     padding = min(2.0 * bound, sys.float_info.max)
     return (
-        _stack(_structures.get(kind, two_js[at], n_max), params, scales, padding, d[at])
+        _stack(_structures.get(ops, two_js[at], n_max), params, scales, padding, d[at])
         for at in groups
     )
 
@@ -420,9 +452,7 @@ def _stack(
     )
     flat = h.reshape(-1)
     # indexing by intp is faster than by the stored int32
-    flat[structure.coupled_at.astype(np.intp)] = (
-        scales[: len(structure.units)] * structure.units
-    )
+    flat[structure.coupled_at.astype(np.intp)] = scales * structure.units
     flat[structure.padding_at] = padding
     return h, structure.number, structure.size, multiplicities.repeat(structure.counts)
 
@@ -432,10 +462,10 @@ class _Blocks(NamedTuple):
 
     By block and row of the stack: ``spin`` is m and ``number`` the
     photon number, both 0 on padding.  ``units`` holds, one row per
-    coupling, g1 first, sqrt((2j - a)(a + 1)) amp(n) of each coupled
-    pair of rows, and ``coupled_at`` its flat positions in the (B, S, S)
-    stack, below the diagonal and above it; ``padding_at`` holds those
-    of the padding rows' diagonal.  ``size`` is each block's true row
+    acting coupling, g1 first, sqrt((2j - a)(a + 1)) amp(n) of each
+    coupled pair of rows, and ``coupled_at`` its flat positions in the
+    (B, S, S) stack, below the diagonal and above it; ``padding_at``
+    holds those of the padding rows' diagonal.  ``size`` is each block's true row
     count and ``counts`` the number of blocks of each spin block.
     """
 
@@ -448,8 +478,9 @@ class _Blocks(NamedTuple):
     counts: np.ndarray
 
 
-def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Blocks:
-    couplings = _couplings(kind, n_max)
+def _blocks(
+    ops: tuple[PhotonOperator, ...], two_js: tuple[int, ...], n_max: int
+) -> _Blocks:
     levels = n_max + 1
     two_j = np.array(two_js)
     spin_rows = (two_j + 1) * levels
@@ -457,17 +488,20 @@ def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Bloc
     two_j = np.repeat(two_j, spin_rows)
     row = np.arange(two_j.size) - np.repeat(np.cumsum(spin_rows) - spin_rows, spin_rows)
     a, n = np.divmod(row, levels)
-    # each row's label, its rank among the rows of that label, and the
-    # number of labels of each spin block
-    if kind is HamiltonianKind.GENERALIZED_DICKE:
-        label, rank = (a + n) % 2, row // 2
+    # each row's label and the number of labels of each spin block
+    if len(ops) == 2:
+        label = (a + n) % 2
         counts = np.full(len(two_js), 2)
     else:
-        step = -couplings[0][0]
-        label = step * a + n
-        rank = a - np.maximum(-((n_max - label) // step), 0)
-        counts = step * np.array(two_js) + levels
+        ((shift, _),) = ops
+        label = n - shift * a + (two_j if shift > 0 else 0)
+        counts = abs(shift) * np.array(two_js) + levels
     block = np.repeat(np.cumsum(counts) - counts, spin_rows) + label
+    size = np.bincount(block, minlength=counts.sum())
+    # each row's rank among the rows of its block, in row order
+    order = np.argsort(block, kind="stable")
+    rank = np.empty_like(block)
+    rank[order] = np.arange(block.size) - np.repeat(np.cumsum(size) - size, size)
     width = int(rank.max()) + 1
     cell = block * width + rank
     spin = np.zeros((counts.sum(), width))
@@ -481,9 +515,10 @@ def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Bloc
     # J+ x op takes row (a, n) to (a + 1, n + shift), the same label
     units, below_at, above_at = [], [], []
     raising = np.sqrt((two_j - a) * (a + 1.0))
-    for shift, amplitude in couplings:
+    for op in ops:
+        amplitude = op.amplitudes(n_max)
         source = np.flatnonzero((a < two_j) & (amplitude[n] != 0.0))
-        target = source + levels + shift
+        target = source + levels + op.shift
         units.append(raising[source] * amplitude[n[source]])
         below_at.append(cell[target] * width + rank[source])
         above_at.append(cell[source] * width + rank[target])
@@ -495,7 +530,7 @@ def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Bloc
         units=np.array(units),
         coupled_at=np.array([below_at, above_at], dtype=np.int32),
         padding_at=padding_at * width + padding_at % width,
-        size=np.bincount(block, minlength=counts.sum()),
+        size=size,
         counts=counts,
     )
 
@@ -503,10 +538,10 @@ def _blocks(kind: HamiltonianKind, two_js: tuple[int, ...], n_max: int) -> _Bloc
 class _StructureCache:
     """Least recently used block structures, at most ``STRUCTURE_CACHE_BYTES``.
 
-    Keyed by (kind, two_js, n_max).  A structure depends only on its key,
-    never on ``ModelParams``, so one entry serves every call; its arrays
-    are made read-only when built.  A structure larger than the whole
-    budget is built and not kept.
+    Keyed by (acting operators, two_js, n_max).  A structure depends only
+    on its key, never on ``ModelParams``, so one entry serves every call;
+    its arrays are made read-only when built.  A structure larger than the
+    whole budget is built and not kept.
     """
 
     def __init__(self) -> None:
@@ -546,21 +581,3 @@ def _spin_multiplicities(n_atoms: int) -> Iterator[tuple[int, int]]:
     """``(d_j, 2j)`` for j = N/2, N/2 - 1, ..., down to 0 or 1/2."""
     for k in range(n_atoms // 2 + 1):
         yield comb(n_atoms, k) - (comb(n_atoms, k - 1) if k else 0), n_atoms - 2 * k
-
-
-def _couplings(kind: HamiltonianKind, n_max: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """``(shift, amp)`` per coupling of ``kind``, g1 first: op |n> = amp[n] |n + shift>.
-
-    amp is zero where n + shift leaves the truncated space.  The g1
-    coupling of every kind lowers the photon number by its step s.
-    """
-    root = np.sqrt(np.arange(n_max + 1, dtype=float))
-    if kind is HamiltonianKind.GENERALIZED_DICKE:
-        return (-1, root), (1, np.append(root[1:], 0.0))
-    if kind in (HamiltonianKind.INTENSITY_DICKE, HamiltonianKind.INTENSITY_JC):
-        # b (b'b)^(1/2) |n> = sqrt(n) sqrt(n) |n - 1>, as in build_hamiltonian
-        return ((-1, root * root),)
-    if kind is HamiltonianKind.TWO_PHOTON_JC:
-        # b^2 |n> = sqrt(n - 1) sqrt(n) |n - 2>
-        return ((-2, np.concatenate(([0.0, 0.0], root[1:-1] * root[2:]))),)
-    return ((-1, root),)

@@ -223,26 +223,31 @@ def parity_halves(block, n_max: int):
     )
 
 
-def join_blocks(kind, stacks, n_atoms: int, n_max: int):
+def join_blocks(kind, params, stacks, n_atoms: int, n_max: int):
     """The spin blocks ``(d_j, H_j)`` whose split into blocks is ``stacks``.
 
     The inverse of ``operators.block_stacks`` by filtering, not by its
     closed forms: the rows |m> x |n> of spin block j, a = m + j, carry
-    the label the kind conserves, (a + n) mod 2 for generalized Dicke and
-    K = s a + n otherwise, and the blocks of the stacks, in order, hold
-    the rows of each label in ascending label and row order, j = N/2
-    first.  Each block, without its padding, goes back to those rows,
-    entries copied as they are; every entry between labels is zero.
+    the label that the couplings of nonzero g conserve, the parity
+    (a + n) mod 2 for generalized Dicke with both, L = (2j - a) + n for
+    generalized Dicke with g2 alone, and K = s a + n otherwise, and the
+    blocks of the stacks, in order, hold the rows of each label in
+    ascending label and row order, j = N/2 first.  Each block, without
+    its padding, goes back to those rows, entries copied as they are;
+    every entry between labels is zero.
     """
     step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
+    dicke = kind is HamiltonianKind.GENERALIZED_DICKE
     blocks = iter(
         [block for stacked, _, size, d in stacks for block in zip(stacked, size, d)]
     )
     joined = []
     for two_j in range(n_atoms, -1, -2):
         a, n = np.divmod(np.arange((two_j + 1) * (n_max + 1)), n_max + 1)
-        if kind is HamiltonianKind.GENERALIZED_DICKE:
+        if dicke and params.g1 != 0.0 and params.g2 != 0.0:
             label = (a + n) % 2
+        elif dicke and params.g2 != 0.0:
+            label = (two_j - a) + n
         else:
             label = step * a + n
         h = np.zeros((a.size, a.size))

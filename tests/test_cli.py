@@ -322,8 +322,11 @@ def test_each_command_refuses_the_settings_it_does_not_read(command, unread, tmp
     config.write_text("".join(f"{name} = {_SAMPLES[name][0]}\n" for name in reversed(unread)))
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr() == ("", message)
-    # every command reads the rest, output and workers included
+    # every command reads the rest, output and workers included; the sample
+    # kind, dicke-rwa, has one coupling and refuses the sample's nonzero g2
     read = [name for name in _SAMPLES if name not in unread and name != "beta-grid"]
+    if "kind" in read:
+        read.remove("g2")
     parse_config([command, *(f"--{name}={_SAMPLES[name][0]}" for name in read)])
 
 
@@ -491,6 +494,29 @@ def test_ed_curve_small_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("photons_per_atom,truncation_error_estimate")
     assert len(lines) == 2
+
+
+# the kinds with the one coupling g1
+ONE_COUPLING_KINDS = ("dicke-rwa", "jaynes-cummings", "two-photon-jc", "intensity-jc",
+                      "intensity-dicke")
+
+
+@pytest.mark.parametrize("kind", ONE_COUPLING_KINDS)
+def test_ed_curve_refuses_a_g2_the_kind_would_ignore(kind, tmp_path, capsys):
+    argv = ["ed-curve", "--kind", kind, "--g1", "0.1", "--beta", "1", "--n-list", "1"]
+    message = f"error: {kind} has one coupling, g1, and takes no nonzero g2\n"
+    config = tmp_path / "run.cfg"
+    config.write_text("g2 = 0.7\n")
+    for extra in (["--g2", "0.7"], ["--config", str(config)], ["--sweep", "g2:0:0.7:2"],
+                  ["--sweep", "g2:0.7:0.7:1"]):
+        assert main([*argv, *extra]) == 2
+        assert capsys.readouterr() == ("", message)
+    # a g2 of 0 is what the kind computes, and is accepted
+    for extra in (["--g2", "0"], ["--sweep", "g2:0:0:2"]):
+        assert parse_config([*argv, *extra]).kind is HamiltonianKind(kind)
+    # generalized Dicke reads g2
+    p = parse_config(["ed-curve", "--g2", "0.7", "--beta", "1"]).params
+    assert p.g2 == 0.7
 
 
 def test_ed_curve_refuses_intensity_dicke_without_thermal_state(capsys):

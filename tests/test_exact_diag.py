@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -35,8 +36,12 @@ from dicketherm.operators import (
 )
 
 COLLECTIVE_KINDS = frozenset(HamiltonianKind) - SINGLE_ATOM_KINDS
-# every kind but generalized Dicke conserves an excitation number K
+# every kind but generalized Dicke has one coupling, and conserves an
+# excitation number K
 EXCITATION_KINDS = frozenset(HamiltonianKind) - {HamiltonianKind.GENERALIZED_DICKE}
+# generalized Dicke's couplings (g1, g2): both act, one acts, or neither
+TWO_COUPLINGS = ((0.3, 0.2),)
+ONE_COUPLING = ((0.3, 0.0), (0.0, 0.2), (0.0, 0.0))
 
 
 def test_two_level_partition_function():
@@ -224,6 +229,24 @@ def test_photon_density_curve_subcritical_decreases():
     assert all(pt.n_max_used >= 8 for pt in pts)
 
 
+def test_mirror_couplings_converge_like_one_over_n():
+    # (g, 0) and (0, g) have the same bound, beta_c and rho in closed form;
+    # at finite N, K-blocks against L-blocks differ by about 1/N
+    kind = HamiltonianKind.GENERALIZED_DICKE
+    rotating, counter = ModelParams(1.0, 1.0, 1.3, 0.0), ModelParams(1.0, 1.0, 0.0, 1.3)
+    differences = [
+        (
+            exact_diag._photon_density(rotating, n_atoms, 48, 4.0, kind)
+            - exact_diag._photon_density(counter, n_atoms, 48, 4.0, kind)
+        )
+        / n_atoms
+        for n_atoms in (8, 16, 32, 64)
+    ]
+    assert all(d > 0.0 for d in differences)
+    ratios = [a / b for a, b in zip(differences, differences[1:])]
+    assert all(1.7 <= r <= 2.3 for r in ratios), ratios
+
+
 # the collective kinds at N = 1 .. 6, the single-atom kinds at N = 1
 KIND_SIZES = [
     (kind, n_atoms)
@@ -275,7 +298,7 @@ def test_sector_blocks_match_the_kron_reference(kind, n_atoms):
     for g1, g2 in SECTOR_COUPLINGS:
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         stacks = block_stacks(kind, p, n_atoms, 7)
-        built = join_blocks(kind, stacks, n_atoms, 7)
+        built = join_blocks(kind, p, stacks, n_atoms, 7)
         reference = kron_spin_blocks(kind, p, n_atoms, 7)
         assert [d for d, _ in built] == [d for d, _ in reference]
         for (_, h), (_, ref) in zip(built, reference, strict=True):
@@ -330,7 +353,8 @@ def test_parity_pairs_match_the_halves_reference(n_max):
     # n_max = 7 gives every block an even row count; n_max = 8 an odd one
     # at even 2j, where the odd half ends in a padding row
     kind = HamiltonianKind.GENERALIZED_DICKE
-    for g1, g2 in SECTOR_COUPLINGS:
+    # parity pairs are the split of two acting couplings
+    for g1, g2 in ((0.7, 0.45), (0.2, 0.9)):
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         for n_atoms in range(1, 8):
             spin = kron_spin_blocks(kind, p, n_atoms, n_max)
@@ -444,7 +468,7 @@ def test_excitation_number_blocks_refuse_bad_sizes(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=40))
 def test_sector_multiplicities_cover_the_register(n_atoms):
-    p = ModelParams(1.0, 1.0)
+    p = ModelParams(1.0, 1.0, g1=0.3, g2=0.2)
     pairs = block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, n_atoms, 2)
     # each spin block's rows, both halves, and its multiplicity d_j
     blocks = [(d[0], size.sum()) for _, _, size, d in pairs]
@@ -608,23 +632,24 @@ def test_ladder_refuses_a_first_rung_past_the_ceiling_before_any_rung(
 def test_block_stacks_group_parity_pairs_per_j_and_k_blocks_in_one_stack(
     kind, n_max
 ):
-    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
     step = 2 if kind is HamiltonianKind.TWO_PHOTON_JC else 1
+    dicke = kind is HamiltonianKind.GENERALIZED_DICKE
     for n_atoms in range(1, 8) if kind in COLLECTIVE_KINDS else (1,):
-        stacks = list(block_stacks(kind, p, n_atoms, n_max))
         two_js = range(n_atoms, -1, -2)
-        if kind is HamiltonianKind.GENERALIZED_DICKE:
-            # one parity pair per spin block, j = N/2 first
-            assert len(stacks) == n_atoms // 2 + 1
-            for (h, _, _, _), two_j in zip(stacks, two_js, strict=True):
-                half = ((two_j + 1) * (n_max + 1) + 1) // 2
-                assert h.shape == (2, half, half)
-        else:
-            # one stack of the K-blocks of every spin block
-            ((h, _, _, _),) = stacks
-            width = min(n_atoms, n_max // step) + 1
-            blocks = sum(step * two_j + n_max + 1 for two_j in two_js)
-            assert h.shape == (blocks, width, width)
+        for g1, g2 in (*TWO_COUPLINGS, *ONE_COUPLING):
+            stacks = list(block_stacks(kind, ModelParams(1.0, 1.3, g1, g2), n_atoms, n_max))
+            if dicke and g1 and g2:
+                # one parity pair per spin block, j = N/2 first
+                assert len(stacks) == n_atoms // 2 + 1
+                for (h, _, _, _), two_j in zip(stacks, two_js, strict=True):
+                    half = ((two_j + 1) * (n_max + 1) + 1) // 2
+                    assert h.shape == (2, half, half)
+            else:
+                # one stack of the K- (or L-) blocks of every spin block
+                ((h, _, _, _),) = stacks
+                width = min(n_atoms, n_max // step) + 1
+                blocks = sum(step * two_j + n_max + 1 for two_j in two_js)
+                assert h.shape == (blocks, width, width)
 
 
 def test_ladders_never_take_the_dense_route(monkeypatch):
@@ -659,11 +684,11 @@ def test_each_rung_is_one_batched_eigensolve_per_stack(kind, n_atoms, monkeypatc
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
-    for n_max in (8, 9):
+    for (g1, g2), n_max in itertools.product((*TWO_COUPLINGS, *ONE_COUPLING), (8, 9)):
         calls.clear()
+        p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         exact_diag._photon_density(p, n_atoms, n_max, 1.0, kind)
-        if kind in EXCITATION_KINDS:
+        if kind in EXCITATION_KINDS or not (g1 and g2):
             # one stack for every j
             assert len(calls) == 1
         else:

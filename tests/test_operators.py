@@ -288,11 +288,33 @@ def test_builder_shares_read_only_structure_arrays():
             array[0] = 0
     # the stacks and multiplicities are the caller's own
     assert all(a.flags.writeable for a in (h, d, stack, multiplicity))
-    # the next call of any parameters scales the same structure
-    q = ModelParams(2.0, 0.7, g1=1.1)
+    # the next call of any parameters with the same acting couplings
+    # scales the same structure
+    q = ModelParams(2.0, 0.7, g1=1.1, g2=0.5)
     assert next(block_stacks(gd, q, 3, 9))[1] is number
     assert next(block_stacks(rwa, q, 3, 9))[1] is n
     assert all(not a.flags.writeable for a in _cached_arrays())
+
+
+def test_one_acting_coupling_shares_the_structure_of_its_kind():
+    gd, rwa = HamiltonianKind.GENERALIZED_DICKE, HamiltonianKind.DICKE_RWA
+    jc = HamiltonianKind.JAYNES_CUMMINGS
+    p = ModelParams(1.0, 1.3, g1=0.4)
+    for n_atoms, other in ((5, rwa), (1, rwa), (1, jc)):
+        ((h, n, size, d),) = block_stacks(other, p, n_atoms, 9)
+        # at g2 = 0, and with neither coupling, b acts alone: the same
+        # cached arrays, and the same stack at the same couplings
+        for q in (p, ModelParams(1.0, 1.3)):
+            ((stack, number, sizes, multiplicity),) = block_stacks(gd, q, n_atoms, 9)
+            assert number is n and sizes is size
+            assert multiplicity.tobytes() == d.tobytes()
+            ((same, _, _, _),) = block_stacks(other, q, n_atoms, 9)
+            assert stack.tobytes() == same.tobytes()
+    # at g1 = 0, b' acts alone and conserves L = (2j - a) + n: a structure
+    # of its own, with the K-blocks' shape
+    ((k_blocks, n, _, _),) = block_stacks(rwa, p, 5, 9)
+    ((l_blocks, number, _, _),) = block_stacks(gd, ModelParams(1.0, 1.3, g2=0.4), 5, 9)
+    assert number is not n and l_blocks.shape == k_blocks.shape
 
 
 def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
@@ -323,6 +345,8 @@ def test_structure_cache_holds_at_most_its_budget():
         assert held <= operators.STRUCTURE_CACHE_BYTES
         # the rung just built is kept
         assert next(block_stacks(rwa, p, n_atoms, n_max))[1] is n
-    list(block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, 8, 64))
+    # parity pairs, one structure per spin block
+    q = ModelParams(1.0, 1.0, g1=0.01, g2=0.01)
+    list(block_stacks(HamiltonianKind.GENERALIZED_DICKE, q, 8, 64))
     assert sum(a.nbytes for a in _cached_arrays()) <= operators.STRUCTURE_CACHE_BYTES
 
