@@ -28,16 +28,23 @@ or ``null`` (JSON) numeric cells; order-parameter stops there and exits
 1 with that text, after the rows before it.  Any other NaN or infinity
 in a row is an error as well: the command exits 1, after the rows it
 had already written.  Rows stream as they are computed.  validate runs
-fixed checks and writes a text report.  Each setting is one entry of
+fixed checks and writes a text report.
+
+An argv is one COMMAND, at any position, and flags ``--NAME VALUE`` or
+``--NAME=VALUE``, NAME a setting or ``config``; a separate value may
+start with one ``-`` (a negative number), not two, and the last of a
+repeated flag wins.  ``-h`` or ``--help`` writes the command list and
+each flag's help to stdout and exits 0.  Each setting is one entry of
 ``_SETTINGS``: converter, default, the commands that read it, help.  A
 ``--NAME`` flag and a ``NAME = value`` config line go through the same
 converter, flags override lines, and a command refuses every setting it
-does not read, each error with exit 2 and one line on stderr.
+does not read.  Every malformed input, an unknown, abbreviated or
+valueless flag, a stray argument, a missing or unknown command, or a
+bad value, exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
@@ -63,7 +70,7 @@ import numpy as np
 from dicketherm.exact_diag import check_ladder_inputs, photon_density_curve
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import a0_c0_sum, fermionic_lorentzian_sum
-from dicketherm.operators import COUPLINGS, HamiltonianKind, ModelParams
+from dicketherm.operators import HamiltonianKind, ModelParams, check_couplings
 from dicketherm.spectrum import collective_modes, goldstone_residual
 from dicketherm.thermo import (
     ParamGrid,
@@ -226,18 +233,69 @@ _SETTINGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dicketherm",
-        allow_abbrev=False,
-        description="Finite-temperature thermodynamics and collective "
-        "spectrum of the two-coupling Dicke model.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="NAME = value config file; flags override its lines")
-    for name, setting in _SETTINGS.items():
-        parser.add_argument(f"--{name}", dest=name, help=setting.help)
-    return parser
+# the names of the flags: every setting, and the config file
+_FLAGS = {"config", *_SETTINGS}
+
+
+def _usage() -> str:
+    """The ``--help`` text: the command list, then each flag and its help."""
+    helps = {
+        "config": "NAME = value config file; flags override its lines",
+        **{name: setting.help for name, setting in _SETTINGS.items()},
+    }
+    width = max(map(len, helps)) + 4
+    return "\n".join([
+        "usage: dicketherm COMMAND [--NAME VALUE | --NAME=VALUE ...]",
+        "",
+        "Finite-temperature thermodynamics and collective spectrum of the",
+        "two-coupling Dicke model.",
+        "",
+        "commands: " + ", ".join(COMMANDS),
+        "",
+        "options:",
+        *(f"  {'--' + name:<{width}}{text}" for name, text in helps.items()),
+        f"  {'-h, --help':<{width}}show this help and exit",
+        "",
+    ])
+
+
+def _read_args(args: Sequence[str]) -> tuple[str, dict[str, str]]:
+    """The command and the text of each flag given, the last one where a
+    flag repeats.
+
+    The one argument that is neither a flag nor a flag's value is the
+    command, wherever it stands.  ``--NAME=VALUE`` and ``--NAME VALUE``
+    set NAME, a setting or ``config``; a separate value may start with
+    one ``-``, as a negative number does, but not with two.  ``-h`` or
+    ``--help`` writes the usage to stdout and exits 0.  Anything else
+    raises ConfigError: a missing or unknown command, a flag with no
+    value, or, named together in argv order, each unknown or abbreviated
+    flag and each further argument.
+    """
+    command, texts, unrecognized = None, {}, []
+    tokens = iter(args)
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if token.startswith("--") and name in _FLAGS:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise ConfigError(f"argument --{name}: expected one argument")
+            texts[name] = value
+        elif token in ("-h", "--help"):
+            sys.stdout.write(_usage())
+            raise SystemExit(0)
+        elif command is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                raise ConfigError(f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+            command = token
+        else:
+            unrecognized.append(token)
+    if command is None:
+        raise ConfigError(f"a command is required: one of {', '.join(COMMANDS)}")
+    if unrecognized:
+        raise ConfigError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, texts
 
 
 def _parse_config_text(text: str) -> dict[str, str]:
@@ -259,20 +317,21 @@ def _parse_config_text(text: str) -> dict[str, str]:
 def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig:
     """Build a RunConfig from CLI arguments plus optional config text.
 
-    Flags override config lines.  A setting the command does not read, or
-    a malformed value, raises ConfigError whose message is the one-line
-    diagnostic; argparse errors exit 2 directly.
+    Flags override config lines.  A malformed argument (``_read_args``),
+    a setting the command does not read, or a malformed value, raises
+    ConfigError whose message is the one-line diagnostic.  ``-h`` or
+    ``--help`` writes the usage to stdout and exits 0.
     """
-    flags = vars(_PARSER.parse_args(list(args)))
-    command = flags["command"]
-    if file_text is None and flags["config"]:
+    command, flags = _read_args(args)
+    path = flags.pop("config", None)
+    if file_text is None and path:
         try:
-            with open(flags["config"], encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 file_text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
     texts = _parse_config_text(file_text) if file_text else {}
-    texts.update({name: flags[name] for name in _SETTINGS if flags[name] is not None})
+    texts.update(flags)
     unread = [name for name, setting in _SETTINGS.items()
               if name in texts and command not in setting.commands]
     if unread:
@@ -283,19 +342,20 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
     }
 
     beta, beta_grid, sweep = values["beta"], values["beta-grid"], values["sweep"]
+    kind = values["kind"]
     try:
         params = ModelParams(values["omega0"], values["Omega"], values["g1"], values["g2"])
+        nodes = [params]
         if sweep is not None:
-            # sweep values lie in [start, stop] and the model's domain is an
-            # interval, so the two ends decide, as the same flag values would
-            for end in (sweep.start, sweep.stop):
-                dataclasses.replace(params, **{sweep.variable: end})
+            # sweep values lie in [start, stop], and the model's domain and
+            # the coupling rule are intervals, so the two ends decide, as
+            # the same flag values would
+            nodes += [dataclasses.replace(params, **{sweep.variable: end})
+                      for end in (sweep.start, sweep.stop)]
+        for node in nodes:
+            check_couplings(node, kind)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    kind = values["kind"]
-    swept = (sweep.start, sweep.stop) if sweep is not None and sweep.variable == "g2" else ()
-    if len(COUPLINGS[kind]) == 1 and any((params.g2, *swept)):
-        raise ConfigError(f"{kind.value} has one coupling, g1, and takes no nonzero g2")
     if beta is not None and beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
     if beta is not None and not 0.0 < beta < math.inf:
@@ -707,10 +767,6 @@ _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], _Table]]] = {
 _JSON_HEADERS = {
     "spectrum": (*_SPECTRUM_NODE_COLUMNS, "roots", "residuals", "labels", "multiplicities"),
 }
-
-# Built once: argparse's parse_args leaves the parser as it was, and
-# building it costs more than a small job's whole computation.
-_PARSER = build_parser()
 
 
 def _run_table(config: RunConfig, stream: TextIO) -> int:

@@ -32,8 +32,9 @@ block, (N + 1)(n_max + 1) rows, although the eigensolves run on its
 parts, and it bounds the dense matrix of ``thermal_solve``.  The ladder
 stops with ``TruncationConvergenceError`` when the builder refuses its
 next doubling.  Before solving any rung it refuses what
-``check_ladder_inputs`` refuses: a single-atom kind at any N != 1, an N
-whose first rung or its doubling is past the ceiling (N >= 352), and a
+``check_ladder_inputs`` refuses: a nonzero g2 for a kind of one coupling,
+which would ignore it, a single-atom kind at any N != 1, an N whose
+first rung or its doubling is past the ceiling (N >= 352), and a
 coupling whose amplitude grows like the photon number at
 g sqrt(N) >= omega0, which has no thermal state.
 """
@@ -56,6 +57,7 @@ from dicketherm.operators import (
     block_stacks,
     build_hamiltonian,
     check_beta,
+    check_couplings,
     check_spin_block_size,
 )
 
@@ -213,6 +215,7 @@ def check_ladder_inputs(
     if not target_tol > 0.0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     check_beta(beta)
+    check_couplings(params, kind)
     for n_atoms in N_list:
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
@@ -258,11 +261,12 @@ def photon_density_curve(
     ValueError
         Before any rung is solved, for any N of ``N_list``: a NaN or
         non-positive ``target_tol``, a non-finite or non-positive
-        ``beta``, N < 1, a single-atom kind at N != 1, an N whose first
-        rung or its doubling the builder refuses (``DimensionLimitError``:
-        N >= 352, whose spin block at n_max = 16 has (N + 1) 17 > 6000
-        rows), or a coupling whose amplitude grows like the photon
-        number at g sqrt(N) >= omega0, which has no thermal state.
+        ``beta``, a nonzero g2 for a kind of one coupling, N < 1, a
+        single-atom kind at N != 1, an N whose first rung or its
+        doubling the builder refuses (``DimensionLimitError``: N >= 352,
+        whose spin block at n_max = 16 has (N + 1) 17 > 6000 rows), or a
+        coupling whose amplitude grows like the photon number at
+        g sqrt(N) >= omega0, which has no thermal state.
     TruncationConvergenceError
         When the builder refuses the next doubling (see the module
         docstring) before the ladder converges, the expected outcome deep

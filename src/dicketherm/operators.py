@@ -66,6 +66,7 @@ __all__ = [
     "block_stacks",
     "build_hamiltonian",
     "check_beta",
+    "check_couplings",
     "check_positive",
     "check_spin_block_size",
 ]
@@ -228,6 +229,12 @@ COUPLINGS = {
     HamiltonianKind.INTENSITY_JC: (_B_SQRT_N,),
     HamiltonianKind.INTENSITY_DICKE: (_B_SQRT_N,),
 }
+
+
+def check_couplings(params: ModelParams, kind: HamiltonianKind) -> None:
+    """Refuse a nonzero g2 for a kind of one coupling, which would ignore it."""
+    if len(COUPLINGS[kind]) == 1 and params.g2 != 0.0:
+        raise ValueError(f"{kind.value} has one coupling, g1, and takes no nonzero g2")
 
 
 def _check_size(
@@ -421,14 +428,15 @@ def block_stacks(
     root = sqrt(n_atoms)
     scales = np.array([[g / root] for g in gs])
     # Gershgorin: a row's diagonal is at most Omega N/2 + omega0 n_max,
-    # and it holds at most two entries of each coupling, each at most
-    # (g / sqrt(N)) (N + 1)/2 n_max, as J+ is at most (N + 1)/2 and every
-    # op at most n_max.  The bound is positive; where twice it leaves the
-    # float range, the largest float still pads above every finite level.
+    # and it holds at most two entries of each acting coupling, each at
+    # most (g / sqrt(N)) (N + 1)/2 n_max, as J+ is at most (N + 1)/2 and
+    # every op at most n_max.  The bound is positive; where twice it
+    # leaves the float range, the largest float still pads above every
+    # finite level.
     bound = (
         params.Omega * n_atoms / 2
         + params.omega0 * n_max
-        + (params.g1 + params.g2) * (n_atoms + 1) * n_max / root
+        + sum(gs) * (n_atoms + 1) * n_max / root
     )
     padding = min(2.0 * bound, sys.float_info.max)
     return (

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import classify_phase
 import dicketherm.cli as cli
@@ -330,10 +332,18 @@ def test_each_command_refuses_the_settings_it_does_not_read(command, unread, tmp
     parse_config([command, *(f"--{name}={_SAMPLES[name][0]}" for name in read)])
 
 
-def test_unknown_flag_exits_two():
-    with pytest.raises(SystemExit) as info:
-        parse_config(["spectrum", "--beta", "1.0", "--frobnicate"])
-    assert info.value.code == 2
+def _refusal(argv, capsys) -> str:
+    """The one stderr line of an argv that exits 2 and writes no stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+def test_unknown_flag_exits_two(capsys):
+    err = _refusal(["spectrum", "--beta", "1.0", "--frobnicate"], capsys)
+    assert "unrecognized arguments: --frobnicate" in err
 
 
 @pytest.mark.parametrize(
@@ -345,12 +355,103 @@ def test_unknown_flag_exits_two():
 )
 def test_flags_are_written_in_full(argv, flag, capsys):
     # a prefix of a setting's name is no flag, as it is no config key
+    assert f"unrecognized arguments: {flag}" in _refusal(argv, capsys)
+
+
+# a second good text of every setting the grammar test draws: all but
+# beta-grid, which beta excludes, and g2, which the sample kind refuses
+_SHADOWS = {
+    "omega0": "1.5", "Omega": "2", "g1": "0.1", "beta": "0.5", "sweep": "Omega:1:2:2",
+    "output": "shadow.csv", "format": "csv", "workers": "1", "n-list": "2",
+    "ed-tol": "1e-6", "kind": "intensity-dicke",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_form_and_order_of_an_argv_gives_one_config(data):
+    command = data.draw(st.sampled_from(cli.COMMANDS))
+    readable = [name for name in _SHADOWS if command in cli._SETTINGS[name].commands]
+    # a subset in any order; a command that reads beta needs it
+    names = data.draw(st.lists(st.sampled_from(readable), unique=True))
+    if "beta" in readable and "beta" not in names:
+        names.insert(data.draw(st.integers(0, len(names))), "beta")
+    groups, shadows, lines = [], [], []
+    for name in names:
+        text = _SAMPLES[name][0]
+        form = data.draw(st.sampled_from(["--NAME VALUE", "--NAME=VALUE", "config line"]))
+        if form == "config line":
+            lines.append(f"{name} = {text}\n")
+            continue
+        groups.append([f"--{name}", text] if form == "--NAME VALUE" else [f"--{name}={text}"])
+        # an earlier flag or a config line of another value, which this flag overrides
+        shadow = data.draw(st.sampled_from([None, "flag", "config line"]))
+        if shadow == "flag":
+            shadows.append(f"--{name}={_SHADOWS[name]}")
+        elif shadow == "config line":
+            lines.append(f"{name} = {_SHADOWS[name]}\n")
+    groups.insert(data.draw(st.integers(0, len(groups))), [command])
+    argv = [*shadows, *(token for group in groups for token in group)]
+    file_text = "".join(data.draw(st.permutations(lines)))
+    expected = parse_config([command, *(f"--{name}={_SAMPLES[name][0]}" for name in names)])
+    assert parse_config(argv, file_text) == expected
+
+
+_TOKENS = [
+    *cli.COMMANDS, "bogus", "--g1", "--g1=0.5", "0.5", "-0.5", "-1e-3", "--beta", "1",
+    "--beta=-1", "--beta-grid", "1:2:3", "--sweep=g2:0:1:2", "--kind", "dicke-rwa",
+    "--g2", "--format=json", "--form", "--frobnicate", "--", "-", "-x", "--=x", "", "=",
+    "--workers", "--output", "out.csv", "--n-list", "2,3",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=8))
+def test_any_argv_gives_a_config_or_one_line_of_diagnostic(argv):
+    try:
+        parse_config(argv)
+    except ConfigError as exc:
+        assert str(exc) and "\n" not in str(exc)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--beta", "1", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["critical-temp", "--form", "json"], "unrecognized arguments: --form json"),
+        (["critical-temp", "-x", "--g1", "1.2", "--cutoff=3", "more"],
+         "unrecognized arguments: -x --cutoff=3 more"),
+        (["critical-temp", "extra"], "unrecognized arguments: extra"),
+        (["critical-temp", "spectrum"], "unrecognized arguments: spectrum"),
+        (["critical-temp", "--g1"], "argument --g1: expected one argument"),
+        (["critical-temp", "--g1", "--g2", "0.5"], "argument --g1: expected one argument"),
+        ([], "a command is required: one of critical-temp, "),
+        (["--g1", "1.2"], "a command is required: one of critical-temp, "),
+        (["bogus"], "unknown command 'bogus'; choose from critical-temp, "),
+    ],
+)
+def test_a_malformed_argv_exits_two_with_one_line(argv, message, capsys):
+    assert message in _refusal(argv, capsys)
+
+
+@pytest.mark.parametrize("flag", [["--g1", "{}"], ["--g1={}"]], ids=["space", "equals"])
+@pytest.mark.parametrize("value", ["-1e-3", "-0.5"])
+def test_a_negative_value_reaches_its_converter(flag, value, capsys):
+    argv = ["critical-temp", *(token.format(value) for token in flag)]
+    message = f"error: g1 must be non-negative and finite, got {float(value)}\n"
+    assert _refusal(argv, capsys) == message
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["spectrum", "--beta", "1", "-h"]])
+def test_help_names_every_command_setting_and_choice(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
-    assert info.value.code == 2
+    assert info.value.code == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert f"unrecognized arguments: {flag}" in err
+    assert err == ""
+    names = [*cli.COMMANDS, "--config", *(f"--{name}" for name in cli._SETTINGS),
+             *cli.FORMATS, *(kind.value for kind in HamiltonianKind)]
+    assert [name for name in names if name not in out] == []
 
 
 def test_spectrum_json_anchor(tmp_path):
@@ -467,10 +568,7 @@ def test_order_parameter_row_at_critical_point(capsys):
 
 def test_cutoff_is_refused(tmp_path, capsys):
     argv = ["partition-ratio", "--g1", "0.6", "--beta", "1.0"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--cutoff", "512"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --cutoff 512" in capsys.readouterr().err
+    assert "unrecognized arguments: --cutoff 512" in _refusal(argv + ["--cutoff", "512"], capsys)
     config = tmp_path / "old.cfg"
     config.write_text("cutoff = 256\n")
     assert main(argv + ["--config", str(config)]) == 2
@@ -511,6 +609,10 @@ def test_ed_curve_refuses_a_g2_the_kind_would_ignore(kind, tmp_path, capsys):
                   ["--sweep", "g2:0.7:0.7:1"]):
         assert main([*argv, *extra]) == 2
         assert capsys.readouterr() == ("", message)
+    # the library refuses it with the same text
+    with pytest.raises(ValueError, match=f"^{message[len('error: '):-1]}$"):
+        photon_density_curve(ModelParams(1.0, 1.0, g1=0.1, g2=0.7), 1.0, (1,),
+                             kind=HamiltonianKind(kind))
     # a g2 of 0 is what the kind computes, and is accepted
     for extra in (["--g2", "0"], ["--sweep", "g2:0:0:2"]):
         assert parse_config([*argv, *extra]).kind is HamiltonianKind(kind)
@@ -1485,7 +1587,8 @@ def test_parse_builds_no_sweep_nodes():
 def test_no_command_loads_scipy():
     # validate and the six row commands, all in one fresh process; the ED
     # ladder's eigensolves are numpy's, and validate brackets the
-    # finite-sum beta_c by a sign change, with no root solver
+    # finite-sum beta_c by a sign change, with no root solver; nor does
+    # one load argparse, as the CLI reads its arguments itself
     src = os.path.dirname(os.path.dirname(sys.modules["dicketherm"].__file__))
     code = (
         "import sys, dicketherm.cli\n"
@@ -1504,14 +1607,15 @@ def test_no_command_loads_scipy():
         "     '--n-list', '1,2,3'],\n"
         ")\n"
         "codes = [dicketherm.cli.main(a + ['--output', sys.argv[1]]) for a in runs]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      'argparse' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code, os.devnull], env=env, capture_output=True,
         text=True, check=True,
     )
-    assert out.stdout.strip() == f"{[0] * 8} []"
+    assert out.stdout.strip() == f"{[0] * 8} [] False"
 
 
 def test_shared_parser_keeps_no_state_between_calls():

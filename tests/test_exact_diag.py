@@ -658,8 +658,9 @@ def test_ladders_never_take_the_dense_route(monkeypatch):
 
     for name in ("build_hamiltonian", "thermal_solve"):
         monkeypatch.setattr(exact_diag, name, poisoned)
-    p = ModelParams(1.0, 1.3, g1=0.3, g2=0.2)
     for kind in HamiltonianKind:
+        # a kind of one coupling refuses a g2 it would ignore
+        p = ModelParams(1.0, 1.3, g1=0.3, g2=0.0 if kind in EXCITATION_KINDS else 0.2)
         n_list = [2, 5] if kind in COLLECTIVE_KINDS else [1]
         pts = photon_density_curve(p, 1.0, n_list, kind=kind)
         assert [pt.n_atoms for pt in pts] == n_list

@@ -317,6 +317,20 @@ def test_one_acting_coupling_shares_the_structure_of_its_kind():
     assert number is not n and l_blocks.shape == k_blocks.shape
 
 
+@pytest.mark.parametrize(
+    "kind", [kind for kind in ALL_KINDS if len(operators.COUPLINGS[kind]) == 1],
+    ids=lambda kind: kind.value,
+)
+def test_a_kind_of_one_coupling_ignores_g2_in_its_padding_too(kind):
+    # the padding diagonal bounds the acting couplings alone, so a g2 the
+    # kind does not read leaves every entry of the stack as it is
+    n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 5
+    ((h, _, size, _),) = block_stacks(kind, ModelParams(1.0, 1.3, g1=0.4), n_atoms, 9)
+    assert (size < h.shape[1]).any()
+    ((ignored, _, _, _),) = block_stacks(kind, ModelParams(1.0, 1.3, g1=0.4, g2=0.7), n_atoms, 9)
+    assert ignored.tobytes() == h.tobytes()
+
+
 def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5, g2=0.3)
     builds = [
