@@ -46,7 +46,6 @@ bad value, exits 2 with one line on stderr.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -71,7 +70,7 @@ from dicketherm.exact_diag import check_ladder_inputs, photon_density_curve
 from dicketherm.fermionization import verify_trace_identity
 from dicketherm.matsubara import a0_c0_sum, fermionic_lorentzian_sum
 from dicketherm.operators import HamiltonianKind, ModelParams, check_couplings
-from dicketherm.spectrum import collective_modes, goldstone_residual
+from dicketherm.spectrum import check_coupled, collective_modes, goldstone_residual
 from dicketherm.thermo import (
     ParamGrid,
     PhaseScan,
@@ -123,11 +122,41 @@ class GridSpec:
             raise ConfigError("log grids need a positive start")
 
     def values(self) -> list[float]:
+        """The grid's points as floats, bit for bit ``np.linspace`` or
+        ``np.geomspace`` of the spec, by their float operations without
+        their wrappers (``_linspace``).
+
+        A log grid is evaluated as ``np.geomspace`` evaluates one of a
+        positive start: 10 to the power of the linear grid of the two
+        decimal logarithms, with the ends replaced by start and stop.
+        """
         if self.steps == 1:
             return [self.start]
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.steps).tolist()
-        return np.linspace(self.start, self.stop, self.steps).tolist()
+            exponents = _linspace(np.log10(self.start), np.log10(self.stop), self.steps)
+            values = np.power(10.0, exponents).tolist()
+            values[0], values[-1] = self.start, self.stop
+            return values
+        return _linspace(self.start, self.stop, self.steps).tolist()
+
+
+def _linspace(start: float, stop: float, steps: int) -> np.ndarray:
+    """``np.linspace(start, stop, steps)`` for steps >= 2, by its own float
+    operations without its wrapper: point i at i * step + start, step =
+    (stop - start) / (steps - 1), and the last at stop."""
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    points = np.arange(steps, dtype=float)
+    if step == 0.0:
+        # np.linspace's order where the step underflows
+        points /= div
+        points *= delta
+    else:
+        points *= step
+    points += start
+    points[-1] = stop
+    return points
 
 
 @dataclass(frozen=True)
@@ -150,11 +179,19 @@ class RunConfig:
         Raises ValueError for a sweep value outside the model's domain.
         """
         if self.sweep is not None:
-            return [
-                dataclasses.replace(self.params, **{self.sweep.variable: v})
-                for v in self.sweep.values()
-            ]
+            return _swept(self.params, self.sweep.variable, self.sweep.values())
         return [self.params]
+
+
+def _swept(params: ModelParams, variable: str, values: Iterable[float]) -> list[ModelParams]:
+    """``params`` with ``variable`` set to each value in turn, each node
+    checked by ``ModelParams``."""
+    fields = {name: getattr(params, name) for name in _PARAM_COLUMNS}
+    nodes = []
+    for value in values:
+        fields[variable] = value
+        nodes.append(ModelParams(**fields))
+    return nodes
 
 
 # Converters: each takes a setting's name and its text, from a flag or a
@@ -350,8 +387,7 @@ def parse_config(args: Sequence[str], file_text: str | None = None) -> RunConfig
             # sweep values lie in [start, stop], and the model's domain and
             # the coupling rule are intervals, so the two ends decide, as
             # the same flag values would
-            nodes += [dataclasses.replace(params, **{sweep.variable: end})
-                      for end in (sweep.start, sweep.stop)]
+            nodes += _swept(params, sweep.variable, (sweep.start, sweep.stop))
         for node in nodes:
             check_couplings(node, kind)
     except ValueError as exc:
@@ -673,7 +709,17 @@ def _phase_diagram_rows(config: RunConfig) -> _Table:
 
 
 def _spectrum_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
-    """One CSV row per root; one JSON row per node, the modes as lists."""
+    """One CSV row per root; one JSON row per node, the modes as lists.
+
+    Every node's couplings are checked before the first row, so a node
+    with g1 + g2 = 0 writes nothing, not even the CSV header.
+    """
+    for p in config.param_nodes:
+        check_coupled(p)
+    return _spectrum_modes(config)
+
+
+def _spectrum_modes(config: RunConfig) -> Iterator[tuple[str, ...]]:
     text = _cell_rule(config.fmt)
     for p, b, node in _nodes(config, text):
         r = collective_modes(p, b)

@@ -37,6 +37,13 @@ which would ignore it, a single-atom kind at any N != 1, an N whose
 first rung or its doubling is past the ceiling (N >= 352), and a
 coupling whose amplitude grows like the photon number at
 g sqrt(N) >= omega0, which has no thermal state.
+
+At zero temperature ``excitation_gaps`` gives the lowest excitation
+energies of the top spin block j = N/2 of generalized Dicke, the
+finite-N counterpart of the normal-phase collective modes
+(``thermo.mode_energies`` at beta = inf; Emary and Brandes, PRE 67,
+066203, 2003), and ``richardson_in_inverse_n`` extrapolates a sequence
+in N to N -> infinity.
 """
 
 from __future__ import annotations
@@ -67,7 +74,9 @@ __all__ = [
     "TruncationConvergenceError",
     "build_hamiltonian",  # with thermal_solve, the dense oracle pair
     "check_ladder_inputs",
+    "excitation_gaps",
     "photon_density_curve",
+    "richardson_in_inverse_n",
     "thermal_solve",
 ]
 
@@ -285,3 +294,53 @@ def photon_density_curve(
             )
         )
     return points
+
+
+def excitation_gaps(
+    params: ModelParams, n_atoms: int, n_max: int, count: int
+) -> np.ndarray:
+    """The lowest ``count`` gaps E_k - E_0 of the top spin block, ascending.
+
+    The block j = N/2 of generalized Dicke at zero temperature, from its
+    parity pair, the first of ``operators.block_stacks``, by one
+    ``np.linalg.eigvalsh`` call; its padded levels are dropped by index.
+    Both couplings must act, as the parity pair needs.  Raises
+    ValueError for a g of 0 or a ``count`` past the block's levels, and
+    what the builder raises for the sizes.
+    """
+    if not (params.g1 > 0.0 and params.g2 > 0.0):
+        raise ValueError(
+            f"excitation_gaps needs g1 > 0 and g2 > 0 for a parity pair, got {params}"
+        )
+    stacked, _, size, _ = next(
+        block_stacks(HamiltonianKind.GENERALIZED_DICKE, params, n_atoms, n_max)
+    )
+    levels = np.linalg.eigvalsh(stacked)
+    energies = np.sort(np.concatenate([levels[half, : size[half]] for half in (0, 1)]))
+    if not 1 <= count < energies.size:
+        raise ValueError(f"count must be 1 to {energies.size - 1}, got {count}")
+    return energies[1 : count + 1] - energies[0]
+
+
+def richardson_in_inverse_n(
+    sizes: Sequence[int], values: Sequence[float]
+) -> tuple[float, float]:
+    """Polynomial extrapolation in 1/N of values at ascending sizes to N -> inf.
+
+    Neville's table in h = 1/N: each step removes the next power of h,
+    and the last step uses every value.  Returns the extrapolant and
+    its error estimate, the change between the last two steps: for two
+    sizes N and 2N, 2 v(2N) - v(N) and its distance from v(2N).
+    """
+    if len(sizes) != len(values) or len(sizes) < 2:
+        raise ValueError("richardson_in_inverse_n needs two or more sizes, one value each")
+    h = [1.0 / n for n in sizes]
+    row = [float(v) for v in values]
+    steps = [row[-1]]
+    for j in range(1, len(row)):
+        row = [
+            row[i] + (row[i] - row[i - 1]) * h[i + j - 1] / (h[i - 1] - h[i + j - 1])
+            for i in range(1, len(row))
+        ]
+        steps.append(row[-1])
+    return steps[-1], abs(steps[-1] - steps[-2])

@@ -15,7 +15,8 @@ not 0.  A single-atom kind is the N = 1 case, whose one spin block is
 the whole space.  Each stack comes with each row's photon number, each
 block's true size and each block's multiplicity, and short blocks are
 padded with decoupled rows that sort last.  Every builder refuses,
-before building anything, a matrix of more than ``DIMENSION_LIMIT``
+before building anything, a nonzero g2 for a kind of one coupling
+(``check_couplings``), and a matrix of more than ``DIMENSION_LIMIT``
 rows, ``block_stacks`` counting the full spin block, (N + 1)(n_max + 1)
 rows, and the dense builder 2^N (n_max + 1) without forming 2^N;
 ``block_stacks`` also refuses an N whose thermal sums would leave the
@@ -26,13 +27,13 @@ float range (N >= 1022 at n_max = 2).
 and cached: each row's place in the stack, its m and photon number, and
 the unit amplitudes of the coupled pairs of rows with their flat
 positions, so generalized Dicke at g2 = 0, dicke-rwa and, at N = 1,
-Jaynes-Cummings share one.  A call checks the sizes, then only scales
-these read-only templates by omega0, Omega and g / sqrt(N).  The cache
-drops its least recently used structures to hold at most
-``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects it on or off.
-It pays only when a process asks for a key again: a call that misses
-builds the structure and then scales it, a few microseconds more than
-building the block outright.
+Jaynes-Cummings share one.  A call checks the couplings and the sizes,
+then only scales these read-only templates by omega0, Omega and
+g / sqrt(N).  The cache drops its least recently used structures to
+hold at most ``STRUCTURE_CACHE_BYTES`` (32 MB) in all; nothing selects
+it on or off.  It pays only when a process asks for a key again: a call
+that misses builds the structure and then scales it, a few microseconds
+more than building the block outright.
 
 Basis convention, fixed across the whole package: composite states are
 ordered as (qubit register) x (Fock), qubit register little-endian (site 0
@@ -307,7 +308,8 @@ def build_hamiltonian(
     - INTENSITY_JC: g1 (b (b'b)^(1/2) s+ + h.c.), single atom
     - INTENSITY_DICKE: (g1/sqrt(N)) sum (b (b'b)^(1/2) s+ + h.c.)
 
-    Single-coupling kinds read ``params.g1`` and ignore ``g2``.  The
+    Single-coupling kinds read ``params.g1`` and refuse a nonzero ``g2``
+    (``check_couplings``), before anything is built.  The
     intensity-dependent lowering factor is the adjoint pair
     ``b (b'b)^(1/2)`` / its conjugate transpose, which keeps the result
     self-adjoint on the truncated space.  The matrix is real (float64),
@@ -318,8 +320,10 @@ def build_hamiltonian(
     DimensionLimitError
         If 2^N * (n_max + 1) exceeds ``DIMENSION_LIMIT``.
     ValueError
-        For N < 1, n_max < 2, or a single-atom kind with N > 1.
+        For a nonzero g2 of a single-coupling kind, N < 1, n_max < 2, or
+        a single-atom kind with N > 1.
     """
+    check_couplings(params, kind)
     _check_size(kind, n_atoms, n_max, None)
     # b |n> = sqrt(n) |n - 1>
     b = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
@@ -413,8 +417,10 @@ def block_stacks(
         ``DIMENSION_LIMIT``, or the thermal sums over the blocks would
         leave the float range (``check_spin_block_size``).
     ValueError
-        For N < 1, n_max < 2, or a single-atom kind with N > 1.
+        For a nonzero g2 of a single-coupling kind (``check_couplings``),
+        N < 1, n_max < 2, or a single-atom kind with N > 1.
     """
+    check_couplings(params, kind)
     check_spin_block_size(kind, n_atoms, n_max)
     multiplicities, two_js = zip(*_spin_multiplicities(n_atoms))
     d = np.array(multiplicities, dtype=float)

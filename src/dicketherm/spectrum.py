@@ -8,10 +8,13 @@ so the mode energies are the square roots of the closed-form roots of Q
 (``dicketherm.thermo.mode_energies``); no root finder runs, and each
 real root of Q is reported once.  Every tolerance is relative, and each
 node is solved in its own power-of-two energy unit, so its spectrum is
-the same in any unit.  Residuals come from the same rational form, near
-machine precision.  The kernel poles at Omega and omega0 are guarded
-here (``PoleProximityError``, ``default_pole_epsilon``), and
-``continue_kernels`` refuses a z within the same epsilon of a pole.
+the same in any unit.  A node is evaluated once (``thermo._node``): one
+tanh gives its phase label, the coefficients B and C and the roots of
+Q, which the entries and their residuals all read.  Residuals come from
+the same rational form, near machine precision.  The kernel poles at
+Omega and omega0 are guarded here (``PoleProximityError``,
+``default_pole_epsilon``), and ``continue_kernels`` refuses a z within
+the same epsilon of a pole.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ import math
 from dataclasses import dataclass
 
 from dicketherm.operators import ModelParams
-from dicketherm.thermo import _critical, _node_quadratic, convergence_bound, critical_beta
+from dicketherm.thermo import _critical, _in_one_unit, _node, _Node, critical_beta
 
 __all__ = [
     "PoleProximityError",
     "RESIDUAL_TOL",
     "SpectrumResult",
+    "check_coupled",
     "collective_modes",
     "default_pole_epsilon",
     "dispersion_residual",
@@ -39,6 +43,12 @@ _DEDUP_TOL = 1e-8
 
 class PoleProximityError(ValueError):
     """Energy argument too close to a kernel pole for stable evaluation."""
+
+
+def check_coupled(params: ModelParams) -> None:
+    """Refuse what ``collective_modes`` refuses before solving: g1 + g2 = 0."""
+    if params.g1 + params.g2 <= 0.0:
+        raise ValueError("collective_modes requires g1 + g2 > 0")
 
 
 def default_pole_epsilon(params: ModelParams) -> float:
@@ -70,29 +80,30 @@ def dispersion_residual(E: float, params: ModelParams, beta: float) -> float:
 
     Normalized so that g1 = g2 = 0 gives 1 at every E.  Refuses energies
     within the pole epsilon of Omega or omega0.  Evaluated in the node's
-    own unit (``thermo._node_quadratic``), like ``collective_modes``.
+    own unit (``thermo._node``), like ``collective_modes``.
     """
     if not 0.0 <= E < math.inf:
         raise ValueError(f"E must be non-negative and finite, got {E}")
-    unit, e, B, C, _ = _node_quadratic(params, beta)
+    node = _in_one_unit(_node(params, beta))
     eps = default_pole_epsilon(params)
     if min(abs(E - params.Omega), abs(E - params.omega0)) < eps:
         raise PoleProximityError(f"E = {E} within {eps:.3e} of a kernel pole")
-    E = math.ldexp(E, -e)
-    return _residual(unit, B, C, E * E)
+    E = math.ldexp(E, -node.e)
+    return _residual(node, E * E)
 
 
-def _residual(unit: ModelParams, B: float, C: float, x: float) -> float:
+def _residual(node: _Node, x: float) -> float:
     """Q(x) / ((omega0^2 - x)(Omega^2 - x)), all in the node's unit."""
-    return (x * x - B * x + C) / ((unit.omega0**2 - x) * (unit.Omega**2 - x))
+    return (x * x - node.B * x + node.C) / ((node.omega0**2 - x) * (node.Omega**2 - x))
 
 
 def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     """Dispersion roots in [0, 3(Omega + omega0)], one entry per root.
 
-    Solved in the node's own unit (``thermo._node_quadratic``, which
-    refuses energies too far apart for one) and scaled back exactly.  A
-    node whose ``convergence_bound`` is labelled critical has an E=0
+    One evaluation of the node (``thermo._node``) gives its phase label
+    and its quadratic in the node's own unit; energies too far apart for
+    one unit are refused, and the roots are scaled back exactly.  A
+    node whose convergence bound is labelled critical has an E=0
     "goldstone" entry, with residual ``dispersion_residual(0)``; it is
     double where B also vanishes, relative to omega0^2 + Omega^2 (the
     omega0 = Omega single-coupling corner, where the gapped branch
@@ -105,23 +116,23 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
     root and with the label of the E=0 or pole-degenerate entry if there
     is one.
     """
-    if params.g1 + params.g2 <= 0.0:
-        raise ValueError("collective_modes requires g1 + g2 > 0")
-    # one evaluation of the quadratic serves every root of the node
-    unit, e, B, C, roots = _node_quadratic(params, beta)
-    at_critical = _critical(convergence_bound(params, beta))
-    poles = (unit.Omega, unit.omega0)
-    guard = 2.0 * default_pole_epsilon(unit)
+    check_coupled(params)
+    # energies that share one unit give a bound in the float range
+    node = _in_one_unit(_node(params, beta))
+    B, C = node.B, node.C
+    at_critical = _critical(node.bound)
+    poles = (node.Omega, node.omega0)
+    guard = 2.0 * default_pole_epsilon(node)
     top = 3.0 * sum(poles) - guard
 
     # entry: [root, residual, multiplicity, label], in the node's unit
     entries: list[list] = []
     # Q has two roots; the E=0 entry stands for the ones nearest x = 0,
     # so rounding cannot report them a second time as tiny modes.
-    squares = sorted(roots or (), key=abs)
+    squares = sorted(node.roots or (), key=abs)
     if at_critical:
-        count = 2 if abs(B) < RESIDUAL_TOL * (unit.omega0**2 + unit.Omega**2) else 1
-        entries.append([0.0, abs(_residual(unit, B, C, 0.0)), count, "goldstone"])
+        count = 2 if abs(B) < RESIDUAL_TOL * (node.omega0**2 + node.Omega**2) else 1
+        entries.append([0.0, abs(_residual(node, 0.0)), count, "goldstone"])
         squares = squares[count:]
     for E in [math.sqrt(x) for x in squares if x >= 0.0]:
         if not guard <= E <= top:
@@ -133,7 +144,7 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
             entries.append([p, abs(x * x - B * x + C) / scale, 1, "pole-degenerate"])
         else:
             # the residual at the reported root, as dispersion_residual(E)
-            entries.append([E, abs(_residual(unit, B, C, E * E)), 1, "mode"])
+            entries.append([E, abs(_residual(node, E * E)), 1, "mode"])
     entries.sort(key=lambda entry: entry[0])
     if len(entries) == 2 and entries[1][0] - entries[0][0] <= _DEDUP_TOL * entries[1][0]:
         # a closed-form entry (at E = 0 or a pole) outranks a mode, its
@@ -144,7 +155,7 @@ def collective_modes(params: ModelParams, beta: float) -> SpectrumResult:
         tuple(zip(*entries)) if entries else ((),) * 4
     )
     return SpectrumResult(
-        roots=tuple(math.ldexp(root, e) for root in roots),
+        roots=tuple(math.ldexp(root, node.e) for root in roots),
         residuals=residuals,
         multiplicities=multiplicities,
         labels=labels,

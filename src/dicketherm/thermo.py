@@ -27,15 +27,19 @@ frequency product converges (normal phase), above it the static mode
 condenses (superradiant).  ``phase_scan``, ``order_parameter``,
 ``log_partition_ratio`` and ``dicketherm.spectrum`` all read this label
 (``_critical``, ``_superradiant``).  In the normal phase everything
-comes from one quadratic x^2 - B x + C in x = E^2, evaluated once per
-node in the node's own power-of-two unit (``_node_quadratic``): the
-square roots of its real roots are the collective-mode energies
-(``mode_energies``) that ``dicketherm.spectrum`` reports, and the
-fluctuation product resums to a log-sinh sum over them.  In the
-superradiant phase the order parameter is the root of the resummed gap
-equation (g1+g2)^2 tanh(beta*D/4) = D*omega0, a scalar equation with a
-finite zero-temperature limit, solved by one Newton iteration batched
-over nodes (``order_parameter`` describes it).  The Matsubara
+comes from one quadratic x^2 - B x + C in x = E^2, in the node's own
+power-of-two unit: the square roots of its real roots are the
+collective-mode energies (``mode_energies``) that
+``dicketherm.spectrum`` reports, and the fluctuation product resums to
+a log-sinh sum over them.  A scalar node is evaluated once
+(``_node``): one beta check and one tanh give its thermal factor, its
+bound and its quadratic with the roots, as plain floats, and the scalar
+``convergence_bound``, ``mode_energies``, ``log_partition_ratio`` and
+the spectrum all read that evaluation.  In the superradiant phase the
+order parameter is the root of the resummed gap equation (g1+g2)^2
+tanh(beta*D/4) = D*omega0, a scalar equation with a finite
+zero-temperature limit, solved by one Newton iteration batched over
+nodes (``order_parameter`` describes it).  The Matsubara
 frequency sums in ``dicketherm.matsubara`` are oracles only: this module
 does not import them, and ``validate`` and the tests check these closed
 forms against them.
@@ -47,11 +51,12 @@ same float operations and agree to the bit.  The bound and beta_c are
 products of frexp mantissas scaled once by ldexp, so a subnormal Omega,
 or any factor outside the float range, gives finite values where the
 true values are finite (g1 + g2 itself excepted).  ``phase_scan``
-evaluates a whole params x beta grid as one array computation: beta_c
-once per parameter node, the bound once per node, and one batched
-gap-equation solve over the superradiant nodes.  It refuses a NaN or
-non-positive beta with ValueError before any node runs; its only error
-rows are nodes whose bound lies outside the float range.  A node is
+evaluates a whole params x beta grid as one array computation: the
+bound once per node, one batched gap-equation solve over the
+superradiant nodes, and beta_c once per parameter node when it is
+first read.  It refuses a NaN or non-positive beta with ValueError
+before any node runs; its only error rows are nodes whose bound lies
+outside the float range.  A node is
 "critical" where its bound lies within ``CRITICAL_PHASE_TOL`` of one,
 else "normal" below one and "superradiant" above.
 """
@@ -60,8 +65,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -245,21 +251,12 @@ def convergence_bound(params: ModelParams | ParamGrid, beta):
     outside the float range is inf in an array; a scalar one raises
     OverflowError.
     """
-    _check_beta(beta)
     if isinstance(params, ModelParams) and not isinstance(beta, np.ndarray):
-        # float arithmetic: no numpy warning to silence, and no errstate cost
-        x = _THERMAL_SCALE * beta * params.Omega
-        # t/Omega as a quotient; beta / (1/s) where tanh rounds to its
-        # argument, which is s beta with no underflow for a subnormal beta
-        if x < _TANH_LINEAR:
-            t, Omega = beta, 1.0 / _THERMAL_SCALE
-        else:
-            t, Omega = float(np.tanh(x)), params.Omega
-        g = params.g1 + params.g2
-        bound = _ldexp(*_bound_split(g, params.omega0, t, Omega, math.frexp))
+        bound = _node(params, beta).bound
         if not bound < math.inf:
             raise OverflowError(_BOUND_OVERFLOW)
         return bound
+    _check_beta(beta)
     with np.errstate(all="ignore"):
         x = _THERMAL_SCALE * beta * params.Omega
         linear = x < _TANH_LINEAR
@@ -290,39 +287,15 @@ def _ldexp(mantissa: float, exponent: int) -> float:
         return math.inf
 
 
-# omega0 Omega at least this in the node's unit keeps C ~ (omega0 Omega)^2
-# and the smaller root C / q of the quadratic (q <= 4) normal floats
-_UNIT_FLOOR = 2.0**-509
-
-
-def _in_unit(params: ModelParams) -> tuple[ModelParams, int]:
-    """The node's energies in its own unit 2^e, and e.
-
-    e is the binary exponent of max(omega0, Omega, g1, g2); the scaling is
-    exact, so energies found in this unit scale back with ``ldexp``.  beta
-    is not scaled: the caller forms the dimensionless products beta E.
-    Energies too far apart for one unit (omega0 Omega below
-    ``_UNIT_FLOOR`` in it) raise ValueError naming their span.
-    """
-    energies = (params.omega0, params.Omega, params.g1, params.g2)
-    e = math.frexp(max(energies))[1]
-    omega0, Omega, g1, g2 = [math.ldexp(v, -e) for v in energies]
-    if not omega0 * Omega >= _UNIT_FLOOR:
-        span = [v for v in energies if v > 0.0]
-        raise ValueError(
-            f"the energies of this node span {min(span):.3g} to {max(span):.3g}, "
-            "too wide to share one energy unit"
-        )
-    return ModelParams(omega0, Omega, g1, g2), e
-
-
 def _superradiant(bound):
     """Elementwise: the nodes labelled superradiant, NaN bounds included.
 
     bound - 1 is exact for bound in [0.5, 2], so it is below the critical
-    tolerance exactly when the label is critical or normal.
+    tolerance exactly when the label is critical or normal.  A float
+    bound gives a bool.
     """
-    return np.logical_not(bound - 1.0 < CRITICAL_PHASE_TOL)
+    below = bound - 1.0 < CRITICAL_PHASE_TOL
+    return not below if isinstance(below, bool) else ~below
 
 
 def _critical(bound):
@@ -333,20 +306,52 @@ def _critical(bound):
     return abs(bound - 1.0) < CRITICAL_PHASE_TOL
 
 
-def _node_quadratic(
-    params: ModelParams, beta: float
-) -> tuple[ModelParams, int, float, float, tuple[float, float] | None]:
-    """The kernel-determinant quadratic of one node, in the node's own unit.
+# omega0 Omega at least this in the node's unit keeps C ~ (omega0 Omega)^2
+# and the smaller root C / q of the quadratic (q <= 4) normal floats
+_UNIT_FLOOR = 2.0**-509
 
-    Returns (unit, e, B, C, roots): the node in its unit 2^e
-    (``_in_unit``), and in that unit the coefficients of x^2 - B x + C,
-    x = E^2, and its real roots (small, large), or None when they are
-    complex.  After analytic continuation (1 - a(E))(1 - a(-E)) -
-    4 c(E)^2 = (x^2 - B x + C) / ((omega0^2 - x)(Omega^2 - x)), with
+
+class _Node(NamedTuple):
+    """One (params, beta) node of the scalar route, evaluated once (``_node``).
+
+    ``bound`` is the convergence bound, inf where it leaves the float
+    range.  The rest is the kernel-determinant quadratic in the node's
+    own unit 2^e: omega0 and Omega in that unit, the coefficients B and C
+    of x^2 - B x + C, x = E^2, and its real roots (small, large), or None
+    when they are complex.  ``span`` is None, or the refusal of a node
+    whose energies are too far apart for one unit; its quadratic is not
+    used.
+    """
+
+    bound: float
+    e: int
+    omega0: float
+    Omega: float
+    B: float
+    C: float
+    roots: tuple[float, float] | None
+    span: str | None
+
+
+def _node(params: ModelParams, beta: float) -> _Node:
+    """The node's bound and quadratic from one thermal factor.
+
+    Refuses a NaN or non-positive beta, the one check of the node; beta =
+    inf gives t = 1.  t = tanh(beta Omega / 4) is taken once and read by
+    the bound and the quadratic alike, with the float operations of the
+    array routes (``convergence_bound``, ``tanh_factor``).  The bound is
+    (g/omega0) g (t/Omega), t/Omega taken as beta/4 where tanh rounds to
+    its argument (``_bound_split``).
+
+    The unit is 2^e, e the binary exponent of max(omega0, Omega, g1, g2);
+    the scaling is exact, so energies found in it scale back with
+    ``ldexp``, and beta is not scaled.  After analytic continuation
+    (1 - a(E))(1 - a(-E)) - 4 c(E)^2 = (x^2 - B x + C) / ((omega0^2 -
+    x)(Omega^2 - x)), with
 
         B = omega0^2 + Omega^2 + 2 t (g1^2 - g2^2)
         C = omega0^2 Omega^2 - 2 t omega0 Omega (g1^2 + g2^2)
-            + t^2 (g1^2 - g2^2)^2,   t = ``tanh_factor``.
+            + t^2 (g1^2 - g2^2)^2.
 
     At Matsubara frequencies x = -omega^2 the numerator is the product
     (omega^2 + x1)(omega^2 + x2) over the roots, which is what makes the
@@ -363,37 +368,73 @@ def _node_quadratic(
     q = (B + sign(B) sqrt(disc)) / 2 and the other is C / q.  In the
     normal phase disc >= (omega0 - Omega)^2 [(omega0 + Omega)^2 -
     4 t g2^2] > 0 and C > 0, so both roots are real and positive.
+    Energies too far apart for one unit (omega0 Omega below
+    ``_UNIT_FLOOR`` in it) set ``span``; the bound is still the node's.
     """
-    t = tanh_factor(params, beta)
-    unit, e = _in_unit(params)
-    w0, W = unit.omega0, unit.Omega
-    g1sq, g2sq = unit.g1**2, unit.g2**2
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    omega0, Omega, g1, g2 = params.omega0, params.Omega, params.g1, params.g2
+    x = _THERMAL_SCALE * beta * Omega
+    t = float(np.tanh(x))
+    # beta / (1/s) where tanh rounds to its argument, which is s beta with
+    # no underflow for a subnormal beta
+    if x < _TANH_LINEAR:
+        split = _bound_split(g1 + g2, omega0, beta, 1.0 / _THERMAL_SCALE, math.frexp)
+    else:
+        split = _bound_split(g1 + g2, omega0, t, Omega, math.frexp)
+    bound = _ldexp(*split)
+
+    e = math.frexp(max(omega0, Omega, g1, g2))[1]
+    w0, W = math.ldexp(omega0, -e), math.ldexp(Omega, -e)
+    span = None
+    if not w0 * W >= _UNIT_FLOOR:
+        energies = [v for v in (omega0, Omega, g1, g2) if v > 0.0]
+        span = (
+            f"the energies of this node span {min(energies):.3g} to {max(energies):.3g}, "
+            "too wide to share one energy unit"
+        )
+    g1sq, g2sq = math.ldexp(g1, -e) ** 2, math.ldexp(g2, -e) ** 2
     w0sq, Wsq = w0**2, W**2
     B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
     C = w0sq * Wsq - 2.0 * t * w0 * W * (g1sq + g2sq) + t**2 * (g1sq - g2sq) ** 2
     disc = (w0 * w0 - W * W) ** 2 + 4.0 * t * (g1sq * (w0 + W) ** 2 - g2sq * (w0 - W) ** 2)
     if disc < 0.0:
-        return unit, e, B, C, None
-    q = 0.5 * (B + math.copysign(math.sqrt(disc), B))
-    if q == 0.0:
-        return unit, e, B, C, (0.0, 0.0)
-    other = C / q
-    return unit, e, B, C, (min(q, other), max(q, other))
+        roots = None
+    else:
+        q = 0.5 * (B + math.copysign(math.sqrt(disc), B))
+        if q == 0.0:
+            roots = (0.0, 0.0)
+        else:
+            other = C / q
+            roots = (min(q, other), max(q, other))
+    return _Node(bound, e, w0, W, B, C, roots, span)
+
+
+def _in_one_unit(node: _Node) -> _Node:
+    """The node, refused with ValueError if its energies span too far for one unit."""
+    if node.span is not None:
+        raise ValueError(node.span)
+    return node
+
+
+def _energies(node: _Node) -> tuple[float, ...]:
+    """The square roots of the node's non-negative real roots, scaled back."""
+    roots = _in_one_unit(node).roots or ()
+    return tuple(math.ldexp(math.sqrt(x), node.e) for x in roots if x >= 0.0)
 
 
 def mode_energies(params: ModelParams, beta: float) -> tuple[float, ...]:
     """The energies E = sqrt(x) of the non-negative real roots x of the quadratic.
 
     Ascending, in the caller's unit: each root is found in the node's
-    own unit (``_node_quadratic``) and scaled back exactly, so the
-    energies do not depend on the unit even where E^2 would leave the
-    float range.  Empty where the roots are complex.  These are the
-    normal-phase collective modes; above beta_c they are fluctuations
-    about the unstable empty state.  Refuses a NaN or non-positive beta
-    (``tanh_factor``), and energies too far apart for one unit.
+    own unit (``_node``) and scaled back exactly, so the energies do not
+    depend on the unit even where E^2 would leave the float range.
+    Empty where the roots are complex.  These are the normal-phase
+    collective modes; above beta_c they are fluctuations about the
+    unstable empty state.  Refuses a NaN or non-positive beta, and
+    energies too far apart for one unit.
     """
-    _, e, _, _, roots = _node_quadratic(params, beta)
-    return tuple(math.ldexp(math.sqrt(x), e) for x in roots or () if x >= 0.0)
+    return _energies(_node(params, beta))
 
 
 def _log_sinh(y: float) -> float:
@@ -413,20 +454,25 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     with w = (omega0, Omega) and E_i the ``mode_energies``.  Defined in
     the normal phase only, where both roots are positive; the product
     diverges at the transition and the formula does not continue past
-    it: a node labelled critical or superradiant is refused.  So is a
-    normal node so close to the transition that the rounded C leaves
-    fewer than two positive energies, rather than summing over one mode.
-    ``beta`` must be positive and finite (``operators.check_beta``).
+    it: a node labelled critical or superradiant is refused, after a
+    bound outside the float range (OverflowError).  So is a normal node
+    so close to the transition that the rounded C leaves fewer than two
+    positive energies, rather than summing over one mode.  ``beta`` must
+    be positive and finite (``operators.check_beta``).  One ``_node``
+    gives the bound, the label and the energies.
     """
     check_beta(beta)
-    bound = convergence_bound(params, beta)
+    node = _node(params, beta)
+    bound = node.bound
+    if not bound < math.inf:
+        raise OverflowError(_BOUND_OVERFLOW)
     if _critical(bound) or _superradiant(bound):
         label = "critical" if _critical(bound) else "superradiant"
         raise ValueError(
             f"log_partition_ratio requires the normal phase; the node is {label}, "
             f"with convergence bound {bound!r}"
         )
-    energies = mode_energies(params, beta)
+    energies = _energies(node)
     if len(energies) != 2 or not energies[0] > 0.0:
         raise ValueError(
             f"log_partition_ratio needs two positive mode energies, got {energies!r}; "
@@ -459,25 +505,27 @@ def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray
     # elsewhere the rounded bound, and a balance at hi that rounds to
     # negative, take a step
     gap = Omega + s
-    moving = (below | (K * np.tanh(scale * gap) < gap)) & (np.tanh(KS) < 1.0)
+    t = np.tanh(scale * gap)
+    moving = (below | (K * t < gap)) & (np.tanh(KS) < 1.0)
+    if not np.count_nonzero(moving):
+        return s
     # the slope K scale (1 - t^2) - 1 loses digits as t -> 1, but the
     # slope only sets the convergence rate; the root is where the
-    # balance vanishes
+    # balance vanishes.  Each step reads the gap and thermal factor at
+    # the s it starts from; the first reuses those of the check above.
     slope_at_zero = KS - 1.0
     for _ in range(_NEWTON_STEPS):
-        if not np.count_nonzero(moving):
-            break
-        gap = Omega + s
-        t = np.tanh(scale * gap)
         step = (K * t - gap) / (slope_at_zero - KS * t * t)
         s -= np.where(moving, step, 0.0)
         moving &= step > _STEP_RTOL * s
-    if moving.any():
-        raise RuntimeError(
-            f"gap equation: {np.count_nonzero(moving)} node(s) still moving "
-            f"after {_NEWTON_STEPS} Newton steps"
-        )
-    return s
+        if not np.count_nonzero(moving):
+            return s
+        gap = Omega + s
+        t = np.tanh(scale * gap)
+    raise RuntimeError(
+        f"gap equation: {np.count_nonzero(moving)} node(s) still moving "
+        f"after {_NEWTON_STEPS} Newton steps"
+    )
 
 
 def order_parameter(params: ModelParams | ParamGrid, beta):
@@ -549,10 +597,10 @@ class PhaseScan:
     Each node's parameters in four columns, its beta, convergence bound
     and phase label, beta_c and rho, the photons per atom, positive
     exactly in the superradiant phase.  ``beta_c`` is NaN where
-    ``critical_beta`` gives None.  ``error`` holds None, or the
-    OverflowError text of a node whose bound lies outside the float
-    range; that node's phase is "error" and its bound, beta_c and rho
-    are NaN.
+    ``critical_beta`` gives None; it is evaluated on first reading, once
+    per parameter node.  ``error`` holds None, or the OverflowError text
+    of a node whose bound lies outside the float range; that node's
+    phase is "error" and its bound, beta_c and rho are NaN.
     """
 
     omega0: np.ndarray
@@ -562,12 +610,22 @@ class PhaseScan:
     beta: np.ndarray
     bound: np.ndarray
     phase: np.ndarray
-    beta_c: np.ndarray
     rho: np.ndarray
     error: np.ndarray
+    # the parameter nodes as a column, one row for each run of beta rows
+    _per_params: ParamGrid = field(repr=False)
 
     def __len__(self) -> int:
         return self.beta.size
+
+    @cached_property
+    def beta_c(self) -> np.ndarray:
+        """``critical_beta`` of each row's parameter node, NaN at an error row."""
+        per_params = critical_beta(self._per_params).ravel()
+        beta_c = per_params.repeat(self.beta.size // per_params.size)
+        # the bound is NaN at the error rows, and finite at every other
+        beta_c[~(self.bound < math.inf)] = math.nan
+        return beta_c
 
 
 def phase_scan(
@@ -575,13 +633,14 @@ def phase_scan(
 ) -> PhaseScan:
     """Cartesian scan, params outer and beta inner, deterministic order.
 
-    One array evaluation: beta_c once per parameter node (a ``ParamGrid``
-    is flattened), the bound once per node, and one ``order_parameter``
-    call, which solves the gap equation at the superradiant nodes.  A
-    NaN or non-positive beta raises ValueError before any node is
-    evaluated.  A node whose bound lies outside the float range, where
-    the scalar ``convergence_bound`` raises OverflowError, becomes an
-    error row: phase "error", NaN numerics and that error's text.
+    One array evaluation: the bound once per node (a ``ParamGrid`` is
+    flattened) and one ``order_parameter`` call, which solves the gap
+    equation at the superradiant nodes; beta_c, once per parameter node,
+    waits for its first reading (``PhaseScan.beta_c``).  A NaN or
+    non-positive beta raises ValueError before any node is evaluated.  A
+    node whose bound lies outside the float range, where the scalar
+    ``convergence_bound`` raises OverflowError, becomes an error row:
+    phase "error", NaN numerics and that error's text.
     """
     if not isinstance(params_grid, ParamGrid):
         params_grid = ParamGrid(
@@ -593,7 +652,6 @@ def phase_scan(
     if not columns[0].size or not betas.size:
         raise ValueError("phase_scan requires non-empty grids")
     bound = convergence_bound(per_params, betas).ravel()
-    beta_c = critical_beta(per_params).ravel().repeat(betas.size)
     rho = order_parameter(per_params, betas).ravel()
     phase = np.where(_superradiant(bound), "superradiant", "normal")
     phase[_critical(bound)] = "critical"
@@ -602,7 +660,7 @@ def phase_scan(
     error = np.full(bound.size, None, dtype=object)
     failed = ~(bound < math.inf)
     if failed.any():
-        bound[failed] = beta_c[failed] = rho[failed] = math.nan
+        bound[failed] = rho[failed] = math.nan
         phase[failed] = "error"
         error[failed] = f"OverflowError: {_BOUND_OVERFLOW}"
-    return PhaseScan(*nodes, beta, bound, phase, beta_c, rho, error)
+    return PhaseScan(*nodes, beta, bound, phase, rho, error, per_params)

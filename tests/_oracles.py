@@ -9,6 +9,7 @@ closed forms, the per-node reference for the array ``phase_scan``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,13 +19,27 @@ from scipy.special import zeta
 
 from dicketherm.fermionization import _physical_diagonal
 from dicketherm.matsubara import a0_c0_sum, bosonic_frequency, continue_kernels
-from dicketherm.operators import HamiltonianKind, ModelParams
+from dicketherm.operators import COUPLINGS, HamiltonianKind, ModelParams
 from dicketherm.thermo import (
     CRITICAL_PHASE_TOL,
     convergence_bound,
     critical_beta,
     order_parameter,
 )
+
+
+def taken_by(kind: HamiltonianKind, params: ModelParams) -> ModelParams:
+    """``params`` as ``kind`` takes them: g2 set to 0 for a kind of one
+    coupling, whose builders refuse a nonzero g2."""
+    if len(COUPLINGS[kind]) == 2:
+        return params
+    return dataclasses.replace(params, g2=0.0)
+
+
+def couplings_taken_by(kind: HamiltonianKind, pairs):
+    """The (g1, g2) pairs that ``kind`` takes: every pair for two
+    couplings, the pairs at g2 = 0 for one."""
+    return [(g1, g2) for g1, g2 in pairs if len(COUPLINGS[kind]) == 2 or not g2]
 
 
 def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:

@@ -218,6 +218,58 @@ def test_grid_values_are_the_numpy_grid_as_python_floats(spec):
     assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
+_GRID_ENDS = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ends=st.tuples(_GRID_ENDS, _GRID_ENDS).map(sorted),
+    steps=st.integers(min_value=2, max_value=40) | st.just(10_001),
+    scale=st.sampled_from(["linear", "log"]),
+)
+def test_any_grid_is_the_numpy_grid_to_the_bit(ends, steps, scale):
+    # a grid of one step is its start, as the spec wrote it
+    start, stop = ends
+    if scale == "log":
+        start, stop = sorted(max(abs(v), 5e-324) for v in ends)
+    spec = GridSpec("g1", start, stop, steps, scale)
+    space = np.geomspace if scale == "log" else np.linspace
+    expected = [float(v).hex() for v in space(start, stop, steps)]
+    assert [v.hex() for v in spec.values()] == expected
+
+
+_SWEEP_VALUES = st.lists(
+    st.floats(min_value=-1.0, max_value=1e300)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    node=st.tuples(*[st.floats(min_value=1e-3, max_value=10.0)] * 4),
+    variable=st.sampled_from(cli.SWEEP_VARIABLES),
+    values=_SWEEP_VALUES,
+)
+def test_sweep_nodes_are_the_replaced_params_refusal_included(node, variable, values):
+    # each swept node is ``dataclasses.replace`` of the base node, and a
+    # value outside the model's domain gets replace's refusal text
+    params = ModelParams(*node)
+
+    def outcome(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    swept = outcome(lambda: cli._swept(params, variable, values))
+    replaced = outcome(
+        lambda: [dataclasses.replace(params, **{variable: v}) for v in values]
+    )
+    assert swept == replaced
+
+
 def test_n_list_kind_workers_parsing():
     cfg = parse_config(
         [
@@ -662,6 +714,21 @@ def test_ed_curve_refusal_writes_nothing(args, reason, fmt, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {reason}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [["--g1", "0", "--beta", "1"], ["--sweep", "g1:0:1:3", "--beta", "1"],
+     ["--sweep", "omega0:1:2:3", "--beta-grid", "0.5:2:4"]],
+    ids=["one-node", "first-of-a-sweep", "every-node"],
+)
+def test_spectrum_refuses_an_uncoupled_node_before_any_row(args, fmt, capsys):
+    # every node is checked first, so not even the CSV header is written
+    assert main(["spectrum", *args, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: collective_modes requires g1 + g2 > 0\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])

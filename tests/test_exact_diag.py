@@ -11,6 +11,7 @@ import dicketherm.exact_diag as exact_diag
 import dicketherm.operators as operators
 from _oracles import (
     bose_occupation,
+    couplings_taken_by,
     join_blocks,
     kron_spin_blocks,
     parity_halves,
@@ -21,7 +22,9 @@ from _oracles import (
 from dicketherm.exact_diag import (
     CurvePoint,
     TruncationConvergenceError,
+    excitation_gaps,
     photon_density_curve,
+    richardson_in_inverse_n,
     thermal_solve,
 )
 from dicketherm.operators import (
@@ -34,6 +37,7 @@ from dicketherm.operators import (
     block_stacks,
     build_hamiltonian,
 )
+from dicketherm.thermo import mode_energies
 
 COLLECTIVE_KINDS = frozenset(HamiltonianKind) - SINGLE_ATOM_KINDS
 # every kind but generalized Dicke has one coupling, and conserves an
@@ -247,6 +251,9 @@ def test_mirror_couplings_converge_like_one_over_n():
     assert all(1.7 <= r <= 2.3 for r in ratios), ratios
 
 
+# (g1, g2): both couplings, each alone, and neither
+SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
+
 # the collective kinds at N = 1 .. 6, the single-atom kinds at N = 1
 KIND_SIZES = [
     (kind, n_atoms)
@@ -261,7 +268,7 @@ KIND_SIZES = [
 def test_sector_photon_density_matches_dense_oracle(kind, n_atoms):
     n_max = 8
     number = photon_number_diagonal(n_atoms, n_max)
-    for g1, g2 in ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0)):
+    for g1, g2 in couplings_taken_by(kind, SECTOR_COUPLINGS):
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         h = build_hamiltonian(kind, p, n_atoms, n_max)
         for beta in (0.3, 3.3, 40.0):
@@ -287,15 +294,12 @@ def test_sector_spectrum_is_dense_spectrum_with_multiplicities():
     assert np.allclose(np.sort(np.concatenate(sector)), dense, atol=1e-12)
 
 
-SECTOR_COUPLINGS = ((0.7, 0.45), (0.0, 0.6), (0.8, 0.0), (0.0, 0.0))
-
-
 @pytest.mark.parametrize("n_atoms", range(1, 7))
 @pytest.mark.parametrize(
     "kind", sorted(COLLECTIVE_KINDS, key=lambda k: k.value), ids=lambda k: k.value
 )
 def test_sector_blocks_match_the_kron_reference(kind, n_atoms):
-    for g1, g2 in SECTOR_COUPLINGS:
+    for g1, g2 in couplings_taken_by(kind, SECTOR_COUPLINGS):
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         stacks = block_stacks(kind, p, n_atoms, 7)
         built = join_blocks(kind, p, stacks, n_atoms, 7)
@@ -475,7 +479,7 @@ def test_sector_multiplicities_cover_the_register(n_atoms):
     assert sum(d * rows // 3 for d, rows in blocks) == 2**n_atoms
     assert [rows // 3 for _, rows in blocks] == list(range(n_atoms + 1, 0, -2))
     # the K-blocks of every spin block, each row counted d_j times
-    ((_, _, size, d),) = block_stacks(HamiltonianKind.DICKE_RWA, p, n_atoms, 2)
+    ((_, _, size, d),) = block_stacks(HamiltonianKind.DICKE_RWA, ModelParams(1.0, 1.0, 0.3), n_atoms, 2)
     assert sum(int(m) * int(s) for m, s in zip(d, size)) == 3 * 2**n_atoms
 
 
@@ -636,7 +640,8 @@ def test_block_stacks_group_parity_pairs_per_j_and_k_blocks_in_one_stack(
     dicke = kind is HamiltonianKind.GENERALIZED_DICKE
     for n_atoms in range(1, 8) if kind in COLLECTIVE_KINDS else (1,):
         two_js = range(n_atoms, -1, -2)
-        for g1, g2 in (*TWO_COUPLINGS, *ONE_COUPLING):
+        # a kind of one coupling refuses a g2 it would ignore
+        for g1, g2 in couplings_taken_by(kind, (*TWO_COUPLINGS, *ONE_COUPLING)):
             stacks = list(block_stacks(kind, ModelParams(1.0, 1.3, g1, g2), n_atoms, n_max))
             if dicke and g1 and g2:
                 # one parity pair per spin block, j = N/2 first
@@ -685,7 +690,8 @@ def test_each_rung_is_one_batched_eigensolve_per_stack(kind, n_atoms, monkeypatc
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    for (g1, g2), n_max in itertools.product((*TWO_COUPLINGS, *ONE_COUPLING), (8, 9)):
+    pairs = couplings_taken_by(kind, (*TWO_COUPLINGS, *ONE_COUPLING))
+    for (g1, g2), n_max in itertools.product(pairs, (8, 9)):
         calls.clear()
         p = ModelParams(1.0, 1.3, g1=g1, g2=g2)
         exact_diag._photon_density(p, n_atoms, n_max, 1.0, kind)
@@ -753,3 +759,57 @@ def test_each_rung_is_solved_once_per_call(monkeypatch):
         pts = photon_density_curve(p, 3.0, (2, 3), target_tol=1e-10)
         assert [pt.n_max_used for pt in pts] == [16, 16]
         assert solved == [(2, 8), (2, 16), (3, 8), (3, 16)]
+
+
+def test_richardson_in_inverse_n_removes_each_power_of_one_over_n():
+    # a + b/N + c/N^2 at three sizes is extrapolated exactly, and the
+    # estimate is the change the last step made
+    sizes = [8, 16, 32]
+    values = [2.0 + 3.0 / n - 5.0 / n**2 for n in sizes]
+    value, error = richardson_in_inverse_n(sizes, values)
+    assert value == pytest.approx(2.0, abs=1e-13)
+    two_step, _ = richardson_in_inverse_n(sizes[1:], values[1:])
+    assert error == pytest.approx(abs(value - two_step), abs=1e-13)
+    # two sizes N, 2N: 2 v(2N) - v(N), estimated by its distance from v(2N)
+    assert richardson_in_inverse_n([32, 64], [0.5, 0.25]) == (0.0, 0.25)
+    with pytest.raises(ValueError, match="two or more sizes"):
+        richardson_in_inverse_n([32], [0.5])
+
+
+def test_excitation_gaps_refuse_a_missing_coupling_and_a_count_past_the_block():
+    with pytest.raises(ValueError, match="g1 > 0 and g2 > 0"):
+        excitation_gaps(ModelParams(1.0, 1.0, g1=0.3), 4, 8, 2)
+    # the top block of N = 2 at n_max 2 has 3 x 3 levels
+    p = ModelParams(1.0, 1.0, g1=0.3, g2=0.2)
+    assert excitation_gaps(p, 2, 2, 8).shape == (8,)
+    with pytest.raises(ValueError, match="count must be 1 to 8, got 9"):
+        excitation_gaps(p, 2, 2, 9)
+
+
+@pytest.mark.parametrize(
+    "params, upper_gap",
+    [
+        (ModelParams(1.0, 1.0, g1=0.3, g2=0.2), 1),
+        # the upper mode sits above twice, three and four times the
+        # lower, or above twice the lower
+        (ModelParams(1.0, 0.5, g1=0.4, g2=0.1), 4),
+        (ModelParams(2.0, 1.0, g1=0.1, g2=0.9), 2),
+    ],
+)
+def test_zero_temperature_modes_are_the_large_n_limit_of_the_top_block_gaps(
+    params, upper_gap
+):
+    # Emary and Brandes (PRE 67, 066203, 2003): in the normal phase the
+    # one-quantum gaps of the j = N/2 block tend to the collective modes at
+    # T = 0, where the thermal factor is one under either trace.  Each
+    # closed-form mode is matched to its nearest gap, and the 1/N
+    # extrapolant of the N = 32 and 64 gaps lies within its own estimate.
+    sizes = (32, 64)
+    gaps = [excitation_gaps(params, n_atoms, 24, 5) for n_atoms in sizes]
+    modes = mode_energies(params, math.inf)
+    assert len(modes) == 2
+    for mode, index in zip(modes, (0, upper_gap)):
+        nearest = [int(np.argmin(np.abs(g - mode))) for g in gaps]
+        assert nearest == [index, index]
+        value, error = richardson_in_inverse_n(sizes, [g[index] for g in gaps])
+        assert abs(value - mode) <= error, (mode, value, error)

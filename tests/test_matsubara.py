@@ -33,7 +33,7 @@ from dicketherm.spectrum import (
 )
 from dicketherm.thermo import (
     ParamGrid,
-    _node_quadratic,
+    _node,
     critical_beta,
     mode_energies,
     tanh_factor,
@@ -415,13 +415,13 @@ def test_determinant_coefficients_match_kernel_product():
     # (1-a(E))(1-a(-E)) - 4c^2 equals (x^2 - Bx + C) over the pole
     # factors, a ratio that is the same in the node's unit
     beta = 2.3
-    unit, e, B, C, _ = _node_quadratic(P_MIXED, beta)
+    node = _node(P_MIXED, beta)
     for E in (0.3, 0.77, 1.9, 2.6):
         a_plus, a_minus, c = continue_kernels(E, P_MIXED, beta)
         lhs = (1.0 - a_plus) * (1.0 - a_minus) - 4.0 * c * c
-        x = math.ldexp(E, -e) ** 2
-        rhs = (x * x - B * x + C) / (
-            (unit.omega0**2 - x) * (unit.Omega**2 - x)
+        x = math.ldexp(E, -node.e) ** 2
+        rhs = (x * x - node.B * x + node.C) / (
+            (node.omega0**2 - x) * (node.Omega**2 - x)
         )
         assert lhs.real == pytest.approx(rhs, rel=1e-10)
         assert abs(lhs.imag) < 1e-12
@@ -429,12 +429,13 @@ def test_determinant_coefficients_match_kernel_product():
 
 def test_mode_energies_are_the_quadratic_roots():
     beta = 2.3
-    unit, e, B, C, (small, large) = _node_quadratic(P_MIXED, beta)
+    node = _node(P_MIXED, beta)
+    small, large = node.roots
     assert 0.0 < small < large
-    assert small + large == pytest.approx(B, rel=1e-14)
-    assert small * large == pytest.approx(C, rel=1e-14)
+    assert small + large == pytest.approx(node.B, rel=1e-14)
+    assert small * large == pytest.approx(node.C, rel=1e-14)
     assert mode_energies(P_MIXED, beta) == tuple(
-        math.ldexp(math.sqrt(x), e) for x in (small, large)
+        math.ldexp(math.sqrt(x), node.e) for x in (small, large)
     )
 
 
@@ -442,10 +443,11 @@ def test_mode_energies_degenerate_line_is_exact_double_root():
     # omega0 = Omega with g1 = 0: the factored discriminant is exactly 0
     p = ModelParams(1.0, 1.0, g2=0.8)
     beta = 2.0
-    _, e, _, _, (small, large) = _node_quadratic(p, beta)
+    node = _node(p, beta)
+    small, large = node.roots
     assert small == large
     expected = 1.0 - tanh_factor(p, beta) * p.g2**2
-    assert math.ldexp(small, 2 * e) == pytest.approx(expected, rel=1e-15)
+    assert math.ldexp(small, 2 * node.e) == pytest.approx(expected, rel=1e-15)
     low, high = mode_energies(p, beta)
     assert low == high
     assert low * low == pytest.approx(expected, rel=1e-15)
@@ -455,9 +457,9 @@ def test_mode_energies_complex_roots_are_none():
     # strong counter-rotating coupling off resonance, deep in the
     # superradiant phase: B^2 < 4 C
     p = ModelParams(1.0, 1.05, g2=3.0)
-    _, _, B, C, roots = _node_quadratic(p, 5.0)
-    assert B * B < 4.0 * C
-    assert roots is None
+    node = _node(p, 5.0)
+    assert node.B * node.B < 4.0 * node.C
+    assert node.roots is None
     assert mode_energies(p, 5.0) == ()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicketherm.operators as operators
-from _oracles import excitation_diagonal, parity_diagonal, photon_number_diagonal
+from _oracles import excitation_diagonal, parity_diagonal, photon_number_diagonal, taken_by
 from dicketherm.operators import (
     DimensionLimitError,
     HamiltonianKind,
@@ -58,7 +58,7 @@ def test_model_params_reject_non_finite_fields(valid, field, bad):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_builders_hermitian_real_spectrum(kind):
     n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 2
-    p = ModelParams(1.0, 0.9, g1=0.4, g2=0.3)
+    p = taken_by(kind, ModelParams(1.0, 0.9, g1=0.4, g2=0.3))
     h = build_hamiltonian(kind, p, n_atoms, 5)
     m = h.matrix
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
@@ -172,7 +172,8 @@ def test_dimension_guard_refuses_a_huge_register_at_once(monkeypatch):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_dense_matrix_is_real_and_read_only(kind):
     n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 3
-    m = build_hamiltonian(kind, ModelParams(1.0, 0.9, g1=0.4, g2=0.3), n_atoms, 4).matrix
+    p = taken_by(kind, ModelParams(1.0, 0.9, g1=0.4, g2=0.3))
+    m = build_hamiltonian(kind, p, n_atoms, 4).matrix
     assert m.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         m[0, 0] = 0.0
@@ -267,9 +268,10 @@ def test_warm_structure_cache_builds_what_a_cold_one_builds(
     # and another, so no parameter, kind or size can hide in a structure
     for k in HamiltonianKind:
         for n, m in ((n_atoms, n_max), other):
-            _block_outputs(k, warm, 1 if k in SINGLE_ATOM_KINDS else n, m)
+            _block_outputs(k, taken_by(k, warm), 1 if k in SINGLE_ATOM_KINDS else n, m)
     if kind in SINGLE_ATOM_KINDS:
         n_atoms = 1
+    params = taken_by(kind, params)
     hot = _block_outputs(kind, params, n_atoms, n_max)
     operators._structures.clear()
     cold = _block_outputs(kind, params, n_atoms, n_max)
@@ -282,7 +284,7 @@ def test_builder_shares_read_only_structure_arrays():
     p = ModelParams(1.0, 1.3, g1=0.4, g2=0.2)
     gd, rwa = HamiltonianKind.GENERALIZED_DICKE, HamiltonianKind.DICKE_RWA
     h, number, size, d = next(block_stacks(gd, p, 3, 9))
-    ((stack, n, sizes, multiplicity),) = block_stacks(rwa, p, 3, 9)
+    ((stack, n, sizes, multiplicity),) = block_stacks(rwa, taken_by(rwa, p), 3, 9)
     for array in (number, size, n, sizes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -292,7 +294,7 @@ def test_builder_shares_read_only_structure_arrays():
     # scales the same structure
     q = ModelParams(2.0, 0.7, g1=1.1, g2=0.5)
     assert next(block_stacks(gd, q, 3, 9))[1] is number
-    assert next(block_stacks(rwa, q, 3, 9))[1] is n
+    assert next(block_stacks(rwa, taken_by(rwa, q), 3, 9))[1] is n
     assert all(not a.flags.writeable for a in _cached_arrays())
 
 
@@ -321,22 +323,35 @@ def test_one_acting_coupling_shares_the_structure_of_its_kind():
     "kind", [kind for kind in ALL_KINDS if len(operators.COUPLINGS[kind]) == 1],
     ids=lambda kind: kind.value,
 )
-def test_a_kind_of_one_coupling_ignores_g2_in_its_padding_too(kind):
-    # the padding diagonal bounds the acting couplings alone, so a g2 the
-    # kind does not read leaves every entry of the stack as it is
+def test_a_kind_of_one_coupling_refuses_g2_before_building(kind, monkeypatch):
+    # a g2 the kind would ignore is refused by both builders, before the
+    # sizes are checked and before any structure is looked up
     n_atoms = 1 if kind in SINGLE_ATOM_KINDS else 5
-    ((h, _, size, _),) = block_stacks(kind, ModelParams(1.0, 1.3, g1=0.4), n_atoms, 9)
+    p = ModelParams(1.0, 1.3, g1=0.4, g2=0.7)
+    refusal = f"^{kind.value} has one coupling, g1, and takes no nonzero g2$"
+
+    def poisoned(*args):
+        raise AssertionError("structure looked up")
+
+    monkeypatch.setattr(operators._structures, "get", poisoned)
+    for n_max in (9, 10**6):
+        with pytest.raises(ValueError, match=refusal):
+            block_stacks(kind, p, n_atoms, n_max)
+        with pytest.raises(ValueError, match=refusal):
+            build_hamiltonian(kind, p, n_atoms, n_max)
+    # at g2 = 0 the same call builds
+    monkeypatch.undo()
+    ((h, _, size, _),) = block_stacks(kind, taken_by(kind, p), n_atoms, 9)
     assert (size < h.shape[1]).any()
-    ((ignored, _, _, _),) = block_stacks(kind, ModelParams(1.0, 1.3, g1=0.4, g2=0.7), n_atoms, 9)
-    assert ignored.tobytes() == h.tobytes()
 
 
 def test_a_warm_structure_cache_still_refuses_past_the_ceiling(monkeypatch):
     p = ModelParams(1.0, 1.0, g1=0.5, g2=0.3)
+    q = ModelParams(1.0, 1.0, g1=0.5)
     builds = [
         lambda: list(block_stacks(HamiltonianKind.GENERALIZED_DICKE, p, 4, 8)),
-        lambda: list(block_stacks(HamiltonianKind.INTENSITY_DICKE, p, 4, 8)),
-        lambda: list(block_stacks(HamiltonianKind.DICKE_RWA, p, 4, 8)),
+        lambda: list(block_stacks(HamiltonianKind.INTENSITY_DICKE, q, 4, 8)),
+        lambda: list(block_stacks(HamiltonianKind.DICKE_RWA, q, 4, 8)),
     ]
     for build in builds:
         build()

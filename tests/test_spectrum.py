@@ -233,10 +233,8 @@ def test_roots_sorted_and_clear_of_poles():
 
 def _give_roots(monkeypatch, squares):
     """Make ``collective_modes`` see these roots of Q, in the node's unit."""
-    node_quadratic = thermo._node_quadratic
-    monkeypatch.setattr(
-        spectrum, "_node_quadratic", lambda *args: (*node_quadratic(*args)[:4], squares)
-    )
+    node = thermo._node
+    monkeypatch.setattr(spectrum, "_node", lambda *args: node(*args)._replace(roots=squares))
 
 
 @pytest.mark.parametrize("where", ["zero", "Omega", "omega0", "upper"])
@@ -246,7 +244,8 @@ def test_mode_filter_boundary(monkeypatch, where):
     # in it is dropped at 0 and at the upper end, and is pole-degenerate
     # at a pole, reported at the pole
     p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
-    unit, e = thermo._in_unit(p)
+    unit = thermo._node(p, 1.0)
+    e = unit.e
     assert (unit.omega0, unit.Omega, e) == (0.25, 0.5, 2)
     guard = 2.0 * spectrum.default_pole_epsilon(unit)
     edge = {
@@ -274,8 +273,7 @@ def test_mode_merged_into_a_pole_root_is_reported_at_the_pole(monkeypatch, side)
     # and a root inside it are one pole-degenerate entry at Omega, on
     # either side of the pole
     p = ModelParams(1.0, 2.0, g1=0.3, g2=0.1)
-    unit, e = thermo._in_unit(p)
-    pole = unit.Omega
+    pole = thermo._node(p, 1.0).Omega
     squares = ((pole * (1.0 + side * 5e-9)) ** 2, (pole * (1.0 - side * 5e-10)) ** 2)
     _give_roots(monkeypatch, squares)
     result = collective_modes(p, 1.0)
@@ -410,24 +408,28 @@ def test_critical_spectrum_counts_at_most_two_roots():
 
 @pytest.mark.parametrize("at_critical", [False, True])
 def test_collective_modes_takes_one_thermal_factor(monkeypatch, at_critical):
-    # one tanh_factor and one evaluation of the quadratic per node,
-    # whichever module asks
-    calls = {"tanh_factor": 0, "_node_quadratic": 0}
-    for name in calls:
-        original = getattr(thermo, name)
+    # one tanh taken and one evaluation of the node per node, whichever
+    # module asks and whichever tanh it calls
+    calls = {"np.tanh": 0, "math.tanh": 0, "_node": 0}
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
 
-        for module in (thermo, spectrum):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        return counted
+
+    monkeypatch.setattr(np, "tanh", counting("np.tanh", np.tanh))
+    monkeypatch.setattr(math, "tanh", counting("math.tanh", math.tanh))
+    node = counting("_node", thermo._node)
+    for module in (thermo, spectrum):
+        monkeypatch.setattr(module, "_node", node)
     p = P_RWA if at_critical else ModelParams(1.0, 1.0, g1=0.4, g2=0.3)
-    result = collective_modes(p, critical_beta(p) if at_critical else 2.0)
+    beta = critical_beta(p) if at_critical else 2.0
+    result = collective_modes(p, beta)
     assert result.at_critical == at_critical
     assert ("goldstone" in result.labels) == at_critical
-    assert calls == {"tanh_factor": 1, "_node_quadratic": 1}
+    assert calls == {"np.tanh": 1, "math.tanh": 0, "_node": 1}
 
 
 def test_mixed_detuning_reports_exactly_the_quadratic_roots():

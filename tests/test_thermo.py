@@ -269,7 +269,7 @@ def test_every_thermal_factor_route_refuses_a_non_positive_beta(beta):
         lambda: tanh_factor(p, beta),
         lambda: tanh_factor(ParamGrid(1.0, np.array([1.0, 2.0])), np.array([1.0, beta])),
         lambda: mode_energies(p, beta),
-        lambda: thermo._node_quadratic(p, beta),
+        lambda: thermo._node(p, beta),
         lambda: collective_modes(p, beta),
         lambda: dispersion_residual(0.3, p, beta),
         lambda: continue_kernels(0.3, p, beta),
@@ -280,7 +280,7 @@ def test_every_thermal_factor_route_refuses_a_non_positive_beta(beta):
             route()
     # zero temperature is the factor's limit, not a refusal
     assert tanh_factor(p, math.inf) == 1.0 == tanh_factor(p, 100.0)
-    assert thermo._node_quadratic(p, math.inf) == thermo._node_quadratic(p, 100.0)
+    assert thermo._node(p, math.inf) == thermo._node(p, 100.0)
     assert mode_energies(p, math.inf) == mode_energies(p, 100.0)
     assert collective_modes(p, math.inf).roots
 
@@ -724,3 +724,91 @@ def test_array_route_mixes_every_regime_without_warnings():
         for col, beta in enumerate(betas):
             assert bound[row, col] == convergence_bound(p, float(beta))
             assert rho[row, col] == order_parameter(p, float(beta))
+
+
+def _node_near_the_transition(omega0, Omega, beta, ratio, share):
+    """A node whose coupling sum is ``ratio`` times the one that puts the
+    bound at one at this beta, split by ``share``; None where the sum is
+    not positive and finite."""
+    t = tanh_factor(ModelParams(omega0, Omega), beta)
+    with np.errstate(all="ignore"):
+        g = ratio * math.sqrt(omega0) * math.sqrt(Omega) / math.sqrt(t) if t else math.inf
+    if not 0.0 < g < math.inf:
+        return None
+    return ModelParams(omega0, Omega, g1=g * share, g2=g * (1.0 - share))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    omega0=st.floats(min_value=1e-150, max_value=1e150),
+    Omega=st.floats(min_value=1e-150, max_value=1e150),
+    beta=st.floats(min_value=1e-150, max_value=1e150) | st.just(math.inf),
+    ratio=st.floats(min_value=0.25, max_value=4.0)
+    | st.floats(min_value=-1e-8, max_value=1e-8).map(lambda x: 1.0 + x)
+    | st.sampled_from([1e-200, 1e200]),
+    share=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_scalar_node_bound_and_label_are_the_scan_s(omega0, Omega, beta, ratio, share):
+    # the one scalar evaluation of a node gives the bound and phase label
+    # that the array route of phase_scan gives it, to the bit, near the
+    # transition and across the float range
+    p = _node_near_the_transition(omega0, Omega, beta, ratio, share)
+    assume(p is not None)
+    scan = phase_scan([p], [beta])
+    phase = scan.phase[0]
+    if phase == "error":
+        with pytest.raises(OverflowError, match=thermo._BOUND_OVERFLOW):
+            convergence_bound(p, beta)
+        return
+    bound = convergence_bound(p, beta)
+    assert bound.hex() == float(scan.bound[0]).hex()
+    assert thermo._node(p, beta).bound == bound
+    try:
+        at_critical = collective_modes(p, beta).at_critical
+    except ValueError as exc:
+        # energies too far apart for one unit, and nothing else
+        assert "too wide to share one energy unit" in str(exc)
+    else:
+        assert at_critical == (phase == "critical")
+    if beta == math.inf:
+        return
+    try:
+        log_partition_ratio(p, beta)
+    except ValueError as exc:
+        message = str(exc)
+        if phase == "normal":
+            assert "two positive mode energies" in message or "one energy unit" in message
+        else:
+            assert message == (
+                f"log_partition_ratio requires the normal phase; the node is {phase}, "
+                f"with convergence bound {bound!r}"
+            )
+    else:
+        assert phase == "normal"
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda p, beta: convergence_bound(p, beta),
+        lambda p, beta: mode_energies(p, beta),
+        lambda p, beta: log_partition_ratio(p, beta),
+        lambda p, beta: dispersion_residual(0.3, p, beta),
+    ],
+    ids=["convergence_bound", "mode_energies", "log_partition_ratio", "dispersion_residual"],
+)
+def test_each_scalar_node_route_takes_one_tanh(route, monkeypatch):
+    calls = []
+    tanh = np.tanh
+
+    def counted(x):
+        calls.append(x)
+        return tanh(x)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    # tanh rounds to its argument at the second beta, where the bound
+    # takes beta / 4 for t / Omega; the quadratic still reads t
+    for beta in (2.0, 1e-9):
+        calls.clear()
+        route(ModelParams(1.0, 1.3, g1=0.4, g2=0.3), beta)
+        assert len(calls) == 1
