@@ -1,34 +1,41 @@
 """Batch command-line front end.
 
 Commands: critical-temp, phase-diagram, spectrum, partition-ratio,
-order-parameter, ed-curve, validate.  Each row command yields its rows
-as tuples of cell texts, and one writer writes them as ``csv`` or
-``json`` (one object per line): each row is the writer's own ``%``
-template for a row of that width, the JSON encoder's line of keys and
-separators or ``csv.writer``'s line of ``%s`` cells, filled with the
-cell texts, so a row is byte for byte what the writer would write for
-the row's values.  A table may name the cells that every row shares;
-their texts go into the template once, per job, and each row fills
-only the other fields.  A float's text is its ``repr``, the shortest form
-that round-trips, which ``json`` emits and ``csv.writer`` writes
-unquoted, so identical configurations produce byte-identical files;
-any other cell is the format's own text for it (CSV booleans print as
-``True``/``False``).  phase-diagram and order-parameter evaluate their
-whole grid in one ``phase_scan`` call and build their rows from text
-columns, each grid value and each distinct string formatted once; they
+order-parameter, ed-curve, validate.  Each row command gives a table,
+and one writer writes it as ``csv`` or ``json`` (one object per line):
+the writer's own ``%`` template for a row of that width, the JSON
+encoder's line of keys and separators or ``csv.writer``'s line of
+``%s`` cells, repeated over a block of rows and filled with the block's
+cells by one ``%``, so a row is byte for byte what the writer would
+write for the row's values.  A table may name the cells that every row
+shares; their texts go into the template once, per job, and each row
+fills only the other fields.  A float's text is its ``repr``, the
+shortest form that round-trips, which ``json`` emits and ``csv.writer``
+writes unquoted, so identical configurations produce byte-identical
+files; a column of floats is handed to the template's ``%r`` fields as
+Python floats, whose ``%r`` is that ``repr``.  Any other cell is the
+format's own text for it (CSV booleans print as ``True``/``False``).
+phase-diagram and order-parameter evaluate their whole grid in one
+``phase_scan`` call and write their rows from columns, 256 rows to a
+``%``: the grid's and the scan's floats, and text columns where a cell
+is empty or a value repeats, each distinct string formatted once; they
 share, from what the grid and the scan's labels already say, each input
 of one value (a fixed parameter, a single beta), beta_c of a single
-parameter node, a phase label or error cell that every node has, and
-rho 0.0 where no node is superradiant or an error.  The
-other commands compute node by node, and one cell rule gives each
-value's text as its row is made.  A scan node whose convergence bound
-lies outside the float range is an error row, and no other node is.
-phase-diagram writes it with its ``OverflowError`` text and empty (CSV)
-or ``null`` (JSON) numeric cells; order-parameter stops there and exits
-1 with that text, after the rows before it.  Any other NaN or infinity
-in a row is an error as well: the command exits 1, after the rows it
-had already written.  Rows stream as they are computed.  validate runs
-fixed checks and writes a text report.
+parameter node, a phase label or error cell that every node has, a
+numeric column empty at every node, and rho 0.0 where no node is
+superradiant or an error.  The other commands
+compute node by node, and one cell rule gives each value's text as its
+row is made; each row is a block of one row, written as it is made.  A
+scan node whose convergence bound lies outside the float range is an
+error row, and no other node is.  phase-diagram writes it with its
+``OverflowError`` text and empty (CSV) or ``null`` (JSON) numeric
+cells; order-parameter stops there and exits 1 with that text, after
+the rows before it.  Any other NaN or infinity in a row is an error as
+well: the command exits 1, after the rows before it.  A refusal that
+the parameters alone decide (spectrum's g1 + g2 = 0, a node whose
+energies span too far for one unit in spectrum and partition-ratio, an
+ed-curve ladder's inputs) comes before any row.  validate runs fixed
+checks and writes a text report.
 
 An argv is one COMMAND, at any position, and flags ``--NAME VALUE`` or
 ``--NAME=VALUE``, NAME a setting or ``config``; a separate value may
@@ -74,9 +81,10 @@ from dicketherm.spectrum import check_coupled, collective_modes, goldstone_resid
 from dicketherm.thermo import (
     ParamGrid,
     PhaseScan,
+    _bounded_log_partition_ratio,
+    check_one_unit,
     convergence_bound,
     critical_beta,
-    log_partition_ratio,
     phase_scan,
     quantum_critical_gap,
 )
@@ -437,32 +445,61 @@ def _csv_cell(value: object) -> str:
 _ENCODE = {"csv": _csv_cell, "json": _JSON_ROW.encode}
 
 
-def _write_rows(
-    stream: TextIO,
-    fmt: str,
-    header: Sequence[str],
-    shared: Mapping[str, str],
-    rows: Iterable[tuple[str, ...]],
-) -> None:
-    """Write rows of cell texts, already checked: ``shared`` maps a column
-    to the one text every row holds there, and each of ``rows`` holds the
-    other columns' texts in header order.
+# The rows of a scan table that one ``%`` fills: its row template
+# repeated this many times takes one flat tuple of the block's cells
+_BLOCK_ROWS = 256
+
+
+class _Table(NamedTuple):
+    """A table's cells, already checked.
+
+    ``shared`` maps a column to the one text every row holds there, and
+    ``floats`` names the columns whose cells are Python floats; every
+    other cell is a text.  Each of ``blocks`` is a row count and the
+    cells of that many rows in the other columns, flat: row after row,
+    each in header order.  ``refusal``, if not None, is raised after the
+    last block.
+    """
+
+    shared: Mapping[str, str]
+    floats: AbstractSet[str]
+    blocks: Iterable[tuple[int, tuple]]
+    refusal: Exception | None = None
+
+
+def _write_rows(stream: TextIO, fmt: str, header: Sequence[str], table: _Table) -> None:
+    """Write a table's rows, a block of them per ``%``, then raise its refusal.
 
     The format's row template takes each shared text once, its ``%``
-    escaped, and a ``%s`` field for each other column; each row is
-    ``line % row``.  Filling a template turns each of its ``%%`` into
-    ``%``, so the literal ones (a JSON key's) are doubled first to stay
-    escaped.
+    escaped, a ``%r`` field for each float column and a ``%s`` field for
+    each other column; a block of n rows is the template repeated n
+    times, filled with the block's cells.  ``%r`` of a Python float is
+    ``float.__repr__``, the text both writers write for it (``%r`` of a
+    numpy float is not).  Filling a template turns each of its ``%%``
+    into ``%``, so the literal ones (a JSON key's) are doubled first to
+    stay escaped.
     """
     if fmt == "csv":
         stream.write(_CSV_ROW.writerow(header))
         line = _csv_line(len(header))
     else:
         line = _json_line(header)
-    if shared:
-        escaped = {name: text.replace("%", "%%") for name, text in shared.items()}
-        line = line.replace("%%", "%%%%") % tuple(map(escaped.get, header, repeat("%s")))
-    stream.writelines(map(line.__mod__, rows))
+    shared, floats = table.shared, table.floats
+    if shared or floats:
+        fields = tuple(
+            shared[name].replace("%", "%%") if name in shared else "%r" if name in floats else "%s"
+            for name in header
+        )
+        line = line.replace("%%", "%%%%") % fields
+    # the template of the last block's row count, made again only when
+    # that count changes
+    fill, fill_rows = line, 1
+    for rows, cells in table.blocks:
+        if rows != fill_rows:
+            fill, fill_rows = line * rows, rows
+        stream.write(fill % cells)
+    if table.refusal is not None:
+        raise table.refusal
 
 
 @lru_cache
@@ -528,12 +565,15 @@ def _beta_nodes(config: RunConfig) -> list[float]:
     return [config.beta] if config.beta is not None else []
 
 
-# A table: the texts of the columns every row shares, and the rows of
-# the other columns' texts in header order
-_Table = tuple[dict[str, str], Iterator[tuple[str, ...]]]
-# A scan table's cells by column: one text, which every row holds, or a
-# text column
-_Cells = dict[str, str | Iterable[str]]
+class _Floats(NamedTuple):
+    """A column of Python floats, each written by the template's ``%r``."""
+
+    values: list[float]
+
+
+# A scan table's cells by column: one text, which every row holds, a
+# float column or a text column
+_Cells = dict[str, str | _Floats | Iterable[str]]
 
 _PARAM_COLUMNS = ("omega0", "Omega", "g1", "g2")
 _NODE_COLUMNS = (*_PARAM_COLUMNS, "beta")
@@ -564,10 +604,12 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, _Cells, int]:
     """The whole grid in one ``phase_scan`` call, its five input columns'
     cells, and the number of beta nodes per parameter node.
 
-    The input cells are text, the same in both formats: each grid
-    value's ``repr``, formatted once.  An input of one value (a fixed
-    parameter, a single beta) is that one text, which every row shares;
-    any other is a text column, expanded params outer, beta inner.
+    The cells are the same in both formats.  An input of one value (a
+    fixed parameter, a single beta) is its ``repr``, which every row
+    shares.  An input that changes from row to row is the grid's own
+    floats: the sweep at a single beta, the beta grid of one parameter
+    node.  On a grid of both, each input value's ``repr`` is formatted
+    once and expanded into a text column, params outer, beta inner.
     """
     params = {name: getattr(config.params, name) for name in _PARAM_COLUMNS}
     swept = config.sweep.variable if config.sweep is not None else None
@@ -575,33 +617,46 @@ def _scan(config: RunConfig) -> tuple[PhaseScan, _Cells, int]:
         params[swept] = config.sweep.values()
     betas = _beta_nodes(config)
     scan = phase_scan(ParamGrid(**params), betas)
-    width = len(betas)
+    width, nodes = len(betas), len(scan) // len(betas)
     cells: _Cells = {name: repr(value) for name, value in params.items() if name != swept}
-    if swept is not None:
-        texts = list(map(repr, params[swept]))
-        cells[swept] = texts[0] if len(texts) == 1 else [text for text in texts for _ in betas]
-    texts = list(map(repr, betas))
-    cells["beta"] = texts[0] if width == 1 else texts * (len(scan) // width)
+    if nodes == 1:
+        if swept is not None:
+            cells[swept] = repr(params[swept][0])
+    elif width == 1:
+        cells[swept] = _Floats(params[swept])
+    else:
+        cells[swept] = [text for text in map(repr, params[swept]) for _ in betas]
+    if width == 1:
+        cells["beta"] = repr(betas[0])
+    elif nodes == 1:
+        cells["beta"] = _Floats(betas)
+    else:
+        cells["beta"] = list(map(repr, betas)) * nodes
     return scan, cells, width
 
 
-def _text_column(
-    fmt: str, column: np.ndarray, missing: np.ndarray | None = None
-) -> Iterable[str]:
-    """A float column's cells as the format's text, formatted as they are
-    read.
+def _texts(fmt: str, values: Iterable[float], missing: Iterable[bool]) -> Iterator[str]:
+    """Each value's ``repr``, or the format's empty cell where it is ``missing``.
 
-    A float's text is its ``repr``: what ``json`` emits for a finite
-    float and what ``csv.writer`` writes, with no character it quotes.
-    A ``missing`` node gets the format's empty cell.
+    A float's ``repr`` is what ``json`` emits for a finite float and what
+    ``csv.writer`` writes, with no character it quotes.
     """
-    values = column.tolist()
-    if missing is None or not missing.any():
-        return map(repr, values)
     empty = _ENCODE[fmt](None)
+    return (empty if m else repr(v) for v, m in zip(values, missing))
+
+
+def _number_column(
+    fmt: str, column: np.ndarray, missing: np.ndarray | None = None
+) -> str | _Floats | Iterable[str]:
+    """A float column's cells: its Python floats where no node is
+    ``missing``, the format's empty cell, which every row shares, where
+    every node is, else the format's texts, a missing node's the empty
+    cell."""
+    if missing is None or not missing.any():
+        return _Floats(column.tolist())
     if missing.all():
-        return repeat(empty, len(values))
-    return (empty if m else repr(v) for v, m in zip(values, missing.tolist()))
+        return _ENCODE[fmt](None)
+    return _texts(fmt, column.tolist(), missing.tolist())
 
 
 def _label_column(
@@ -620,20 +675,21 @@ def _label_column(
 
 def _node_column(
     fmt: str, column: np.ndarray, missing: np.ndarray, width: int
-) -> str | Iterable[str]:
-    """The text column of a value of the parameter node alone, such as
-    beta_c: each node's first row formatted once and expanded over the
-    node's ``width`` beta rows, as ``_scan`` expands the input columns;
-    the one text every row shares when there is one node.
+) -> str | _Floats | Iterable[str]:
+    """The cells of a value of the parameter node alone, such as beta_c.
 
-    A ``missing`` row gets the format's empty cell.  Where a node's rows
-    differ in that (an error row of a node that has a value), each row
-    is formatted on its own.
+    With one beta per node, a ``_number_column``.  Otherwise each node's
+    first row is formatted once and expanded over the node's ``width``
+    beta rows, as ``_scan`` expands the input columns, a ``missing``
+    row's the format's empty cell; the one text every row shares when
+    there is one node.  Where a node's rows differ in whether they are
+    missing (an error row of a node that has a value), the column is a
+    ``_number_column``.
     """
     firsts = missing[::width]
     if width == 1 or not np.array_equal(missing, firsts.repeat(width)):
-        return _text_column(fmt, column, missing)
-    texts = list(_text_column(fmt, column[::width], firsts))
+        return _number_column(fmt, column, missing)
+    texts = list(_texts(fmt, column[::width].tolist(), firsts.tolist()))
     if len(texts) == 1:
         return texts[0]
     return [text for text in texts for _ in range(width)]
@@ -665,23 +721,33 @@ _ZERO_RHO = {"normal", "critical"}
 def _scan_table(
     header: Sequence[str], cells: _Cells, stop: int, refusal: Exception | None
 ) -> _Table:
-    """The texts every row shares, and the rows of the other columns in
-    ``header`` order: the first ``stop``, then ``refusal`` raised if
-    there is one."""
-    shared, columns = {}, []
+    """The table of the first ``stop`` rows of ``cells``, in ``header``
+    order, ``_BLOCK_ROWS`` rows to a block, and ``refusal``."""
+    shared, floats, columns = {}, set(), []
     for name in header:
-        if isinstance(cells[name], str):
-            shared[name] = cells[name]
-        else:
-            columns.append(cells[name])
-    rows = islice(zip(*columns), stop)
-    return shared, rows if refusal is None else chain(rows, _raising(refusal))
+        cell = cells[name]
+        if isinstance(cell, str):
+            shared[name] = cell
+            continue
+        if isinstance(cell, _Floats):
+            floats.add(name)
+            cell = cell.values
+        columns.append(cell)
+    return _Table(shared, floats, _blocks(columns, stop), refusal)
 
 
-def _raising(error: Exception) -> Iterator:
-    """An iterator that raises ``error`` when it is first advanced."""
-    raise error
-    yield  # makes this a generator, so the raise waits for the first next()
+def _blocks(columns: Sequence[Iterable], rows: int) -> Iterator[tuple[int, tuple]]:
+    """The first ``rows`` rows of the columns, ``_BLOCK_ROWS`` at a time
+    (the last block the rest), each block's cells flat, row after row.
+    Only one block's cells are taken from the columns at a time."""
+    width = len(columns)
+    columns = [iter(column) for column in columns]
+    for start in range(0, rows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, rows - start)
+        cells = [None] * (n * width)
+        for i, column in enumerate(columns):
+            cells[i::width] = islice(column, n)
+        yield n, tuple(cells)
 
 
 _PHASE_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "beta_c", "rho", "error")
@@ -699,9 +765,9 @@ def _phase_diagram_rows(config: RunConfig) -> _Table:
     fmt = config.fmt
     labels, cells["phase"] = _label_column(fmt, scan.phase)
     cells.update(
-        bound=_text_column(fmt, scan.bound, failed),
+        bound=_number_column(fmt, scan.bound, failed),
         beta_c=_node_column(fmt, scan.beta_c, no_beta_c, width),
-        rho=repr(0.0) if labels <= _ZERO_RHO else _text_column(fmt, scan.rho, failed),
+        rho=repr(0.0) if labels <= _ZERO_RHO else _number_column(fmt, scan.rho, failed),
         error=_label_column(fmt, scan.error)[1],
     )
     refusal = None if refused is None else _non_finite(refused, fmt)
@@ -711,11 +777,13 @@ def _phase_diagram_rows(config: RunConfig) -> _Table:
 def _spectrum_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
     """One CSV row per root; one JSON row per node, the modes as lists.
 
-    Every node's couplings are checked before the first row, so a node
-    with g1 + g2 = 0 writes nothing, not even the CSV header.
+    Every node's couplings and energy span are checked before the first
+    row, so a node with g1 + g2 = 0, or with energies too far apart for
+    one unit, writes nothing, not even the CSV header.
     """
     for p in config.param_nodes:
         check_coupled(p)
+        check_one_unit(p)
     return _spectrum_modes(config)
 
 
@@ -732,10 +800,17 @@ def _spectrum_modes(config: RunConfig) -> Iterator[tuple[str, ...]]:
 
 
 def _partition_ratio_rows(config: RunConfig) -> Iterator[tuple[str, ...]]:
+    # every node's energy span is checked before the first row, so a node
+    # too wide for one unit writes nothing, not even the CSV header
+    for p in config.param_nodes:
+        check_one_unit(p)
+    return _partition_ratios(config)
+
+
+def _partition_ratios(config: RunConfig) -> Iterator[tuple[str, ...]]:
     text = _cell_rule(config.fmt)
     for p, b, node in _nodes(config, text):
-        values = (convergence_bound(p, b), log_partition_ratio(p, b))
-        yield (*node, *map(text, values))
+        yield (*node, *map(text, _bounded_log_partition_ratio(p, b)))
 
 
 _ORDER_COLUMNS = (*_NODE_COLUMNS, "bound", "phase", "rho")
@@ -748,8 +823,8 @@ def _order_parameter_rows(config: RunConfig) -> _Table:
     fmt = config.fmt
     labels, cells["phase"] = _label_column(fmt, scan.phase)
     cells.update(
-        bound=_text_column(fmt, scan.bound),
-        rho=repr(0.0) if labels <= _ZERO_RHO else _text_column(fmt, scan.rho),
+        bound=_number_column(fmt, scan.bound),
+        rho=repr(0.0) if labels <= _ZERO_RHO else _number_column(fmt, scan.rho),
     )
     if refused is not None:
         if scan.phase[stop] == "error":
@@ -781,15 +856,16 @@ def _ed_curve_points(config: RunConfig) -> Iterator[tuple[str, ...]]:
 
 _SPECTRUM_NODE_COLUMNS = (*_NODE_COLUMNS, "at_critical")
 
+
 def _per_node(
     rows: Callable[[RunConfig], Iterator[tuple[str, ...]]],
 ) -> Callable[[RunConfig], _Table]:
-    """A node-by-node table, whose rows share no cell."""
-    return lambda config: ({}, rows(config))
+    """A node-by-node table of cell texts, whose rows share no cell: a
+    block of one row for each row, written as it is made."""
+    return lambda config: _Table({}, frozenset(), zip(repeat(1), rows(config)))
 
 
-# command -> (header, table); each table gives the texts every row shares
-# and its rows of the other cells in header order
+# command -> (header, table)
 _TABLES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], _Table]]] = {
     "critical-temp": (
         (*_PARAM_COLUMNS, "quantum_critical_gap", "beta_c"), _per_node(_critical_temp_rows)
@@ -819,7 +895,7 @@ def _run_table(config: RunConfig, stream: TextIO) -> int:
     header, table = _TABLES[config.command]
     if config.fmt == "json":
         header = _JSON_HEADERS.get(config.command, header)
-    _write_rows(stream, config.fmt, header, *table(config))
+    _write_rows(stream, config.fmt, header, table(config))
     return 0
 
 

@@ -77,6 +77,7 @@ __all__ = [
     "CRITICAL_PHASE_TOL",
     "ParamGrid",
     "PhaseScan",
+    "check_one_unit",
     "convergence_bound",
     "critical_beta",
     "log_partition_ratio",
@@ -386,13 +387,7 @@ def _node(params: ModelParams, beta: float) -> _Node:
 
     e = math.frexp(max(omega0, Omega, g1, g2))[1]
     w0, W = math.ldexp(omega0, -e), math.ldexp(Omega, -e)
-    span = None
-    if not w0 * W >= _UNIT_FLOOR:
-        energies = [v for v in (omega0, Omega, g1, g2) if v > 0.0]
-        span = (
-            f"the energies of this node span {min(energies):.3g} to {max(energies):.3g}, "
-            "too wide to share one energy unit"
-        )
+    span = _span(params, w0, W)
     g1sq, g2sq = math.ldexp(g1, -e) ** 2, math.ldexp(g2, -e) ** 2
     w0sq, Wsq = w0**2, W**2
     B = w0sq + Wsq + 2.0 * t * (g1sq - g2sq)
@@ -408,6 +403,30 @@ def _node(params: ModelParams, beta: float) -> _Node:
             other = C / q
             roots = (min(q, other), max(q, other))
     return _Node(bound, e, w0, W, B, C, roots, span)
+
+
+def _span(params: ModelParams, w0: float, W: float) -> str | None:
+    """None, or the refusal of a node whose energies are too far apart for one
+    unit: omega0 Omega below ``_UNIT_FLOOR`` in the node's unit, where
+    ``w0`` and ``W`` are omega0 and Omega."""
+    if w0 * W >= _UNIT_FLOOR:
+        return None
+    energies = [v for v in (params.omega0, params.Omega, params.g1, params.g2) if v > 0.0]
+    return (
+        f"the energies of this node span {min(energies):.3g} to {max(energies):.3g}, "
+        "too wide to share one energy unit"
+    )
+
+
+def check_one_unit(params: ModelParams) -> None:
+    """Refuse with ValueError a node whose energies are too far apart for one
+    energy unit, for which ``mode_energies``, ``log_partition_ratio`` and the
+    spectrum refuse every beta; the unit is ``_node``'s, set by the
+    parameters alone."""
+    e = math.frexp(max(params.omega0, params.Omega, params.g1, params.g2))[1]
+    span = _span(params, math.ldexp(params.omega0, -e), math.ldexp(params.Omega, -e))
+    if span is not None:
+        raise ValueError(span)
 
 
 def _in_one_unit(node: _Node) -> _Node:
@@ -461,6 +480,12 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
     be positive and finite (``operators.check_beta``).  One ``_node``
     gives the bound, the label and the energies.
     """
+    return _bounded_log_partition_ratio(params, beta)[1]
+
+
+def _bounded_log_partition_ratio(params: ModelParams, beta: float) -> tuple[float, float]:
+    """The node's convergence bound and ``log_partition_ratio``, from one
+    ``_node``; it refuses what ``log_partition_ratio`` refuses."""
     check_beta(beta)
     node = _node(params, beta)
     bound = node.bound
@@ -480,7 +505,7 @@ def log_partition_ratio(params: ModelParams, beta: float) -> float:
             f"rounded quadratic"
         )
     free = sum(_log_sinh(0.5 * beta * w) for w in (params.omega0, params.Omega))
-    return free - sum(_log_sinh(0.5 * beta * E) for E in energies)
+    return bound, free - sum(_log_sinh(0.5 * beta * E) for E in energies)
 
 
 def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -528,7 +553,7 @@ def _gap_root(K: np.ndarray, Omega: np.ndarray, scale: np.ndarray) -> np.ndarray
     )
 
 
-def order_parameter(params: ModelParams | ParamGrid, beta):
+def order_parameter(params: ModelParams | ParamGrid, beta, *, bound=None):
     """Photons per atom from the static saddle point.
 
     The static effective potential per atom, in the variable
@@ -541,9 +566,15 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     Resumming the fermionic sum in closed form turns Phi' = 0 into the
     gap equation K tanh(beta D/4) = D, K = G/omega0 and G = g^2 with
     g = g1 + g2, for the effective gap D = sqrt(Omega^2 + 4 kappa y) >
-    Omega, and rho = (D^2 - Omega^2) / (4 G).  K is formed as
-    (g/omega0) g, which is in range wherever rho is, although G or
-    G/omega0 alone may not be.  It is solved for s = D - Omega on
+    Omega, and rho = (D^2 - Omega^2) / (4 G).  Each node is solved in its
+    own power-of-two unit: the energies scaled by 2^-e and beta by 2^e, e
+    the binary exponent of g.  The scaling is exact and rho has no unit,
+    so rho is the same in any power-of-two unit.  In that unit g is in
+    [1/2, 1) and K = (g/omega0) g, so K omega0 = g^2 and rho, about
+    K / (4 omega0), bound both: K and omega0 stay in range wherever rho
+    does, although G, G/omega0 or K in the caller's unit may not.  (The
+    unit of the largest energy, ``_node``'s, would instead underflow a
+    small g or Omega.)  The equation is solved for s = D - Omega on
     [0, K - Omega], which avoids the cancellation in D^2 - Omega^2 near
     the transition, and rho = s (s + 2 Omega) / (4 K omega0).  The
     balance f(s) = K tanh(beta (Omega + s)/4) - (Omega + s) is concave
@@ -568,9 +599,12 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
     Parameters and beta may be arrays, which broadcast; all nodes are
     solved together and no RuntimeWarning escapes.  Returns exactly 0.0
     unless the node's bound is labelled superradiant, so a critical row
-    never reports a positive rho.
+    never reports a positive rho.  ``bound`` is the nodes'
+    ``convergence_bound(params, beta)`` where the caller has already
+    computed it, as ``phase_scan`` has; it is taken as given.
     """
-    bound = convergence_bound(params, beta)
+    if bound is None:
+        bound = convergence_bound(params, beta)
     with np.errstate(all="ignore"):
         sr = _superradiant(np.asarray(bound))
         rho = np.zeros(sr.shape)
@@ -579,10 +613,16 @@ def order_parameter(params: ModelParams | ParamGrid, beta):
             ones = np.ones(sr.shape)
             g = ((params.g1 + params.g2) * ones)[sr]
             omega0 = (params.omega0 * ones)[sr]
-            # g^2 or g^2 / omega0 alone can leave the float range
-            K = g / omega0 * g
             Omega = (params.Omega * ones)[sr]
             scale = (_THERMAL_SCALE * ones * beta)[sr]
+            # each node in its own unit 2^e, e the binary exponent of g;
+            # rho is unit-free and the scaling exact.  The four arrays are
+            # this call's own copies, so they are scaled in place
+            e = np.frexp(g)[1]
+            for energy in (g, omega0, Omega):
+                np.ldexp(energy, -e, out=energy)
+            np.ldexp(scale, e, out=scale)
+            K = g / omega0 * g
             s = _gap_root(K, Omega, scale)
             # s / K <= 1, scaled by 1/4 and 1/omega0 before the second
             # factor; s (s + 2 Omega), 4 K or 4 rho alone can overflow
@@ -634,9 +674,9 @@ def phase_scan(
     """Cartesian scan, params outer and beta inner, deterministic order.
 
     One array evaluation: the bound once per node (a ``ParamGrid`` is
-    flattened) and one ``order_parameter`` call, which solves the gap
-    equation at the superradiant nodes; beta_c, once per parameter node,
-    waits for its first reading (``PhaseScan.beta_c``).  A NaN or
+    flattened) and one ``order_parameter`` call given that bound, which
+    solves the gap equation at the superradiant nodes; beta_c, once per
+    parameter node, waits for its first reading (``PhaseScan.beta_c``).  A NaN or
     non-positive beta raises ValueError before any node is evaluated.  A
     node whose bound lies outside the float range, where the scalar
     ``convergence_bound`` raises OverflowError, becomes an error row:
@@ -651,8 +691,9 @@ def phase_scan(
     betas = np.ravel(np.asarray(beta_grid, dtype=float))
     if not columns[0].size or not betas.size:
         raise ValueError("phase_scan requires non-empty grids")
-    bound = convergence_bound(per_params, betas).ravel()
-    rho = order_parameter(per_params, betas).ravel()
+    grid_bound = convergence_bound(per_params, betas)
+    rho = order_parameter(per_params, betas, bound=grid_bound).ravel()
+    bound = grid_bound.ravel()
     phase = np.where(_superradiant(bound), "superradiant", "normal")
     phase[_critical(bound)] = "critical"
     nodes = [c.repeat(betas.size) for c in columns]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -731,6 +733,49 @@ def test_spectrum_refuses_an_uncoupled_node_before_any_row(args, fmt, capsys):
     assert captured.err == "error: collective_modes requires g1 + g2 > 0\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--Omega", "1e-300", "--g1", "1", "--beta", "1"],
+        ["partition-ratio", "--Omega", "1e-300", "--g1", "1e-160", "--beta", "1"],
+        # the first node shares one unit, the second does not
+        ["spectrum", "--Omega", "1e-160", "--g1", "1e-160", "--sweep", "omega0:1e-140:1:2",
+         "--beta-grid", "1:2:2"],
+        ["partition-ratio", "--Omega", "1e-160", "--g1", "1e-160", "--sweep",
+         "omega0:1e-140:1:2", "--beta", "1"],
+    ],
+    ids=["spectrum", "partition-ratio", "spectrum-last-of-a-sweep",
+         "partition-ratio-last-of-a-sweep"],
+)
+def test_a_node_too_wide_for_one_unit_is_refused_before_any_row(argv, fmt, capsys):
+    # the span is the parameters' alone, so every node is checked first
+    # and not even the CSV header is written
+    assert main([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the energies of this node span ")
+    assert captured.err.endswith("too wide to share one energy unit\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_partition_ratio_row_takes_one_tanh(monkeypatch, capsys):
+    # its bound cell and ratio come from one evaluation of the node
+    calls = []
+    tanh = np.tanh
+
+    def counted(x):
+        calls.append(x)
+        return tanh(x)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    argv = ["partition-ratio", "--g1", "0.4", "--g2", "0.3", "--beta-grid", "0.5:2:4",
+            "--sweep", "Omega:1:1.3:2"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 8
+    assert len(calls) == 8
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
 def test_ed_tol_must_be_positive_and_finite(tol, capsys):
     code = main(["ed-curve", "--beta", "1.0", "--n-list", "2", "--ed-tol", tol])
@@ -1227,6 +1272,97 @@ def test_scan_rows_are_the_stdlib_writers_of_the_scan_values(command, argv, caps
         _assert_same_text(capsys.readouterr().out, _expected_output(command, rows, fmt))
 
 
+_BLOCK = cli._BLOCK_ROWS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(list(_SCAN_HEADERS)),
+    rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    argv=st.sampled_from([
+        # no transition below g1 = 0.8: some beta_c cells are empty
+        ["--g2", "0.2", "--beta", "2", "--sweep", "g1:0:2"],
+        # a transition at every node: beta_c is a float column
+        ["--g2", "0.2", "--beta", "2", "--sweep", "g1:0.9:3"],
+        ["--g1", "0.9", "--g2", "0.6", "--beta-grid", "0.5:4"],
+    ]),
+    data=st.data(),
+)
+def test_scan_blocks_write_the_stdlib_bytes_around_the_block_size(command, rows, argv, data):
+    # rows in and across the blocks of one fill, with error rows and a
+    # non-finite bound inside a block: each line is the standard writer's
+    # for the scan's values, and the rows stop where the refusal is
+    argv = [*argv[:-1], f"{argv[-1]}:{rows}"]
+    errors = data.draw(st.sets(st.integers(0, rows - 1), max_size=3), label="error rows")
+    poisoned = data.draw(st.none() | st.integers(0, rows - 1), label="inf bound row")
+    text = "OverflowError: marked node"
+
+    def marked(*args):
+        scan = phase_scan(*args)
+        for k in errors - {poisoned}:
+            scan.phase[k], scan.error[k] = "error", text
+            scan.bound[k] = scan.beta_c[k] = scan.rho[k] = math.nan
+        if poisoned is not None:
+            scan.bound[poisoned] = math.inf
+        return scan
+
+    cfg = parse_config([command, *argv])
+    betas = cfg.beta_grid.values() if cfg.beta_grid is not None else [cfg.beta]
+    scan = marked(cfg.param_nodes, betas)
+    header = _SCAN_HEADERS[command]
+    expected, refusal = [], None
+    for i in range(len(scan)):
+        failed = scan.phase[i] == "error"
+        if failed and command == "order-parameter":
+            refusal = text
+            break
+        if scan.bound[i] == math.inf:
+            refusal = "non-finite value inf in a {} row"
+            break
+        cell = {name: getattr(scan, name)[i] for name in header}
+        cell = {name: v.item() if isinstance(v, np.generic) else v for name, v in cell.items()}
+        if failed:
+            cell["bound"] = cell["rho"] = None
+        if command == "phase-diagram" and math.isnan(cell["beta_c"]):
+            cell["beta_c"] = None
+        expected.append([cell[name] for name in header])
+    with mock.patch.object(cli, "phase_scan", marked):
+        for fmt in ("csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *argv, "--format", fmt])
+            assert code == (0 if refusal is None else 1)
+            _assert_same_text(out.getvalue(), _expected_output(command, expected, fmt))
+            message = "" if refusal is None else f"error: {refusal.format(fmt.upper())}\n"
+            assert err.getvalue() == message
+
+
+def test_every_cell_of_a_float_field_is_a_python_float(monkeypatch, capsys):
+    # %r of a numpy float is "np.float64(...)", not the float's text
+    write = cli._write_rows
+    floats_seen = set()
+
+    def checked(stream, fmt, header, table):
+        blocks = list(table.blocks)
+        columns = [name for name in header if name not in table.shared]
+        width = len(columns)
+        for rows, cells in blocks:
+            assert len(cells) == rows * width
+            for i, name in enumerate(columns):
+                if name in table.floats:
+                    assert {type(cell) for cell in cells[i::width]} <= {float}
+                    floats_seen.add(name)
+        write(stream, fmt, header, table._replace(blocks=blocks))
+
+    monkeypatch.setattr(cli, "_write_rows", checked)
+    for argv in _ENCODER_GRIDS:
+        for command in _SCAN_HEADERS:
+            for fmt in ("csv", "json"):
+                main([command, *argv, "--format", fmt])
+    capsys.readouterr()
+    assert floats_seen >= {"g1", "beta", "bound", "beta_c", "rho"}
+
+
 def test_beta_c_of_an_error_row_in_a_beta_grid_is_empty(monkeypatch, capsys):
     import dicketherm.cli as cli
 
@@ -1359,7 +1495,7 @@ def test_csv_template_and_cell_texts_are_the_writers_own():
         row = (*map(cli._ENCODE[fmt], cells), repr(0.1))
         assert tuple(map(cli._cell_rule(fmt), values)) == row
         out = io.StringIO()
-        cli._write_rows(out, fmt, header, {}, [row, row])
+        cli._write_rows(out, fmt, header, cli._Table({}, frozenset(), [(1, row), (1, row)]))
         if fmt == "csv":
             assert out.getvalue() == written(header, values, values)
         else:
@@ -1396,17 +1532,23 @@ _FOLDED_TABLES = {
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("table", _FOLDED_TABLES.values(), ids=_FOLDED_TABLES)
 def test_folded_template_writes_the_stdlib_bytes(table, fmt):
-    # the shared cells go into the row template once; each row fills the
-    # other columns' fields, and the line is what the standard writer
-    # writes for the row's values
+    # the shared cells go into the row template once; each block of rows
+    # fills the other columns' fields, a column of floats by %r and any
+    # other by its texts, and the lines are what the standard writer
+    # writes for the rows' values
     header, shared_names, rows = table
     text = cli._cell_rule(fmt)
     shared = {name: text(rows[0][i]) for i, name in enumerate(header) if name in shared_names}
-    cells = [
-        tuple(text(value) for name, value in zip(header, row) if name not in shared) for row in rows
-    ]
+    floats = {
+        name for i, name in enumerate(header)
+        if name not in shared and all(type(row[i]) is float for row in rows)
+    }
+    cells = tuple(
+        value if name in floats else text(value)
+        for row in rows for name, value in zip(header, row) if name not in shared
+    )
     out = io.StringIO()
-    _write_rows(out, fmt, header, shared, cells)
+    _write_rows(out, fmt, header, cli._Table(shared, floats, [(len(rows), cells)]))
     assert out.getvalue() == _stdlib_bytes(fmt, header, rows)
 
 
@@ -1506,20 +1648,21 @@ def test_non_finite_scan_value_stops_the_column_rows(
     assert captured.err == f"error: non-finite value inf in a {fmt.upper()} row\n"
 
 
-def _text_rows(fmt, rows):
-    """The rows as cell texts by the cell rule, made as they are written."""
+def _text_table(fmt, rows):
+    """A table of the rows as cell texts by the cell rule, made as they are
+    written, a block of one row each."""
     import dicketherm.cli as cli
 
     text = cli._cell_rule(fmt)
-    return (tuple(map(text, row)) for row in rows)
+    return cli._Table({}, frozenset(), ((1, tuple(map(text, row))) for row in rows))
 
 
 def test_write_rows_cells_and_non_finite_json():
     header = ("a", "b")
     with pytest.raises(ValueError, match="non-finite value nan in a JSON row"):
-        _write_rows(io.StringIO(), "json", header, {}, _text_rows("json", [(1.0, math.nan)]))
+        _write_rows(io.StringIO(), "json", header, _text_table("json", [(1.0, math.nan)]))
     stream = io.StringIO()
-    _write_rows(stream, "csv", header, {}, _text_rows("csv", [(1.0, None), (True, "x")]))
+    _write_rows(stream, "csv", header, _text_table("csv", [(1.0, None), (True, "x")]))
     assert stream.getvalue() == "a,b\n1.0,\nTrue,x\n"
 
 
@@ -1539,7 +1682,7 @@ def test_non_finite_value_in_csv_row_exits_one(monkeypatch, capsys):
 
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            _write_rows(io.StringIO(), "csv", ("a", "b"), {}, _text_rows("csv", [("x", value)]))
+            _write_rows(io.StringIO(), "csv", ("a", "b"), _text_table("csv", [("x", value)]))
     monkeypatch.setattr(cli, "critical_beta", lambda params: math.inf)
     assert main(["critical-temp", "--Omega", "5e-324", "--g1", "1"]) == 1
     captured = capsys.readouterr()
@@ -1556,8 +1699,8 @@ def _inf_spectrum(p, beta):
 # that puts an infinity into the node's values
 _INF_NODES = [
     ("critical-temp", ["--g1", "1.2"], "critical_beta", lambda p: math.inf),
-    ("partition-ratio", ["--g1", "0.6", "--beta", "1"], "log_partition_ratio",
-     lambda p, beta: math.inf),
+    ("partition-ratio", ["--g1", "0.6", "--beta", "1"], "_bounded_log_partition_ratio",
+     lambda p, beta: (convergence_bound(p, beta), math.inf)),
     ("spectrum", ["--g1", "0.6", "--beta", "1"], "collective_modes", _inf_spectrum),
     ("ed-curve", ["--g1", "0.5", "--beta", "1", "--n-list", "2"], "photon_density_curve",
      lambda *args, **kwargs: [CurvePoint(2, 8, 0.25, math.inf)]),

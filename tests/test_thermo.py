@@ -560,17 +560,22 @@ def test_order_parameter_holds_where_the_gap_squared_overflows():
     # at g = 1e100 the gap D = 1e200 has D^2 outside the float range, at
     # g = 7e153 so has 4 G, while G / 4 is in range, at omega0 = 0.4,
     # g = 6e153 so has 4 rho = G / omega0^2, and at omega0 = 1e300,
-    # g = 1e200 so has G, while G / omega0 = 1e100 is in range
+    # g = 1e200 so has G, while G / omega0 = 1e100 is in range, and at
+    # omega0 = 1, g = 1.342e154 so has K = G / omega0, while rho is not
     nodes = (
         (1.0, 1e100, 2.5e199),
         (1.0, 7e153, 7e153**2 / 4.0),
         (0.4, 6e153, 5.625e307),
         (1e300, 1e200, 2.5e-201),
+        (1.0, 1.342e154, (1.342e154 / 2.0) ** 2),
     )
     for omega0, g, rho in nodes:
         p = ModelParams(omega0, 1.0, g1=g)
         assert order_parameter(p, 1.0) == pytest.approx(rho, rel=1e-14)
         assert phase_scan([p], [1.0]).rho[0] == order_parameter(p, 1.0)
+        # the same node in another power-of-two unit
+        q = ModelParams(omega0 * 2.0**-512, 2.0**-512, g1=g * 2.0**-512)
+        assert order_parameter(q, 2.0**512) == order_parameter(p, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
